@@ -27,17 +27,15 @@ use obd_cmos::expand::expand;
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
 use obd_core::characterize::{
-    characterize_table1_cached, characterize_table1_parallel,
-    characterize_table1_parallel_with_options, characterize_table1_with_options,
-    measure_cell_transition_with_options, BenchConfig, Fig5Bench, Table1, TransitionOutcome,
+    characterize_table1_cached, characterize_table1_parallel, characterize_table1_with_options,
+    measure_cell_transition_with_options, BenchConfig, Fig5Bench,
 };
-use obd_core::fixtures::{measure_fixture_transition_with_options, mna_unknowns, MultiCellBench};
 use obd_core::monte::{run_monte, MonteConfig};
 use obd_core::ObdError;
 use obd_logic::netlist::GateKind;
 use obd_spice::devices::{EvalCtx, Integration, SourceWave};
 use obd_spice::engine::Solver;
-use obd_spice::{SimOptions, SolverKind};
+use obd_spice::SimOptions;
 use obd_store::Store;
 
 /// Throughput report for the analog substrate.
@@ -71,19 +69,6 @@ pub struct SpiceBenchReport {
     pub warm_store_hits: u64,
     /// Whether the warm table is byte-identical to the cold one.
     pub warm_byte_identical: bool,
-    /// MNA unknowns of the multi-cell fixture used for the sparse contrast.
-    pub sparse_fixture_unknowns: usize,
-    /// Full Table 1 wall time with the dense backend forced (s).
-    pub sparse_table1_dense_s: f64,
-    /// Full Table 1 wall time with the sparse backend forced (s).
-    pub sparse_table1_sparse_s: f64,
-    /// Full-adder fixture transient wall time, dense backend (s).
-    pub sparse_fixture_dense_s: f64,
-    /// Full-adder fixture transient wall time, sparse backend (s).
-    pub sparse_fixture_sparse_s: f64,
-    /// Whether the forced-dense and forced-sparse runs produced the exact
-    /// same f64 bit patterns (Table 1 grid and fixture outcome).
-    pub sparse_byte_identical: bool,
     /// Monte Carlo corners sampled for the throughput section.
     pub monte_samples: usize,
     /// Probes measured per corner.
@@ -115,12 +100,6 @@ impl SpiceBenchReport {
         self.table1_cold_s / self.table1_warm_s
     }
 
-    /// Dense → sparse on the multi-cell fixture, where the CSR backend is
-    /// the right choice; the NAND-sized Table 1 stays dense territory.
-    pub fn sparse_speedup(&self) -> f64 {
-        self.sparse_fixture_dense_s / self.sparse_fixture_sparse_s
-    }
-
     /// Monte Carlo corners per second.
     pub fn monte_corners_per_sec(&self) -> f64 {
         self.monte_samples as f64 / self.monte_wall_s
@@ -129,35 +108,6 @@ impl SpiceBenchReport {
     /// Monte Carlo individual measurements (corners × probes) per second.
     pub fn monte_measurements_per_sec(&self) -> f64 {
         (self.monte_samples * self.monte_probes) as f64 / self.monte_wall_s
-    }
-}
-
-/// Exact-bit equality of two Table 1 grids: every cell either `Stuck` on
-/// both sides or a delay with identical f64 bit patterns.
-fn tables_bit_identical(a: &Table1, b: &Table1) -> bool {
-    let cell_eq = |x: Option<TransitionOutcome>, y: Option<TransitionOutcome>| match (x, y) {
-        (None, None) => true,
-        (Some(TransitionOutcome::Stuck), Some(TransitionOutcome::Stuck)) => true,
-        (Some(TransitionOutcome::Delay(p)), Some(TransitionOutcome::Delay(q))) => {
-            p.to_bits() == q.to_bits()
-        }
-        _ => false,
-    };
-    a.rows.len() == b.rows.len()
-        && a.rows.iter().zip(&b.rows).all(|(ra, rb)| {
-            ra.nmos
-                .iter()
-                .zip(&rb.nmos)
-                .chain(ra.pmos.iter().zip(&rb.pmos))
-                .all(|(&x, &y)| cell_eq(x, y))
-        })
-}
-
-fn outcome_bits_eq(a: TransitionOutcome, b: TransitionOutcome) -> bool {
-    match (a, b) {
-        (TransitionOutcome::Stuck, TransitionOutcome::Stuck) => true,
-        (TransitionOutcome::Delay(p), TransitionOutcome::Delay(q)) => p.to_bits() == q.to_bits(),
-        _ => false,
     }
 }
 
@@ -309,67 +259,6 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
     );
     let warm_byte_identical = format!("{cold_table:?}") == format!("{warm_table:?}");
 
-    // Sparse-vs-dense contrast. The forced-backend Table 1 runs prove the
-    // bit-identity claim at characterization scale (and show dense is the
-    // right call for a single NAND cell); the multi-cell full-adder
-    // fixture is where the CSR backend actually earns its keep, so the
-    // headline sparse speedup is measured there.
-    let dense_opts = SimOptions::new().with_solver(SolverKind::Dense);
-    let sparse_opts = SimOptions::new().with_solver(SolverKind::Sparse);
-    let t5 = Instant::now();
-    let table_dense = characterize_table1_parallel_with_options(tech, cfg, threads, &dense_opts)?;
-    let sparse_table1_dense_s = t5.elapsed().as_secs_f64();
-    let t6 = Instant::now();
-    let table_sparse = characterize_table1_parallel_with_options(tech, cfg, threads, &sparse_opts)?;
-    let sparse_table1_sparse_s = t6.elapsed().as_secs_f64();
-    let mut sparse_byte_identical = tables_bit_identical(&table_dense, &table_sparse);
-
-    let fixture = MultiCellBench::full_adder()?;
-    let sparse_fixture_unknowns = {
-        let mut exp = expand(&fixture.netlist, tech)?;
-        for &pi in &fixture.pis {
-            exp.drive_input(pi, SourceWave::dc(0.0));
-        }
-        mna_unknowns(&exp.circuit)
-    };
-    let fixture_cfg = BenchConfig {
-        at_speed_ps: None,
-        ..cfg.clone()
-    };
-    let v1 = [true, false, false];
-    let v2 = [true, true, false];
-    let mut sparse_fixture_dense_s = f64::INFINITY;
-    let mut sparse_fixture_sparse_s = f64::INFINITY;
-    let mut fixture_outcomes = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let od = measure_fixture_transition_with_options(
-            tech,
-            &fixture,
-            None,
-            &v1,
-            &v2,
-            &fixture_cfg,
-            &dense_opts,
-        )?;
-        sparse_fixture_dense_s = sparse_fixture_dense_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let os = measure_fixture_transition_with_options(
-            tech,
-            &fixture,
-            None,
-            &v1,
-            &v2,
-            &fixture_cfg,
-            &sparse_opts,
-        )?;
-        sparse_fixture_sparse_s = sparse_fixture_sparse_s.min(t.elapsed().as_secs_f64());
-        fixture_outcomes = Some((od, os));
-    }
-    if let Some((od, os)) = fixture_outcomes {
-        sparse_byte_identical &= outcome_bits_eq(od, os);
-    }
-
     // Monte Carlo throughput: a small campaign at the bench resolution,
     // sized to time the fan-out rather than characterize the spread.
     let monte_cfg = MonteConfig {
@@ -381,9 +270,9 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
         },
         ..MonteConfig::new()
     };
-    let t7 = Instant::now();
+    let t5 = Instant::now();
     let monte = run_monte(tech, &monte_cfg)?;
-    let monte_wall_s = t7.elapsed().as_secs_f64();
+    let monte_wall_s = t5.elapsed().as_secs_f64();
 
     Ok(SpiceBenchReport {
         newton_ns_per_iter,
@@ -400,12 +289,6 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
         table1_warm_s,
         warm_store_hits: warm_cache.store_hits(),
         warm_byte_identical,
-        sparse_fixture_unknowns,
-        sparse_table1_dense_s,
-        sparse_table1_sparse_s,
-        sparse_fixture_dense_s,
-        sparse_fixture_sparse_s,
-        sparse_byte_identical,
         monte_samples: monte.samples,
         monte_probes: monte.probes.len(),
         monte_threads: threads,
@@ -437,16 +320,6 @@ pub fn to_json(r: &SpiceBenchReport) -> String {
             "    \"warm_store_hits\": {},\n",
             "    \"byte_identical\": {}\n",
             "  }},\n",
-            "  \"sparse\": {{\n",
-            "    \"fixture\": \"full_adder\",\n",
-            "    \"unknowns\": {},\n",
-            "    \"table1_dense_s\": {:.4},\n",
-            "    \"table1_sparse_s\": {:.4},\n",
-            "    \"fixture_dense_s\": {:.4},\n",
-            "    \"fixture_sparse_s\": {:.4},\n",
-            "    \"speedup\": {:.3},\n",
-            "    \"byte_identical\": {}\n",
-            "  }},\n",
             "  \"monte\": {{\n",
             "    \"samples\": {},\n",
             "    \"probes\": {},\n",
@@ -475,13 +348,6 @@ pub fn to_json(r: &SpiceBenchReport) -> String {
         r.warm_speedup(),
         r.warm_store_hits,
         r.warm_byte_identical,
-        r.sparse_fixture_unknowns,
-        r.sparse_table1_dense_s,
-        r.sparse_table1_sparse_s,
-        r.sparse_fixture_dense_s,
-        r.sparse_fixture_sparse_s,
-        r.sparse_speedup(),
-        r.sparse_byte_identical,
         r.monte_samples,
         r.monte_probes,
         r.monte_threads,
@@ -500,7 +366,6 @@ pub fn render(r: &SpiceBenchReport) -> String {
             "  table1 end-to-end : reference {:.2} s, optimized serial {:.2} s, parallel {:.2} s on {} threads\n",
             "  speedup           : kernel {:.2}x, threads {:.2}x, total {:.2}x\n",
             "  warm start        : cold {:.3} s, warm {:.6} s ({:.0}x, {} store hits, byte-identical: {})\n",
-            "  sparse backend    : full adder ({} unknowns) dense {:.4} s vs sparse {:.4} s ({:.2}x, bit-identical: {})\n",
             "  monte carlo       : {} corners x {} probes on {} threads in {:.2} s ({:.2} corners/s)"
         ),
         r.newton_ns_per_iter,
@@ -521,11 +386,6 @@ pub fn render(r: &SpiceBenchReport) -> String {
         r.warm_speedup(),
         r.warm_store_hits,
         r.warm_byte_identical,
-        r.sparse_fixture_unknowns,
-        r.sparse_fixture_dense_s,
-        r.sparse_fixture_sparse_s,
-        r.sparse_speedup(),
-        r.sparse_byte_identical,
         r.monte_samples,
         r.monte_probes,
         r.monte_threads,
@@ -555,12 +415,6 @@ mod tests {
             table1_warm_s: 0.5,
             warm_store_hits: 100,
             warm_byte_identical: true,
-            sparse_fixture_unknowns: 42,
-            sparse_table1_dense_s: 3.0,
-            sparse_table1_sparse_s: 4.0,
-            sparse_fixture_dense_s: 0.6,
-            sparse_fixture_sparse_s: 0.2,
-            sparse_byte_identical: true,
             monte_samples: 6,
             monte_probes: 4,
             monte_threads: 8,
@@ -570,7 +424,6 @@ mod tests {
         assert_eq!(r.thread_speedup(), 4.0);
         assert_eq!(r.total_speedup(), 8.0);
         assert_eq!(r.warm_speedup(), 20.0);
-        assert!((r.sparse_speedup() - 3.0).abs() < 1e-12);
         assert_eq!(r.monte_corners_per_sec(), 2.0);
         assert_eq!(r.monte_measurements_per_sec(), 8.0);
         let j = to_json(&r);
@@ -578,50 +431,11 @@ mod tests {
         assert!(j.contains("\"total_speedup\": 8.000"));
         assert!(j.contains("\"warm_store_hits\": 100"));
         assert!(j.contains("\"byte_identical\": true"));
-        assert!(j.contains("\"fixture\": \"full_adder\""));
-        assert!(j.contains("\"speedup\": 3.000"));
         assert!(j.contains("\"corners_per_sec\": 2.000"));
         assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
         // Balanced braces — the artifact must stay machine-parseable.
         let open = j.matches('{').count();
         assert_eq!(open, j.matches('}').count());
-        assert_eq!(open, 7);
-    }
-
-    #[test]
-    fn table_bit_identity_distinguishes_cells() {
-        use obd_core::characterize::Table1Row;
-        use obd_core::BreakdownStage;
-        let row = Table1Row {
-            stage: BreakdownStage::Sbd,
-            nmos_params: None,
-            pmos_params: None,
-            nmos: [
-                Some(TransitionOutcome::Delay(123.456)),
-                Some(TransitionOutcome::Stuck),
-                None,
-                None,
-            ],
-            pmos: [None; 4],
-        };
-        let t = Table1 {
-            rows: vec![row.clone()],
-        };
-        assert!(tables_bit_identical(&t, &t));
-        let mut flipped = Table1 { rows: vec![row] };
-        flipped.rows[0].nmos[0] = Some(TransitionOutcome::Delay(123.456 + 1e-10));
-        assert!(!tables_bit_identical(&t, &flipped));
-        assert!(outcome_bits_eq(
-            TransitionOutcome::Delay(1.5),
-            TransitionOutcome::Delay(1.5)
-        ));
-        assert!(!outcome_bits_eq(
-            TransitionOutcome::Delay(1.5),
-            TransitionOutcome::Stuck
-        ));
-        assert!(!outcome_bits_eq(
-            TransitionOutcome::Delay(1.5),
-            TransitionOutcome::Delay(1.5 + 1e-13)
-        ));
+        assert_eq!(open, 6);
     }
 }

@@ -1,17 +1,16 @@
-//! Multi-cell characterization fixtures — netlists big enough to exercise
-//! the sparse MNA path.
+//! Multi-cell characterization fixtures — a breakdown site embedded in
+//! more circuit than one cell.
 //!
 //! The Fig. 5 bench is a single NAND2 with inverter drivers (≈ 15 MNA
-//! unknowns), which the auto solver keeps on the dense kernel. These
-//! fixtures embed a breakdown site in substantially larger surroundings:
+//! unknowns). These fixtures embed a breakdown site in substantially
+//! larger surroundings:
 //!
 //! * [`MultiCellBench::nand_context`] — the NAND2 device under test
 //!   driven through four-inverter fanin chains and loaded by a real
 //!   NAND/inverter fanout tree, so the defect's injected current interacts
 //!   with several stages of real CMOS on both sides.
 //! * [`MultiCellBench::full_adder`] — a transistor-level nine-NAND full
-//!   adder with buffered inputs and loaded outputs (≥ 40 MNA unknowns),
-//!   which crosses the sparse crossover in the default auto solver mode.
+//!   adder with buffered inputs and loaded outputs (≥ 40 MNA unknowns).
 //!
 //! Measurements mirror [`crate::characterize`]: two-pattern sequences,
 //! 50 %-crossing delays, stuck detection — but the expected output
@@ -112,9 +111,7 @@ impl MultiCellBench {
     /// observed net is the sum output.
     ///
     /// With 26 cells and 9 series pull-down internal nodes this fixture
-    /// reaches 42 MNA unknowns (see [`mna_unknowns`]) — past the default
-    /// sparse crossover, so the auto solver characterizes it on the
-    /// sparse path.
+    /// reaches 42 MNA unknowns (see [`mna_unknowns`]).
     ///
     /// # Errors
     ///
@@ -225,7 +222,7 @@ pub fn run_fixture_with_options(
 /// the measured edge is the observed net crossing 50 % in the direction
 /// the logic simulator predicts. Includes the fanin-chain delay by
 /// construction — fixtures compare outcomes relatively (defect versus
-/// fault-free, sparse versus dense), not against Table 1 absolutes.
+/// fault-free), not against Table 1 absolutes.
 ///
 /// # Errors
 ///
@@ -301,7 +298,6 @@ pub fn measure_fixture_transition_with_options(
 mod tests {
     use super::*;
     use crate::stage::BreakdownStage;
-    use obd_spice::SolverKind;
 
     fn fast_cfg() -> BenchConfig {
         BenchConfig {
@@ -315,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn full_adder_fixture_crosses_sparse_threshold() {
+    fn full_adder_fixture_has_at_least_40_unknowns() {
         let fx = MultiCellBench::full_adder().unwrap();
         assert!(fx.num_cells() >= 3, "cells = {}", fx.num_cells());
         let tech = TechParams::date05();
@@ -325,36 +321,6 @@ mod tests {
         }
         let dim = mna_unknowns(&exp.circuit);
         assert!(dim >= 40, "full adder fixture has {dim} MNA unknowns");
-    }
-
-    #[test]
-    fn nand_context_sparse_matches_dense_bitwise() {
-        let fx = MultiCellBench::nand_context().unwrap();
-        let tech = TechParams::date05();
-        let cfg = fast_cfg();
-        let mut outcomes = Vec::new();
-        for kind in [SolverKind::Dense, SolverKind::Sparse] {
-            let opts = SimOptions::new().with_solver(kind);
-            let o = measure_fixture_transition_with_options(
-                &tech,
-                &fx,
-                None,
-                &[false, true],
-                &[true, true],
-                &cfg,
-                &opts,
-            )
-            .unwrap();
-            outcomes.push(o);
-        }
-        let d = |o: TransitionOutcome| o.delay_ps().expect("fixture switches");
-        assert_eq!(
-            d(outcomes[0]).to_bits(),
-            d(outcomes[1]).to_bits(),
-            "dense={:?} sparse={:?}",
-            outcomes[0],
-            outcomes[1]
-        );
     }
 
     #[test]

@@ -45,7 +45,8 @@
 //! * [`pool`] — the deterministic work-stealing job pool shared by the
 //!   parallel Table 1 driver and the Monte Carlo engine.
 //! * [`fixtures`] — multi-cell benches (deep NAND context, a
-//!   transistor-level full adder) that exercise the sparse MNA path.
+//!   transistor-level full adder) that embed a breakdown site in more
+//!   than one cell of real CMOS.
 //! * [`monte`] — batched Monte Carlo characterization across randomized
 //!   process corners with percentile and detection aggregates.
 

@@ -27,14 +27,9 @@
 mod error;
 mod lu;
 mod matrix;
-mod sparse;
 mod vector;
 
 pub use error::LinalgError;
 pub use lu::{solve, solve_refined, Lu, LuWorkspace};
 pub use matrix::Matrix;
-pub use sparse::{
-    min_degree_order, SparseLuWorkspace, SparseMatrix, SparseOrdering, SparsePattern,
-    DEFAULT_SPARSE_CROSSOVER,
-};
 pub use vector::{axpy, dot, norm_inf, norm_one, norm_two, scale, sub};

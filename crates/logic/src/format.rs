@@ -46,7 +46,13 @@ pub fn parse_bench(text: &str) -> Result<Netlist, LogicError> {
             let name = rest
                 .strip_suffix(')')
                 .ok_or_else(|| parse_err(line, "missing ')'"))?;
-            nl.add_input(name.trim());
+            let name = name.trim();
+            // `Netlist::add_input` panics on a name clash; outside text
+            // must get a typed error instead.
+            if nl.find_net(name).is_ok() {
+                return Err(parse_err(line, &format!("duplicate INPUT '{name}'")));
+            }
+            nl.add_input(name);
             continue;
         }
         if let Some(rest) = s.strip_prefix("OUTPUT(") {
@@ -228,6 +234,18 @@ mod tests {
             parse_bench(text),
             Err(LogicError::Parse { line: 2, .. })
         ));
+    }
+
+    #[test]
+    fn duplicate_input_reported_with_line() {
+        let text = "INPUT(a)\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n";
+        match parse_bench(text) {
+            Err(LogicError::Parse { line, message }) => {
+                assert_eq!(line, 2);
+                assert!(message.contains("'a'"), "{message}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
     }
 
     #[test]

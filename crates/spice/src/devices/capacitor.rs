@@ -1,6 +1,6 @@
 use crate::circuit::NodeId;
 use crate::devices::{DeviceState, EvalCtx, Integration};
-use crate::stamp::Mna;
+use crate::stamp::Stamp;
 
 /// A linear capacitor between nodes `a` and `b`.
 ///
@@ -58,13 +58,7 @@ impl Capacitor {
         }
     }
 
-    pub(crate) fn stamp<M: Mna>(
-        &self,
-        st: &mut M,
-        _x: &[f64],
-        ctx: &EvalCtx,
-        state: &mut DeviceState,
-    ) {
+    pub(crate) fn stamp(&self, st: &mut Stamp, _x: &[f64], ctx: &EvalCtx, state: &mut DeviceState) {
         if let Some((geq, ieq)) = self.companion(ctx.integ, state) {
             st.add_conductance(self.a, self.b, geq);
             // i(v) = geq·v + ieq, flowing a -> b.
@@ -99,7 +93,6 @@ fn node_voltage(x: &[f64], n: NodeId) -> f64 {
 mod tests {
     use super::*;
     use crate::circuit::Circuit;
-    use crate::stamp::Stamp;
 
     #[test]
     fn dc_stamps_nothing() {

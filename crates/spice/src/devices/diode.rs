@@ -1,6 +1,6 @@
 use crate::circuit::NodeId;
 use crate::devices::{DeviceState, EvalCtx};
-use crate::stamp::Mna;
+use crate::stamp::Stamp;
 use crate::THERMAL_VOLTAGE;
 
 /// Exponent cap for the Shockley equation; `exp(120)` is representable and
@@ -168,13 +168,7 @@ impl Diode {
         }
     }
 
-    pub(crate) fn stamp<M: Mna>(
-        &self,
-        st: &mut M,
-        x: &[f64],
-        ctx: &EvalCtx,
-        state: &mut DeviceState,
-    ) {
+    pub(crate) fn stamp(&self, st: &mut Stamp, x: &[f64], ctx: &EvalCtx, state: &mut DeviceState) {
         let v_raw = st.voltage(x, self.anode) - st.voltage(x, self.cathode);
         let v_old = state.limit[0];
         let vd = pnjlim(

@@ -20,7 +20,7 @@ pub use resistor::Resistor;
 pub use sources::{Isource, PulseSpec, SourceWave, Vsource};
 
 use crate::circuit::NodeId;
-use crate::stamp::Mna;
+use crate::stamp::Stamp;
 
 /// Integration scheme for reactive companion models.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,9 +139,9 @@ impl Device {
     ///
     /// `branch` is the MNA branch-current row for voltage sources (assigned
     /// by the engine) and `None` for other devices.
-    pub fn stamp<M: Mna>(
+    pub fn stamp(
         &self,
-        st: &mut M,
+        st: &mut Stamp,
         x: &[f64],
         ctx: &EvalCtx,
         state: &mut DeviceState,

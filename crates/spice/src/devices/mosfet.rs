@@ -1,6 +1,6 @@
 use crate::circuit::NodeId;
 use crate::devices::{DeviceState, EvalCtx};
-use crate::stamp::Mna;
+use crate::stamp::Stamp;
 
 /// MOSFET channel polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,13 +215,7 @@ impl Mosfet {
         }
     }
 
-    pub(crate) fn stamp<M: Mna>(
-        &self,
-        st: &mut M,
-        x: &[f64],
-        ctx: &EvalCtx,
-        _state: &mut DeviceState,
-    ) {
+    pub(crate) fn stamp(&self, st: &mut Stamp, x: &[f64], ctx: &EvalCtx, _state: &mut DeviceState) {
         let s = self.polarity.sign();
         let vd = st.voltage(x, self.drain);
         let vg = st.voltage(x, self.gate);

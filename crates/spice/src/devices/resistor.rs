@@ -1,5 +1,5 @@
 use crate::circuit::NodeId;
-use crate::stamp::Mna;
+use crate::stamp::Stamp;
 
 /// A linear resistor between nodes `a` and `b`.
 ///
@@ -43,7 +43,7 @@ impl Resistor {
         Ok(())
     }
 
-    pub(crate) fn stamp<M: Mna>(&self, st: &mut M) {
+    pub(crate) fn stamp(&self, st: &mut Stamp) {
         st.add_conductance(self.a, self.b, 1.0 / self.ohms);
     }
 }

@@ -1,6 +1,6 @@
 use crate::circuit::NodeId;
 use crate::devices::EvalCtx;
-use crate::stamp::Mna;
+use crate::stamp::Stamp;
 
 /// A pulse waveform specification (SPICE `PULSE`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,7 +158,7 @@ impl Vsource {
         self.wave.validate()
     }
 
-    pub(crate) fn stamp<M: Mna>(&self, st: &mut M, ctx: &EvalCtx, branch: usize) {
+    pub(crate) fn stamp(&self, st: &mut Stamp, ctx: &EvalCtx, branch: usize) {
         let e = self.wave.value(ctx.time) * ctx.source_scale;
         st.add_vsource(branch, self.plus, self.minus, e);
     }
@@ -193,7 +193,7 @@ impl Isource {
         self.wave.validate()
     }
 
-    pub(crate) fn stamp<M: Mna>(&self, st: &mut M, ctx: &EvalCtx) {
+    pub(crate) fn stamp(&self, st: &mut Stamp, ctx: &EvalCtx) {
         let i = self.wave.value(ctx.time) * ctx.source_scale;
         st.add_current(self.from, self.to, i);
     }

@@ -57,7 +57,7 @@ pub mod waveform;
 pub use circuit::{Circuit, DeviceId, NodeId};
 pub use error::SpiceError;
 pub use options::{SimOptions, SolverKind};
-pub use stamp::{Mna, SparseStamp, Stamp};
+pub use stamp::Stamp;
 pub use waveform::{EdgeKind, Waveform};
 
 /// Thermal voltage kT/q at room temperature (300 K), in volts.

@@ -2,124 +2,12 @@
 //!
 //! Unknown ordering: node voltages for nodes `1..n` (ground excluded),
 //! followed by one branch current per independent voltage source.
-//!
-//! Device models stamp through the [`Mna`] trait, so the same stamping
-//! code assembles either the dense [`Stamp`] or the CSR-backed
-//! [`SparseStamp`]. Because both accumulate the identical sequence of
-//! `+=` operations, the assembled systems agree bit for bit — the
-//! property the sparse solver's bit-identity guarantee rests on.
 
-use std::sync::Arc;
+use obd_linalg::Matrix;
 
-use obd_linalg::{LinalgError, Matrix, SparseMatrix, SparsePattern};
+use crate::circuit::NodeId;
 
-use crate::circuit::{Circuit, NodeId};
-
-/// Assembly surface shared by the dense and sparse MNA systems.
-///
-/// Only the two raw accumulators and the row geometry are required; the
-/// provided methods encode the MNA stamping conventions once on top of
-/// them, so dense and sparse assembly cannot drift apart.
-pub trait Mna {
-    /// System dimension (node rows + branch rows).
-    fn dim(&self) -> usize;
-    /// Number of node-voltage rows (total nodes minus ground).
-    fn num_node_rows(&self) -> usize;
-    /// Number of voltage-source branch rows.
-    fn num_branches(&self) -> usize;
-    /// Accumulates `v` into matrix entry `(r, c)`.
-    fn mat_add(&mut self, r: usize, c: usize, v: f64);
-    /// Accumulates `v` into right-hand-side entry `r`.
-    fn rhs_add(&mut self, r: usize, v: f64);
-
-    /// Row/column index for a node, or `None` for ground.
-    fn node_row(&self, n: NodeId) -> Option<usize> {
-        if n.is_ground() {
-            None
-        } else {
-            Some(n.index() - 1)
-        }
-    }
-
-    /// Row index for voltage-source branch `k`.
-    fn branch_row(&self, k: usize) -> usize {
-        debug_assert!(k < self.num_branches());
-        self.num_node_rows() + k
-    }
-
-    /// Voltage of `n` in the solution/iterate vector `x`.
-    fn voltage(&self, x: &[f64], n: NodeId) -> f64 {
-        match self.node_row(n) {
-            Some(r) => x[r],
-            None => 0.0,
-        }
-    }
-
-    /// Branch current of voltage source `k` in `x`.
-    fn branch_current(&self, x: &[f64], k: usize) -> f64 {
-        x[self.branch_row(k)]
-    }
-
-    /// Stamps a conductance `g` between nodes `a` and `b`.
-    fn add_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
-        let ra = self.node_row(a);
-        let rb = self.node_row(b);
-        if let Some(i) = ra {
-            self.mat_add(i, i, g);
-        }
-        if let Some(j) = rb {
-            self.mat_add(j, j, g);
-        }
-        if let (Some(i), Some(j)) = (ra, rb) {
-            self.mat_add(i, j, -g);
-            self.mat_add(j, i, -g);
-        }
-    }
-
-    /// Stamps a constant current `i` flowing from node `from` through the
-    /// element into node `to`.
-    fn add_current(&mut self, from: NodeId, to: NodeId, i: f64) {
-        if let Some(r) = self.node_row(from) {
-            self.rhs_add(r, -i);
-        }
-        if let Some(r) = self.node_row(to) {
-            self.rhs_add(r, i);
-        }
-    }
-
-    /// Stamps a raw matrix entry coupling the KCL row of `row_node` to the
-    /// voltage of `col_node` (used for transconductances).
-    fn add_entry(&mut self, row_node: NodeId, col_node: NodeId, v: f64) {
-        if let (Some(r), Some(c)) = (self.node_row(row_node), self.node_row(col_node)) {
-            self.mat_add(r, c, v);
-        }
-    }
-
-    /// Stamps an ideal voltage source `v(plus) - v(minus) = e` on branch
-    /// `k`.
-    fn add_vsource(&mut self, k: usize, plus: NodeId, minus: NodeId, e: f64) {
-        let br = self.branch_row(k);
-        if let Some(r) = self.node_row(plus) {
-            self.mat_add(r, br, 1.0);
-            self.mat_add(br, r, 1.0);
-        }
-        if let Some(r) = self.node_row(minus) {
-            self.mat_add(r, br, -1.0);
-            self.mat_add(br, r, -1.0);
-        }
-        self.rhs_add(br, e);
-    }
-
-    /// Adds `gmin` from every node to ground (diagonal loading), keeping
-    /// the matrix nonsingular when all devices at a node are cut off.
-    fn add_gmin_loading(&mut self, gmin: f64) {
-        for i in 0..self.num_node_rows() {
-            self.mat_add(i, i, gmin);
-        }
-    }
-}
-
-/// An MNA system `A·x = z` under assembly, dense storage.
+/// An MNA system `A·x = z` under assembly.
 #[derive(Debug, Clone)]
 pub struct Stamp {
     n_nodes: usize,
@@ -157,159 +45,96 @@ impl Stamp {
         self.a.copy_from(&other.a);
         self.z.copy_from_slice(&other.z);
     }
-}
 
-impl Mna for Stamp {
-    fn dim(&self) -> usize {
+    /// System dimension (node rows + branch rows).
+    pub fn dim(&self) -> usize {
         self.n_nodes - 1 + self.n_branches
     }
 
-    fn num_node_rows(&self) -> usize {
-        self.n_nodes - 1
-    }
-
-    fn num_branches(&self) -> usize {
-        self.n_branches
-    }
-
-    fn mat_add(&mut self, r: usize, c: usize, v: f64) {
-        self.a.add_at(r, c, v);
-    }
-
-    fn rhs_add(&mut self, r: usize, v: f64) {
-        self.z[r] += v;
-    }
-}
-
-/// An MNA system `A·x = z` under assembly, CSR storage over a structural
-/// pattern frozen once per circuit topology.
-///
-/// The pattern is built from the circuit — every terminal-pair coupling a
-/// device can ever stamp, the voltage-source branch couplings, and the
-/// full diagonal (gmin loading plus pivoting headroom) — so re-stamping
-/// across Newton iterations, transient steps and Monte Carlo corners only
-/// rewrites values. Positions in the pattern that a given operating point
-/// never touches hold exact `+0.0`, which keeps the assembled matrix
-/// bit-identical to its dense counterpart.
-#[derive(Debug, Clone)]
-pub struct SparseStamp {
-    n_nodes: usize,
-    n_branches: usize,
-    /// System matrix over the frozen structural pattern.
-    pub a: SparseMatrix,
-    /// Right-hand side.
-    pub z: Vec<f64>,
-    /// Set when a stamp landed outside the structural pattern — an engine
-    /// bug surfaced as a typed error by the caller, never a panic.
-    missed: bool,
-}
-
-impl SparseStamp {
-    /// Builds the frozen structural pattern for `ckt` and an all-zero
-    /// system over it. `branch_of[i]` is device `i`'s voltage-source
-    /// branch index, as assigned by the engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pattern-construction failures (out-of-range indices),
-    /// which indicate an engine bug rather than a user error.
-    pub fn for_circuit(
-        ckt: &Circuit,
-        branch_of: &[Option<usize>],
-        n_branches: usize,
-    ) -> Result<Self, LinalgError> {
-        let n_nodes = ckt.num_nodes();
-        let node_rows = n_nodes - 1;
-        let dim = node_rows + n_branches;
-        let mut entries: Vec<(usize, usize)> = Vec::with_capacity(dim * 4);
-        // Full diagonal: gmin loading hits every node row, and keeping
-        // branch diagonals structurally present costs nothing (they hold
-        // exact zeros, invisible to the bit-identical factorization).
-        for i in 0..dim {
-            entries.push((i, i));
-        }
-        let mut rows: Vec<usize> = Vec::with_capacity(4);
-        for (di, dev) in ckt.devices().iter().enumerate() {
-            rows.clear();
-            for t in dev.terminals() {
-                if !t.is_ground() {
-                    rows.push(t.index() - 1);
-                }
-            }
-            // Conservative structural envelope: every (row, col) pair a
-            // conductance or transconductance stamp between this device's
-            // terminals can touch.
-            for &r in &rows {
-                for &c in &rows {
-                    entries.push((r, c));
-                }
-            }
-            if let Some(k) = branch_of.get(di).copied().flatten() {
-                let br = node_rows + k;
-                for &r in &rows {
-                    entries.push((r, br));
-                    entries.push((br, r));
-                }
-            }
-        }
-        let pattern = SparsePattern::from_entries(dim, &entries)?;
-        Ok(SparseStamp {
-            n_nodes,
-            n_branches,
-            a: SparseMatrix::zeros(pattern),
-            z: vec![0.0; dim],
-            missed: false,
-        })
-    }
-
-    /// The frozen structural pattern.
-    pub fn pattern(&self) -> &Arc<SparsePattern> {
-        self.a.pattern()
-    }
-
-    /// Zeroes the system for re-stamping (the pattern is untouched).
-    pub fn clear(&mut self) {
-        self.a.clear();
-        self.z.iter_mut().for_each(|v| *v = 0.0);
-        self.missed = false;
-    }
-
-    /// Overwrites this system's values with `other`'s (same pattern).
-    pub fn copy_from(&mut self, other: &SparseStamp) {
-        debug_assert_eq!(self.dim(), other.dim());
-        self.a.copy_values_from(&other.a);
-        self.z.copy_from_slice(&other.z);
-        self.missed |= other.missed;
-    }
-
-    /// Returns and clears the missed-stamp flag. `true` means some stamp
-    /// landed outside the structural pattern since the last clear.
-    pub fn take_missed(&mut self) -> bool {
-        std::mem::take(&mut self.missed)
-    }
-}
-
-impl Mna for SparseStamp {
-    fn dim(&self) -> usize {
-        self.n_nodes - 1 + self.n_branches
-    }
-
-    fn num_node_rows(&self) -> usize {
-        self.n_nodes - 1
-    }
-
-    fn num_branches(&self) -> usize {
-        self.n_branches
-    }
-
-    fn mat_add(&mut self, r: usize, c: usize, v: f64) {
-        if !self.a.add_at(r, c, v) {
-            self.missed = true;
+    /// Row/column index for a node, or `None` for ground.
+    fn node_row(&self, n: NodeId) -> Option<usize> {
+        if n.is_ground() {
+            None
+        } else {
+            Some(n.index() - 1)
         }
     }
 
-    fn rhs_add(&mut self, r: usize, v: f64) {
-        self.z[r] += v;
+    /// Row index for voltage-source branch `k`.
+    fn branch_row(&self, k: usize) -> usize {
+        debug_assert!(k < self.n_branches);
+        self.n_nodes - 1 + k
+    }
+
+    /// Voltage of `n` in the solution/iterate vector `x`.
+    pub fn voltage(&self, x: &[f64], n: NodeId) -> f64 {
+        match self.node_row(n) {
+            Some(r) => x[r],
+            None => 0.0,
+        }
+    }
+
+    /// Branch current of voltage source `k` in `x`.
+    pub fn branch_current(&self, x: &[f64], k: usize) -> f64 {
+        x[self.branch_row(k)]
+    }
+
+    /// Stamps a conductance `g` between nodes `a` and `b`.
+    pub fn add_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
+        let ra = self.node_row(a);
+        let rb = self.node_row(b);
+        if let Some(i) = ra {
+            self.a.add_at(i, i, g);
+        }
+        if let Some(j) = rb {
+            self.a.add_at(j, j, g);
+        }
+        if let (Some(i), Some(j)) = (ra, rb) {
+            self.a.add_at(i, j, -g);
+            self.a.add_at(j, i, -g);
+        }
+    }
+
+    /// Stamps a constant current `i` flowing from node `from` through the
+    /// element into node `to`.
+    pub fn add_current(&mut self, from: NodeId, to: NodeId, i: f64) {
+        if let Some(r) = self.node_row(from) {
+            self.z[r] -= i;
+        }
+        if let Some(r) = self.node_row(to) {
+            self.z[r] += i;
+        }
+    }
+
+    /// Stamps a raw matrix entry coupling the KCL row of `row_node` to the
+    /// voltage of `col_node` (used for transconductances).
+    pub fn add_entry(&mut self, row_node: NodeId, col_node: NodeId, v: f64) {
+        if let (Some(r), Some(c)) = (self.node_row(row_node), self.node_row(col_node)) {
+            self.a.add_at(r, c, v);
+        }
+    }
+
+    /// Stamps an ideal voltage source `v(plus) - v(minus) = e` on branch
+    /// `k`.
+    pub fn add_vsource(&mut self, k: usize, plus: NodeId, minus: NodeId, e: f64) {
+        let br = self.branch_row(k);
+        if let Some(r) = self.node_row(plus) {
+            self.a.add_at(r, br, 1.0);
+            self.a.add_at(br, r, 1.0);
+        }
+        if let Some(r) = self.node_row(minus) {
+            self.a.add_at(r, br, -1.0);
+            self.a.add_at(br, r, -1.0);
+        }
+        self.z[br] += e;
+    }
+
+    /// Adds `gmin` from every node to ground (diagonal loading), keeping
+    /// the matrix nonsingular when all devices at a node are cut off.
+    pub fn add_gmin_loading(&mut self, gmin: f64) {
+        for i in 0..self.n_nodes - 1 {
+            self.a.add_at(i, i, gmin);
+        }
     }
 }
 
@@ -382,79 +207,5 @@ mod tests {
         st.clear();
         assert_eq!(st.a.norm_inf(), 0.0);
         assert_eq!(st.z[0], 0.0);
-    }
-
-    /// The same stamping sequence through the trait must assemble bitwise
-    /// identical dense and sparse systems.
-    #[test]
-    fn sparse_stamp_matches_dense_bitwise() {
-        use crate::devices::{Resistor, SourceWave, Vsource};
-
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let mid = c.node("mid");
-        let out = c.node("out");
-        c.add_vsource(Vsource::new(
-            "V1",
-            vin,
-            Circuit::GROUND,
-            SourceWave::dc(2.0),
-        ));
-        c.add_resistor(Resistor::new("R1", vin, mid, 1e3));
-        c.add_resistor(Resistor::new("R2", mid, out, 2e3));
-        c.add_resistor(Resistor::new("R3", out, Circuit::GROUND, 3e3));
-        let branch_of = vec![Some(0), None, None, None];
-
-        let mut dense = Stamp::new(c.num_nodes(), 1);
-        let mut sparse = SparseStamp::for_circuit(&c, &branch_of, 1).unwrap();
-        // Mirror the engine's assembly order on both targets.
-        for (g, a, b) in [
-            (1e-3, vin, mid),
-            (5e-4, mid, out),
-            (1.0 / 3e3, out, Circuit::GROUND),
-        ] {
-            dense.add_conductance(a, b, g);
-            sparse.add_conductance(a, b, g);
-        }
-        dense.add_vsource(0, vin, Circuit::GROUND, 2.0);
-        sparse.add_vsource(0, vin, Circuit::GROUND, 2.0);
-        dense.add_gmin_loading(1e-12);
-        sparse.add_gmin_loading(1e-12);
-
-        assert!(!sparse.take_missed());
-        let sd = sparse.a.to_dense();
-        let n = dense.dim();
-        for r in 0..n {
-            for cix in 0..n {
-                assert_eq!(
-                    dense.a[(r, cix)].to_bits(),
-                    sd[(r, cix)].to_bits(),
-                    "entry ({r}, {cix}) differs"
-                );
-            }
-        }
-        for r in 0..n {
-            assert_eq!(dense.z[r].to_bits(), sparse.z[r].to_bits());
-        }
-    }
-
-    /// A stamp outside the frozen pattern raises the missed flag instead
-    /// of silently dropping charge or panicking.
-    #[test]
-    fn out_of_pattern_stamp_sets_missed_flag() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.node("c");
-        // No devices: pattern is just the diagonal.
-        let mut sparse = SparseStamp::for_circuit(&c, &[], 0).unwrap();
-        sparse.add_conductance(a, a, 1.0); // diagonal: fine
-        assert!(!sparse.take_missed());
-        sparse.add_conductance(a, b, 1.0); // off-diagonal: outside pattern
-        assert!(sparse.take_missed());
-        // clear() resets the flag too.
-        sparse.add_conductance(a, b, 1.0);
-        sparse.clear();
-        assert!(!sparse.take_missed());
     }
 }

@@ -61,13 +61,14 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 /// A circuit exercising every stamp class: source, resistor, capacitor
-/// companion, diode and MOSFET.
-fn mixed_circuit() -> Circuit {
+/// companion, diode and MOSFET. Each of the `stages` is one such mixed
+/// stage (resistive-load NMOS inverter, a resistor into a clamp diode, an
+/// output capacitor), gated by the previous stage's output, and adds two
+/// MNA unknowns to the four of the shared supply and input.
+fn mixed_chain(stages: usize) -> Circuit {
     let mut c = Circuit::new();
     let vdd = c.node("vdd");
     let vin = c.node("in");
-    let out = c.node("out");
-    let mid = c.node("mid");
     c.add_vsource(Vsource::new(
         "VDD",
         vdd,
@@ -80,69 +81,89 @@ fn mixed_circuit() -> Circuit {
         Circuit::GROUND,
         SourceWave::dc(1.8),
     ));
-    c.add_resistor(Resistor::new("RL", vdd, out, 10e3));
-    c.add_mosfet(Mosfet::new(
-        "M1",
-        MosPolarity::Nmos,
-        out,
-        vin,
-        Circuit::GROUND,
-        Circuit::GROUND,
-        MosParams {
-            vt0: 0.5,
-            kp: 100e-6,
-            lambda: 0.02,
-            gamma: 0.0,
-            phi: 0.7,
-            w: 4e-6,
-            l: 0.5e-6,
-        },
-    ));
-    c.add_resistor(Resistor::new("R2", out, mid, 2e3));
-    c.add_diode(Diode::new(
-        "D1",
-        mid,
-        Circuit::GROUND,
-        DiodeParams::new(1e-14),
-    ));
-    c.add_capacitor(Capacitor::new("C1", out, Circuit::GROUND, 0.1e-12));
+    let mut gate = vin;
+    for k in 0..stages {
+        let out = c.node(&format!("out{k}"));
+        let mid = c.node(&format!("mid{k}"));
+        c.add_resistor(Resistor::new(&format!("RL{k}"), vdd, out, 10e3));
+        c.add_mosfet(Mosfet::new(
+            &format!("M{k}"),
+            MosPolarity::Nmos,
+            out,
+            gate,
+            Circuit::GROUND,
+            Circuit::GROUND,
+            MosParams {
+                vt0: 0.5,
+                kp: 100e-6,
+                lambda: 0.02,
+                gamma: 0.0,
+                phi: 0.7,
+                w: 4e-6,
+                l: 0.5e-6,
+            },
+        ));
+        c.add_resistor(Resistor::new(&format!("R{k}"), out, mid, 2e3));
+        c.add_diode(Diode::new(
+            &format!("D{k}"),
+            mid,
+            Circuit::GROUND,
+            DiodeParams::new(1e-14),
+        ));
+        c.add_capacitor(Capacitor::new(
+            &format!("C{k}"),
+            out,
+            Circuit::GROUND,
+            0.1e-12,
+        ));
+        gate = out;
+    }
     c
 }
 
+/// Runs on a single mixed stage and on a 22-stage chain (48 unknowns),
+/// so the proof also covers a system larger than the biggest one the
+/// suite simulates (the 47-unknown Fig. 8 sum circuit).
 #[test]
 fn warm_newton_solves_do_not_allocate() {
     let _guard = TEST_LOCK.lock().unwrap();
     MEASURED_THREAD.with(|c| c.set(true));
-    let ckt = mixed_circuit();
-    let opts = SimOptions::new();
-    let mut solver = Solver::new(&ckt, &opts).unwrap();
+    for (stages, min_dim) in [(1, 6), (22, 47)] {
+        let ckt = mixed_chain(stages);
+        let opts = SimOptions::new();
+        let mut solver = Solver::new(&ckt, &opts).unwrap();
+        assert!(solver.dim() >= min_dim, "{stages} stages: {}", solver.dim());
 
-    let ctx = EvalCtx {
-        time: 1e-9,
-        source_scale: 1.0,
-        gmin: opts.gmin,
-        integ: Integration::Trapezoidal { h: 5e-12 },
-        vt: obd_spice::THERMAL_VOLTAGE,
-    };
+        let ctx = EvalCtx {
+            time: 1e-9,
+            source_scale: 1.0,
+            gmin: opts.gmin,
+            integ: Integration::Trapezoidal { h: 5e-12 },
+            vt: obd_spice::THERMAL_VOLTAGE,
+        };
 
-    // Warm-up: the operating point sizes every solver buffer, then one
-    // transient-context solve warms the caller-side buffers.
-    let x0 = solver.operating_point().unwrap();
-    let mut x = vec![0.0; solver.dim()];
-    solver.newton_into(&ctx, &x0, &mut x).unwrap();
-
-    ALLOC_CALLS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    for _ in 0..50 {
+        // Warm-up: the operating point sizes every solver buffer, then one
+        // transient-context solve warms the caller-side buffers.
+        let x0 = solver.operating_point().unwrap();
+        let mut x = vec![0.0; solver.dim()];
         solver.newton_into(&ctx, &x0, &mut x).unwrap();
-    }
-    COUNTING.store(false, Ordering::SeqCst);
 
-    let calls = ALLOC_CALLS.load(Ordering::SeqCst);
-    assert_eq!(
-        calls, 0,
-        "steady-state newton_into performed {calls} heap allocations over 50 solves"
-    );
+        ALLOC_CALLS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        for _ in 0..50 {
+            solver.newton_into(&ctx, &x0, &mut x).unwrap();
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+
+        let calls = ALLOC_CALLS.load(Ordering::SeqCst);
+        assert_eq!(
+            calls,
+            0,
+            "{stages} stages ({} unknowns): steady-state newton_into performed \
+             {calls} heap allocations over 50 solves",
+            solver.dim()
+        );
+    }
 }
 
 /// The engine's Newton loop and the LU workspace are instrumented with
@@ -156,7 +177,7 @@ fn metrics_disabled_path_does_not_allocate_in_hot_loop() {
     MEASURED_THREAD.with(|c| c.set(true));
     obd_metrics::disable();
 
-    let ckt = mixed_circuit();
+    let ckt = mixed_chain(1);
     let opts = SimOptions::new();
     let mut solver = Solver::new(&ckt, &opts).unwrap();
 

@@ -217,6 +217,48 @@ fn rc_discharge_exponential() {
     }
 }
 
+/// Convergence order by step halving: an RC charge from 0 V toward a
+/// 1 V supply (τ = 1 ns) is sampled at t = τ with steps h, h/2 and h/4,
+/// and each error is taken against the closed form 1 − e^{−t/τ}.
+/// Trapezoidal integration is second order, so each halving must cut its
+/// error by about 4× (accepted: 3.5–4.5×); backward Euler is first
+/// order, about 2× (accepted: 1.8–2.2×). Trapezoidal runs one
+/// backward-Euler startup step, whose O(h²) local error keeps the global
+/// order at two.
+#[test]
+fn step_halving_shows_integration_order() {
+    let tau = 1e-9;
+    let error_at_tau = |h: f64, backward_euler: bool| -> f64 {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.add_vsource(Vsource::new("V", vin, Circuit::GROUND, SourceWave::dc(1.0)));
+        ckt.add_resistor(Resistor::new("R", vin, out, 1e3));
+        ckt.add_capacitor(Capacitor::new("C", out, Circuit::GROUND, 1e-12));
+        let mut params = TranParams::new(h, tau).with_uic();
+        if backward_euler {
+            params = params.with_backward_euler();
+        }
+        let wave = transient(&ckt, &params).unwrap();
+        // The window ends exactly at `tau`, so no interpolation enters.
+        (wave.final_value(out) - (1.0 - (-1.0f64).exp())).abs()
+    };
+    for (backward_euler, lo, hi) in [(false, 3.5, 4.5), (true, 1.8, 2.2)] {
+        let errs: Vec<f64> = [0.1, 0.05, 0.025]
+            .iter()
+            .map(|&f| error_at_tau(f * tau, backward_euler))
+            .collect();
+        for pair in errs.windows(2) {
+            let ratio = pair[0] / pair[1];
+            assert!(
+                (lo..=hi).contains(&ratio),
+                "backward_euler={backward_euler}: errors {errs:?}, halving ratio {ratio:.3} \
+                 outside [{lo}, {hi}]"
+            );
+        }
+    }
+}
+
 /// Two resistors in parallel equal the analytic combination, for any
 /// positive values spanning the magnitudes in the OBD ladder.
 #[test]
