@@ -66,7 +66,8 @@ fn bench_lu() {
 
 fn bench_op() {
     header("spice_op");
-    let bench5 = obd_core::characterize::Fig5Bench::new().expect("bench");
+    let bench5 = obd_core::characterize::Fig5Bench::for_kind(obd_logic::netlist::GateKind::Nand)
+        .expect("bench");
     let tech = obd_cmos::TechParams::date05();
     let mut exp = obd_cmos::expand::expand(&bench5.netlist, &tech).expect("expand");
     exp.drive_input(bench5.pis[0], SourceWave::dc(0.0));

@@ -5,13 +5,18 @@
 use obd_bench::quick_bench_config;
 use obd_bench::timing::{bench_with, header, BenchOpts};
 use obd_cmos::TechParams;
-use obd_core::characterize::{measure_transition, BenchDefect};
+use obd_core::characterize::{
+    characterize_table1, measure_cell_transition, BenchDefect, RunOptions,
+};
 use obd_core::faultmodel::Polarity;
 use obd_core::BreakdownStage;
+use obd_logic::netlist::GateKind;
+use obd_spice::SimOptions;
 
 fn print_artifact() {
     let tech = TechParams::date05();
-    match obd_bench::experiments::table1::run(&tech, &quick_bench_config()) {
+    let report = characterize_table1(&tech, &quick_bench_config(), &RunOptions::default());
+    match report.into_result() {
         Ok(table) => println!("\n{}", table.render()),
         Err(e) => eprintln!("table1 artifact failed: {e}"),
     }
@@ -21,39 +26,28 @@ fn main() {
     print_artifact();
     let tech = TechParams::date05();
     let cfg = quick_bench_config();
+    let sim = SimOptions::new();
+    let measure = |defect, v1, v2| {
+        measure_cell_transition(&tech, GateKind::Nand, defect, v1, v2, &cfg, &sim).expect("measure")
+    };
     let opts = BenchOpts::heavy();
+    let mbd2 = |polarity| {
+        let params = BreakdownStage::Mbd2.params(polarity).expect("ladder");
+        Some(BenchDefect {
+            pin: 0,
+            polarity,
+            params,
+        })
+    };
+    let (nmos, pmos) = (mbd2(Polarity::Nmos), mbd2(Polarity::Pmos));
     header("table1");
     bench_with("fault_free_fall", &opts, || {
-        measure_transition(&tech, None, [false, true], [true, true], &cfg).expect("measure")
+        measure(None, [false, true], [true, true])
     });
-    let nmos = BreakdownStage::Mbd2.params(Polarity::Nmos).expect("ladder");
     bench_with("nmos_mbd2_fall", &opts, || {
-        measure_transition(
-            &tech,
-            Some(BenchDefect {
-                pin: 0,
-                polarity: Polarity::Nmos,
-                params: nmos,
-            }),
-            [false, true],
-            [true, true],
-            &cfg,
-        )
-        .expect("measure")
+        measure(nmos, [false, true], [true, true])
     });
-    let pmos = BreakdownStage::Mbd2.params(Polarity::Pmos).expect("ladder");
     bench_with("pmos_mbd2_rise", &opts, || {
-        measure_transition(
-            &tech,
-            Some(BenchDefect {
-                pin: 0,
-                polarity: Polarity::Pmos,
-                params: pmos,
-            }),
-            [true, true],
-            [false, true],
-            &cfg,
-        )
-        .expect("measure")
+        measure(pmos, [true, true], [false, true])
     });
 }

@@ -16,7 +16,7 @@ use obd_bench::experiments::{
     variation, waveforms, window,
 };
 use obd_cmos::TechParams;
-use obd_core::characterize::{BenchConfig, DelayTable};
+use obd_core::characterize::{characterize_table1, BenchConfig, DelayTable, RunOptions};
 use obd_core::faultmodel::Polarity;
 use obd_core::BreakdownStage;
 use obd_logic::circuits::fig8_sum_circuit;
@@ -34,7 +34,7 @@ fn save(path: &str, content: &str) {
 
 fn run_table1(tech: &TechParams) {
     println!("== E2: Table 1 — NAND transition delays across the OBD ladder ==");
-    match table1::run(tech, &BenchConfig::table1()) {
+    match characterize_table1(tech, &BenchConfig::table1(), &RunOptions::default()).into_result() {
         Ok(t) => {
             let text = t.render();
             println!("{text}");
@@ -307,7 +307,7 @@ fn run_monte(tech: &TechParams) {
         cfg.threads,
         cfg.at_speed_ps
     );
-    match obd_core::monte::run_monte(tech, &cfg) {
+    match obd_core::monte::run_monte(tech, &cfg, &obd_spice::SimOptions::new()) {
         Ok(r) => {
             print!("{}", r.render());
             save("MONTE_run.json", &r.render_json());

@@ -21,7 +21,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use obd_cmos::TechParams;
-use obd_core::characterize::characterize_table1_degraded;
+use obd_core::characterize::{characterize_table1, RunOptions};
 use obd_linalg::{solve_refined, Matrix};
 use obd_spice::analysis::op::operating_point;
 use obd_spice::analysis::tran::{transient_with_options, TranParams};
@@ -317,10 +317,15 @@ fn run_core_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapshot
     let mut rep = LayerReport::new("core", rate);
     let tech = TechParams::date05();
     let cfg = core_config();
-    let opts = SimOptions::new().with_iteration_budget(200_000);
+    // One thread: per-cell recovery attribution is exact only inline.
+    let run_opts = RunOptions {
+        threads: 1,
+        sim: SimOptions::new().with_iteration_budget(200_000),
+        ..RunOptions::default()
+    };
     for _ in 0..ops {
         rep.account(|| {
-            let report = characterize_table1_degraded(&tech, &cfg, &opts);
+            let report = characterize_table1(&tech, &cfg, &run_opts);
             if report.is_degraded() {
                 OpOutcome::Degraded
             } else {
@@ -542,7 +547,7 @@ fn run_serve_layer(seed: u64, jobs: u64) -> (LayerReport, obd_chaos::ChaosSnapsh
 /// error is *reported*. Threads are pinned to 1: an armed chaos sequence
 /// is schedule-dependent, and the layer replay must be exact.
 fn run_monte_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapshot) {
-    use obd_core::monte::{run_monte_with_options, MonteConfig};
+    use obd_core::monte::{run_monte, MonteConfig};
 
     let rate = 12;
     obd_chaos::arm(seed ^ 0x8888_8888, rate);
@@ -560,7 +565,7 @@ fn run_monte_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapsho
     };
     let opts = SimOptions::new().with_iteration_budget(200_000);
     for _ in 0..ops {
-        rep.account(|| match run_monte_with_options(&tech, &cfg, &opts) {
+        rep.account(|| match run_monte(&tech, &cfg, &opts) {
             Ok(r) if r.degraded_total > 0 => OpOutcome::Degraded,
             Ok(_) => OpOutcome::Clean,
             Err(_) => OpOutcome::Reported,

@@ -25,7 +25,6 @@ use obd_core::{BreakdownStage, ObdError};
 use obd_logic::circuits::fig8_sum_circuit;
 use obd_logic::value::Lv;
 use obd_spice::analysis::tran::{transient_with_options, TranParams};
-use obd_spice::devices::SourceWave;
 use obd_spice::{EdgeKind, SimOptions};
 
 /// Result for one injected defect.
@@ -164,13 +163,7 @@ fn simulate_sum(
     let ps = 1e-12;
     let launch = cfg.launch_ps * ps;
     for (i, &pi) in nl.inputs().iter().enumerate() {
-        let lvl = |b: bool| if b { tech.vdd } else { 0.0 };
-        let wave = if v1[i] == v2[i] {
-            SourceWave::dc(lvl(v1[i]))
-        } else {
-            SourceWave::step(lvl(v1[i]), lvl(v2[i]), launch, cfg.edge_ps * ps)
-        };
-        exp.drive_input(pi, wave);
+        exp.drive_input(pi, cfg.input_wave(tech.vdd, v1[i], v2[i]));
     }
     let params = TranParams::new(cfg.step_ps * ps, launch + cfg.window_ps * ps);
     let wave = transient_with_options(&exp.circuit, &params, &SimOptions::new())?;

@@ -11,6 +11,7 @@ use obd_cmos::TechParams;
 use obd_core::characterize::{iddq, BenchDefect};
 use obd_core::faultmodel::Polarity;
 use obd_core::{BreakdownStage, ObdError};
+use obd_spice::SimOptions;
 
 /// One row of the IDDQ ladder.
 #[derive(Debug, Clone)]
@@ -29,7 +30,8 @@ pub struct IddqRow {
 ///
 /// Propagates simulation errors.
 pub fn run(tech: &TechParams) -> Result<(f64, Vec<IddqRow>), ObdError> {
-    let healthy = iddq(tech, None, [true, true])? * 1e6;
+    let opts = SimOptions::new();
+    let healthy = iddq(tech, None, [true, true], &opts)? * 1e6;
     let mut rows = Vec::new();
     for stage in BreakdownStage::ALL.into_iter().skip(1) {
         let nmos_ua = match stage.params(Polarity::Nmos) {
@@ -42,6 +44,7 @@ pub fn run(tech: &TechParams) -> Result<(f64, Vec<IddqRow>), ObdError> {
                         params: p,
                     }),
                     [true, true],
+                    &opts,
                 )? * 1e6,
             ),
             Err(_) => None,
@@ -56,6 +59,7 @@ pub fn run(tech: &TechParams) -> Result<(f64, Vec<IddqRow>), ObdError> {
                         params: p,
                     }),
                     [false, true],
+                    &opts,
                 )? * 1e6,
             ),
             Err(_) => None,

@@ -11,7 +11,7 @@ use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::generate::generate_obd_tests;
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
-use obd_core::characterize::{characterize_table1_auto, BenchConfig, DelayTable};
+use obd_core::characterize::{characterize_table1, BenchConfig, DelayTable, RunOptions};
 use obd_core::BreakdownStage;
 use obd_logic::circuits::fig8_sum_circuit;
 use obd_metrics::MetricsSnapshot;
@@ -51,15 +51,24 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
 
     // Real Table 1 ladder: the paper's NAND delay measurements across all
     // breakdown stages, through the analog engine.
-    let table1 = characterize_table1_auto(tech, cfg).map_err(|e| e.to_string())?;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let table1 = characterize_table1(
+        tech,
+        cfg,
+        &RunOptions {
+            threads,
+            ..RunOptions::default()
+        },
+    )
+    .into_result()
+    .map_err(|e| e.to_string())?;
 
     // Delay-model annotation through a shared cache, twice: first pass
     // misses and simulates, second pass hits on every key.
     let cache = DelayCache::new();
-    let _ =
-        DelayTable::from_characterization_cached(tech, cfg, &cache).map_err(|e| e.to_string())?;
-    let _ =
-        DelayTable::from_characterization_cached(tech, cfg, &cache).map_err(|e| e.to_string())?;
+    for _ in 0..2 {
+        DelayTable::from_characterization(tech, cfg, &cache).map_err(|e| e.to_string())?;
+    }
 
     // Persistent-store round trip: two persistent caches sharing one
     // throwaway on-disk store. The first pass populates it (store.puts),
@@ -69,11 +78,9 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
     let _ = std::fs::remove_dir_all(&store_dir);
     let store = std::sync::Arc::new(obd_store::Store::open(&store_dir).map_err(|e| e.to_string())?);
     let cold = DelayCache::persistent(std::sync::Arc::clone(&store));
-    let _ =
-        DelayTable::from_characterization_cached(tech, cfg, &cold).map_err(|e| e.to_string())?;
+    DelayTable::from_characterization(tech, cfg, &cold).map_err(|e| e.to_string())?;
     let warm = DelayCache::persistent(std::sync::Arc::clone(&store));
-    let _ =
-        DelayTable::from_characterization_cached(tech, cfg, &warm).map_err(|e| e.to_string())?;
+    DelayTable::from_characterization(tech, cfg, &warm).map_err(|e| e.to_string())?;
 
     // Mini serve batch: one real grade job plus a poisoned one, a single
     // worker — enough to drive the serve.* counters, the workers gauge,
@@ -158,7 +165,8 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
         },
         ..obd_core::monte::MonteConfig::new()
     };
-    let monte = obd_core::monte::run_monte(tech, &monte_cfg).map_err(|e| e.to_string())?;
+    let monte = obd_core::monte::run_monte(tech, &monte_cfg, &obd_spice::SimOptions::new())
+        .map_err(|e| e.to_string())?;
 
     Ok(MetricsRunReport {
         snapshot: obd_metrics::snapshot(),

@@ -54,7 +54,7 @@ use obd_atpg::ppsfp::{PpsfpEngine, SUPERLANE_WIDTH};
 use obd_chaos::InjectionPoint;
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
-use obd_core::characterize::{characterize_table1_cached, BenchConfig};
+use obd_core::characterize::{characterize_table1, BenchConfig, RunOptions};
 use obd_core::BreakdownStage;
 use obd_fleet::{run_fleet, FleetConfig};
 use obd_metrics::{Counter, Gauge, Histogram};
@@ -479,7 +479,14 @@ fn run_table1(paper: bool) -> Result<JobOutput, String> {
         quick_bench_config()
     };
     let cache = DelayCache::auto();
-    let table = characterize_table1_cached(&tech, &cfg, &cache).map_err(|e| e.to_string())?;
+    let opts = RunOptions {
+        threads: 1,
+        cache: Some(&cache),
+        ..RunOptions::default()
+    };
+    let table = characterize_table1(&tech, &cfg, &opts)
+        .into_result()
+        .map_err(|e| e.to_string())?;
     let rendered = table.render();
     Ok(JobOutput {
         store_hits: cache.store_hits(),

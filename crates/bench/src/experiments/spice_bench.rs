@@ -27,8 +27,7 @@ use obd_cmos::expand::expand;
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
 use obd_core::characterize::{
-    characterize_table1_cached, characterize_table1_parallel, characterize_table1_with_options,
-    measure_cell_transition_with_options, BenchConfig, Fig5Bench,
+    characterize_table1, measure_cell_transition, BenchConfig, Fig5Bench, RunOptions, Table1,
 };
 use obd_core::monte::{run_monte, MonteConfig};
 use obd_core::ObdError;
@@ -115,7 +114,7 @@ impl SpiceBenchReport {
 /// bench circuit, re-solved from the operating point under a transient
 /// context. Returns (ns/iteration, iterations timed).
 fn newton_kernel(tech: &TechParams, opts: &SimOptions) -> Result<(f64, u64), ObdError> {
-    let bench = Fig5Bench::new()?;
+    let bench = Fig5Bench::for_kind(GateKind::Nand)?;
     let mut exp = expand(&bench.netlist, tech)?;
     exp.drive_input(bench.pis[0], SourceWave::dc(0.0));
     exp.drive_input(bench.pis[1], SourceWave::dc(tech.vdd));
@@ -155,7 +154,7 @@ fn transient_kernel(
     opts: &SimOptions,
 ) -> Result<(f64, u64), ObdError> {
     let measure = || {
-        measure_cell_transition_with_options(
+        measure_cell_transition(
             tech,
             GateKind::Nand,
             None,
@@ -194,6 +193,19 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
     let (transients_per_sec_ref, _) = transient_kernel(tech, &ref_cfg, &reference)?;
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let table1 = |cfg, threads, cache, sim: &SimOptions| -> Result<Table1, ObdError> {
+        let sim = sim.clone();
+        characterize_table1(
+            tech,
+            cfg,
+            &RunOptions {
+                threads,
+                cache,
+                sim,
+            },
+        )
+        .into_result()
+    };
     const REPS: usize = 3;
     let mut table1_reference_s = f64::INFINITY;
     let mut table1_serial_s = f64::INFINITY;
@@ -203,15 +215,13 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
     let mut parallel = None;
     for _ in 0..REPS {
         let t0 = Instant::now();
-        baseline = Some(characterize_table1_with_options(
-            tech, &ref_cfg, &reference,
-        )?);
+        baseline = Some(table1(&ref_cfg, 1, None, &reference)?);
         table1_reference_s = table1_reference_s.min(t0.elapsed().as_secs_f64());
         let t1 = Instant::now();
-        serial = Some(characterize_table1_with_options(tech, cfg, &fast)?);
+        serial = Some(table1(cfg, 1, None, &fast)?);
         table1_serial_s = table1_serial_s.min(t1.elapsed().as_secs_f64());
         let t2 = Instant::now();
-        parallel = Some(characterize_table1_parallel(tech, cfg, threads)?);
+        parallel = Some(table1(cfg, threads, None, &fast)?);
         table1_parallel_s = table1_parallel_s.min(t2.elapsed().as_secs_f64());
     }
     let (baseline, serial, parallel) = (
@@ -245,11 +255,11 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
     );
     let cold_cache = DelayCache::persistent(Arc::clone(&store));
     let t3 = Instant::now();
-    let cold_table = characterize_table1_cached(tech, cfg, &cold_cache)?;
+    let cold_table = table1(cfg, 1, Some(&cold_cache), &fast)?;
     let table1_cold_s = t3.elapsed().as_secs_f64();
     let warm_cache = DelayCache::persistent(store);
     let t4 = Instant::now();
-    let warm_table = characterize_table1_cached(tech, cfg, &warm_cache)?;
+    let warm_table = table1(cfg, 1, Some(&warm_cache), &fast)?;
     let table1_warm_s = t4.elapsed().as_secs_f64();
     let _ = std::fs::remove_dir_all(&store_dir);
     assert_eq!(
@@ -271,7 +281,7 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
         ..MonteConfig::new()
     };
     let t5 = Instant::now();
-    let monte = run_monte(tech, &monte_cfg)?;
+    let monte = run_monte(tech, &monte_cfg, &fast)?;
     let monte_wall_s = t5.elapsed().as_secs_f64();
 
     Ok(SpiceBenchReport {

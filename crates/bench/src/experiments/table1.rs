@@ -1,18 +1,9 @@
 //! E2 — Table 1: NAND transition delays across the OBD progression
-//! ladder, for the four single-input two-pattern sequences.
+//! ladder, for the four single-input two-pattern sequences. The table
+//! itself comes from `obd_core::characterize::characterize_table1`; this
+//! module checks the paper's qualitative claims on it.
 
-use obd_cmos::TechParams;
-use obd_core::characterize::{characterize_table1, BenchConfig, Table1, TransitionOutcome};
-use obd_core::ObdError;
-
-/// Regenerates Table 1 with the analog model.
-///
-/// # Errors
-///
-/// Propagates characterization errors.
-pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<Table1, ObdError> {
-    characterize_table1(tech, cfg)
-}
+use obd_core::characterize::{Table1, TransitionOutcome};
 
 /// Checks the qualitative paper claims on a regenerated table; returns a
 /// list of violated claims (empty = all shapes hold).
@@ -91,29 +82,45 @@ pub fn check_claims(table: &Table1) -> Vec<String> {
     violations
 }
 
-/// Runs with default full-resolution settings and the Table 1 at-speed
-/// criterion.
-///
-/// # Errors
-///
-/// Propagates characterization errors.
-pub fn run_default() -> Result<Table1, ObdError> {
-    run(&TechParams::date05(), &BenchConfig::table1())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quick_bench_config;
+    use obd_cmos::TechParams;
+    use obd_core::characterize::{characterize_table1, RunOptions};
+    use obd_core::monte::{sample_tech, MonteConfig};
+
+    fn regenerate(tech: &TechParams) -> Table1 {
+        let opts = RunOptions {
+            threads: 2,
+            ..RunOptions::default()
+        };
+        characterize_table1(tech, &quick_bench_config(), &opts)
+            .into_result()
+            .unwrap()
+    }
 
     #[test]
     fn regenerated_table_satisfies_paper_shape() {
-        let table = run(&TechParams::date05(), &quick_bench_config()).unwrap();
+        let table = regenerate(&TechParams::date05());
         assert_eq!(table.rows.len(), 5);
         let violations = check_claims(&table);
         assert!(violations.is_empty(), "{violations:#?}");
         // Render works and contains the stuck markers.
         let text = table.render();
         assert!(text.contains("sa-1"), "{text}");
+    }
+
+    /// The paper's qualitative claims are not an accident of the nominal
+    /// process: they hold at the Monte Carlo engine's process corners too.
+    #[test]
+    fn paper_claims_hold_at_process_corners() {
+        let nominal = TechParams::date05();
+        let seed = MonteConfig::new().seed;
+        for corner in 0..4 {
+            let table = regenerate(&sample_tech(&nominal, seed, corner, 0.05));
+            let violations = check_claims(&table);
+            assert!(violations.is_empty(), "corner {corner}: {violations:#?}");
+        }
     }
 }

@@ -11,9 +11,13 @@
 
 use obd_atpg::rng::XorShift64Star;
 use obd_cmos::TechParams;
-use obd_core::characterize::{measure_transition, BenchConfig, BenchDefect, TransitionOutcome};
+use obd_core::characterize::{
+    measure_cell_transition, BenchConfig, BenchDefect, TransitionOutcome,
+};
 use obd_core::faultmodel::Polarity;
 use obd_core::{BreakdownStage, ObdError};
+use obd_logic::netlist::GateKind;
+use obd_spice::SimOptions;
 
 /// Monte Carlo statistics of the fault-free delay plus per-stage defect
 /// shifts.
@@ -60,13 +64,24 @@ pub fn run(
     seed: u64,
 ) -> Result<VariationReport, ObdError> {
     let nominal = TechParams::date05();
+    let opts = SimOptions::new();
+    // Every measurement is the excited NMOS fall (01,11).
+    let fall = |tech: &TechParams, defect| {
+        measure_cell_transition(
+            tech,
+            GateKind::Nand,
+            defect,
+            [false, true],
+            [true, true],
+            cfg,
+            &opts,
+        )
+    };
     let mut rng = XorShift64Star::seed_from_u64(seed);
     let mut samples_ps = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t = perturb(&nominal, &mut rng, spread);
-        if let TransitionOutcome::Delay(d) =
-            measure_transition(&t, None, [false, true], [true, true], cfg)?
-        {
+        if let TransitionOutcome::Delay(d) = fall(&t, None)? {
             samples_ps.push(d);
         }
     }
@@ -75,9 +90,7 @@ pub fn run(
     let var = samples_ps.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n;
     let sigma = var.sqrt();
 
-    let base = measure_transition(&nominal, None, [false, true], [true, true], cfg)?
-        .delay_ps()
-        .unwrap_or(f64::NAN);
+    let base = fall(&nominal, None)?.delay_ps().unwrap_or(f64::NAN);
     let mut stages = Vec::new();
     for stage in [
         BreakdownStage::Sbd,
@@ -86,17 +99,12 @@ pub fn run(
         BreakdownStage::Mbd3,
     ] {
         let params = stage.params(Polarity::Nmos)?;
-        let shift = match measure_transition(
-            &nominal,
-            Some(BenchDefect {
-                pin: 0,
-                polarity: Polarity::Nmos,
-                params,
-            }),
-            [false, true],
-            [true, true],
-            cfg,
-        )? {
+        let defect = BenchDefect {
+            pin: 0,
+            polarity: Polarity::Nmos,
+            params,
+        };
+        let shift = match fall(&nominal, Some(defect))? {
             TransitionOutcome::Delay(d) => d - base,
             TransitionOutcome::Stuck => f64::INFINITY,
         };

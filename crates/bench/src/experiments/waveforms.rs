@@ -2,9 +2,11 @@
 //! breakdown progression (NMOS) and the input-specific PMOS pair.
 
 use obd_cmos::TechParams;
-use obd_core::characterize::{run_bench, BenchConfig, BenchDefect};
+use obd_core::characterize::{run_cell_bench, BenchConfig, BenchDefect};
 use obd_core::faultmodel::Polarity;
 use obd_core::{BreakdownStage, ObdError};
+use obd_logic::netlist::GateKind;
+use obd_spice::SimOptions;
 
 /// One labeled waveform trace.
 #[derive(Debug, Clone)]
@@ -25,7 +27,8 @@ fn extract(
     cfg: &BenchConfig,
     label: &str,
 ) -> Result<LabeledTrace, ObdError> {
-    let (wave, exp, bench) = run_bench(tech, defect, v1, v2, cfg)?;
+    let sim = SimOptions::new();
+    let (wave, exp, bench) = run_cell_bench(tech, GateKind::Nand, defect, v1, v2, cfg, &sim)?;
     let pin = (0..2).find(|&i| v1[i] != v2[i]).unwrap_or(0);
     let in_node = exp.node(bench.nand_inputs[pin]);
     let out_node = exp.node(bench.output);

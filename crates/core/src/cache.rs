@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex};
 
 use obd_cmos::TechParams;
 use obd_logic::netlist::GateKind;
+use obd_spice::SimOptions;
 use obd_store::{Digest, Store};
 
 use crate::characterize::{measure_cell_transition, BenchConfig, BenchDefect, TransitionOutcome};
@@ -203,13 +204,18 @@ fn decode_outcome(bytes: &[u8]) -> Option<TransitionOutcome> {
 /// use obd_cmos::TechParams;
 /// use obd_core::cache::DelayCache;
 /// use obd_core::characterize::BenchConfig;
+/// use obd_logic::netlist::GateKind;
+/// use obd_spice::SimOptions;
 ///
 /// # fn main() -> Result<(), obd_core::ObdError> {
 /// let cache = DelayCache::new();
 /// let tech = TechParams::date05();
-/// let cfg = BenchConfig::new();
-/// let a = cache.measure(&tech, None, [false, true], [true, true], &cfg)?;
-/// let b = cache.measure(&tech, None, [false, true], [true, true], &cfg)?;
+/// let (cfg, opts) = (BenchConfig::new(), SimOptions::new());
+/// let measure = || {
+///     cache.measure_cell(&tech, GateKind::Nand, None, [false, true], [true, true], &cfg, &opts)
+/// };
+/// let a = measure()?;
+/// let b = measure()?;
 /// assert_eq!(a, b);
 /// assert_eq!(cache.hits(), 1);
 /// assert_eq!(cache.misses(), 1);
@@ -259,29 +265,18 @@ impl DelayCache {
         self.store.is_some()
     }
 
-    /// Memoized [`measure_transition`](crate::characterize::measure_transition):
-    /// NAND2 device under test.
+    /// Memoized [`measure_cell_transition`].
+    ///
+    /// Entries are keyed for the default solver configuration only: when
+    /// `opts` differs from [`SimOptions::default`] the measurement runs
+    /// straight through, touching neither the memory map nor the store
+    /// (and no counter), so no outcome is ever served across solver
+    /// configurations.
     ///
     /// # Errors
     ///
     /// Propagates measurement errors (errors are not cached).
-    pub fn measure(
-        &self,
-        tech: &TechParams,
-        defect: Option<BenchDefect>,
-        v1: [bool; 2],
-        v2: [bool; 2],
-        cfg: &BenchConfig,
-    ) -> Result<TransitionOutcome, ObdError> {
-        self.measure_cell(tech, GateKind::Nand, defect, v1, v2, cfg)
-    }
-
-    /// Memoized [`measure_cell_transition`] for any device-under-test
-    /// kind.
-    ///
-    /// # Errors
-    ///
-    /// Propagates measurement errors (errors are not cached).
+    #[allow(clippy::too_many_arguments)]
     pub fn measure_cell(
         &self,
         tech: &TechParams,
@@ -290,7 +285,11 @@ impl DelayCache {
         v1: [bool; 2],
         v2: [bool; 2],
         cfg: &BenchConfig,
+        opts: &SimOptions,
     ) -> Result<TransitionOutcome, ObdError> {
+        if *opts != SimOptions::default() {
+            return measure_cell_transition(tech, kind, defect, v1, v2, cfg, opts);
+        }
         let key = CacheKey::new(tech, kind, defect, v1, v2, cfg);
         // A poisoned map still holds structurally valid entries (inserts
         // of Copy values cannot half-complete observably), so recover
@@ -327,7 +326,7 @@ impl DelayCache {
         // The transient runs outside the lock so concurrent misses on
         // *different* keys proceed in parallel; a duplicated concurrent
         // miss on the same key just recomputes the identical outcome.
-        let o = measure_cell_transition(tech, kind, defect, v1, v2, cfg)?;
+        let o = measure_cell_transition(tech, kind, defect, v1, v2, cfg, opts)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         CACHE_MISSES.inc();
         if let (Some(store), Some(digest)) = (self.store.as_deref(), digest) {
@@ -391,18 +390,27 @@ mod tests {
         }
     }
 
+    /// A NAND measurement through `cache` at [`fast_cfg`], default options.
+    fn measure(
+        cache: &DelayCache,
+        tech: &TechParams,
+        defect: Option<BenchDefect>,
+        v1: [bool; 2],
+        v2: [bool; 2],
+    ) -> TransitionOutcome {
+        let opts = SimOptions::new();
+        cache
+            .measure_cell(tech, GateKind::Nand, defect, v1, v2, &fast_cfg(), &opts)
+            .unwrap()
+    }
+
     #[test]
     fn repeat_measurements_hit_cache() {
         let cache = DelayCache::new();
         let tech = TechParams::date05();
-        let cfg = fast_cfg();
-        let first = cache
-            .measure(&tech, None, [false, true], [true, true], &cfg)
-            .unwrap();
+        let first = measure(&cache, &tech, None, [false, true], [true, true]);
         for _ in 0..3 {
-            let again = cache
-                .measure(&tech, None, [false, true], [true, true], &cfg)
-                .unwrap();
+            let again = measure(&cache, &tech, None, [false, true], [true, true]);
             assert_eq!(first, again);
         }
         assert_eq!(cache.misses(), 1);
@@ -414,18 +422,13 @@ mod tests {
     fn distinct_keys_do_not_collide() {
         let cache = DelayCache::new();
         let tech = TechParams::date05();
-        let cfg = fast_cfg();
-        let ff = cache
-            .measure(&tech, None, [false, true], [true, true], &cfg)
-            .unwrap();
+        let ff = measure(&cache, &tech, None, [false, true], [true, true]);
         let defect = BenchDefect {
             pin: 0,
             polarity: Polarity::Nmos,
             params: BreakdownStage::Mbd3.params(Polarity::Nmos).unwrap(),
         };
-        let faulty = cache
-            .measure(&tech, Some(defect), [false, true], [true, true], &cfg)
-            .unwrap();
+        let faulty = measure(&cache, &tech, Some(defect), [false, true], [true, true]);
         assert_eq!(cache.len(), 2);
         let (Some(a), Some(b)) = (ff.delay_ps(), faulty.delay_ps()) else {
             panic!("both sequences must switch at MBD3: {ff:?} vs {faulty:?}");
@@ -455,7 +458,6 @@ mod tests {
             std::env::temp_dir().join(format!("obd-delaycache-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tech = TechParams::date05();
-        let cfg = fast_cfg();
         let defect = BenchDefect {
             pin: 0,
             polarity: Polarity::Nmos,
@@ -471,7 +473,7 @@ mod tests {
         let cold = DelayCache::persistent(Arc::new(Store::open(&dir).unwrap()));
         let cold_outcomes: Vec<_> = jobs
             .iter()
-            .map(|&(d, v1, v2)| cold.measure(&tech, d, v1, v2, &cfg).unwrap())
+            .map(|&(d, v1, v2)| measure(&cold, &tech, d, v1, v2))
             .collect();
         assert_eq!(cold.store_hits(), 0);
         assert_eq!(cold.store_misses(), jobs.len() as u64);
@@ -481,7 +483,7 @@ mod tests {
         let warm = DelayCache::persistent(Arc::new(Store::open(&dir).unwrap()));
         let warm_outcomes: Vec<_> = jobs
             .iter()
-            .map(|&(d, v1, v2)| warm.measure(&tech, d, v1, v2, &cfg).unwrap())
+            .map(|&(d, v1, v2)| measure(&warm, &tech, d, v1, v2))
             .collect();
         assert_eq!(warm_outcomes, cold_outcomes, "warm run must be identical");
         assert_eq!(warm.store_hits(), jobs.len() as u64);
@@ -492,16 +494,11 @@ mod tests {
     #[test]
     fn tech_perturbation_changes_key() {
         let cache = DelayCache::new();
-        let cfg = fast_cfg();
         let tech = TechParams::date05();
         let mut tweaked = tech.clone();
         tweaked.nmos_vt0 += 1e-6;
-        cache
-            .measure(&tech, None, [false, true], [true, true], &cfg)
-            .unwrap();
-        cache
-            .measure(&tweaked, None, [false, true], [true, true], &cfg)
-            .unwrap();
+        measure(&cache, &tech, None, [false, true], [true, true]);
+        measure(&cache, &tweaked, None, [false, true], [true, true]);
         assert_eq!(cache.misses(), 2, "distinct techs must not share entries");
     }
 }

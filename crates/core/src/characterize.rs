@@ -6,6 +6,12 @@
 //! PWL source (so the defect's injected current loads a real driver), and
 //! the output drives an inverter (so the degraded swing slows real
 //! downstream logic).
+//!
+//! One private builder expands and drives the bench for every job here:
+//! [`run_cell_bench`] returns the raw waveforms, [`measure_cell_transition`]
+//! the delay verdict, [`iddq`] the static supply current, and
+//! [`characterize_table1`] fans the whole Table 1 grid out under
+//! [`RunOptions`].
 
 use obd_cmos::expand::{expand, ExpandedCircuit};
 use obd_cmos::TechParams;
@@ -15,6 +21,7 @@ use obd_spice::analysis::tran::{transient_with_options, TranParams};
 use obd_spice::devices::SourceWave;
 use obd_spice::{EdgeKind, SimOptions, Waveform};
 
+use crate::cache::DelayCache;
 use crate::faultmodel::Polarity;
 use crate::injection::inject_obd;
 use crate::stage::{BreakdownStage, ObdParams};
@@ -130,7 +137,7 @@ impl BenchConfig {
     /// absorbs that lag for most breakdown stages. The measurement
     /// layer still checks the captured window actually decides the
     /// verdict and falls back to the full window when it does not
-    /// ([`measure_cell_transition_with_options`]), so the trimmed run is
+    /// ([`measure_cell_transition`]), so the trimmed run is
     /// outcome-identical by construction, not by estimate.
     pub fn sim_stop_ps(&self) -> f64 {
         let full = self.launch_ps + self.window_ps;
@@ -139,6 +146,23 @@ impl BenchConfig {
                 full.min(self.launch_ps + self.edge_ps + 1.25 * limit + 4.0 * self.step_ps + 50.0)
             }
             _ => full,
+        }
+    }
+
+    /// The drive of one primary input for a two-pattern sequence on a
+    /// `vdd` supply: DC when the bit holds, an `edge_ps` ramp at
+    /// `launch_ps` when it flips.
+    pub fn input_wave(&self, vdd: f64, from: bool, to: bool) -> SourceWave {
+        let lvl = |b: bool| if b { vdd } else { 0.0 };
+        if from == to {
+            SourceWave::dc(lvl(from))
+        } else {
+            SourceWave::step(
+                lvl(from),
+                lvl(to),
+                self.launch_ps * 1e-12,
+                self.edge_ps * 1e-12,
+            )
         }
     }
 }
@@ -165,15 +189,6 @@ pub struct Fig5Bench {
 }
 
 impl Fig5Bench {
-    /// Builds the bench netlist around a NAND2 device under test.
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist construction failures.
-    pub fn new() -> Result<Self, ObdError> {
-        Fig5Bench::for_kind(GateKind::Nand)
-    }
-
     /// Builds the bench around a NAND2 or NOR2 device under test — the
     /// NOR variant validates the §5 duality in the analog domain.
     ///
@@ -222,23 +237,33 @@ pub struct BenchDefect {
     pub params: ObdParams,
 }
 
-/// Runs the bench transient for one two-pattern sequence, returning the
-/// full waveform plus the expanded circuit for node lookups.
-///
-/// # Errors
-///
-/// Propagates expansion, injection and simulation errors.
-pub fn run_bench(
+/// Expands the Fig. 5 bench around a `kind` device under test, injects
+/// the optional defect and drives primary input `i` with `drives[i]`: the
+/// one builder behind every transient and static measurement here.
+fn build_bench(
     tech: &TechParams,
+    kind: GateKind,
     defect: Option<BenchDefect>,
-    v1: [bool; 2],
-    v2: [bool; 2],
-    cfg: &BenchConfig,
-) -> Result<(Waveform, ExpandedCircuit, Fig5Bench), ObdError> {
-    run_cell_bench(tech, GateKind::Nand, defect, v1, v2, cfg)
+    drives: [SourceWave; 2],
+) -> Result<(ExpandedCircuit, Fig5Bench), ObdError> {
+    let bench = Fig5Bench::for_kind(kind)?;
+    let mut exp = expand(&bench.netlist, tech)?;
+    if let Some(d) = defect {
+        let trs = exp.find_transistors(bench.nand, d.pin, d.polarity.mos());
+        let tr = trs.first().ok_or_else(|| {
+            ObdError::BadSite(format!("no {} transistor at pin {}", d.polarity, d.pin))
+        })?;
+        inject_obd(&mut exp.circuit, tr.device, d.params, "dut")?;
+    }
+    for (&pi, wave) in bench.pis.iter().zip(drives) {
+        exp.drive_input(pi, wave);
+    }
+    Ok((exp, bench))
 }
 
-/// [`run_bench`] for a chosen device-under-test kind (NAND2 or NOR2).
+/// Runs the bench transient for one two-pattern sequence on a NAND2 or
+/// NOR2 device under test, returning the waveform plus the expanded
+/// circuit and bench for node lookups.
 ///
 /// # Errors
 ///
@@ -250,70 +275,20 @@ pub fn run_cell_bench(
     v1: [bool; 2],
     v2: [bool; 2],
     cfg: &BenchConfig,
-) -> Result<(Waveform, ExpandedCircuit, Fig5Bench), ObdError> {
-    run_cell_bench_with_options(tech, kind, defect, v1, v2, cfg, &SimOptions::new())
-}
-
-/// [`run_cell_bench`] under explicit solver options (temperature,
-/// tolerances, or the reference benchmark kernel).
-///
-/// # Errors
-///
-/// Propagates expansion, injection and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_bench_with_options(
-    tech: &TechParams,
-    kind: GateKind,
-    defect: Option<BenchDefect>,
-    v1: [bool; 2],
-    v2: [bool; 2],
-    cfg: &BenchConfig,
     opts: &SimOptions,
 ) -> Result<(Waveform, ExpandedCircuit, Fig5Bench), ObdError> {
-    let bench = Fig5Bench::for_kind(kind)?;
-    let mut exp = expand(&bench.netlist, tech)?;
-    if let Some(d) = defect {
-        let trs = exp.find_transistors(bench.nand, d.pin, d.polarity.mos());
-        let tr = trs.first().ok_or_else(|| {
-            ObdError::BadSite(format!("no {} transistor at pin {}", d.polarity, d.pin))
-        })?;
-        inject_obd(&mut exp.circuit, tr.device, d.params, "dut")?;
-    }
     let ps = 1e-12;
-    for (i, &pi) in bench.pis.iter().enumerate() {
-        let lvl = |b: bool| if b { tech.vdd } else { 0.0 };
-        let wave = if v1[i] == v2[i] {
-            SourceWave::dc(lvl(v1[i]))
-        } else {
-            SourceWave::step(lvl(v1[i]), lvl(v2[i]), cfg.launch_ps * ps, cfg.edge_ps * ps)
-        };
-        exp.drive_input(pi, wave);
-    }
+    let drives = [0, 1].map(|i| cfg.input_wave(tech.vdd, v1[i], v2[i]));
+    let (exp, bench) = build_bench(tech, kind, defect, drives)?;
     let params = TranParams::new(cfg.step_ps * ps, cfg.sim_stop_ps() * ps);
     let wave = transient_with_options(&exp.circuit, &params, opts)?;
     Ok((wave, exp, bench))
 }
 
-/// Measures the NAND propagation delay for one sequence under an optional
-/// defect. The reference edge is the switching NAND *input* (post-driver)
-/// crossing 50 %; the measured edge is the NAND output crossing 50 % in
-/// the logically expected direction.
-///
-/// # Errors
-///
-/// Propagates [`run_bench`] errors; returns
-/// [`ObdError::BadSite`] if neither input switches.
-pub fn measure_transition(
-    tech: &TechParams,
-    defect: Option<BenchDefect>,
-    v1: [bool; 2],
-    v2: [bool; 2],
-    cfg: &BenchConfig,
-) -> Result<TransitionOutcome, ObdError> {
-    measure_cell_transition(tech, GateKind::Nand, defect, v1, v2, cfg)
-}
-
-/// [`measure_transition`] for a chosen device-under-test kind.
+/// Measures the device-under-test propagation delay for one sequence
+/// under an optional defect. The reference edge is the switching DUT
+/// *input* (post-driver) crossing 50 %; the measured edge is the DUT
+/// output crossing 50 % in the logically expected direction.
 ///
 /// # Errors
 ///
@@ -326,26 +301,9 @@ pub fn measure_cell_transition(
     v1: [bool; 2],
     v2: [bool; 2],
     cfg: &BenchConfig,
-) -> Result<TransitionOutcome, ObdError> {
-    measure_cell_transition_with_options(tech, kind, defect, v1, v2, cfg, &SimOptions::new())
-}
-
-/// [`measure_cell_transition`] under explicit solver options.
-///
-/// # Errors
-///
-/// Same conditions as [`measure_cell_transition`].
-#[allow(clippy::too_many_arguments)]
-pub fn measure_cell_transition_with_options(
-    tech: &TechParams,
-    kind: GateKind,
-    defect: Option<BenchDefect>,
-    v1: [bool; 2],
-    v2: [bool; 2],
-    cfg: &BenchConfig,
     opts: &SimOptions,
 ) -> Result<TransitionOutcome, ObdError> {
-    let (wave, exp, bench) = run_cell_bench_with_options(tech, kind, defect, v1, v2, cfg, opts)?;
+    let (wave, exp, bench) = run_cell_bench(tech, kind, defect, v1, v2, cfg, opts)?;
     TRANSITIONS_MEASURED.inc();
     let half = tech.half_vdd();
 
@@ -403,9 +361,7 @@ pub fn measure_cell_transition_with_options(
                 sim_full_window: true,
                 ..cfg.clone()
             };
-            return measure_cell_transition_with_options(
-                tech, kind, defect, v1, v2, &full_cfg, opts,
-            );
+            return measure_cell_transition(tech, kind, defect, v1, v2, &full_cfg, opts);
         }
         CAPTURE_LIMITED_DECIDED.inc();
     }
@@ -479,70 +435,9 @@ impl Table1 {
     }
 }
 
-/// Regenerates Table 1: transition delays of the Fig. 5 NAND for the four
-/// single-input sequences under NMOS/PMOS defects on each input, across
-/// the progression ladder.
-///
-/// # Errors
-///
-/// Propagates measurement errors.
-pub fn characterize_table1(tech: &TechParams, cfg: &BenchConfig) -> Result<Table1, ObdError> {
-    characterize_table1_with_options(tech, cfg, &SimOptions::new())
-}
-
-/// [`characterize_table1`] under explicit solver options; the benchmark
-/// harness uses this to time the whole grid on the reference kernel.
-///
-/// # Errors
-///
-/// Propagates measurement errors.
-pub fn characterize_table1_with_options(
-    tech: &TechParams,
-    cfg: &BenchConfig,
-    opts: &SimOptions,
-) -> Result<Table1, ObdError> {
-    let (jobs, row_meta) = table1_jobs();
-    let mut slots = vec![[None; 8]; row_meta.len()];
-    for j in &jobs {
-        slots[j.row][j.slot] = Some(measure_cell_transition_with_options(
-            tech,
-            GateKind::Nand,
-            j.defect,
-            j.v1,
-            j.v2,
-            cfg,
-            opts,
-        )?);
-    }
-    Ok(table1_from_slots(row_meta, slots))
-}
-
-/// [`characterize_table1`] routed through a [`DelayCache`]: repeated
-/// cells hit memory, and when the cache is persistent the whole grid is
-/// served from disk on a warm rerun. Cell visit order matches the serial
-/// driver, so the assembled table is identical to
-/// [`characterize_table1`]'s on a cold cache.
-///
-/// # Errors
-///
-/// Propagates measurement errors.
-pub fn characterize_table1_cached(
-    tech: &TechParams,
-    cfg: &BenchConfig,
-    cache: &crate::cache::DelayCache,
-) -> Result<Table1, ObdError> {
-    let (jobs, row_meta) = table1_jobs();
-    let mut slots = vec![[None; 8]; row_meta.len()];
-    for j in &jobs {
-        slots[j.row][j.slot] =
-            Some(cache.measure_cell(tech, GateKind::Nand, j.defect, j.v1, j.v2, cfg)?);
-    }
-    Ok(table1_from_slots(row_meta, slots))
-}
-
 /// A Table 1 cell whose measurement failed. The campaign records the
 /// typed error and keeps going; the cell stays empty in the table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellFailure {
     /// Row index into [`Table1::rows`].
     pub row: usize,
@@ -550,8 +445,8 @@ pub struct CellFailure {
     pub slot: usize,
     /// Breakdown stage of the failed row.
     pub stage: BreakdownStage,
-    /// Rendered error that degraded the cell.
-    pub error: String,
+    /// The typed error that degraded the cell.
+    pub error: ObdError,
 }
 
 /// A Table 1 cell that measured successfully even though fault injection
@@ -568,15 +463,15 @@ pub struct CellRecovery {
     pub injections: u64,
 }
 
-/// A gracefully degraded Table 1: every cell that measured cleanly, plus
-/// explicit accounting for every cell that did not. Cells untouched by
-/// fault injection are bit-identical to what [`characterize_table1`]
-/// would produce; recovered cells are valid but path-dependent.
+/// The result of [`characterize_table1`]: every cell that measured
+/// cleanly, plus explicit accounting for every cell that did not. Cells
+/// untouched by fault injection are bit-identical to a chaos-free run;
+/// recovered cells are valid but path-dependent.
 #[derive(Debug, Clone)]
 pub struct Table1Report {
     /// The table with failed cells left empty.
     pub table: Table1,
-    /// One entry per degraded cell; empty on a clean run.
+    /// One entry per degraded cell, in grid order; empty on a clean run.
     pub failures: Vec<CellFailure>,
     /// Cells that succeeded despite injections; empty on a clean run.
     pub recovered: Vec<CellRecovery>,
@@ -603,58 +498,80 @@ impl Table1Report {
         s
     }
 
-    /// Renders the failure accounting as a JSON array for run artifacts.
-    pub fn failures_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, f) in self.failures.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"row\": {}, \"slot\": {}, \"stage\": \"{}\", \"error\": \"{}\"}}",
-                f.row,
-                f.slot,
-                f.stage,
-                f.error.replace('\\', "\\\\").replace('"', "\\\"")
-            ));
+    /// The table, or the error of the lowest-indexed failing cell — the
+    /// strict view of the report, for callers that cannot use a partial
+    /// table.
+    ///
+    /// # Errors
+    ///
+    /// The first entry of [`Table1Report::failures`].
+    pub fn into_result(self) -> Result<Table1, ObdError> {
+        match self.failures.into_iter().next() {
+            Some(f) => Err(f.error),
+            None => Ok(self.table),
         }
-        if !self.failures.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push(']');
-        s
     }
 }
 
-/// [`characterize_table1_with_options`] with graceful degradation: a cell
-/// whose measurement fails is marked degraded (with its typed error) and
-/// the campaign continues instead of aborting the whole table. Cells the
-/// injection layer never touched are bit-identical to the strict
-/// driver's; recovered cells (injections absorbed by the escalation
-/// ladder) are valid but may differ in low-order bits.
-pub fn characterize_table1_degraded(
+/// Options for one [`characterize_table1`] run.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions<'a> {
+    /// Worker threads for the cell fan-out; 0 and 1 both run inline on the
+    /// calling thread. The table is identical at any count.
+    pub threads: usize,
+    /// Memo table every cell goes through; `None` measures each cell
+    /// afresh.
+    pub cache: Option<&'a DelayCache>,
+    /// Solver options for every transient.
+    pub sim: SimOptions,
+}
+
+/// Regenerates Table 1: transition delays of the Fig. 5 NAND for the four
+/// single-input sequences under NMOS/PMOS defects on each input, across
+/// the progression ladder.
+///
+/// Every cell is an independent transient (own circuit expansion, own
+/// solver), fanned out over the work-stealing pool ([`crate::pool`]). Cell
+/// costs are wildly uneven — fault-free cells stop at the capture limit,
+/// stuck cells escalate to the full window — and work stealing bounds the
+/// imbalance by one cell. Each job writes its own `(row, slot)`, so the
+/// table is identical at any thread count.
+///
+/// A cell whose measurement fails is recorded in
+/// [`Table1Report::failures`] with its typed error and left empty; the run
+/// goes on. Cells untouched by fault injection are bit-identical to a
+/// chaos-free run. Recovery attribution reads the global injection count
+/// around each cell, so [`Table1Report::recovered`] is exact at
+/// `threads: 1` and approximate when cells overlap.
+pub fn characterize_table1(
     tech: &TechParams,
     cfg: &BenchConfig,
-    opts: &SimOptions,
+    opts: &RunOptions,
 ) -> Table1Report {
     let (jobs, row_meta) = table1_jobs();
+    let measure = |j: &Table1Job| {
+        let before = obd_chaos::injected_total();
+        let outcome = match opts.cache {
+            Some(cache) => {
+                cache.measure_cell(tech, GateKind::Nand, j.defect, j.v1, j.v2, cfg, &opts.sim)
+            }
+            None => {
+                measure_cell_transition(tech, GateKind::Nand, j.defect, j.v1, j.v2, cfg, &opts.sim)
+            }
+        };
+        (outcome, obd_chaos::injected_total().saturating_sub(before))
+    };
+    // The pool fails only when a worker panicked; every cell then carries
+    // that error.
+    let results = crate::pool::run_jobs(&jobs, opts.threads, |_, j| Ok(measure(j)))
+        .unwrap_or_else(|e| jobs.iter().map(|_| (Err(e.clone()), 0)).collect());
     let mut slots = vec![[None; 8]; row_meta.len()];
     let mut failures = Vec::new();
     let mut recovered = Vec::new();
-    for j in &jobs {
-        let before = obd_chaos::injected_total();
-        match measure_cell_transition_with_options(
-            tech,
-            GateKind::Nand,
-            j.defect,
-            j.v1,
-            j.v2,
-            cfg,
-            opts,
-        ) {
+    for (j, (outcome, injections)) in jobs.iter().zip(results) {
+        match outcome {
             Ok(o) => {
                 slots[j.row][j.slot] = Some(o);
-                let injections = obd_chaos::injected_total().saturating_sub(before);
                 if injections > 0 {
                     recovered.push(CellRecovery {
                         row: j.row,
@@ -663,13 +580,13 @@ pub fn characterize_table1_degraded(
                     });
                 }
             }
-            Err(e) => {
+            Err(error) => {
                 CELLS_DEGRADED.inc();
                 failures.push(CellFailure {
                     row: j.row,
                     slot: j.slot,
                     stage: row_meta[j.row].0,
-                    error: e.to_string(),
+                    error,
                 });
             }
         }
@@ -679,6 +596,29 @@ pub fn characterize_table1_degraded(
         failures,
         recovered,
     }
+}
+
+/// [`characterize_table1`] on `threads` workers with default options,
+/// failing on the lowest-indexed failing cell. Kept only as the entry
+/// point of the benchmark harness (`crates/benchmark`).
+///
+/// # Errors
+///
+/// See [`Table1Report::into_result`].
+pub fn characterize_table1_parallel(
+    tech: &TechParams,
+    cfg: &BenchConfig,
+    threads: usize,
+) -> Result<Table1, ObdError> {
+    characterize_table1(
+        tech,
+        cfg,
+        &RunOptions {
+            threads,
+            ..RunOptions::default()
+        },
+    )
+    .into_result()
 }
 
 /// One cell of the Table 1 grid: row/slot coordinates plus the
@@ -696,9 +636,6 @@ struct Table1Job {
 /// Per-row metadata: the progression stage plus its NMOS/PMOS model
 /// parameters (absent where the stage has no such device variant).
 type Table1RowMeta = (BreakdownStage, Option<ObdParams>, Option<ObdParams>);
-
-/// A finished cell measurement tagged with its row/slot coordinates.
-type Table1CellResult = (usize, usize, TransitionOutcome);
 
 /// Builds the flat job list for the Table 1 grid, in the same order the
 /// serial driver visits it.
@@ -774,70 +711,6 @@ fn table1_from_slots(
     Table1 { rows }
 }
 
-/// [`characterize_table1`] fanned out over the work-stealing pool
-/// ([`crate::pool`], shared with the Monte Carlo engine). Every cell of
-/// the grid is an independent transient (own circuit expansion, own
-/// solver), so the grid parallelizes embarrassingly — but cell costs are
-/// wildly uneven (fault-free cells stop at the capture limit, stuck cells
-/// escalate to the full window), which is why the earlier
-/// one-contiguous-chunk-per-thread driver measured only ~1× speedup.
-/// Work-stealing bounds the imbalance by a single cell. Each job writes
-/// its own `(row, slot)` cell, which makes the assembled table identical
-/// to the serial driver's regardless of scheduling.
-///
-/// # Errors
-///
-/// Propagates measurement errors from any worker.
-pub fn characterize_table1_parallel(
-    tech: &TechParams,
-    cfg: &BenchConfig,
-    threads: usize,
-) -> Result<Table1, ObdError> {
-    characterize_table1_parallel_with_options(tech, cfg, threads, &SimOptions::new())
-}
-
-/// [`characterize_table1_parallel`] under explicit solver options.
-///
-/// # Errors
-///
-/// Propagates measurement errors from any worker.
-pub fn characterize_table1_parallel_with_options(
-    tech: &TechParams,
-    cfg: &BenchConfig,
-    threads: usize,
-    opts: &SimOptions,
-) -> Result<Table1, ObdError> {
-    let (jobs, row_meta) = table1_jobs();
-    let results: Vec<Table1CellResult> = crate::pool::run_jobs(&jobs, threads, |_, j| {
-        let o = measure_cell_transition_with_options(
-            tech,
-            GateKind::Nand,
-            j.defect,
-            j.v1,
-            j.v2,
-            cfg,
-            opts,
-        )?;
-        Ok((j.row, j.slot, o))
-    })?;
-    let mut slots = vec![[None; 8]; row_meta.len()];
-    for (row, slot, o) in results {
-        slots[row][slot] = Some(o);
-    }
-    Ok(table1_from_slots(row_meta, slots))
-}
-
-/// [`characterize_table1_parallel`] sized to the machine:
-/// `std::thread::available_parallelism()` workers (one when unknown).
-///
-/// # Errors
-///
-/// Propagates measurement errors from any worker.
-pub fn characterize_table1_auto(tech: &TechParams, cfg: &BenchConfig) -> Result<Table1, ObdError> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    characterize_table1_parallel(tech, cfg, threads)
-}
-
 /// Fig. 4: the inverter voltage-transfer characteristic under an NMOS (or
 /// PMOS) OBD defect at the given stage. Returns `(vin, vout)` pairs.
 ///
@@ -877,88 +750,14 @@ pub fn inverter_vtc(
     Ok(res.transfer_curve(exp.node(y)))
 }
 
-/// Measures the excited-defect delay versus junction temperature — OBD
-/// is heat-driven, and the Fig. 3b junction conduction scales with kT/q,
-/// so the *same* defect parameters hurt more at elevated temperature.
-/// Returns `(temp_c, outcome)` rows.
-///
-/// # Errors
-///
-/// Propagates measurement errors.
-pub fn delay_vs_temperature(
-    tech: &TechParams,
-    defect: BenchDefect,
-    v1: [bool; 2],
-    v2: [bool; 2],
-    temps_c: &[f64],
-    cfg: &BenchConfig,
-) -> Result<Vec<(f64, TransitionOutcome)>, ObdError> {
-    temps_c
-        .iter()
-        .map(|&t| {
-            let (wave, exp, bench) = {
-                let bench = Fig5Bench::new()?;
-                let mut exp = expand(&bench.netlist, tech)?;
-                let trs = exp.find_transistors(bench.nand, defect.pin, defect.polarity.mos());
-                let tr = trs.first().ok_or_else(|| {
-                    ObdError::BadSite(format!("no transistor at pin {}", defect.pin))
-                })?;
-                inject_obd(&mut exp.circuit, tr.device, defect.params, "temp")?;
-                let ps = 1e-12;
-                for (i, &pi) in bench.pis.iter().enumerate() {
-                    let lvl = |b: bool| if b { tech.vdd } else { 0.0 };
-                    let wave = if v1[i] == v2[i] {
-                        SourceWave::dc(lvl(v1[i]))
-                    } else {
-                        SourceWave::step(
-                            lvl(v1[i]),
-                            lvl(v2[i]),
-                            cfg.launch_ps * ps,
-                            cfg.edge_ps * ps,
-                        )
-                    };
-                    exp.drive_input(pi, wave);
-                }
-                let params =
-                    TranParams::new(cfg.step_ps * ps, (cfg.launch_ps + cfg.window_ps) * ps);
-                let opts = SimOptions::new().at_temperature(t);
-                let wave = transient_with_options(&exp.circuit, &params, &opts)?;
-                (wave, exp, bench)
-            };
-            let half = tech.half_vdd();
-            let switching_pin = (0..2)
-                .find(|&i| v1[i] != v2[i])
-                .ok_or_else(|| ObdError::BadSite("no input switches".into()))?;
-            let in_node = exp.node(bench.nand_inputs[switching_pin]);
-            let in_edge = if v2[switching_pin] {
-                EdgeKind::Rising
-            } else {
-                EdgeKind::Falling
-            };
-            let out2 = !(v2[0] && v2[1]);
-            let out_edge = if out2 {
-                EdgeKind::Rising
-            } else {
-                EdgeKind::Falling
-            };
-            let out_node = exp.node(bench.output);
-            let t_start = cfg.launch_ps * 1e-12 * 0.5;
-            let outcome =
-                match wave.propagation_delay(in_node, in_edge, out_node, out_edge, half, t_start) {
-                    Some(d) => TransitionOutcome::Delay(d / 1e-12),
-                    None => TransitionOutcome::Stuck,
-                };
-            Ok((t, outcome))
-        })
-        .collect()
-}
-
-/// Quiescent supply current (IDDQ) of the Fig. 5 bench at a static input
-/// vector, in amps — the measurement the GOS literature (Segura et al.,
-/// cited in §2) proposed for *hard* breakdown screening. With the
+/// Quiescent supply current (IDDQ) of the Fig. 5 NAND bench at a static
+/// input vector, in amps — the measurement the GOS literature (Segura et
+/// al., cited in §2) proposed for *hard* breakdown screening. With the
 /// diode-resistor model, IDDQ grows by orders of magnitude over the
 /// progression, so the same model also explains why IDDQ testing works
 /// for manufactured shorts but reacts late for operational defects.
+/// `opts.temperature_c` sets the junction temperature: the breakdown
+/// junctions follow the SPICE saturation-current temperature law.
 ///
 /// # Errors
 ///
@@ -967,41 +766,11 @@ pub fn iddq(
     tech: &TechParams,
     defect: Option<BenchDefect>,
     inputs: [bool; 2],
+    opts: &SimOptions,
 ) -> Result<f64, ObdError> {
-    iddq_at(tech, defect, inputs, 26.85)
-}
-
-/// [`iddq`] at an explicit junction temperature (°C). The breakdown
-/// junctions follow the SPICE saturation-current temperature law, so the
-/// same defect leaks exponentially more as the die heats — the
-/// self-reinforcing thermal loop behind the progression from SBD to HBD
-/// (§3.1's "high current density … causes high temperature at the defect
-/// location").
-///
-/// # Errors
-///
-/// Propagates expansion, injection and solve errors.
-pub fn iddq_at(
-    tech: &TechParams,
-    defect: Option<BenchDefect>,
-    inputs: [bool; 2],
-    temp_c: f64,
-) -> Result<f64, ObdError> {
-    let bench = Fig5Bench::new()?;
-    let mut exp = expand(&bench.netlist, tech)?;
-    if let Some(d) = defect {
-        let trs = exp.find_transistors(bench.nand, d.pin, d.polarity.mos());
-        let tr = trs.first().ok_or_else(|| {
-            ObdError::BadSite(format!("no {} transistor at pin {}", d.polarity, d.pin))
-        })?;
-        inject_obd(&mut exp.circuit, tr.device, d.params, "iddq")?;
-    }
-    for (i, &pi) in bench.pis.iter().enumerate() {
-        let v = if inputs[i] { tech.vdd } else { 0.0 };
-        exp.drive_input(pi, SourceWave::dc(v));
-    }
-    let opts = SimOptions::new().at_temperature(temp_c);
-    let op = obd_spice::analysis::op::operating_point(&exp.circuit, &opts)?;
+    let drives = inputs.map(|b| SourceWave::dc(if b { tech.vdd } else { 0.0 }));
+    let (exp, _) = build_bench(tech, GateKind::Nand, defect, drives)?;
+    let op = obd_spice::analysis::op::operating_point(&exp.circuit, opts)?;
     // The VDD source is the first voltage source added by the expansion.
     op.supply_current_magnitude(0)
         .ok_or_else(|| ObdError::Spice("no supply source".into()))
@@ -1048,37 +817,22 @@ impl DelayTable {
     }
 
     /// Builds the table by running the Fig. 5 characterization with this
-    /// crate's analog model.
+    /// crate's analog model, through `cache`: measurements already in it
+    /// (e.g. from a Table 1 run or an earlier annotation pass) are reused
+    /// instead of re-simulated. Pass a fresh [`DelayCache`] to measure
+    /// everything.
     ///
     /// # Errors
     ///
     /// Propagates measurement errors.
-    pub fn from_characterization(tech: &TechParams, cfg: &BenchConfig) -> Result<Self, ObdError> {
-        Self::build(|defect, v1, v2| measure_transition(tech, defect, v1, v2, cfg))
-    }
-
-    /// [`DelayTable::from_characterization`] through a [`DelayCache`]:
-    /// measurements already in the cache (e.g. from a Table 1 run or an
-    /// earlier annotation pass) are reused instead of re-simulated.
-    ///
-    /// # Errors
-    ///
-    /// Propagates measurement errors.
-    pub fn from_characterization_cached(
+    pub fn from_characterization(
         tech: &TechParams,
         cfg: &BenchConfig,
-        cache: &crate::cache::DelayCache,
+        cache: &DelayCache,
     ) -> Result<Self, ObdError> {
-        Self::build(|defect, v1, v2| cache.measure(tech, defect, v1, v2, cfg))
-    }
-
-    fn build(
-        mut measure: impl FnMut(
-            Option<BenchDefect>,
-            [bool; 2],
-            [bool; 2],
-        ) -> Result<TransitionOutcome, ObdError>,
-    ) -> Result<Self, ObdError> {
+        let sim = SimOptions::default();
+        let measure =
+            |defect, v1, v2| cache.measure_cell(tech, GateKind::Nand, defect, v1, v2, cfg, &sim);
         let base_fall = measure(None, [false, true], [true, true])?
             .delay_ps()
             .unwrap_or(f64::NAN);
@@ -1168,16 +922,23 @@ mod tests {
         }
     }
 
+    /// One measurement at [`fast_cfg`] under the default solver options.
+    fn measure(
+        kind: GateKind,
+        defect: Option<BenchDefect>,
+        v1: [bool; 2],
+        v2: [bool; 2],
+    ) -> TransitionOutcome {
+        let (tech, opts) = (TechParams::date05(), SimOptions::new());
+        measure_cell_transition(&tech, kind, defect, v1, v2, &fast_cfg(), &opts).unwrap()
+    }
+
     #[test]
     fn fault_free_delays_near_calibration_target() {
-        let tech = TechParams::date05();
-        let cfg = fast_cfg();
-        let fall = measure_transition(&tech, None, [false, true], [true, true], &cfg)
-            .unwrap()
+        let fall = measure(GateKind::Nand, None, [false, true], [true, true])
             .delay_ps()
             .expect("fault-free NAND must switch");
-        let rise = measure_transition(&tech, None, [true, true], [false, true], &cfg)
-            .unwrap()
+        let rise = measure(GateKind::Nand, None, [true, true], [false, true])
             .delay_ps()
             .expect("fault-free NAND must switch");
         // Calibration window: same order as the paper's 96 ps / 110 ps.
@@ -1187,8 +948,6 @@ mod tests {
 
     #[test]
     fn nmos_defect_slows_falling_transition_monotonically() {
-        let tech = TechParams::date05();
-        let cfg = fast_cfg();
         let mut last = 0.0;
         for stage in [
             BreakdownStage::FaultFree,
@@ -1202,7 +961,7 @@ mod tests {
                     params: p,
                 })
             });
-            let d = measure_transition(&tech, defect, [false, true], [true, true], &cfg).unwrap();
+            let d = measure(GateKind::Nand, defect, [false, true], [true, true]);
             match d {
                 TransitionOutcome::Delay(ps) => {
                     assert!(ps >= last, "{stage}: {ps} >= {last}");
@@ -1215,8 +974,6 @@ mod tests {
 
     #[test]
     fn pmos_defect_is_input_specific() {
-        let tech = TechParams::date05();
-        let cfg = fast_cfg();
         let p = BreakdownStage::Mbd2.params(Polarity::Pmos).unwrap();
         let defect_a = Some(BenchDefect {
             pin: 0,
@@ -1225,13 +982,10 @@ mod tests {
         });
         // (11,01): input A falls — the defective PMOS-A is the sole
         // charging path: delay appears.
-        let excited =
-            measure_transition(&tech, defect_a, [true, true], [false, true], &cfg).unwrap();
+        let excited = measure(GateKind::Nand, defect_a, [true, true], [false, true]);
         // (11,10): input B falls — PMOS-B charges: no extra delay.
-        let masked =
-            measure_transition(&tech, defect_a, [true, true], [true, false], &cfg).unwrap();
-        let base = measure_transition(&tech, None, [true, true], [true, false], &cfg)
-            .unwrap()
+        let masked = measure(GateKind::Nand, defect_a, [true, true], [true, false]);
+        let base = measure(GateKind::Nand, None, [true, true], [true, false])
             .delay_ps()
             .unwrap();
         match (excited, masked) {
@@ -1270,8 +1024,6 @@ mod tests {
     /// only by its own single-input rise.
     #[test]
     fn nor_duality_in_analog_model() {
-        let tech = TechParams::date05();
-        let cfg = fast_cfg();
         let kind = GateKind::Nor;
         // PMOS (series stack in a NOR) defect on pin 0: both (10,00) and
         // (01,00) — different switching inputs — show extra rise delay.
@@ -1281,14 +1033,11 @@ mod tests {
             polarity: Polarity::Pmos,
             params: p,
         });
-        let base_rise =
-            measure_cell_transition(&tech, kind, None, [true, false], [false, false], &cfg)
-                .unwrap()
-                .delay_ps()
-                .unwrap();
+        let base_rise = measure(kind, None, [true, false], [false, false])
+            .delay_ps()
+            .unwrap();
         for v1 in [[true, false], [false, true]] {
-            let o = measure_cell_transition(&tech, kind, d_p, v1, [false, false], &cfg).unwrap();
-            match o {
+            match measure(kind, d_p, v1, [false, false]) {
                 TransitionOutcome::Delay(d) => {
                     assert!(d > base_rise + 40.0, "{v1:?}: {d} vs base {base_rise}")
                 }
@@ -1303,18 +1052,13 @@ mod tests {
             polarity: Polarity::Nmos,
             params: n,
         });
-        let base_fall =
-            measure_cell_transition(&tech, kind, None, [false, false], [false, true], &cfg)
-                .unwrap()
-                .delay_ps()
-                .unwrap();
-        let excited =
-            measure_cell_transition(&tech, kind, d_n, [false, false], [true, false], &cfg)
-                .unwrap()
-                .delay_ps()
-                .expect("excited NOR NMOS still switches at SBD");
-        let masked = measure_cell_transition(&tech, kind, d_n, [false, false], [false, true], &cfg)
-            .unwrap()
+        let base_fall = measure(kind, None, [false, false], [false, true])
+            .delay_ps()
+            .unwrap();
+        let excited = measure(kind, d_n, [false, false], [true, false])
+            .delay_ps()
+            .expect("excited NOR NMOS still switches at SBD");
+        let masked = measure(kind, d_n, [false, false], [false, true])
             .delay_ps()
             .expect("masked sequence switches");
         assert!(
@@ -1344,16 +1088,18 @@ mod tests {
             polarity: Polarity::Nmos,
             params: BreakdownStage::Mbd1.params(Polarity::Nmos).unwrap(),
         });
-        let cold = iddq_at(&tech, defect, [true, true], -40.0).unwrap();
-        let nominal = iddq_at(&tech, defect, [true, true], 26.85).unwrap();
-        let hot = iddq_at(&tech, defect, [true, true], 125.0).unwrap();
+        let at = |defect, t: f64| {
+            let opts = SimOptions::new().at_temperature(t);
+            iddq(&tech, defect, [true, true], &opts).unwrap()
+        };
+        let (cold, nominal, hot) = (at(defect, -40.0), at(defect, 26.85), at(defect, 125.0));
         let spread = (cold - hot).abs() / nominal;
         assert!(
             spread < 0.15,
             "OBD-regime leak should vary weakly with T: cold {cold}, hot {hot}"
         );
         // All three dwarf the healthy circuit regardless of temperature.
-        let healthy = iddq_at(&tech, None, [true, true], 125.0).unwrap();
+        let healthy = at(None, 125.0);
         for i in [cold, nominal, hot] {
             assert!(i > 100.0 * healthy.max(1e-12));
         }
@@ -1366,7 +1112,7 @@ mod tests {
     /// degraded-level penalty at the driver (faster), so only
     /// measurability is asserted here.
     #[test]
-    fn delay_vs_temperature_sweep_is_measurable() {
+    fn temperature_sweep_delay_is_measurable() {
         let tech = TechParams::date05();
         let cfg = fast_cfg();
         let defect = BenchDefect {
@@ -1374,17 +1120,17 @@ mod tests {
             polarity: Polarity::Nmos,
             params: BreakdownStage::Mbd1.params(Polarity::Nmos).unwrap(),
         };
-        let rows = delay_vs_temperature(
-            &tech,
-            defect,
-            [false, true],
-            [true, true],
-            &[-40.0, 26.85, 125.0],
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(rows.len(), 3);
-        for (t, o) in &rows {
+        for t in [-40.0, 26.85, 125.0] {
+            let o = measure_cell_transition(
+                &tech,
+                GateKind::Nand,
+                Some(defect),
+                [false, true],
+                [true, true],
+                &cfg,
+                &SimOptions::new().at_temperature(t),
+            )
+            .unwrap();
             assert!(o.delay_ps().is_some(), "stuck at {t}°C");
         }
     }
@@ -1394,7 +1140,8 @@ mod tests {
     #[test]
     fn iddq_grows_monotonically_with_stage() {
         let tech = TechParams::date05();
-        let healthy = iddq(&tech, None, [true, true]).unwrap();
+        let opts = SimOptions::new();
+        let healthy = iddq(&tech, None, [true, true], &opts).unwrap();
         let mut last = healthy;
         for stage in [
             BreakdownStage::Sbd,
@@ -1410,6 +1157,7 @@ mod tests {
                     params: p,
                 }),
                 [true, true],
+                &opts,
             )
             .unwrap();
             assert!(i > last, "{stage}: {i} should exceed {last}");

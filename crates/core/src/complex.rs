@@ -140,17 +140,7 @@ pub fn measure_cell(
     }
     let ps = 1e-12;
     for (pin, &pi) in bench.pi_nodes.iter().enumerate() {
-        let lvl = |b: bool| if b { tech.vdd } else { 0.0 };
-        let wave = if v1[pin] == v2[pin] {
-            SourceWave::dc(lvl(v1[pin]))
-        } else {
-            SourceWave::step(
-                lvl(v1[pin]),
-                lvl(v2[pin]),
-                cfg.launch_ps * ps,
-                cfg.edge_ps * ps,
-            )
-        };
+        let wave = cfg.input_wave(tech.vdd, v1[pin], v2[pin]);
         bench.circuit.add_vsource(Vsource::new(
             &format!("VPI{pin}"),
             pi,
@@ -223,12 +213,14 @@ mod tests {
             .unwrap()
             .delay_ps()
             .unwrap();
-        let reference = crate::characterize::measure_transition(
+        let reference = crate::characterize::measure_cell_transition(
             &tech,
+            GateKind::Nand,
             None,
             [false, true],
             [true, true],
             &cfg(),
+            &SimOptions::new(),
         )
         .unwrap()
         .delay_ps()

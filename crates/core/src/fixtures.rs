@@ -24,7 +24,7 @@ use obd_logic::netlist::{GateId, GateKind, NetId, Netlist};
 use obd_logic::sim::simulate;
 use obd_logic::value::Lv;
 use obd_spice::analysis::tran::{transient_with_options, TranParams};
-use obd_spice::devices::{Device, SourceWave};
+use obd_spice::devices::Device;
 use obd_spice::{Circuit, EdgeKind, SimOptions, Waveform};
 
 use crate::characterize::{BenchConfig, TransitionOutcome};
@@ -176,7 +176,7 @@ pub fn mna_unknowns(ckt: &Circuit) -> usize {
 ///
 /// Propagates expansion, injection and simulation errors;
 /// [`ObdError::BadSite`] when the vector lengths don't match the fixture.
-pub fn run_fixture_with_options(
+pub fn run_fixture(
     tech: &TechParams,
     bench: &MultiCellBench,
     defect: Option<FixtureDefect>,
@@ -204,13 +204,7 @@ pub fn run_fixture_with_options(
     }
     let ps = 1e-12;
     for (i, &pi) in bench.pis.iter().enumerate() {
-        let lvl = |bit: bool| if bit { tech.vdd } else { 0.0 };
-        let wave = if v1[i] == v2[i] {
-            SourceWave::dc(lvl(v1[i]))
-        } else {
-            SourceWave::step(lvl(v1[i]), lvl(v2[i]), cfg.launch_ps * ps, cfg.edge_ps * ps)
-        };
-        exp.drive_input(pi, wave);
+        exp.drive_input(pi, cfg.input_wave(tech.vdd, v1[i], v2[i]));
     }
     let params = TranParams::new(cfg.step_ps * ps, cfg.launch_ps * ps + cfg.window_ps * ps);
     let wave = transient_with_options(&exp.circuit, &params, opts)?;
@@ -226,9 +220,9 @@ pub fn run_fixture_with_options(
 ///
 /// # Errors
 ///
-/// Propagates [`run_fixture_with_options`] errors; [`ObdError::BadSite`]
+/// Propagates [`run_fixture`] errors; [`ObdError::BadSite`]
 /// when no input switches.
-pub fn measure_fixture_transition_with_options(
+pub fn measure_fixture_transition(
     tech: &TechParams,
     bench: &MultiCellBench,
     defect: Option<FixtureDefect>,
@@ -257,7 +251,7 @@ pub fn measure_fixture_transition_with_options(
         // The observed net does not switch; delay is undefined.
         return Ok(TransitionOutcome::Stuck);
     }
-    let (wave, exp) = run_fixture_with_options(tech, bench, defect, v1, v2, cfg, opts)?;
+    let (wave, exp) = run_fixture(tech, bench, defect, v1, v2, cfg, opts)?;
     let half = tech.half_vdd();
     let switching_pin = (0..v1.len())
         .find(|&i| v1[i] != v2[i])
@@ -298,6 +292,7 @@ pub fn measure_fixture_transition_with_options(
 mod tests {
     use super::*;
     use crate::stage::BreakdownStage;
+    use obd_spice::devices::SourceWave;
 
     fn fast_cfg() -> BenchConfig {
         BenchConfig {
@@ -334,27 +329,18 @@ mod tests {
         // NMOS excitation of Table 1, here embedded in the adder.
         let v1 = [true, false, false];
         let v2 = [true, true, false];
-        let clean =
-            measure_fixture_transition_with_options(&tech, &fx, None, &v1, &v2, &cfg, &opts)
-                .unwrap()
-                .delay_ps()
-                .expect("fault-free adder switches");
+        let clean = measure_fixture_transition(&tech, &fx, None, &v1, &v2, &cfg, &opts)
+            .unwrap()
+            .delay_ps()
+            .expect("fault-free adder switches");
         let defect = FixtureDefect {
             gate: fx.dut,
             pin: 1,
             polarity: Polarity::Nmos,
             params: BreakdownStage::Mbd2.params(Polarity::Nmos).unwrap(),
         };
-        let hurt = measure_fixture_transition_with_options(
-            &tech,
-            &fx,
-            Some(defect),
-            &v1,
-            &v2,
-            &cfg,
-            &opts,
-        )
-        .unwrap();
+        let hurt =
+            measure_fixture_transition(&tech, &fx, Some(defect), &v1, &v2, &cfg, &opts).unwrap();
         match hurt {
             TransitionOutcome::Delay(d) => {
                 assert!(d > clean, "MBD2 must slow the path: {d} vs {clean}")
@@ -368,7 +354,7 @@ mod tests {
         let fx = MultiCellBench::nand_context().unwrap();
         let tech = TechParams::date05();
         // B stays 0, so the NAND output is stuck high no matter what A does.
-        let o = measure_fixture_transition_with_options(
+        let o = measure_fixture_transition(
             &tech,
             &fx,
             None,
@@ -384,7 +370,7 @@ mod tests {
     #[test]
     fn vector_length_mismatch_is_a_typed_error() {
         let fx = MultiCellBench::full_adder().unwrap();
-        let err = measure_fixture_transition_with_options(
+        let err = measure_fixture_transition(
             &TechParams::date05(),
             &fx,
             None,

@@ -26,7 +26,11 @@
 //!   necessary-and-sufficient per-cell test sets.
 //! * [`characterize`] — the Fig. 5 bench: a NAND driven and loaded by real
 //!   gates, measured across the ladder to regenerate Table 1 and
-//!   Figs. 4, 6, 7.
+//!   Figs. 4, 6, 7. One measurement
+//!   ([`measure_cell_transition`](characterize::measure_cell_transition))
+//!   and one Table 1 driver
+//!   ([`characterize_table1`](characterize::characterize_table1), configured
+//!   by [`RunOptions`](characterize::RunOptions)).
 //! * [`faultmodel`] — the gate-level OBD fault abstraction used by ATPG
 //!   and fault simulation.
 //! * [`progression`] — the exponential leakage growth law (after Linder et
@@ -43,7 +47,7 @@
 //! * [`complex`] — analog characterization of complex (AOI/OAI) cells,
 //!   §5's "especially for complex gates" case.
 //! * [`pool`] — the deterministic work-stealing job pool shared by the
-//!   parallel Table 1 driver and the Monte Carlo engine.
+//!   Table 1 driver and the Monte Carlo engine.
 //! * [`fixtures`] — multi-cell benches (deep NAND context, a
 //!   transistor-level full adder) that embed a breakdown site in more
 //!   than one cell of real CMOS.

@@ -29,9 +29,7 @@ use obd_logic::netlist::GateKind;
 use obd_metrics::Counter;
 use obd_spice::SimOptions;
 
-use crate::characterize::{
-    measure_cell_transition_with_options, BenchConfig, BenchDefect, TransitionOutcome,
-};
+use crate::characterize::{measure_cell_transition, BenchConfig, BenchDefect, TransitionOutcome};
 use crate::faultmodel::Polarity;
 use crate::pool;
 use crate::stage::BreakdownStage;
@@ -211,9 +209,11 @@ pub struct MonteReport {
     pub degraded_total: usize,
 }
 
-/// Perturbs the technology for one corner: ±`spread` relative pseudo-
-/// Gaussian on Vt, KP and W of both polarities, clamped at half nominal.
-fn sample_tech(nominal: &TechParams, seed: u64, sample: u64, spread: f64) -> TechParams {
+/// Perturbs the technology for corner `sample` of the campaign seeded
+/// with `seed`: ±`spread` relative pseudo-Gaussian on Vt, KP and W of
+/// both polarities, clamped at half nominal. The one corner sampler —
+/// callers checking other properties at the campaign's corners reuse it.
+pub fn sample_tech(nominal: &TechParams, seed: u64, sample: u64, spread: f64) -> TechParams {
     let mut rng = MonteRng::for_sample(seed, sample);
     let mut t = nominal.clone();
     let mut jitter = |v: f64| -> f64 { (v * (1.0 + spread * rng.gauss())).max(v * 0.5) };
@@ -288,22 +288,14 @@ fn probes(config: &MonteConfig) -> Vec<MonteProbe> {
     out
 }
 
-/// Runs the campaign around the given nominal technology.
+/// Runs the campaign around the given nominal technology under the
+/// solver options `opts`.
 ///
 /// # Errors
 ///
 /// Configuration errors only (a failing *measurement* degrades its corner
 /// instead); a worker panic surfaces as [`ObdError::Spice`].
-pub fn run_monte(nominal: &TechParams, config: &MonteConfig) -> Result<MonteReport, ObdError> {
-    run_monte_with_options(nominal, config, &SimOptions::new())
-}
-
-/// [`run_monte`] under explicit solver options.
-///
-/// # Errors
-///
-/// Same conditions as [`run_monte`].
-pub fn run_monte_with_options(
+pub fn run_monte(
     nominal: &TechParams,
     config: &MonteConfig,
     opts: &SimOptions,
@@ -333,7 +325,7 @@ pub fn run_monte_with_options(
                     params: stage.params(polarity)?,
                 }),
             };
-            measure_cell_transition_with_options(
+            measure_cell_transition(
                 &tech,
                 GateKind::Nand,
                 defect,
@@ -568,7 +560,7 @@ mod tests {
         cfg.stages = vec![];
         cfg.spread = 0.05;
         cfg.bench = fast_cfg();
-        let report = run_monte(&TechParams::date05(), &cfg).unwrap();
+        let report = run_monte(&TechParams::date05(), &cfg, &SimOptions::new()).unwrap();
         assert_eq!(report.probes.len(), 2);
         assert_eq!(report.degraded_total, 0);
         for p in &report.probes {

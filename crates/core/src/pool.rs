@@ -1,5 +1,5 @@
-//! A deterministic work-stealing job pool shared by the characterization
-//! drivers (Table 1) and the Monte Carlo variation engine.
+//! A deterministic work-stealing job pool shared by the Table 1 driver
+//! and the Monte Carlo variation engine.
 //!
 //! The previous parallel driver split the job list into one contiguous
 //! chunk per thread. Table 1 cells have wildly uneven costs — a

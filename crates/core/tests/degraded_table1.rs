@@ -9,12 +9,19 @@ use std::sync::Mutex;
 
 use obd_cmos::TechParams;
 use obd_core::characterize::{
-    characterize_table1_degraded, BenchConfig, Table1, TransitionOutcome,
+    characterize_table1, BenchConfig, RunOptions, Table1, Table1Report, TransitionOutcome,
 };
 use obd_spice::SimOptions;
 
 /// Chaos arming is process-global; tests in this binary serialize here.
 static GATE: Mutex<()> = Mutex::new(());
+
+/// Per-solve Newton iteration budget under which some, but not all,
+/// Table 1 cells exhaust their budget at [`quick_cfg`].
+const BUDGET: u64 = 12;
+
+/// Cells in the Table 1 grid.
+const TOTAL_CELLS: usize = 36;
 
 fn quick_cfg() -> BenchConfig {
     BenchConfig {
@@ -27,6 +34,16 @@ fn quick_cfg() -> BenchConfig {
     }
 }
 
+/// One run of the grid on `threads` workers under `sim`.
+fn run(threads: usize, sim: SimOptions) -> Table1Report {
+    let opts = RunOptions {
+        threads,
+        sim,
+        ..RunOptions::default()
+    };
+    characterize_table1(&TechParams::date05(), &quick_cfg(), &opts)
+}
+
 fn cell(t: &Table1, row: usize, slot: usize) -> Option<TransitionOutcome> {
     if slot < 4 {
         t.rows[row].nmos[slot]
@@ -36,54 +53,66 @@ fn cell(t: &Table1, row: usize, slot: usize) -> Option<TransitionOutcome> {
 }
 
 #[test]
-fn disarmed_degraded_run_matches_strict_run() {
+fn disarmed_run_is_clean() {
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     obd_chaos::disarm();
-    let tech = TechParams::date05();
-    let cfg = quick_cfg();
-    let opts = SimOptions::new();
-    let strict =
-        obd_core::characterize::characterize_table1_with_options(&tech, &cfg, &opts).unwrap();
-    let report = characterize_table1_degraded(&tech, &cfg, &opts);
+    let report = run(1, SimOptions::new());
     assert!(!report.is_degraded(), "clean run must not degrade");
     assert!(report.recovered.is_empty(), "clean run has no recoveries");
-    assert_eq!(report.failures_json(), "[]");
-    assert_eq!(
-        report.table.render(),
-        strict.render(),
-        "degraded driver must be byte-identical to the strict driver on a clean run"
+    assert_eq!(report.render(), report.table.render());
+    let strict = report.clone().into_result().unwrap();
+    assert_eq!(strict.render(), report.table.render());
+}
+
+/// A per-solve Newton budget is a deterministic failure source: the same
+/// cells exhaust it on every run, at any thread count, and the strict
+/// view reports the lowest-indexed one.
+#[test]
+fn budget_failures_are_thread_independent() {
+    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    obd_chaos::disarm();
+    let sim = SimOptions::new().with_iteration_budget(BUDGET);
+    let (one, four) = (run(1, sim.clone()), run(4, sim));
+    assert!(
+        !one.failures.is_empty() && one.failures.len() < TOTAL_CELLS,
+        "budget {BUDGET} must fail some cells but not all: {}",
+        one.failures.len()
     );
+    assert_eq!(one.failures, four.failures);
+    let coords: Vec<_> = one.failures.iter().map(|f| (f.row, f.slot)).collect();
+    assert!(
+        coords.windows(2).all(|w| w[0] < w[1]),
+        "grid order: {coords:?}"
+    );
+    assert_eq!(one.table.render(), four.table.render());
+    let first = one.failures[0].error.clone();
+    assert_eq!(one.into_result().unwrap_err(), first);
+    assert_eq!(four.into_result().unwrap_err(), first);
 }
 
 #[test]
 fn chaos_degrades_cells_but_keeps_surviving_cells_identical() {
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let tech = TechParams::date05();
-    let cfg = quick_cfg();
-    let opts = SimOptions::new();
-
     obd_chaos::disarm();
-    let clean = characterize_table1_degraded(&tech, &cfg, &opts);
+    let clean = run(1, SimOptions::new());
     assert!(!clean.is_degraded());
 
     // Scan seeds for one that degrades at least one cell but not all of
     // them, so both sides of the contract are observable.
-    let total_cells = 30usize;
     let mut verified = false;
     for seed in 0..64 {
         obd_chaos::arm(seed, 8);
-        let report = characterize_table1_degraded(&tech, &cfg, &opts);
+        let report = run(1, SimOptions::new());
         obd_chaos::disarm();
         let failed = report.failures.len();
-        if failed == 0 || failed >= total_cells {
+        if failed == 0 || failed >= TOTAL_CELLS {
             continue;
         }
-        // Every failure carries a typed, rendered error.
+        // Every failure carries its typed error into the rendering.
+        let text = report.render();
         for f in &report.failures {
-            assert!(!f.error.is_empty(), "failure must carry its error");
+            assert!(text.contains(&f.error.to_string()), "{text}");
         }
-        let json = report.failures_json();
-        assert!(json.contains("\"row\":"), "artifact must list failures");
         // Cells the injection layer never touched are bit-identical to
         // the clean run; recovered cells are valid but path-dependent,
         // so they are accounted separately and skipped here.

@@ -12,6 +12,7 @@ use obd_cmos::TechParams;
 use obd_core::characterize::BenchConfig;
 use obd_core::monte::{run_monte, MonteConfig};
 use obd_core::BreakdownStage;
+use obd_spice::SimOptions;
 
 static GLOBAL_STATE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -38,10 +39,16 @@ fn small_config(threads: usize) -> MonteConfig {
 fn report_is_byte_identical_across_thread_counts() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
     let tech = TechParams::date05();
-    let serial = run_monte(&tech, &small_config(1)).unwrap().render_json();
-    let parallel = run_monte(&tech, &small_config(4)).unwrap().render_json();
+    let serial = run_monte(&tech, &small_config(1), &SimOptions::new())
+        .unwrap()
+        .render_json();
+    let parallel = run_monte(&tech, &small_config(4), &SimOptions::new())
+        .unwrap()
+        .render_json();
     assert_eq!(serial, parallel);
-    let wide = run_monte(&tech, &small_config(13)).unwrap().render_json();
+    let wide = run_monte(&tech, &small_config(13), &SimOptions::new())
+        .unwrap()
+        .render_json();
     assert_eq!(serial, wide);
 }
 
@@ -49,7 +56,7 @@ fn report_is_byte_identical_across_thread_counts() {
 fn defect_probes_detect_where_fault_free_does_not() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
     let tech = TechParams::date05();
-    let report = run_monte(&tech, &small_config(2)).unwrap();
+    let report = run_monte(&tech, &small_config(2), &SimOptions::new()).unwrap();
     assert_eq!(report.degraded_total, 0);
     let probe = |label: &str| {
         report
@@ -79,7 +86,7 @@ fn monte_metrics_account_for_every_measurement() {
     obd_metrics::enable();
     obd_metrics::reset_all();
     let tech = TechParams::date05();
-    let report = run_monte(&tech, &small_config(2)).unwrap();
+    let report = run_monte(&tech, &small_config(2), &SimOptions::new()).unwrap();
     let snap = obd_metrics::snapshot();
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     assert_eq!(c("monte.samples"), 3);
@@ -97,7 +104,7 @@ fn chaos_corrupted_corners_degrade_instead_of_aborting() {
     // corner's parameters are corrupted before the analog engine runs.
     obd_chaos::arm(0xBAD, 1000);
     let tech = TechParams::date05();
-    let report = run_monte(&tech, &small_config(2)).unwrap();
+    let report = run_monte(&tech, &small_config(2), &SimOptions::new()).unwrap();
     obd_chaos::disarm();
     obd_chaos::reset();
     assert_eq!(

@@ -259,6 +259,54 @@ fn step_halving_shows_integration_order() {
     }
 }
 
+/// Charge conservation on a capacitive transient: an RC (1 kΩ, 1 pF)
+/// charged by a 0 → 1 V step over a 3 ns window. The charge the source
+/// pushes through the resistor, summed with the integrator's own
+/// quadrature — the trapezoid rule under trapezoidal integration, the
+/// right-endpoint rule under backward Euler — must equal the charge C·ΔV
+/// left on the capacitor. Each companion model makes this an identity up
+/// to solver tolerance, so a companion stamped with the wrong rule misses
+/// the 1e-6 bound by orders of magnitude.
+#[test]
+fn source_charge_equals_stored_charge() {
+    let (r, c) = (1e3, 1e-12);
+    for backward_euler in [false, true] {
+        for h in [10e-12, 2e-12] {
+            let mut ckt = Circuit::new();
+            let vin = ckt.node("in");
+            let out = ckt.node("out");
+            let step = SourceWave::step(0.0, 1.0, 100e-12, 20e-12);
+            ckt.add_vsource(Vsource::new("V", vin, Circuit::GROUND, step));
+            ckt.add_resistor(Resistor::new("R", vin, out, r));
+            ckt.add_capacitor(Capacitor::new("C", out, Circuit::GROUND, c));
+            let mut params = TranParams::new(h, 3e-9);
+            if backward_euler {
+                params = params.with_backward_euler();
+            }
+            let wave = transient(&ckt, &params).unwrap();
+            let (t, v_in, v_out) = (wave.time(), wave.trace(vin), wave.trace(out));
+            let current = |k: usize| (v_in[k] - v_out[k]) / r;
+            let delivered: f64 = (1..t.len())
+                .map(|k| {
+                    let dt = t[k] - t[k - 1];
+                    if backward_euler {
+                        dt * current(k)
+                    } else {
+                        dt * (current(k) + current(k - 1)) / 2.0
+                    }
+                })
+                .sum();
+            let stored = c * (v_out[t.len() - 1] - v_out[0]);
+            let rel = (delivered - stored).abs() / stored;
+            assert!(
+                rel < 1e-6,
+                "backward_euler={backward_euler} h={h:e}: delivered {delivered:e} C vs \
+                 stored {stored:e} C (relative error {rel:e})"
+            );
+        }
+    }
+}
+
 /// Two resistors in parallel equal the analytic combination, for any
 /// positive values spanning the magnitudes in the OBD ladder.
 #[test]

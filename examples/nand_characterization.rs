@@ -11,7 +11,7 @@
 use std::fs;
 
 use obd_suite::cmos::TechParams;
-use obd_suite::obd::characterize::{characterize_table1, inverter_vtc, BenchConfig};
+use obd_suite::obd::characterize::{characterize_table1, inverter_vtc, BenchConfig, RunOptions};
 use obd_suite::obd::faultmodel::Polarity;
 use obd_suite::obd::BreakdownStage;
 
@@ -22,7 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Table 1 with the at-speed capture criterion that renders the
     // paper's sa-0/sa-1 entries.
     println!("regenerating Table 1 (this runs ~40 transient analyses)...");
-    let table = characterize_table1(&tech, &BenchConfig::table1())?;
+    let table =
+        characterize_table1(&tech, &BenchConfig::table1(), &RunOptions::default()).into_result()?;
     println!("\n{}", table.render());
     fs::write("nand_characterization/table1.txt", table.render())?;
 

@@ -6,19 +6,24 @@
 //! ```
 
 use obd_suite::cmos::TechParams;
-use obd_suite::obd::characterize::{measure_transition, BenchConfig, BenchDefect};
+use obd_suite::logic::netlist::GateKind;
+use obd_suite::obd::characterize::{measure_cell_transition, BenchConfig, BenchDefect};
 use obd_suite::obd::faultmodel::Polarity;
 use obd_suite::obd::BreakdownStage;
+use obd_suite::spice::SimOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The calibrated 3.3 V / 0.35 µm-class technology of the reproduction.
     let tech = TechParams::date05();
     let cfg = BenchConfig::new();
+    let sim = SimOptions::new();
+    let measure =
+        |defect, v1, v2| measure_cell_transition(&tech, GateKind::Nand, defect, v1, v2, &cfg, &sim);
 
     // Fault-free baseline: the NAND of the paper's Fig. 5 bench,
     // exercised with the two-pattern sequence (01 -> 11): input A rises,
     // the output falls.
-    let baseline = measure_transition(&tech, None, [false, true], [true, true], &cfg)?;
+    let baseline = measure(None, [false, true], [true, true])?;
     println!("fault-free NAND fall delay: {baseline:?}");
 
     // Now progressively break down the oxide of the NMOS transistor on
@@ -36,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             polarity: Polarity::Nmos,
             params,
         };
-        let outcome = measure_transition(&tech, Some(defect), [false, true], [true, true], &cfg)?;
+        let outcome = measure(Some(defect), [false, true], [true, true])?;
         println!(
             "{stage:>10}: isat={:.1e} A, r_bd={:>7.2} Ω  ->  {}",
             params.isat,
@@ -53,8 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         polarity: Polarity::Pmos,
         params,
     };
-    let excited = measure_transition(&tech, Some(defect), [true, true], [false, true], &cfg)?;
-    let masked = measure_transition(&tech, Some(defect), [true, true], [true, false], &cfg)?;
+    let excited = measure(Some(defect), [true, true], [false, true])?;
+    let masked = measure(Some(defect), [true, true], [true, false])?;
     println!("\nPMOS-A defect at MBD2:");
     println!("  (11,01) — A falls alone:  {}", excited.render(true));
     println!(

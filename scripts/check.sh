@@ -8,6 +8,8 @@ cargo fmt --check
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Broken intra-doc links (e.g. to a renamed entry point) fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Run the test suite once more at release optimization with debug
 # assertions enabled: the solver guards carry debug_assert!s that the

@@ -10,11 +10,13 @@
 use obd_suite::cmos::cell::Cell;
 use obd_suite::cmos::switch::{excites, CellTransistor, NetworkSide};
 use obd_suite::cmos::TechParams;
+use obd_suite::logic::netlist::GateKind;
 use obd_suite::obd::characterize::{
-    measure_transition, BenchConfig, BenchDefect, TransitionOutcome,
+    measure_cell_transition, BenchConfig, BenchDefect, TransitionOutcome,
 };
 use obd_suite::obd::faultmodel::Polarity;
 use obd_suite::obd::BreakdownStage;
+use obd_suite::spice::SimOptions;
 
 fn coarse_cfg() -> BenchConfig {
     BenchConfig {
@@ -34,7 +36,9 @@ fn measured(
     v1: [bool; 2],
     v2: [bool; 2],
 ) -> TransitionOutcome {
-    measure_transition(tech, defect, v1, v2, &coarse_cfg()).expect("bench must simulate")
+    let sim = SimOptions::new();
+    measure_cell_transition(tech, GateKind::Nand, defect, v1, v2, &coarse_cfg(), &sim)
+        .expect("bench must simulate")
 }
 
 #[test]

@@ -13,6 +13,7 @@ use obd_suite::logic::timing::{timing_simulate, InputEvent};
 use obd_suite::logic::value::Lv;
 use obd_suite::obd::annotate::delay_model_from_table;
 use obd_suite::obd::characterize::{BenchConfig, DelayTable};
+use obd_suite::obd::DelayCache;
 use obd_suite::spice::analysis::tran::{transient_with_options, TranParams};
 use obd_suite::spice::devices::SourceWave;
 use obd_suite::spice::{EdgeKind, SimOptions};
@@ -29,7 +30,8 @@ fn characterized_gate_level_timing_tracks_analog_full_adder() {
         sim_full_window: false,
     };
     // Characterize the fault-free cell delays with the analog model.
-    let table = DelayTable::from_characterization(&tech, &cfg).expect("characterization");
+    let table = DelayTable::from_characterization(&tech, &cfg, &DelayCache::new())
+        .expect("characterization");
     let model = delay_model_from_table(&table);
 
     let nl = fig8_sum_circuit();
