@@ -348,10 +348,10 @@ impl<'a> FaultSimulator<'a> {
     /// Grades a test set against a fault list; returns per-fault detection
     /// flags.
     ///
-    /// Runs on the bit-parallel [`PpsfpEngine`]: good-machine responses
-    /// are computed once per 64-test block, each fault is evaluated
-    /// fault-major with dropping, and the results are bit-exact with
-    /// [`FaultSimulator::grade_scalar`].
+    /// Runs on the bit-parallel [`PpsfpEngine`] at width 1: good-machine
+    /// responses are computed once per 64-test block, each fault is
+    /// evaluated fault-major with dropping, and the results are bit-exact
+    /// with [`FaultSimulator::grade_scalar`].
     ///
     /// # Errors
     ///
@@ -364,7 +364,7 @@ impl<'a> FaultSimulator<'a> {
         if faults.is_empty() {
             return Ok(Vec::new());
         }
-        let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(self, tests)?;
+        let engine = PpsfpEngine::<1>::prepare(self, tests)?;
         let detected = engine.grade(faults)?;
         FAULTS_GRADED.add(faults.len() as u64);
         FAULTS_DETECTED.add(detected.iter().filter(|&&d| d).count() as u64);
@@ -402,7 +402,7 @@ impl<'a> FaultSimulator<'a> {
     /// accounted for in the returned vector. Detected *and* degraded
     /// faults drop immediately (stop consuming tests).
     pub fn grade_degraded(&self, faults: &[Fault], tests: &[TwoPatternTest]) -> Vec<GradeOutcome> {
-        let out = match PpsfpEngine::<SUPERLANE_WIDTH>::prepare(self, tests) {
+        let out = match PpsfpEngine::<1>::prepare(self, tests) {
             Ok(engine) => engine.grade_degraded(faults, &|| CHAOS_GRADE.fire()),
             // Malformed test sets degrade every fault, as each would hit
             // the same error at its first test in the scalar path.
@@ -431,7 +431,7 @@ impl<'a> FaultSimulator<'a> {
         if threads <= 1 {
             return self.grade(faults, tests);
         }
-        let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare_with_threads(self, tests, threads)?;
+        let engine = PpsfpEngine::<1>::prepare_with_threads(self, tests, threads)?;
         let out = engine.grade_parallel(faults, threads)?;
         FAULTS_GRADED.add(faults.len() as u64);
         FAULTS_DETECTED.add(out.iter().filter(|&&d| d).count() as u64);
@@ -454,32 +454,10 @@ impl<'a> FaultSimulator<'a> {
         self.grade_parallel(faults, tests, threads)
     }
 
-    /// [`FaultSimulator::grade_parallel`] with an adaptive block width:
-    /// the leading tests grade at width 1 while faults drop fast, and the
-    /// survivors switch to the full super-lane engine once the drop rate
-    /// stabilizes ([`crate::ppsfp::grade_adaptive`]). The detection
-    /// vector is bit-identical with any fixed-width grader.
-    ///
-    /// # Errors
-    ///
-    /// Propagates detection errors from any worker.
-    pub fn grade_adaptive(
-        &self,
-        faults: &[Fault],
-        tests: &[TwoPatternTest],
-        threads: usize,
-    ) -> Result<Vec<bool>, AtpgError> {
-        if faults.is_empty() {
-            return Ok(Vec::new());
-        }
-        let out = crate::ppsfp::grade_adaptive(self, tests, faults, threads)?;
-        FAULTS_GRADED.add(faults.len() as u64);
-        FAULTS_DETECTED.add(out.detected.iter().filter(|&&d| d).count() as u64);
-        Ok(out.detected)
-    }
-
     /// Builds the full detection matrix `matrix[t][f]` for compaction and
-    /// exhaustive analysis, via per-fault packed detection rows.
+    /// exhaustive analysis, via per-fault packed detection rows at
+    /// [`SUPERLANE_WIDTH`] (no dropping, so every pattern of a wide block
+    /// is useful work).
     ///
     /// # Errors
     ///

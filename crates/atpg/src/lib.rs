@@ -18,9 +18,10 @@
 //!   coverage grading, test-set comparison and exhaustive small-circuit
 //!   analysis (the §4.3 full-adder statistics).
 //! * [`ppsfp`] — the bit-parallel PPSFP grading engine behind every
-//!   grading entry point: 64 tests per block, good responses cached per
-//!   block, fault dropping, work-stealing parallel shards, and an
-//!   adaptive block width for drop-heavy campaigns.
+//!   grading entry point: good responses cached per block, fault effects
+//!   propagated through their fanout cone only, fault dropping at 64
+//!   tests per block, 512-test blocks for no-drop detection rows, and
+//!   work-stealing parallel shards.
 //! * [`compact`] — greedy and exact set-cover compaction (the paper's
 //!   "necessary and sufficient" minimal sets).
 //! * [`random`] — random/weighted two-pattern baselines standing in for a
@@ -83,4 +84,4 @@ pub mod twoframe;
 
 pub use error::AtpgError;
 pub use fault::{DetectionCriterion, Fault, TwoPatternTest};
-pub use ppsfp::{grade_adaptive, AdaptiveGrade, PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
+pub use ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};

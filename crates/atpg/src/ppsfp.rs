@@ -3,16 +3,25 @@
 //! Parallel-pattern single-fault propagation: up to `64 * N` two-pattern
 //! tests are packed into one [`WideBlock`] per frame, the good-machine
 //! responses are computed **once per block** (not once per fault × test),
-//! and each fault's forced-value (held-output) propagation is evaluated
-//! for the whole block in a single packed sweep over the levelized
-//! structure-of-arrays netlist ([`obd_logic::soa`]). Detection is then
-//! one XOR/OR reduction over the packed primary-output words.
+//! and each fault's forced-value (held-output) effect is propagated for
+//! the whole block at once through its fanout cone over the cached good
+//! response ([`obd_logic::soa::SoaNetlist::propagate_held`]): only the
+//! gates the effect reaches are evaluated, and an effect masked on every
+//! pattern dies at the gate that masks it. Detection is then one XOR/OR
+//! reduction over the packed primary-output words the effect changed.
 //!
-//! The engine is generic over the super-lane width `N`
-//! ([`SUPERLANE_WIDTH`] = 8 by default, i.e. 512 patterns per sweep):
-//! every word the hot loop touches is a `[u64; N]` whose elementwise
-//! AND/OR/XOR/popcount the compiler autovectorizes, amortizing the
-//! per-gate walk overhead across eight 64-pattern lanes.
+//! The engine is generic over the super-lane width `N` (`64 * N`
+//! patterns per block). Where the width pays depends on dropping:
+//!
+//! * Dropping graders ([`FaultSimulator::grade`], `grade_parallel`,
+//!   `grade_degraded`) run at width 1. Most faults die in their first
+//!   64 patterns, and a wider block would make each of them pay for
+//!   `64 * N` patterns of cone work.
+//! * No-drop detection rows ([`FaultSimulator::detection_matrix`], BIST
+//!   response modeling) evaluate every (fault, test) pair and run at
+//!   [`SUPERLANE_WIDTH`] = 8: every word the cone walk touches is a
+//!   `[u64; 8]` whose elementwise AND/OR/XOR the compiler autovectorizes,
+//!   amortizing the per-gate walk overhead across eight 64-pattern lanes.
 //!
 //! Bit-exactness vs the scalar path ([`FaultSimulator::detects`]): the
 //! packed simulator is two-valued (X packs as 0), so only *fully
@@ -29,11 +38,6 @@
 //! atomic fault index, and good-response cache fills batched across
 //! worker threads ([`PpsfpEngine::prepare_with_threads`]) so a large
 //! test set does not serialize the warm-up.
-//!
-//! For drop-heavy campaigns [`grade_adaptive`] picks the width
-//! dynamically: narrow (width-1) rounds while faults are dying fast,
-//! the full super-lane engine once the survivor set stabilizes — same
-//! detection vector either way.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -43,6 +47,7 @@ use obd_cmos::switch::{excites, CellTransistor, NetworkSide};
 use obd_core::em::em_excites;
 use obd_core::faultmodel::Polarity;
 use obd_logic::netlist::{GateId, GateKind, NetId};
+use obd_logic::soa::ConeScratch;
 use obd_logic::value::Lv;
 use obd_logic::wide::{LaneWord, WideBlock};
 use obd_metrics::{Counter, Gauge};
@@ -52,17 +57,9 @@ use crate::fault::{Fault, SlowTo, TwoPatternTest};
 use crate::faultsim::{stuck_output_value, FaultSimulator, GradeOutcome};
 use crate::AtpgError;
 
-/// Default super-lane width: eight 64-bit lanes, 512 patterns per block.
+/// Super-lane width of the no-drop detection rows: eight 64-bit lanes,
+/// 512 patterns per block.
 pub const SUPERLANE_WIDTH: usize = 8;
-
-/// Narrow warm-up budget of [`grade_adaptive`]: at most this many leading
-/// tests are graded at width 1 before the engine switches to super-lanes.
-pub const ADAPTIVE_WARMUP_TESTS: usize = 256;
-
-/// A narrow round that detects fewer than `1 / ADAPTIVE_STABLE_DIVISOR`
-/// of its surviving faults marks the survivor set as stable: the cheap
-/// drops are over, switch to the wide engine.
-const ADAPTIVE_STABLE_DIVISOR: usize = 16;
 
 /// (fault, block) packed evaluations performed.
 static BLOCKS_GRADED: Counter = Counter::new("atpg.blocks_graded");
@@ -79,12 +76,6 @@ static SUPERLANE_WIDTH_GAUGE: Gauge = Gauge::new("atpg.superlane_width");
 static GOOD_STORE_HITS: Counter = Counter::new("atpg.good_store_hits");
 /// Good-response blocks simulated and written back to the store.
 static GOOD_STORE_MISSES: Counter = Counter::new("atpg.good_store_misses");
-/// Narrow (width-1) warm-up rounds consumed by adaptive grading.
-static ADAPTIVE_NARROW_ROUNDS: Counter = Counter::new("atpg.adaptive_narrow_rounds");
-/// Faults detected (and dropped) during the narrow warm-up rounds.
-static ADAPTIVE_NARROW_DETECTIONS: Counter = Counter::new("atpg.adaptive_narrow_detections");
-/// Faults that survived the warm-up and were handed to the wide engine.
-static ADAPTIVE_WIDE_SURVIVORS: Counter = Counter::new("atpg.adaptive_wide_survivors");
 
 /// One packed block of fully-specified tests with its cached
 /// good-machine responses for both frames.
@@ -112,8 +103,8 @@ struct GoodBlock<const N: usize> {
 /// heap allocation.
 #[derive(Debug)]
 pub struct PpsfpScratch<const N: usize = SUPERLANE_WIDTH> {
-    /// Faulty-machine net words (one per net).
-    words: Vec<LaneWord<N>>,
+    /// Faulty-machine overlay for cone propagation.
+    cone: ConeScratch<N>,
     /// Frame-1 gate-input values of one lane.
     v1: Vec<bool>,
     /// Frame-2 gate-input values of one lane.
@@ -123,7 +114,7 @@ pub struct PpsfpScratch<const N: usize = SUPERLANE_WIDTH> {
 impl<const N: usize> Default for PpsfpScratch<N> {
     fn default() -> Self {
         PpsfpScratch {
-            words: Vec::new(),
+            cone: ConeScratch::default(),
             v1: Vec::new(),
             v2: Vec::new(),
         }
@@ -542,28 +533,19 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
     }
 
-    /// XOR/OR reduction over the packed primary-output words.
-    fn po_diff(&self, good: &[LaneWord<N>], faulty: &[LaneWord<N>]) -> LaneWord<N> {
-        let mut d = LaneWord::ZERO;
-        for &po in self.sim.soa.outputs() {
-            d |= good[po as usize] ^ faulty[po as usize];
-        }
-        d
-    }
-
-    /// Frame-2 propagation of a held value: force `net` to its packed
-    /// frame-1 word and diff the POs against the cached good response.
+    /// Frame-2 propagation of a held value: `net` keeps its frame-1
+    /// word and the POs are diffed against the cached good response.
     fn held_value_diff(
         &self,
         blk: &GoodBlock<N>,
         net: NetId,
         held: LaneWord<N>,
         scratch: &mut PpsfpScratch<N>,
-    ) -> Result<LaneWord<N>, AtpgError> {
+    ) -> LaneWord<N> {
         self.sim
             .soa
-            .simulate_wide_forced_into(&blk.frame2, &[(net, held)], &mut scratch.words)?;
-        Ok(self.po_diff(&blk.g2, &scratch.words) & blk.mask)
+            .propagate_held(&blk.g2, net, held, &mut scratch.cone)
+            & blk.mask
     }
 
     /// Detection mask of a fault over one block: bit `k` set iff lane
@@ -573,28 +555,22 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         plan: &FaultPlan<'_, N>,
         blk: &GoodBlock<N>,
         scratch: &mut PpsfpScratch<N>,
-    ) -> Result<LaneWord<N>, AtpgError> {
+    ) -> LaneWord<N> {
         match *plan {
-            FaultPlan::Never => Ok(LaneWord::ZERO),
+            FaultPlan::Never => LaneWord::ZERO,
             FaultPlan::StuckAt { net, word } => {
-                let mut det = LaneWord::ZERO;
-                for (frame, good) in [(&blk.frame1, &blk.g1), (&blk.frame2, &blk.g2)] {
-                    self.sim.soa.simulate_wide_forced_into(
-                        frame,
-                        &[(net, word)],
-                        &mut scratch.words,
-                    )?;
-                    det |= self.po_diff(good, &scratch.words);
-                }
-                Ok(det & blk.mask)
+                let soa = &self.sim.soa;
+                (soa.propagate_held(&blk.g1, net, word, &mut scratch.cone)
+                    | soa.propagate_held(&blk.g2, net, word, &mut scratch.cone))
+                    & blk.mask
             }
             FaultPlan::Transition { net, rise } => {
                 let (w1, w2) = (blk.g1[net.index()], blk.g2[net.index()]);
                 let launched = if rise { !w1 & w2 } else { w1 & !w2 } & blk.mask;
                 if launched.is_zero() {
-                    return Ok(LaneWord::ZERO);
+                    return LaneWord::ZERO;
                 }
-                Ok(self.held_value_diff(blk, net, w1, scratch)? & launched)
+                self.held_value_diff(blk, net, w1, scratch) & launched
             }
             FaultPlan::Excited {
                 gate,
@@ -609,7 +585,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                 // the good value), so they filter out up front.
                 let candidate = (w1 ^ w2) & blk.mask;
                 if candidate.is_zero() {
-                    return Ok(LaneWord::ZERO);
+                    return LaneWord::ZERO;
                 }
                 let pins = &self.sim.nl.gate(gate).inputs;
                 let mut excited = LaneWord::ZERO;
@@ -635,9 +611,9 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                     }
                 }
                 if excited.is_zero() {
-                    return Ok(LaneWord::ZERO);
+                    return LaneWord::ZERO;
                 }
-                Ok(self.held_value_diff(blk, out, w1, scratch)? & excited)
+                self.held_value_diff(blk, out, w1, scratch) & excited
             }
         }
     }
@@ -671,7 +647,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         for blk in &self.blocks {
             Self::touch(blk);
             done += 1;
-            if self.detect_mask(&plan, blk, scratch)?.any() {
+            if self.detect_mask(&plan, blk, scratch).any() {
                 if done < total {
                     FAULTS_DROPPED.inc();
                 }
@@ -709,7 +685,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         let plan = self.plan(fault)?;
         for blk in &self.blocks {
             Self::touch(blk);
-            let m = self.detect_mask(&plan, blk, scratch)?;
+            let m = self.detect_mask(&plan, blk, scratch);
             for k in m.set_bits() {
                 row[blk.tests[k]] = true;
             }
@@ -833,10 +809,8 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                 return chaos();
             }
             Self::touch(blk);
-            match self.detect_mask(&plan, blk, scratch) {
-                Ok(m) if m.is_zero() => {}
-                Ok(_) => return GradeOutcome::Detected,
-                Err(e) => return GradeOutcome::Degraded(e.to_string()),
+            if self.detect_mask(&plan, blk, scratch).any() {
+                return GradeOutcome::Detected;
             }
         }
         for &i in &self.scalar_tests {
@@ -851,123 +825,4 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
         GradeOutcome::Undetected
     }
-}
-
-/// Outcome of one [`grade_adaptive`] campaign.
-#[derive(Debug, Clone)]
-pub struct AdaptiveGrade {
-    /// Per-fault detection flags, in fault order — bit-identical with
-    /// [`PpsfpEngine::grade`] at any fixed width.
-    pub detected: Vec<bool>,
-    /// Narrow (width-1) rounds consumed before the switch.
-    pub narrow_rounds: usize,
-    /// Faults detected (and dropped) during the narrow rounds.
-    pub narrow_detections: usize,
-    /// Survivors handed to the wide engine; zero when the warm-up settled
-    /// every fault on its own.
-    pub wide_survivors: usize,
-}
-
-/// Adaptive-width grading for drop-heavy campaigns.
-///
-/// Early in a grading campaign most faults die on their first block: a
-/// random two-pattern set detects the easy bulk of the fault list within
-/// a few dozen tests, and evaluating those doomed faults against a full
-/// `64 * N`-lane super-block wastes `N`× the packed work their first 64
-/// tests would have needed. This grader therefore starts *narrow*: the
-/// leading [`ADAPTIVE_WARMUP_TESTS`] tests are packed at width 1 and
-/// graded one 64-test round at a time with dropping. After any round
-/// that detects fewer than 1/16 of its surviving faults — the survivor
-/// set has stabilized and further narrow rounds would just re-prove
-/// hard faults undetected 64 lanes at a time — the survivors switch to
-/// the full [`SUPERLANE_WIDTH`] engine over the whole test set, graded
-/// with the work-stealing parallel driver.
-///
-/// The survivors' wide pass re-checks the warm-up prefix (it is at most
-/// half of one wide block), so the result is a plain union of genuine
-/// detections: the returned vector is bit-identical with single-width
-/// grading at any width and any thread count. When the warm-up covers
-/// the entire test set — every narrow block consumed, no X-bearing
-/// scalar fallback — the wide phase is skipped outright.
-///
-/// # Errors
-///
-/// Propagates packing, planning and detection errors.
-pub fn grade_adaptive(
-    sim: &FaultSimulator<'_>,
-    tests: &[TwoPatternTest],
-    faults: &[Fault],
-    threads: usize,
-) -> Result<AdaptiveGrade, AtpgError> {
-    let mut detected = vec![false; faults.len()];
-    if faults.is_empty() || tests.is_empty() {
-        return Ok(AdaptiveGrade {
-            detected,
-            narrow_rounds: 0,
-            narrow_detections: 0,
-            wide_survivors: 0,
-        });
-    }
-    let warmup = tests.len().min(ADAPTIVE_WARMUP_TESTS);
-    let narrow = PpsfpEngine::<1>::prepare(sim, &tests[..warmup])?;
-    let mut scratch = PpsfpScratch::<1>::default();
-    let mut survivors: Vec<(usize, FaultPlan<'_, 1>)> = faults
-        .iter()
-        .enumerate()
-        .map(|(i, f)| narrow.plan(f).map(|p| (i, p)))
-        .collect::<Result<_, _>>()?;
-    let mut narrow_rounds = 0usize;
-    let mut narrow_detections = 0usize;
-    for blk in &narrow.blocks {
-        if survivors.is_empty() {
-            break;
-        }
-        let before = survivors.len();
-        let mut kept = Vec::with_capacity(before);
-        for (i, plan) in survivors.drain(..) {
-            PpsfpEngine::touch(blk);
-            if narrow.detect_mask(&plan, blk, &mut scratch)?.any() {
-                detected[i] = true;
-                narrow_detections += 1;
-            } else {
-                kept.push((i, plan));
-            }
-        }
-        survivors = kept;
-        narrow_rounds += 1;
-        ADAPTIVE_NARROW_ROUNDS.inc();
-        let dropped = before - survivors.len();
-        if dropped * ADAPTIVE_STABLE_DIVISOR < before {
-            break;
-        }
-    }
-    ADAPTIVE_NARROW_DETECTIONS.add(narrow_detections as u64);
-    let settled = survivors.is_empty()
-        || (warmup == tests.len()
-            && narrow.scalar_tests.is_empty()
-            && narrow_rounds == narrow.blocks.len());
-    if settled {
-        return Ok(AdaptiveGrade {
-            detected,
-            narrow_rounds,
-            narrow_detections,
-            wide_survivors: 0,
-        });
-    }
-    let indices: Vec<usize> = survivors.iter().map(|&(i, _)| i).collect();
-    drop(survivors);
-    let subset: Vec<Fault> = indices.iter().map(|&i| faults[i]).collect();
-    ADAPTIVE_WIDE_SURVIVORS.add(subset.len() as u64);
-    let wide = PpsfpEngine::<SUPERLANE_WIDTH>::prepare_with_threads(sim, tests, threads)?;
-    for (&i, hit) in indices.iter().zip(wide.grade_parallel(&subset, threads)?) {
-        if hit {
-            detected[i] = true;
-        }
-    }
-    Ok(AdaptiveGrade {
-        detected,
-        narrow_rounds,
-        narrow_detections,
-        wide_survivors: indices.len(),
-    })
 }

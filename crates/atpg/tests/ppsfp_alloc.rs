@@ -1,6 +1,7 @@
-//! Proves the packed grading inner loop is allocation-free in steady
+//! Proves the packed grading inner loops are allocation-free in steady
 //! state: once an engine and a scratch arena are warm, grading any
-//! number of faults against the packed blocks must not touch the heap.
+//! number of faults against the packed blocks must not touch the heap
+//! beyond the detection rows the no-drop loop hands back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,7 +13,7 @@ use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
 use obd_atpg::random::random_two_pattern;
 use obd_core::BreakdownStage;
-use obd_logic::circuits::c17;
+use obd_logic::circuits::{c17, ripple_carry_adder};
 use obd_logic::netlist::Netlist;
 
 /// Counts heap operations from the measured thread while `COUNTING` is
@@ -70,51 +71,82 @@ fn mixed_faults(nl: &Netlist) -> Vec<Fault> {
     faults
 }
 
-/// With metrics disabled (branch-only counters), a warm engine grades
-/// every fault model without a single heap operation.
+/// Grades every fault once to size the scratch arena, then counts the
+/// heap calls of a second pass of `pass` over the same faults.
+fn warm_heap_calls(faults: &[Fault], mut pass: impl FnMut(&Fault)) -> u64 {
+    faults.iter().for_each(&mut pass);
+    ALLOC_CALLS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    faults.iter().for_each(&mut pass);
+    COUNTING.store(false, Ordering::SeqCst);
+    ALLOC_CALLS.load(Ordering::SeqCst)
+}
+
+/// With metrics disabled (branch-only counters), a warm width-1 engine
+/// grades every fault model with dropping without a single heap
+/// operation: the cone overlay is reused across faults and blocks.
 #[test]
-fn warm_packed_grading_does_not_allocate() {
+fn warm_dropping_grading_does_not_allocate() {
     let _guard = TEST_LOCK.lock().unwrap();
     MEASURED_THREAD.with(|c| c.set(true));
     obd_metrics::disable();
 
-    let nl = c17();
+    for nl in [c17(), ripple_carry_adder(8)] {
+        let sim = FaultSimulator::new(&nl).unwrap();
+        let faults = mixed_faults(&nl);
+        let tests = random_two_pattern(nl.inputs().len(), 1024, 0xFEED);
+        let engine = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
+        // 1024 tests at 64 patterns per block: the warm loop really
+        // walks many blocks, not a single one.
+        assert_eq!(engine.num_blocks(), 1024 / 64);
+        assert_eq!(engine.scalar_fallback_tests(), 0);
+        let mut scratch = PpsfpScratch::default();
+        let calls = warm_heap_calls(&faults, |f| {
+            engine.grade_one(f, &mut scratch).unwrap();
+        });
+        assert_eq!(
+            calls,
+            0,
+            "steady-state dropping grading performed {calls} heap allocations over {} faults",
+            faults.len()
+        );
+    }
+    obd_metrics::enable();
+}
+
+/// The width-8 no-drop row loop touches the heap only for the row it
+/// returns: one allocation per fault, none inside the block walk.
+#[test]
+fn warm_detection_rows_allocate_only_the_returned_row() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    MEASURED_THREAD.with(|c| c.set(true));
+    obd_metrics::disable();
+
+    let nl = ripple_carry_adder(8);
     let sim = FaultSimulator::new(&nl).unwrap();
     let faults = mixed_faults(&nl);
-    let tests = random_two_pattern(nl.inputs().len(), 1024, 0xFEED);
+    let tests = random_two_pattern(nl.inputs().len(), 1024, 0xD0E5);
     let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
-    // 1024 tests at 512 patterns per super-lane block: the warm loop
-    // below really walks multiple blocks, not a single one.
     assert_eq!(engine.num_blocks(), 1024 / (64 * SUPERLANE_WIDTH));
-    assert_eq!(engine.scalar_fallback_tests(), 0);
-
-    // Warm-up: one full pass sizes every scratch buffer.
     let mut scratch = PpsfpScratch::default();
-    for f in &faults {
-        engine.grade_one(f, &mut scratch).unwrap();
-    }
-
-    ALLOC_CALLS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    for f in &faults {
-        engine.grade_one(f, &mut scratch).unwrap();
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-
-    let calls = ALLOC_CALLS.load(Ordering::SeqCst);
+    let calls = warm_heap_calls(&faults, |f| {
+        let row = engine.detection_row(f, &mut scratch).unwrap();
+        assert_eq!(row.len(), tests.len());
+    });
     assert_eq!(
         calls,
-        0,
-        "steady-state packed grading performed {calls} heap allocations over {} faults",
+        faults.len() as u64,
+        "detection rows allocated beyond their own row over {} faults",
         faults.len()
     );
     obd_metrics::enable();
 }
 
 /// Contrast run proving the counters really sit on the counted path: the
-/// same loop with metrics enabled moves `atpg.blocks_graded` and
-/// `atpg.good_sim_cache_hits` (so the zero-allocation claim above is not
-/// measuring a dead path).
+/// same width-1 loop with metrics enabled moves `atpg.blocks_graded`,
+/// `atpg.good_sim_cache_hits`, `atpg.faults_dropped` and the cone
+/// kernel's `logic.soa_gates_simulated` (so the zero-allocation claim
+/// above is not measuring a dead path).
 #[test]
 fn enabled_metrics_sit_on_the_graded_path() {
     let _guard = TEST_LOCK.lock().unwrap();
@@ -123,10 +155,10 @@ fn enabled_metrics_sit_on_the_graded_path() {
     let nl = c17();
     let sim = FaultSimulator::new(&nl).unwrap();
     let faults = mixed_faults(&nl);
-    // Two full super-lane blocks, so a detection in the first block
-    // still has a second block to skip and `faults_dropped` can move.
+    // Many 64-test blocks, so a detection in an early block still has
+    // later blocks to skip and `faults_dropped` can move.
     let tests = random_two_pattern(nl.inputs().len(), 1024, 0xBEEF);
-    let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+    let engine = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
     assert!(engine.num_blocks() > 1);
 
     let before = obd_metrics::snapshot();
@@ -142,14 +174,11 @@ fn enabled_metrics_sit_on_the_graded_path() {
         delta("atpg.faults_dropped") > 0,
         "c17 drops detected faults"
     );
-    // OBD/EM faults force held values through the SoA core, so the wide
-    // simulator's gate counter moves during grading too.
+    // Held values propagate through the cone kernel, so its gate
+    // counter moves during grading too.
     assert!(delta("logic.soa_gates_simulated") > 0);
     // The SoA compile and engine prepare published their gauges.
-    assert_eq!(
-        after.gauge("atpg.superlane_width"),
-        Some(SUPERLANE_WIDTH as f64)
-    );
+    assert_eq!(after.gauge("atpg.superlane_width"), Some(1.0));
     assert!(
         after.gauge("logic.levels").unwrap_or(0.0) > 0.0,
         "c17 has depth"

@@ -133,121 +133,6 @@ fn loop_order_unified_across_all_graders() {
     assert_eq!(sim.grade_auto(&faults, &tests).unwrap(), scalar);
 }
 
-/// Satellite: the adaptive-width grader (narrow warm-up rounds, then
-/// super-lanes for the stabilized survivor set) produces detection
-/// vectors bit-identical with fixed-width grading — across circuits,
-/// test counts straddling the warm-up budget, and thread counts.
-#[test]
-fn adaptive_grade_matches_fixed_width_detection_vectors() {
-    for (name, nl) in circuits() {
-        let sim = FaultSimulator::new(&nl).unwrap();
-        let faults = mixed_faults(&nl);
-        // 40: inside one narrow round; 130: several narrow rounds;
-        // 600: past the 256-test warm-up budget, so the wide phase
-        // grades a strict superset of the narrow prefix.
-        for (seed, count) in [(31u64, 40usize), (32, 130), (33, 600)] {
-            let tests = random_two_pattern(nl.inputs().len(), count, seed);
-            let scalar = sim.grade_scalar(&faults, &tests).unwrap();
-            for threads in [1usize, 4] {
-                let adaptive =
-                    obd_atpg::ppsfp::grade_adaptive(&sim, &tests, &faults, threads).unwrap();
-                assert_eq!(
-                    adaptive.detected, scalar,
-                    "{name}/{count} threads={threads}"
-                );
-                assert!(adaptive.narrow_rounds >= 1, "{name}/{count}");
-                // When the wide phase runs, every fault either dropped
-                // in a narrow round or was handed over as a survivor.
-                if adaptive.wide_survivors > 0 {
-                    assert_eq!(
-                        adaptive.narrow_detections + adaptive.wide_survivors,
-                        faults.len(),
-                        "{name}/{count} adaptive accounting"
-                    );
-                }
-                assert_eq!(
-                    sim.grade_adaptive(&faults, &tests, threads).unwrap(),
-                    scalar,
-                    "{name}/{count} simulator wrapper"
-                );
-            }
-        }
-    }
-}
-
-/// A warm-up that covers the whole (fully specified) test set without an
-/// early stabilization exit settles every fault narrow-only: survivors
-/// are definitively undetected and no wide engine is built.
-#[test]
-fn adaptive_settles_narrow_when_warmup_covers_all_tests() {
-    let nl = c17();
-    let sim = FaultSimulator::new(&nl).unwrap();
-    // Stuck-at faults on c17 are drop-heavy: random patterns detect the
-    // bulk within the first rounds, keeping the drop rate above the
-    // stabilization threshold until the list is exhausted.
-    let faults = stuck_at_faults(&nl);
-    let tests = random_two_pattern(nl.inputs().len(), 64, 7);
-    let adaptive = obd_atpg::ppsfp::grade_adaptive(&sim, &tests, &faults, 2).unwrap();
-    assert_eq!(adaptive.narrow_rounds, 1, "single 64-test narrow block");
-    assert_eq!(adaptive.wide_survivors, 0, "warm-up covered every test");
-    assert_eq!(
-        adaptive.detected,
-        sim.grade_scalar(&faults, &tests).unwrap()
-    );
-}
-
-/// X-bearing warm-up tests route through the wide engine's scalar
-/// fallback, so adaptive grading stays bit-identical on partially
-/// specified test sets too.
-#[test]
-fn adaptive_grade_handles_x_bearing_tests() {
-    let nl = c17();
-    let sim = FaultSimulator::new(&nl).unwrap();
-    let faults = mixed_faults(&nl);
-    // Partially specified: X-bearing tests skip the narrow warm-up and
-    // grade through the wide engine's scalar fallback (when survivors
-    // reach it).
-    let mut tests = random_two_pattern(nl.inputs().len(), 90, 17);
-    for (i, t) in tests.iter_mut().enumerate() {
-        if i % 4 == 0 {
-            t.v1[i % 5] = Lv::X;
-        }
-    }
-    let adaptive = obd_atpg::ppsfp::grade_adaptive(&sim, &tests, &faults, 3).unwrap();
-    assert_eq!(
-        adaptive.detected,
-        sim.grade_scalar(&faults, &tests).unwrap()
-    );
-    // Fully X-bearing: nothing packs, the narrow warm-up has no blocks
-    // and every fault reaches the wide engine's scalar fallback.
-    for t in tests.iter_mut() {
-        t.v1[0] = Lv::X;
-    }
-    let adaptive = obd_atpg::ppsfp::grade_adaptive(&sim, &tests, &faults, 3).unwrap();
-    assert_eq!(adaptive.wide_survivors, faults.len());
-    assert_eq!(adaptive.narrow_detections, 0);
-    assert_eq!(
-        adaptive.detected,
-        sim.grade_scalar(&faults, &tests).unwrap()
-    );
-}
-
-/// Degenerate adaptive inputs keep the grading contract.
-#[test]
-fn adaptive_degenerate_inputs() {
-    let nl = c17();
-    let sim = FaultSimulator::new(&nl).unwrap();
-    let faults = stuck_at_faults(&nl);
-    let tests = random_two_pattern(5, 10, 3);
-    assert_eq!(
-        sim.grade_adaptive(&[], &tests, 2).unwrap(),
-        Vec::<bool>::new()
-    );
-    let no_tests = obd_atpg::ppsfp::grade_adaptive(&sim, &[], &faults, 2).unwrap();
-    assert_eq!(no_tests.detected, vec![false; faults.len()]);
-    assert_eq!(no_tests.narrow_rounds, 0);
-}
-
 /// X-bearing tests cannot be packed two-valued (X packs as 0, which
 /// would change detection); they must route through the scalar fallback
 /// and still produce identical results.

@@ -7,14 +7,15 @@
 //!
 //! * `grade_scalar` — the retained pre-PPSFP reference: fault-major, one
 //!   scalar two-frame forced simulation per (fault, test) pair,
-//! * narrow PPSFP (`PpsfpEngine::<1>`) — the levelized SoA core with a
-//!   single `u64` lane: the old engine's 64-way packing on the new
-//!   memory layout, isolating the super-lane win below,
-//! * `grade` — the default `[u64; 8]` super-lane engine, serial:
-//!   512 tests per block with cached good-machine block responses,
-//! * `grade_parallel` — the same engine sharded across a work-stealing
-//!   thread pool with a shared detected bitmap and good-response cache
-//!   fills batched across blocks.
+//! * `grade` — the default dropping engine, serial: width 1 (64 tests
+//!   per block) with cached good-machine block responses and cone
+//!   propagation of each fault effect,
+//! * wide dropping PPSFP (`PpsfpEngine::<SUPERLANE_WIDTH>`) — the same
+//!   dropping loop on `[u64; 8]` super-lanes, 512 tests per block: the
+//!   contrast that records why the dropping default is narrow,
+//! * `grade_parallel` — the default engine sharded across a
+//!   work-stealing thread pool with a shared detected bitmap and
+//!   good-response cache fills batched across blocks.
 //!
 //! Every variant must return byte-identical detection vectors; the run
 //! panics otherwise, so a written artifact is itself the equivalence
@@ -49,18 +50,18 @@ pub struct AtpgBenchRow {
     pub faults: usize,
     /// Two-pattern tests in the graded set.
     pub tests: usize,
-    /// Super-lane pattern blocks the tests packed into (512 tests each
-    /// at the default width).
+    /// 64-test pattern blocks the default grader packed the tests into.
     pub blocks: usize,
     /// Faults the test set detects (identical across variants).
     pub detected: usize,
     /// Scalar reference wall time (s).
     pub scalar_s: f64,
-    /// Single-lane (`N = 1`) SoA engine wall time, serial (s).
-    pub narrow_serial_s: f64,
-    /// Default super-lane engine wall time, serial (s).
+    /// Super-lane (`N = SUPERLANE_WIDTH`) dropping engine wall time,
+    /// serial (s).
+    pub wide_serial_s: f64,
+    /// Default (width-1) dropping engine wall time, serial (s).
     pub packed_serial_s: f64,
-    /// Super-lane engine wall time, work-stealing threads (s).
+    /// Default engine wall time, work-stealing threads (s).
     pub packed_parallel_s: f64,
 }
 
@@ -70,9 +71,10 @@ impl AtpgBenchRow {
         self.scalar_s / self.packed_serial_s
     }
 
-    /// Single-lane SoA → super-lane SoA: the `[u64; N]` widening win.
-    pub fn superlane_speedup(&self) -> f64 {
-        self.narrow_serial_s / self.packed_serial_s
+    /// Super-lane dropping → width-1 dropping: what the narrow default
+    /// saves on a dropping campaign.
+    pub fn narrow_speedup(&self) -> f64 {
+        self.wide_serial_s / self.packed_serial_s
     }
 
     /// Packed serial → packed parallel: the thread win.
@@ -189,23 +191,23 @@ fn bench_circuit(
         .step_by(fault_stride.max(1))
         .collect();
     let patterns = random_two_pattern(nl.inputs().len(), tests, seed);
-    let blocks = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &patterns)?.num_blocks();
+    let blocks = PpsfpEngine::<1>::prepare(&sim, &patterns)?.num_blocks();
 
     let mut scalar_s = f64::INFINITY;
-    let mut narrow_serial_s = f64::INFINITY;
+    let mut wide_serial_s = f64::INFINITY;
     let mut packed_serial_s = f64::INFINITY;
     let mut packed_parallel_s = f64::INFINITY;
     let mut scalar = Vec::new();
-    let mut narrow = Vec::new();
+    let mut wide = Vec::new();
     let mut packed = Vec::new();
     let mut parallel = Vec::new();
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
         scalar = sim.grade_scalar(&faults, &patterns)?;
         scalar_s = scalar_s.min(t0.elapsed().as_secs_f64());
-        let tn = Instant::now();
-        narrow = PpsfpEngine::<1>::prepare(&sim, &patterns)?.grade(&faults)?;
-        narrow_serial_s = narrow_serial_s.min(tn.elapsed().as_secs_f64());
+        let tw = Instant::now();
+        wide = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &patterns)?.grade(&faults)?;
+        wide_serial_s = wide_serial_s.min(tw.elapsed().as_secs_f64());
         let t1 = Instant::now();
         packed = sim.grade(&faults, &patterns)?;
         packed_serial_s = packed_serial_s.min(t1.elapsed().as_secs_f64());
@@ -214,7 +216,7 @@ fn bench_circuit(
         packed_parallel_s = packed_parallel_s.min(t2.elapsed().as_secs_f64());
     }
 
-    let bit_exact = narrow == scalar && packed == scalar && parallel == scalar;
+    let bit_exact = wide == scalar && packed == scalar && parallel == scalar;
     assert!(
         bit_exact,
         "{name}: packed/parallel detection vectors diverge from the scalar reference"
@@ -228,7 +230,7 @@ fn bench_circuit(
             blocks,
             detected: scalar.iter().filter(|&&d| d).count(),
             scalar_s,
-            narrow_serial_s,
+            wide_serial_s,
             packed_serial_s,
             packed_parallel_s,
         },
@@ -400,9 +402,9 @@ pub fn to_json(r: &AtpgBenchReport) -> String {
             concat!(
                 "    {{ \"name\": \"{}\", \"gates\": {}, \"faults\": {}, \"tests\": {}, ",
                 "\"blocks\": {}, \"detected\": {},\n",
-                "      \"scalar_s\": {:.6}, \"narrow_serial_s\": {:.6}, ",
+                "      \"scalar_s\": {:.6}, \"wide_serial_s\": {:.6}, ",
                 "\"packed_serial_s\": {:.6}, \"packed_parallel_s\": {:.6},\n",
-                "      \"packed_speedup\": {:.3}, \"superlane_speedup\": {:.3}, ",
+                "      \"packed_speedup\": {:.3}, \"narrow_speedup\": {:.3}, ",
                 "\"parallel_speedup\": {:.3}, \"total_speedup\": {:.3} }}{}\n"
             ),
             row.name,
@@ -412,11 +414,11 @@ pub fn to_json(r: &AtpgBenchReport) -> String {
             row.blocks,
             row.detected,
             row.scalar_s,
-            row.narrow_serial_s,
+            row.wide_serial_s,
             row.packed_serial_s,
             row.packed_parallel_s,
             row.packed_speedup(),
-            row.superlane_speedup(),
+            row.narrow_speedup(),
             row.parallel_speedup(),
             row.total_speedup(),
             if i + 1 < r.rows.len() { "," } else { "" },
@@ -460,9 +462,9 @@ pub fn render(r: &AtpgBenchReport) -> String {
         out.push_str(&format!(
             concat!(
                 "  {:<6} {} gates, {} faults x {} tests ({} blocks, {} detected)\n",
-                "         scalar {:.4} s, narrow {:.4} s, packed {:.4} s, ",
+                "         scalar {:.4} s, wide {:.4} s, packed {:.4} s, ",
                 "parallel {:.4} s on {} threads\n",
-                "         speedup: packed {:.2}x, super-lane {:.2}x, ",
+                "         speedup: packed {:.2}x, narrow {:.2}x, ",
                 "threads {:.2}x, total {:.2}x\n"
             ),
             row.name,
@@ -472,12 +474,12 @@ pub fn render(r: &AtpgBenchReport) -> String {
             row.blocks,
             row.detected,
             row.scalar_s,
-            row.narrow_serial_s,
+            row.wide_serial_s,
             row.packed_serial_s,
             row.packed_parallel_s,
             r.threads,
             row.packed_speedup(),
-            row.superlane_speedup(),
+            row.narrow_speedup(),
             row.parallel_speedup(),
             row.total_speedup(),
         ));
@@ -529,7 +531,7 @@ mod tests {
                     blocks: 2,
                     detected: 100,
                     scalar_s: 0.8,
-                    narrow_serial_s: 0.2,
+                    wide_serial_s: 0.2,
                     packed_serial_s: 0.05,
                     packed_parallel_s: 0.0125,
                 },
@@ -541,7 +543,7 @@ mod tests {
                     blocks: 2,
                     detected: 350,
                     scalar_s: 2.0,
-                    narrow_serial_s: 0.4,
+                    wide_serial_s: 0.4,
                     packed_serial_s: 0.1,
                     packed_parallel_s: 0.025,
                 },
@@ -570,16 +572,16 @@ mod tests {
     fn json_shape_is_stable() {
         let r = sample_report();
         assert_eq!(r.rows[0].packed_speedup(), 16.0);
-        assert_eq!(r.rows[0].superlane_speedup(), 4.0);
+        assert_eq!(r.rows[0].narrow_speedup(), 4.0);
         assert_eq!(r.rows[0].parallel_speedup(), 4.0);
         assert_eq!(r.rows[0].total_speedup(), 64.0);
         let j = to_json(&r);
         assert!(j.contains("\"bit_exact\": true"));
         assert!(j.contains("\"name\": \"c17\""));
         assert!(j.contains("\"gates\": 6"));
-        assert!(j.contains("\"narrow_serial_s\": 0.200000"));
+        assert!(j.contains("\"wide_serial_s\": 0.200000"));
         assert!(j.contains("\"packed_speedup\": 16.000"));
-        assert!(j.contains("\"superlane_speedup\": 4.000"));
+        assert!(j.contains("\"narrow_speedup\": 4.000"));
         assert!(j.contains("\"total_speedup\": 64.000"));
         assert_eq!(r.matrix.speedup(), 50.0);
         assert!(j.contains("\"speedup\": 50.000"));
@@ -602,12 +604,12 @@ mod tests {
         let threads = 2;
         let (row, exact) = bench_circuit("c17", &nl, 130, 7, 1, 2, threads).unwrap();
         assert!(exact);
-        assert_eq!(row.blocks, 130usize.div_ceil(64 * SUPERLANE_WIDTH));
+        assert_eq!(row.blocks, 130usize.div_ceil(64));
         assert_eq!(row.tests, 130);
         assert_eq!(row.gates, 6);
         assert!(row.faults > 0);
         assert!(row.scalar_s.is_finite() && row.packed_serial_s.is_finite());
-        assert!(row.narrow_serial_s.is_finite());
+        assert!(row.wide_serial_s.is_finite());
     }
 
     /// The fault stride really thins the graded universe (and the graders

@@ -108,11 +108,12 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
     let _ = crate::experiments::serve::run_supervised(&ledger_jobs, &ledger_opts);
 
     // Then the watchdog path: one grade job far slower than a 2 ms
-    // heartbeat deadline (grades only beat at attempt start). The first
+    // heartbeat deadline (grades only beat at attempt start; the ~20k
+    // mult16 faults take about 100 ms even against 16 tests). The first
     // stale attempt is requeued (serve.retries, serve.watchdog_restarts),
     // the second exhausts the single-retry budget and the job is
     // quarantined (serve.dead_lettered) — all deterministic, no chaos.
-    let slow_batch = "{\"id\": \"m-slow\", \"kind\": \"grade\", \"circuit\": \"csa32\", \"tests\": 64, \"seed\": 9}\n";
+    let slow_batch = "{\"id\": \"m-slow\", \"kind\": \"grade\", \"circuit\": \"mult16\", \"tests\": 16, \"seed\": 9}\n";
     let slow_jobs = crate::experiments::serve::parse_batch(slow_batch);
     let mut slow_opts = crate::experiments::serve::ServeOptions::new(1);
     slow_opts.deadline_ms = 2;

@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use obd_atpg::fault::{obd_faults, stuck_at_faults, transition_faults};
 use obd_atpg::faultsim::FaultSimulator;
-use obd_atpg::ppsfp::{PpsfpEngine, SUPERLANE_WIDTH};
+use obd_atpg::ppsfp::PpsfpEngine;
 use obd_chaos::InjectionPoint;
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
@@ -511,8 +511,7 @@ fn run_grade(
     let mut faults = stuck_at_faults(&nl);
     faults.extend(transition_faults(&nl));
     faults.extend(obd_faults(&nl, stage, false));
-    let engine =
-        PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &test_set).map_err(|e| e.to_string())?;
+    let engine = PpsfpEngine::<1>::prepare(&sim, &test_set).map_err(|e| e.to_string())?;
     let detected = engine
         .grade(&faults)
         .map_err(|e| e.to_string())?

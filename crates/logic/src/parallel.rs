@@ -213,9 +213,9 @@ pub fn simulate_block_with_order(
 /// `words` receives one packed word per net; `scratch` is gate-input
 /// working space. Both are cleared and reused.
 ///
-/// The PPSFP engine's hot path now uses
-/// [`SoaNetlist::simulate_wide_forced_into`]; this per-gate variant is
-/// the reference it is tested against.
+/// The PPSFP engine's hot path propagates held values through the
+/// fanout cone only ([`SoaNetlist::propagate_held`]); this full per-gate
+/// sweep is the independent reference it is tested against.
 ///
 /// # Errors
 ///

@@ -9,6 +9,15 @@
 //! scratch buffer, and fanin indices that are `u32`s sitting next to
 //! each other in cache.
 //!
+//! The compile also builds the reverse table, a net → consumer-gate CSR
+//! in ascending compiled order, which drives *cone propagation*
+//! ([`SoaNetlist::propagate_held`]): a held (faulty) value on one net is
+//! pushed forward over a cached good-machine response, evaluating only
+//! the gates the fault effect actually reaches. Reads go through an
+//! epoch-stamped overlay ([`ConeScratch`]) — nets the effect changed come
+//! from the scratch, every other net straight from the good response —
+//! so nothing is copied per call and a masked effect dies at once.
+//!
 //! The simulation entry points are generic over the super-lane width
 //! `N` (see [`crate::wide`]): the same compiled structure serves the
 //! legacy 64-pattern word (`N = 1`) and the wide `[u64; N]` words the
@@ -23,7 +32,7 @@ use crate::LogicError;
 /// Logic levels (maximum gate depth) of the most recently compiled SoA
 /// netlist.
 static LEVELS: Gauge = Gauge::new("logic.levels");
-/// Gates evaluated through the SoA levelized walk.
+/// Gates evaluated through the SoA levelized walk and cone propagation.
 static SOA_GATES_SIMULATED: Counter = Counter::new("logic.soa_gates_simulated");
 
 /// A [`Netlist`] compiled to flat, topologically-ordered arrays.
@@ -32,7 +41,8 @@ static SOA_GATES_SIMULATED: Counter = Counter::new("logic.soa_gates_simulated");
 /// `out_nets[g]`, and reads the fanin nets
 /// `fanins[fanin_start[g] .. fanin_start[g + 1]]`. Gates are sorted by
 /// logic level, so a single front-to-back walk respects all data
-/// dependencies.
+/// dependencies. Net `n` feeds the gates
+/// `fanouts[fanout_start[n] .. fanout_start[n + 1]]`, ascending.
 #[derive(Debug, Clone)]
 pub struct SoaNetlist {
     num_nets: usize,
@@ -42,7 +52,45 @@ pub struct SoaNetlist {
     out_nets: Vec<u32>,
     fanin_start: Vec<u32>,
     fanins: Vec<u32>,
+    fanout_start: Vec<u32>,
+    fanouts: Vec<u32>,
     levels: usize,
+}
+
+/// Per-worker scratch for [`SoaNetlist::propagate_held`]: the faulty
+/// words of the nets a fault effect reached, plus the epoch stamps that
+/// say which entries belong to the current call. Warm calls never touch
+/// the heap.
+#[derive(Debug, Default)]
+pub struct ConeScratch<const N: usize> {
+    /// Faulty word per net; valid only where `stamp` equals `epoch`.
+    words: Vec<LaneWord<N>>,
+    /// Epoch at which each net's faulty word was written.
+    stamp: Vec<u32>,
+    /// Epoch at which each gate (compiled order) was scheduled.
+    marked: Vec<u32>,
+    /// Current call's epoch; bumping it invalidates every entry at once.
+    epoch: u32,
+}
+
+impl<const N: usize> ConeScratch<N> {
+    /// Sizes the arrays for `nets`/`gates` and opens a fresh epoch.
+    fn begin(&mut self, nets: usize, gates: usize) -> u32 {
+        if self.stamp.len() != nets {
+            self.words.resize(nets, LaneWord::ZERO);
+            self.stamp.resize(nets, 0);
+        }
+        if self.marked.len() != gates {
+            self.marked.resize(gates, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.marked.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
 }
 
 impl SoaNetlist {
@@ -74,6 +122,33 @@ impl SoaNetlist {
             fanins.extend(gate.inputs.iter().map(|n| n.index() as u32));
             fanin_start.push(fanins.len() as u32);
         }
+        // Reverse CSR. Gates are visited in compiled order, so each
+        // consumer list comes out ascending; a gate reading the same net
+        // twice is listed once.
+        let consumers = |g: usize| {
+            let pins = &fanins[fanin_start[g] as usize..fanin_start[g + 1] as usize];
+            pins.iter()
+                .enumerate()
+                .filter(move |&(i, n)| !pins[..i].contains(n))
+                .map(|(_, &n)| n as usize)
+        };
+        let mut fanout_start = vec![0u32; nl.num_nets() + 1];
+        for g in 0..kinds.len() {
+            for n in consumers(g) {
+                fanout_start[n + 1] += 1;
+            }
+        }
+        for n in 0..nl.num_nets() {
+            fanout_start[n + 1] += fanout_start[n];
+        }
+        let mut fill = fanout_start.clone();
+        let mut fanouts = vec![0u32; fanout_start[nl.num_nets()] as usize];
+        for g in 0..kinds.len() {
+            for n in consumers(g) {
+                fanouts[fill[n] as usize] = g as u32;
+                fill[n] += 1;
+            }
+        }
         let levels = order
             .last()
             .map_or(0, |&g| depth[nl.gate(g).output.index()]);
@@ -86,6 +161,8 @@ impl SoaNetlist {
             out_nets,
             fanin_start,
             fanins,
+            fanout_start,
+            fanouts,
             levels,
         })
     }
@@ -95,7 +172,8 @@ impl SoaNetlist {
     /// bindings, gate kinds, output nets, CSR fanins). Two netlists with
     /// the same fingerprint simulate identically, which makes it the
     /// right content-address component for persisted good-machine
-    /// responses.
+    /// responses. The fanout table is derived from the fanins and is
+    /// left out.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -156,39 +234,33 @@ impl SoaNetlist {
         &self.outputs
     }
 
-    #[inline]
-    fn eval_gate<const N: usize>(&self, g: usize, words: &[LaneWord<N>]) -> LaneWord<N> {
+    /// Evaluates gate `g` (compiled order), reading each fanin net's
+    /// word through `read`.
+    #[inline(always)]
+    fn eval_gate<const N: usize>(
+        &self,
+        g: usize,
+        read: impl Fn(usize) -> LaneWord<N>,
+    ) -> LaneWord<N> {
         let s = self.fanin_start[g] as usize;
         let e = self.fanin_start[g + 1] as usize;
         let fi = &self.fanins[s..e];
-        let first = words[fi[0] as usize];
+        let first = read(fi[0] as usize);
         // Two-input gates dominate every stock circuit; give AND-family
         // pairs a branch the optimizer can lower without a fold loop.
         match self.kinds[g] {
             GateKind::Inv => !first,
             GateKind::Buf => first,
-            GateKind::And if fi.len() == 2 => first & words[fi[1] as usize],
-            GateKind::Nand if fi.len() == 2 => !(first & words[fi[1] as usize]),
-            GateKind::Or if fi.len() == 2 => first | words[fi[1] as usize],
-            GateKind::Nor if fi.len() == 2 => !(first | words[fi[1] as usize]),
-            GateKind::And => fi[1..]
-                .iter()
-                .fold(first, |acc, &n| acc & words[n as usize]),
-            GateKind::Nand => !fi[1..]
-                .iter()
-                .fold(first, |acc, &n| acc & words[n as usize]),
-            GateKind::Or => fi[1..]
-                .iter()
-                .fold(first, |acc, &n| acc | words[n as usize]),
-            GateKind::Nor => !fi[1..]
-                .iter()
-                .fold(first, |acc, &n| acc | words[n as usize]),
-            GateKind::Xor => fi[1..]
-                .iter()
-                .fold(first, |acc, &n| acc ^ words[n as usize]),
-            GateKind::Xnor => !fi[1..]
-                .iter()
-                .fold(first, |acc, &n| acc ^ words[n as usize]),
+            GateKind::And if fi.len() == 2 => first & read(fi[1] as usize),
+            GateKind::Nand if fi.len() == 2 => !(first & read(fi[1] as usize)),
+            GateKind::Or if fi.len() == 2 => first | read(fi[1] as usize),
+            GateKind::Nor if fi.len() == 2 => !(first | read(fi[1] as usize)),
+            GateKind::And => fi[1..].iter().fold(first, |acc, &n| acc & read(n as usize)),
+            GateKind::Nand => !fi[1..].iter().fold(first, |acc, &n| acc & read(n as usize)),
+            GateKind::Or => fi[1..].iter().fold(first, |acc, &n| acc | read(n as usize)),
+            GateKind::Nor => !fi[1..].iter().fold(first, |acc, &n| acc | read(n as usize)),
+            GateKind::Xor => fi[1..].iter().fold(first, |acc, &n| acc ^ read(n as usize)),
+            GateKind::Xnor => !fi[1..].iter().fold(first, |acc, &n| acc ^ read(n as usize)),
         }
     }
 
@@ -227,41 +299,87 @@ impl SoaNetlist {
         self.load_inputs(block, words)?;
         SOA_GATES_SIMULATED.add(self.kinds.len() as u64);
         for g in 0..self.kinds.len() {
-            let v = self.eval_gate(g, words);
+            let v = self.eval_gate(g, |n| words[n]);
             words[self.out_nets[g] as usize] = v;
         }
         Ok(())
     }
 
-    /// [`SoaNetlist::simulate_wide_into`] with *forced* (held) net
-    /// values: every net in `forced` keeps its packed word — primary
-    /// inputs are overridden after the block is loaded, and the gate
-    /// driving a forced net is skipped. This is the packed analogue of
-    /// the scalar fault simulator's forced-value evaluation.
+    /// Cone propagation of a held value: the faulty machine equals the
+    /// `good` response except that `net` is forced to `held`. Returns the
+    /// OR over the primary outputs of faulty XOR good — bit `k` set iff
+    /// pattern `k` sees the held value at some output.
     ///
-    /// # Errors
+    /// Only gates in the fault effect's fanout cone are evaluated: the
+    /// forced net's consumers are scheduled, then one forward scan in
+    /// compiled (level) order from the first scheduled gate to the last
+    /// evaluates each scheduled gate against the overlay, and schedules
+    /// its consumers only when its word differs from the good one, so a
+    /// masked effect stops at the gate that masks it. A `held` equal to
+    /// the good word returns zero without touching the scratch.
     ///
-    /// [`LogicError::InputCountMismatch`] on wrong block width.
-    pub fn simulate_wide_forced_into<const N: usize>(
+    /// `good` must hold one word per net of this netlist (a response from
+    /// [`SoaNetlist::simulate_wide_into`]).
+    pub fn propagate_held<const N: usize>(
         &self,
-        block: &WideBlock<N>,
-        forced: &[(NetId, LaneWord<N>)],
-        words: &mut Vec<LaneWord<N>>,
-    ) -> Result<(), LogicError> {
-        self.load_inputs(block, words)?;
-        SOA_GATES_SIMULATED.add(self.kinds.len() as u64);
-        for &(n, w) in forced {
-            words[n.index()] = w;
+        good: &[LaneWord<N>],
+        net: NetId,
+        held: LaneWord<N>,
+        cs: &mut ConeScratch<N>,
+    ) -> LaneWord<N> {
+        let net = net.index();
+        if held == good[net] {
+            return LaneWord::ZERO;
         }
-        for g in 0..self.kinds.len() {
-            let out = self.out_nets[g] as usize;
-            if forced.iter().any(|&(n, _)| n.index() == out) {
-                continue; // forced nets keep their value
+        let epoch = cs.begin(self.num_nets, self.kinds.len());
+        let ConeScratch {
+            words,
+            stamp,
+            marked,
+            ..
+        } = cs;
+        words[net] = held;
+        stamp[net] = epoch;
+        let consumers = |n: usize| {
+            &self.fanouts[self.fanout_start[n] as usize..self.fanout_start[n + 1] as usize]
+        };
+        let first = consumers(net);
+        for &g in first {
+            marked[g as usize] = epoch;
+        }
+        let (mut g, mut last) = match (first.first(), first.last()) {
+            (Some(&lo), Some(&hi)) => (lo as usize, hi as usize),
+            _ => (1, 0), // no consumers: the effect sits on the net itself
+        };
+        let mut evaluated = 0u64;
+        while g <= last {
+            if marked[g] == epoch {
+                evaluated += 1;
+                let v = self.eval_gate(g, |n| if stamp[n] == epoch { words[n] } else { good[n] });
+                let out = self.out_nets[g] as usize;
+                if v != good[out] {
+                    words[out] = v;
+                    stamp[out] = epoch;
+                    let next = consumers(out);
+                    for &c in next {
+                        marked[c as usize] = epoch;
+                    }
+                    if let Some(&hi) = next.last() {
+                        last = last.max(hi as usize);
+                    }
+                }
             }
-            let v = self.eval_gate(g, words);
-            words[out] = v;
+            g += 1;
         }
-        Ok(())
+        SOA_GATES_SIMULATED.add(evaluated);
+        let mut diff = LaneWord::ZERO;
+        for &po in &self.outputs {
+            let po = po as usize;
+            if stamp[po] == epoch {
+                diff |= words[po] ^ good[po];
+            }
+        }
+        diff
     }
 }
 
@@ -269,7 +387,8 @@ impl SoaNetlist {
 mod tests {
     use super::*;
     use crate::circuits;
-    use crate::parallel::{simulate_block, PatternBlock};
+    use crate::netlist::Netlist;
+    use crate::parallel::{simulate_block, simulate_block_forced_into, PatternBlock};
     use crate::sim::simulate;
     use crate::value::{all_vectors, Lv};
 
@@ -375,18 +494,192 @@ mod tests {
         }
     }
 
+    /// Test-side full forced sweep: every gate evaluated from the
+    /// primary inputs, `net` held at `held` and its driver skipped.
+    fn forced_sweep<const N: usize>(
+        soa: &SoaNetlist,
+        block: &WideBlock<N>,
+        net: usize,
+        held: LaneWord<N>,
+    ) -> Vec<LaneWord<N>> {
+        let mut words = Vec::new();
+        soa.load_inputs(block, &mut words).unwrap();
+        words[net] = held;
+        for g in 0..soa.num_gates() {
+            let out = soa.out_nets[g] as usize;
+            if out != net {
+                let v = soa.eval_gate(g, |n| words[n]);
+                words[out] = v;
+            }
+        }
+        words
+    }
+
+    fn po_diff<const N: usize>(
+        soa: &SoaNetlist,
+        good: &[LaneWord<N>],
+        faulty: &[LaneWord<N>],
+    ) -> LaneWord<N> {
+        soa.outputs().iter().fold(LaneWord::ZERO, |d, &po| {
+            d | (good[po as usize] ^ faulty[po as usize])
+        })
+    }
+
+    fn oracle_circuits() -> Vec<(&'static str, Netlist)> {
+        vec![
+            ("c17", circuits::c17()),
+            ("fig8", circuits::fig8_sum_circuit()),
+            ("rca32", circuits::ripple_carry_adder(32)),
+            ("csa32", circuits::carry_select_adder(32, 8)),
+            ("mult16", circuits::array_multiplier(16)),
+        ]
+    }
+
+    fn next_word(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Primary-output nets no gate reads: the held value itself is the
+    /// fault effect, with no cone to walk.
+    fn dangling_outputs(soa: &SoaNetlist) -> Vec<usize> {
+        soa.outputs()
+            .iter()
+            .map(|&po| po as usize)
+            .filter(|&po| soa.fanout_start[po] == soa.fanout_start[po + 1])
+            .collect()
+    }
+
+    /// Width 1 against the independent per-gate forced simulator in
+    /// [`crate::parallel`], for every net (primary inputs, internal nets
+    /// and primary outputs) with random and complemented held words, on a
+    /// partially filled block.
     #[test]
-    fn forced_wide_sim_holds_value_and_skips_driver() {
+    fn cone_propagation_matches_per_gate_forced_oracle() {
+        for (name, nl) in oracle_circuits() {
+            let soa = SoaNetlist::compile(&nl).unwrap();
+            let order = nl.levelize().unwrap();
+            let block = PatternBlock::pack(&vectors_for(nl.inputs().len(), 61, 0xC0DE)).unwrap();
+            assert_eq!(block.mask(), (1u64 << 61) - 1, "partial block");
+            let (mut reference, mut scratch) = (Vec::new(), Vec::new());
+            simulate_block_forced_into(&nl, &order, &block, &[], &mut reference, &mut scratch)
+                .unwrap();
+            let good_ref = reference.clone();
+            let mut good = Vec::new();
+            soa.simulate_wide_into(block.as_wide(), &mut good).unwrap();
+            assert!(good.iter().zip(&good_ref).all(|(w, &r)| w.lane(0) == r));
+            let mut cs = ConeScratch::default();
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            for n in nl.net_ids() {
+                for held in [next_word(&mut state), !good_ref[n.index()]] {
+                    simulate_block_forced_into(
+                        &nl,
+                        &order,
+                        &block,
+                        &[(n, held)],
+                        &mut reference,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    let expected = nl.outputs().iter().fold(0u64, |d, &po| {
+                        d | (good_ref[po.index()] ^ reference[po.index()])
+                    });
+                    let got = soa.propagate_held(&good, n, LaneWord([held]), &mut cs);
+                    assert_eq!(got.lane(0), expected, "{name} net {}", nl.net_name(n));
+                }
+            }
+        }
+    }
+
+    /// Width 8 against a full forced sweep, for every net with random
+    /// held words, on a block whose last lanes are partly and wholly
+    /// empty (every lane is compared, valid or not).
+    #[test]
+    fn cone_propagation_matches_full_forced_sweep_at_width_8() {
+        for (name, nl) in oracle_circuits() {
+            let soa = SoaNetlist::compile(&nl).unwrap();
+            let vectors = vectors_for(nl.inputs().len(), 3 * 64 + 29, 0xD1CE);
+            let block = WideBlock::<8>::pack(&vectors).unwrap();
+            let mut good = Vec::new();
+            soa.simulate_wide_into(&block, &mut good).unwrap();
+            let mut cs = ConeScratch::default();
+            let mut state = 0xB5AD_4ECE_DA1C_E2A9u64;
+            for net in 0..soa.num_nets() {
+                let held = LaneWord::<8>(std::array::from_fn(|_| next_word(&mut state)));
+                let faulty = forced_sweep(&soa, &block, net, held);
+                let got = soa.propagate_held(&good, nl.net(net), held, &mut cs);
+                assert_eq!(got, po_diff(&soa, &good, &faulty), "{name} net {net}");
+            }
+        }
+    }
+
+    /// The edge cases a cone kernel is most likely to get wrong, each
+    /// checked explicitly on every oracle circuit.
+    #[test]
+    fn cone_propagation_edge_cases() {
+        for (name, nl) in oracle_circuits() {
+            let soa = SoaNetlist::compile(&nl).unwrap();
+            let block = WideBlock::<4>::pack(&vectors_for(nl.inputs().len(), 200, 0xED6E)).unwrap();
+            let mut good = Vec::new();
+            soa.simulate_wide_into(&block, &mut good).unwrap();
+            let mut cs = ConeScratch::default();
+            // Primary-output nets with no consumers: the difference is
+            // the held word itself, never zero.
+            let dangling = dangling_outputs(&soa);
+            assert!(!dangling.is_empty(), "{name} has consumer-free outputs");
+            for &po in &dangling {
+                let held = !good[po];
+                let got = soa.propagate_held(&good, nl.net(po), held, &mut cs);
+                assert_eq!(got, LaneWord::ONES, "{name} output net {po}");
+            }
+            // Primary inputs agree with the full sweep.
+            for &pi in soa.inputs() {
+                let pi = pi as usize;
+                let held = !good[pi];
+                let faulty = forced_sweep(&soa, &block, pi, held);
+                assert_eq!(
+                    soa.propagate_held(&good, nl.net(pi), held, &mut cs),
+                    po_diff(&soa, &good, &faulty),
+                    "{name} input net {pi}"
+                );
+            }
+            // Holding the good word is a no-op that leaves the scratch
+            // untouched.
+            for net in 0..soa.num_nets() {
+                let epoch = cs.epoch;
+                let got = soa.propagate_held(&good, nl.net(net), good[net], &mut cs);
+                assert!(got.is_zero(), "{name} net {net} no-op");
+                assert_eq!(cs.epoch, epoch, "{name} net {net} no-op opened an epoch");
+            }
+            // Epoch wrap-around: the stamps one call left behind must not
+            // read as current once the epoch counter wraps.
+            let mut cs = ConeScratch::default();
+            let net = soa.inputs()[0] as usize;
+            soa.propagate_held(&good, nl.net(net), !good[net], &mut cs);
+            cs.epoch = u32::MAX;
+            let held = good[net] ^ LaneWord([0x5555_5555_5555_5555; 4]);
+            let faulty = forced_sweep(&soa, &block, net, held);
+            assert_eq!(
+                soa.propagate_held(&good, nl.net(net), held, &mut cs),
+                po_diff(&soa, &good, &faulty),
+                "{name} net {net} after the epoch wrap"
+            );
+        }
+    }
+
+    #[test]
+    fn cone_propagation_matches_scalar_forced_evaluation() {
         let nl = circuits::fig8_sum_circuit();
         let soa = SoaNetlist::compile(&nl).unwrap();
         let vectors = vectors_for(nl.inputs().len(), 256, 0xB00);
         let block = WideBlock::<4>::pack(&vectors).unwrap();
         let target = nl.find_net("n7").unwrap_or_else(|_| nl.net(6));
         let held = LaneWord::<4>([0xDEAD_BEEF, !0, 0, 0xAAAA_AAAA_AAAA_AAAA]);
-        let mut words = Vec::new();
-        soa.simulate_wide_forced_into(&block, &[(target, held)], &mut words)
-            .unwrap();
-        assert_eq!(words[target.index()], held, "forced net keeps its word");
+        let mut good = Vec::new();
+        soa.simulate_wide_into(&block, &mut good).unwrap();
+        let diff = soa.propagate_held(&good, target, held, &mut ConeScratch::default());
         // Cross-check a few lanes against the scalar forced evaluation.
         let order = nl.levelize().unwrap();
         for k in [0usize, 63, 64, 130, 255] {
@@ -403,13 +696,12 @@ mod tests {
                 let ins: Vec<Lv> = gate.inputs.iter().map(|n| vals[n.index()]).collect();
                 vals[gate.output.index()] = gate.kind.eval(&ins);
             }
-            for &o in soa.outputs() {
-                assert_eq!(
-                    Lv::from_bool(words[o as usize].bit(k)),
-                    vals[o as usize],
-                    "pattern {k} output net {o}"
-                );
-            }
+            let scalar_good = simulate(&nl, &vectors[k]).unwrap();
+            let differs = nl
+                .outputs()
+                .iter()
+                .any(|&o| vals[o.index()] != scalar_good.value(o));
+            assert_eq!(diff.bit(k), differs, "pattern {k}");
         }
     }
 

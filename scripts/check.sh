@@ -37,6 +37,16 @@ gauges = snap["gauges"]
 assert gauges.get("logic.levels", 0) > 0, f"levelized netlist depth not published: {gauges}"
 assert gauges.get("atpg.superlane_width", 0) >= 1, f"super-lane width not published: {gauges}"
 assert "fleet.escape_rate" in gauges, f"fleet escape rate not published: {gauges}"
+# Cone propagation sits on the grading hot path. Nearly every block the
+# stats flow grades belongs to its mult16 watchdog job (2,624 gates). A
+# full forced sweep per (fault, block) pair costs the whole circuit once
+# or twice per pair (about 3,000 gates per graded block on this flow);
+# walking only the gates a fault effect reaches stays well below one
+# circuit's worth.
+MULT16_GATES = 2624
+gates_per_block = counters["logic.soa_gates_simulated"] / counters["atpg.blocks_graded"]
+assert gates_per_block < MULT16_GATES, \
+    f"{gates_per_block:.1f} gates simulated per graded block: is the cone kernel off the hot path?"
 assert "fleet.detection_latency_mh" in snap["histograms"], "fleet latency histogram missing"
 # The persistence layer and the serve front-end run inside the stats
 # flow: the store round-trip and the mini batch must leave their marks.
@@ -61,6 +71,7 @@ print(
     f"lu_factorizations={counters['linalg.lu_factorizations']}",
     f"soa_gates_simulated={counters['logic.soa_gates_simulated']}",
     f"superlane_width={gauges['atpg.superlane_width']:.0f}",
+    f"gates_per_block={gates_per_block:.1f}",
     f"fleet_devices={counters['fleet.devices_simulated']}",
 )
 EOF
@@ -190,6 +201,8 @@ echo "serve smoke ok: mixed batch drained twice, warm pass ledger-replayed byte-
 # resume it from the checkpoint ledger. The recovered results/serve tree
 # (artifacts, canonical results, dead-letter file) must be byte-identical
 # to an uninterrupted reference run of the same batch.
+# The fleet job is sized to run about a second on one thread, so the
+# kill at 0.7 s lands inside it rather than after the batch has drained.
 rm -rf results/killtest
 mkdir -p results/killtest/ref results/killtest/cut
 cat > results/killtest/batch.jsonl <<'EOF'
@@ -198,7 +211,7 @@ cat > results/killtest/batch.jsonl <<'EOF'
 {"id": "c1", "kind": "grade", "circuit": "csa32", "tests": 64, "seed": 32}
 {"id": "px", "kind": "grade", "circuit": "no-such-circuit"}
 {"id": "m2", "kind": "grade", "circuit": "mult16", "tests": 48, "seed": 33}
-{"id": "f1", "kind": "fleet", "circuit": "c17", "devices": 400000, "seed": 34}
+{"id": "f1", "kind": "fleet", "circuit": "c17", "devices": 4000000, "seed": 34}
 {"id": "c2", "kind": "grade", "circuit": "csa32", "tests": 64, "seed": 35}
 EOF
 cp results/killtest/batch.jsonl results/killtest/ref/
@@ -297,9 +310,9 @@ names = [row["name"] for row in bench["circuits"]]
 for expected in ("c17", "mux4", "rca32", "csa32", "mult16"):
     assert expected in names, f"unexpected circuit set: {names}"
 for row in bench["circuits"]:
-    for key in ("gates", "faults", "tests", "blocks", "scalar_s", "narrow_serial_s",
+    for key in ("gates", "faults", "tests", "blocks", "scalar_s", "wide_serial_s",
                 "packed_serial_s", "packed_parallel_s", "packed_speedup",
-                "superlane_speedup", "parallel_speedup", "total_speedup"):
+                "narrow_speedup", "parallel_speedup", "total_speedup"):
         assert key in row, f"{row['name']}: missing field {key}"
     # c17 is small enough that a 512-wide block wastes work against the
     # scalar path; every real circuit must show the bit-parallel win.
