@@ -49,3 +49,9 @@ impl From<LogicError> for AtpgError {
         AtpgError::Netlist(e.to_string())
     }
 }
+
+impl From<obd_core::pool::WorkerPanicked> for AtpgError {
+    fn from(_: obd_core::pool::WorkerPanicked) -> Self {
+        AtpgError::Internal("fault-grading worker panicked".into())
+    }
+}

@@ -361,14 +361,7 @@ impl<'a> FaultSimulator<'a> {
         faults: &[Fault],
         tests: &[TwoPatternTest],
     ) -> Result<Vec<bool>, AtpgError> {
-        if faults.is_empty() {
-            return Ok(Vec::new());
-        }
-        let engine = PpsfpEngine::<1>::prepare(self, tests)?;
-        let detected = engine.grade(faults)?;
-        FAULTS_GRADED.add(faults.len() as u64);
-        FAULTS_DETECTED.add(detected.iter().filter(|&&d| d).count() as u64);
-        Ok(detected)
+        self.grade_parallel(faults, tests, 1)
     }
 
     /// The scalar reference grader: one three-valued simulation per
@@ -414,22 +407,22 @@ impl<'a> FaultSimulator<'a> {
         out
     }
 
-    /// [`FaultSimulator::grade`] fanned out over OS threads: workers
-    /// steal fault indices from a shared atomic counter (load-balanced
-    /// under fault dropping) and share one detected bitmap.
+    /// [`FaultSimulator::grade`] fanned out over `threads` workers of the
+    /// shared [`obd_core::pool`]: the good-response fill runs one pool
+    /// job per block, and grading one job per 64-fault chunk
+    /// ([`PpsfpEngine::grade_parallel`]).
     ///
     /// # Errors
     ///
-    /// Propagates detection errors from any worker.
+    /// The error of the lowest-indexed failing fault, at any thread count.
     pub fn grade_parallel(
         &self,
         faults: &[Fault],
         tests: &[TwoPatternTest],
         threads: usize,
     ) -> Result<Vec<bool>, AtpgError> {
-        let threads = threads.max(1).min(faults.len().max(1));
-        if threads <= 1 {
-            return self.grade(faults, tests);
+        if faults.is_empty() {
+            return Ok(Vec::new());
         }
         let engine = PpsfpEngine::<1>::prepare_with_threads(self, tests, threads)?;
         let out = engine.grade_parallel(faults, threads)?;

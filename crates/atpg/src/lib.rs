@@ -21,7 +21,7 @@
 //!   grading entry point: good responses cached per block, fault effects
 //!   propagated through their fanout cone only, fault dropping at 64
 //!   tests per block, 512-test blocks for no-drop detection rows, and
-//!   work-stealing parallel shards.
+//!   64-fault chunks on the shared `obd_core::pool`.
 //! * [`compact`] — greedy and exact set-cover compaction (the paper's
 //!   "necessary and sufficient" minimal sets).
 //! * [`random`] — random/weighted two-pattern baselines standing in for a

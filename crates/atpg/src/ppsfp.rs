@@ -34,18 +34,19 @@
 //! The engine also carries the campaign-level machinery the scalar loops
 //! lacked: fault dropping (a detected fault leaves the campaign
 //! immediately), a reusable per-worker [`PpsfpScratch`] arena so the
-//! inner loop is allocation-free, work-stealing parallel grading over an
-//! atomic fault index, and good-response cache fills batched across
-//! worker threads ([`PpsfpEngine::prepare_with_threads`]) so a large
-//! test set does not serialize the warm-up.
+//! inner loop is allocation-free, and fan-out on the shared
+//! [`obd_core::pool`]: [`PpsfpEngine::grade_parallel`] grades 64-fault
+//! chunks as pool jobs, and [`PpsfpEngine::prepare_with_threads`] fills
+//! the good-response caches one pool job per block, so a large test set
+//! does not serialize the warm-up.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use obd_cmos::cell::Cell;
 use obd_cmos::switch::{excites, CellTransistor, NetworkSide};
 use obd_core::em::em_excites;
 use obd_core::faultmodel::Polarity;
+use obd_core::pool::run_jobs;
 use obd_logic::netlist::{GateId, GateKind, NetId};
 use obd_logic::soa::ConeScratch;
 use obd_logic::value::Lv;
@@ -309,9 +310,9 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
 
     /// Serializes a block's `g1 ++ g2` response words as raw LE `u64`
     /// lanes: `2 * num_nets * N * 8` bytes exactly.
-    fn encode_good(blk: &GoodBlock<N>) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 * blk.g1.len() * N * 8);
-        for words in [&blk.g1, &blk.g2] {
+    fn encode_good(g1: &[LaneWord<N>], g2: &[LaneWord<N>]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(2 * g1.len() * N * 8);
+        for words in [g1, g2] {
             for w in words {
                 for lane in 0..N {
                     out.extend_from_slice(&w.lane(lane).to_le_bytes());
@@ -348,12 +349,11 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         Some((g1, g2))
     }
 
-    /// Simulates the good machine into every block's frame caches,
-    /// splitting the blocks across workers when asked for more than one.
-    /// When a persistent `store` is armed, each block first probes it by
-    /// content digest (netlist structure + exact packed frames) — a hit
-    /// skips both good sims — and fresh responses are written back.
-    /// Returns `(store_hits, store_misses)`.
+    /// Simulates the good machine into every block's frame caches, one
+    /// pool job per block. When a persistent `store` is armed, each block
+    /// first probes it by content digest (netlist structure + exact
+    /// packed frames) — a hit skips both good sims — and fresh responses
+    /// are written back. Returns `(store_hits, store_misses)`.
     fn fill_good_responses(
         sim: &FaultSimulator<'a>,
         blocks: &mut [GoodBlock<N>],
@@ -362,10 +362,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     ) -> Result<(u64, u64), AtpgError> {
         let num_nets = sim.soa.num_nets();
         let soa_fp = sim.soa.fingerprint();
-        let hits = AtomicU64::new(0);
-        let misses = AtomicU64::new(0);
-        let (hits_ref, misses_ref) = (&hits, &misses);
-        let fill = |blk: &mut GoodBlock<N>| -> Result<(), AtpgError> {
+        let filled = run_jobs(blocks, threads, |_, blk| {
             let digest = store.map(|_| Self::block_digest(soa_fp, num_nets, blk));
             if let (Some(store), Some(digest)) = (store, digest) {
                 // Store errors (corruption, I/O) degrade to a miss: the
@@ -377,53 +374,32 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                     .as_deref()
                     .and_then(|b| Self::decode_good(b, num_nets))
                 {
-                    blk.g1 = g1;
-                    blk.g2 = g2;
-                    hits_ref.fetch_add(1, Ordering::Relaxed);
                     GOOD_STORE_HITS.inc();
-                    return Ok(());
+                    return Ok((g1, g2, true));
                 }
             }
-            sim.soa.simulate_wide_into(&blk.frame1, &mut blk.g1)?;
-            sim.soa.simulate_wide_into(&blk.frame2, &mut blk.g2)?;
+            let (mut g1, mut g2) = (Vec::new(), Vec::new());
+            sim.soa.simulate_wide_into(&blk.frame1, &mut g1)?;
+            sim.soa.simulate_wide_into(&blk.frame2, &mut g2)?;
             if let (Some(store), Some(digest)) = (store, digest) {
-                misses_ref.fetch_add(1, Ordering::Relaxed);
                 GOOD_STORE_MISSES.inc();
-                let _ = store.put(digest, &Self::encode_good(blk));
+                let _ = store.put(digest, &Self::encode_good(&g1, &g2));
             }
-            Ok(())
+            Ok::<_, AtpgError>((g1, g2, false))
+        })?;
+        let mut hits = 0;
+        for (blk, (g1, g2, hit)) in blocks.iter_mut().zip(filled) {
+            blk.g1 = g1;
+            blk.g2 = g2;
+            hits += u64::from(hit);
+        }
+        // With a store armed every block is either a hit or a miss.
+        let misses = if store.is_some() {
+            blocks.len() as u64 - hits
+        } else {
+            0
         };
-        let threads = threads.max(1).min(blocks.len().max(1));
-        if threads <= 1 {
-            blocks.iter_mut().try_for_each(fill)?;
-            return Ok((hits.load(Ordering::Relaxed), misses.load(Ordering::Relaxed)));
-        }
-        let first_error: Mutex<Option<AtpgError>> = Mutex::new(None);
-        let per_worker = blocks.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for shard in blocks.chunks_mut(per_worker) {
-                let first_error = &first_error;
-                scope.spawn(move || {
-                    for blk in shard {
-                        if let Err(e) = fill(blk) {
-                            first_error
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .get_or_insert(e);
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        let taken = first_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        match taken {
-            Some(e) => Err(e),
-            None => Ok((hits.load(Ordering::Relaxed), misses.load(Ordering::Relaxed))),
-        }
+        Ok((hits, misses))
     }
 
     /// Number of tests in the set.
@@ -638,29 +614,48 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         fault: &Fault,
         scratch: &mut PpsfpScratch<N>,
     ) -> Result<bool, AtpgError> {
+        self.grade_fault(fault, scratch, &|| false)
+    }
+
+    /// The one dropping fault loop behind every dropping grader: walks
+    /// the packed blocks, then the scalar-fallback tests, and stops at
+    /// the first detection. `inject` is consulted before each block and
+    /// each fallback test; when it fires the fault fails with an
+    /// injected [`AtpgError::Internal`].
+    fn grade_fault(
+        &self,
+        fault: &Fault,
+        scratch: &mut PpsfpScratch<N>,
+        inject: &dyn Fn() -> bool,
+    ) -> Result<bool, AtpgError> {
         let total = self.blocks.len() + self.scalar_tests.len();
         if total == 0 {
             return Ok(false);
         }
         let plan = self.plan(fault)?;
-        let mut done = 0usize;
-        for blk in &self.blocks {
+        let chaos = || AtpgError::Internal("injected grading failure (chaos)".into());
+        // A detection with tests still pending is a drop.
+        let detected_after = |done: usize| {
+            if done < total {
+                FAULTS_DROPPED.inc();
+            }
+            Ok(true)
+        };
+        for (k, blk) in self.blocks.iter().enumerate() {
+            if inject() {
+                return Err(chaos());
+            }
             Self::touch(blk);
-            done += 1;
             if self.detect_mask(&plan, blk, scratch).any() {
-                if done < total {
-                    FAULTS_DROPPED.inc();
-                }
-                return Ok(true);
+                return detected_after(k + 1);
             }
         }
-        for &i in &self.scalar_tests {
-            done += 1;
+        for (k, &i) in self.scalar_tests.iter().enumerate() {
+            if inject() {
+                return Err(chaos());
+            }
             if self.sim.detects(fault, &self.tests[i])? {
-                if done < total {
-                    FAULTS_DROPPED.inc();
-                }
-                return Ok(true);
+                return detected_after(self.blocks.len() + k + 1);
             }
         }
         Ok(false)
@@ -696,81 +691,29 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         Ok(row)
     }
 
-    /// Grades the fault list serially (fault-major, with dropping).
+    /// Grades the fault list with dropping on up to `threads` pool
+    /// workers. Each pool job grades 64 consecutive faults with its own
+    /// scratch arena and returns one word of the detected bitmap, so
+    /// workers stay load-balanced under dropping.
     ///
     /// # Errors
     ///
-    /// Propagates detection errors.
-    pub fn grade(&self, faults: &[Fault]) -> Result<Vec<bool>, AtpgError> {
-        let mut scratch = PpsfpScratch::default();
-        faults
-            .iter()
-            .map(|f| self.grade_one(f, &mut scratch))
-            .collect()
-    }
-
-    /// Work-stealing parallel grading: workers pull fault indices from a
-    /// shared atomic counter (so shards stay load-balanced under
-    /// dropping) and publish detections into a shared bitmap.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first detection error observed by any worker;
-    /// worker panics surface as [`AtpgError::Internal`].
+    /// The error of the lowest-indexed failing fault, at any thread
+    /// count; a panicking job surfaces as [`AtpgError::Internal`].
     pub fn grade_parallel(&self, faults: &[Fault], threads: usize) -> Result<Vec<bool>, AtpgError> {
-        let threads = threads.max(1).min(faults.len().max(1));
-        if threads <= 1 {
-            return self.grade(faults);
-        }
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let detected: Vec<AtomicU64> = (0..faults.len().div_ceil(64))
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        let first_error: Mutex<Option<AtpgError>> = Mutex::new(None);
-        let panicked = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                handles.push(scope.spawn(|| {
-                    let mut scratch = PpsfpScratch::default();
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= faults.len() {
-                            break;
-                        }
-                        match self.grade_one(&faults[i], &mut scratch) {
-                            Ok(true) => {
-                                detected[i / 64].fetch_or(1u64 << (i % 64), Ordering::Relaxed);
-                            }
-                            Ok(false) => {}
-                            Err(e) => {
-                                let mut slot =
-                                    first_error.lock().unwrap_or_else(PoisonError::into_inner);
-                                slot.get_or_insert(e);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                }));
+        let chunks: Vec<&[Fault]> = faults.chunks(64).collect();
+        let words = run_jobs(&chunks, threads, |_, chunk| {
+            let mut scratch = PpsfpScratch::default();
+            let mut word = 0u64;
+            for (k, f) in chunk.iter().enumerate() {
+                if self.grade_one(f, &mut scratch)? {
+                    word |= 1 << k;
+                }
             }
-            handles.into_iter().any(|h| h.join().is_err())
-        });
-        if panicked {
-            return Err(AtpgError::Internal("fault-grading worker panicked".into()));
-        }
-        if let Some(e) = first_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            return Err(e);
-        }
+            Ok::<_, AtpgError>(word)
+        })?;
         Ok((0..faults.len())
-            .map(|i| detected[i / 64].load(Ordering::Relaxed) >> (i % 64) & 1 == 1)
+            .map(|i| words[i / 64] >> (i % 64) & 1 == 1)
             .collect())
     }
 
@@ -782,47 +725,11 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         let mut scratch = PpsfpScratch::default();
         faults
             .iter()
-            .map(|f| self.grade_one_degraded(f, &mut scratch, inject))
+            .map(|f| match self.grade_fault(f, &mut scratch, inject) {
+                Ok(true) => GradeOutcome::Detected,
+                Ok(false) => GradeOutcome::Undetected,
+                Err(e) => GradeOutcome::Degraded(e.to_string()),
+            })
             .collect()
-    }
-
-    fn grade_one_degraded(
-        &self,
-        fault: &Fault,
-        scratch: &mut PpsfpScratch<N>,
-        inject: &dyn Fn() -> bool,
-    ) -> GradeOutcome {
-        if self.blocks.is_empty() && self.scalar_tests.is_empty() {
-            return GradeOutcome::Undetected;
-        }
-        let plan = match self.plan(fault) {
-            Ok(p) => p,
-            Err(e) => return GradeOutcome::Degraded(e.to_string()),
-        };
-        let chaos = || {
-            GradeOutcome::Degraded(
-                AtpgError::Internal("injected grading failure (chaos)".into()).to_string(),
-            )
-        };
-        for blk in &self.blocks {
-            if inject() {
-                return chaos();
-            }
-            Self::touch(blk);
-            if self.detect_mask(&plan, blk, scratch).any() {
-                return GradeOutcome::Detected;
-            }
-        }
-        for &i in &self.scalar_tests {
-            if inject() {
-                return chaos();
-            }
-            match self.sim.detects(fault, &self.tests[i]) {
-                Ok(true) => return GradeOutcome::Detected,
-                Ok(false) => {}
-                Err(e) => return GradeOutcome::Degraded(e.to_string()),
-            }
-        }
-        GradeOutcome::Undetected
     }
 }

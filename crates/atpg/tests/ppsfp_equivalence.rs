@@ -14,9 +14,9 @@ use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
 use obd_atpg::random::random_two_pattern;
 use obd_atpg::AtpgError;
-use obd_core::BreakdownStage;
+use obd_core::{BreakdownStage, ObdFault, Polarity};
 use obd_logic::circuits::{c17, fig8_sum_circuit, mux_tree, ripple_carry_adder};
-use obd_logic::netlist::Netlist;
+use obd_logic::netlist::{GateKind, Netlist};
 use obd_logic::value::Lv;
 
 /// Every fault model at once: stuck-at, transition, OBD in the delay
@@ -80,7 +80,7 @@ fn sweep_width<const N: usize>(counts: &[usize]) {
             assert_eq!(engine.scalar_fallback_tests(), 0, "{name}/{count}/N={N}");
             let scalar = sim.grade_scalar(&faults, &tests).unwrap();
             assert_eq!(
-                engine.grade(&faults).unwrap(),
+                engine.grade_parallel(&faults, 1).unwrap(),
                 scalar,
                 "{name}/{count}/N={N}"
             );
@@ -162,9 +162,9 @@ fn x_bearing_tests_fall_back_to_scalar_path() {
         narrow.scalar_fallback_tests(),
         engine.scalar_fallback_tests()
     );
-    assert_eq!(narrow.grade(&faults).unwrap(), scalar);
+    assert_eq!(narrow.grade_parallel(&faults, 1).unwrap(), scalar);
     let mid = PpsfpEngine::<4>::prepare(&sim, &tests).unwrap();
-    assert_eq!(mid.grade(&faults).unwrap(), scalar);
+    assert_eq!(mid.grade_parallel(&faults, 1).unwrap(), scalar);
 }
 
 /// An all-X test set leaves the packed path completely empty and still
@@ -246,6 +246,48 @@ fn vector_width_errors_preserved() {
     let outcomes = sim.grade_degraded(&faults, &bad);
     assert_eq!(outcomes.len(), faults.len());
     assert!(outcomes.iter().all(|o| o.is_degraded()));
+
+    // Two unsupported-gate faults in different 64-fault chunks: the
+    // lower-indexed one is reported at every thread count, and degraded
+    // grading degrades exactly those two.
+    let mut nl = Netlist::new();
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let c = nl.add_input("c");
+    let n1 = nl.add_gate(GateKind::Nand, "n1", &[a, b]).unwrap();
+    let x1 = nl.add_gate(GateKind::Xor, "x1", &[n1, c]).unwrap();
+    let x2 = nl.add_gate(GateKind::Xor, "x2", &[a, c]).unwrap();
+    let y = nl.add_gate(GateKind::Nor, "y", &[x1, x2]).unwrap();
+    nl.mark_output(y);
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let xor_fault = |net| {
+        Fault::Obd(ObdFault {
+            gate: nl.driver(net).unwrap(),
+            pin: 0,
+            polarity: Polarity::Nmos,
+            stage: BreakdownStage::Mbd2,
+        })
+    };
+    let (i, j) = (10, 100);
+    let mut faults: Vec<Fault> = stuck_at_faults(&nl).into_iter().cycle().take(130).collect();
+    faults[i] = xor_fault(x2);
+    faults[j] = xor_fault(x1);
+    let tests = random_two_pattern(3, 80, 0x0B0E);
+    for threads in [1, 2, 4, 7] {
+        assert_eq!(
+            sim.grade_parallel(&faults, &tests, threads),
+            Err(AtpgError::UnsupportedGate { gate: "x2".into() }),
+            "threads = {threads}"
+        );
+    }
+    let degraded: Vec<usize> = sim
+        .grade_degraded(&faults, &tests)
+        .iter()
+        .enumerate()
+        .filter(|(_, o)| o.is_degraded())
+        .map(|(k, _)| k)
+        .collect();
+    assert_eq!(degraded, vec![i, j]);
 }
 
 /// Empty fault lists and empty test sets keep the scalar contract.

@@ -50,7 +50,7 @@ fn warm_engine_serves_good_responses_from_disk_bit_exactly() {
     let cold = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
     assert_eq!(cold.store_hits(), 0, "these frames were never stored");
     assert_eq!(cold.store_misses(), cold.num_blocks() as u64);
-    let cold_grades = cold.grade(&faults).unwrap();
+    let cold_grades = cold.grade_parallel(&faults, 1).unwrap();
 
     let warm = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
     assert_eq!(
@@ -59,7 +59,7 @@ fn warm_engine_serves_good_responses_from_disk_bit_exactly() {
         "every block must come from disk on the warm pass"
     );
     assert_eq!(warm.store_misses(), 0);
-    assert_eq!(warm.grade(&faults).unwrap(), cold_grades);
+    assert_eq!(warm.grade_parallel(&faults, 1).unwrap(), cold_grades);
     // Disk-served good responses must be bit-exact: the scalar reference
     // agrees test-by-test, not just on the dropped-grade summary.
     let mut scratch = PpsfpScratch::default();
@@ -78,7 +78,7 @@ fn warm_engine_serves_good_responses_from_disk_bit_exactly() {
 }
 
 /// Threaded prepare over a warm store: hits equal blocks regardless of
-/// how the fill was sharded.
+/// how the fill was spread over threads.
 #[test]
 fn threaded_fill_counts_hits_consistently() {
     // Same process as the test above: the global handle latches on first

@@ -5,7 +5,6 @@
 use obd_atpg::rng::XorShift64Star;
 use obd_bench::timing::{bench, header};
 use obd_logic::circuits::ripple_carry_adder;
-use obd_logic::parallel::{simulate_block_with_order, PatternBlock};
 use obd_logic::sim::simulate_with_order;
 use obd_logic::soa::SoaNetlist;
 use obd_logic::timing::{timing_simulate, DelayModel, InputEvent};
@@ -22,7 +21,8 @@ fn main() {
     let block_vectors: Vec<Vec<Lv>> = (0..64)
         .map(|_| (0..n).map(|_| Lv::from_bool(rng.gen_bool())).collect())
         .collect();
-    let block = PatternBlock::pack(&block_vectors).unwrap();
+    let block: WideBlock<1> = WideBlock::pack(&block_vectors).unwrap();
+    let mut block_words: Vec<LaneWord<1>> = Vec::new();
     let wide_vectors: Vec<Vec<Lv>> = (0..512)
         .map(|_| (0..n).map(|_| Lv::from_bool(rng.gen_bool())).collect())
         .collect();
@@ -34,7 +34,8 @@ fn main() {
         simulate_with_order(&nl, &order, &vector).expect("sim")
     });
     bench("parallel64_rca16", || {
-        simulate_block_with_order(&nl, &order, &block).expect("sim")
+        soa.simulate_wide_into(&block, &mut block_words)
+            .expect("sim")
     });
     bench("soa512_rca16", || {
         soa.simulate_wide_into(&wide, &mut wide_words).expect("sim")

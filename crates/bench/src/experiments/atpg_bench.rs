@@ -13,9 +13,9 @@
 //! * wide dropping PPSFP (`PpsfpEngine::<SUPERLANE_WIDTH>`) — the same
 //!   dropping loop on `[u64; 8]` super-lanes, 512 tests per block: the
 //!   contrast that records why the dropping default is narrow,
-//! * `grade_parallel` — the default engine sharded across a
-//!   work-stealing thread pool with a shared detected bitmap and
-//!   good-response cache fills batched across blocks.
+//! * `grade_parallel` — the default engine on the shared work-stealing
+//!   pool: 64-fault chunks per job, and one good-response fill job per
+//!   block.
 //!
 //! Every variant must return byte-identical detection vectors; the run
 //! panics otherwise, so a written artifact is itself the equivalence
@@ -206,7 +206,8 @@ fn bench_circuit(
         scalar = sim.grade_scalar(&faults, &patterns)?;
         scalar_s = scalar_s.min(t0.elapsed().as_secs_f64());
         let tw = Instant::now();
-        wide = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &patterns)?.grade(&faults)?;
+        wide =
+            PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &patterns)?.grade_parallel(&faults, 1)?;
         wide_serial_s = wide_serial_s.min(tw.elapsed().as_secs_f64());
         let t1 = Instant::now();
         packed = sim.grade(&faults, &patterns)?;

@@ -513,7 +513,7 @@ fn run_grade(
     faults.extend(obd_faults(&nl, stage, false));
     let engine = PpsfpEngine::<1>::prepare(&sim, &test_set).map_err(|e| e.to_string())?;
     let detected = engine
-        .grade(&faults)
+        .grade_parallel(&faults, 1)
         .map_err(|e| e.to_string())?
         .iter()
         .filter(|&&d| d)

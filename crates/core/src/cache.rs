@@ -30,92 +30,10 @@ static STORE_HITS: Counter = Counter::new("core.delay_store_hits");
 /// Store lookups that fell through to the analog engine.
 static STORE_MISSES: Counter = Counter::new("core.delay_store_misses");
 
-/// FNV-1a over raw `f64` bits — a cheap, stable fingerprint for the
-/// floating-point parts of a cache key. Bit-exact equality is the right
-/// notion here: two techs that differ in any bit may measure differently.
-fn fnv_f64(hash: u64, v: f64) -> u64 {
-    let mut h = hash;
-    for b in v.to_bits().to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-fn tech_fingerprint(t: &TechParams) -> u64 {
-    [
-        t.vdd,
-        t.nmos_vt0,
-        t.nmos_kp,
-        t.pmos_vt0,
-        t.pmos_kp,
-        t.lambda,
-        t.length,
-        t.nmos_w,
-        t.pmos_w,
-        t.c_gate,
-        t.c_junction,
-        t.c_wire,
-    ]
-    .iter()
-    .fold(FNV_OFFSET, |h, &v| fnv_f64(h, v))
-}
-
-fn cfg_fingerprint(c: &BenchConfig) -> u64 {
-    let h = [c.edge_ps, c.launch_ps, c.window_ps, c.step_ps]
-        .iter()
-        .fold(FNV_OFFSET, |h, &v| fnv_f64(h, v));
-    match c.at_speed_ps {
-        Some(limit) => fnv_f64(h.wrapping_add(1), limit),
-        None => h,
-    }
-}
-
-/// Everything that determines a measurement outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
-    tech: u64,
-    cfg: u64,
-    kind: GateKind,
-    /// `(pin, polarity, isat bits, r_bd bits)`; `None` = fault-free.
-    defect: Option<(usize, Polarity, u64, u64)>,
-    v1: [bool; 2],
-    v2: [bool; 2],
-}
-
-impl CacheKey {
-    fn new(
-        tech: &TechParams,
-        kind: GateKind,
-        defect: Option<BenchDefect>,
-        v1: [bool; 2],
-        v2: [bool; 2],
-        cfg: &BenchConfig,
-    ) -> Self {
-        CacheKey {
-            tech: tech_fingerprint(tech),
-            cfg: cfg_fingerprint(cfg),
-            kind,
-            defect: defect.map(|d| {
-                (
-                    d.pin,
-                    d.polarity,
-                    d.params.isat.to_bits(),
-                    d.params.r_bd.to_bits(),
-                )
-            }),
-            v1,
-            v2,
-        }
-    }
-}
-
-/// Content address of a measurement in the persistent store: the exact
-/// bit patterns of everything that determines the transient's outcome,
-/// under a versioned domain so a model change can retire old records by
-/// bumping the domain string.
+/// Content address of a measurement — the key of both the memory map
+/// and the persistent store: the exact bit patterns of everything that
+/// determines the transient's outcome, under a versioned domain so a
+/// model change can retire old records by bumping the domain string.
 fn store_digest(
     tech: &TechParams,
     kind: GateKind,
@@ -224,7 +142,8 @@ fn decode_outcome(bytes: &[u8]) -> Option<TransitionOutcome> {
 /// ```
 #[derive(Debug, Default)]
 pub struct DelayCache {
-    map: Mutex<HashMap<CacheKey, TransitionOutcome>>,
+    /// Outcomes by [`store_digest`].
+    map: Mutex<HashMap<u64, TransitionOutcome>>,
     /// Persistent second level: memory misses probe here before running
     /// a transient, and fresh measurements are written back, so a second
     /// process measuring the same corners starts warm.
@@ -290,7 +209,7 @@ impl DelayCache {
         if *opts != SimOptions::default() {
             return measure_cell_transition(tech, kind, defect, v1, v2, cfg, opts);
         }
-        let key = CacheKey::new(tech, kind, defect, v1, v2, cfg);
+        let key = store_digest(tech, kind, defect, v1, v2, cfg);
         // A poisoned map still holds structurally valid entries (inserts
         // of Copy values cannot half-complete observably), so recover
         // instead of propagating a worker's panic into every later lookup.
@@ -302,13 +221,9 @@ impl DelayCache {
         // Second level: the persistent store. A hit skips the transient
         // entirely; any store error (corruption, I/O) degrades to a miss
         // so persistence can never wedge a measurement.
-        let digest = self
-            .store
-            .as_deref()
-            .map(|_| store_digest(tech, kind, defect, v1, v2, cfg));
-        if let (Some(store), Some(digest)) = (self.store.as_deref(), digest) {
+        if let Some(store) = self.store.as_deref() {
             if let Some(o) = store
-                .get(digest)
+                .get(key)
                 .ok()
                 .flatten()
                 .as_deref()
@@ -329,12 +244,12 @@ impl DelayCache {
         let o = measure_cell_transition(tech, kind, defect, v1, v2, cfg, opts)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         CACHE_MISSES.inc();
-        if let (Some(store), Some(digest)) = (self.store.as_deref(), digest) {
+        if let Some(store) = self.store.as_deref() {
             self.store_misses.fetch_add(1, Ordering::Relaxed);
             STORE_MISSES.inc();
             // Write-back failure (disk full, torn write) only costs the
             // next run a recompute; the outcome in hand is still good.
-            let _ = store.put(digest, &encode_outcome(o));
+            let _ = store.put(key, &encode_outcome(o));
         }
         self.map
             .lock()
@@ -398,9 +313,21 @@ mod tests {
         v1: [bool; 2],
         v2: [bool; 2],
     ) -> TransitionOutcome {
+        measure_at(cache, tech, defect, v1, v2, &fast_cfg())
+    }
+
+    /// [`measure`] at an explicit bench configuration.
+    fn measure_at(
+        cache: &DelayCache,
+        tech: &TechParams,
+        defect: Option<BenchDefect>,
+        v1: [bool; 2],
+        v2: [bool; 2],
+        cfg: &BenchConfig,
+    ) -> TransitionOutcome {
         let opts = SimOptions::new();
         cache
-            .measure_cell(tech, GateKind::Nand, defect, v1, v2, &fast_cfg(), &opts)
+            .measure_cell(tech, GateKind::Nand, defect, v1, v2, cfg, &opts)
             .unwrap()
     }
 
@@ -434,6 +361,25 @@ mod tests {
             panic!("both sequences must switch at MBD3: {ff:?} vs {faulty:?}");
         };
         assert!(b > a, "defect must slow the transition: {b} vs {a}");
+
+        // Configs that differ only in the full-window flag are distinct
+        // keys, as they are distinct store records.
+        let cache = DelayCache::new();
+        let full = BenchConfig {
+            sim_full_window: true,
+            ..fast_cfg()
+        };
+        measure_at(
+            &cache,
+            &tech,
+            None,
+            [false, true],
+            [true, true],
+            &fast_cfg(),
+        );
+        measure_at(&cache, &tech, None, [false, true], [true, true], &full);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.misses(), 2);
     }
 
     #[test]

@@ -563,7 +563,7 @@ pub fn characterize_table1(
     };
     // The pool fails only when a worker panicked; every cell then carries
     // that error.
-    let results = crate::pool::run_jobs(&jobs, opts.threads, |_, j| Ok(measure(j)))
+    let results = crate::pool::run_jobs(&jobs, opts.threads, |_, j| Ok::<_, ObdError>(measure(j)))
         .unwrap_or_else(|e| jobs.iter().map(|_| (Err(e.clone()), 0)).collect());
     let mut slots = vec![[None; 8]; row_meta.len()];
     let mut failures = Vec::new();

@@ -335,7 +335,7 @@ pub fn run_monte(
                 opts,
             )
         });
-        Ok(match measured {
+        Ok::<_, ObdError>(match measured {
             Ok(TransitionOutcome::Delay(d)) => MonteOutcome::Delay(d),
             Ok(TransitionOutcome::Stuck) => {
                 MONTE_STUCK.inc();

@@ -1,22 +1,23 @@
-//! A deterministic work-stealing job pool shared by the Table 1 driver
-//! and the Monte Carlo variation engine.
+//! The deterministic work-stealing job pool: the one job fan-out in the
+//! workspace. Table 1 cells, Monte Carlo corners, PPSFP fault chunks,
+//! good-response blocks and fleet checkpoint blocks all run through
+//! [`run_jobs`].
 //!
-//! The previous parallel driver split the job list into one contiguous
-//! chunk per thread. Table 1 cells have wildly uneven costs — a
-//! fault-free cell finishes in a short capture-limited transient while an
-//! HBD cell escalates to the full observation window — and the ladder
-//! orders jobs by stage, so chunking handed one worker most of the
-//! expensive cells and the measured speedup collapsed to ~1×. Here every
-//! worker *steals* the next job from a shared atomic cursor, so the
-//! imbalance is bounded by a single job regardless of how costs are
-//! distributed.
+//! Jobs have uneven costs — a fault-free Table 1 cell finishes in a
+//! short capture-limited transient while an HBD cell escalates to the
+//! full observation window, and a dropped fault costs one block while an
+//! undetected one walks them all — so every worker *steals* the next job
+//! from a shared atomic cursor, and the imbalance is bounded by a single
+//! job regardless of how costs are distributed.
 //!
-//! Determinism: each job writes its result into its own index slot, and
-//! error selection scans slots in job order, so the output — including
-//! which error is reported when several jobs fail — is identical at any
-//! thread count. Workers only race for *which* job to run next, never for
-//! where a result lands.
+//! Determinism: each job writes its result into its own index slot, a
+//! panicking job becomes that job's [`WorkerPanicked`] error, and error
+//! selection scans slots in job order, so the output — including which
+//! error is reported when several jobs fail — is identical at any thread
+//! count. Workers only race for *which* job to run next, never for where
+//! a result lands.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use obd_metrics::Counter;
@@ -28,6 +29,17 @@ static POOL_JOBS: Counter = Counter::new("core.pool_jobs");
 /// `run_jobs` invocations that actually spawned workers.
 static POOL_PARALLEL_RUNS: Counter = Counter::new("core.pool_parallel_runs");
 
+/// A pool job panicked. Each error type the pool reports converts from
+/// this, so a panic surfaces as a typed error at any thread count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WorkerPanicked;
+
+impl From<WorkerPanicked> for ObdError {
+    fn from(_: WorkerPanicked) -> Self {
+        ObdError::Spice("pool worker panicked".into())
+    }
+}
+
 /// Runs `f` over every job on up to `threads` work-stealing workers and
 /// returns the results in job order.
 ///
@@ -38,31 +50,34 @@ static POOL_PARALLEL_RUNS: Counter = Counter::new("core.pool_parallel_runs");
 ///
 /// # Errors
 ///
-/// The lowest-indexed job error, or [`ObdError::Spice`] if a worker
-/// panicked.
-pub fn run_jobs<J, R, F>(jobs: &[J], threads: usize, f: F) -> Result<Vec<R>, ObdError>
+/// The lowest-indexed job error; a job that panicked counts as failing
+/// with `E::from(WorkerPanicked)`.
+pub fn run_jobs<J, R, E, F>(jobs: &[J], threads: usize, f: F) -> Result<Vec<R>, E>
 where
     J: Sync,
     R: Send,
-    F: Fn(usize, &J) -> Result<R, ObdError> + Sync,
+    E: Send + From<WorkerPanicked>,
+    F: Fn(usize, &J) -> Result<R, E> + Sync,
 {
     let threads = threads.clamp(1, jobs.len().max(1));
     let cursor = AtomicUsize::new(0);
-    let worker = |out: &mut Vec<(usize, Result<R, ObdError>)>| loop {
+    let worker = |out: &mut Vec<(usize, Result<R, E>)>| loop {
         let i = cursor.fetch_add(1, Ordering::Relaxed);
         if i >= jobs.len() {
             break;
         }
         POOL_JOBS.inc();
-        out.push((i, f(i, &jobs[i])));
+        let r = catch_unwind(AssertUnwindSafe(|| f(i, &jobs[i])))
+            .unwrap_or_else(|_| Err(E::from(WorkerPanicked)));
+        out.push((i, r));
     };
 
-    let mut tagged: Vec<(usize, Result<R, ObdError>)> = Vec::with_capacity(jobs.len());
+    let mut tagged: Vec<(usize, Result<R, E>)> = Vec::with_capacity(jobs.len());
     if threads <= 1 {
         worker(&mut tagged);
     } else {
         POOL_PARALLEL_RUNS.inc();
-        let batches: Result<Vec<Vec<_>>, ObdError> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     scope.spawn(|| {
@@ -72,35 +87,23 @@ where
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| ObdError::Spice("pool worker panicked".into()))
-                })
-                .collect()
+            // Job panics are caught above, so a worker can only die
+            // outside `f`; its jobs then stay unfilled and surface below.
+            for batch in handles.into_iter().filter_map(|h| h.join().ok()) {
+                tagged.extend(batch);
+            }
         });
-        for batch in batches? {
-            tagged.extend(batch);
-        }
     }
 
-    let mut slots: Vec<Option<Result<R, ObdError>>> = Vec::with_capacity(jobs.len());
+    let mut slots: Vec<Option<Result<R, E>>> = Vec::with_capacity(jobs.len());
     slots.resize_with(jobs.len(), || None);
     for (i, r) in tagged {
         slots[i] = Some(r);
     }
-    let mut out = Vec::with_capacity(jobs.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(r)) => out.push(r),
-            Some(Err(e)) => return Err(e),
-            // Unreachable: the cursor hands out every index exactly once
-            // and panicking workers were caught above.
-            None => return Err(ObdError::Spice(format!("pool lost the result of job {i}"))),
-        }
-    }
-    Ok(out)
+    slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| Err(E::from(WorkerPanicked))))
+        .collect()
 }
 
 #[cfg(test)]
@@ -114,7 +117,7 @@ mod tests {
         for threads in [1, 2, 3, 8, 64] {
             let got = run_jobs(&jobs, threads, |i, &j| {
                 assert_eq!(i, j);
-                Ok(j * j)
+                Ok::<_, ObdError>(j * j)
             })
             .unwrap();
             assert_eq!(got, expect, "threads={threads}");
@@ -127,7 +130,7 @@ mod tests {
         let hits: Vec<AtomicUsize> = (0..jobs.len()).map(|_| AtomicUsize::new(0)).collect();
         run_jobs(&jobs, 7, |i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
-            Ok(())
+            Ok::<_, ObdError>(())
         })
         .unwrap();
         for (i, h) in hits.iter().enumerate() {
@@ -152,15 +155,33 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_job_is_a_typed_error_at_any_thread_count() {
+        let jobs: Vec<usize> = (0..16).collect();
+        for threads in [1, 2, 4] {
+            let err = run_jobs(&jobs, threads, |_, &j| {
+                if j == 5 {
+                    panic!("job {j} panics");
+                }
+                if j == 11 {
+                    return Err(ObdError::BadSite("job 11".into()));
+                }
+                Ok(j)
+            })
+            .unwrap_err();
+            assert_eq!(err, ObdError::from(WorkerPanicked), "threads={threads}");
+        }
+    }
+
+    #[test]
     fn empty_job_list_is_fine() {
-        let got = run_jobs(&[] as &[usize], 4, |_, &j| Ok(j)).unwrap();
+        let got = run_jobs(&[] as &[usize], 4, |_, &j| Ok::<_, ObdError>(j)).unwrap();
         assert!(got.is_empty());
     }
 
     #[test]
     fn oversubscribed_threads_are_clamped() {
         let jobs = [1usize, 2];
-        let got = run_jobs(&jobs, 999, |_, &j| Ok(j * 10)).unwrap();
+        let got = run_jobs(&jobs, 999, |_, &j| Ok::<_, ObdError>(j * 10)).unwrap();
         assert_eq!(got, vec![10, 20]);
     }
 }

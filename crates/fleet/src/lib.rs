@@ -18,8 +18,9 @@
 //!   graded detection row covers the device's fault site at the stage
 //!   the defect has reached by the session time.
 //!
-//! The simulation is sharded across worker threads with per-device
-//! seeding that is independent of the shard assignment, and every
+//! The simulation runs in device-id blocks on the shared
+//! [`obd_core::pool`] with per-device seeding that is independent of the
+//! block assignment, and every
 //! aggregate is accumulated in integer arithmetic — the emitted
 //! `FLEET_run.json` is byte-identical for a fixed seed regardless of
 //! thread count (the determinism golden test pins this).
@@ -34,7 +35,8 @@
 //! * [`device`] — one device's lifecycle: parameter sampling, the
 //!   session loop, chaos injection (scheduler skew, corrupted results,
 //!   poisoned devices) through the degraded-outcome ladder.
-//! * [`sim`] — the sharded fleet driver and integer accumulator.
+//! * [`sim`] — the block-partitioned fleet driver and integer
+//!   accumulator.
 //! * [`report`] — aggregate report with exact latency percentiles and
 //!   the deterministic JSON artifact.
 
@@ -104,3 +106,9 @@ impl std::fmt::Display for FleetError {
 }
 
 impl std::error::Error for FleetError {}
+
+impl From<obd_core::pool::WorkerPanicked> for FleetError {
+    fn from(_: obd_core::pool::WorkerPanicked) -> Self {
+        FleetError::InvalidConfig("worker thread panicked".to_string())
+    }
+}

@@ -301,8 +301,9 @@ mod tests {
     #[test]
     fn generator_circuits_roundtrip_through_bench_text() {
         use crate::circuits;
-        use crate::parallel::{simulate_block, PatternBlock};
+        use crate::soa::SoaNetlist;
         use crate::value::Lv;
+        use crate::wide::WideBlock;
         for nl in [
             circuits::carry_select_adder(4, 2),
             circuits::array_multiplier(3),
@@ -325,11 +326,18 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let block = PatternBlock::pack(&vectors).unwrap();
-            let r1 = simulate_block(&nl, &block).unwrap();
-            let r2 = simulate_block(&nl2, &block).unwrap();
+            let block = WideBlock::<1>::pack(&vectors).unwrap();
+            let (mut r1, mut r2) = (Vec::new(), Vec::new());
+            SoaNetlist::compile(&nl)
+                .unwrap()
+                .simulate_wide_into(&block, &mut r1)
+                .unwrap();
+            SoaNetlist::compile(&nl2)
+                .unwrap()
+                .simulate_wide_into(&block, &mut r2)
+                .unwrap();
             for (&o1, &o2) in nl.outputs().iter().zip(nl2.outputs()) {
-                assert_eq!(r1.word(o1), r2.word(o2));
+                assert_eq!(r1[o1.index()], r2[o2.index()]);
             }
         }
     }

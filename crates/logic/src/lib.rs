@@ -8,8 +8,8 @@
 //!   validation.
 //! * [`sim`] — levelized three-valued simulation, including two-pattern
 //!   (launch/capture) simulation used everywhere in OBD testing.
-//! * [`parallel`] — 64-way bit-parallel two-valued simulation for fast fault
-//!   grading.
+//! * [`parallel`] — the per-gate 64-way forced-value block simulator,
+//!   the independent reference the SoA core is tested against.
 //! * [`wide`] — `[u64; N]` super-lane pattern words and wide pattern
 //!   blocks (up to `64 * N` patterns per sweep).
 //! * [`soa`] — the levelized structure-of-arrays netlist the packed

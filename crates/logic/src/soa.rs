@@ -388,7 +388,7 @@ mod tests {
     use super::*;
     use crate::circuits;
     use crate::netlist::Netlist;
-    use crate::parallel::{simulate_block, simulate_block_forced_into, PatternBlock};
+    use crate::parallel::simulate_block_forced_into;
     use crate::sim::simulate;
     use crate::value::{all_vectors, Lv};
 
@@ -453,16 +453,17 @@ mod tests {
             circuits::mux_tree(3),
         ] {
             let soa = SoaNetlist::compile(&nl).unwrap();
+            let order = nl.levelize().unwrap();
             let vectors = vectors_for(nl.inputs().len(), 64, 0x5EED);
-            let narrow = PatternBlock::pack(&vectors).unwrap();
-            let legacy = simulate_block(&nl, &narrow).unwrap();
             let wide = WideBlock::<1>::pack(&vectors).unwrap();
+            let (mut legacy, mut scratch) = (Vec::new(), Vec::new());
+            simulate_block_forced_into(&nl, &order, &wide, &[], &mut legacy, &mut scratch).unwrap();
             let mut words = Vec::new();
             soa.simulate_wide_into(&wide, &mut words).unwrap();
             for n in nl.net_ids() {
                 assert_eq!(
                     words[n.index()].lane(0),
-                    legacy.word(n),
+                    legacy[n.index()],
                     "net {} diverged",
                     nl.net_name(n)
                 );
@@ -561,14 +562,14 @@ mod tests {
         for (name, nl) in oracle_circuits() {
             let soa = SoaNetlist::compile(&nl).unwrap();
             let order = nl.levelize().unwrap();
-            let block = PatternBlock::pack(&vectors_for(nl.inputs().len(), 61, 0xC0DE)).unwrap();
-            assert_eq!(block.mask(), (1u64 << 61) - 1, "partial block");
+            let block = WideBlock::<1>::pack(&vectors_for(nl.inputs().len(), 61, 0xC0DE)).unwrap();
+            assert_eq!(block.mask().lane(0), (1u64 << 61) - 1, "partial block");
             let (mut reference, mut scratch) = (Vec::new(), Vec::new());
             simulate_block_forced_into(&nl, &order, &block, &[], &mut reference, &mut scratch)
                 .unwrap();
             let good_ref = reference.clone();
             let mut good = Vec::new();
-            soa.simulate_wide_into(block.as_wide(), &mut good).unwrap();
+            soa.simulate_wide_into(&block, &mut good).unwrap();
             assert!(good.iter().zip(&good_ref).all(|(w, &r)| w.lane(0) == r));
             let mut cs = ConeScratch::default();
             let mut state = 0x9E37_79B9_7F4A_7C15u64;

@@ -7,10 +7,8 @@
 //! so widening the word amortizes the per-gate bookkeeping of a packed
 //! simulation sweep over eight times as many patterns.
 //!
-//! [`WideBlock`] is the `[u64; N]` generalization of the 64-pattern
-//! [`PatternBlock`](crate::parallel::PatternBlock): up to `64 * N`
-//! fully-specified input vectors packed one [`LaneWord`] per primary
-//! input. The packing entry points all enforce the block capacity and
+//! [`WideBlock`] holds up to `64 * N` fully-specified input vectors
+//! packed one [`LaneWord`] per primary input. The packing entry points all enforce the block capacity and
 //! vector-width invariants — including [`WideBlock::pack_unchecked`],
 //! which (despite the legacy name) now *panics* on ragged or oversized
 //! input rather than silently truncating the pattern set.
@@ -384,6 +382,33 @@ mod tests {
                 found: 1
             })
         ));
+        assert!(matches!(
+            WideBlock::<1>::pack(&vectors),
+            Err(LogicError::InputCountMismatch {
+                expected: 2,
+                found: 1
+            })
+        ));
+    }
+
+    #[test]
+    fn narrow_block_mask_counts_patterns() {
+        let vectors: Vec<_> = all_vectors(2).collect();
+        let block = WideBlock::<1>::pack(&vectors).unwrap();
+        assert_eq!(block.len(), 4);
+        assert_eq!(block.mask().lane(0), 0b1111);
+    }
+
+    #[test]
+    fn pack_treats_x_as_zero() {
+        let block = WideBlock::<1>::pack(&[vec![Lv::X, Lv::One], vec![Lv::Zero, Lv::X]]).unwrap();
+        // PI 0: X,0 -> both bits clear; PI 1: 1,X -> only bit 0 set.
+        assert_eq!(block.word(0).lane(0), 0b00);
+        assert_eq!(block.word(1).lane(0), 0b01);
+        let explicit =
+            WideBlock::<1>::pack(&[vec![Lv::Zero, Lv::One], vec![Lv::Zero, Lv::Zero]]).unwrap();
+        assert_eq!(block.word(0), explicit.word(0));
+        assert_eq!(block.word(1), explicit.word(1));
     }
 
     #[test]
@@ -410,6 +435,11 @@ mod tests {
         for i in 0..3 {
             assert_eq!(a.word(i), b.word(i));
         }
+        let ragged: Vec<&[Lv]> = vec![&vectors[0], &vectors[1][..2]];
+        assert!(matches!(
+            WideBlock::<1>::pack_slices(&ragged),
+            Err(LogicError::InputCountMismatch { .. })
+        ));
     }
 
     #[test]
@@ -417,5 +447,8 @@ mod tests {
         let block = WideBlock::<8>::pack(&[]).unwrap();
         assert!(block.is_empty());
         assert!(block.mask().is_zero());
+        let narrow = WideBlock::<1>::pack(&[]).unwrap();
+        assert!(narrow.is_empty());
+        assert_eq!(narrow.mask().lane(0), 0);
     }
 }

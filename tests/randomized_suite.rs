@@ -13,9 +13,10 @@ use obd_suite::atpg::twoframe::{GenOutcome, TwoFrameAtpg};
 use obd_suite::cmos::expand::decompose_for_expansion;
 use obd_suite::logic::format::{parse_bench, to_bench};
 use obd_suite::logic::netlist::{GateKind, NetId, Netlist};
-use obd_suite::logic::parallel::{simulate_block, PatternBlock};
 use obd_suite::logic::sim::simulate;
+use obd_suite::logic::soa::SoaNetlist;
 use obd_suite::logic::value::{all_vectors, Lv};
+use obd_suite::logic::wide::WideBlock;
 
 /// A recipe for one random gate: kind selector plus input pickers.
 #[derive(Debug, Clone)]
@@ -86,13 +87,17 @@ fn parallel_matches_scalar() {
     for_cases(0x5ca1ab1e, 48, |rng, case| {
         let nl = build_circuit(4, &random_recipes(rng, 24));
         let vectors: Vec<Vec<Lv>> = all_vectors(4).collect();
-        let block = PatternBlock::pack(&vectors).unwrap();
-        let par = simulate_block(&nl, &block).unwrap();
+        let block = WideBlock::<1>::pack(&vectors).unwrap();
+        let mut par = Vec::new();
+        SoaNetlist::compile(&nl)
+            .unwrap()
+            .simulate_wide_into(&block, &mut par)
+            .unwrap();
         for (k, v) in vectors.iter().enumerate() {
             let scalar = simulate(&nl, v).unwrap();
             for &po in nl.outputs() {
                 assert_eq!(
-                    Lv::from_bool(par.value(po, k)),
+                    Lv::from_bool(par[po.index()].bit(k)),
                     scalar.value(po),
                     "case {case}: pattern {k} at {}",
                     nl.net_name(po)
