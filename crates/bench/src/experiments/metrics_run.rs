@@ -191,13 +191,10 @@ pub fn render(r: &MetricsRunReport) -> String {
         "spice.newton_iterations",
         "spice.newton_solves",
         "linalg.lu_factorizations",
-        "linalg.memo_full_hits",
-        "linalg.memo_solve_hits",
         "core.delay_cache_hits",
         "core.delay_cache_misses",
         "core.delay_store_hits",
         "core.delay_store_misses",
-        "core.window_escalations",
         "atpg.podem_runs",
         "atpg.podem_backtracks",
         "atpg.faults_graded",

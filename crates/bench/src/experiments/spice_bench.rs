@@ -11,7 +11,7 @@
 //! the at-speed capture verdict is decided. The report therefore separates
 //!
 //! * the *kernel* speedup (reference serial → optimized serial, which
-//!   folds in the capture-limited window), and
+//!   folds in the stop-when-decided transient), and
 //! * the *thread* speedup (optimized serial → optimized parallel),
 //!
 //! whose product is the end-to-end Table 1 speedup.

@@ -3,12 +3,13 @@
 //! good-response blocks and fleet checkpoint blocks all run through
 //! [`run_jobs`].
 //!
-//! Jobs have uneven costs — a fault-free Table 1 cell finishes in a
-//! short capture-limited transient while an HBD cell escalates to the
-//! full observation window, and a dropped fault costs one block while an
-//! undetected one walks them all — so every worker *steals* the next job
-//! from a shared atomic cursor, and the imbalance is bounded by a single
-//! job regardless of how costs are distributed.
+//! Jobs have uneven costs — a fault-free Table 1 cell stops its
+//! transient soon after the output crosses while an HBD cell whose input
+//! never crosses runs the full observation window, and a dropped fault
+//! costs one block while an undetected one walks them all — so every
+//! worker *steals* the next job from a shared atomic cursor, and the
+//! imbalance is bounded by a single job regardless of how costs are
+//! distributed.
 //!
 //! Determinism: each job writes its result into its own index slot, a
 //! panicking job becomes that job's [`WorkerPanicked`] error, and error

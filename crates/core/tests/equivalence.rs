@@ -1,15 +1,18 @@
 //! Equivalence guarantees for the performance paths: the parallel
-//! characterization driver and the memoizing delay cache must reproduce
-//! the serial, uncached results exactly (bit-identical outcomes), so the
-//! fast paths can stand in for the reference ones everywhere.
+//! characterization driver, the memoizing delay cache and the
+//! stop-when-decided transient must reproduce the serial, uncached,
+//! full-window results exactly (bit-identical outcomes), so the fast
+//! paths can stand in for the reference ones everywhere.
 
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
+use obd_core::characterize::BenchDefect;
 use obd_core::characterize::{
     characterize_table1, characterize_table1_parallel, measure_cell_transition, BenchConfig,
     DelayTable, RunOptions, Table1, TransitionOutcome,
 };
 use obd_core::faultmodel::Polarity;
+use obd_core::monte::{sample_tech, MonteConfig};
 use obd_core::BreakdownStage;
 use obd_logic::netlist::GateKind;
 use obd_spice::SimOptions;
@@ -184,4 +187,81 @@ fn cache_bypasses_non_default_solver_options() {
         (0, 1, 1),
         "a non-default grid must bypass the cache"
     );
+}
+
+/// The reference driver: every transient runs its whole window.
+fn full_window(cfg: &BenchConfig) -> BenchConfig {
+    BenchConfig {
+        sim_full_window: true,
+        ..cfg.clone()
+    }
+}
+
+/// Stopping a transient once its verdict is decided changes no outcome:
+/// every Table 1 cell at the paper configuration, at the nominal process
+/// and at Monte Carlo corners 0–3, equals its full-window measurement
+/// bit for bit.
+#[test]
+fn stopped_table1_cells_equal_full_window_cells() {
+    let nominal = TechParams::date05();
+    let seed = MonteConfig::new().seed;
+    let cfg = BenchConfig::table1();
+    let opts = RunOptions {
+        threads: 2,
+        ..RunOptions::default()
+    };
+    let techs = std::iter::once(nominal.clone())
+        .chain((0..4).map(|corner| sample_tech(&nominal, seed, corner, 0.05)));
+    for (i, tech) in techs.enumerate() {
+        let stopped = characterize_table1(&tech, &cfg, &opts)
+            .into_result()
+            .unwrap();
+        let full = characterize_table1(&tech, &full_window(&cfg), &opts)
+            .into_result()
+            .unwrap();
+        assert_eq!(stopped.rows.len(), full.rows.len());
+        for (a, b) in stopped.rows.iter().zip(&full.rows) {
+            assert_eq!(a.nmos, b.nmos, "tech {i} {} nmos", a.stage);
+            assert_eq!(a.pmos, b.pmos, "tech {i} {} pmos", a.stage);
+        }
+    }
+}
+
+/// The same on the NOR2 bench, for every single-input sequence (the
+/// ones that leave the output unchanged included), fault-free and under
+/// an NMOS and a PMOS defect.
+#[test]
+fn stopped_nor2_sequences_equal_full_window() {
+    let tech = TechParams::date05();
+    let cfg = BenchConfig::table1();
+    let opts = SimOptions::new();
+    let defect = |polarity, stage: BreakdownStage| {
+        Some(BenchDefect {
+            pin: 0,
+            polarity,
+            params: stage.params(polarity).unwrap(),
+        })
+    };
+    let defects = [
+        None,
+        defect(Polarity::Nmos, BreakdownStage::Mbd2),
+        defect(Polarity::Pmos, BreakdownStage::Mbd2),
+    ];
+    let vectors = [[false, false], [false, true], [true, false], [true, true]];
+    for d in defects {
+        for v1 in vectors {
+            for pin in 0..2 {
+                let mut v2 = v1;
+                v2[pin] = !v2[pin];
+                let measure = |cfg: &BenchConfig| {
+                    measure_cell_transition(&tech, GateKind::Nor, d, v1, v2, cfg, &opts).unwrap()
+                };
+                assert_eq!(
+                    measure(&cfg),
+                    measure(&full_window(&cfg)),
+                    "{d:?} {v1:?} -> {v2:?}"
+                );
+            }
+        }
+    }
 }

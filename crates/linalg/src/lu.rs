@@ -13,12 +13,6 @@ static CHAOS_NONFINITE: InjectionPoint = InjectionPoint::new("linalg.forced_nonf
 
 /// Total LU factorizations (all entry points: one-shot and workspace).
 static LU_FACTORIZATIONS: Counter = Counter::new("linalg.lu_factorizations");
-/// Memoized solves where both `a` and `b` matched bitwise (solution copied).
-static MEMO_FULL_HITS: Counter = Counter::new("linalg.memo_full_hits");
-/// Memoized solves where only `a` matched (substitution, no factorization).
-static MEMO_SOLVE_HITS: Counter = Counter::new("linalg.memo_solve_hits");
-/// Memoized solves that fell through to a full factor + solve.
-static MEMO_MISSES: Counter = Counter::new("linalg.memo_misses");
 /// Iterative-refinement passes whose residual exceeded the gate.
 static REFINEMENT_STEPS: Counter = Counter::new("linalg.refinement_steps");
 
@@ -339,17 +333,6 @@ pub struct LuWorkspace {
     /// Residual / correction scratch for refinement.
     residual: Vec<f64>,
     correction: Vec<f64>,
-    /// Memo for [`LuWorkspace::solve_memo_into`]: the matrix the current
-    /// factors were computed from, and the right-hand side / solution of
-    /// the last successful solve. Comparisons are bitwise, so a memo hit
-    /// returns exactly what recomputation would.
-    memo_a: Matrix,
-    memo_b: Vec<f64>,
-    memo_x: Vec<f64>,
-    /// Whether `memo_a` matches the current packed factors.
-    memo_a_valid: bool,
-    /// Whether `memo_b`/`memo_x` belong to the current factors.
-    memo_b_valid: bool,
 }
 
 impl Default for LuWorkspace {
@@ -369,11 +352,6 @@ impl LuWorkspace {
             factored: false,
             residual: Vec::new(),
             correction: Vec::new(),
-            memo_a: Matrix::zeros(0, 0),
-            memo_b: Vec::new(),
-            memo_x: Vec::new(),
-            memo_a_valid: false,
-            memo_b_valid: false,
         }
     }
 
@@ -387,11 +365,6 @@ impl LuWorkspace {
             factored: false,
             residual: vec![0.0; n],
             correction: vec![0.0; n],
-            memo_a: Matrix::zeros(n, n),
-            memo_b: vec![0.0; n],
-            memo_x: vec![0.0; n],
-            memo_a_valid: false,
-            memo_b_valid: false,
         }
     }
 
@@ -409,8 +382,6 @@ impl LuWorkspace {
     /// Same conditions as [`Lu::factor`].
     pub fn factor_into(&mut self, a: &Matrix) -> Result<(), LinalgError> {
         self.factored = false;
-        self.memo_a_valid = false;
-        self.memo_b_valid = false;
         check_square(a)?;
         let n = a.rows();
         self.packed.copy_from(a);
@@ -469,59 +440,6 @@ impl LuWorkspace {
         self.factor_into(a)?;
         self.solve_into(b, x)?;
         self.refine_against(a, b, x);
-        Ok(())
-    }
-
-    /// Like [`LuWorkspace::solve_refined_into`], but memoized on the exact
-    /// bit pattern of `(a, b)` — the shape of consecutive transient steps
-    /// through a quiescent circuit, where nothing in the stamped system
-    /// changes from one step to the next:
-    ///
-    /// * `a` and `b` both unchanged → the stored solution is copied out;
-    ///   no factorization, no substitution.
-    /// * only `a` unchanged → the existing factors are reused and just the
-    ///   substitutions (plus refinement) run.
-    /// * otherwise → full factor + solve + refinement.
-    ///
-    /// Because the comparisons are bitwise, every path returns exactly the
-    /// result the unmemoized call would; this is a pure time optimization.
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorization and solve errors.
-    pub fn solve_memo_into(
-        &mut self,
-        a: &Matrix,
-        b: &[f64],
-        x: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
-        let a_hit = self.memo_a_valid
-            && self.memo_a.rows() == a.rows()
-            && self.memo_a.cols() == a.cols()
-            && self.memo_a.as_slice() == a.as_slice();
-        if a_hit {
-            if self.memo_b_valid && self.memo_b.as_slice() == b {
-                MEMO_FULL_HITS.inc();
-                x.clear();
-                x.extend_from_slice(&self.memo_x);
-                return Ok(());
-            }
-            MEMO_SOLVE_HITS.inc();
-            self.solve_into(b, x)?;
-            self.refine_against(a, b, x);
-        } else {
-            MEMO_MISSES.inc();
-            self.factor_into(a)?;
-            self.memo_a.copy_from(a);
-            self.memo_a_valid = true;
-            self.solve_into(b, x)?;
-            self.refine_against(a, b, x);
-        }
-        self.memo_b.clear();
-        self.memo_b.extend_from_slice(b);
-        self.memo_x.clear();
-        self.memo_x.extend_from_slice(x);
-        self.memo_b_valid = true;
         Ok(())
     }
 

@@ -6,4 +6,4 @@ pub mod tran;
 
 pub use dc::{dc_sweep, DcSweep, SweepResult};
 pub use op::{operating_point, OpResult};
-pub use tran::{transient, transient_with_options, TranParams};
+pub use tran::{transient, transient_until, transient_with_options, TranParams};

@@ -3,7 +3,8 @@
 //! The integrator is trapezoidal by default (with a backward-Euler startup
 //! step to establish consistent capacitor history) and retries a failed
 //! timestep at progressively smaller sub-steps. Every accepted step is
-//! recorded into a [`Waveform`].
+//! recorded into a [`Waveform`]; [`transient_until`] can end the run at
+//! the first sample a caller's predicate accepts.
 
 use crate::circuit::Circuit;
 use crate::devices::{EvalCtx, Integration};
@@ -101,6 +102,27 @@ pub fn transient_with_options(
     params: &TranParams,
     opts: &SimOptions,
 ) -> Result<Waveform, SpiceError> {
+    transient_until(ckt, params, opts, |_| false)
+}
+
+/// Runs a transient analysis that returns early: after each accepted
+/// step, `stop` sees the waveform so far, and the run ends at the first
+/// sample for which it returns `true` (or at `params.stop`).
+///
+/// Stopping changes nothing before the stop: every step is computed
+/// exactly as in the full run over `params.stop`, so the returned
+/// waveform is a bit-identical prefix of the one
+/// [`transient_with_options`] returns.
+///
+/// # Errors
+///
+/// Same conditions as [`transient_with_options`].
+pub fn transient_until(
+    ckt: &Circuit,
+    params: &TranParams,
+    opts: &SimOptions,
+    mut stop: impl FnMut(&Waveform) -> bool,
+) -> Result<Waveform, SpiceError> {
     if !(params.step > 0.0 && params.stop > 0.0 && params.step <= params.stop) {
         return Err(SpiceError::InvalidCircuit(format!(
             "bad transient window: step {} stop {}",
@@ -196,6 +218,9 @@ pub fn transient_with_options(
         t = target;
         first_step = false;
         record(ckt, &solver, &x, t, &mut wave);
+        if stop(&wave) {
+            break;
+        }
     }
     Ok(wave)
 }
@@ -393,6 +418,46 @@ mod tests {
         // (edge is fast compared to tau).
         let v = wave.sample_at(out, 3.01e-9);
         assert!((v - 0.8647).abs() < 0.01, "v = {v}");
+    }
+
+    /// A stopped run is a bit-identical prefix of the full run: same
+    /// times, same values, and it ends at the first sample the predicate
+    /// accepts.
+    #[test]
+    fn transient_until_is_a_prefix_of_the_full_run() {
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let out = c.node("out");
+        c.add_vsource(Vsource::new(
+            "V1",
+            vin,
+            Circuit::GROUND,
+            SourceWave::step(0.0, 1.0, 1e-9, 10e-12),
+        ));
+        c.add_resistor(Resistor::new("R1", vin, out, 1e3));
+        c.add_capacitor(Capacitor::new("C1", out, Circuit::GROUND, 1e-12));
+        let params = TranParams::new(5e-12, 6e-9);
+        let opts = SimOptions::new();
+        let full = transient_with_options(&c, &params, &opts).unwrap();
+        let mut calls = 0;
+        let part = transient_until(&c, &params, &opts, |w| {
+            calls += 1;
+            w.trace(out).last().is_some_and(|&v| v >= 0.5)
+        })
+        .unwrap();
+        let n = part.len();
+        assert!(
+            n > 2 && n < full.len(),
+            "stopped after {n} of {}",
+            full.len()
+        );
+        // Called once per accepted step, never on the t = 0 sample.
+        assert_eq!(calls, n - 1);
+        assert_eq!(part.time(), &full.time()[..n]);
+        for node in [vin, out] {
+            assert_eq!(part.trace(node), &full.trace(node)[..n]);
+        }
+        assert!(part.trace(out)[n - 1] >= 0.5 && part.trace(out)[n - 2] < 0.5);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub struct Solver<'c> {
     /// The linear part, stamped once per solve and copied into `stamp`
     /// at the top of every iteration.
     lin_stamp: Stamp,
-    /// Reusable LU workspace (memoized factor/solve).
+    /// Reusable LU workspace: factor, solve and refinement buffers.
     ws: LuWorkspace,
     /// Device indices whose stamps ignore the Newton iterate.
     linear: Vec<usize>,
@@ -282,9 +282,8 @@ impl<'c> Solver<'c> {
                 self.x_new.clear();
                 self.x_new.extend_from_slice(&sol);
             } else {
-                // Memoized on the exact bit pattern of (A, z): quiescent
-                // transient steps restamp an identical system, so most of
-                // them skip the factorization (and often the whole solve).
+                // The linear image plus this iterate's nonlinear stamps,
+                // factored and solved in the reusable workspace.
                 self.stamp.copy_from(&self.lin_stamp);
                 stamp_devices(
                     &mut self.stamp,
@@ -296,7 +295,7 @@ impl<'c> Solver<'c> {
                     ctx,
                 );
                 self.ws
-                    .solve_memo_into(&self.stamp.a, &self.stamp.z, &mut self.x_new)?;
+                    .solve_refined_into(&self.stamp.a, &self.stamp.z, &mut self.x_new)?;
             }
 
             if poison_iterate {

@@ -94,33 +94,9 @@ impl Waveform {
     /// linearly interpolated, at or after `t_start`.
     pub fn crossings(&self, n: NodeId, level: f64, edge: EdgeKind, t_start: f64) -> Vec<f64> {
         let y = self.trace(n);
-        let mut out = Vec::new();
-        for i in 1..self.time.len() {
-            if self.time[i] < t_start {
-                continue;
-            }
-            let (y0, y1) = (y[i - 1], y[i]);
-            let rising = y0 < level && y1 >= level;
-            let falling = y0 > level && y1 <= level;
-            let hit = match edge {
-                EdgeKind::Rising => rising,
-                EdgeKind::Falling => falling,
-                EdgeKind::Any => rising || falling,
-            };
-            if hit {
-                let (t0, t1) = (self.time[i - 1], self.time[i]);
-                let frac = if (y1 - y0).abs() < f64::MIN_POSITIVE {
-                    0.0
-                } else {
-                    (level - y0) / (y1 - y0)
-                };
-                let t = t0 + frac * (t1 - t0);
-                if t >= t_start {
-                    out.push(t);
-                }
-            }
-        }
-        out
+        (1..self.time.len())
+            .filter_map(|i| interval_crossing(&self.time, y, i, level, edge, t_start))
+            .collect()
     }
 
     /// First crossing, or `None` if the trace never crosses — the
@@ -132,7 +108,24 @@ impl Waveform {
         edge: EdgeKind,
         t_start: f64,
     ) -> Option<f64> {
-        self.crossings(n, level, edge, t_start).into_iter().next()
+        let y = self.trace(n);
+        (1..self.time.len()).find_map(|i| interval_crossing(&self.time, y, i, level, edge, t_start))
+    }
+
+    /// The crossing on the newest sample interval (between the last two
+    /// samples), if it has one — the incremental form of
+    /// [`Waveform::crossings`] for a caller watching a waveform grow.
+    /// Called after every appended sample, it sees exactly the crossings
+    /// `crossings` reports, in the same order and bit for bit.
+    pub fn newest_crossing(
+        &self,
+        n: NodeId,
+        level: f64,
+        edge: EdgeKind,
+        t_start: f64,
+    ) -> Option<f64> {
+        let i = self.time.len().checked_sub(1).filter(|&i| i > 0)?;
+        interval_crossing(&self.time, self.trace(n), i, level, edge, t_start)
     }
 
     /// 50 %-to-50 % propagation delay from an input edge to the next output
@@ -172,6 +165,11 @@ impl Waveform {
         let y = self.trace(n);
         if self.time.is_empty() {
             return 0.0;
+        }
+        // A NaN time brackets no interval; like `final_value` on an empty
+        // waveform, it degrades to NaN instead of panicking.
+        if t.is_nan() {
+            return f64::NAN;
         }
         if t <= self.time[0] {
             return y[0];
@@ -217,6 +215,42 @@ impl Waveform {
         }
         s
     }
+}
+
+/// The crossing of `level` on the sample interval ending at index `i`
+/// (`1 ≤ i < time.len()`), linearly interpolated, when it goes in the
+/// `edge` direction and lands at or after `t_start`: the one test behind
+/// every crossing search.
+fn interval_crossing(
+    time: &[f64],
+    y: &[f64],
+    i: usize,
+    level: f64,
+    edge: EdgeKind,
+    t_start: f64,
+) -> Option<f64> {
+    if time[i] < t_start {
+        return None;
+    }
+    let (y0, y1) = (y[i - 1], y[i]);
+    let rising = y0 < level && y1 >= level;
+    let falling = y0 > level && y1 <= level;
+    let hit = match edge {
+        EdgeKind::Rising => rising,
+        EdgeKind::Falling => falling,
+        EdgeKind::Any => rising || falling,
+    };
+    if !hit {
+        return None;
+    }
+    let (t0, t1) = (time[i - 1], time[i]);
+    let frac = if (y1 - y0).abs() < f64::MIN_POSITIVE {
+        0.0
+    } else {
+        (level - y0) / (y1 - y0)
+    };
+    let t = t0 + frac * (t1 - t0);
+    (t >= t_start).then_some(t)
 }
 
 /// Appends `v` to the trace at `idx`, creating the slot (and any gap
@@ -309,6 +343,52 @@ mod tests {
         assert!((w.sample_at(n, 2.5) - 0.25).abs() < 1e-12);
         assert_eq!(w.sample_at(n, -1.0), 0.0);
         assert_eq!(w.sample_at(n, 100.0), 0.0);
+    }
+
+    #[test]
+    fn sample_at_nan_time_is_nan() {
+        let (w, n) = ramp_wave();
+        assert!(w.sample_at(n, f64::NAN).is_nan());
+    }
+
+    /// Seeded random traces on a coarse level grid, so samples often sit
+    /// exactly on the crossing level: `first_crossing`, `crossings` and a
+    /// sample-by-sample `newest_crossing` scan must agree bit for bit.
+    #[test]
+    fn crossing_searches_agree_on_random_traces() {
+        let mut c = crate::Circuit::new();
+        let n = c.node("x");
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |k: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % k
+        };
+        for _ in 0..50 {
+            let mut w = Waveform::new();
+            let mut grown = Vec::new();
+            let mut t = 0.0;
+            for _ in 0..40 {
+                t += 0.25 * next(5) as f64;
+                w.push_sample(t, [(n, 0.25 * next(5) as f64)], []);
+                grown.push(w.clone());
+            }
+            for edge in [EdgeKind::Rising, EdgeKind::Falling, EdgeKind::Any] {
+                for t_start in [-1.0, 0.0, 1.3, 2.5, 7.0, 1e9] {
+                    let all = w.crossings(n, 0.5, edge, t_start);
+                    assert_eq!(
+                        w.first_crossing(n, 0.5, edge, t_start),
+                        all.first().copied()
+                    );
+                    let scanned: Vec<f64> = grown
+                        .iter()
+                        .filter_map(|g| g.newest_crossing(n, 0.5, edge, t_start))
+                        .collect();
+                    assert_eq!(scanned, all);
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 RUSTFLAGS="-C debug-assertions=on" cargo test -q --offline --workspace \
     --release --target-dir target/debug-assert
 
+# Step-size oracle: Table 1 regenerated at a fixed 0.25 ps step must keep
+# every verdict and move no delay by more than 0.1 ps.
+cargo test --release --offline -q -p obd-core --test table1_step_oracle -- --ignored
+
 # Smoke the observability layer end to end: `repro stats` must emit a
 # parseable metrics snapshot with the key engine counters nonzero.
 ./target/release/repro stats
