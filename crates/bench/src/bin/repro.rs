@@ -77,7 +77,7 @@ fn run_fig6(tech: &TechParams, cfg: &BenchConfig) {
                     .unwrap_or_else(|| "never (stuck high)".to_string());
                 println!("  {:<12} output 50% fall at {c}", t.label);
             }
-            save("fig6.csv", &waveforms::to_csv(&traces));
+            save("fig6.csv", &waveforms::to_csv(&traces, cfg.step_ps * 1e-12));
         }
         Err(e) => eprintln!("  error: {e}"),
     }
@@ -94,7 +94,7 @@ fn run_fig7(tech: &TechParams, cfg: &BenchConfig) {
                     .unwrap_or_else(|| "never (stuck low)".to_string());
                 println!("  {:<24} output 50% rise at {c}", t.label);
             }
-            save("fig7.csv", &waveforms::to_csv(&traces));
+            save("fig7.csv", &waveforms::to_csv(&traces, cfg.step_ps * 1e-12));
         }
         Err(e) => eprintln!("  error: {e}"),
     }
@@ -107,33 +107,11 @@ fn run_fig9(tech: &TechParams, cfg: &BenchConfig) {
             let text = fig9::render(&rows);
             println!("{text}");
             save("fig9.txt", &text);
-            let mut csv = String::from("time");
-            let n = rows
+            let columns: Vec<(&str, &[(f64, f64)])> = rows
                 .iter()
-                .map(|r| r.output_trace.len())
-                .filter(|&n| n > 0)
-                .min()
-                .unwrap_or(0);
-            for r in &rows {
-                csv.push_str(&format!(",{}", r.label));
-            }
-            csv.push('\n');
-            for i in 0..n {
-                let t = rows
-                    .iter()
-                    .find(|r| !r.output_trace.is_empty())
-                    .map(|r| r.output_trace[i].0)
-                    .unwrap_or(0.0);
-                csv.push_str(&format!("{t:.4e}"));
-                for r in &rows {
-                    if r.output_trace.is_empty() {
-                        csv.push(',');
-                    } else {
-                        csv.push_str(&format!(",{:.4}", r.output_trace[i].1));
-                    }
-                }
-                csv.push('\n');
-            }
+                .map(|r| (r.label.as_str(), r.output_trace.as_slice()))
+                .collect();
+            let csv = waveforms::grid_csv(&columns, cfg.step_ps * 1e-12);
             save("fig9.csv", &csv);
         }
         Err(e) => eprintln!("  error: {e}"),

@@ -147,26 +147,65 @@ pub fn fig7(tech: &TechParams, cfg: &BenchConfig) -> Result<Vec<LabeledTrace>, O
     ])
 }
 
-/// Renders traces to CSV: `time,<label outputs...>` (uses the common time
-/// axis of the first trace; all traces share the fixed transient step).
-pub fn to_csv(traces: &[LabeledTrace]) -> String {
+/// Renders the traces' outputs as CSV, `time,<labels...>`, on the print
+/// grid `k·step_s` (see [`grid_csv`]).
+pub fn to_csv(traces: &[LabeledTrace], step_s: f64) -> String {
+    let columns: Vec<(&str, &[(f64, f64)])> = traces
+        .iter()
+        .map(|t| (t.label.as_str(), t.output.as_slice()))
+        .collect();
+    grid_csv(&columns, step_s)
+}
+
+/// Renders labelled `(time_s, volts)` traces as CSV, `time,<labels...>`,
+/// on the print grid `k·step_s` from 0 to the end of the shortest
+/// non-empty trace. The transient chooses its own steps, so each trace
+/// has its own time grid: every trace is resampled onto the print grid
+/// by linear interpolation, never paired with the others by sample
+/// index. An empty trace prints empty cells.
+pub fn grid_csv(columns: &[(&str, &[(f64, f64)])], step_s: f64) -> String {
     let mut s = String::from("time");
-    for t in traces {
-        s.push_str(&format!(",{}", t.label.replace(',', ";")));
+    for (label, _) in columns {
+        s.push_str(&format!(",{}", label.replace(',', ";")));
     }
     s.push('\n');
-    if traces.is_empty() {
+    let t_end = columns
+        .iter()
+        .filter_map(|(_, points)| points.last().map(|&(t, _)| t))
+        .reduce(f64::min);
+    let Some(t_end) = t_end else {
         return s;
-    }
-    let n = traces.iter().map(|t| t.output.len()).min().unwrap_or(0);
-    for i in 0..n {
-        s.push_str(&format!("{:.4e}", traces[0].output[i].0));
-        for t in traces {
-            s.push_str(&format!(",{:.4}", t.output[i].1));
+    };
+    // The tolerance keeps a grid point that floating-point rounding puts a
+    // hair past the end of the window.
+    let rows = (t_end / step_s + 1e-6).floor() as usize + 1;
+    for k in 0..rows {
+        let t = k as f64 * step_s;
+        s.push_str(&format!("{t:.4e}"));
+        for (_, points) in columns {
+            if points.is_empty() {
+                s.push(',');
+            } else {
+                s.push_str(&format!(",{:.4}", value_at(points, t)));
+            }
         }
         s.push('\n');
     }
     s
+}
+
+/// Value of `(time, value)` samples at `t`: linear interpolation between
+/// the bracketing samples, clamped at the ends, as
+/// [`obd_spice::Waveform::sample_at`] does. `points` must be non-empty.
+fn value_at(points: &[(f64, f64)], t: f64) -> f64 {
+    let i = points.partition_point(|&(ti, _)| ti < t);
+    match (i.checked_sub(1).map(|j| points[j]), points.get(i)) {
+        (Some((t0, y0)), Some(&(t1, y1))) if t1 > t && t1 > t0 => {
+            y0 + (y1 - y0) * (t - t0) / (t1 - t0)
+        }
+        (_, Some(&(_, y))) | (Some((_, y)), None) => y,
+        (None, None) => f64::NAN,
+    }
 }
 
 /// Half-crossing time of a trace after `t_start`, if any.
@@ -242,7 +281,49 @@ mod tests {
         cfg.step_ps = 20.0;
         cfg.window_ps = 1000.0;
         let traces = fig7(&tech, &cfg).unwrap();
-        let csv = to_csv(&traces);
+        let csv = to_csv(&traces, cfg.step_ps * 1e-12);
         assert_eq!(csv.lines().next().unwrap().split(',').count(), 6);
+    }
+
+    /// Traces on different time grids are resampled onto the print grid,
+    /// not paired by sample index: a ramp sampled every 1 s and the same
+    /// ramp sampled at 0, 1.5 and 3 s print the same values.
+    #[test]
+    fn csv_resamples_traces_on_different_grids() {
+        let ramp = |times: &[f64]| times.iter().map(|&t| (t, 2.0 * t)).collect();
+        let traces = [
+            LabeledTrace {
+                label: "fine".into(),
+                output: ramp(&[0.0, 1.0, 2.0, 3.0, 4.0]),
+                input: Vec::new(),
+            },
+            LabeledTrace {
+                label: "coarse, uneven".into(),
+                output: ramp(&[0.0, 1.5, 3.0]),
+                input: Vec::new(),
+            },
+        ];
+        let csv = to_csv(&traces, 0.5);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines[0], "time,fine,coarse; uneven");
+        // The grid ends with the shorter trace, at 3 s.
+        assert_eq!(lines.len(), 1 + 7);
+        for (k, line) in lines[1..].iter().enumerate() {
+            let want = 2.0 * 0.5 * k as f64;
+            let cells: Vec<&str> = line.split(',').collect();
+            assert_eq!(cells[0], format!("{:.4e}", 0.5 * k as f64));
+            assert_eq!(cells[1], format!("{want:.4}"), "row {k}: {line}");
+            assert_eq!(cells[2], format!("{want:.4}"), "row {k}: {line}");
+        }
+    }
+
+    /// An empty trace prints empty cells; one sample clamps to its value.
+    #[test]
+    fn grid_csv_handles_empty_and_single_sample_traces() {
+        let single = [(0.0, 1.25)];
+        let ramp = [(0.0, 0.0), (2.0, 2.0)];
+        let csv = grid_csv(&[("a", &ramp), ("b", &[]), ("c", &single)], 1.0);
+        assert_eq!(csv, "time,a,b,c\n0.0000e0,0.0000,,1.2500\n");
+        assert_eq!(grid_csv(&[("b", &[])], 1.0), "time,b\n");
     }
 }

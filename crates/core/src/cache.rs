@@ -42,7 +42,7 @@ fn store_digest(
     v2: [bool; 2],
     cfg: &BenchConfig,
 ) -> u64 {
-    let mut d = Digest::new("core.delay.v1");
+    let mut d = Digest::new("core.delay.v2");
     for v in [
         tech.vdd,
         tech.nmos_vt0,

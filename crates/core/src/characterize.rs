@@ -290,10 +290,10 @@ pub fn run_cell_bench(
 /// stops at the first sample that decides the verdict (unless
 /// `cfg.sim_full_window` is set): once the output crossing after the
 /// reference crossing is in, or — under a capture limit — once the run
-/// is two steps past `t_in + at_speed_ps`, where any later crossing is
-/// stuck either way. The stopped waveform is a bit-identical prefix of
-/// the full-window one and holds every crossing the verdict reads, so
-/// the outcome equals the full-window outcome bit for bit.
+/// is two nominal steps past `t_in + at_speed_ps`, where any later
+/// crossing is stuck either way. The stopped waveform is a bit-identical
+/// prefix of the full-window one and holds every crossing the verdict
+/// reads, so the outcome equals the full-window outcome bit for bit.
 ///
 /// # Errors
 ///

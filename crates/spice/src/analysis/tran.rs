@@ -1,17 +1,38 @@
-//! Fixed-step transient analysis.
+//! Transient analysis with local-error step control.
 //!
 //! The integrator is trapezoidal by default (with a backward-Euler startup
-//! step to establish consistent capacitor history) and retries a failed
-//! timestep at progressively smaller sub-steps. Every accepted step is
-//! recorded into a [`Waveform`]; [`transient_until`] can end the run at
-//! the first sample a caller's predicate accepts.
+//! step to establish consistent capacitor history). With the transient
+//! predictor on ([`SimOptions::predictor`], the default), each step's
+//! size follows its local error: the distance between the predictor's
+//! extrapolated seed and the converged solution. Quiet stretches grow the
+//! step up to [`MAX_STEP_RATIO`] nominal steps, a step whose error
+//! exceeds [`LTE_VTOL`] is retried shorter, and steps land exactly on
+//! every source breakpoint ([`SourceWave::breakpoints`]) and restart
+//! there at the nominal step. The control never proposes a step below
+//! the nominal `TranParams::step`; only a breakpoint or a convergence
+//! halving cuts one shorter. With the predictor off the run keeps the
+//! fixed grid of the nominal step.
+//!
+//! A step that fails to converge is retried at progressively smaller
+//! sub-steps. Every accepted step is recorded into a [`Waveform`];
+//! [`transient_until`] can end the run at the first sample a caller's
+//! predicate accepts.
+//!
+//! [`SourceWave::breakpoints`]: crate::devices::SourceWave::breakpoints
 
 use crate::circuit::Circuit;
-use crate::devices::{EvalCtx, Integration};
+use crate::devices::{Device, EvalCtx, Integration};
 use crate::engine::Solver;
 use crate::{SimOptions, SpiceError, Waveform};
 use obd_chaos::InjectionPoint;
 use obd_metrics::Counter;
+
+/// Local-error tolerance of the step control (volts): the largest node
+/// distance between a step's predicted seed and its converged solution
+/// that a step longer than the nominal one may keep.
+pub const LTE_VTOL: f64 = 100e-6;
+/// Longest step the step control may take, in nominal steps.
+pub const MAX_STEP_RATIO: f64 = 32.0;
 
 /// Transient steps accepted into the waveform.
 static TRAN_STEPS_ACCEPTED: Counter = Counter::new("spice.tran_steps_accepted");
@@ -19,8 +40,12 @@ static TRAN_STEPS_ACCEPTED: Counter = Counter::new("spice.tran_steps_accepted");
 static TRAN_PREDICTOR_HITS: Counter = Counter::new("spice.tran_predictor_hits");
 /// Steps where the predictor seed failed and the halving path ran.
 static TRAN_PREDICTOR_FALLBACKS: Counter = Counter::new("spice.tran_predictor_fallbacks");
-/// Step rejections: each convergence failure that triggered a halving.
+/// Step rejections for convergence: each failure that triggered a
+/// halving, or sent a longer-than-nominal step back to the nominal one.
 static TRAN_STEP_REJECTIONS: Counter = Counter::new("spice.tran_step_rejections");
+/// Step rejections for local error: converged steps longer than nominal
+/// whose error estimate exceeded [`LTE_VTOL`], retried shorter.
+static TRAN_LTE_REJECTIONS: Counter = Counter::new("spice.tran_lte_rejections");
 /// Steps whose halving retries ran out and climbed the escalation ladder.
 static TRAN_ESCALATIONS: Counter = Counter::new("spice.tran_escalations");
 
@@ -41,7 +66,8 @@ pub enum TranMethod {
 /// Transient analysis parameters.
 #[derive(Debug, Clone)]
 pub struct TranParams {
-    /// Timestep (seconds).
+    /// Nominal timestep (seconds): the fixed grid with the predictor off,
+    /// and the shortest step the step control takes with it on.
     pub step: f64,
     /// Stop time (seconds); the analysis runs from t = 0 to `stop`.
     pub stop: f64,
@@ -156,45 +182,71 @@ pub fn transient_until(
     // Double-buffer the solution so the steady-state loop never allocates:
     // each step solves from `x` into `x_next`, then the two are swapped.
     let mut x_next = vec![0.0; solver.dim()];
-    // Predictor state: the solution accepted two steps back and the
-    // extrapolated seed built from it, both preallocated.
+    // Predictor state: the solution accepted one step back, the size of
+    // that step, and the extrapolated seed, all preallocated.
     let mut x_prev = x.clone();
+    let mut h_prev = params.step;
     let mut x_pred = vec![0.0; solver.dim()];
+    let node_rows = ckt.num_nodes() - 1;
+    // Step control reads its error estimate off the predictor, so without
+    // the predictor the run keeps the fixed grid of `params.step`.
+    let breakpoints = if opts.predictor {
+        source_breakpoints(ckt, params)
+    } else {
+        Vec::new()
+    };
+    let mut next_bp = 0;
+    // Proposed size of the next step.
+    let mut h = params.step;
     while t < params.stop {
-        // Clamp the final step so the window ends with exactly one sample
-        // at `stop`: a window whose length is not an integer multiple of
-        // `step` merges the sub-half-step remainder into the last step
-        // instead of skipping it, and accumulated floating-point drift can
-        // neither skip the final sample nor emit a duplicate near `stop`.
-        let mut target = t + params.step;
-        if target >= params.stop - 0.5 * params.step {
-            target = params.stop;
-        }
         solver.begin_solve_budget();
         let mut stepped = false;
+        let mut target = step_target(t, h, params, breakpoints.get(next_bp));
         if opts.predictor && !first_step {
-            // Seed Newton with the linear extrapolation of the last two
-            // accepted solutions; a smooth waveform converges from it in
-            // fewer iterations than from the previous solution alone.
-            for ((p, &cur), &prev) in x_pred.iter_mut().zip(x.iter()).zip(x_prev.iter()) {
-                *p = 2.0 * cur - prev;
-            }
-            stepped = attempt_step(
-                ckt,
-                &mut solver,
-                opts,
-                params,
-                &x_pred,
-                &mut x_next,
-                target,
-                t,
-                first_step,
-            )
-            .is_ok();
-            if stepped {
-                TRAN_PREDICTOR_HITS.inc();
-            } else {
-                TRAN_PREDICTOR_FALLBACKS.inc();
+            loop {
+                // Seed Newton with the linear extrapolation of the last two
+                // accepted solutions; a smooth waveform converges from it in
+                // fewer iterations than from the previous solution alone, and
+                // its distance from the converged point estimates the step's
+                // local error.
+                let ratio = (target - t) / h_prev;
+                for ((p, &cur), &prev) in x_pred.iter_mut().zip(x.iter()).zip(x_prev.iter()) {
+                    *p = cur + ratio * (cur - prev);
+                }
+                match attempt_step(&mut solver, opts, params, &x_pred, &mut x_next, t, target) {
+                    Ok(ctx) => {
+                        let err = x_next[..node_rows]
+                            .iter()
+                            .zip(&x_pred[..node_rows])
+                            .fold(0.0, |m: f64, (a, b)| m.max((a - b).abs()));
+                        let scale = 0.9 * (LTE_VTOL / err).sqrt();
+                        if err <= LTE_VTOL || h <= params.step {
+                            accept(ckt, &mut solver, &x_next, &ctx);
+                            TRAN_PREDICTOR_HITS.inc();
+                            h = (h * scale.min(2.0))
+                                .clamp(params.step, MAX_STEP_RATIO * params.step);
+                            stepped = true;
+                            break;
+                        }
+                        // Too long for the tolerance: retry shorter, with no
+                        // device history committed. Shrinking from the step
+                        // actually taken (cut short by a breakpoint, or
+                        // stretched onto one) keeps each retry shorter.
+                        TRAN_LTE_REJECTIONS.inc();
+                        h = (h.min(target - t) * scale.max(0.25)).max(params.step);
+                    }
+                    Err(_) if h > params.step => {
+                        // A long step that fails to converge retries at the
+                        // nominal step before the halving path takes over.
+                        TRAN_STEP_REJECTIONS.inc();
+                        h = params.step;
+                    }
+                    Err(_) => {
+                        TRAN_PREDICTOR_FALLBACKS.inc();
+                        break;
+                    }
+                }
+                target = step_target(t, h, params, breakpoints.get(next_bp));
             }
         }
         if !stepped {
@@ -211,10 +263,17 @@ pub fn transient_until(
                 first_step,
                 params.max_step_halvings,
             )?;
+            h = params.step;
+        }
+        if breakpoints.get(next_bp) == Some(&target) {
+            // The source slope may jump here: restart from the nominal step.
+            next_bp += 1;
+            h = params.step;
         }
         TRAN_STEPS_ACCEPTED.inc();
         x_prev.copy_from_slice(&x);
         std::mem::swap(&mut x, &mut x_next);
+        h_prev = target - t;
         t = target;
         first_step = false;
         record(ckt, &solver, &x, t, &mut wave);
@@ -225,22 +284,62 @@ pub fn transient_until(
     Ok(wave)
 }
 
-/// One solve attempt from `seed` over `[t0, t1]` with no retries; device
-/// history is committed only on success, so a failed predicted step leaves
-/// the solver exactly where the fallback expects it.
-#[allow(clippy::too_many_arguments)]
+/// End of the step of proposed size `h` from `t`: the next edge (the
+/// source breakpoint `bp`, else `stop`) when the step would end within
+/// half a nominal step of it. The grid so lands exactly on every edge,
+/// leaves no sliver step before one, and never passes one. With no
+/// breakpoints and `h` at the nominal step this is the fixed grid: it
+/// ends with exactly one sample at `stop`, whether or not the window is
+/// an integer multiple of the step, and floating-point drift can neither
+/// skip that sample nor emit a duplicate near it.
+fn step_target(t: f64, h: f64, params: &TranParams, bp: Option<&f64>) -> f64 {
+    let edge = bp.copied().unwrap_or(params.stop);
+    if t + h >= edge - 0.5 * params.step {
+        edge
+    } else {
+        t + h
+    }
+}
+
+/// Every independent source's breakpoints in `(0, stop)`, ascending, with
+/// any closer than a hundredth of a step to the one before merged into
+/// it: steps that short would only hurt conditioning.
+fn source_breakpoints(ckt: &Circuit, params: &TranParams) -> Vec<f64> {
+    let mut all: Vec<f64> = ckt
+        .devices()
+        .iter()
+        .flat_map(|d| match d {
+            Device::Vsource(v) => v.wave.breakpoints(params.stop),
+            Device::Isource(i) => i.wave.breakpoints(params.stop),
+            _ => Vec::new(),
+        })
+        .collect();
+    all.sort_by(f64::total_cmp);
+    let mut last = 0.0;
+    all.retain(|&b| {
+        let keep = b - last >= 0.01 * params.step;
+        if keep {
+            last = b;
+        }
+        keep
+    });
+    all
+}
+
+/// One solve attempt from `seed` over `[t0, t1]` with no retries. Device
+/// history is not committed: the caller accepts the solution with the
+/// returned context, or rejects it and leaves the solver exactly where
+/// a retry or the fallback expects it.
 fn attempt_step(
-    ckt: &Circuit,
     solver: &mut Solver<'_>,
     opts: &SimOptions,
     params: &TranParams,
     seed: &[f64],
     out: &mut Vec<f64>,
-    t1: f64,
     t0: f64,
-    startup: bool,
-) -> Result<(), SpiceError> {
-    let ctx = step_ctx(opts, params, t1, t1 - t0, startup);
+    t1: f64,
+) -> Result<EvalCtx, SpiceError> {
+    let ctx = step_ctx(opts, params, t1, t1 - t0, false);
     if CHAOS_STEP_REJECT.fire() {
         return Err(SpiceError::Convergence {
             analysis: "tran",
@@ -250,8 +349,7 @@ fn attempt_step(
     }
     solver.newton_into(&ctx, seed, out)?;
     check_finite(out, t1)?;
-    accept(ckt, solver, out, &ctx);
-    Ok(())
+    Ok(ctx)
 }
 
 /// Guard between solve and history commit: a non-finite solution must
@@ -500,9 +598,17 @@ mod tests {
         assert!((lo - 1.5).abs() < 1e-6 && (hi - 1.5).abs() < 1e-6);
     }
 
-    /// End-of-window clamping: whether or not the window is an integer
-    /// multiple of the step, the waveform ends with exactly one sample at
-    /// exactly `stop` and none beyond it.
+    /// Options that pin the fixed grid of the nominal step.
+    fn fixed_grid() -> SimOptions {
+        SimOptions {
+            predictor: false,
+            ..SimOptions::new()
+        }
+    }
+
+    /// End-of-window clamping on the fixed grid: whether or not the window
+    /// is an integer multiple of the step, the waveform ends with exactly
+    /// one sample at exactly `stop` and none beyond it.
     #[test]
     fn final_sample_lands_exactly_on_stop() {
         let build = || {
@@ -523,7 +629,8 @@ mod tests {
         // the half-step clamp threshold.
         for (step, stop) in [(2e-12, 10e-12), (3e-12, 10e-12), (4e-12, 10e-12)] {
             let c = build();
-            let wave = transient(&c, &TranParams::new(step, stop)).unwrap();
+            let wave =
+                transient_with_options(&c, &TranParams::new(step, stop), &fixed_grid()).unwrap();
             let times = wave.time();
             let at_stop = times.iter().filter(|&&t| t == stop).count();
             assert_eq!(at_stop, 1, "step {step:e}: exactly one sample at stop");
@@ -539,8 +646,8 @@ mod tests {
         }
     }
 
-    /// An integer-multiple window produces the same uniform grid as the
-    /// pre-clamp stepper: 0, h, 2h, …, stop.
+    /// On the fixed grid, an integer-multiple window produces the same
+    /// uniform grid as the pre-clamp stepper: 0, h, 2h, …, stop.
     #[test]
     fn integer_multiple_window_grid_is_uniform() {
         let mut c = Circuit::new();
@@ -552,12 +659,110 @@ mod tests {
             SourceWave::dc(1.0),
         ));
         c.add_resistor(Resistor::new("R1", vin, Circuit::GROUND, 1e3));
-        let wave = transient(&c, &TranParams::new(2e-12, 10e-12)).unwrap();
+        let wave =
+            transient_with_options(&c, &TranParams::new(2e-12, 10e-12), &fixed_grid()).unwrap();
         let times = wave.time();
         assert_eq!(times.len(), 6);
         for (i, &t) in times.iter().enumerate() {
             assert!((t - 2e-12 * i as f64).abs() < 1e-18, "sample {i} at {t:e}");
         }
+    }
+
+    /// Steps land exactly on every PWL corner, and the run ends exactly
+    /// at `stop`.
+    #[test]
+    fn steps_land_on_every_pwl_corner() {
+        let corners = [0.3e-9, 0.35e-9, 1.234567e-9, 1.3e-9, 2.5e-9];
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let out = c.node("out");
+        let wave = SourceWave::pwl(vec![
+            (0.0, 0.0),
+            (corners[0], 0.0),
+            (corners[1], 1.0),
+            (corners[2], 1.0),
+            (corners[3], 0.2),
+            (corners[4], 0.7),
+        ]);
+        c.add_vsource(Vsource::new("V1", vin, Circuit::GROUND, wave));
+        c.add_resistor(Resistor::new("R1", vin, out, 1e3));
+        c.add_capacitor(Capacitor::new("C1", out, Circuit::GROUND, 0.2e-12));
+        let wave = transient(&c, &TranParams::new(2e-12, 4e-9)).unwrap();
+        let times = wave.time();
+        for corner in corners {
+            assert_eq!(
+                times.iter().filter(|&&t| t == corner).count(),
+                1,
+                "no sample exactly at the corner {corner:e}"
+            );
+        }
+        assert_eq!(*times.last().unwrap(), 4e-9);
+        // The quiet stretches ran on steps longer than the nominal one.
+        assert!(times.len() < 2000 / 2, "{} samples", times.len());
+    }
+
+    /// A 50 ps edge, slowed by an RC, switches a CMOS inverter between
+    /// source breakpoints: the step has grown on the slow RC tail when the
+    /// inverter output snaps, so a long step misses the tolerance and is
+    /// counted as a local-error rejection.
+    #[test]
+    fn fast_edge_triggers_lte_rejections() {
+        use crate::devices::{MosParams, MosPolarity, Mosfet};
+        obd_metrics::enable();
+        let lte = TRAN_LTE_REJECTIONS.get();
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let vin = c.node("in");
+        let gate = c.node("gate");
+        let out = c.node("out");
+        c.add_vsource(Vsource::new(
+            "VDD",
+            vdd,
+            Circuit::GROUND,
+            SourceWave::dc(3.3),
+        ));
+        c.add_vsource(Vsource::new(
+            "VIN",
+            vin,
+            Circuit::GROUND,
+            SourceWave::step(0.0, 3.3, 0.2e-9, 50e-12),
+        ));
+        c.add_resistor(Resistor::new("R1", vin, gate, 10e3));
+        c.add_capacitor(Capacitor::new("C1", gate, Circuit::GROUND, 0.1e-12));
+        let mos = MosParams {
+            vt0: 0.6,
+            kp: 100e-6,
+            lambda: 0.02,
+            gamma: 0.0,
+            phi: 0.7,
+            w: 4e-6,
+            l: 0.5e-6,
+        };
+        c.add_mosfet(Mosfet::new(
+            "MN",
+            MosPolarity::Nmos,
+            out,
+            gate,
+            Circuit::GROUND,
+            Circuit::GROUND,
+            mos,
+        ));
+        c.add_mosfet(Mosfet::new(
+            "MP",
+            MosPolarity::Pmos,
+            out,
+            gate,
+            vdd,
+            vdd,
+            mos,
+        ));
+        c.add_capacitor(Capacitor::new("CL", out, Circuit::GROUND, 5e-15));
+        let wave = transient(&c, &TranParams::new(2e-12, 3e-9)).unwrap();
+        assert!(wave.final_value(out) < 0.1, "inverter output must fall");
+        assert!(
+            TRAN_LTE_REJECTIONS.get() > lte,
+            "no local-error rejection across the switching inverter"
+        );
     }
 
     #[test]

@@ -60,6 +60,33 @@ impl SourceWave {
         }
     }
 
+    /// The times in `(0, stop)` where the waveform's slope may jump: every
+    /// PWL point and every pulse corner (start and end of each rise and
+    /// fall), ascending. A transient lands a step exactly on each one.
+    pub fn breakpoints(&self, stop: f64) -> Vec<f64> {
+        let inside = |t: f64| t > 0.0 && t < stop;
+        let mut out: Vec<f64> = match self {
+            SourceWave::Dc(_) => Vec::new(),
+            SourceWave::Pwl(pts) => pts.iter().map(|&(t, _)| t).filter(|&t| inside(t)).collect(),
+            SourceWave::Pulse(p) => {
+                let corners = [0.0, p.rise, p.rise + p.width, p.rise + p.width + p.fall];
+                let mut out = Vec::new();
+                let mut start = p.delay;
+                while start < stop {
+                    out.extend(corners.iter().map(|c| start + c).filter(|&t| inside(t)));
+                    if p.period <= 0.0 {
+                        break;
+                    }
+                    start += p.period;
+                }
+                out
+            }
+        };
+        out.sort_by(f64::total_cmp);
+        out.dedup();
+        out
+    }
+
     pub(crate) fn validate(&self) -> Result<(), String> {
         match self {
             SourceWave::Dc(v) => {
@@ -244,6 +271,60 @@ mod tests {
         assert!((w.value(4.5) - 0.5).abs() < 1e-12); // falling
         assert_eq!(w.value(6.0), 0.0); // low again
         assert!((w.value(11.5) - 0.5).abs() < 1e-12); // periodic repeat
+    }
+
+    #[test]
+    fn dc_has_no_breakpoints() {
+        assert!(SourceWave::dc(1.0).breakpoints(1.0).is_empty());
+    }
+
+    #[test]
+    fn pwl_breakpoints_are_its_interior_points() {
+        // The t = 0 point and the points at or past `stop` are dropped.
+        let w = SourceWave::pwl(vec![
+            (0.0, 0.0),
+            (1.0, 1.0),
+            (1.0, 2.0),
+            (3.0, 0.0),
+            (5.0, 1.0),
+        ]);
+        assert_eq!(w.breakpoints(5.0), vec![1.0, 3.0]);
+        assert_eq!(w.breakpoints(6.0), vec![1.0, 3.0, 5.0]);
+        let step = SourceWave::step(0.0, 3.3, 1e-9, 50e-12);
+        assert_eq!(step.breakpoints(4e-9), vec![1e-9, 1e-9 + 50e-12]);
+    }
+
+    #[test]
+    fn pulse_breakpoints_are_its_corners() {
+        let single = PulseSpec {
+            v1: 0.0,
+            v2: 1.0,
+            delay: 1.0,
+            rise: 1.0,
+            fall: 1.0,
+            width: 2.0,
+            period: 0.0,
+        };
+        assert_eq!(
+            SourceWave::Pulse(single).breakpoints(100.0),
+            vec![1.0, 2.0, 4.0, 5.0]
+        );
+        // Cut at `stop`: only the corners strictly inside remain.
+        assert_eq!(SourceWave::Pulse(single).breakpoints(4.0), vec![1.0, 2.0]);
+        let periodic = SourceWave::Pulse(PulseSpec {
+            period: 10.0,
+            ..single
+        });
+        assert_eq!(
+            periodic.breakpoints(22.0),
+            vec![1.0, 2.0, 4.0, 5.0, 11.0, 12.0, 14.0, 15.0, 21.0]
+        );
+        // A zero delay puts the first corner at t = 0, which is excluded.
+        let at_zero = SourceWave::Pulse(PulseSpec {
+            delay: 0.0,
+            ..single
+        });
+        assert_eq!(at_zero.breakpoints(100.0), vec![1.0, 3.0, 4.0]);
     }
 
     #[test]

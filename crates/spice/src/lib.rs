@@ -11,9 +11,9 @@
 //! * **Nonlinear solution** by Newton–Raphson with per-junction `pnjlim`
 //!   limiting, global gmin, gmin stepping and source stepping ([`engine`]).
 //! * **Analyses**: DC operating point, DC sweeps (for voltage-transfer
-//!   characteristics like the paper's Fig. 4) and fixed-step trapezoidal /
-//!   backward-Euler transient analysis (for the delay measurements of
-//!   Table 1 and Figs. 6, 7, 9) ([`analysis`]).
+//!   characteristics like the paper's Fig. 4) and trapezoidal /
+//!   backward-Euler transient analysis with local-error step control (for
+//!   the delay measurements of Table 1 and Figs. 6, 7, 9) ([`analysis`]).
 //! * **Waveform post-processing**: threshold crossings and 50 %-to-50 %
 //!   propagation-delay measurement, including "never switched" detection
 //!   that the paper reports as `sa-0`/`sa-1` rows ([`waveform`]).

@@ -50,6 +50,13 @@ pub struct SimOptions {
     /// previous solution alone. Converges in fewer iterations on smooth
     /// waveforms; a step that fails from the predicted seed is retried
     /// from the unpredicted one, so robustness is unchanged.
+    ///
+    /// The predictor also drives the transient's step control: the
+    /// distance between the predicted seed and the converged solution is
+    /// each step's local-error estimate, which grows steps on quiet
+    /// stretches and shortens them where the solution bends (see
+    /// [`analysis::tran`](crate::analysis::tran)). With the predictor off
+    /// the transient runs on the fixed grid of `TranParams::step`.
     pub predictor: bool,
     /// Hard ceiling on Newton iterations spent on one top-level solve —
     /// an operating point including its whole escalation ladder, or one

@@ -3,7 +3,7 @@
 
 use obd_spice::analysis::dc::{dc_sweep, DcSweep};
 use obd_spice::analysis::op::operating_point;
-use obd_spice::analysis::tran::{transient, TranParams};
+use obd_spice::analysis::tran::{transient, transient_with_options, TranParams};
 use obd_spice::devices::{
     Capacitor, Diode, DiodeParams, Isource, MosParams, MosPolarity, Mosfet, Resistor, SourceWave,
     Vsource,
@@ -217,6 +217,15 @@ fn rc_discharge_exponential() {
     }
 }
 
+/// Options that pin the fixed grid of the nominal step: the tests below
+/// measure the integrator, not the step control.
+fn fixed_grid() -> SimOptions {
+    SimOptions {
+        predictor: false,
+        ..SimOptions::new()
+    }
+}
+
 /// Convergence order by step halving: an RC charge from 0 V toward a
 /// 1 V supply (τ = 1 ns) is sampled at t = τ with steps h, h/2 and h/4,
 /// and each error is taken against the closed form 1 − e^{−t/τ}.
@@ -239,7 +248,7 @@ fn step_halving_shows_integration_order() {
         if backward_euler {
             params = params.with_backward_euler();
         }
-        let wave = transient(&ckt, &params).unwrap();
+        let wave = transient_with_options(&ckt, &params, &fixed_grid()).unwrap();
         // The window ends exactly at `tau`, so no interpolation enters.
         (wave.final_value(out) - (1.0 - (-1.0f64).exp())).abs()
     };
@@ -283,7 +292,7 @@ fn source_charge_equals_stored_charge() {
             if backward_euler {
                 params = params.with_backward_euler();
             }
-            let wave = transient(&ckt, &params).unwrap();
+            let wave = transient_with_options(&ckt, &params, &fixed_grid()).unwrap();
             let (t, v_in, v_out) = (wave.time(), wave.trace(vin), wave.trace(out));
             let current = |k: usize| (v_in[k] - v_out[k]) / r;
             let delivered: f64 = (1..t.len())

@@ -19,9 +19,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 RUSTFLAGS="-C debug-assertions=on" cargo test -q --offline --workspace \
     --release --target-dir target/debug-assert
 
-# Step-size oracle: Table 1 regenerated at a fixed 0.25 ps step must keep
-# every verdict and move no delay by more than 0.1 ps.
+# Step-size oracle: Table 1 regenerated on a fixed 0.25 ps grid (the
+# predictor, and with it the step control, off) must keep every verdict
+# of the default adaptive-step run and move no delay by more than 0.1 ps.
 cargo test --release --offline -q -p obd-core --test table1_step_oracle -- --ignored
+
+# The rendered Table 1 and Fig. 9 table must stay byte-identical to the
+# committed copies: a change to stepping, stopping or measurement may move
+# a delay by hundredths of a picosecond, never a printed digit.
+./target/release/repro table1
+./target/release/repro fig9
+git diff --exit-code results/table1.txt results/fig9.txt
 
 # Smoke the observability layer end to end: `repro stats` must emit a
 # parseable metrics snapshot with the key engine counters nonzero.
