@@ -115,84 +115,6 @@ pub fn exact_cover(matrix: &[Vec<bool>], coverable: &[bool], node_budget: usize)
     search.best
 }
 
-/// Greedy multi-cover: selects tests until every coverable fault is
-/// detected by at least `n` distinct tests (or its maximum achievable
-/// multiplicity, whichever is smaller) — the set-cover core of
-/// n-detect test generation.
-pub fn greedy_multicover(matrix: &[Vec<bool>], coverable: &[bool], n: usize) -> Vec<usize> {
-    let n_faults = coverable.len();
-    // Per-fault target: min(n, number of tests that can detect it).
-    let targets: Vec<usize> = (0..n_faults)
-        .map(|f| {
-            if !coverable[f] {
-                return 0;
-            }
-            matrix.iter().filter(|row| row[f]).count().min(n)
-        })
-        .collect();
-    let mut have = vec![0usize; n_faults];
-    let mut used = vec![false; matrix.len()];
-    let mut chosen = Vec::new();
-    loop {
-        let deficit: usize = (0..n_faults)
-            .map(|f| targets[f].saturating_sub(have[f]))
-            .sum();
-        if deficit == 0 {
-            break;
-        }
-        let best = matrix
-            .iter()
-            .enumerate()
-            .filter(|(t, _)| !used[*t])
-            .map(|(t, row)| {
-                let gain: usize = (0..n_faults)
-                    .filter(|&f| row[f] && have[f] < targets[f])
-                    .count();
-                (t, gain)
-            })
-            .max_by_key(|&(_, gain)| gain);
-        match best {
-            Some((t, gain)) if gain > 0 => {
-                used[t] = true;
-                chosen.push(t);
-                for f in 0..n_faults {
-                    if matrix[t][f] {
-                        have[f] += 1;
-                    }
-                }
-            }
-            _ => break,
-        }
-    }
-    chosen
-}
-
-/// Reverse-order pass: drops tests that are redundant given the rest —
-/// the classic cheap compaction after fault-simulation-based generation.
-pub fn reverse_order_drop(matrix: &[Vec<bool>], coverable: &[bool], tests: &[usize]) -> Vec<usize> {
-    let mut kept: Vec<usize> = tests.to_vec();
-    let mut i = kept.len();
-    while i > 0 {
-        i -= 1;
-        let without: Vec<usize> = kept
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, &t)| t)
-            .collect();
-        let still_covered = (0..coverable.len()).all(|f| {
-            if !coverable[f] || !kept.iter().any(|&t| matrix[t][f]) {
-                return true; // not in the covered universe
-            }
-            without.iter().any(|&t| matrix[t][f])
-        });
-        if still_covered {
-            kept.remove(i);
-        }
-    }
-    kept
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,41 +165,6 @@ mod tests {
         // Only fault 3 matters: one test suffices.
         let chosen = exact_cover(&m, &[false, false, false, true], 100_000);
         assert_eq!(chosen.len(), 1);
-    }
-
-    #[test]
-    fn multicover_reaches_requested_multiplicity() {
-        let m = matrix();
-        let chosen = greedy_multicover(&m, &[true; 4], 2);
-        // Fault 1 is coverable by t0 and t1; fault 3 by t2 and t3.
-        #[allow(clippy::needless_range_loop)]
-        for f in 0..4 {
-            let achievable = m.iter().filter(|row| row[f]).count().min(2);
-            let got = chosen.iter().filter(|&&t| m[t][f]).count();
-            assert!(got >= achievable, "fault {f}: {got} < {achievable}");
-        }
-        // n=1 multicover degenerates to ordinary cover size.
-        let single = greedy_multicover(&m, &[true; 4], 1);
-        assert!(single.len() <= chosen.len());
-    }
-
-    #[test]
-    fn multicover_caps_at_achievable() {
-        // Fault 0 detectable by only one test; asking for n=3 must not
-        // loop forever.
-        let m = vec![vec![true, false], vec![false, true], vec![false, true]];
-        let chosen = greedy_multicover(&m, &[true, true], 3);
-        assert!(chosen.contains(&0));
-        assert_eq!(chosen.len(), 3); // t0 once + both detectors of f1
-    }
-
-    #[test]
-    fn reverse_order_drops_redundant() {
-        let m = matrix();
-        // t0,t1,t2 cover everything; t1 is redundant given t0,t2.
-        let kept = reverse_order_drop(&m, &[true; 4], &[0, 1, 2]);
-        assert_eq!(kept.len(), 2);
-        assert!(kept.contains(&0) && kept.contains(&2));
     }
 
     #[test]

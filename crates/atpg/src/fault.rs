@@ -1,7 +1,7 @@
 //! The unified fault universe and test representation.
 
 use obd_core::faultmodel::{ObdFault, Polarity};
-use obd_logic::netlist::{GateId, GateKind, NetId, Netlist};
+use obd_logic::netlist::{GateId, NetId, Netlist};
 use obd_logic::value::{format_vector, Lv};
 
 /// Transition direction a delay-style fault slows.
@@ -155,36 +155,6 @@ pub fn stuck_at_faults(nl: &Netlist) -> Vec<Fault> {
     out
 }
 
-/// Structurally collapsed stuck-at list using gate input/output
-/// equivalences (e.g. NAND input sa-0 ≡ output sa-1); fanout-free inputs
-/// keep only the representative at the gate output.
-pub fn collapsed_stuck_at_faults(nl: &Netlist) -> Vec<Fault> {
-    let fanouts = nl.fanouts();
-    let mut out = Vec::new();
-    for net in nl.net_ids() {
-        for value in [false, true] {
-            // A fault at a gate input with fanout 1 is equivalent to a
-            // fault at that gate's output if the input value is the
-            // controlling value (or the only input for INV/BUF).
-            let mut equivalent_to_output = false;
-            if fanouts[net.index()].len() == 1 && !nl.outputs().contains(&net) {
-                let (g, _) = fanouts[net.index()][0];
-                let kind = nl.gate(g).kind;
-                equivalent_to_output = match kind {
-                    GateKind::Inv | GateKind::Buf => true,
-                    GateKind::And | GateKind::Nand => !value, // sa-0 dominated
-                    GateKind::Or | GateKind::Nor => value,    // sa-1 dominated
-                    GateKind::Xor | GateKind::Xnor => false,
-                };
-            }
-            if !equivalent_to_output {
-                out.push(Fault::StuckAt { net, value });
-            }
-        }
-    }
-    out
-}
-
 /// Generates the transition-fault list: both directions at every net.
 pub fn transition_faults(nl: &Netlist) -> Vec<Fault> {
     let mut out = Vec::new();
@@ -210,41 +180,6 @@ pub fn obd_faults(nl: &Netlist, stage: obd_core::BreakdownStage, nand_only: bool
         .collect()
 }
 
-/// Structurally collapsed OBD fault list: faults whose excitation sets
-/// and fault effects provably coincide keep one representative.
-///
-/// For a *series* stack every device is essential whenever the stack
-/// conducts, so all NMOS defects of a NAND (dually, all PMOS defects of
-/// a NOR) share both the excitation set and the output effect — they are
-/// gate-level equivalent, and the list keeps only pin 0. Parallel-bank
-/// devices have input-specific (distinct) sets and all stay. For a
-/// NAND2 this collapses 4 sites to 3, matching the paper's three-entry
-/// necessary-and-sufficient structure.
-pub fn collapsed_obd_faults(
-    nl: &Netlist,
-    stage: obd_core::BreakdownStage,
-    nand_only: bool,
-) -> Vec<Fault> {
-    obd_core::faultmodel::enumerate_sites(nl, stage, nand_only)
-        .into_iter()
-        .filter(|f| {
-            let kind = nl.gate(f.gate).kind;
-            let series_side = match kind {
-                // NAND/AND: NMOS stack is series.
-                GateKind::Nand | GateKind::And => {
-                    f.polarity == obd_core::faultmodel::Polarity::Nmos
-                }
-                // NOR/OR: PMOS stack is series.
-                GateKind::Nor | GateKind::Or => f.polarity == obd_core::faultmodel::Polarity::Pmos,
-                _ => false,
-            };
-            // Series-side faults collapse onto pin 0.
-            !series_side || f.pin == 0
-        })
-        .map(Fault::Obd)
-        .collect()
-}
-
 /// Generates the EM fault list over the same sites as the OBD list.
 pub fn em_faults(nl: &Netlist, nand_only: bool) -> Vec<Fault> {
     obd_core::faultmodel::enumerate_sites(nl, obd_core::BreakdownStage::Mbd1, nand_only)
@@ -261,6 +196,7 @@ pub fn em_faults(nl: &Netlist, nand_only: bool) -> Vec<Fault> {
 mod tests {
     use super::*;
     use obd_logic::circuits::{c17, fig8_sum_circuit};
+    use obd_logic::netlist::GateKind;
 
     #[test]
     fn stuck_at_list_covers_all_nets() {
@@ -270,30 +206,12 @@ mod tests {
     }
 
     #[test]
-    fn collapsing_reduces_list() {
-        let nl = c17();
-        let full = stuck_at_faults(&nl);
-        let collapsed = collapsed_stuck_at_faults(&nl);
-        assert!(collapsed.len() < full.len());
-        assert!(!collapsed.is_empty());
-    }
-
-    #[test]
     fn obd_list_matches_paper_count() {
         let nl = fig8_sum_circuit();
         assert_eq!(
             obd_faults(&nl, obd_core::BreakdownStage::Mbd2, true).len(),
             56
         );
-    }
-
-    /// NAND2: 4 sites collapse to 3 (both series NMOS devices are
-    /// equivalent); fig8: 56 -> 42.
-    #[test]
-    fn obd_collapsing_merges_series_devices() {
-        let nl = fig8_sum_circuit();
-        let collapsed = collapsed_obd_faults(&nl, obd_core::BreakdownStage::Mbd2, true);
-        assert_eq!(collapsed.len(), 42); // 14 NANDs * (1 NMOS + 2 PMOS)
     }
 
     /// The collapse is sound: every test detects a collapsed-away NMOS

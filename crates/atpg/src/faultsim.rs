@@ -471,11 +471,6 @@ impl<'a> FaultSimulator<'a> {
             .collect())
     }
 
-    /// The delay table in use.
-    pub fn delay_table(&self) -> &DelayTable {
-        &self.table
-    }
-
     /// The detection criterion in use.
     pub fn criterion(&self) -> &DetectionCriterion {
         &self.criterion

@@ -41,15 +41,6 @@ impl TestReport {
             self.detected as f64 / testable as f64
         }
     }
-
-    /// Raw coverage over all faults.
-    pub fn raw_coverage(&self) -> f64 {
-        if self.total_faults == 0 {
-            1.0
-        } else {
-            self.detected as f64 / self.total_faults as f64
-        }
-    }
 }
 
 /// Generates tests for a fault list with fault dropping: each new test is

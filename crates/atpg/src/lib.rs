@@ -34,8 +34,6 @@
 //!   §5's built-in-testing direction.
 //! * [`scan`] — launch-on-shift delivery constraints and OBD-aware scan
 //!   chain ordering, §5's design-for-testability direction.
-//! * [`ndetect`] — n-detection sets (related work \[11\]) with a measurable
-//!   diagnosis-resolution payoff.
 //! * [`timed_sim`] — timing-accurate fault simulation (annotated
 //!   event-driven timing + capture-edge sampling), the reference for the
 //!   static per-gate-slack approximation.
@@ -71,14 +69,12 @@ pub mod error;
 pub mod fault;
 pub mod faultsim;
 pub mod generate;
-pub mod ndetect;
 pub mod podem;
 pub mod ppsfp;
 pub mod random;
 pub mod rng;
 pub mod scan;
 pub mod scoap;
-pub mod testfile;
 pub mod timed_sim;
 pub mod twoframe;
 

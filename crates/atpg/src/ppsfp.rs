@@ -402,11 +402,6 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         Ok((hits, misses))
     }
 
-    /// Number of tests in the set.
-    pub fn num_tests(&self) -> usize {
-        self.tests.len()
-    }
-
     /// Number of packed `64 * N`-test blocks.
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()

@@ -40,25 +40,6 @@ pub fn single_input_change(n_inputs: usize, count: usize, seed: u64) -> Vec<TwoP
         .collect()
 }
 
-/// Weighted random tests biased toward all-ones first vectors — the
-/// natural bias for exercising NAND-heavy logic.
-pub fn weighted_two_pattern(
-    n_inputs: usize,
-    count: usize,
-    one_probability: f64,
-    seed: u64,
-) -> Vec<TwoPatternTest> {
-    let mut rng = XorShift64Star::seed_from_u64(seed);
-    let bit = |rng: &mut XorShift64Star| Lv::from_bool(rng.gen_bool_p(one_probability));
-    (0..count)
-        .map(|_| {
-            let v1: Vec<Lv> = (0..n_inputs).map(|_| bit(&mut rng)).collect();
-            let v2: Vec<Lv> = (0..n_inputs).map(|_| bit(&mut rng)).collect();
-            TwoPatternTest { v1, v2 }
-        })
-        .collect()
-}
-
 /// Every exhaustive two-pattern test over `n` inputs with `v1 != v2` —
 /// usable only for small `n`; the §4.3 candidate universe.
 ///
@@ -91,18 +72,6 @@ mod tests {
         for t in single_input_change(8, 50, 7) {
             assert_eq!(t.switching_inputs(), 1, "{}", t.render());
         }
-    }
-
-    #[test]
-    fn weighted_bias_shows_in_population() {
-        let tests = weighted_two_pattern(8, 200, 0.9, 1);
-        let ones: usize = tests
-            .iter()
-            .flat_map(|t| t.v1.iter().chain(t.v2.iter()))
-            .filter(|&&v| v == Lv::One)
-            .count();
-        let total = 200 * 16;
-        assert!(ones as f64 / total as f64 > 0.8);
     }
 
     #[test]

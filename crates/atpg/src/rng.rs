@@ -77,11 +77,6 @@ impl XorShift64Star {
         // Use a high bit; low bits of xorshift outputs are weaker.
         self.next_u64() >> 63 == 1
     }
-
-    /// A biased coin flip with probability `p` of `true`.
-    pub fn gen_bool_p(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
 }
 
 #[cfg(test)]
@@ -135,12 +130,5 @@ mod tests {
         let mut r = XorShift64Star::seed_from_u64(11);
         let ones = (0..10_000).filter(|_| r.gen_bool()).count();
         assert!((4_500..5_500).contains(&ones), "ones = {ones}");
-    }
-
-    #[test]
-    fn biased_bool_tracks_probability() {
-        let mut r = XorShift64Star::seed_from_u64(13);
-        let ones = (0..10_000).filter(|_| r.gen_bool_p(0.9)).count();
-        assert!((8_700..9_300).contains(&ones), "ones = {ones}");
     }
 }

@@ -88,8 +88,8 @@ impl AtpgBenchRow {
     }
 }
 
-/// Detection-matrix timing: the no-dropping workload behind `ndetect`
-/// and test-set compaction, where every (fault, test) pair is evaluated.
+/// Detection-matrix timing: the no-dropping workload behind test-set
+/// compaction, where every (fault, test) pair is evaluated.
 ///
 /// Fault dropping makes plain grading of a small circuit like c17 almost
 /// free in *both* paths (every fault dies in its first block), so the
@@ -120,7 +120,7 @@ impl MatrixBench {
 /// Fault dropping biases plain grading toward *narrow* blocks: an easy
 /// fault caught by the first 64 patterns pays for all `64 * N` packed
 /// patterns at width `N`. Throughput workloads — detection matrices,
-/// n-detect, BIST response modeling — evaluate every (fault, test) pair
+/// compaction, BIST response modeling — evaluate every (fault, test) pair
 /// regardless, and there the `[u64; N]` inner loop's SIMD and per-gate
 /// overhead amortization pay off. This times full detection rows for
 /// every fault at `N = 1` against the default super-lane width on a

@@ -156,7 +156,23 @@ fn parse_flat_json(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
                     Some((_, '"')) => return Ok(s),
                     Some((_, '\\')) => match chars.next() {
                         Some((_, 'n')) => s.push('\n'),
+                        Some((_, 'r')) => s.push('\r'),
                         Some((_, 't')) => s.push('\t'),
+                        Some((_, 'b')) => s.push('\u{8}'),
+                        Some((_, 'f')) => s.push('\u{c}'),
+                        Some((_, 'u')) => {
+                            let hex: String = (0..4)
+                                .filter_map(|_| chars.next())
+                                .map(|(_, c)| c)
+                                .collect();
+                            let code = u32::from_str_radix(&hex, 16).ok().filter(|_| {
+                                hex.len() == 4 && hex.bytes().all(|b| b.is_ascii_hexdigit())
+                            });
+                            match code.and_then(char::from_u32) {
+                                Some(c) => s.push(c),
+                                None => return Err(format!("unsupported escape \\u{hex}")),
+                            }
+                        }
                         Some((_, c @ ('"' | '\\' | '/'))) => s.push(c),
                         other => return Err(format!("unsupported escape {other:?}")),
                     },
@@ -708,8 +724,23 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Escapes a string for a JSON string literal: quote, backslash and every
+/// control character, so each string written reads back through
+/// [`parse_flat_json`].
 fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 fn ledger_key(batch: u64, index: usize, id: &str) -> u64 {
@@ -1318,21 +1349,6 @@ pub fn run_supervised(jobs: &[Job], opts: &ServeOptions) -> ServeReport {
     }
 }
 
-/// Writes each done job's artifact to `<out_dir>/<id>.txt` (idempotent:
-/// streaming mode already wrote them at completion). Returns the paths
-/// written; I/O failures are reported on stderr and skipped (the report
-/// row is the source of truth).
-pub fn write_artifacts(report: &ServeReport, out_dir: &Path) -> Vec<PathBuf> {
-    let mut written = Vec::new();
-    for j in &report.jobs {
-        let Some(body) = &j.artifact else { continue };
-        if let Some(path) = write_artifact(out_dir, &j.id, body) {
-            written.push(path);
-        }
-    }
-    written
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1356,6 +1372,52 @@ mod tests {
         assert!(parse_flat_json(r#"{"id": "x"} trailing"#).is_err());
         assert!(parse_flat_json("not json").is_err());
         assert!(parse_flat_json("{}").unwrap().is_empty());
+        let escaped = parse_flat_json(r#"{"s": "\b\f\r\u0041\u00e9\/"}"#).unwrap();
+        assert_eq!(
+            escaped[0].1,
+            JsonVal::Str("\u{8}\u{c}\rA\u{e9}/".to_string())
+        );
+        assert!(parse_flat_json(r#"{"s": "\u00g1"}"#).is_err());
+        assert!(parse_flat_json(r#"{"s": "\ud800"}"#).is_err());
+        assert!(parse_flat_json(r#"{"s": "\u12"}"#).is_err());
+    }
+
+    /// Every string the writers emit must read back: ids holding each
+    /// ASCII control character drain to `done`, and each canonical line
+    /// parses back to its job's id.
+    #[test]
+    fn control_characters_in_ids_survive_the_json_round_trip() {
+        let ids: Vec<String> = (0u8..0x20)
+            .chain([0x7f])
+            .map(|b| format!("id{}end", b as char))
+            .collect();
+        let queue: String = ids
+            .iter()
+            .map(|id| {
+                format!(
+                    "{{\"id\": \"{}\", \"kind\": \"noop\", \"spins\": 16}}\n",
+                    esc(id)
+                )
+            })
+            .collect();
+        let batch = parse_batch(&queue);
+        let parsed: Vec<&str> = batch.iter().map(|j| j.id.as_str()).collect();
+        assert_eq!(parsed, ids);
+        let report = run_batch(&batch, 1);
+        assert_eq!(report.count(JobStatus::Done), ids.len());
+        let canonical = report.canonical_jsonl();
+        let lines: Vec<&str> = canonical.split_terminator('\n').collect();
+        assert_eq!(lines.len(), ids.len());
+        let raw_control = |text: &str| text.chars().any(|c| c < ' ' && c != '\n');
+        assert!(
+            !raw_control(&canonical),
+            "JSON strings may not hold raw controls"
+        );
+        assert!(!raw_control(&report.to_json()));
+        for (line, id) in lines.iter().zip(&ids) {
+            let fields = parse_flat_json(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            assert_eq!(fields[0], ("id".to_string(), JsonVal::Str(id.clone())));
+        }
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub struct ExpandedCircuit {
     pub tech: TechParams,
     node_of_net: Vec<NodeId>,
     transistors: Vec<TransistorRef>,
-    cell_of_gate: HashMap<usize, Cell>,
 }
 
 impl ExpandedCircuit {
@@ -81,22 +80,6 @@ impl ExpandedCircuit {
             .filter(|t| t.gate == gate && t.pin == pin && t.polarity == polarity)
             .copied()
             .collect()
-    }
-
-    /// All transistors belonging to one logic gate.
-    pub fn gate_transistors(&self, gate: GateId) -> Vec<TransistorRef> {
-        self.transistors
-            .iter()
-            .filter(|t| t.gate == gate)
-            .copied()
-            .collect()
-    }
-
-    /// The cell used to implement a logic gate (if the gate expanded to a
-    /// single cell; `Buf` expands to two inverters and reports the output
-    /// inverter).
-    pub fn cell_of(&self, gate: GateId) -> Option<&Cell> {
-        self.cell_of_gate.get(&gate.index())
     }
 
     /// Drives a primary input with an ideal voltage source. Returns the
@@ -133,7 +116,6 @@ pub fn expand(nl: &Netlist, tech: &TechParams) -> Result<ExpandedCircuit, CmosEr
     }
 
     let mut transistors = Vec::new();
-    let mut cell_of_gate = HashMap::new();
     // Terminal-count bookkeeping for lumped capacitances.
     let mut sd_terms: HashMap<usize, usize> = HashMap::new();
     let mut gate_terms: HashMap<usize, usize> = HashMap::new();
@@ -142,24 +124,10 @@ pub fn expand(nl: &Netlist, tech: &TechParams) -> Result<ExpandedCircuit, CmosEr
         let gate_id = nl.gate_id(gi);
         let out = node_of_net[g.output.index()];
         let ins: Vec<NodeId> = g.inputs.iter().map(|n| node_of_net[n.index()]).collect();
-        match g.kind {
-            GateKind::Inv => {
-                let cell = Cell::inverter();
-                expand_cell(
-                    &mut ckt,
-                    tech,
-                    &cell,
-                    gate_id,
-                    &ins,
-                    out,
-                    vdd,
-                    &mut transistors,
-                    &mut sd_terms,
-                    &mut gate_terms,
-                    &format!("g{gi}"),
-                );
-                cell_of_gate.insert(gi, cell);
-            }
+        let cell = match g.kind {
+            GateKind::Inv => Cell::inverter(),
+            GateKind::Nand => Cell::nand(g.inputs.len()),
+            GateKind::Nor => Cell::nor(g.inputs.len()),
             GateKind::Buf => {
                 // Two inverters with a private internal node.
                 let mid = ckt.node(&format!("g{gi}_bufmid"));
@@ -190,41 +158,7 @@ pub fn expand(nl: &Netlist, tech: &TechParams) -> Result<ExpandedCircuit, CmosEr
                     &mut gate_terms,
                     &format!("g{gi}b"),
                 );
-                cell_of_gate.insert(gi, cell);
-            }
-            GateKind::Nand => {
-                let cell = Cell::nand(g.inputs.len());
-                expand_cell(
-                    &mut ckt,
-                    tech,
-                    &cell,
-                    gate_id,
-                    &ins,
-                    out,
-                    vdd,
-                    &mut transistors,
-                    &mut sd_terms,
-                    &mut gate_terms,
-                    &format!("g{gi}"),
-                );
-                cell_of_gate.insert(gi, cell);
-            }
-            GateKind::Nor => {
-                let cell = Cell::nor(g.inputs.len());
-                expand_cell(
-                    &mut ckt,
-                    tech,
-                    &cell,
-                    gate_id,
-                    &ins,
-                    out,
-                    vdd,
-                    &mut transistors,
-                    &mut sd_terms,
-                    &mut gate_terms,
-                    &format!("g{gi}"),
-                );
-                cell_of_gate.insert(gi, cell);
+                continue;
             }
             other => {
                 return Err(CmosError::Unsupported {
@@ -234,7 +168,20 @@ pub fn expand(nl: &Netlist, tech: &TechParams) -> Result<ExpandedCircuit, CmosEr
                     ),
                 })
             }
-        }
+        };
+        expand_cell(
+            &mut ckt,
+            tech,
+            &cell,
+            gate_id,
+            &ins,
+            out,
+            vdd,
+            &mut transistors,
+            &mut sd_terms,
+            &mut gate_terms,
+            &format!("g{gi}"),
+        );
     }
 
     // Lumped node capacitances: junction + gate terms, plus wire load on
@@ -271,7 +218,6 @@ pub fn expand(nl: &Netlist, tech: &TechParams) -> Result<ExpandedCircuit, CmosEr
         tech: tech.clone(),
         node_of_net,
         transistors,
-        cell_of_gate,
     })
 }
 
@@ -601,8 +547,6 @@ mod tests {
         let g = nl.gate_id(0);
         assert_eq!(exp.find_transistors(g, 0, MosPolarity::Nmos).len(), 1);
         assert_eq!(exp.find_transistors(g, 1, MosPolarity::Pmos).len(), 1);
-        assert_eq!(exp.gate_transistors(g).len(), 4);
-        assert_eq!(exp.cell_of(g).unwrap().name, "NAND2");
     }
 
     #[test]

@@ -179,11 +179,6 @@ impl DelayCache {
         }
     }
 
-    /// Whether a persistent store backs this cache.
-    pub fn is_persistent(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// Memoized [`measure_cell_transition`].
     ///
     /// Entries are keyed for the default solver configuration only: when

@@ -43,15 +43,6 @@ pub fn excitation_set(cell: &Cell, t: CellTransistor) -> Vec<InputPair> {
         .collect()
 }
 
-/// A compact description of the excitation requirement at each pin for
-/// one representative family of sequences.
-///
-/// * `Some((a, b))` — the pin must be `a` in the first vector and `b` in
-///   the second.
-/// * `None` — the pin is unconstrained in the first vector (but see the
-///   full set for exact semantics).
-pub type PinRequirement = Option<(bool, bool)>;
-
 /// Minimal set of input pairs covering *all* OBD defects of the cell
 /// (greedy set cover over the per-transistor excitation sets).
 ///
@@ -101,15 +92,6 @@ pub fn minimal_cell_test_set(cell: &Cell) -> Vec<InputPair> {
         chosen.push(cand);
     }
     chosen
-}
-
-/// How many of the cell's transistors have at least one exciting sequence
-/// (all of them, for complementary cells).
-pub fn excitable_count(cell: &Cell) -> usize {
-    obd_cmos::switch::all_transistors(cell)
-        .into_iter()
-        .filter(|&t| !excitation_set(cell, t).is_empty())
-        .count()
 }
 
 #[cfg(test)]
@@ -232,7 +214,11 @@ mod tests {
     #[test]
     fn aoi21_all_transistors_excitable() {
         let cell = Cell::aoi21();
-        assert_eq!(excitable_count(&cell), 6);
+        let transistors = obd_cmos::switch::all_transistors(&cell);
+        assert_eq!(transistors.len(), 6);
+        assert!(transistors
+            .into_iter()
+            .all(|t| !excitation_set(&cell, t).is_empty()));
         let min = minimal_cell_test_set(&cell);
         assert!(!min.is_empty() && min.len() <= 6);
     }

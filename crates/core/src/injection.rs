@@ -98,18 +98,6 @@ pub fn inject_obd(
     })
 }
 
-/// Updates an injected network to new progression parameters in place.
-pub fn set_stage_params(ckt: &mut Circuit, inst: &ObdInstance, params: ObdParams) {
-    if let Device::Resistor(r) = ckt.device_mut(inst.r_bd) {
-        r.ohms = params.r_bd.max(1e-3);
-    }
-    for d in [inst.d_source, inst.d_drain] {
-        if let Device::Diode(di) = ckt.device_mut(d) {
-            di.params.isat = params.isat;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,29 +198,5 @@ mod tests {
         }
         // At HBD the gate is clamped near a junction drop above ground.
         assert!(last_vg < 2.0, "HBD gate voltage {last_vg} should collapse");
-    }
-
-    #[test]
-    fn set_stage_params_updates_in_place() {
-        let (mut ckt, ..) = nmos_inverter_with_defect(BreakdownStage::Mbd1);
-        let r_bd = ckt.find_device("Robd_t").unwrap();
-        let inst = ObdInstance {
-            r_bd,
-            d_source: ckt.find_device("Dobds_t").unwrap(),
-            d_drain: ckt.find_device("Dobdd_t").unwrap(),
-            r_sub: ckt.find_device("Robdsub_t").unwrap(),
-        };
-        let p3 = BreakdownStage::Mbd3.params(Polarity::Nmos).unwrap();
-        set_stage_params(&mut ckt, &inst, p3);
-        if let Device::Resistor(r) = ckt.device(r_bd) {
-            assert_eq!(r.ohms, 20.0);
-        } else {
-            panic!("expected resistor");
-        }
-        if let Device::Diode(d) = ckt.device(inst.d_source) {
-            assert_eq!(d.params.isat, 5e-27);
-        } else {
-            panic!("expected diode");
-        }
     }
 }

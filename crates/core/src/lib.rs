@@ -48,9 +48,6 @@
 //!   §5's "especially for complex gates" case.
 //! * [`pool`] — the deterministic work-stealing job pool shared by the
 //!   Table 1 driver and the Monte Carlo engine.
-//! * [`fixtures`] — multi-cell benches (deep NAND context, a
-//!   transistor-level full adder) that embed a breakdown site in more
-//!   than one cell of real CMOS.
 //! * [`monte`] — batched Monte Carlo characterization across randomized
 //!   process corners with percentile and detection aggregates.
 
@@ -66,7 +63,6 @@ pub mod em;
 pub mod error;
 pub mod excitation;
 pub mod faultmodel;
-pub mod fixtures;
 pub mod injection;
 pub mod monte;
 pub mod pool;

@@ -102,11 +102,6 @@ impl BreakdownStage {
         Ok(p)
     }
 
-    /// Whether the stage has progressed at least as far as `other`.
-    pub fn at_least(self, other: BreakdownStage) -> bool {
-        self >= other
-    }
-
     /// The next stage, or `None` at HBD.
     pub fn next(self) -> Option<BreakdownStage> {
         use BreakdownStage::*;
@@ -170,8 +165,8 @@ mod tests {
 
     #[test]
     fn ordering_and_next() {
-        assert!(BreakdownStage::Mbd3.at_least(BreakdownStage::Mbd1));
-        assert!(!BreakdownStage::Sbd.at_least(BreakdownStage::Mbd1));
+        assert!(BreakdownStage::Mbd3 >= BreakdownStage::Mbd1);
+        assert!(BreakdownStage::Sbd < BreakdownStage::Mbd1);
         assert_eq!(BreakdownStage::Mbd3.next(), Some(BreakdownStage::Hbd));
         assert_eq!(BreakdownStage::Hbd.next(), None);
     }

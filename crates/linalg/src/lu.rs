@@ -241,27 +241,6 @@ impl Lu {
         }
         det
     }
-
-    /// A cheap estimate of the reciprocal condition number: the ratio of the
-    /// smallest to largest pivot magnitude. Zero means effectively singular.
-    pub fn rcond_estimate(&self) -> f64 {
-        let n = self.order();
-        if n == 0 {
-            return 1.0;
-        }
-        let mut min = f64::INFINITY;
-        let mut max: f64 = 0.0;
-        for i in 0..n {
-            let p = self.packed[(i, i)].abs();
-            min = min.min(p);
-            max = max.max(p);
-        }
-        if max == 0.0 {
-            0.0
-        } else {
-            min / max
-        }
-    }
 }
 
 /// One-shot solve of `A·x = b`.
@@ -554,15 +533,6 @@ mod tests {
         let b = a.mul_vec(&x_true);
         let x = solve_refined(&a, &b).unwrap();
         assert_vec_close(&x, &x_true, 1e-6);
-    }
-
-    #[test]
-    fn rcond_small_for_near_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1e-12]]).unwrap();
-        let lu = Lu::factor(&a).unwrap();
-        assert!(lu.rcond_estimate() < 1e-11);
-        let id = Lu::factor(&Matrix::identity(3)).unwrap();
-        assert!((id.rcond_estimate() - 1.0).abs() < 1e-14);
     }
 
     #[test]

@@ -95,15 +95,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutably borrow a row as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Sets every entry to zero, keeping the shape. Useful when re-stamping
     /// an MNA matrix every Newton iteration.
     pub fn clear(&mut self) {

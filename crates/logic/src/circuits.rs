@@ -113,20 +113,6 @@ pub fn sum_circuit_optimized() -> Netlist {
     nl
 }
 
-/// A full adder (sum and carry) from nine NAND2 gates.
-///
-/// Returns the netlist with outputs `[sum, cout]`.
-pub fn full_adder_nand9() -> Netlist {
-    let mut nl = Netlist::new();
-    let a = nl.add_input("A");
-    let b = nl.add_input("B");
-    let cin = nl.add_input("Cin");
-    let (s, co) = fa_block(&mut nl, "fa", a, b, cin);
-    nl.mark_output(s);
-    nl.mark_output(co);
-    nl
-}
-
 /// Appends a 9-NAND full adder block; returns `(sum, cout)`.
 pub fn fa_block(nl: &mut Netlist, prefix: &str, a: NetId, b: NetId, cin: NetId) -> (NetId, NetId) {
     let t1 = nl
@@ -280,72 +266,6 @@ pub fn mux_tree(sel: usize) -> Netlist {
         layer = next;
     }
     nl.mark_output(layer[0]);
-    nl
-}
-
-/// A 2×2-bit array multiplier (`p = a * b`, 4-bit product) from
-/// AND/NAND/INV primitives. Inputs `a0,a1,b0,b1`; outputs `p0..p3`.
-pub fn multiplier_2x2() -> Netlist {
-    let mut nl = Netlist::new();
-    let a0 = nl.add_input("a0");
-    let a1 = nl.add_input("a1");
-    let b0 = nl.add_input("b0");
-    let b1 = nl.add_input("b1");
-    // Partial products via NAND + INV.
-    let and2 = |nl: &mut Netlist, name: &str, x: NetId, y: NetId| {
-        let n = nl
-            .add_gate(GateKind::Nand, &format!("{name}_n"), &[x, y])
-            .expect("fresh");
-        nl.add_gate(GateKind::Inv, name, &[n]).expect("fresh")
-    };
-    let pp00 = and2(&mut nl, "pp00", a0, b0);
-    let pp10 = and2(&mut nl, "pp10", a1, b0);
-    let pp01 = and2(&mut nl, "pp01", a0, b1);
-    let pp11 = and2(&mut nl, "pp11", a1, b1);
-    // p0 = pp00; p1 = pp10 ^ pp01; carry = pp10 & pp01;
-    // p2 = pp11 ^ carry; p3 = pp11 & carry.
-    let p1 = xor_nand4(&mut nl, "p1x", pp10, pp01);
-    let c1 = and2(&mut nl, "c1", pp10, pp01);
-    let p2 = xor_nand4(&mut nl, "p2x", pp11, c1);
-    let p3 = and2(&mut nl, "p3", pp11, c1);
-    nl.mark_output(pp00);
-    nl.mark_output(p1);
-    nl.mark_output(p2);
-    nl.mark_output(p3);
-    nl
-}
-
-/// An `n`-bit equality comparator (`eq = 1` iff `a == b`) from
-/// XNOR-equivalent NAND blocks and an AND tree. Inputs `a0..`, `b0..`.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn equality_comparator(n: usize) -> Netlist {
-    assert!(n > 0, "comparator width must be positive");
-    let mut nl = Netlist::new();
-    let a: Vec<NetId> = (0..n).map(|i| nl.add_input(&format!("a{i}"))).collect();
-    let b: Vec<NetId> = (0..n).map(|i| nl.add_input(&format!("b{i}"))).collect();
-    // Per-bit equality: NOT(a XOR b) via 4-NAND XOR + INV.
-    let mut eqs = Vec::new();
-    for i in 0..n {
-        let x = xor_nand4(&mut nl, &format!("x{i}"), a[i], b[i]);
-        let e = nl
-            .add_gate(GateKind::Inv, &format!("eq{i}"), &[x])
-            .expect("fresh");
-        eqs.push(e);
-    }
-    // AND-reduce with NAND+INV pairs.
-    let mut acc = eqs[0];
-    for (k, &e) in eqs.iter().enumerate().skip(1) {
-        let nand = nl
-            .add_gate(GateKind::Nand, &format!("r{k}_n"), &[acc, e])
-            .expect("fresh");
-        acc = nl
-            .add_gate(GateKind::Inv, &format!("r{k}"), &[nand])
-            .expect("fresh");
-    }
-    nl.mark_output(acc);
     nl
 }
 
@@ -639,21 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn full_adder_truth_table() {
-        let nl = full_adder_nand9();
-        for v in all_vectors(3) {
-            let bits = as_bits(&v);
-            let sum = bits[0] ^ bits[1] ^ bits[2];
-            let cout = (bits[0] & bits[1]) | (bits[2] & (bits[0] ^ bits[1]));
-            let r = simulate(&nl, &v).unwrap();
-            assert_eq!(
-                r.outputs(&nl),
-                vec![Lv::from_bool(sum), Lv::from_bool(cout)]
-            );
-        }
-    }
-
-    #[test]
     fn ripple_adder_adds() {
         let n = 4;
         let nl = ripple_carry_adder(n);
@@ -697,38 +602,6 @@ mod tests {
         // Spot-check: all-ones input.
         let r = simulate(&nl, &[Lv::One; 5]).unwrap();
         assert_eq!(r.outputs(&nl).len(), 2);
-    }
-
-    #[test]
-    fn multiplier_2x2_exhaustive() {
-        let nl = multiplier_2x2();
-        for v in all_vectors(4) {
-            let bits = as_bits(&v);
-            let a = bits[0] as usize + 2 * bits[1] as usize;
-            let b = bits[2] as usize + 2 * bits[3] as usize;
-            let product = a * b;
-            let r = simulate(&nl, &v).unwrap();
-            let outs = r.outputs(&nl);
-            let mut got = 0usize;
-            for (i, o) in outs.iter().enumerate() {
-                if *o == Lv::One {
-                    got |= 1 << i;
-                }
-            }
-            assert_eq!(got, product, "{a} * {b}");
-        }
-    }
-
-    #[test]
-    fn equality_comparator_exhaustive() {
-        let n = 3;
-        let nl = equality_comparator(n);
-        for v in all_vectors(2 * n) {
-            let bits = as_bits(&v);
-            let expect = bits[..n] == bits[n..];
-            let r = simulate(&nl, &v).unwrap();
-            assert_eq!(r.outputs(&nl)[0], Lv::from_bool(expect));
-        }
     }
 
     #[test]

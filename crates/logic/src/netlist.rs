@@ -331,44 +331,6 @@ impl Netlist {
     pub fn count_kind(&self, kind: GateKind) -> usize {
         self.gates.iter().filter(|g| g.kind == kind).count()
     }
-
-    /// Transitive fan-in cone of a net, as a set of gate ids.
-    pub fn fanin_cone(&self, n: NetId) -> Vec<GateId> {
-        let mut seen = vec![false; self.gates.len()];
-        let mut stack = vec![n];
-        let mut cone = Vec::new();
-        while let Some(net) = stack.pop() {
-            if let Some(g) = self.driver[net.0] {
-                if !seen[g.0] {
-                    seen[g.0] = true;
-                    cone.push(g);
-                    stack.extend(self.gates[g.0].inputs.iter().copied());
-                }
-            }
-        }
-        cone
-    }
-
-    /// Whether any primary output is reachable from this gate's output
-    /// (i.e. whether the gate is observable at all, structurally).
-    pub fn reaches_output(&self, g: GateId) -> bool {
-        let fanouts = self.fanouts();
-        let mut seen = vec![false; self.num_nets()];
-        let mut stack = vec![self.gates[g.0].output];
-        while let Some(net) = stack.pop() {
-            if seen[net.0] {
-                continue;
-            }
-            seen[net.0] = true;
-            if self.outputs.contains(&net) {
-                return true;
-            }
-            for &(succ, _) in &fanouts[net.0] {
-                stack.push(self.gates[succ.0].output);
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -449,25 +411,6 @@ mod tests {
         let fo = nl.fanouts();
         assert_eq!(fo[a.index()].len(), 1);
         assert_eq!(fo[a.index()][0].1, 0); // pin 0 of g1
-    }
-
-    #[test]
-    fn fanin_cone_collects_transitively() {
-        let (nl, _, _, _, _, g2) = and_or();
-        let cone = nl.fanin_cone(g2);
-        assert_eq!(cone.len(), 2);
-    }
-
-    #[test]
-    fn reaches_output_distinguishes_dangling() {
-        let mut nl = Netlist::new();
-        let a = nl.add_input("a");
-        let g1 = nl.add_gate(GateKind::Inv, "g1", &[a]).unwrap();
-        let _dangling = nl.add_gate(GateKind::Inv, "g2", &[a]).unwrap();
-        nl.mark_output(g1);
-        assert!(nl.reaches_output(nl.driver(g1).unwrap()));
-        let g2 = nl.find_net("g2").unwrap();
-        assert!(!nl.reaches_output(nl.driver(g2).unwrap()));
     }
 
     #[test]

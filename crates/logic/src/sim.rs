@@ -87,67 +87,6 @@ pub fn simulate_with_order(
     Ok(SimResult { values })
 }
 
-/// Result of a two-pattern (launch/capture) simulation.
-#[derive(Debug, Clone)]
-pub struct TwoPatternResult {
-    /// Net values under the first vector.
-    pub first: SimResult,
-    /// Net values under the second vector.
-    pub second: SimResult,
-}
-
-impl TwoPatternResult {
-    /// `(v1, v2)` value pair of a net.
-    pub fn pair(&self, n: NetId) -> (Lv, Lv) {
-        (self.first.value(n), self.second.value(n))
-    }
-
-    /// Whether a net has a known rising transition.
-    pub fn rises(&self, n: NetId) -> bool {
-        self.pair(n) == (Lv::Zero, Lv::One)
-    }
-
-    /// Whether a net has a known falling transition.
-    pub fn falls(&self, n: NetId) -> bool {
-        self.pair(n) == (Lv::One, Lv::Zero)
-    }
-}
-
-/// Simulates a two-pattern test `(v1, v2)` — the fundamental operation for
-/// transition-style faults, including OBD.
-///
-/// # Errors
-///
-/// Propagates [`simulate`] failures.
-pub fn simulate_two(nl: &Netlist, v1: &[Lv], v2: &[Lv]) -> Result<TwoPatternResult, LogicError> {
-    let order = nl.levelize()?;
-    Ok(TwoPatternResult {
-        first: simulate_with_order(nl, &order, v1)?,
-        second: simulate_with_order(nl, &order, v2)?,
-    })
-}
-
-/// Exhaustive truth table over all `2^n` vectors for the primary outputs.
-/// Only usable for small input counts.
-///
-/// # Errors
-///
-/// Propagates structural errors.
-///
-/// # Panics
-///
-/// Panics if the netlist has more than 20 primary inputs.
-pub fn truth_table(nl: &Netlist) -> Result<Vec<Vec<Lv>>, LogicError> {
-    assert!(nl.inputs().len() <= 20, "truth table too large");
-    let order = nl.levelize()?;
-    let mut rows = Vec::new();
-    for v in crate::value::all_vectors(nl.inputs().len()) {
-        let r = simulate_with_order(nl, &order, &v)?;
-        rows.push(r.outputs(nl));
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,25 +134,5 @@ mod tests {
             simulate(&nl, &[Lv::One]),
             Err(LogicError::InputCountMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn two_pattern_detects_transitions() {
-        use Lv::*;
-        let (nl, y) = mux();
-        // s=0 fixed, a toggles: output follows a.
-        let r = simulate_two(&nl, &[Zero, Zero, Zero], &[One, Zero, Zero]).unwrap();
-        assert!(r.rises(y));
-        assert!(!r.falls(y));
-    }
-
-    #[test]
-    fn truth_table_of_inverter() {
-        let mut nl = Netlist::new();
-        let a = nl.add_input("a");
-        let y = nl.add_gate(GateKind::Inv, "y", &[a]).unwrap();
-        nl.mark_output(y);
-        let tt = truth_table(&nl).unwrap();
-        assert_eq!(tt, vec![vec![Lv::One], vec![Lv::Zero]]);
     }
 }

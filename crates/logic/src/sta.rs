@@ -6,7 +6,7 @@
 //! gate: the defect's extra delay is observable at-speed exactly when it
 //! exceeds that slack — §4.2's argument, as an algorithm.
 
-use crate::netlist::{GateId, NetId, Netlist};
+use crate::netlist::{NetId, Netlist};
 use crate::timing::DelayModel;
 use crate::LogicError;
 
@@ -27,11 +27,6 @@ impl TimingReport {
         self.arrivals[n.index()]
     }
 
-    /// Required time at a net (ps).
-    pub fn required_time(&self, n: NetId) -> f64 {
-        self.required[n.index()]
-    }
-
     /// Slack at a net (ps); negative means the path already misses the
     /// clock.
     pub fn slack(&self, n: NetId) -> f64 {
@@ -44,11 +39,6 @@ impl TimingReport {
             .iter()
             .map(|n| self.arrivals[n.index()])
             .fold(0.0, f64::max)
-    }
-
-    /// Whether every output meets the clock.
-    pub fn meets_clock(&self, nl: &Netlist) -> bool {
-        self.critical_path(nl) <= self.clock_ps + 1e-9
     }
 }
 
@@ -108,24 +98,6 @@ pub fn analyze(
     })
 }
 
-/// The at-speed detection slack of a gate output: how much extra delay
-/// the gate can absorb before some primary output misses the capture
-/// clock. An OBD defect at this gate is detectable by an at-speed test
-/// iff its extra delay exceeds this value.
-///
-/// # Errors
-///
-/// Propagates STA failures.
-pub fn gate_detection_slack(
-    nl: &Netlist,
-    delays: &DelayModel,
-    clock_ps: f64,
-    gate: GateId,
-) -> Result<f64, LogicError> {
-    let report = analyze(nl, delays, clock_ps)?;
-    Ok(report.slack(nl.gate(gate).output))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +119,6 @@ mod tests {
         assert_eq!(r.arrival(g1), 10.0);
         assert_eq!(r.arrival(g3), 30.0);
         assert_eq!(r.critical_path(&nl), 30.0);
-        assert!(r.meets_clock(&nl));
         // Every chain net has the same slack: 100 − 30.
         for n in [g1, g2, g3] {
             assert!((r.slack(n) - 70.0).abs() < 1e-9);
@@ -184,7 +155,6 @@ mod tests {
         nl.mark_output(g2);
         let delays = DelayModel::uniform(10.0, 10.0);
         let r = analyze(&nl, &delays, 15.0).unwrap();
-        assert!(!r.meets_clock(&nl));
         assert!(r.slack(g2) < 0.0);
     }
 
@@ -204,15 +174,10 @@ mod tests {
     }
 
     #[test]
-    fn gate_detection_slack_matches_report() {
+    fn fig8_critical_path_is_nine_stages() {
         let nl = crate::circuits::fig8_sum_circuit();
         let delays = DelayModel::uniform(100.0, 100.0);
-        let clock = 1200.0;
-        let report = analyze(&nl, &delays, clock).unwrap();
-        for g in nl.gate_ids() {
-            let s = gate_detection_slack(&nl, &delays, clock, g).unwrap();
-            assert!((s - report.slack(nl.gate(g).output)).abs() < 1e-9);
-        }
+        let report = analyze(&nl, &delays, 1200.0).unwrap();
         // Depth 9 at 100 ps/stage: critical path 900 ps.
         assert_eq!(report.critical_path(&nl), 900.0);
     }

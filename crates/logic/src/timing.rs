@@ -118,15 +118,6 @@ impl DigitalWave {
             .map(|&(_, v)| v)
             .unwrap_or(self.initial)
     }
-
-    /// The first transition at or after `t_start` that changes the value to
-    /// `to`, if any.
-    pub fn first_transition_to(&self, to: Lv, t_start: f64) -> Option<f64> {
-        self.transitions
-            .iter()
-            .find(|&&(t, v)| t >= t_start && v == to)
-            .map(|&(t, _)| t)
-    }
 }
 
 /// Result of a timing simulation: a digital waveform per net.
@@ -139,14 +130,6 @@ impl TimingResult {
     /// Waveform of a net.
     pub fn wave(&self, n: NetId) -> &DigitalWave {
         &self.waves[n.index()]
-    }
-
-    /// Settling time: the latest transition anywhere in the circuit.
-    pub fn settle_time(&self) -> f64 {
-        self.waves
-            .iter()
-            .filter_map(DigitalWave::last_transition)
-            .fold(0.0, f64::max)
     }
 }
 
@@ -388,23 +371,5 @@ mod tests {
         // Glitch: 1 -> 0 at ~5ps, back to 1 at ~45ps.
         assert_eq!(w.transitions.len(), 2, "{w:?}");
         assert_eq!(w.final_value(), Lv::One);
-    }
-
-    #[test]
-    fn settle_time_reports_latest_event() {
-        let (nl, a, _) = inv_chain(3);
-        let delays = DelayModel::uniform(10.0, 10.0);
-        let r = timing_simulate(
-            &nl,
-            &delays,
-            &[Lv::Zero],
-            &[InputEvent {
-                net: a,
-                time_ps: 0.0,
-                value: Lv::One,
-            }],
-        )
-        .unwrap();
-        assert!((r.settle_time() - 30.0).abs() < 0.01);
     }
 }

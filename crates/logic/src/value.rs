@@ -67,16 +67,6 @@ impl Lv {
             _ => Lv::X,
         }
     }
-
-    /// Parses `'0'`, `'1'`, `'x'`/`'X'`.
-    pub fn from_char(c: char) -> Option<Lv> {
-        match c {
-            '0' => Some(Lv::Zero),
-            '1' => Some(Lv::One),
-            'x' | 'X' => Some(Lv::X),
-            _ => None,
-        }
-    }
 }
 
 impl Not for Lv {
@@ -106,15 +96,6 @@ impl fmt::Display for Lv {
         };
         write!(f, "{c}")
     }
-}
-
-/// Parses a vector string like `"01X"` into logic values.
-///
-/// # Errors
-///
-/// Returns the offending character if it is not `0`, `1`, `x` or `X`.
-pub fn parse_vector(s: &str) -> Result<Vec<Lv>, char> {
-    s.chars().map(|c| Lv::from_char(c).ok_or(c)).collect()
 }
 
 /// Formats a slice of logic values as a compact string.
@@ -167,10 +148,8 @@ mod tests {
     }
 
     #[test]
-    fn vector_roundtrip() {
-        let v = parse_vector("01X10").unwrap();
-        assert_eq!(format_vector(&v), "01X10");
-        assert_eq!(parse_vector("01q"), Err('q'));
+    fn vector_formats_compactly() {
+        assert_eq!(format_vector(&[Lv::Zero, Lv::One, Lv::X]), "01X");
     }
 
     #[test]

@@ -95,27 +95,6 @@ impl Circuit {
         self.node(&name)
     }
 
-    /// Looks up an existing node by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::NotFound`] if the name is unknown.
-    pub fn find_node(&self, name: &str) -> Result<NodeId, SpiceError> {
-        self.by_name
-            .get(name)
-            .copied()
-            .ok_or_else(|| SpiceError::NotFound(format!("node '{name}'")))
-    }
-
-    /// Name of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not belong to this circuit.
-    pub fn node_name(&self, n: NodeId) -> &str {
-        &self.names[n.0]
-    }
-
     /// Total node count including ground.
     pub fn num_nodes(&self) -> usize {
         self.names.len()
@@ -245,10 +224,9 @@ mod tests {
     use crate::devices::SourceWave;
 
     #[test]
-    fn ground_exists_and_named_zero() {
+    fn ground_exists() {
         let c = Circuit::new();
         assert_eq!(c.num_nodes(), 1);
-        assert_eq!(c.node_name(Circuit::GROUND), "0");
         assert!(Circuit::GROUND.is_ground());
     }
 
@@ -260,12 +238,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(c.num_nodes(), 2);
         assert_ne!(c.fresh_node(), a);
-    }
-
-    #[test]
-    fn find_node_errors_on_unknown() {
-        let c = Circuit::new();
-        assert!(matches!(c.find_node("nope"), Err(SpiceError::NotFound(_))));
     }
 
     #[test]

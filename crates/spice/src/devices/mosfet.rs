@@ -52,17 +52,6 @@ impl MosParams {
     }
 }
 
-/// Operating region of a MOSFET at the last evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MosRegion {
-    /// `v_gs ≤ v_th`.
-    Cutoff,
-    /// Triode / linear region.
-    Linear,
-    /// Saturation.
-    Saturation,
-}
-
 /// A four-terminal Level-1 MOSFET.
 ///
 /// The model is quasi-static (DC current only); gate/junction capacitances
@@ -95,8 +84,6 @@ struct MosEval {
     gm: f64,
     gds: f64,
     gmbs: f64,
-    #[allow(dead_code)]
-    region: MosRegion,
 }
 
 impl Mosfet {
@@ -162,7 +149,6 @@ impl Mosfet {
                 gm: 0.0,
                 gds: 0.0,
                 gmbs: 0.0,
-                region: MosRegion::Cutoff,
             };
         }
         let clm = 1.0 + p.lambda * vds;
@@ -181,7 +167,6 @@ impl Mosfet {
                 gm,
                 gds,
                 gmbs: -gm * dvth_dvbs,
-                region: MosRegion::Saturation,
             }
         } else {
             // Linear / triode.
@@ -194,7 +179,6 @@ impl Mosfet {
                 gm,
                 gds,
                 gmbs: -gm * dvth_dvbs,
-                region: MosRegion::Linear,
             }
         }
     }

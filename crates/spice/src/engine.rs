@@ -1,8 +1,6 @@
 //! Nonlinear solution engine: damped Newton–Raphson with junction limiting,
 //! plus gmin stepping and source stepping for hard operating points.
 
-use std::time::Instant;
-
 use obd_chaos::InjectionPoint;
 use obd_linalg::LuWorkspace;
 use obd_metrics::{Counter, Histogram};
@@ -20,7 +18,7 @@ static NEWTON_SOLVES: Counter = Counter::new("spice.newton_solves");
 static NEWTON_NONCONVERGED: Counter = Counter::new("spice.newton_nonconverged");
 /// Newton solves aborted by the NaN/Inf iterate guard.
 static NEWTON_NONFINITE: Counter = Counter::new("spice.newton_nonfinite");
-/// Top-level solves aborted by the iteration/wall-clock budget.
+/// Top-level solves aborted by the iteration budget.
 static SOLVE_BUDGET_EXHAUSTED: Counter = Counter::new("spice.solve_budget_exhausted");
 /// Solves recovered by the gmin-stepping rung of the escalation ladder.
 static ESCALATIONS_GMIN: Counter = Counter::new("spice.escalations_gmin");
@@ -86,9 +84,6 @@ pub struct Solver<'c> {
     /// Iterations remaining in the current solve budget (`None` =
     /// unlimited).
     budget_left: Option<u64>,
-    /// Wall-clock deadline of the current solve budget, armed by
-    /// [`Solver::begin_solve_budget`].
-    budget_deadline: Option<Instant>,
     opts: SimOptions,
 }
 
@@ -133,23 +128,21 @@ impl<'c> Solver<'c> {
             x_new: vec![0.0; dim],
             newton_iterations: 0,
             budget_left: opts.max_solve_iterations,
-            budget_deadline: None,
             opts: opts.clone(),
         })
     }
 
-    /// Starts a fresh solve budget: resets the iteration allowance and,
-    /// when a wall-clock ceiling is configured, arms the deadline. Called
-    /// at the top of each operating-point solve and each transient step,
-    /// so the budget bounds one step's whole retry/escalation tree.
+    /// Starts a fresh solve budget: resets the iteration allowance.
+    /// Called at the top of each operating-point solve and each transient
+    /// step, so the budget bounds one step's whole retry/escalation tree.
     pub fn begin_solve_budget(&mut self) {
         self.budget_left = self.opts.max_solve_iterations;
-        self.budget_deadline = self.opts.max_solve_wall.map(|w| Instant::now() + w);
     }
 
-    /// Budget gate, checked once per Newton iteration. Branch-only when no
-    /// budget is configured — in particular the clock is never read unless
-    /// a wall ceiling was requested.
+    /// Budget gate, checked once per Newton iteration: spends one
+    /// iteration of the allowance, or fails with
+    /// [`SpiceError::BudgetExhausted`] once it is used up. A single
+    /// branch when no budget is configured.
     fn budget_check(&mut self, ctx: &EvalCtx) -> Result<(), SpiceError> {
         if let Some(left) = self.budget_left.as_mut() {
             if *left == 0 {
@@ -164,16 +157,6 @@ impl<'c> Solver<'c> {
                 });
             }
             *left -= 1;
-        }
-        if let Some(deadline) = self.budget_deadline {
-            if Instant::now() >= deadline {
-                SOLVE_BUDGET_EXHAUSTED.inc();
-                return Err(SpiceError::BudgetExhausted {
-                    analysis: "newton",
-                    at: Some(ctx.time),
-                    detail: "wall-clock budget exhausted".into(),
-                });
-            }
         }
         Ok(())
     }

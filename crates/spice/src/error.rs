@@ -32,9 +32,9 @@ pub enum SpiceError {
         /// Simulation time at detection, if meaningful.
         at: Option<f64>,
     },
-    /// The per-solve iteration or wall-clock budget ran out before the
-    /// escalation ladder found a solution. Deliberately not retried:
-    /// budgets exist to bound worst-case solve cost.
+    /// The per-solve iteration budget ran out before the escalation
+    /// ladder found a solution. Deliberately not retried: budgets exist to
+    /// bound worst-case solve cost.
     BudgetExhausted {
         /// Which analysis hit the budget.
         analysis: &'static str,

@@ -17,8 +17,6 @@
 //! * **Waveform post-processing**: threshold crossings and 50 %-to-50 %
 //!   propagation-delay measurement, including "never switched" detection
 //!   that the paper reports as `sa-0`/`sa-1` rows ([`waveform`]).
-//! * **SPICE netlist export** for cross-checking against external
-//!   simulators ([`export`]).
 //!
 //! # Example: RC step response
 //!
@@ -49,7 +47,6 @@ pub mod circuit;
 pub mod devices;
 pub mod engine;
 pub mod error;
-pub mod export;
 pub mod options;
 pub mod stamp;
 pub mod waveform;

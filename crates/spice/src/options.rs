@@ -64,10 +64,6 @@ pub struct SimOptions {
     /// default) is unlimited; exhaustion yields
     /// [`SpiceError::BudgetExhausted`](crate::SpiceError::BudgetExhausted).
     pub max_solve_iterations: Option<u64>,
-    /// Wall-clock ceiling on one top-level solve. Checked once per Newton
-    /// iteration, and only when set, so the default path never reads the
-    /// clock.
-    pub max_solve_wall: Option<std::time::Duration>,
 }
 
 impl SimOptions {
@@ -87,7 +83,6 @@ impl SimOptions {
             reference_kernel: false,
             predictor: true,
             max_solve_iterations: None,
-            max_solve_wall: None,
         }
     }
 
@@ -103,12 +98,6 @@ impl SimOptions {
         match solver {
             SolverKind::Dense => self,
         }
-    }
-
-    /// The same options with a per-solve wall-clock ceiling.
-    pub fn with_wall_budget(mut self, wall: std::time::Duration) -> Self {
-        self.max_solve_wall = Some(wall);
-        self
     }
 
     /// The same options running the reference (baseline) Newton kernel,

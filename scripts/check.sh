@@ -6,6 +6,11 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo build --release --offline --workspace
+# Every example must build and run to a zero exit: the examples are the
+# only callers of parts of the public API (prognosis, diagnosis).
+for example in examples/*.rs; do
+    cargo run --release --offline -q --example "$(basename "$example" .rs)" > /dev/null
+done
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Broken intra-doc links (e.g. to a renamed entry point) fail the gate.
