@@ -191,6 +191,8 @@ pub fn render(r: &MetricsRunReport) -> String {
         "spice.newton_iterations",
         "spice.newton_solves",
         "linalg.lu_factorizations",
+        "linalg.symbolic_builds",
+        "linalg.symbolic_reuse",
         "core.delay_cache_hits",
         "core.delay_cache_misses",
         "core.delay_store_hits",
@@ -242,6 +244,8 @@ mod tests {
         for name in [
             "spice.newton_iterations",
             "linalg.lu_factorizations",
+            "linalg.symbolic_builds",
+            "linalg.symbolic_reuse",
             "core.delay_cache_hits",
             "atpg.podem_runs",
             "logic.soa_gates_simulated",

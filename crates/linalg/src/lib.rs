@@ -3,9 +3,17 @@
 //! Circuit matrices arising from the OBD reproduction suite are small
 //! (tens of nodes) but can be very badly scaled: a hard-breakdown path has a
 //! resistance of 0.05 Ω sitting next to 100 kΩ substrate resistors and
-//! pico-farad capacitor companions. This crate therefore provides a dense
-//! LU factorization with partial pivoting plus iterative refinement, which is
-//! robust at these condition numbers without needing sparse machinery.
+//! pico-farad capacitor companions. This crate therefore provides an LU
+//! factorization with partial pivoting plus iterative refinement, which is
+//! robust at these condition numbers.
+//!
+//! The matrices are also sparse: the Fig. 8 sum circuit's system, about 48
+//! unknowns, holds about 184 nonzeros, 8 % of its entries. Storage stays
+//! dense, but a reused [`LuWorkspace`] records the pivot order and fill
+//! pattern of its dense factorizations and replays them on later matrices.
+//! The replay touches only the entries that can be nonzero and gives the
+//! dense kernel's bits. A matrix that breaks the record runs the dense
+//! kernel again.
 //!
 //! # Example
 //!

@@ -1,4 +1,9 @@
 //! LU factorization with partial pivoting, plus iterative refinement.
+//!
+//! [`Lu`] and the one-shot [`solve`]/[`solve_refined`] always run the
+//! dense kernel. [`LuWorkspace`] runs the same kernel until it has learned
+//! the matrix's nonzero structure, then replays that structure: the same
+//! arithmetic on the entries that can be nonzero, so the same bits.
 
 use crate::{LinalgError, Matrix};
 use obd_chaos::InjectionPoint;
@@ -13,6 +18,11 @@ static CHAOS_NONFINITE: InjectionPoint = InjectionPoint::new("linalg.forced_nonf
 
 /// Total LU factorizations (all entry points: one-shot and workspace).
 static LU_FACTORIZATIONS: Counter = Counter::new("linalg.lu_factorizations");
+/// Workspace factorizations that ran the dense kernel and rebuilt the
+/// replay record.
+static SYMBOLIC_BUILDS: Counter = Counter::new("linalg.symbolic_builds");
+/// Workspace factorizations that replayed the recorded structure.
+static SYMBOLIC_REUSE: Counter = Counter::new("linalg.symbolic_reuse");
 /// Iterative-refinement passes whose residual exceeded the gate.
 static REFINEMENT_STEPS: Counter = Counter::new("linalg.refinement_steps");
 
@@ -55,16 +65,29 @@ const PIVOT_REL_TOL: f64 = 1e-280;
 /// and still get refined.
 const REFINE_REL_TOL: f64 = 1e-9;
 
-/// Factors `packed` in place (crout-style, partial pivoting), recording
-/// row exchanges in `perm`. Returns the permutation sign.
-///
-/// Shared kernel behind [`Lu::factor`] and [`LuWorkspace::factor_into`].
-fn factor_in_place(packed: &mut Matrix, perm: &mut [usize]) -> Result<f64, LinalgError> {
+/// The prologue every factorization runs once, whichever kernel follows:
+/// count it and consult the forced-singular chaos point.
+fn begin_factorization() -> Result<(), LinalgError> {
     LU_FACTORIZATIONS.inc();
-    let n = packed.rows();
     if CHAOS_SINGULAR.fire() {
         return Err(LinalgError::Singular { column: 0 });
     }
+    Ok(())
+}
+
+/// Pivot magnitudes at or below this are zero, given the matrix's
+/// infinity norm `scale`.
+fn pivot_floor(scale: f64) -> f64 {
+    scale.max(f64::MIN_POSITIVE) * PIVOT_REL_TOL
+}
+
+/// The dense kernel: factors `packed` in place (partial pivoting),
+/// recording row exchanges in `perm`. Returns the permutation sign.
+///
+/// Behind [`Lu::factor`], and behind [`LuWorkspace::factor_into`] whenever
+/// the workspace cannot replay.
+fn factor_in_place(packed: &mut Matrix, perm: &mut [usize]) -> Result<f64, LinalgError> {
+    let n = packed.rows();
     for (i, p) in perm.iter_mut().enumerate() {
         *p = i;
     }
@@ -82,7 +105,7 @@ fn factor_in_place(packed: &mut Matrix, perm: &mut [usize]) -> Result<f64, Linal
         }
         scale = scale.max(row_sum);
     }
-    let tiny = scale.max(f64::MIN_POSITIVE) * PIVOT_REL_TOL;
+    let tiny = pivot_floor(scale);
 
     for k in 0..n {
         // Find pivot row.
@@ -129,7 +152,7 @@ fn factor_in_place(packed: &mut Matrix, perm: &mut [usize]) -> Result<f64, Linal
 /// Permutes `b` by `perm` into `x`, then substitutes through the packed
 /// factors in place. `x` must already have length `n`.
 ///
-/// Shared kernel behind [`Lu::solve`] and [`LuWorkspace::solve_into`].
+/// Shared kernel behind [`Lu::solve`] and [`solve_refined`].
 // Triangular substitution indexes `x` behind the write cursor, which
 // iterator adapters cannot express without a split borrow.
 #[allow(clippy::needless_range_loop)]
@@ -159,8 +182,8 @@ fn solve_in_place(packed: &Matrix, perm: &[usize], b: &[f64], x: &mut [f64]) {
     }
 }
 
-/// Squareness is checked up front; finiteness is caught by
-/// [`factor_in_place`]'s fused norm pass, so no separate O(n²) scan runs.
+/// Squareness is checked up front; finiteness is caught by the
+/// factorization's fused norm pass, so no separate O(n²) scan runs.
 fn check_square(a: &Matrix) -> Result<(), LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::DimensionMismatch {
@@ -169,6 +192,55 @@ fn check_square(a: &Matrix) -> Result<(), LinalgError> {
         });
     }
     Ok(())
+}
+
+/// The length check every solve against order-`n` factors starts with.
+fn check_rhs(n: usize, b: &[f64]) -> Result<(), LinalgError> {
+    if b.len() != n {
+        return Err(LinalgError::DimensionMismatch {
+            expected: n,
+            found: b.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Vets a workspace-style substitution result: the forced-nonfinite chaos
+/// point, then a real finiteness check.
+fn check_solution(x: &[f64]) -> Result<(), LinalgError> {
+    if CHAOS_NONFINITE.fire() || x.iter().any(|v| !v.is_finite()) {
+        return Err(LinalgError::NonFinite);
+    }
+    Ok(())
+}
+
+/// One step of iterative refinement, run only when the residual is large
+/// enough to matter (see [`LuWorkspace::solve_refined_into`]). `residual`
+/// holds `A·x` on entry; `solve` substitutes a right-hand side through the
+/// factors that produced `x`.
+fn refine(
+    b: &[f64],
+    x: &mut [f64],
+    residual: &mut [f64],
+    correction: &mut [f64],
+    solve: impl FnOnce(&[f64], &mut [f64]),
+) {
+    let mut r_norm: f64 = 0.0;
+    let mut b_norm: f64 = 0.0;
+    for (ri, &bi) in residual.iter_mut().zip(b) {
+        *ri = bi - *ri;
+        r_norm = r_norm.max(ri.abs());
+        b_norm = b_norm.max(bi.abs());
+    }
+    if r_norm > REFINE_REL_TOL * b_norm.max(f64::MIN_POSITIVE) {
+        REFINEMENT_STEPS.inc();
+        solve(residual, correction);
+        if correction.iter().all(|v| v.is_finite()) {
+            for (xi, di) in x.iter_mut().zip(correction.iter()) {
+                *xi += di;
+            }
+        }
+    }
 }
 
 impl Lu {
@@ -195,6 +267,7 @@ impl Lu {
         check_square(&a)?;
         let n = a.rows();
         let mut perm: Vec<usize> = (0..n).collect();
+        begin_factorization()?;
         let perm_sign = factor_in_place(&mut a, &mut perm)?;
         Ok(Lu {
             packed: a,
@@ -217,12 +290,7 @@ impl Lu {
     /// non-finite values (e.g. overflow from extreme scaling).
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let n = self.order();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n,
-                found: b.len(),
-            });
-        }
+        check_rhs(n, b)?;
         let mut x = vec![0.0; n];
         solve_in_place(&self.packed, &self.perm, b, &mut x);
         if x.iter().any(|v| !v.is_finite()) {
@@ -268,23 +336,323 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 /// entry-magnitude spread of MNA matrices containing both milliohm
 /// breakdown paths and gigohm leakage conductances.
 ///
-/// One-shot convenience over [`LuWorkspace::solve_refined_into`]; repeated
-/// solves of same-order systems should hold a workspace instead.
+/// The one-shot, dense-kernel form of
+/// [`LuWorkspace::solve_refined_into`], with the same result bits and the
+/// same chaos points; repeated solves of same-order systems should hold a
+/// workspace instead.
 ///
 /// # Errors
 ///
 /// Propagates factorization and solve errors from [`Lu`].
 pub fn solve_refined(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let mut ws = LuWorkspace::new();
-    let mut x = Vec::new();
-    ws.solve_refined_into(a, b, &mut x)?;
+    let lu = Lu::factor(a)?;
+    let n = lu.order();
+    check_rhs(n, b)?;
+    let mut x = vec![0.0; n];
+    solve_in_place(&lu.packed, &lu.perm, b, &mut x);
+    check_solution(&x)?;
+    let mut residual = vec![0.0; n];
+    let mut correction = vec![0.0; n];
+    a.mul_vec_into(&x, &mut residual);
+    refine(b, &mut x, &mut residual, &mut correction, |r, d| {
+        solve_in_place(&lu.packed, &lu.perm, r, d)
+    });
     Ok(x)
+}
+
+/// A compressed list of index rows: row `i` is
+/// `idx[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone, Default)]
+struct IndexRows {
+    start: Vec<usize>,
+    idx: Vec<usize>,
+}
+
+impl IndexRows {
+    fn clear(&mut self) {
+        self.start.clear();
+        self.start.push(0);
+        self.idx.clear();
+    }
+
+    /// Closes the row being pushed.
+    fn end_row(&mut self) {
+        self.start.push(self.idx.len());
+    }
+
+    fn row(&self, i: usize) -> &[usize] {
+        &self.idx[self.start[i]..self.start[i + 1]]
+    }
+}
+
+/// Whether bit `c` is set in the bitset row `row`.
+fn has_bit(row: &[u64], c: usize) -> bool {
+    row[c / 64] >> (c % 64) & 1 != 0
+}
+
+/// The structure a workspace learned from its own dense factorizations,
+/// replayed by [`LuWorkspace::factor_into`] while it stays valid.
+///
+/// Positions are pivot order: position `i` holds input row `perm[i]`, as
+/// in the dense kernel's packed factors. Bitset rows are `words` `u64`s
+/// long, bit `c` standing for column `c`.
+#[derive(Debug, Clone, Default)]
+struct Replay {
+    /// Whether the fields below describe an order-`n` factorization.
+    built: bool,
+    n: usize,
+    words: usize,
+    /// Union of the nonzero patterns of every matrix the dense kernel
+    /// factored, by input row.
+    pattern: Vec<u64>,
+    /// The pivot order of the current factors and its permutation sign.
+    perm: Vec<usize>,
+    sign: f64,
+    /// Per position, the columns that can be nonzero, ascending: `L`
+    /// left of `diag[i]`, then the diagonal, then `U`.
+    cols: IndexRows,
+    diag: Vec<usize>,
+    /// Per elimination step `k`, the positions whose row can hold a
+    /// nonzero in column `k`, in the dense kernel's physical row order at
+    /// that step: its pivot candidates and, less the pivot, the rows it
+    /// eliminates.
+    cand: IndexRows,
+    /// Whether `cand` row `k` starts with the row at physical position
+    /// `k`, where the dense argmax takes its starting value.
+    lead: Vec<bool>,
+    /// Build scratch: the fill closure by position, and the position of
+    /// the row at each physical row.
+    fill: Vec<u64>,
+    phys: Vec<usize>,
+}
+
+impl Replay {
+    /// Forgets the record and sizes the buffers for order `n`, when `n`
+    /// differs from the recorded order.
+    fn reset_order(&mut self, n: usize) {
+        if self.n == n {
+            return;
+        }
+        self.built = false;
+        self.n = n;
+        self.words = n.div_ceil(64);
+        self.pattern.clear();
+        self.pattern.resize(n * self.words, 0);
+        self.fill.resize(n * self.words, 0);
+        for v in [&mut self.perm, &mut self.diag, &mut self.phys] {
+            v.resize(n, 0);
+        }
+        self.lead.resize(n, false);
+    }
+
+    /// Rebuilds the record after the dense kernel factored `a` with
+    /// pivot order `perm`: adds `a`'s nonzeros to the pattern, then
+    /// derives the fill closure of that pattern under the new pivot
+    /// order. Allocation-free once the lists have grown to their steady
+    /// size.
+    fn rebuild(&mut self, a: &Matrix, perm: &[usize], sign: f64) {
+        let (n, w) = (self.n, self.words);
+        for r in 0..n {
+            let bits = &mut self.pattern[r * w..(r + 1) * w];
+            for (c, &v) in a.row(r).iter().enumerate() {
+                bits[c / 64] |= u64::from(v != 0.0) << (c % 64);
+            }
+        }
+        self.perm.copy_from_slice(perm);
+        self.sign = sign;
+        for (i, &r) in perm.iter().enumerate() {
+            self.phys[r] = i;
+            self.fill[i * w..(i + 1) * w].copy_from_slice(&self.pattern[r * w..(r + 1) * w]);
+        }
+
+        // Replay the dense kernel's row exchanges symbolically: at step k
+        // every row that can hold a nonzero in column k is a candidate,
+        // and each one but the pivot takes on the pivot row's pattern
+        // right of k.
+        self.cand.clear();
+        for k in 0..n {
+            let mut at = k;
+            for p in k..n {
+                let i = self.phys[p];
+                if i == k {
+                    at = p;
+                }
+                if has_bit(&self.fill[i * w..(i + 1) * w], k) {
+                    self.cand.idx.push(i);
+                }
+            }
+            self.cand.end_row();
+            self.lead[k] = has_bit(&self.fill[self.phys[k] * w..(self.phys[k] + 1) * w], k);
+            for &i in self.cand.row(k) {
+                if i == k {
+                    continue;
+                }
+                for t in k / 64..w {
+                    let right = if t == k / 64 {
+                        (!0u64 << (k % 64)) << 1
+                    } else {
+                        !0
+                    };
+                    self.fill[i * w + t] |= self.fill[k * w + t] & right;
+                }
+            }
+            self.phys.swap(k, at);
+        }
+
+        // Under partial pivoting every multiplier the dense kernel
+        // applied was finite (|m| ≤ 1; a row holding NaN can never become
+        // a pivot), so outside the closure its factors hold only zeros.
+        self.cols.clear();
+        for i in 0..n {
+            let bits = &self.fill[i * w..(i + 1) * w];
+            for c in 0..n {
+                if c == i {
+                    self.diag[i] = self.cols.idx.len() - self.cols.start[i];
+                }
+                if has_bit(bits, c) {
+                    self.cols.idx.push(c);
+                }
+            }
+            self.cols.end_row();
+        }
+        self.built = true;
+    }
+
+    /// Factors `a` into `packed` along the record. `None` asks for the
+    /// dense kernel instead: `a` has a nonzero the record does not
+    /// cover, a recorded pivot loses the dense argmax, or a multiplier is
+    /// not finite (the dense kernel would spread it outside the
+    /// closure). Inside the closure every value gets the dense kernel's
+    /// operations in the dense kernel's order; outside it the dense
+    /// kernel only ever holds zeros, which this never writes.
+    fn replay(&self, a: &Matrix, packed: &mut Matrix) -> Option<Result<(), LinalgError>> {
+        let n = self.n;
+        let p = packed.as_mut_slice();
+        // Gather the covered entries into their pivot positions, taking
+        // the scale pass's row sums on the way: the columns ascend as in
+        // the dense pass, and the zeros it adds besides cannot change a
+        // sum. Counting nonzeros here and over all of `a` proves the
+        // record covers every one.
+        let mut covered = 0;
+        let mut scale: f64 = 0.0;
+        for (i, &r) in self.perm.iter().enumerate() {
+            let src = a.row(r);
+            let dst = &mut p[i * n..(i + 1) * n];
+            let mut row_sum: f64 = 0.0;
+            for &c in self.cols.row(i) {
+                let v = src[c];
+                dst[c] = v;
+                covered += usize::from(v != 0.0);
+                row_sum += v.abs();
+            }
+            if !row_sum.is_finite() {
+                return Some(Err(LinalgError::NonFinite));
+            }
+            scale = scale.max(row_sum);
+        }
+        let nonzeros: usize = a.as_slice().iter().map(|&v| usize::from(v != 0.0)).sum();
+        if nonzeros != covered {
+            return None;
+        }
+        let tiny = pivot_floor(scale);
+
+        for k in 0..n {
+            let cand = self.cand.row(k);
+            // The dense argmax: strict `>` over physical rows, starting
+            // from the row at physical position k (a zero when that row
+            // cannot hold a nonzero here).
+            let (mut best, mut best_val, rest) = match (self.lead[k], cand.split_first()) {
+                (true, Some((&i, rest))) => (i, p[i * n + k].abs(), rest),
+                _ => (n, 0.0, cand),
+            };
+            for &i in rest {
+                let v = p[i * n + k].abs();
+                if v > best_val {
+                    best_val = v;
+                    best = i;
+                }
+            }
+            if best_val <= tiny || !best_val.is_finite() {
+                return Some(Err(LinalgError::Singular { column: k }));
+            }
+            if best != k {
+                return None;
+            }
+            let (top, bottom) = p.split_at_mut((k + 1) * n);
+            let pivot_row = &top[k * n..];
+            let pivot = pivot_row[k];
+            let upper = &self.cols.row(k)[self.diag[k] + 1..];
+            for &i in cand {
+                if i == k {
+                    continue;
+                }
+                let row = &mut bottom[(i - k - 1) * n..(i - k) * n];
+                let m = row[k] / pivot;
+                if !m.is_finite() {
+                    return None;
+                }
+                row[k] = m;
+                if m != 0.0 {
+                    for &j in upper {
+                        row[j] -= m * pivot_row[j];
+                    }
+                }
+            }
+        }
+        Some(Ok(()))
+    }
+
+    /// [`solve_in_place`] over the recorded columns: the same
+    /// accumulation order, skipping only entries that hold zeros.
+    fn solve(&self, packed: &Matrix, b: &[f64], x: &mut [f64]) {
+        for (xi, &r) in x.iter_mut().zip(&self.perm) {
+            *xi = b[r];
+        }
+        for r in 1..self.n {
+            let row = packed.row(r);
+            let mut acc = x[r];
+            for &c in &self.cols.row(r)[..self.diag[r]] {
+                acc -= row[c] * x[c];
+            }
+            x[r] = acc;
+        }
+        for r in (0..self.n).rev() {
+            let row = packed.row(r);
+            let mut acc = x[r];
+            for &c in &self.cols.row(r)[self.diag[r] + 1..] {
+                acc -= row[c] * x[c];
+            }
+            x[r] = acc / row[r];
+        }
+    }
+
+    /// `A·x` into `out` over the recorded columns, in
+    /// [`Matrix::mul_vec_into`]'s accumulation order; `a` must be the
+    /// matrix last factored.
+    fn mul_vec_into(&self, a: &Matrix, x: &[f64], out: &mut [f64]) {
+        for (i, &r) in self.perm.iter().enumerate() {
+            let row = a.row(r);
+            out[r] = self.cols.row(i).iter().map(|&c| row[c] * x[c]).sum();
+        }
+    }
 }
 
 /// A reusable LU solve workspace: the packed factors, the pivot
 /// permutation and the refinement scratch buffers all persist across
 /// calls, so repeated same-order solves — the shape of every Newton
 /// iteration — allocate nothing.
+///
+/// The workspace also learns the structure of what it factors. Its first
+/// factorization runs the dense kernel of [`Lu::factor`] and records the
+/// pivot order and the fill that order can produce from the nonzero
+/// pattern. Later factorizations of matrices inside that pattern replay
+/// the record and touch only entries that can be nonzero. A replay checks
+/// every pivot against the dense kernel's choice. A matrix with a new
+/// nonzero, or one whose pivot order changes, runs the dense kernel again
+/// and rebuilds the record. Substitution and the refinement residual
+/// always walk the record. Every result has the bits [`Lu`] would give,
+/// except that a right-hand side holding `-0.0` may flip the sign of a
+/// solution entry that is exactly zero.
 ///
 /// # Example
 ///
@@ -306,8 +674,10 @@ pub fn solve_refined(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 #[derive(Debug, Clone)]
 pub struct LuWorkspace {
     packed: Matrix,
+    /// Row exchanges of the dense kernel; the factors' own pivot order is
+    /// the record's.
     perm: Vec<usize>,
-    perm_sign: f64,
+    plan: Replay,
     factored: bool,
     /// Residual / correction scratch for refinement.
     residual: Vec<f64>,
@@ -324,23 +694,19 @@ impl LuWorkspace {
     /// Creates an empty workspace; buffers are sized lazily on the first
     /// factorization.
     pub fn new() -> Self {
-        LuWorkspace {
-            packed: Matrix::zeros(0, 0),
-            perm: Vec::new(),
-            perm_sign: 1.0,
-            factored: false,
-            residual: Vec::new(),
-            correction: Vec::new(),
-        }
+        LuWorkspace::with_order(0)
     }
 
-    /// Creates a workspace pre-sized for order-`n` systems, so even the
-    /// first solve allocates nothing.
+    /// Creates a workspace pre-sized for order-`n` systems. The first
+    /// factorization still sizes the structure record; later ones
+    /// allocate nothing.
     pub fn with_order(n: usize) -> Self {
+        let mut plan = Replay::default();
+        plan.reset_order(n);
         LuWorkspace {
             packed: Matrix::zeros(n, n),
             perm: vec![0; n],
-            perm_sign: 1.0,
+            plan,
             factored: false,
             residual: vec![0.0; n],
             correction: vec![0.0; n],
@@ -353,8 +719,10 @@ impl LuWorkspace {
         self.perm.len()
     }
 
-    /// Factors `a` into the workspace, reusing the packed/perm buffers.
-    /// Allocates only when the order changes.
+    /// Factors `a` into the workspace, reusing the packed/perm buffers:
+    /// a replay of the recorded structure when `a` fits it, the dense
+    /// kernel (and a rebuilt record) otherwise. Allocates only when the
+    /// order changes or the record grows.
     ///
     /// # Errors
     ///
@@ -363,13 +731,25 @@ impl LuWorkspace {
         self.factored = false;
         check_square(a)?;
         let n = a.rows();
-        self.packed.copy_from(a);
         if self.perm.len() != n {
             self.perm.resize(n, 0);
             self.residual.resize(n, 0.0);
             self.correction.resize(n, 0.0);
         }
-        self.perm_sign = factor_in_place(&mut self.packed, &mut self.perm)?;
+        begin_factorization()?;
+        if self.plan.built && self.plan.n == n {
+            if let Some(result) = self.plan.replay(a, &mut self.packed) {
+                SYMBOLIC_REUSE.inc();
+                result?;
+                self.factored = true;
+                return Ok(());
+            }
+        }
+        self.plan.reset_order(n);
+        self.packed.copy_from(a);
+        let sign = factor_in_place(&mut self.packed, &mut self.perm)?;
+        self.plan.rebuild(a, &self.perm, sign);
+        SYMBOLIC_BUILDS.inc();
         self.factored = true;
         Ok(())
     }
@@ -384,21 +764,16 @@ impl LuWorkspace {
     /// substitution overflows.
     pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), LinalgError> {
         let n = self.order();
-        if !self.factored || b.len() != n {
+        if !self.factored {
             return Err(LinalgError::DimensionMismatch {
                 expected: n,
                 found: b.len(),
             });
         }
+        check_rhs(n, b)?;
         x.resize(n, 0.0);
-        solve_in_place(&self.packed, &self.perm, b, x);
-        if CHAOS_NONFINITE.fire() {
-            return Err(LinalgError::NonFinite);
-        }
-        if x.iter().any(|v| !v.is_finite()) {
-            return Err(LinalgError::NonFinite);
-        }
-        Ok(())
+        self.plan.solve(&self.packed, b, x);
+        check_solution(x)
     }
 
     /// Factor + solve + conditional refinement, the full Newton-iteration
@@ -418,42 +793,17 @@ impl LuWorkspace {
     ) -> Result<(), LinalgError> {
         self.factor_into(a)?;
         self.solve_into(b, x)?;
-        self.refine_against(a, b, x);
+        let (plan, packed) = (&self.plan, &self.packed);
+        plan.mul_vec_into(a, x, &mut self.residual);
+        refine(b, x, &mut self.residual, &mut self.correction, |r, d| {
+            plan.solve(packed, r, d)
+        });
         Ok(())
-    }
-
-    /// One step of iterative refinement against the original system, run
-    /// only when the residual is large enough to matter (see
-    /// [`LuWorkspace::solve_refined_into`]).
-    fn refine_against(&mut self, a: &Matrix, b: &[f64], x: &mut [f64]) {
-        // Residual r = b − A·x into the persistent scratch buffer.
-        a.mul_vec_into(x, &mut self.residual);
-        let mut r_norm: f64 = 0.0;
-        let mut b_norm: f64 = 0.0;
-        for (ri, &bi) in self.residual.iter_mut().zip(b) {
-            *ri = bi - *ri;
-            r_norm = r_norm.max(ri.abs());
-            b_norm = b_norm.max(bi.abs());
-        }
-        if r_norm > REFINE_REL_TOL * b_norm.max(f64::MIN_POSITIVE) {
-            REFINEMENT_STEPS.inc();
-            solve_in_place(
-                &self.packed,
-                &self.perm,
-                &self.residual,
-                &mut self.correction,
-            );
-            if self.correction.iter().all(|v| v.is_finite()) {
-                for (xi, di) in x.iter_mut().zip(self.correction.iter()) {
-                    *xi += di;
-                }
-            }
-        }
     }
 
     /// Determinant of the last factored matrix.
     pub fn determinant(&self) -> f64 {
-        let mut det = self.perm_sign;
+        let mut det = self.plan.sign;
         for i in 0..self.order() {
             det *= self.packed[(i, i)];
         }

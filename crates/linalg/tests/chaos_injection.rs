@@ -58,3 +58,41 @@ fn injected_nonfinite_solution_is_typed() {
         "expected injected NonFinite, got {res:?}"
     );
 }
+
+/// Both chaos points still fire once a workspace replays its recorded
+/// structure, and a forced failure leaves the record intact.
+#[test]
+fn chaos_fires_on_replayed_factorizations() {
+    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    obd_metrics::enable();
+    let reuses = || {
+        obd_metrics::snapshot()
+            .counter("linalg.symbolic_reuse")
+            .unwrap_or(0)
+    };
+    let (m, b) = well_conditioned(4);
+    let mut ws = LuWorkspace::new();
+    let mut x = Vec::new();
+    ws.solve_refined_into(&m, &b, &mut x).unwrap();
+
+    obd_chaos::arm(7, 1000);
+    let res = ws.factor_into(&m);
+    obd_chaos::disarm();
+    assert!(
+        matches!(res, Err(LinalgError::Singular { column: 0 })),
+        "expected injected singularity, got {res:?}"
+    );
+
+    let before = reuses();
+    ws.factor_into(&m).unwrap();
+    assert_eq!(reuses(), before + 1, "the record survives the injection");
+    obd_chaos::arm(7, 1000);
+    let res = ws.solve_into(&b, &mut x);
+    obd_chaos::disarm();
+    assert!(
+        matches!(res, Err(LinalgError::NonFinite)),
+        "expected injected NonFinite, got {res:?}"
+    );
+    ws.solve_refined_into(&m, &b, &mut x).unwrap();
+    assert_eq!(reuses(), before + 2);
+}

@@ -7,6 +7,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use obd_linalg::{LuWorkspace, Matrix};
 use obd_spice::devices::{
     Capacitor, Diode, DiodeParams, EvalCtx, Integration, MosParams, MosPolarity, Mosfet, Resistor,
     SourceWave, Vsource,
@@ -222,5 +223,66 @@ fn metrics_disabled_path_does_not_allocate_in_hot_loop() {
     assert!(
         after > before,
         "enabled run must record newton iterations ({before} -> {after})"
+    );
+}
+
+/// A warm `LuWorkspace` fed two matrices of one nonzero pattern whose
+/// pivot orders differ rebuilds its replay record on every
+/// factorization; the rebuilds reuse the record's buffers as well.
+#[test]
+fn alternating_pivot_orders_rebuild_without_allocating() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    MEASURED_THREAD.with(|c| c.set(true));
+    obd_metrics::enable();
+
+    // A node chain with a voltage source on node 0: a strong conductance
+    // there pivots column 0 on the node row, a weak one on the branch row.
+    let nodes = 7;
+    let matrix = |g0: f64| {
+        let mut m = Matrix::zeros(nodes + 1, nodes + 1);
+        m.add_at(0, 0, g0);
+        for k in 0..nodes {
+            m.add_at(k, k, 1e-12);
+        }
+        for k in 0..nodes - 1 {
+            let g = 1e-3 * (k + 1) as f64;
+            m.add_at(k, k, g);
+            m.add_at(k + 1, k + 1, g);
+            m.add_at(k, k + 1, -g);
+            m.add_at(k + 1, k, -g);
+        }
+        m[(0, nodes)] = 1.0;
+        m[(nodes, 0)] = 1.0;
+        m
+    };
+    let pair = [matrix(50.0), matrix(0.02)];
+    let b: Vec<f64> = (0..=nodes).map(|k| k as f64 - 3.0).collect();
+    let mut ws = LuWorkspace::new();
+    let mut x = Vec::new();
+    for a in pair.iter().chain(&pair) {
+        ws.factor_into(a).unwrap();
+        ws.solve_into(&b, &mut x).unwrap();
+    }
+
+    let builds = || {
+        obd_metrics::snapshot()
+            .counter("linalg.symbolic_builds")
+            .unwrap_or(0)
+    };
+    let before = builds();
+    ALLOC_CALLS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    for k in 0..50 {
+        ws.factor_into(&pair[k % 2]).unwrap();
+        ws.solve_into(&b, &mut x).unwrap();
+    }
+    COUNTING.store(false, Ordering::SeqCst);
+    let calls = ALLOC_CALLS.load(Ordering::SeqCst);
+    let rebuilt = builds() - before;
+    obd_metrics::disable();
+    assert_eq!(rebuilt, 50, "every factorization must rebuild the record");
+    assert_eq!(
+        calls, 0,
+        "warm rebuilding factorizations performed {calls} heap allocations over 50 solves"
     );
 }

@@ -388,3 +388,61 @@ fn pwl_stays_in_hull() {
         );
     }
 }
+
+/// A single MOSFET biased by ideal sources carries the Shichman–Hodges
+/// level-1 drain current, read back as the drain source's branch current:
+/// in triode and in saturation, with channel-length modulation, for both
+/// polarities. The 1e-12 S gmin paths carry the only other current.
+#[test]
+fn mosfet_drain_current_matches_shichman_hodges() {
+    let params = MosParams {
+        vt0: 0.6,
+        kp: 100e-6,
+        lambda: 0.05,
+        gamma: 0.0,
+        phi: 0.7,
+        w: 2e-6,
+        l: 0.5e-6,
+    };
+    let beta = params.kp * params.w / params.l;
+    let vdd = 3.3;
+    // (|Vgs|, |Vds|): triode (Vds < Vgs − Vt), then saturation.
+    for (vgs, vds, triode) in [(2.0, 0.4, true), (1.5, 2.5, false)] {
+        let vov = vgs - params.vt0;
+        assert_eq!(vds < vov, triode);
+        let clm = 1.0 + params.lambda * vds;
+        let expect = if triode {
+            beta * (vov * vds - 0.5 * vds * vds) * clm
+        } else {
+            0.5 * beta * vov * vov * clm
+        };
+        for polarity in [MosPolarity::Nmos, MosPolarity::Pmos] {
+            // NMOS: source and bulk at ground. PMOS: at the supply, with
+            // gate and drain mirrored below it.
+            let (vs, sign) = match polarity {
+                MosPolarity::Nmos => (0.0, 1.0),
+                MosPolarity::Pmos => (vdd, -1.0),
+            };
+            let mut ckt = Circuit::new();
+            let d = ckt.node("d");
+            let g = ckt.node("g");
+            let s = ckt.node("s");
+            for (name, node, v) in [
+                ("VD", d, vs + sign * vds),
+                ("VG", g, vs + sign * vgs),
+                ("VS", s, vs),
+            ] {
+                ckt.add_vsource(Vsource::new(name, node, Circuit::GROUND, SourceWave::dc(v)));
+            }
+            ckt.add_mosfet(Mosfet::new("M", polarity, d, g, s, s, params));
+            let op = operating_point(&ckt, &SimOptions::new()).unwrap();
+            // The drain current leaves VD's plus terminal for an NMOS and
+            // enters it for a PMOS.
+            let got = -sign * op.source_current(0).unwrap();
+            assert!(
+                (got - expect).abs() <= 1e-6 * expect,
+                "{polarity:?} vgs={vgs} vds={vds}: {got} vs {expect}"
+            );
+        }
+    }
+}

@@ -64,6 +64,15 @@ MULT16_GATES = 2624
 gates_per_block = counters["logic.soa_gates_simulated"] / counters["atpg.blocks_graded"]
 assert gates_per_block < MULT16_GATES, \
     f"{gates_per_block:.1f} gates simulated per graded block: is the cone kernel off the hot path?"
+# The LU workspace replays its recorded nonzero structure on the Newton
+# path: only each solver's first factorization and the rare pivot change
+# run the dense kernel and rebuild the record.
+reuse = counters.get("linalg.symbolic_reuse", 0)
+builds = counters.get("linalg.symbolic_builds", 0)
+assert reuse > 0, "no LU factorization replayed its structure: is the replay off the Newton path?"
+reuse_ratio = reuse / (reuse + builds)
+assert reuse_ratio >= 0.9, \
+    f"LU replay ratio {reuse_ratio:.3f} ({reuse} replays, {builds} builds) is below 0.9"
 assert "fleet.detection_latency_mh" in snap["histograms"], "fleet latency histogram missing"
 # The persistence layer and the serve front-end run inside the stats
 # flow: the store round-trip and the mini batch must leave their marks.
@@ -89,6 +98,7 @@ print(
     f"soa_gates_simulated={counters['logic.soa_gates_simulated']}",
     f"superlane_width={gauges['atpg.superlane_width']:.0f}",
     f"gates_per_block={gates_per_block:.1f}",
+    f"lu_replay_ratio={reuse_ratio:.3f}",
     f"fleet_devices={counters['fleet.devices_simulated']}",
 )
 EOF
