@@ -5,6 +5,9 @@ use obd_cmos::CmosError;
 use obd_logic::LogicError;
 use obd_spice::SpiceError;
 
+use crate::faultmodel::Polarity;
+use crate::stage::BreakdownStage;
+
 /// Errors from OBD modeling, injection and characterization.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObdError {
@@ -16,10 +19,10 @@ pub enum ObdError {
     /// The stage has no parameters for this polarity (the paper's PMOS
     /// table ends at MBD3 with "N/A" for HBD).
     StageUnavailable {
-        /// Requested stage name.
-        stage: String,
-        /// Polarity name.
-        polarity: String,
+        /// Requested stage.
+        stage: BreakdownStage,
+        /// Polarity of the device.
+        polarity: Polarity,
     },
     /// The fault site does not exist in the netlist (bad gate/pin).
     BadSite(String),

@@ -7,6 +7,8 @@
 //! (exponential growth ⇒ linear in log-space) and pins the breakdown
 //! resistance ladder to the same progress coordinate.
 
+use std::sync::OnceLock;
+
 use crate::faultmodel::Polarity;
 use crate::stage::{BreakdownStage, ObdParams};
 
@@ -14,23 +16,51 @@ use crate::stage::{BreakdownStage, ObdParams};
 /// (a PFET with 15 Å oxide, from Linder et al.).
 pub const REFERENCE_SBD_TO_HBD_HOURS: f64 = 27.0;
 
-/// Exponential progression of one defect from SBD to HBD.
-#[derive(Debug, Clone)]
-pub struct ProgressionModel {
-    polarity: Polarity,
-    /// Total SBD→HBD duration in hours.
-    pub duration_hours: f64,
+/// The ladder stages past SBD that [`ProgressionModel::stage_at`] can
+/// report, in progression order.
+const LATER_STAGES: [BreakdownStage; 4] = [
+    BreakdownStage::Mbd1,
+    BreakdownStage::Mbd2,
+    BreakdownStage::Mbd3,
+    BreakdownStage::Hbd,
+];
+
+/// The duration-free half of the progression law for one polarity:
+/// endpoint parameters and their logarithms, each later stage's progress
+/// coordinate and each `stage_at` threshold. Computed once per polarity
+/// (see [`Ladder::of`]), each with the expression a query would otherwise
+/// evaluate, so cached and recomputed values have the same bits
+/// (`tests/progression_oracle.rs` pins this).
+#[derive(Debug)]
+struct Ladder {
     isat_start: f64,
     isat_end: f64,
-    r_start: f64,
-    r_end: f64,
+    ln_isat_start: f64,
+    ln_isat_end: f64,
+    ln_r_start: f64,
+    ln_r_end: f64,
+    /// Progress coordinate of each [`LATER_STAGES`] entry; `None` when the
+    /// polarity has no parameters for it or its current lies outside the
+    /// modeled range.
+    stage_u: [Option<f64>; 4],
+    /// Saturation current at which [`ProgressionModel::stage_at`] reports
+    /// each [`LATER_STAGES`] entry; `None` when the stage is unavailable.
+    thresholds: [Option<f64>; 4],
 }
 
-impl ProgressionModel {
-    /// A progression over `duration_hours` between this polarity's SBD
-    /// parameters and its terminal parameters (HBD for NMOS; the MBD3
-    /// endpoint for PMOS, whose hard breakdown the paper marks N/A).
-    pub fn new(polarity: Polarity, duration_hours: f64) -> Self {
+impl Ladder {
+    /// The cached ladder of `polarity`.
+    fn of(polarity: Polarity) -> &'static Ladder {
+        static LADDERS: OnceLock<[Ladder; 2]> = OnceLock::new();
+        let [nmos, pmos] =
+            LADDERS.get_or_init(|| [Ladder::new(Polarity::Nmos), Ladder::new(Polarity::Pmos)]);
+        match polarity {
+            Polarity::Nmos => nmos,
+            Polarity::Pmos => pmos,
+        }
+    }
+
+    fn new(polarity: Polarity) -> Ladder {
         // The ladder defines SBD and a terminal stage for both polarities;
         // should that invariant ever break, fall back to the published
         // NMOS SBD/HBD endpoints rather than panicking mid-campaign.
@@ -41,13 +71,58 @@ impl ProgressionModel {
             .params(polarity)
             .or_else(|_| BreakdownStage::Mbd3.params(polarity))
             .unwrap_or_else(|_| ObdParams::new(2e-24, 0.05));
-        ProgressionModel {
-            polarity,
-            duration_hours,
+        let mut ladder = Ladder {
             isat_start: start.isat,
             isat_end: end.isat,
-            r_start: start.r_bd,
-            r_end: end.r_bd,
+            ln_isat_start: start.isat.ln(),
+            ln_isat_end: end.isat.ln(),
+            ln_r_start: start.r_bd.ln(),
+            ln_r_end: end.r_bd.ln(),
+            stage_u: [None; 4],
+            thresholds: [None; 4],
+        };
+        for (i, s) in LATER_STAGES.into_iter().enumerate() {
+            if let Ok(p) = s.params(polarity) {
+                ladder.stage_u[i] = ladder.progress_of_isat(p.isat);
+                // Small relative tolerance absorbs the rounding of the
+                // log-space interpolation at the endpoints.
+                ladder.thresholds[i] = Some(p.isat * (1.0 - 1e-9));
+            }
+        }
+        ladder
+    }
+
+    /// Progress coordinate at which the saturation current reaches
+    /// `isat`, or `None` outside the modeled range.
+    fn progress_of_isat(&self, isat: f64) -> Option<f64> {
+        if isat < self.isat_start.min(self.isat_end) || isat > self.isat_start.max(self.isat_end) {
+            return None;
+        }
+        Some((isat.ln() - self.ln_isat_start) / (self.ln_isat_end - self.ln_isat_start))
+    }
+
+    /// Saturation current at progress coordinate `u` (log-linear).
+    fn isat_at(&self, u: f64) -> f64 {
+        (self.ln_isat_start + (self.ln_isat_end - self.ln_isat_start) * u).exp()
+    }
+}
+
+/// Exponential progression of one defect from SBD to HBD.
+#[derive(Debug, Clone)]
+pub struct ProgressionModel {
+    ladder: &'static Ladder,
+    /// Total SBD→HBD duration in hours.
+    pub duration_hours: f64,
+}
+
+impl ProgressionModel {
+    /// A progression over `duration_hours` between this polarity's SBD
+    /// parameters and its terminal parameters (HBD for NMOS; the MBD3
+    /// endpoint for PMOS, whose hard breakdown the paper marks N/A).
+    pub fn new(polarity: Polarity, duration_hours: f64) -> Self {
+        ProgressionModel {
+            ladder: Ladder::of(polarity),
+            duration_hours,
         }
     }
 
@@ -65,27 +140,19 @@ impl ProgressionModel {
     /// Exponential growth: log-linear interpolation in both parameters.
     pub fn params_at(&self, t_hours: f64) -> ObdParams {
         let u = self.progress(t_hours);
-        let isat = log_interp(self.isat_start, self.isat_end, u);
-        let r_bd = log_interp(self.r_start, self.r_end, u);
-        ObdParams::new(isat, r_bd)
+        let l = self.ladder;
+        let r_bd = (l.ln_r_start + (l.ln_r_end - l.ln_r_start) * u).exp();
+        ObdParams::new(l.isat_at(u), r_bd)
     }
 
     /// The discrete stage the defect has reached at `t` hours: the latest
     /// ladder stage whose saturation current has been crossed.
     pub fn stage_at(&self, t_hours: f64) -> BreakdownStage {
-        let isat = self.params_at(t_hours).isat;
+        let isat = self.ladder.isat_at(self.progress(t_hours));
         let mut stage = BreakdownStage::Sbd;
-        for s in [
-            BreakdownStage::Mbd1,
-            BreakdownStage::Mbd2,
-            BreakdownStage::Mbd3,
-            BreakdownStage::Hbd,
-        ] {
-            match s.params(self.polarity) {
-                // Small relative tolerance absorbs the rounding of the
-                // log-space interpolation at the endpoints.
-                Ok(p) if isat >= p.isat * (1.0 - 1e-9) => stage = s,
-                _ => {}
+        for (s, threshold) in LATER_STAGES.into_iter().zip(self.ladder.thresholds) {
+            if threshold.is_some_and(|th| isat >= th) {
+                stage = s;
             }
         }
         stage
@@ -95,29 +162,22 @@ impl ProgressionModel {
     /// reached, inverting the exponential law. Returns `None` if the value
     /// lies outside the modeled range.
     pub fn time_of_isat(&self, isat: f64) -> Option<f64> {
-        if isat < self.isat_start.min(self.isat_end) || isat > self.isat_start.max(self.isat_end) {
-            return None;
-        }
-        let u = (isat.ln() - self.isat_start.ln()) / (self.isat_end.ln() - self.isat_start.ln());
-        Some(u * self.duration_hours)
+        Some(self.ladder.progress_of_isat(isat)? * self.duration_hours)
     }
 
     /// The time (hours after SBD) at which the defect enters a ladder
     /// stage.
     pub fn time_of_stage(&self, stage: BreakdownStage) -> Option<f64> {
-        match stage {
-            BreakdownStage::FaultFree => None,
-            BreakdownStage::Sbd => Some(0.0),
-            other => {
-                let p = other.params(self.polarity).ok()?;
-                self.time_of_isat(p.isat)
-            }
-        }
+        let i = match stage {
+            BreakdownStage::FaultFree => return None,
+            BreakdownStage::Sbd => return Some(0.0),
+            BreakdownStage::Mbd1 => 0,
+            BreakdownStage::Mbd2 => 1,
+            BreakdownStage::Mbd3 => 2,
+            BreakdownStage::Hbd => 3,
+        };
+        Some(self.ladder.stage_u[i]? * self.duration_hours)
     }
-}
-
-fn log_interp(a: f64, b: f64, u: f64) -> f64 {
-    (a.ln() + (b.ln() - a.ln()) * u).exp()
 }
 
 #[cfg(test)]

@@ -94,8 +94,8 @@ impl BreakdownStage {
             (Polarity::Pmos, Mbd3) => ObdParams::new(1.2e-29, 830.0),
             (Polarity::Pmos, Hbd) => {
                 return Err(ObdError::StageUnavailable {
-                    stage: self.to_string(),
-                    polarity: "PMOS".to_string(),
+                    stage: self,
+                    polarity,
                 })
             }
         };
@@ -157,10 +157,15 @@ mod tests {
 
     #[test]
     fn pmos_hbd_is_not_available() {
-        assert!(matches!(
-            BreakdownStage::Hbd.params(Polarity::Pmos),
-            Err(ObdError::StageUnavailable { .. })
-        ));
+        let err = BreakdownStage::Hbd.params(Polarity::Pmos).unwrap_err();
+        assert_eq!(
+            err,
+            ObdError::StageUnavailable {
+                stage: BreakdownStage::Hbd,
+                polarity: Polarity::Pmos,
+            }
+        );
+        assert_eq!(err.to_string(), "no PMOS parameters for stage HBD");
     }
 
     #[test]

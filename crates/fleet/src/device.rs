@@ -12,7 +12,7 @@ use obd_core::progression::ProgressionModel;
 use obd_core::window::DetectionWindow;
 
 use crate::coverage::BistProfile;
-use crate::schedule::{self, first_session_at_or_after, session_count};
+use crate::schedule::{first_session_at_or_after, session_count, WindowPlan};
 use crate::sim::FleetConfig;
 use crate::FleetError;
 
@@ -131,7 +131,8 @@ fn plan(
     Ok((interval, phase))
 }
 
-/// Simulates one device end to end.
+/// Simulates one device end to end against the campaign's window plan
+/// (`WindowPlan::new(&cfg.table, cfg.slack_ps)`).
 ///
 /// # Errors
 ///
@@ -142,6 +143,7 @@ pub fn simulate_device(
     params: &DeviceParams,
     cfg: &FleetConfig,
     profile: &BistProfile,
+    window_plan: &WindowPlan,
 ) -> Result<DeviceResult, FleetError> {
     if DEVICE_FAULT.fire() {
         return Err(FleetError::DevicePoisoned);
@@ -154,7 +156,7 @@ pub fn simulate_device(
         ))
     })?;
     let progression = ProgressionModel::new(polarity, params.duration_hours);
-    let window = schedule::device_window(&cfg.table, &progression, polarity, cfg.slack_ps);
+    let window = window_plan.window(polarity, &progression);
     let (interval, phase) = plan(window.as_ref(), params.phase_frac, cfg)?;
     let horizon = cfg.horizon_hours;
 
@@ -176,7 +178,7 @@ pub fn simulate_device(
     let (abs_open, abs_close) = match &window {
         Some(w) => (onset + w.opens_hours, onset + w.closes_hours),
         None => {
-            let close = onset + schedule::terminal_close(&cfg.table, &progression, polarity);
+            let close = onset + window_plan.close_hours(polarity, &progression);
             (close, close)
         }
     };
@@ -263,6 +265,10 @@ mod tests {
         BistProfile::slack_ideal(&cfg.table, Polarity::Nmos, cfg.slack_ps)
     }
 
+    fn window_plan(cfg: &FleetConfig) -> WindowPlan {
+        WindowPlan::new(&cfg.table, cfg.slack_ps)
+    }
+
     #[test]
     fn healthy_device_counts_grid_sessions() {
         let mut cfg = test_config();
@@ -275,7 +281,7 @@ mod tests {
             site: 0,
             phase_frac: 0.0,
         };
-        let r = simulate_device(&params, &cfg, &profile).unwrap();
+        let r = simulate_device(&params, &cfg, &profile, &window_plan(&cfg)).unwrap();
         assert_eq!(r.outcome, DeviceOutcome::Healthy);
         // Sessions at 5, 15, …, 95 within a 100 h horizon.
         assert_eq!(r.sessions, 10);
@@ -295,7 +301,7 @@ mod tests {
             phase_frac: 0.37,
         };
         cfg.policy.opportunities = 2;
-        let r = simulate_device(&params, &cfg, &profile).unwrap();
+        let r = simulate_device(&params, &cfg, &profile, &window_plan(&cfg)).unwrap();
         assert_eq!(r.outcome, DeviceOutcome::Detected);
         let lat = r.latency_mh.unwrap();
         // Detection within one interval of the opening.
@@ -316,7 +322,7 @@ mod tests {
             site: 0,
             phase_frac: 0.0,
         };
-        let r = simulate_device(&params, &cfg, &profile).unwrap();
+        let r = simulate_device(&params, &cfg, &profile, &window_plan(&cfg)).unwrap();
         assert_eq!(r.outcome, DeviceOutcome::Escaped);
         assert_eq!(r.latency_mh, None);
     }
@@ -336,7 +342,7 @@ mod tests {
             site: 0,
             phase_frac: 0.0,
         };
-        let r = simulate_device(&params, &cfg, &profile).unwrap();
+        let r = simulate_device(&params, &cfg, &profile, &window_plan(&cfg)).unwrap();
         assert_eq!(r.outcome, DeviceOutcome::Censored);
     }
 
@@ -362,7 +368,7 @@ mod tests {
             site: 0,
             phase_frac: 0.5,
         };
-        let r = simulate_device(&params, &cfg, &profile).unwrap();
+        let r = simulate_device(&params, &cfg, &profile, &window_plan(&cfg)).unwrap();
         assert_eq!(r.outcome, DeviceOutcome::Healthy);
     }
 }

@@ -27,7 +27,7 @@
 //!
 //! Module map:
 //!
-//! * [`schedule`] — pure scheduler math: window-derived intervals,
+//! * [`schedule`] — pure scheduler math: the per-campaign window plan,
 //!   session grids, the first-opportunity function the property tests
 //!   exercise.
 //! * [`coverage`] — the [`coverage::BistProfile`]: per-stage PPSFP

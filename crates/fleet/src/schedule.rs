@@ -30,11 +30,18 @@ pub const LADDER: [BreakdownStage; 5] = [
     BreakdownStage::Hbd,
 ];
 
-/// The detection window the *scheduler* plans against, in hours after
-/// onset: it opens at the arrival of the first ladder stage whose extra
+/// Where the detection window the *scheduler* plans against opens and
+/// closes, resolved once for both polarities and shared by every device
+/// of a campaign block.
+///
+/// The window opens at the arrival of the first ladder stage whose extra
 /// delay strictly exceeds the slack (the same `delay > slack` criterion
 /// the PPSFP grading applies, so a covered site is detectable at every
 /// session inside the window) and closes when the defect goes stuck.
+/// Which stages those are depends only on the delay table, the slack and
+/// the polarity's ladder; a device's progression duration only scales
+/// their arrival times. The plan therefore keeps the two stages, and
+/// [`WindowPlan::window`] turns them into hours for one device.
 ///
 /// This is deliberately more conservative than
 /// [`obd_core::window::detection_window`], which interpolates the
@@ -42,49 +49,83 @@ pub const LADDER: [BreakdownStage; 5] = [
 /// is still at the previous (sub-slack) stage and a BIST session cannot
 /// see it yet. Planning on stage arrivals keeps the in-window guarantee
 /// exact instead of probabilistic.
-///
-/// Returns `None` when no pre-stuck stage ever beats the slack — the
-/// defect is only ever observable as a hard fault and no delay-test
-/// interval helps.
-pub fn device_window(
-    table: &DelayTable,
-    progression: &ProgressionModel,
-    polarity: Polarity,
-    slack_ps: f64,
-) -> Option<DetectionWindow> {
-    let closes = terminal_close(table, progression, polarity);
-    for &s in &LADDER {
-        let Some(d) = table.extra_delay_ps(polarity, s) else {
-            break; // stuck stage: the delay regime is over
-        };
-        if d > slack_ps {
-            let opens = progression.time_of_stage(s)?;
-            return Some(DetectionWindow {
-                opens_hours: opens.min(closes),
-                closes_hours: closes,
-            });
-        }
-    }
-    None
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowPlan {
+    nmos: StagePair,
+    pmos: StagePair,
 }
 
-/// Hours after onset at which the defect stops being a delay defect:
-/// the arrival of the first stuck ladder stage, or the full progression
-/// duration when no stage in the table goes stuck.
-pub fn terminal_close(
-    table: &DelayTable,
-    progression: &ProgressionModel,
-    polarity: Polarity,
-) -> f64 {
-    for &s in &LADDER {
-        if table.is_stuck(polarity, s) {
-            if let Some(t) = progression.time_of_stage(s) {
-                return t;
+/// One polarity's opening and closing stages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StagePair {
+    /// First pre-stuck stage beating the slack, if it has an arrival
+    /// time; `None` means no window (the defect is only ever observable
+    /// as a hard fault).
+    opens: Option<BreakdownStage>,
+    /// First stuck stage, if it has an arrival time; `None` closes the
+    /// window at the full progression duration.
+    closes: Option<BreakdownStage>,
+}
+
+impl WindowPlan {
+    /// Resolves the opening and closing stages of both polarities.
+    pub fn new(table: &DelayTable, slack_ps: f64) -> WindowPlan {
+        let side = |polarity| {
+            // Whether a stage has an arrival time at all is a property of
+            // the polarity's ladder, not of the duration.
+            let arrives = |s| {
+                ProgressionModel::new(polarity, 1.0)
+                    .time_of_stage(s)
+                    .is_some()
+            };
+            let stuck = LADDER.into_iter().find(|&s| table.is_stuck(polarity, s));
+            let beats = LADDER
+                .into_iter()
+                .map_while(|s| Some((s, table.extra_delay_ps(polarity, s)?)))
+                .find(|&(_, d)| d > slack_ps);
+            StagePair {
+                opens: beats.map(|(s, _)| s).filter(|&s| arrives(s)),
+                closes: stuck.filter(|&s| arrives(s)),
             }
-            break;
+        };
+        WindowPlan {
+            nmos: side(Polarity::Nmos),
+            pmos: side(Polarity::Pmos),
         }
     }
-    progression.duration_hours
+
+    fn side(&self, polarity: Polarity) -> &StagePair {
+        match polarity {
+            Polarity::Nmos => &self.nmos,
+            Polarity::Pmos => &self.pmos,
+        }
+    }
+
+    /// The planned window of a device of this polarity, in hours after
+    /// onset; `None` when no pre-stuck stage ever beats the slack and no
+    /// delay-test interval helps.
+    pub fn window(
+        &self,
+        polarity: Polarity,
+        progression: &ProgressionModel,
+    ) -> Option<DetectionWindow> {
+        let opens = progression.time_of_stage(self.side(polarity).opens?)?;
+        let closes = self.close_hours(polarity, progression);
+        Some(DetectionWindow {
+            opens_hours: opens.min(closes),
+            closes_hours: closes,
+        })
+    }
+
+    /// Hours after onset at which the defect stops being a delay defect:
+    /// the arrival of the first stuck ladder stage, or the full
+    /// progression duration when no stage in the table goes stuck.
+    pub fn close_hours(&self, polarity: Polarity, progression: &ProgressionModel) -> f64 {
+        self.side(polarity)
+            .closes
+            .and_then(|s| progression.time_of_stage(s))
+            .unwrap_or(progression.duration_hours)
+    }
 }
 
 /// Number of sessions of the grid `phase + k·interval` (`k ≥ 0`) with
@@ -210,13 +251,151 @@ mod tests {
         }
     }
 
+    /// Reference: the ladder walked for one device at a time, which the
+    /// plan must reproduce bit for bit.
+    fn device_window_reference(
+        table: &DelayTable,
+        progression: &ProgressionModel,
+        polarity: Polarity,
+        slack_ps: f64,
+    ) -> Option<DetectionWindow> {
+        let closes = terminal_close_reference(table, progression, polarity);
+        for &s in &LADDER {
+            let d = table.extra_delay_ps(polarity, s)?;
+            if d > slack_ps {
+                let opens = progression.time_of_stage(s)?;
+                return Some(DetectionWindow {
+                    opens_hours: opens.min(closes),
+                    closes_hours: closes,
+                });
+            }
+        }
+        None
+    }
+
+    fn terminal_close_reference(
+        table: &DelayTable,
+        progression: &ProgressionModel,
+        polarity: Polarity,
+    ) -> f64 {
+        for &s in &LADDER {
+            if table.is_stuck(polarity, s) {
+                if let Some(t) = progression.time_of_stage(s) {
+                    return t;
+                }
+                break;
+            }
+        }
+        progression.duration_hours
+    }
+
+    fn window_bits(w: Option<&DetectionWindow>) -> Option<(u64, u64)> {
+        w.map(|w| (w.opens_hours.to_bits(), w.closes_hours.to_bits()))
+    }
+
+    /// Asserts the plan reproduces the reference bit for bit at a spread
+    /// of durations, and returns each duration with its reference window.
+    fn assert_plan_matches(
+        table: &DelayTable,
+        polarity: Polarity,
+        slack_ps: f64,
+    ) -> Vec<(f64, Option<DetectionWindow>)> {
+        let plan = WindowPlan::new(table, slack_ps);
+        let mut seen = Vec::new();
+        for duration in [13.5, 20.25, 27.0, 41.0, 54.0] {
+            let prog = ProgressionModel::new(polarity, duration);
+            let want = device_window_reference(table, &prog, polarity, slack_ps);
+            assert_eq!(
+                window_bits(plan.window(polarity, &prog).as_ref()),
+                window_bits(want.as_ref()),
+                "{polarity} window at {duration} h, slack {slack_ps}"
+            );
+            assert_eq!(
+                plan.close_hours(polarity, &prog).to_bits(),
+                terminal_close_reference(table, &prog, polarity).to_bits(),
+                "{polarity} close at {duration} h"
+            );
+            seen.push((duration, want));
+        }
+        seen
+    }
+
     #[test]
-    fn device_window_uses_stage_arrivals() {
+    fn plan_matches_reference_on_the_default_table() {
+        let table = DelayTable::paper();
+        for (duration, w) in assert_plan_matches(&table, Polarity::Nmos, 25.0) {
+            let w = w.unwrap();
+            assert!(w.opens_hours > 0.0 && w.opens_hours < w.closes_hours);
+            // HBD, the NMOS terminal, arrives as the duration ends.
+            assert_eq!(w.closes_hours, duration);
+        }
+    }
+
+    #[test]
+    fn plan_matches_reference_without_a_stuck_stage() {
+        // Every NMOS stage a delay: the window closes at the duration.
+        let mut table = DelayTable::paper();
+        table.nmos.retain(|&(s, _)| s != BreakdownStage::Hbd);
+        table.nmos.push((
+            BreakdownStage::Hbd,
+            obd_core::characterize::TransitionOutcome::Delay(400.0),
+        ));
+        assert_eq!(WindowPlan::new(&table, 25.0).nmos.closes, None);
+        for (duration, w) in assert_plan_matches(&table, Polarity::Nmos, 25.0) {
+            assert_eq!(w.unwrap().closes_hours, duration);
+        }
+    }
+
+    #[test]
+    fn plan_matches_reference_when_an_early_stage_goes_stuck() {
+        // NMOS stuck from MBD3: the window closes at its arrival, before
+        // the progression ends.
+        let mut table = DelayTable::paper();
+        for entry in &mut table.nmos {
+            if entry.0 == BreakdownStage::Mbd3 {
+                entry.1 = obd_core::characterize::TransitionOutcome::Stuck;
+            }
+        }
+        for (duration, w) in assert_plan_matches(&table, Polarity::Nmos, 25.0) {
+            let w = w.unwrap();
+            let prog = ProgressionModel::new(Polarity::Nmos, duration);
+            assert_eq!(
+                Some(w.closes_hours),
+                prog.time_of_stage(BreakdownStage::Mbd3)
+            );
+            assert!(w.closes_hours < duration);
+        }
+    }
+
+    #[test]
+    fn plan_matches_reference_when_slack_beats_every_stage() {
+        let table = DelayTable::paper();
+        for polarity in Polarity::BOTH {
+            for (_, w) in assert_plan_matches(&table, polarity, 5_000.0) {
+                assert!(w.is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn plan_matches_reference_for_pmos() {
+        let table = DelayTable::paper();
+        for slack in [25.0, 100.0, 300.0] {
+            for (duration, w) in assert_plan_matches(&table, Polarity::Pmos, slack) {
+                // MBD3, the PMOS terminal, is stuck and ends the ladder.
+                assert_eq!(w.unwrap().closes_hours, duration, "slack {slack}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_uses_stage_arrivals() {
         let table = DelayTable::paper();
         let prog = ProgressionModel::reference(Polarity::Nmos);
         // Paper NMOS extras: SBD 9, MBD1 22, MBD2 54, MBD3 114; slack 25
         // makes MBD2 the first detectable stage.
-        let w = device_window(&table, &prog, Polarity::Nmos, 25.0).unwrap();
+        let plan = WindowPlan::new(&table, 25.0);
+        let w = plan.window(Polarity::Nmos, &prog).unwrap();
         let t_mbd2 = prog.time_of_stage(BreakdownStage::Mbd2).unwrap();
         let t_hbd = prog.time_of_stage(BreakdownStage::Hbd).unwrap();
         assert!((w.opens_hours - t_mbd2).abs() < 1e-9);
@@ -229,12 +408,13 @@ mod tests {
     }
 
     #[test]
-    fn device_window_none_when_only_hard_faults_detect() {
+    fn window_none_when_only_hard_faults_detect() {
         let table = DelayTable::paper();
         let prog = ProgressionModel::reference(Polarity::Nmos);
         // Slack above the largest NMOS extra delay (114 ps): no delay
         // regime stage ever beats it.
-        assert!(device_window(&table, &prog, Polarity::Nmos, 500.0).is_none());
+        let plan = WindowPlan::new(&table, 500.0);
+        assert!(plan.window(Polarity::Nmos, &prog).is_none());
     }
 
     #[test]
@@ -243,7 +423,8 @@ mod tests {
         let prog = ProgressionModel::reference(Polarity::Pmos);
         // PMOS SBD already adds 70 ps; the window opens at onset and
         // closes at the MBD3 collapse (the PMOS terminal).
-        let w = device_window(&table, &prog, Polarity::Pmos, 25.0).unwrap();
+        let plan = WindowPlan::new(&table, 25.0);
+        let w = plan.window(Polarity::Pmos, &prog).unwrap();
         assert!((w.opens_hours - 0.0).abs() < 1e-9);
         assert!((w.closes_hours - prog.duration_hours).abs() < 1e-9);
     }

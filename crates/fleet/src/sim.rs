@@ -16,6 +16,7 @@ use obd_metrics::{Counter, Gauge, Histogram};
 use crate::coverage::BistProfile;
 use crate::device::{simulate_device, DeviceOutcome, DeviceParams};
 use crate::report::FleetReport;
+use crate::schedule::WindowPlan;
 use crate::FleetError;
 
 static DEVICES_SIMULATED: Counter = Counter::new("fleet.devices_simulated");
@@ -233,6 +234,7 @@ fn simulate_range(
     lo: u64,
     hi: u64,
 ) -> Result<FleetAccum, FleetError> {
+    let window_plan = WindowPlan::new(&cfg.table, cfg.slack_ps);
     let mut acc = FleetAccum::default();
     for id in lo..hi {
         let mut rng = obd_atpg::rng::XorShift64Star::seed_from_u64(
@@ -241,7 +243,7 @@ fn simulate_range(
         let params = DeviceParams::sample(&mut rng, &cfg.model, cfg.horizon_hours, profile.sites());
         let defective = params.onset_hours.is_some_and(|o| o < cfg.horizon_hours);
         acc.devices += 1;
-        match simulate_device(&params, cfg, profile) {
+        match simulate_device(&params, cfg, profile, &window_plan) {
             Ok(r) => {
                 acc.sessions += r.sessions;
                 acc.degraded_events += r.degraded_events;

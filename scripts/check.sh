@@ -378,7 +378,8 @@ EOF
 # FLEET_run.json across thread counts. Then the full production run —
 # >= 1,000,000 devices, zero panics (set -e catches a nonzero exit),
 # finite escape rate and latency percentiles — left last so the
-# committed artifact is the million-device one.
+# artifact it leaves is the million-device one, which must match the
+# committed copy byte for byte.
 OBD_FLEET_SEED=0x0BDF1EE7 OBD_FLEET_DEVICES=50021 OBD_FLEET_THREADS=1 \
     ./target/release/repro fleet
 mv results/FLEET_run.json results/FLEET_run.t1.json
@@ -389,6 +390,7 @@ cmp results/FLEET_run.t1.json results/FLEET_run.json \
 rm results/FLEET_run.t1.json
 echo "fleet determinism ok: 1-thread and 4-thread artifacts are byte-identical"
 ./target/release/repro fleet
+git diff --exit-code results/FLEET_run.json
 python3 - <<'EOF'
 import json, math
 
