@@ -448,9 +448,9 @@ impl<'a> FaultSimulator<'a> {
     }
 
     /// Builds the full detection matrix `matrix[t][f]` for compaction and
-    /// exhaustive analysis, via per-fault packed detection rows at
-    /// [`SUPERLANE_WIDTH`] (no dropping, so every pattern of a wide block
-    /// is useful work).
+    /// exhaustive analysis on the packed engine at [`SUPERLANE_WIDTH`]
+    /// (no dropping, so every pattern of a wide block is useful work):
+    /// each fault's detections are written straight into its column.
     ///
     /// # Errors
     ///
@@ -462,13 +462,11 @@ impl<'a> FaultSimulator<'a> {
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
         let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(self, tests)?;
         let mut scratch = PpsfpScratch::default();
-        let rows: Vec<Vec<bool>> = faults
-            .iter()
-            .map(|f| engine.detection_row(f, &mut scratch))
-            .collect::<Result<_, _>>()?;
-        Ok((0..tests.len())
-            .map(|t| rows.iter().map(|r| r[t]).collect())
-            .collect())
+        let mut matrix = vec![vec![false; faults.len()]; tests.len()];
+        for (f, fault) in faults.iter().enumerate() {
+            engine.for_each_detection(fault, &mut scratch, |t| matrix[t][f] = true)?;
+        }
+        Ok(matrix)
     }
 
     /// The detection criterion in use.

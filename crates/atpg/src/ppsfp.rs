@@ -10,6 +10,19 @@
 //! pattern dies at the gate that masks it. Detection is then one XOR/OR
 //! reduction over the packed primary-output words the effect changed.
 //!
+//! OBD and EM excitation is word-parallel as well. One pass over the
+//! defective cell's series-parallel network, fed the gate's cached good
+//! pin words, yields three words for the whole block: the network
+//! conducts; it still conducts with the defective transistor forced off
+//! (so the transistor is the sole path, the paper's OBD condition and
+//! the word form of [`SpNet::essential`]); and a conducting path runs
+//! through the transistor (the EM condition, [`SpNet::on_some_path`]).
+//! The output's fall/rise comes from the pull-down conduction of both
+//! frames, so excitation costs a few AND/OR/NOT ops per network node for
+//! all `64 * N` patterns. The scalar [`obd_cmos::switch::excites`] and
+//! [`obd_core::em::em_excites`] remain the oracle and serve the X
+//! fallback below.
+//!
 //! The engine is generic over the super-lane width `N` (`64 * N`
 //! patterns per block). Where the width pays depends on dropping:
 //!
@@ -43,8 +56,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use obd_cmos::cell::Cell;
-use obd_cmos::switch::{excites, CellTransistor, NetworkSide};
-use obd_core::em::em_excites;
+use obd_cmos::switch::{CellTransistor, NetworkSide};
+use obd_cmos::SpNet;
 use obd_core::faultmodel::Polarity;
 use obd_core::pool::run_jobs;
 use obd_logic::netlist::{GateId, GateKind, NetId};
@@ -102,24 +115,114 @@ struct GoodBlock<const N: usize> {
 /// Per-worker scratch arena: every buffer the packed inner loop needs,
 /// reused across faults and blocks so steady-state grading performs no
 /// heap allocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PpsfpScratch<const N: usize = SUPERLANE_WIDTH> {
     /// Faulty-machine overlay for cone propagation.
     cone: ConeScratch<N>,
-    /// Frame-1 gate-input values of one lane.
-    v1: Vec<bool>,
-    /// Frame-2 gate-input values of one lane.
-    v2: Vec<bool>,
 }
 
-impl<const N: usize> Default for PpsfpScratch<N> {
-    fn default() -> Self {
-        PpsfpScratch {
-            cone: ConeScratch::default(),
-            v1: Vec::new(),
-            v2: Vec::new(),
+/// One network's conduction over a packed block, from one pass of
+/// [`conduct_words`].
+struct Conduction<const N: usize> {
+    /// The network conducts ([`SpNet::conducts`]).
+    on: LaneWord<N>,
+    /// It still conducts with the target leaf forced off.
+    without: LaneWord<N>,
+    /// A conducting path runs through the target leaf
+    /// ([`SpNet::on_some_path`]).
+    through: LaneWord<N>,
+}
+
+/// Word form of the scalar conduction walks: `on(pin)` gives the packed
+/// gate word of each pin, `target` is a leaf index in [`SpNet::leaves`]
+/// order (`usize::MAX` for none) and `leaf` counts leaves as they are
+/// visited, as the scalar recursion does.
+fn conduct_words<const N: usize>(
+    net: &SpNet,
+    on: &impl Fn(usize) -> LaneWord<N>,
+    target: usize,
+    leaf: &mut usize,
+) -> Conduction<N> {
+    match net {
+        SpNet::Leaf(p) => {
+            let c = on(*p);
+            let hit = *leaf == target;
+            *leaf += 1;
+            let (without, through) = if hit {
+                (LaneWord::ZERO, c)
+            } else {
+                (c, LaneWord::ZERO)
+            };
+            Conduction {
+                on: c,
+                without,
+                through,
+            }
+        }
+        SpNet::Series(xs) => {
+            let mut acc = Conduction {
+                on: LaneWord::ONES,
+                without: LaneWord::ONES,
+                through: LaneWord::ZERO,
+            };
+            for x in xs {
+                let c = conduct_words(x, on, target, leaf);
+                acc.on &= c.on;
+                acc.without &= c.without;
+                acc.through |= c.through;
+            }
+            acc.through &= acc.on;
+            acc
+        }
+        SpNet::Parallel(xs) => {
+            let mut acc = Conduction {
+                on: LaneWord::ZERO,
+                without: LaneWord::ZERO,
+                through: LaneWord::ZERO,
+            };
+            for x in xs {
+                let c = conduct_words(x, on, target, leaf);
+                acc.on |= c.on;
+                acc.without |= c.without;
+                acc.through |= c.through;
+            }
+            acc
         }
     }
+}
+
+/// Word form of [`obd_cmos::switch::excites`] (`em == false`) and
+/// [`obd_core::em::em_excites`] (`em == true`) over a packed block:
+/// `v1(pin)`/`v2(pin)` give the gate's pin words in each frame, and bit
+/// `k` of the result is the scalar predicate on lane `k`'s input pair.
+fn excitation_word<const N: usize>(
+    cell: &Cell,
+    t: CellTransistor,
+    em: bool,
+    v1: impl Fn(usize) -> LaneWord<N>,
+    v2: impl Fn(usize) -> LaneWord<N>,
+) -> LaneWord<N> {
+    // The cell output is the complement of its pull-down conduction.
+    let down1 = conduct_words(&cell.pulldown, &v1, usize::MAX, &mut 0).on;
+    let (switched, net) = match t.side {
+        // NMOS carries current when the output falls.
+        NetworkSide::Pulldown => {
+            let net = conduct_words(&cell.pulldown, &v2, t.leaf, &mut 0);
+            (!down1 & net.on, net)
+        }
+        // PMOS carries current when the output rises.
+        NetworkSide::Pullup => {
+            let down2 = conduct_words(&cell.pulldown, &v2, usize::MAX, &mut 0).on;
+            let net = conduct_words(&cell.pullup, &|p| !v2(p), t.leaf, &mut 0);
+            (down1 & !down2, net)
+        }
+    };
+    let via = if em {
+        net.through
+    } else {
+        net.on & !net.without
+    };
+    switched & via
 }
 
 /// How a fault is evaluated against a packed block, precomputed once per
@@ -135,8 +238,8 @@ enum FaultPlan<'c, const N: usize> {
     /// Transition fault: launch check at the net, then held-value
     /// propagation.
     Transition { net: NetId, rise: bool },
-    /// OBD/EM fault in the delay regime: per-lane excitation on the gate
-    /// inputs, then held-value propagation of the output.
+    /// OBD/EM fault in the delay regime: word-parallel excitation on the
+    /// gate's pin words, then held-value propagation of the output.
     Excited {
         gate: GateId,
         out: NetId,
@@ -559,28 +662,13 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                     return LaneWord::ZERO;
                 }
                 let pins = &self.sim.nl.gate(gate).inputs;
-                let mut excited = LaneWord::ZERO;
-                for lane in 0..N {
-                    let mut c = candidate.lane(lane);
-                    while c != 0 {
-                        let k = lane * 64 + c.trailing_zeros() as usize;
-                        c &= c - 1;
-                        scratch.v1.clear();
-                        scratch.v2.clear();
-                        for &p in pins {
-                            scratch.v1.push(blk.g1[p.index()].bit(k));
-                            scratch.v2.push(blk.g2[p.index()].bit(k));
-                        }
-                        let hit = if em {
-                            em_excites(cell, transistor, &scratch.v1, &scratch.v2)
-                        } else {
-                            excites(cell, transistor, &scratch.v1, &scratch.v2)
-                        };
-                        if hit {
-                            excited.set_bit(k);
-                        }
-                    }
-                }
+                let excited = excitation_word(
+                    cell,
+                    transistor,
+                    em,
+                    |p| blk.g1[pins[p].index()],
+                    |p| blk.g2[pins[p].index()],
+                ) & candidate;
                 if excited.is_zero() {
                     return LaneWord::ZERO;
                 }
@@ -657,8 +745,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     }
 
     /// Per-test detection flags for one fault (no dropping), in test
-    /// order — the engine-side primitive behind detection matrices and
-    /// BIST response modeling.
+    /// order — the engine-side primitive behind BIST response modeling.
     ///
     /// # Errors
     ///
@@ -669,21 +756,39 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         scratch: &mut PpsfpScratch<N>,
     ) -> Result<Vec<bool>, AtpgError> {
         let mut row = vec![false; self.tests.len()];
+        self.for_each_detection(fault, scratch, |t| row[t] = true)?;
+        Ok(row)
+    }
+
+    /// Calls `detected(t)` for every test index `t` that detects the
+    /// fault (no dropping): packed blocks first, then the scalar-fallback
+    /// tests.
+    ///
+    /// # Errors
+    ///
+    /// Propagates planning and scalar-fallback detection errors.
+    pub(crate) fn for_each_detection(
+        &self,
+        fault: &Fault,
+        scratch: &mut PpsfpScratch<N>,
+        mut detected: impl FnMut(usize),
+    ) -> Result<(), AtpgError> {
         if self.tests.is_empty() {
-            return Ok(row);
+            return Ok(());
         }
         let plan = self.plan(fault)?;
         for blk in &self.blocks {
             Self::touch(blk);
-            let m = self.detect_mask(&plan, blk, scratch);
-            for k in m.set_bits() {
-                row[blk.tests[k]] = true;
+            for k in self.detect_mask(&plan, blk, scratch).set_bits() {
+                detected(blk.tests[k]);
             }
         }
         for &i in &self.scalar_tests {
-            row[i] = self.sim.detects(fault, &self.tests[i])?;
+            if self.sim.detects(fault, &self.tests[i])? {
+                detected(i);
+            }
         }
-        Ok(row)
+        Ok(())
     }
 
     /// Grades the fault list with dropping on up to `threads` pool
@@ -726,5 +831,155 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                 Err(e) => GradeOutcome::Degraded(e.to_string()),
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::XorShift64Star;
+    use obd_cmos::switch::{all_transistors, excites};
+    use obd_core::em::em_excites;
+
+    /// Bit `i` of `x` (MSB-first over `n` pins) as pin `i`'s value.
+    fn bits(x: usize, n: usize) -> Vec<bool> {
+        (0..n).map(|i| (x >> (n - 1 - i)) & 1 == 1).collect()
+    }
+
+    /// Packs every one of the `4^k` input pairs of `cell` into blocks of
+    /// `64 * N` lanes and checks the word kernel against the scalar
+    /// predicate lane by lane.
+    fn check_width<const N: usize>(cell: &Cell, t: CellTransistor, em: bool, expected: &[bool]) {
+        let k = cell.num_inputs;
+        let cap = LaneWord::<N>::BITS;
+        for (b, chunk) in expected.chunks(cap).enumerate() {
+            let mut pin1 = vec![LaneWord::<N>::ZERO; k];
+            let mut pin2 = vec![LaneWord::<N>::ZERO; k];
+            for lane in 0..chunk.len() {
+                let pair = b * cap + lane;
+                let (v1, v2) = (bits(pair >> k, k), bits(pair & ((1 << k) - 1), k));
+                for p in 0..k {
+                    if v1[p] {
+                        pin1[p].set_bit(lane);
+                    }
+                    if v2[p] {
+                        pin2[p].set_bit(lane);
+                    }
+                }
+            }
+            let word = excitation_word(cell, t, em, |p| pin1[p], |p| pin2[p]);
+            for (lane, &want) in chunk.iter().enumerate() {
+                assert_eq!(
+                    word.bit(lane),
+                    want,
+                    "{} {t:?} em={em} pair {} at N={N}",
+                    cell.name,
+                    b * cap + lane
+                );
+            }
+        }
+    }
+
+    /// The word kernel equals `excites`/`em_excites` bit for bit on
+    /// every input pair, every transistor of both networks, at widths 1
+    /// and 8, for cells up to six inputs and the complex cells.
+    #[test]
+    fn excitation_word_matches_scalar_predicates() {
+        let mut cells = vec![
+            Cell::inverter(),
+            Cell::aoi21(),
+            Cell::oai21(),
+            Cell::aoi22(),
+        ];
+        for n in 2..=6 {
+            cells.push(Cell::nand(n));
+            cells.push(Cell::nor(n));
+        }
+        for cell in &cells {
+            let k = cell.num_inputs;
+            for t in all_transistors(cell) {
+                for em in [false, true] {
+                    let expected: Vec<bool> = (0..1usize << (2 * k))
+                        .map(|pair| {
+                            let (v1, v2) = (bits(pair >> k, k), bits(pair & ((1 << k) - 1), k));
+                            if em {
+                                em_excites(cell, t, &v1, &v2)
+                            } else {
+                                excites(cell, t, &v1, &v2)
+                            }
+                        })
+                        .collect();
+                    assert!(
+                        expected.iter().any(|&e| e),
+                        "{} {t:?} em={em} is never excited",
+                        cell.name
+                    );
+                    check_width::<1>(cell, t, em, &expected);
+                    check_width::<8>(cell, t, em, &expected);
+                }
+            }
+        }
+    }
+
+    /// Seeded mutations of a good-response payload (bit flips,
+    /// truncation, extension, splices) never panic `decode_good`: each
+    /// gives `None` or words that encode back to the same bytes.
+    fn fuzz_decode_good<const N: usize>(seed: u64) {
+        let num_nets = 7;
+        let mut rng = XorShift64Star::seed_from_u64(seed);
+        let mut word = || LaneWord::<N>(std::array::from_fn(|_| rng.next_u64()));
+        let g1: Vec<LaneWord<N>> = (0..num_nets).map(|_| word()).collect();
+        let g2: Vec<LaneWord<N>> = (0..num_nets).map(|_| word()).collect();
+        let valid = PpsfpEngine::<N>::encode_good(&g1, &g2);
+        assert_eq!(
+            PpsfpEngine::<N>::decode_good(&valid, num_nets),
+            Some((g1, g2))
+        );
+        let mut rng = XorShift64Star::seed_from_u64(seed ^ 0xDEC0DE);
+        for case in 0..400 {
+            let mut bytes = valid.clone();
+            match case % 4 {
+                0 => {
+                    for _ in 0..=rng.gen_range(4) {
+                        let i = rng.gen_range(bytes.len());
+                        bytes[i] ^= 1 << rng.gen_range(8);
+                    }
+                }
+                1 => bytes.truncate(rng.gen_range(bytes.len())),
+                2 => {
+                    for _ in 0..1 + rng.gen_range(16) {
+                        bytes.push(rng.next_u64() as u8);
+                    }
+                }
+                _ => {
+                    // Splice a run of the payload over another place,
+                    // sometimes growing or shrinking it.
+                    let from = rng.gen_range(bytes.len());
+                    let len = rng.gen_range(bytes.len() - from) + 1;
+                    let run = bytes[from..from + len].to_vec();
+                    let at = rng.gen_range(bytes.len());
+                    let cut = if rng.gen_bool() {
+                        len
+                    } else {
+                        rng.gen_range(len + 1)
+                    };
+                    let end = (at + cut).min(bytes.len());
+                    bytes.splice(at..end, run);
+                }
+            }
+            if let Some((d1, d2)) = PpsfpEngine::<N>::decode_good(&bytes, num_nets) {
+                assert_eq!(
+                    PpsfpEngine::<N>::encode_good(&d1, &d2),
+                    bytes,
+                    "case {case} at N={N}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_good_never_panics_on_mutated_payloads() {
+        fuzz_decode_good::<1>(0x600D_0001);
+        fuzz_decode_good::<8>(0x600D_0008);
     }
 }

@@ -1,0 +1,49 @@
+//! Fault universes and netlists shared by the PPSFP test binaries.
+
+use obd_atpg::fault::{em_faults, obd_faults, stuck_at_faults, transition_faults, Fault};
+use obd_core::faultmodel::cell_for_kind;
+use obd_core::BreakdownStage;
+use obd_logic::netlist::{GateKind, Netlist};
+
+/// Every fault model at once: stuck-at, transition, OBD in the delay
+/// regime (MBD2), OBD in the stuck regime (HBD), and EM. OBD and EM
+/// sites sit only on gates with a cell model (not on XOR/XNOR).
+pub fn mixed_faults(nl: &Netlist) -> Vec<Fault> {
+    let mut faults = stuck_at_faults(nl);
+    faults.extend(transition_faults(nl));
+    let mut cell_faults = obd_faults(nl, BreakdownStage::Mbd2, false);
+    cell_faults.extend(obd_faults(nl, BreakdownStage::Hbd, false));
+    cell_faults.extend(em_faults(nl, false));
+    faults.extend(cell_faults.into_iter().filter(|f| {
+        let gate = match f {
+            Fault::Obd(o) => nl.gate(o.gate),
+            Fault::Em { gate, .. } => nl.gate(*gate),
+            _ => unreachable!("only OBD and EM faults here"),
+        };
+        cell_for_kind(gate.kind, gate.inputs.len()).is_some()
+    }));
+    faults
+}
+
+/// A small netlist of every gate kind and of arities up to five:
+/// NAND3/4/5, NOR2/3/5, AND3, OR4, INV, BUF and XOR over six inputs.
+pub fn mixed_cells() -> Netlist {
+    let mut nl = Netlist::new();
+    let [a, b, c, d, e, f] = ["a", "b", "c", "d", "e", "f"].map(|n| nl.add_input(n));
+    let mut gate = |kind, name, inputs: &[_]| nl.add_gate(kind, name, inputs).unwrap();
+    let n3 = gate(GateKind::Nand, "n3", &[a, b, c]);
+    let r2 = gate(GateKind::Nor, "r2", &[d, e]);
+    let x1 = gate(GateKind::Xor, "x1", &[a, f]);
+    let i1 = gate(GateKind::Inv, "i1", &[c]);
+    let a3 = gate(GateKind::And, "a3", &[b, d, i1]);
+    let n4 = gate(GateKind::Nand, "n4", &[n3, b, x1, f]);
+    let o4 = gate(GateKind::Or, "o4", &[a3, r2, x1, e]);
+    let b1 = gate(GateKind::Buf, "b1", &[n4]);
+    let r3 = gate(GateKind::Nor, "r3", &[b1, a3, d]);
+    let n5 = gate(GateKind::Nand, "n5", &[a, b, i1, o4, f]);
+    let r5 = gate(GateKind::Nor, "r5", &[n3, x1, r3, d, e]);
+    for out in [n5, r5, b1, o4] {
+        nl.mark_output(out);
+    }
+    nl
+}

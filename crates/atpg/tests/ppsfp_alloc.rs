@@ -8,13 +8,14 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use obd_atpg::fault::{em_faults, obd_faults, stuck_at_faults, transition_faults, Fault};
+mod common;
+
+use common::{mixed_cells, mixed_faults};
+use obd_atpg::fault::Fault;
 use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
 use obd_atpg::random::random_two_pattern;
-use obd_core::BreakdownStage;
 use obd_logic::circuits::{c17, ripple_carry_adder};
-use obd_logic::netlist::Netlist;
 
 /// Counts heap operations from the measured thread while `COUNTING` is
 /// set; otherwise defers straight to the system allocator.
@@ -62,15 +63,6 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// process-wide, so tests in this binary must not overlap.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-fn mixed_faults(nl: &Netlist) -> Vec<Fault> {
-    let mut faults = stuck_at_faults(nl);
-    faults.extend(transition_faults(nl));
-    faults.extend(obd_faults(nl, BreakdownStage::Mbd2, false));
-    faults.extend(obd_faults(nl, BreakdownStage::Hbd, false));
-    faults.extend(em_faults(nl, false));
-    faults
-}
-
 /// Grades every fault once to size the scratch arena, then counts the
 /// heap calls of a second pass of `pass` over the same faults.
 fn warm_heap_calls(faults: &[Fault], mut pass: impl FnMut(&Fault)) -> u64 {
@@ -91,7 +83,7 @@ fn warm_dropping_grading_does_not_allocate() {
     MEASURED_THREAD.with(|c| c.set(true));
     obd_metrics::disable();
 
-    for nl in [c17(), ripple_carry_adder(8)] {
+    for nl in [c17(), ripple_carry_adder(8), mixed_cells()] {
         let sim = FaultSimulator::new(&nl).unwrap();
         let faults = mixed_faults(&nl);
         let tests = random_two_pattern(nl.inputs().len(), 1024, 0xFEED);
@@ -122,23 +114,24 @@ fn warm_detection_rows_allocate_only_the_returned_row() {
     MEASURED_THREAD.with(|c| c.set(true));
     obd_metrics::disable();
 
-    let nl = ripple_carry_adder(8);
-    let sim = FaultSimulator::new(&nl).unwrap();
-    let faults = mixed_faults(&nl);
-    let tests = random_two_pattern(nl.inputs().len(), 1024, 0xD0E5);
-    let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
-    assert_eq!(engine.num_blocks(), 1024 / (64 * SUPERLANE_WIDTH));
-    let mut scratch = PpsfpScratch::default();
-    let calls = warm_heap_calls(&faults, |f| {
-        let row = engine.detection_row(f, &mut scratch).unwrap();
-        assert_eq!(row.len(), tests.len());
-    });
-    assert_eq!(
-        calls,
-        faults.len() as u64,
-        "detection rows allocated beyond their own row over {} faults",
-        faults.len()
-    );
+    for nl in [ripple_carry_adder(8), mixed_cells()] {
+        let sim = FaultSimulator::new(&nl).unwrap();
+        let faults = mixed_faults(&nl);
+        let tests = random_two_pattern(nl.inputs().len(), 1024, 0xD0E5);
+        let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+        assert_eq!(engine.num_blocks(), 1024 / (64 * SUPERLANE_WIDTH));
+        let mut scratch = PpsfpScratch::default();
+        let calls = warm_heap_calls(&faults, |f| {
+            let row = engine.detection_row(f, &mut scratch).unwrap();
+            assert_eq!(row.len(), tests.len());
+        });
+        assert_eq!(
+            calls,
+            faults.len() as u64,
+            "detection rows allocated beyond their own row over {} faults",
+            faults.len()
+        );
+    }
     obd_metrics::enable();
 }
 

@@ -6,10 +6,11 @@
 //! sets (which fall back to the scalar path), and the parallel
 //! work-stealing grader.
 
+mod common;
+
+use common::{mixed_cells, mixed_faults};
 use obd_atpg::bist::run_bist;
-use obd_atpg::fault::{
-    em_faults, obd_faults, stuck_at_faults, transition_faults, Fault, TwoPatternTest,
-};
+use obd_atpg::fault::{obd_faults, stuck_at_faults, Fault, TwoPatternTest};
 use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
 use obd_atpg::random::random_two_pattern;
@@ -19,23 +20,13 @@ use obd_logic::circuits::{c17, fig8_sum_circuit, mux_tree, ripple_carry_adder};
 use obd_logic::netlist::{GateKind, Netlist};
 use obd_logic::value::Lv;
 
-/// Every fault model at once: stuck-at, transition, OBD in the delay
-/// regime (MBD2), OBD in the stuck regime (HBD), and EM.
-fn mixed_faults(nl: &Netlist) -> Vec<Fault> {
-    let mut faults = stuck_at_faults(nl);
-    faults.extend(transition_faults(nl));
-    faults.extend(obd_faults(nl, BreakdownStage::Mbd2, false));
-    faults.extend(obd_faults(nl, BreakdownStage::Hbd, false));
-    faults.extend(em_faults(nl, false));
-    faults
-}
-
 fn circuits() -> Vec<(&'static str, Netlist)> {
     vec![
         ("c17", c17()),
         ("fig8", fig8_sum_circuit()),
         ("rca2", ripple_carry_adder(2)),
         ("mux2", mux_tree(2)),
+        ("mixed", mixed_cells()),
     ]
 }
 
@@ -188,22 +179,26 @@ fn all_x_test_set_grades_scalar_only() {
     assert_eq!(sim.grade(&faults, &tests).unwrap(), scalar);
 }
 
-/// The engine-backed detection matrix equals direct per-pair `detects`.
+/// The engine-backed detection matrix equals direct per-pair `detects`,
+/// X-bearing tests (the scalar fallback) included.
 #[test]
 fn detection_matrix_matches_direct_detects() {
-    let nl = fig8_sum_circuit();
-    let sim = FaultSimulator::new(&nl).unwrap();
-    let faults = mixed_faults(&nl);
-    let tests = random_two_pattern(nl.inputs().len(), 70, 5);
-    let matrix = sim.detection_matrix(&faults, &tests).unwrap();
-    assert_eq!(matrix.len(), tests.len());
-    for (t, row) in matrix.iter().enumerate() {
-        for (f, &hit) in row.iter().enumerate() {
-            assert_eq!(
-                hit,
-                sim.detects(&faults[f], &tests[t]).unwrap(),
-                "matrix[{t}][{f}]"
-            );
+    for nl in [fig8_sum_circuit(), mixed_cells()] {
+        let sim = FaultSimulator::new(&nl).unwrap();
+        let faults = mixed_faults(&nl);
+        let mut tests = random_two_pattern(nl.inputs().len(), 70, 5);
+        tests[3].v2[1] = Lv::X;
+        let matrix = sim.detection_matrix(&faults, &tests).unwrap();
+        assert_eq!(matrix.len(), tests.len());
+        for (t, row) in matrix.iter().enumerate() {
+            assert_eq!(row.len(), faults.len());
+            for (f, &hit) in row.iter().enumerate() {
+                assert_eq!(
+                    hit,
+                    sim.detects(&faults[f], &tests[t]).unwrap(),
+                    "matrix[{t}][{f}]"
+                );
+            }
         }
     }
 }
@@ -342,4 +337,32 @@ fn bist_row_rewiring_keeps_signatures() {
         .expect("some OBD fault detectable by 128 LFSR patterns");
     let faulty = run_bist(&nl, Some(f), &tests).unwrap();
     assert!(faulty.fails());
+}
+
+/// The mixed netlist is not a vacuous case: every NAND/NOR/AND/OR gate
+/// of arity three or more has OBD sites (MBD2) that some two-pattern
+/// test detects, so the equivalence sweeps above compare real
+/// excitations on those cells.
+#[test]
+fn mixed_netlist_excites_every_wide_gate() {
+    let nl = mixed_cells();
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let faults: Vec<Fault> = mixed_faults(&nl)
+        .into_iter()
+        .filter(|f| matches!(f, Fault::Obd(o) if o.stage == BreakdownStage::Mbd2))
+        .collect();
+    let tests = obd_atpg::random::exhaustive_two_pattern(nl.inputs().len());
+    let detected = sim.grade(&faults, &tests).unwrap();
+    for g in nl.gate_ids() {
+        let gate = nl.gate(g);
+        if gate.inputs.len() < 3 {
+            continue;
+        }
+        let hits = faults
+            .iter()
+            .zip(&detected)
+            .filter(|(f, &d)| d && matches!(f, Fault::Obd(o) if o.gate == g))
+            .count();
+        assert!(hits > 0, "no OBD site of {} is detectable", gate.name);
+    }
 }

@@ -36,6 +36,17 @@ cargo test --release --offline -q -p obd-core --test table1_step_oracle -- --ign
 ./target/release/repro fig9
 git diff --exit-code results/table1.txt results/fig9.txt
 
+# The grading reports (test-generation coverage, BIST, clock sweep, scan)
+# must stay byte-identical to the committed copies: every coverage figure
+# in them comes from the packed fault-grading engine, so a grading change
+# that moves one detection shows here.
+./target/release/repro tpg
+./target/release/repro bist
+./target/release/repro clock
+./target/release/repro scan
+git diff --exit-code results/tpg_comparison.txt results/bist.txt \
+    results/clock_sweep.txt results/scan.txt
+
 # Smoke the observability layer end to end: `repro stats` must emit a
 # parseable metrics snapshot with the key engine counters nonzero.
 ./target/release/repro stats
