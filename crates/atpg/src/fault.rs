@@ -248,6 +248,39 @@ mod tests {
         }
     }
 
+    /// A parsed netlist with XOR and XNOR gates gets OBD/EM sites only
+    /// on gates with a cell model, so grading its OBD list succeeds.
+    #[test]
+    fn parsed_xor_xnor_gates_carry_no_cell_sites() {
+        use crate::faultsim::FaultSimulator;
+        let nl = obd_logic::format::parse_bench(
+            "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\n\
+             x1 = XOR(a, b)\nx2 = XNOR(b, c)\nn1 = NAND(x1, c)\ny = NOR(n1, x2)\n",
+        )
+        .unwrap();
+        let obd = obd_faults(&nl, obd_core::BreakdownStage::Mbd2, false);
+        let em = em_faults(&nl, false);
+        // Two sites per pin on the NAND2 and the NOR2 only.
+        assert_eq!(obd.len(), 8);
+        assert_eq!(em.len(), 8);
+        for f in obd.iter().chain(&em) {
+            let gate = match f {
+                Fault::Obd(o) => o.gate,
+                Fault::Em { gate, .. } => *gate,
+                _ => unreachable!("only cell faults here"),
+            };
+            let kind = nl.gate(gate).kind;
+            assert!(
+                !matches!(kind, GateKind::Xor | GateKind::Xnor),
+                "{} sits on a {kind:?} gate",
+                f.describe(&nl)
+            );
+        }
+        let sim = FaultSimulator::new(&nl).unwrap();
+        let tests = crate::random::exhaustive_two_pattern(3);
+        assert!(sim.grade(&obd, &tests).is_ok());
+    }
+
     #[test]
     fn fill_x_minimizes_switching() {
         let mut t = TwoPatternTest {

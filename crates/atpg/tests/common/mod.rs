@@ -1,27 +1,17 @@
 //! Fault universes and netlists shared by the PPSFP test binaries.
 
 use obd_atpg::fault::{em_faults, obd_faults, stuck_at_faults, transition_faults, Fault};
-use obd_core::faultmodel::cell_for_kind;
 use obd_core::BreakdownStage;
 use obd_logic::netlist::{GateKind, Netlist};
 
 /// Every fault model at once: stuck-at, transition, OBD in the delay
-/// regime (MBD2), OBD in the stuck regime (HBD), and EM. OBD and EM
-/// sites sit only on gates with a cell model (not on XOR/XNOR).
+/// regime (MBD2), OBD in the stuck regime (HBD), and EM.
 pub fn mixed_faults(nl: &Netlist) -> Vec<Fault> {
     let mut faults = stuck_at_faults(nl);
     faults.extend(transition_faults(nl));
-    let mut cell_faults = obd_faults(nl, BreakdownStage::Mbd2, false);
-    cell_faults.extend(obd_faults(nl, BreakdownStage::Hbd, false));
-    cell_faults.extend(em_faults(nl, false));
-    faults.extend(cell_faults.into_iter().filter(|f| {
-        let gate = match f {
-            Fault::Obd(o) => nl.gate(o.gate),
-            Fault::Em { gate, .. } => nl.gate(*gate),
-            _ => unreachable!("only OBD and EM faults here"),
-        };
-        cell_for_kind(gate.kind, gate.inputs.len()).is_some()
-    }));
+    faults.extend(obd_faults(nl, BreakdownStage::Mbd2, false));
+    faults.extend(obd_faults(nl, BreakdownStage::Hbd, false));
+    faults.extend(em_faults(nl, false));
     faults
 }
 

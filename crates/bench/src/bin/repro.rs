@@ -1,8 +1,12 @@
 //! Regenerates every table and figure of the paper as text/CSV artifacts.
 //!
 //! ```text
-//! repro [all|table1|fig4|fig6|fig7|fig9|stats|excitation|tpg|em|window|scaling|iddq|monte|bench|bench-atpg|fleet|chaos|serve|store]
+//! repro [all|<verb>]
+//! repro store [stats|compact|verify]
 //! ```
+//!
+//! `<verb>` is one of [`VERBS`]; no argument means `all`, and an unknown
+//! verb exits 2 after printing that list.
 //!
 //! Artifacts are written to `results/` in the current directory; a summary
 //! of each experiment is printed to stdout.
@@ -12,14 +16,41 @@ use std::path::Path;
 
 use obd_bench::experiments::{
     atpg_bench, bist_eval, chaos, clock_sweep, em_contrast, excitation, fig4, fig9, fleet, iddq,
-    metrics_run, monte, scaling, scan_eval, serve, spice_bench, stats, table1, tpg_compare,
-    variation, waveforms, window,
+    metrics_run, monte, scaling, scan_eval, spice_bench, stats, table1, tpg_compare, variation,
+    waveforms, window,
 };
 use obd_cmos::TechParams;
 use obd_core::characterize::{characterize_table1, BenchConfig, DelayTable, RunOptions};
 use obd_core::faultmodel::Polarity;
 use obd_core::BreakdownStage;
 use obd_logic::circuits::fig8_sum_circuit;
+
+/// Every verb `repro` accepts besides `all`: the accept list and the
+/// unknown-verb message both read it.
+const VERBS: &[&str] = &[
+    "table1",
+    "fig4",
+    "fig6",
+    "fig7",
+    "fig9",
+    "stats",
+    "excitation",
+    "tpg",
+    "em",
+    "window",
+    "scaling",
+    "iddq",
+    "bist",
+    "clock",
+    "scan",
+    "variation",
+    "monte",
+    "bench",
+    "bench-atpg",
+    "fleet",
+    "chaos",
+    "store",
+];
 
 fn save(path: &str, content: &str) {
     let p = Path::new("results").join(path);
@@ -355,68 +386,6 @@ fn run_fleet() {
     }
 }
 
-fn run_serve(batch_path: Option<&str>) {
-    println!("== Serve: supervised batch queue over the persistent store (SERVE_run.json) ==");
-    // Persistence defaults ON for serving (results/store), overridable
-    // via OBD_STORE_DIR; an unopenable dir degrades to a cold batch.
-    let store = obd_store::set_global_dir("results/store");
-    match &store {
-        Some(s) => println!("  store: {} ({} records)", s.path().display(), s.len()),
-        None => println!("  store: disabled (cold batch, no checkpoint ledger)"),
-    }
-    let text = match batch_path {
-        Some(path) => match fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("  SERVE FAILED: cannot read batch file {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => {
-            use std::io::Read;
-            let mut t = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut t) {
-                eprintln!("  SERVE FAILED: cannot read batch from stdin: {e}");
-                std::process::exit(1);
-            }
-            t
-        }
-    };
-    let jobs = serve::parse_batch(&text);
-    if jobs.is_empty() {
-        eprintln!("  SERVE FAILED: batch is empty (expected one JSON object per line)");
-        std::process::exit(1);
-    }
-    let threads = std::env::var("OBD_SERVE_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let digest = serve::batch_digest(&text);
-    let mut opts = serve::ServeOptions::new(threads);
-    opts.ledger = store.as_deref().map(|s| (s, digest));
-    // results/serve/ holds only deterministic bytes (artifacts, canonical
-    // results, dead letters) — it is the kill/resume diff target. The
-    // streaming log keeps volatile fields and lives outside it.
-    opts.stream_path = Some(Path::new("results/SERVE_stream.jsonl").to_path_buf());
-    opts.artifacts_dir = Some(Path::new("results/serve").to_path_buf());
-    opts.dead_letter_path = Some(Path::new("results/serve/dead_letter.jsonl").to_path_buf());
-    println!(
-        "  batch {digest:#018x}: {} jobs, {} workers, deadline {} ms, {} retries",
-        jobs.len(),
-        threads.max(1).min(jobs.len()),
-        opts.deadline_ms,
-        opts.max_retries
-    );
-    let report = serve::run_supervised(&jobs, &opts);
-    print!("{}", report.render());
-    save("serve/SERVE_results.jsonl", &report.canonical_jsonl());
-    save("SERVE_run.json", &report.to_json());
-    if !report.clean() {
-        eprintln!("  SERVE FAILED: a worker panicked");
-        std::process::exit(1);
-    }
-}
-
 fn run_store(action: Option<&str>) {
     println!("== Store: persistent result store maintenance (STORE_run.json) ==");
     let action = action.unwrap_or("stats");
@@ -579,45 +548,14 @@ fn main() {
     if arg == "chaos" {
         run_chaos();
     }
-    // Serve stays out of `all` too: it arms the process-global store and
-    // consumes a job queue rather than producing a fixed paper artifact.
-    if arg == "serve" {
-        run_serve(std::env::args().nth(2).as_deref());
-    }
-    // Store maintenance operates on the serving store in place.
+    // Store maintenance operates on the persistent store in place.
     if arg == "store" {
         run_store(std::env::args().nth(2).as_deref());
     }
-    if !all
-        && ![
-            "excitation",
-            "em",
-            "window",
-            "stats",
-            "tpg",
-            "fig4",
-            "table1",
-            "fig6",
-            "fig7",
-            "fig9",
-            "scaling",
-            "iddq",
-            "bist",
-            "clock",
-            "scan",
-            "variation",
-            "monte",
-            "bench",
-            "bench-atpg",
-            "fleet",
-            "chaos",
-            "serve",
-            "store",
-        ]
-        .contains(&arg.as_str())
-    {
+    if !all && !VERBS.contains(&arg.as_str()) {
         eprintln!(
-            "unknown experiment '{arg}'; use one of: all, table1, fig4, fig6, fig7, fig9, stats, excitation, tpg, em, window, scaling, iddq, monte, bench, bench-atpg, fleet, chaos, serve, store"
+            "unknown experiment '{arg}'; use one of: all, {}",
+            VERBS.join(", ")
         );
         std::process::exit(2);
     }

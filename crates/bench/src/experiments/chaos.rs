@@ -1,8 +1,7 @@
 //! `repro chaos`: seeded fault-injection campaigns across the solver
 //! stack (`obd-linalg`, `obd-spice`, `obd-core`, `obd-atpg`,
-//! `obd-fleet`, `obd-store`, the supervised serve engine, and the Monte
-//! Carlo variation engine), asserting the panic-free contract end to
-//! end.
+//! `obd-fleet`, `obd-store`, and the Monte Carlo variation engine),
+//! asserting the panic-free contract end to end.
 //!
 //! Every operation runs under `catch_unwind` with chaos armed at a
 //! layer-specific rate. The injection counter is read before and after
@@ -500,44 +499,6 @@ fn run_store_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapsho
     (rep, snap)
 }
 
-/// The serving layer: single-job noop batches under full supervision
-/// with `serve.worker_hang` armed hot. The hang point rolls once per
-/// job (on its first attempt) and the rolled bits plan how many
-/// consecutive attempts hang, so the outcome is a pure function of the
-/// chaos seed:
-///
-/// * plan within the retry budget — the watchdog requeues past the hung
-///   attempts and a later attempt completes the job — **recovered**;
-/// * plan exhausting the budget — the job is dead-lettered with a typed
-///   quarantine detail — **reported**.
-fn run_serve_layer(seed: u64, jobs: u64) -> (LayerReport, obd_chaos::ChaosSnapshot) {
-    use super::serve::{parse_batch, run_supervised, JobStatus, ServeOptions};
-
-    let rate = 700;
-    obd_chaos::arm(seed ^ 0x7777_7777, rate);
-    let mut rep = LayerReport::new("serve", rate);
-    for i in 0..jobs {
-        let batch = parse_batch(&format!(
-            "{{\"id\": \"chaos-{i}\", \"kind\": \"noop\", \"spins\": 512}}\n"
-        ));
-        let mut opts = ServeOptions::new(1);
-        opts.deadline_ms = 40;
-        opts.max_retries = 2;
-        opts.backoff_base_ms = 4;
-        rep.account(|| {
-            let report = run_supervised(&batch, &opts);
-            match report.jobs.first().map(|j| j.status) {
-                Some(JobStatus::Done) => OpOutcome::Clean,
-                Some(JobStatus::Degraded) => OpOutcome::Degraded,
-                _ => OpOutcome::Reported,
-            }
-        });
-    }
-    let snap = obd_chaos::snapshot();
-    obd_chaos::disarm();
-    (rep, snap)
-}
-
 /// The variation layer: small single-threaded Monte Carlo campaigns
 /// with `monte.params_corrupt` (and the solver-level points underneath
 /// the per-corner transients) armed. A corrupted corner parameter set is
@@ -590,7 +551,6 @@ pub fn run_with_scale(seed: u64, scale: u64) -> ChaosReport {
         run_atpg_layer(seed, 4 * scale),
         run_fleet_layer(seed, 500 * scale),
         run_store_layer(seed, 120 * scale),
-        run_serve_layer(seed, 4 * scale),
         run_monte_layer(seed, scale.div_ceil(2)),
     ] {
         merge_points(&mut points, &snap);

@@ -51,8 +51,7 @@ pub fn config_from_env() -> FleetConfig {
     cfg
 }
 
-/// Fleet circuits selectable by name (`OBD_FLEET_CIRCUIT` or a serve
-/// job's `circuit` field). The canonical name list lives in
+/// Fleet circuits selectable by name (`OBD_FLEET_CIRCUIT`). The canonical name list lives in
 /// [`obd_fleet::VALID_CIRCUITS`]; this maps each name to its netlist.
 ///
 /// # Errors

@@ -6,14 +6,15 @@
 //! asserts the Newton-iteration, LU-factorization and DelayCache-hit
 //! counters come back nonzero, which pins the instrumentation end to end.
 
-use obd_atpg::fault::{obd_faults, DetectionCriterion};
+use obd_atpg::bist::phased_lfsr_two_pattern_tests;
+use obd_atpg::fault::{obd_faults, stuck_at_faults, transition_faults, DetectionCriterion};
 use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::generate::generate_obd_tests;
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
 use obd_core::characterize::{characterize_table1, BenchConfig, DelayTable, RunOptions};
 use obd_core::BreakdownStage;
-use obd_logic::circuits::fig8_sum_circuit;
+use obd_logic::circuits::{array_multiplier, fig8_sum_circuit};
 use obd_metrics::MetricsSnapshot;
 
 /// Everything the observability run produced.
@@ -29,8 +30,6 @@ pub struct MetricsRunReport {
     pub atpg_detected: usize,
     /// Devices simulated by the mini fleet flow.
     pub fleet_devices: u64,
-    /// Jobs drained by the mini serve batch.
-    pub serve_jobs: usize,
     /// Process corners sampled by the mini Monte Carlo campaign.
     pub monte_corners: usize,
 }
@@ -82,44 +81,18 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
     let warm = DelayCache::persistent(std::sync::Arc::clone(&store));
     DelayTable::from_characterization(tech, cfg, &warm).map_err(|e| e.to_string())?;
 
-    // Mini serve batch: one real grade job plus a poisoned one, a single
-    // worker — enough to drive the serve.* counters, the workers gauge,
-    // and the job-wall-time histogram without writing any artifacts.
-    let batch = concat!(
-        "{\"id\": \"m-grade\", \"kind\": \"grade\", \"circuit\": \"c17\", \"tests\": 16, \"seed\": 9}\n",
-        "{\"id\": \"m-poison\", \"kind\": \"grade\", \"circuit\": \"no-such-circuit\"}\n",
-    );
-    let serve_jobs = crate::experiments::serve::parse_batch(batch);
-    let serve = crate::experiments::serve::run_batch(&serve_jobs, 1);
-
-    // Supervised serve flows, chaos-free. First a checkpoint round trip:
-    // the same noop batch twice through a ledger on the throwaway store
-    // — the second pass is served entirely from the ledger, which is
-    // what drives serve.jobs_replayed.
-    let ledger_batch = concat!(
-        "{\"id\": \"m-ck1\", \"kind\": \"noop\", \"spins\": 1024}\n",
-        "{\"id\": \"m-ck2\", \"kind\": \"noop\", \"spins\": 2048}\n",
-    );
-    let ledger_jobs = crate::experiments::serve::parse_batch(ledger_batch);
-    let digest = crate::experiments::serve::batch_digest(ledger_batch);
-    let mut ledger_opts = crate::experiments::serve::ServeOptions::new(1);
-    ledger_opts.ledger = Some((&store, digest));
-    let _ = crate::experiments::serve::run_supervised(&ledger_jobs, &ledger_opts);
-    let _ = crate::experiments::serve::run_supervised(&ledger_jobs, &ledger_opts);
-
-    // Then the watchdog path: one grade job far slower than a 2 ms
-    // heartbeat deadline (grades only beat at attempt start; the ~20k
-    // mult16 faults take about 100 ms even against 16 tests). The first
-    // stale attempt is requeued (serve.retries, serve.watchdog_restarts),
-    // the second exhausts the single-retry budget and the job is
-    // quarantined (serve.dead_lettered) — all deterministic, no chaos.
-    let slow_batch = "{\"id\": \"m-slow\", \"kind\": \"grade\", \"circuit\": \"mult16\", \"tests\": 16, \"seed\": 9}\n";
-    let slow_jobs = crate::experiments::serve::parse_batch(slow_batch);
-    let mut slow_opts = crate::experiments::serve::ServeOptions::new(1);
-    slow_opts.deadline_ms = 2;
-    slow_opts.max_retries = 1;
-    slow_opts.backoff_base_ms = 1;
-    let _ = crate::experiments::serve::run_supervised(&slow_jobs, &slow_opts);
+    // Grading on a circuit of thousands of gates: the four-model
+    // universe of mult16 (2,624 gates) against 16 phased-LFSR tests.
+    // Nearly every block this flow grades is one of these, which is what
+    // gives check.sh's gates-per-block bound against mult16 its meaning.
+    let mult16 = array_multiplier(16);
+    let mult16_tests = phased_lfsr_two_pattern_tests(mult16.inputs().len(), 16, 16, 9);
+    let mut mult16_faults = stuck_at_faults(&mult16);
+    mult16_faults.extend(transition_faults(&mult16));
+    mult16_faults.extend(obd_faults(&mult16, BreakdownStage::Mbd2, false));
+    FaultSimulator::new(&mult16)
+        .and_then(|sim| sim.grade(&mult16_faults, &mult16_tests))
+        .map_err(|e| e.to_string())?;
 
     // Store maintenance: overwrite a record so compaction has something
     // to reclaim (store.compactions, store.compact_reclaimed_bytes).
@@ -175,7 +148,6 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
         atpg_faults: faults.len(),
         atpg_detected: detected.iter().filter(|&&d| d).count(),
         fleet_devices: fleet.accum.devices,
-        serve_jobs: serve.jobs.len(),
         monte_corners: monte.samples,
     })
 }
@@ -184,8 +156,8 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
 pub fn render(r: &MetricsRunReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "observability run: {} Table 1 rows, {} OBD faults ({} detected), {} fleet devices, {} serve jobs, {} monte corners\n",
-        r.table1_rows, r.atpg_faults, r.atpg_detected, r.fleet_devices, r.serve_jobs, r.monte_corners
+        "observability run: {} Table 1 rows, {} OBD faults ({} detected), {} fleet devices, {} monte corners\n",
+        r.table1_rows, r.atpg_faults, r.atpg_detected, r.fleet_devices, r.monte_corners
     ));
     let key_counters = [
         "spice.newton_iterations",
@@ -218,12 +190,6 @@ pub fn render(r: &MetricsRunReport) -> String {
         "monte.measurements",
         "monte.stuck_outcomes",
         "monte.degraded_measurements",
-        "serve.jobs_done",
-        "serve.jobs_degraded",
-        "serve.jobs_replayed",
-        "serve.retries",
-        "serve.watchdog_restarts",
-        "serve.dead_lettered",
     ];
     for name in key_counters {
         let v = r.snapshot.counter(name).unwrap_or(0);
@@ -259,12 +225,6 @@ mod tests {
             "store.evicted_frames",
             "monte.samples",
             "monte.measurements",
-            "serve.jobs_done",
-            "serve.jobs_degraded",
-            "serve.jobs_replayed",
-            "serve.retries",
-            "serve.watchdog_restarts",
-            "serve.dead_lettered",
         ] {
             assert!(
                 r.snapshot.counter(name).unwrap_or(0) > 0,
@@ -273,7 +233,6 @@ mod tests {
         }
         assert!(r.table1_rows > 0);
         assert!(r.atpg_faults > 0);
-        assert_eq!(r.serve_jobs, 2);
         assert_eq!(r.monte_corners, 2);
         let json = r.snapshot.to_json();
         assert!(json.contains("spice.newton_iterations"));

@@ -14,7 +14,6 @@ pub mod metrics_run;
 pub mod monte;
 pub mod scaling;
 pub mod scan_eval;
-pub mod serve;
 pub mod spice_bench;
 pub mod stats;
 pub mod table1;

@@ -2,12 +2,11 @@
 //! rerun it to completion, and require the recovered artifacts to be
 //! byte-identical to an uninterrupted reference run.
 //!
-//! These tests spawn the real binary (`CARGO_BIN_EXE_repro`) in
+//! The test spawns the real binary (`CARGO_BIN_EXE_repro`) in
 //! throwaway working directories: the crash has to go through the same
 //! process boundary a real operator kill does — torn store tails, stale
 //! PID locks and half-written artifacts included.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -21,48 +20,6 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scenario dir");
     dir
-}
-
-/// Every file under `root`, relative path -> contents.
-fn tree(root: &Path) -> BTreeMap<String, Vec<u8>> {
-    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                walk(root, &p, out);
-            } else {
-                let rel = p
-                    .strip_prefix(root)
-                    .expect("entry under root")
-                    .display()
-                    .to_string();
-                out.insert(rel, std::fs::read(&p).expect("read tree file"));
-            }
-        }
-    }
-    let mut out = BTreeMap::new();
-    walk(root, root, &mut out);
-    out
-}
-
-fn assert_trees_identical(reference: &Path, recovered: &Path) {
-    let a = tree(reference);
-    let b = tree(recovered);
-    assert_eq!(
-        a.keys().collect::<Vec<_>>(),
-        b.keys().collect::<Vec<_>>(),
-        "recovered run must produce exactly the reference file set"
-    );
-    for (name, bytes) in &a {
-        assert_eq!(
-            Some(bytes),
-            b.get(name),
-            "file '{name}' differs between reference and recovered runs"
-        );
-    }
 }
 
 /// Runs `repro <verb> [args..]` in `dir` to completion.
@@ -94,57 +51,6 @@ fn run_and_kill(dir: &Path, envs: &[(&str, String)], args: &[&str], grace: Durat
     // degrades to a plain warm resume — still a valid determinism check.
     let _ = child.kill();
     let _ = child.wait();
-}
-
-/// A serve batch sized so a debug-build run takes a few seconds on one
-/// worker: the 600 ms kill lands mid-batch with completed, in-flight
-/// and untouched jobs all present.
-const KILL_BATCH: &str = concat!(
-    "{\"id\": \"r1\", \"kind\": \"grade\", \"circuit\": \"rca32\", \"tests\": 64, \"seed\": 5}\n",
-    "{\"id\": \"r2\", \"kind\": \"grade\", \"circuit\": \"rca32\", \"tests\": 64, \"seed\": 6}\n",
-    "{\"id\": \"px\", \"kind\": \"grade\", \"circuit\": \"no-such\"}\n",
-    "{\"id\": \"n1\", \"kind\": \"noop\", \"spins\": 65536}\n",
-    "{\"id\": \"c1\", \"kind\": \"grade\", \"circuit\": \"csa32\", \"tests\": 64, \"seed\": 7}\n",
-    "{\"id\": \"f1\", \"kind\": \"fleet\", \"circuit\": \"c17\", \"devices\": 100000, \"seed\": 9}\n",
-    "{\"id\": \"r3\", \"kind\": \"grade\", \"circuit\": \"rca32\", \"tests\": 64, \"seed\": 8}\n",
-);
-
-#[test]
-fn serve_killed_midway_resumes_to_identical_bytes() {
-    let ref_dir = fresh_dir("serve-ref");
-    let kill_dir = fresh_dir("serve-kill");
-    std::fs::write(ref_dir.join("batch.jsonl"), KILL_BATCH).expect("write batch");
-    std::fs::write(kill_dir.join("batch.jsonl"), KILL_BATCH).expect("write batch");
-    let envs = |dir: &Path| {
-        vec![
-            ("OBD_SERVE_THREADS", "1".to_string()),
-            (
-                "OBD_STORE_DIR",
-                dir.join("results/store").display().to_string(),
-            ),
-        ]
-    };
-
-    run_to_completion(&ref_dir, &envs(&ref_dir), &["serve", "batch.jsonl"]);
-    run_and_kill(
-        &kill_dir,
-        &envs(&kill_dir),
-        &["serve", "batch.jsonl"],
-        Duration::from_millis(600),
-    );
-    // The resume must shrug off the stale PID lock and the (possibly
-    // torn) store tail the kill left behind.
-    run_to_completion(&kill_dir, &envs(&kill_dir), &["serve", "batch.jsonl"]);
-
-    assert_trees_identical(
-        &ref_dir.join("results/serve"),
-        &kill_dir.join("results/serve"),
-    );
-    let canonical = std::fs::read_to_string(kill_dir.join("results/serve/SERVE_results.jsonl"))
-        .expect("canonical results");
-    assert_eq!(canonical.lines().count(), 7, "one line per job");
-    let _ = std::fs::remove_dir_all(&ref_dir);
-    let _ = std::fs::remove_dir_all(&kill_dir);
 }
 
 #[test]

@@ -170,15 +170,6 @@ impl DelayCache {
         }
     }
 
-    /// Creates a cache backed by the process-wide store when persistence
-    /// is armed ([`obd_store::global`]), memory-only otherwise.
-    pub fn auto() -> Self {
-        match obd_store::global() {
-            Some(store) => DelayCache::persistent(store),
-            None => DelayCache::new(),
-        }
-    }
-
     /// Memoized [`measure_cell_transition`].
     ///
     /// Entries are keyed for the default solver configuration only: when
@@ -429,6 +420,47 @@ mod tests {
         assert_eq!(warm_outcomes, cold_outcomes, "warm run must be identical");
         assert_eq!(warm.store_hits(), jobs.len() as u64);
         assert_eq!(warm.misses(), 0, "warm run must run no transients");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Table 1 through a persistent cache, cold and then warm on the
+    /// same store: the warm pass runs no transient and renders the same
+    /// bytes.
+    #[test]
+    fn store_backed_table1_warm_run_is_byte_identical() {
+        use crate::characterize::{characterize_table1, RunOptions};
+
+        let dir = std::env::temp_dir().join(format!("obd-table1-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tech = TechParams::date05();
+        let cfg = BenchConfig {
+            at_speed_ps: Some(800.0),
+            ..fast_cfg()
+        };
+        let store = Arc::new(Store::open(&dir).unwrap());
+        let render = |cache: &DelayCache| {
+            let opts = RunOptions {
+                threads: 1,
+                cache: Some(cache),
+                ..RunOptions::default()
+            };
+            characterize_table1(&tech, &cfg, &opts)
+                .into_result()
+                .unwrap()
+                .render()
+        };
+        let cold = DelayCache::persistent(Arc::clone(&store));
+        let cold_text = render(&cold);
+        assert!(cold.store_misses() > 0, "cold pass must run transients");
+        let warm = DelayCache::persistent(Arc::clone(&store));
+        let warm_text = render(&warm);
+        assert_eq!(warm_text, cold_text, "warm Table 1 must be byte-identical");
+        assert_eq!(warm.store_misses(), 0, "warm pass must run no transient");
+        assert!(
+            warm.store_hits() > 0,
+            "warm pass must be served from the store"
+        );
+        drop((cold, warm, store));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

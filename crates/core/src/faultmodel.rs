@@ -132,10 +132,10 @@ pub fn enumerate_sites(nl: &Netlist, stage: BreakdownStage, nand_only: bool) -> 
         if nand_only && gate.kind != GateKind::Nand {
             continue;
         }
-        // Buffers expand to inverter pairs with internal structure; skip
-        // them in site enumeration (no BUF cells appear in the paper's
-        // circuits).
-        if gate.kind == GateKind::Buf {
+        // Sites need a single-cell model for excitation analysis: BUF,
+        // XOR and XNOR have none (the built-in circuits decompose XOR
+        // into NAND2s, so only parsed netlists carry them).
+        if cell_for_kind(gate.kind, gate.inputs.len()).is_none() {
             continue;
         }
         for pin in 0..gate.inputs.len() {

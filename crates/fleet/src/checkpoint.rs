@@ -244,6 +244,65 @@ mod tests {
         assert!(decode_accum(&long).is_err());
     }
 
+    /// Seeded mutations of a checkpoint payload (byte flips, splices,
+    /// corrupt latency counts) never panic `decode_accum`: each gives a
+    /// typed error or an accumulator that encodes back to the same bytes.
+    #[test]
+    fn decode_accum_never_panics_on_mutated_payloads() {
+        use obd_atpg::rng::XorShift64Star;
+
+        let valid = encode_accum(&FleetAccum {
+            devices: 64,
+            sessions: 9_000,
+            healthy: 50,
+            afflicted: 14,
+            detected: 9,
+            escaped: 4,
+            censored: 1,
+            latencies_mh: vec![7, 900, 31, 4_000, 12, 88, 600, 5, 2_048],
+            ..FleetAccum::default()
+        });
+        // Ten counters precede the latency count.
+        let count_at = 10 * 8;
+        let mut rng = XorShift64Star::seed_from_u64(0xC4EC_7F00);
+        let mut decoded = 0;
+        for case in 0..3_000 {
+            let mut bytes = valid.clone();
+            match case % 3 {
+                0 => {
+                    for _ in 0..=rng.gen_range(4) {
+                        let i = rng.gen_range(bytes.len());
+                        bytes[i] ^= 1 << rng.gen_range(8);
+                    }
+                }
+                1 => {
+                    // A run of the payload over another place, sometimes
+                    // growing or shrinking it.
+                    let from = rng.gen_range(bytes.len());
+                    let len = rng.gen_range(bytes.len() - from) + 1;
+                    let run = bytes[from..from + len].to_vec();
+                    let at = rng.gen_range(bytes.len());
+                    let end = (at + rng.gen_range(len + 1)).min(bytes.len());
+                    bytes.splice(at..end, run);
+                }
+                _ => {
+                    let n = match rng.gen_range(3) {
+                        0 => rng.next_u64(),
+                        1 => u64::MAX - rng.gen_range(4) as u64,
+                        _ => 7 + rng.gen_range(5) as u64,
+                    };
+                    bytes[count_at..count_at + 8].copy_from_slice(&n.to_le_bytes());
+                }
+            }
+            if let Ok(a) = decode_accum(&bytes) {
+                assert_eq!(encode_accum(&a), bytes, "case {case}");
+                decoded += 1;
+            }
+        }
+        // Flips outside the count keep the payload well-formed.
+        assert!(decoded > 0, "no mutant decoded");
+    }
+
     #[test]
     fn campaign_digest_tracks_every_outcome_determinant() {
         let base = FleetConfig {

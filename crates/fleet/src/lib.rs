@@ -51,8 +51,8 @@ pub mod report;
 pub mod schedule;
 pub mod sim;
 
-/// Circuits selectable by name for fleet and serve workloads
-/// (`OBD_FLEET_CIRCUIT`, a serve job's `circuit` field). The names are
+/// Circuits selectable by name for fleet workloads
+/// (`OBD_FLEET_CIRCUIT`). The names are
 /// owned here so [`FleetError::UnknownCircuit`] can always list them;
 /// the front-end maps each name to its netlist constructor.
 pub const VALID_CIRCUITS: &[&str] = &["c17", "rca32", "csa32", "mult16"];
@@ -78,7 +78,7 @@ pub enum FleetError {
     InvalidConfig(String),
     /// Grading the BIST coverage profile failed in `obd-atpg`.
     Grading(String),
-    /// A circuit name (env override or serve job field) matched none of
+    /// A circuit name (the `OBD_FLEET_CIRCUIT` override) matched none of
     /// [`VALID_CIRCUITS`].
     UnknownCircuit {
         /// The name that failed to resolve.

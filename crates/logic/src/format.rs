@@ -341,4 +341,88 @@ mod tests {
             }
         }
     }
+
+    /// A netlist with every gate kind the built-in circuits never use:
+    /// XOR, XNOR and BUFF, next to NAND/NOR/NOT.
+    const MIXED_BENCH: &str = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n\
+        x1 = XOR(a, b)\nx2 = XNOR(b, c)\nb1 = BUFF(x1)\nn1 = NOT(c)\n\
+        y = NAND(b1, x2, n1)\nz = NOR(x1, a)\n";
+
+    /// xorshift64* for the seeded mutation fuzz below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        /// A value in `[0, n)`; `n` must be nonzero.
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Seeded mutations of valid `.bench` texts (character flips,
+    /// deletions, truncations, spliced segments) never panic
+    /// `parse_bench`: each gives a typed error or a netlist whose export
+    /// parses back to the same export.
+    #[test]
+    fn parse_bench_never_panics_on_mutated_text() {
+        let seeds: Vec<Vec<char>> = [
+            to_bench(&crate::circuits::c17()),
+            to_bench(&crate::circuits::fig8_sum_circuit()),
+            MIXED_BENCH.to_string(),
+        ]
+        .iter()
+        .map(|t| t.chars().collect())
+        .collect();
+        let mut rng = Rng(0x0BE7_C4A5_F00D);
+        for (s, seed) in seeds.iter().enumerate() {
+            let mut parsed = 0;
+            for case in 0..2_000 {
+                let mut text = seed.clone();
+                match case % 4 {
+                    0 => {
+                        // Flip one of the low seven bits: ASCII stays ASCII.
+                        for _ in 0..=rng.below(4) {
+                            let i = rng.below(text.len());
+                            let flipped = text[i] as u32 ^ (1 << rng.below(7));
+                            text[i] = char::from_u32(flipped).unwrap_or(text[i]);
+                        }
+                    }
+                    1 => {
+                        for _ in 0..=rng.below(4) {
+                            let at = rng.below(text.len());
+                            let end = (at + 1 + rng.below(8)).min(text.len());
+                            text.drain(at..end);
+                        }
+                    }
+                    2 => text.truncate(rng.below(text.len())),
+                    _ => {
+                        // A run of any seed text over a run of this one.
+                        let donor = &seeds[rng.below(seeds.len())];
+                        let from = rng.below(donor.len());
+                        let run = &donor[from..(from + 1 + rng.below(40)).min(donor.len())];
+                        let at = rng.below(text.len());
+                        let end = (at + rng.below(40)).min(text.len());
+                        text.splice(at..end, run.iter().copied());
+                    }
+                }
+                let text: String = text.into_iter().collect();
+                if let Ok(nl) = parse_bench(&text) {
+                    let export = to_bench(&nl);
+                    let again = parse_bench(&export).unwrap_or_else(|e| {
+                        panic!("seed {s} case {case}: export does not parse: {e}\n{export}")
+                    });
+                    assert_eq!(to_bench(&again), export, "seed {s} case {case}");
+                    parsed += 1;
+                }
+            }
+            // Some mutants must survive, or the round trip went unchecked.
+            assert!(parsed > 0, "seed {s}: no mutant parsed");
+        }
+    }
 }

@@ -1,17 +1,12 @@
-//! Length-prefixed binary codec for checkpoint payloads.
+//! Fixed-width binary codec for checkpoint payloads.
 //!
-//! Checkpoint frames (fleet shard accumulators, serve job ledgers) are
-//! stored as [`crate::Store`] records, whose framing already gives
+//! Checkpoint frames (fleet block accumulators) are stored as
+//! [`crate::Store`] records, whose framing already gives
 //! whole-record atomicity and checksums. What it does not give is a
 //! *structured* payload: this module is the hand-rolled, zero-dependency
-//! encoder/decoder the checkpoint writers share, so every field is
-//! little-endian, every string and byte run is length-prefixed, and a
-//! decoder can prove it consumed exactly the bytes the encoder produced
-//! ([`Dec::finish`]).
-//!
-//! Floats travel by exact bit pattern ([`Enc::f64`]), matching the
-//! digest convention in [`crate::Digest::f64`]: resume must be
-//! bit-exact, not approximately equal.
+//! encoder/decoder the checkpoint writers share, so every field is a
+//! little-endian `u64` and a decoder can prove it consumed exactly the
+//! bytes the encoder produced ([`Dec::finish`]).
 
 use std::fmt;
 
@@ -32,8 +27,6 @@ pub enum CodecError {
         /// Unconsumed byte count.
         remaining: usize,
     },
-    /// A string field held invalid UTF-8.
-    BadUtf8,
 }
 
 impl fmt::Display for CodecError {
@@ -51,7 +44,6 @@ impl fmt::Display for CodecError {
                     "payload has {remaining} trailing bytes after the last field"
                 )
             }
-            CodecError::BadUtf8 => write!(f, "string field holds invalid UTF-8"),
         }
     }
 }
@@ -63,11 +55,10 @@ impl std::error::Error for CodecError {}
 ///
 /// ```
 /// use obd_store::codec::{Dec, Enc};
-/// let bytes = Enc::new().u64(7).str("c17").bool(true).finish();
+/// let bytes = Enc::new().u64(7).u64(u64::MAX).finish();
 /// let mut dec = Dec::new(&bytes);
 /// assert_eq!(dec.u64().unwrap(), 7);
-/// assert_eq!(dec.str().unwrap(), "c17");
-/// assert!(dec.bool().unwrap());
+/// assert_eq!(dec.u64().unwrap(), u64::MAX);
 /// dec.finish().unwrap();
 /// ```
 #[derive(Debug, Default)]
@@ -81,51 +72,11 @@ impl Enc {
         Enc::default()
     }
 
-    /// Appends a byte.
-    #[must_use]
-    pub fn u8(mut self, v: u8) -> Self {
-        self.buf.push(v);
-        self
-    }
-
-    /// Appends a little-endian `u32`.
-    #[must_use]
-    pub fn u32(mut self, v: u32) -> Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
     /// Appends a little-endian `u64`.
     #[must_use]
     pub fn u64(mut self, v: u64) -> Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
-    }
-
-    /// Appends an `f64` by exact bit pattern.
-    #[must_use]
-    pub fn f64(self, v: f64) -> Self {
-        self.u64(v.to_bits())
-    }
-
-    /// Appends a bool as one byte.
-    #[must_use]
-    pub fn bool(self, v: bool) -> Self {
-        self.u8(u8::from(v))
-    }
-
-    /// Appends a length-prefixed byte run.
-    #[must_use]
-    pub fn bytes(mut self, v: &[u8]) -> Self {
-        self.buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(v);
-        self
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    #[must_use]
-    pub fn str(self, v: &str) -> Self {
-        self.bytes(v.as_bytes())
     }
 
     /// The encoded payload.
@@ -162,25 +113,6 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
-    /// Reads a byte.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] past the end of the payload.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] past the end of the payload.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
     /// Reads a little-endian `u64`.
     ///
     /// # Errors
@@ -191,54 +123,6 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
-    }
-
-    /// Reads an `f64` by exact bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] past the end of the payload.
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a bool byte (any nonzero is `true`).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] past the end of the payload.
-    pub fn bool(&mut self) -> Result<bool, CodecError> {
-        Ok(self.u8()? != 0)
-    }
-
-    /// Reads a length-prefixed byte run.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] when the prefix or the run itself
-    /// outruns the payload.
-    pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
-        let len = self.u64()?;
-        let len = usize::try_from(len).map_err(|_| CodecError::Truncated {
-            needed: usize::MAX,
-            remaining: self.buf.len() - self.pos,
-        })?;
-        self.take(len)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] as [`Dec::bytes`];
-    /// [`CodecError::BadUtf8`] when the bytes are not UTF-8.
-    pub fn str(&mut self) -> Result<&'a str, CodecError> {
-        std::str::from_utf8(self.bytes()?).map_err(|_| CodecError::BadUtf8)
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
     }
 
     /// Proves the payload was consumed exactly.
@@ -261,43 +145,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_field_kinds_roundtrip() {
-        let bytes = Enc::new()
-            .u8(0xAB)
-            .u32(0xDEAD_BEEF)
-            .u64(u64::MAX - 1)
-            .f64(-0.0)
-            .bool(true)
-            .bool(false)
-            .str("αβ utf-8")
-            .bytes(&[1, 2, 3])
-            .str("")
-            .finish();
+    fn fields_roundtrip() {
+        let bytes = Enc::new().u64(0).u64(u64::MAX - 1).u64(7).finish();
+        assert_eq!(bytes.len(), 24);
         let mut d = Dec::new(&bytes);
-        assert_eq!(d.u8().unwrap(), 0xAB);
-        assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(d.u64().unwrap(), 0);
         assert_eq!(d.u64().unwrap(), u64::MAX - 1);
-        // Bit-exact: -0.0 must come back as -0.0, not 0.0.
-        assert_eq!(d.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(d.bool().unwrap());
-        assert!(!d.bool().unwrap());
-        assert_eq!(d.str().unwrap(), "αβ utf-8");
-        assert_eq!(d.bytes().unwrap(), &[1, 2, 3]);
-        assert_eq!(d.str().unwrap(), "");
+        assert_eq!(d.u64().unwrap(), 7);
         d.finish().unwrap();
     }
 
     #[test]
     fn truncation_at_every_prefix_is_a_typed_error() {
-        let bytes = Enc::new().u64(7).str("hello").u32(9).finish();
+        let bytes = Enc::new().u64(7).u64(9).finish();
         for cut in 0..bytes.len() {
             let mut d = Dec::new(&bytes[..cut]);
-            let r = (|| -> Result<(), CodecError> {
-                d.u64()?;
-                d.str()?;
-                d.u32()?;
-                Ok(())
-            })();
+            let r = d.u64().and_then(|_| d.u64());
             assert!(
                 matches!(r, Err(CodecError::Truncated { .. })),
                 "cut at {cut} must be Truncated, got {r:?}"
@@ -306,13 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn trailing_bytes_and_bad_utf8_are_typed() {
-        let bytes = Enc::new().u64(1).u8(0).finish();
+    fn trailing_bytes_are_typed() {
+        let mut bytes = Enc::new().u64(1).finish();
+        bytes.push(0);
         let mut d = Dec::new(&bytes);
         d.u64().unwrap();
         assert_eq!(d.finish(), Err(CodecError::TrailingBytes { remaining: 1 }));
-        let bad = Enc::new().bytes(&[0xFF, 0xFE]).finish();
-        let mut d = Dec::new(&bad);
-        assert_eq!(d.str(), Err(CodecError::BadUtf8));
     }
 }

@@ -147,7 +147,7 @@ pub fn global() -> Option<Arc<Store>> {
 
 /// Arms the process-wide store with `dir` as the *fallback* directory:
 /// [`STORE_DIR_ENV`] still wins when set, so a user override reaches
-/// front-ends (like `repro serve`) that default persistence on. Returns
+/// front-ends (like `repro store`) that default persistence on. Returns
 /// the resulting handle; a no-op returning the existing handle when
 /// [`global`] was already initialized.
 pub fn set_global_dir(dir: impl AsRef<Path>) -> Option<Arc<Store>> {

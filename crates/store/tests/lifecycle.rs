@@ -276,7 +276,7 @@ fn verify_drops_rotted_records_without_panic() {
 
     let report = store.verify().unwrap();
     assert_eq!((report.checked, report.valid, report.corrupt), (3, 2, 1));
-    // The rotted record is now a clean miss; the others still serve.
+    // The rotted record is now a clean miss; the others are still served.
     assert_eq!(store.get(key(1)).unwrap(), None);
     assert!(store.get(key(0)).unwrap().is_some());
     assert!(store.get(key(2)).unwrap().is_some());

@@ -66,7 +66,7 @@ assert gauges.get("logic.levels", 0) > 0, f"levelized netlist depth not publishe
 assert gauges.get("atpg.superlane_width", 0) >= 1, f"super-lane width not published: {gauges}"
 assert "fleet.escape_rate" in gauges, f"fleet escape rate not published: {gauges}"
 # Cone propagation sits on the grading hot path. Nearly every block the
-# stats flow grades belongs to its mult16 watchdog job (2,624 gates). A
+# stats flow grades belongs to its mult16 grading call (2,624 gates). A
 # full forced sweep per (fault, block) pair costs the whole circuit once
 # or twice per pair (about 3,000 gates per graded block on this flow);
 # walking only the gates a fault effect reaches stays well below one
@@ -85,23 +85,15 @@ reuse_ratio = reuse / (reuse + builds)
 assert reuse_ratio >= 0.9, \
     f"LU replay ratio {reuse_ratio:.3f} ({reuse} replays, {builds} builds) is below 0.9"
 assert "fleet.detection_latency_mh" in snap["histograms"], "fleet latency histogram missing"
-# The persistence layer and the serve front-end run inside the stats
-# flow: the store round-trip and the mini batch must leave their marks.
+# The persistence layer runs inside the stats flow: the store round
+# trip and a compaction with dead records must leave their marks.
 for key in ("store.puts", "store.hits", "core.delay_store_hits",
-            "serve.jobs_done", "serve.jobs_degraded"):
-    assert counters.get(key, 0) > 0, f"expected nonzero counter {key}: {counters.get(key)}"
-# The supervision layer runs chaos-free inside the stats flow: a ledger
-# round trip (replays), a stale-heartbeat grade job (one watchdog
-# requeue, then quarantine) and a store compaction with dead records.
-for key in ("serve.jobs_replayed", "serve.retries", "serve.watchdog_restarts",
-            "serve.dead_lettered", "store.compactions",
-            "store.compact_reclaimed_bytes"):
+            "store.compactions", "store.compact_reclaimed_bytes"):
     assert counters.get(key, 0) > 0, f"expected nonzero counter {key}: {counters.get(key)}"
 # The size-capped maintenance pass and the mini Monte Carlo campaign
 # run inside the stats flow too.
 for key in ("store.evicted_frames", "monte.samples", "monte.measurements"):
     assert counters.get(key, 0) > 0, f"expected nonzero counter {key}: {counters.get(key)}"
-assert "serve.job_wall_ms" in snap["histograms"], "serve wall-time histogram missing"
 print(
     "METRICS_run.json ok:",
     f"newton_iterations={counters['spice.newton_iterations']}",
@@ -128,15 +120,9 @@ assert run["accounted"], "chaos accounting did not balance"
 assert run["injected_total"] >= 200, f"too few injections: {run['injected_total']}"
 assert run["recovered_total"] > 0, "no injection was recovered"
 layers = {l["layer"] for l in run["layers"] if l["injected"] > 0}
-assert layers == {"linalg", "spice", "core", "atpg", "fleet", "store", "serve",
-                  "monte"}, \
+assert layers == {"linalg", "spice", "core", "atpg", "fleet", "store", "monte"}, \
     f"layers missing injections: {layers}"
 assert "monte.params_corrupt" in run["points"], "monte.params_corrupt point missing"
-serve = next(l for l in run["layers"] if l["layer"] == "serve")
-assert serve["panics"] == 0 and serve["injected"] == \
-    serve["recovered"] + serve["degraded"] + serve["reported"], \
-    f"serve hang ledger not exact: {serve}"
-assert "serve.worker_hang" in run["points"], "serve.worker_hang point missing"
 assert "store.compact_torn" in run["points"], "store.compact_torn point missing"
 print(
     "CHAOS_run.json ok:",
@@ -177,106 +163,12 @@ print(f"MONTE_run.json ok: {run['samples']} corners x {len(run['probes'])} probe
       "byte-identical across thread counts")
 EOF
 
-# Smoke the batch front-end end to end: a mixed 12-job queue (Table 1,
-# grading across four circuits, fleet slices, one poisoned job) must
-# drain with zero panics, every job terminal, and exactly the poisoned
-# job degraded. A second pass over the same queue must be served from
-# the persistent store with byte-identical per-job artifacts.
-rm -rf results/store.ci results/serve results/serve.cold
-cat > results/serve_batch.ci.jsonl <<'EOF'
-{"id": "t1", "kind": "table1", "resolution": "fast"}
-{"id": "t2", "kind": "table1", "resolution": "fast"}
-{"id": "t3", "kind": "table1", "resolution": "fast"}
-{"id": "g1", "kind": "grade", "circuit": "c17", "tests": 64, "seed": 11}
-{"id": "g2", "kind": "grade", "circuit": "rca32", "tests": 32, "seed": 12}
-{"id": "g3", "kind": "grade", "circuit": "csa32", "tests": 32, "seed": 13}
-{"id": "g4", "kind": "grade", "circuit": "mult16", "tests": 16, "seed": 14}
-{"id": "g5", "kind": "grade", "circuit": "c17", "tests": 64, "seed": 11}
-{"id": "f1", "kind": "fleet", "circuit": "c17", "devices": 900, "seed": 21}
-{"id": "f2", "kind": "fleet", "circuit": "rca32", "devices": 600, "seed": 22}
-{"id": "f3", "kind": "fleet", "circuit": "c17", "devices": 900, "seed": 21}
-{"id": "px", "kind": "grade", "circuit": "no-such-circuit"}
-EOF
-OBD_STORE_DIR=results/store.ci ./target/release/repro serve results/serve_batch.ci.jsonl
-python3 - <<'EOF'
-import json
-
-with open("results/SERVE_run.json") as f:
-    run = json.load(f)
-assert run["jobs_total"] >= 10, f"batch too small: {run['jobs_total']}"
-assert run["panicked"] == 0, f"serve panicked: {run['panicked']}"
-terminal = {"done", "degraded", "dead_lettered", "panicked"}
-assert all(j["status"] in terminal for j in run["jobs"]), "non-terminal job state"
-degraded = [j["id"] for j in run["jobs"] if j["status"] == "degraded"]
-assert degraded == ["px"], f"only the poisoned job may degrade: {degraded}"
-assert run["dead_lettered"] == 0, "no job should miss the generous deadline"
-assert run["replayed"] == 0, "cold pass must compute everything"
-assert run["store"]["enabled"], "serve must arm the persistent store"
-assert run["store"]["puts"] > 0, "cold pass must populate the store"
-print(f"SERVE_run.json cold ok: {run['jobs_total']} jobs, {run['done']} done, px degraded")
-EOF
-cp -r results/serve results/serve.cold
-OBD_STORE_DIR=results/store.ci ./target/release/repro serve results/serve_batch.ci.jsonl
-python3 - <<'EOF'
-import json
-
-with open("results/SERVE_run.json") as f:
-    run = json.load(f)
-assert run["panicked"] == 0 and run["done"] == run["jobs_total"] - 1
-assert run["store"]["hits"] > 0, "warm pass must be served from the store"
-assert run["replayed"] == run["jobs_total"], \
-    f"warm pass must be served entirely from the checkpoint ledger: {run['replayed']}"
-assert sum(j["store_hits"] for j in run["jobs"]) > 0, "no job saw an engine-side store hit"
-print(f"SERVE_run.json warm ok: store_hits={run['store']['hits']}, "
-      f"replayed={run['replayed']}")
-EOF
-diff -r results/serve.cold results/serve \
-    || { echo "warm serve artifacts differ from cold"; exit 1; }
-rm -rf results/serve.cold results/store.ci results/serve_batch.ci.jsonl
-echo "serve smoke ok: mixed batch drained twice, warm pass ledger-replayed byte-identically"
-
-# Crash-recovery smoke, serve: SIGKILL a supervised batch mid-run, then
-# resume it from the checkpoint ledger. The recovered results/serve tree
-# (artifacts, canonical results, dead-letter file) must be byte-identical
-# to an uninterrupted reference run of the same batch.
-# The fleet job is sized to run about a second on one thread, so the
-# kill at 0.7 s lands inside it rather than after the batch has drained.
-rm -rf results/killtest
-mkdir -p results/killtest/ref results/killtest/cut
-cat > results/killtest/batch.jsonl <<'EOF'
-{"id": "n0", "kind": "noop", "spins": 4096}
-{"id": "m1", "kind": "grade", "circuit": "mult16", "tests": 48, "seed": 31}
-{"id": "c1", "kind": "grade", "circuit": "csa32", "tests": 64, "seed": 32}
-{"id": "px", "kind": "grade", "circuit": "no-such-circuit"}
-{"id": "m2", "kind": "grade", "circuit": "mult16", "tests": 48, "seed": 33}
-{"id": "f1", "kind": "fleet", "circuit": "c17", "devices": 4000000, "seed": 34}
-{"id": "c2", "kind": "grade", "circuit": "csa32", "tests": 64, "seed": 35}
-EOF
-cp results/killtest/batch.jsonl results/killtest/ref/
-cp results/killtest/batch.jsonl results/killtest/cut/
-REPRO="$PWD/target/release/repro"
-(cd results/killtest/ref && OBD_SERVE_THREADS=1 "$REPRO" serve batch.jsonl > /dev/null)
-(cd results/killtest/cut && exec env OBD_SERVE_THREADS=1 "$REPRO" serve batch.jsonl > /dev/null 2>&1) &
-KILL_PID=$!
-sleep 0.7
-kill -9 "$KILL_PID" 2>/dev/null || true
-wait "$KILL_PID" 2>/dev/null || true
-(cd results/killtest/cut && OBD_SERVE_THREADS=1 "$REPRO" serve batch.jsonl > /dev/null)
-diff -r results/killtest/ref/results/serve results/killtest/cut/results/serve \
-    || { echo "killed+resumed serve artifacts differ from uninterrupted run"; exit 1; }
-python3 - <<'EOF'
-import json
-
-with open("results/killtest/cut/results/SERVE_run.json") as f:
-    run = json.load(f)
-assert run["panicked"] == 0, f"resume panicked: {run['panicked']}"
-assert run["replayed"] >= 1, "resume must replay at least the completed jobs"
-print(f"serve kill smoke ok: {run['replayed']}/{run['jobs_total']} jobs replayed on resume")
-EOF
-
 # Crash-recovery smoke, fleet: SIGKILL a checkpointed million-device
 # campaign mid-run, resume it, and require FLEET_run.json to match an
 # uninterrupted reference run byte for byte.
+rm -rf results/killtest
+mkdir -p results/killtest/ref results/killtest/cut
+REPRO="$PWD/target/release/repro"
 FLEET_ENV="OBD_FLEET_SEED=0x0BDFEE1 OBD_FLEET_DEVICES=1000003 OBD_FLEET_CKPT=65536"
 (cd results/killtest/ref && env $FLEET_ENV OBD_STORE_DIR=store "$REPRO" fleet > /dev/null)
 (cd results/killtest/cut && exec env $FLEET_ENV OBD_STORE_DIR=store "$REPRO" fleet > /dev/null 2>&1) &
@@ -289,10 +181,10 @@ cmp results/killtest/ref/results/FLEET_run.json results/killtest/cut/results/FLE
     || { echo "killed+resumed FLEET_run.json differs from uninterrupted run"; exit 1; }
 echo "fleet kill smoke ok: resumed campaign byte-identical at 1,000,003 devices"
 
-# Smoke the store maintenance verb on the store the kill test left
+# Smoke the store maintenance verb on the store the fleet kill test left
 # behind: stats, compact and verify must all succeed and report sane,
 # parseable JSON (the kill may have left dead records and a stale lock).
-(cd results/killtest/cut && "$REPRO" store stats > /dev/null \
+(cd results/killtest/cut && export OBD_STORE_DIR=store && "$REPRO" store stats > /dev/null \
     && "$REPRO" store compact > /dev/null && "$REPRO" store verify > /dev/null)
 python3 - <<'EOF'
 import json
