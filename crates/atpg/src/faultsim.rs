@@ -351,7 +351,8 @@ impl<'a> FaultSimulator<'a> {
     /// Runs on the bit-parallel [`PpsfpEngine`] at width 1: good-machine
     /// responses are computed once per 64-test block, each fault is
     /// evaluated fault-major with dropping, and the results are bit-exact
-    /// with [`FaultSimulator::grade_scalar`].
+    /// with a scalar loop over [`FaultSimulator::detects`] (the tests'
+    /// reference grader).
     ///
     /// # Errors
     ///
@@ -362,31 +363,6 @@ impl<'a> FaultSimulator<'a> {
         tests: &[TwoPatternTest],
     ) -> Result<Vec<bool>, AtpgError> {
         self.grade_parallel(faults, tests, 1)
-    }
-
-    /// The scalar reference grader: one three-valued simulation per
-    /// (fault, test) pair, fault-major with dropping — the loop the
-    /// PPSFP engine replaced, kept un-instrumented as the equivalence
-    /// and benchmark baseline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates detection errors.
-    pub fn grade_scalar(
-        &self,
-        faults: &[Fault],
-        tests: &[TwoPatternTest],
-    ) -> Result<Vec<bool>, AtpgError> {
-        let mut detected = vec![false; faults.len()];
-        for (i, f) in faults.iter().enumerate() {
-            for t in tests {
-                if self.detects(f, t)? {
-                    detected[i] = true;
-                    break;
-                }
-            }
-        }
-        Ok(detected)
     }
 
     /// [`FaultSimulator::grade`] with graceful degradation: a fault whose

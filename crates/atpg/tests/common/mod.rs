@@ -1,6 +1,12 @@
-//! Fault universes and netlists shared by the PPSFP test binaries.
+//! Fault universes, netlists and the scalar reference grader shared by
+//! the PPSFP test binaries. Each binary uses a subset of them.
+#![allow(dead_code)]
 
-use obd_atpg::fault::{em_faults, obd_faults, stuck_at_faults, transition_faults, Fault};
+use obd_atpg::fault::{
+    em_faults, obd_faults, stuck_at_faults, transition_faults, Fault, TwoPatternTest,
+};
+use obd_atpg::faultsim::FaultSimulator;
+use obd_atpg::AtpgError;
 use obd_core::BreakdownStage;
 use obd_logic::netlist::{GateKind, Netlist};
 
@@ -36,4 +42,25 @@ pub fn mixed_cells() -> Netlist {
         nl.mark_output(out);
     }
     nl
+}
+
+/// The scalar reference grader: one three-valued simulation per (fault,
+/// test) pair through [`FaultSimulator::detects`], fault-major with
+/// dropping — the loop the PPSFP engine replaced, and the baseline every
+/// packed grader must match bit for bit.
+pub fn grade_scalar(
+    sim: &FaultSimulator,
+    faults: &[Fault],
+    tests: &[TwoPatternTest],
+) -> Result<Vec<bool>, AtpgError> {
+    let mut detected = vec![false; faults.len()];
+    for (i, f) in faults.iter().enumerate() {
+        for t in tests {
+            if sim.detects(f, t)? {
+                detected[i] = true;
+                break;
+            }
+        }
+    }
+    Ok(detected)
 }

@@ -1,14 +1,14 @@
 //! Randomized scalar-vs-packed equivalence for the PPSFP grading engine.
 //!
 //! The packed path must be *bit-exact* with the scalar reference
-//! (`FaultSimulator::grade_scalar` / `detects`) across every fault model,
+//! (`common::grade_scalar` / `FaultSimulator::detects`) across every fault model,
 //! every block-boundary test count (1, 63, 64, 65, …), X-bearing test
 //! sets (which fall back to the scalar path), and the parallel
 //! work-stealing grader.
 
 mod common;
 
-use common::{mixed_cells, mixed_faults};
+use common::{grade_scalar, mixed_cells, mixed_faults};
 use obd_atpg::bist::run_bist;
 use obd_atpg::fault::{obd_faults, stuck_at_faults, Fault, TwoPatternTest};
 use obd_atpg::faultsim::FaultSimulator;
@@ -46,7 +46,7 @@ fn packed_grade_matches_scalar_at_block_boundaries() {
                 "{name}/{count}"
             );
             assert_eq!(engine.scalar_fallback_tests(), 0, "{name}/{count}");
-            let scalar = sim.grade_scalar(&faults, &tests).unwrap();
+            let scalar = grade_scalar(&sim, &faults, &tests).unwrap();
             let packed = sim.grade(&faults, &tests).unwrap();
             assert_eq!(packed, scalar, "{name} with {count} tests");
         }
@@ -69,7 +69,7 @@ fn sweep_width<const N: usize>(counts: &[usize]) {
                 "{name}/{count}/N={N}"
             );
             assert_eq!(engine.scalar_fallback_tests(), 0, "{name}/{count}/N={N}");
-            let scalar = sim.grade_scalar(&faults, &tests).unwrap();
+            let scalar = grade_scalar(&sim, &faults, &tests).unwrap();
             assert_eq!(
                 engine.grade_parallel(&faults, 1).unwrap(),
                 scalar,
@@ -112,7 +112,7 @@ fn loop_order_unified_across_all_graders() {
     let sim = FaultSimulator::new(&nl).unwrap();
     let faults = mixed_faults(&nl);
     let tests = random_two_pattern(nl.inputs().len(), 100, 77);
-    let scalar = sim.grade_scalar(&faults, &tests).unwrap();
+    let scalar = grade_scalar(&sim, &faults, &tests).unwrap();
     assert_eq!(sim.grade(&faults, &tests).unwrap(), scalar);
     for threads in [1usize, 2, 4, 7] {
         assert_eq!(
@@ -144,7 +144,7 @@ fn x_bearing_tests_fall_back_to_scalar_path() {
     let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
     assert!(engine.scalar_fallback_tests() > 0, "X tests must not pack");
     assert!(engine.num_blocks() > 0, "specified tests must still pack");
-    let scalar = sim.grade_scalar(&faults, &tests).unwrap();
+    let scalar = grade_scalar(&sim, &faults, &tests).unwrap();
     assert_eq!(sim.grade(&faults, &tests).unwrap(), scalar);
     assert_eq!(sim.grade_parallel(&faults, &tests, 4).unwrap(), scalar);
     // The X fallback partition is width-independent: narrow widths agree.
@@ -175,7 +175,7 @@ fn all_x_test_set_grades_scalar_only() {
     let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
     assert_eq!(engine.num_blocks(), 0);
     assert_eq!(engine.scalar_fallback_tests(), 3);
-    let scalar = sim.grade_scalar(&faults, &tests).unwrap();
+    let scalar = grade_scalar(&sim, &faults, &tests).unwrap();
     assert_eq!(sim.grade(&faults, &tests).unwrap(), scalar);
 }
 
@@ -331,7 +331,7 @@ fn bist_row_rewiring_keeps_signatures() {
     let f = faults
         .iter()
         .find(|f| {
-            let det = sim.grade_scalar(std::slice::from_ref(f), &tests).unwrap();
+            let det = grade_scalar(&sim, std::slice::from_ref(f), &tests).unwrap();
             det[0]
         })
         .expect("some OBD fault detectable by 128 LFSR patterns");

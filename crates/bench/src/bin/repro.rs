@@ -15,9 +15,8 @@ use std::fs;
 use std::path::Path;
 
 use obd_bench::experiments::{
-    atpg_bench, bist_eval, chaos, clock_sweep, em_contrast, excitation, fig4, fig9, fleet, iddq,
-    metrics_run, monte, scaling, scan_eval, spice_bench, stats, table1, tpg_compare, variation,
-    waveforms, window,
+    bist_eval, chaos, clock_sweep, em_contrast, excitation, fig4, fig9, fleet, iddq, metrics_run,
+    monte, scaling, scan_eval, stats, table1, tpg_compare, variation, waveforms, window,
 };
 use obd_cmos::TechParams;
 use obd_core::characterize::{characterize_table1, BenchConfig, DelayTable, RunOptions};
@@ -45,8 +44,6 @@ const VERBS: &[&str] = &[
     "scan",
     "variation",
     "monte",
-    "bench",
-    "bench-atpg",
     "fleet",
     "chaos",
     "store",
@@ -328,28 +325,6 @@ fn run_monte(tech: &TechParams) {
     }
 }
 
-fn run_spice_bench(tech: &TechParams) {
-    println!("== Perf: analog-engine throughput (BENCH_spice.json) ==");
-    match spice_bench::run(tech, &BenchConfig::table1()) {
-        Ok(r) => {
-            println!("{}", spice_bench::render(&r));
-            save("BENCH_spice.json", &spice_bench::to_json(&r));
-        }
-        Err(e) => eprintln!("  error: {e}"),
-    }
-}
-
-fn run_atpg_bench() {
-    println!("== Perf: PPSFP fault-grading throughput (BENCH_atpg.json) ==");
-    match atpg_bench::run() {
-        Ok(r) => {
-            println!("{}", atpg_bench::render(&r));
-            save("BENCH_atpg.json", &atpg_bench::to_json(&r));
-        }
-        Err(e) => eprintln!("  error: {e}"),
-    }
-}
-
 fn run_chaos() {
     println!("== Robustness: seeded fault-injection campaign (CHAOS_run.json) ==");
     let seed = std::env::var("OBD_CHAOS_SEED")
@@ -389,9 +364,14 @@ fn run_fleet() {
 fn run_store(action: Option<&str>) {
     println!("== Store: persistent result store maintenance (STORE_run.json) ==");
     let action = action.unwrap_or("stats");
-    let Some(store) = obd_store::set_global_dir("results/store") else {
-        eprintln!("  STORE FAILED: cannot open the store directory");
-        std::process::exit(1);
+    // The verb maintains an existing store: it never picks a directory
+    // of its own, which would create an empty store and report it clean.
+    let Some(store) = obd_store::global() else {
+        eprintln!(
+            "  STORE FAILED: no store; set {} to the store directory",
+            obd_store::STORE_DIR_ENV
+        );
+        std::process::exit(2);
     };
     println!(
         "  store: {} ({} records)",
@@ -533,12 +513,6 @@ fn main() {
     }
     if all || arg == "scaling" {
         run_scaling();
-    }
-    if all || arg == "bench" {
-        run_spice_bench(&tech);
-    }
-    if all || arg == "bench-atpg" {
-        run_atpg_bench();
     }
     if all || arg == "fleet" {
         run_fleet();

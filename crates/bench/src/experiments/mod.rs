@@ -1,6 +1,5 @@
 //! Experiment implementations, one per paper artifact.
 
-pub mod atpg_bench;
 pub mod bist_eval;
 pub mod chaos;
 pub mod clock_sweep;
@@ -14,7 +13,6 @@ pub mod metrics_run;
 pub mod monte;
 pub mod scaling;
 pub mod scan_eval;
-pub mod spice_bench;
 pub mod stats;
 pub mod table1;
 pub mod tpg_compare;

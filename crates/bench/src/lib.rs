@@ -1,10 +1,9 @@
-//! The benchmark harness: one module per table/figure of the paper's
+//! The paper's experiments: one module per table/figure of its
 //! evaluation, each producing the same rows/series the paper reports.
 //!
-//! The `repro` binary drives these modules and writes text/CSV artifacts;
-//! the plain-`main` benches under `benches/` time the computational
-//! kernels behind each experiment using the in-crate [`timing`] runner
-//! (`cargo bench --bench <name>`; no external harness crate).
+//! The `repro` binary drives these modules and writes text/CSV artifacts.
+//! Timing lives in one place, the `obd-benchmark` crate
+//! (`crates/benchmark`); this crate measures nothing.
 //!
 //! | Experiment | Paper artifact | Module |
 //! |---|---|---|
@@ -25,7 +24,6 @@
 //! | X8 | OBD shifts vs process variation | [`experiments::variation`] |
 
 pub mod experiments;
-pub mod timing;
 
 /// A fast-but-faithful bench configuration used by tests and CI-style
 /// runs; the `repro` binary uses the full-resolution defaults instead.

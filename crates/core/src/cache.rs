@@ -384,6 +384,63 @@ mod tests {
         assert_eq!(decode_outcome(&[1, 0, 0]), None);
     }
 
+    /// Seeded mutations of stored outcome records (bit flips, truncations,
+    /// extensions, splices and random bytes) never panic `decode_outcome`:
+    /// each gives `None` or an outcome that encodes back to the same bytes.
+    #[test]
+    fn decode_outcome_never_panics_on_mutated_records() {
+        // xorshift64*, seeded: the mutants are the same on every run.
+        let mut state = 0x0DEC_0DE0_u64;
+        let mut next = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as usize % bound.max(1)
+        };
+        let valid = [
+            TransitionOutcome::Stuck,
+            TransitionOutcome::Delay(102.0),
+            TransitionOutcome::Delay(-0.0),
+            TransitionOutcome::Delay(f64::NAN),
+            TransitionOutcome::Delay(f64::INFINITY),
+        ]
+        .map(encode_outcome);
+        let mut decoded = 0;
+        for case in 0..5_000 {
+            let mut bytes = valid[case % valid.len()].clone();
+            match next(5) {
+                0 => {
+                    for _ in 0..=next(4) {
+                        let i = next(bytes.len());
+                        bytes[i] ^= 1 << next(8);
+                    }
+                }
+                1 => bytes.truncate(next(bytes.len())),
+                2 => {
+                    for _ in 0..=next(3) {
+                        bytes.push(next(256) as u8);
+                    }
+                }
+                3 => {
+                    // A run of another record over this one.
+                    let other = &valid[next(valid.len())];
+                    let from = next(other.len());
+                    let run = &other[from..from + next(other.len() - from) + 1];
+                    let at = next(bytes.len() + 1);
+                    let end = (at + next(run.len() + 1)).min(bytes.len());
+                    bytes.splice(at..end, run.iter().copied());
+                }
+                _ => bytes = (0..next(12)).map(|_| next(256) as u8).collect(),
+            }
+            if let Some(o) = decode_outcome(&bytes) {
+                assert_eq!(encode_outcome(o), bytes, "case {case}");
+                decoded += 1;
+            }
+        }
+        // Flips in a delay's bit pattern keep the record well-formed.
+        assert!(decoded > 0, "no mutant decoded");
+    }
+
     #[test]
     fn persistent_cache_serves_second_process_from_disk() {
         let dir =
@@ -438,7 +495,7 @@ mod tests {
             ..fast_cfg()
         };
         let store = Arc::new(Store::open(&dir).unwrap());
-        let render = |cache: &DelayCache| {
+        let table1 = |cache: &DelayCache| {
             let opts = RunOptions {
                 threads: 1,
                 cache: Some(cache),
@@ -447,14 +504,19 @@ mod tests {
             characterize_table1(&tech, &cfg, &opts)
                 .into_result()
                 .unwrap()
-                .render()
         };
         let cold = DelayCache::persistent(Arc::clone(&store));
-        let cold_text = render(&cold);
+        let cold_table = table1(&cold);
         assert!(cold.store_misses() > 0, "cold pass must run transients");
         let warm = DelayCache::persistent(Arc::clone(&store));
-        let warm_text = render(&warm);
-        assert_eq!(warm_text, cold_text, "warm Table 1 must be byte-identical");
+        let warm_table = table1(&warm);
+        assert_eq!(
+            warm_table.render(),
+            cold_table.render(),
+            "warm Table 1 must be byte-identical"
+        );
+        // Stored outcomes are exact bit patterns, not rounded renderings.
+        assert_eq!(format!("{warm_table:?}"), format!("{cold_table:?}"));
         assert_eq!(warm.store_misses(), 0, "warm pass must run no transient");
         assert!(
             warm.store_hits() > 0,

@@ -101,6 +101,34 @@ fn table1_report_is_identical_across_threads_and_cache_states() {
     }
 }
 
+/// The reference engine — the baseline Newton kernel (every device
+/// restamped each iteration, one-shot allocating LU, no predictor) with
+/// every transient run over its whole window — regenerates the
+/// paper-resolution Table 1 that the default engine prints. The two
+/// differ in assembly order, step control and stopping, so delays may
+/// move below the printed precision, never a printed digit or a verdict.
+#[test]
+fn reference_kernel_regenerates_the_same_table1() {
+    let tech = TechParams::date05();
+    let cfg = BenchConfig::table1();
+    let run = |cfg: &BenchConfig, sim| {
+        let opts = RunOptions {
+            threads: 2,
+            sim,
+            ..RunOptions::default()
+        };
+        characterize_table1(&tech, cfg, &opts)
+            .into_result()
+            .expect("Table 1 regenerates cleanly")
+    };
+    let default = run(&cfg, SimOptions::new());
+    let reference = run(
+        &full_window(&cfg),
+        SimOptions::new().with_reference_kernel(),
+    );
+    assert_eq!(reference.render(), default.render());
+}
+
 #[test]
 fn cached_delay_table_matches_uncached() {
     let tech = TechParams::date05();

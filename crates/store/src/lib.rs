@@ -130,33 +130,18 @@ pub const STORE_MAX_BYTES_ENV: &str = "OBD_STORE_MAX_BYTES";
 
 /// The process-wide store, shared by every cache layer that wants warm
 /// starts (the `obd-core` delay cache, the `obd-atpg` good-response
-/// cache). Initialized exactly once, from [`STORE_DIR_ENV`] by default
-/// or from an explicit [`set_global_dir`] call that happens first.
+/// cache). Initialized exactly once, from [`STORE_DIR_ENV`].
 static GLOBAL: OnceLock<Option<Arc<Store>>> = OnceLock::new();
 
-/// The process-wide store handle, or `None` when persistence is off
-/// (no [`STORE_DIR_ENV`] in the environment and no [`set_global_dir`]
-/// call). An unopenable store directory disables persistence with a
-/// warning rather than failing the caller — the store is a cache, and
-/// every workload runs correctly (just cold) without it.
+/// The process-wide store handle, opened from [`STORE_DIR_ENV`] on first
+/// use, or `None` when persistence is off. Persistence is off when the
+/// variable is unset (there is no default directory) or its directory
+/// cannot be opened; the latter warns rather than failing the caller —
+/// the store is a cache, and every workload runs correctly (just cold)
+/// without it.
 pub fn global() -> Option<Arc<Store>> {
     GLOBAL
         .get_or_init(|| std::env::var(STORE_DIR_ENV).ok().and_then(open_or_warn))
-        .clone()
-}
-
-/// Arms the process-wide store with `dir` as the *fallback* directory:
-/// [`STORE_DIR_ENV`] still wins when set, so a user override reaches
-/// front-ends (like `repro store`) that default persistence on. Returns
-/// the resulting handle; a no-op returning the existing handle when
-/// [`global`] was already initialized.
-pub fn set_global_dir(dir: impl AsRef<Path>) -> Option<Arc<Store>> {
-    GLOBAL
-        .get_or_init(|| {
-            let dir = std::env::var(STORE_DIR_ENV)
-                .unwrap_or_else(|_| dir.as_ref().to_string_lossy().into_owned());
-            open_or_warn(dir)
-        })
         .clone()
 }
 
@@ -1209,6 +1194,86 @@ mod tests {
         let c = Digest::new("d").str("ab").str("c").finish();
         let d = Digest::new("d").str("a").str("bc").finish();
         assert_ne!(c, d);
+    }
+
+    /// Seeded mutations of a multi-record store file (byte flips,
+    /// truncations, splices and rewritten length fields) never panic
+    /// `scan_records`: the valid prefix stays inside the file and every
+    /// record it returns lies in bounds and passes its checksum. Every
+    /// mutant keeps the full header, as `Store::open` refuses shorter
+    /// files before scanning.
+    #[test]
+    fn scan_records_never_panics_on_mutated_files() {
+        // xorshift64*, seeded: the mutants are the same on every run.
+        let mut state = 0x5CA7_F11E_u64;
+        let mut next = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as usize % bound.max(1)
+        };
+        let header = HEADER_LEN as usize;
+        let mut valid = header_bytes(FORMAT_VERSION).to_vec();
+        let mut frame_starts = Vec::new();
+        for i in 0..12u64 {
+            let digest = Digest::new("scan").u64(i).finish();
+            let payload: Vec<u8> = (0..next(40)).map(|_| next(256) as u8).collect();
+            frame_starts.push(valid.len());
+            valid.extend_from_slice(&digest.to_le_bytes());
+            valid.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            valid.extend_from_slice(&record_checksum(digest, &payload).to_le_bytes());
+            valid.extend_from_slice(&payload);
+        }
+        let clean = scan_records(&valid);
+        assert!(!clean.damaged);
+        assert_eq!(clean.records.len(), 12);
+        assert_eq!(clean.valid_end, valid.len() as u64);
+
+        for case in 0..3_000 {
+            let mut bytes = valid.clone();
+            match case % 4 {
+                0 => {
+                    for _ in 0..=next(4) {
+                        let i = next(bytes.len());
+                        bytes[i] ^= 1 << next(8);
+                    }
+                }
+                1 => bytes.truncate(header + next(bytes.len() - header)),
+                2 => {
+                    // A run of the file over another place past the
+                    // header, sometimes growing or shrinking it.
+                    let from = next(bytes.len());
+                    let len = next(bytes.len() - from) + 1;
+                    let run = bytes[from..from + len].to_vec();
+                    let at = header + next(bytes.len() - header);
+                    let end = (at + next(len + 1)).min(bytes.len());
+                    bytes.splice(at..end, run);
+                }
+                _ => {
+                    let at = frame_starts[next(frame_starts.len())] + 8;
+                    let len = match next(3) {
+                        0 => next(u32::MAX as usize) as u32,
+                        1 => u32::MAX - next(4) as u32,
+                        _ => next(64) as u32,
+                    };
+                    bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                }
+            }
+            let scan = scan_records(&bytes);
+            let end = scan.valid_end as usize;
+            assert!(end >= header && end <= bytes.len(), "case {case}");
+            for (digest, e) in &scan.records {
+                let start = e.offset as usize;
+                let stop = start + e.len as usize;
+                assert!(start >= header + FRAME_LEN as usize, "case {case}");
+                assert!(stop <= end, "case {case}: record past the valid prefix");
+                assert_eq!(
+                    record_checksum(*digest, &bytes[start..stop]),
+                    e.checksum,
+                    "case {case}"
+                );
+            }
+        }
     }
 
     #[test]
