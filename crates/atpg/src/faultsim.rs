@@ -407,22 +407,6 @@ impl<'a> FaultSimulator<'a> {
         Ok(out)
     }
 
-    /// [`FaultSimulator::grade_parallel`] sized to the machine: one worker
-    /// per logical CPU (`std::thread::available_parallelism()`, falling
-    /// back to serial grading when the count is unknown).
-    ///
-    /// # Errors
-    ///
-    /// Propagates detection errors from any worker.
-    pub fn grade_auto(
-        &self,
-        faults: &[Fault],
-        tests: &[TwoPatternTest],
-    ) -> Result<Vec<bool>, AtpgError> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.grade_parallel(faults, tests, threads)
-    }
-
     /// Builds the full detection matrix `matrix[t][f]` for compaction and
     /// exhaustive analysis on the packed engine at [`SUPERLANE_WIDTH`]
     /// (no dropping, so every pattern of a wide block is useful work):
@@ -641,8 +625,6 @@ mod tests {
             let parallel = sim.grade_parallel(&faults, &tests, threads).unwrap();
             assert_eq!(parallel, serial, "threads = {threads}");
         }
-        let auto = sim.grade_auto(&faults, &tests).unwrap();
-        assert_eq!(auto, serial, "machine-sized grading diverged");
     }
 
     #[test]

@@ -65,7 +65,6 @@ use obd_logic::soa::ConeScratch;
 use obd_logic::value::Lv;
 use obd_logic::wide::{LaneWord, WideBlock};
 use obd_metrics::{Counter, Gauge};
-use obd_store::{Digest, Store};
 
 use crate::fault::{Fault, SlowTo, TwoPatternTest};
 use crate::faultsim::{stuck_output_value, FaultSimulator, GradeOutcome};
@@ -86,10 +85,6 @@ static FAULTS_DROPPED: Counter = Counter::new("atpg.faults_dropped");
 /// Super-lane width (64-bit lanes per packed word) of the most recently
 /// prepared engine.
 static SUPERLANE_WIDTH_GAUGE: Gauge = Gauge::new("atpg.superlane_width");
-/// Good-response blocks served from the persistent store (no simulation).
-static GOOD_STORE_HITS: Counter = Counter::new("atpg.good_store_hits");
-/// Good-response blocks simulated and written back to the store.
-static GOOD_STORE_MISSES: Counter = Counter::new("atpg.good_store_misses");
 
 /// One packed block of fully-specified tests with its cached
 /// good-machine responses for both frames.
@@ -260,11 +255,6 @@ pub struct PpsfpEngine<'a, 's, const N: usize = SUPERLANE_WIDTH> {
     /// Cells by (kind, arity), with their leaf lists resolved once so
     /// fault planning is allocation-free (`SpNet::leaves` allocates).
     cells: Vec<CellEntry>,
-    /// Good-response blocks served from the persistent store at prepare
-    /// time (zero when persistence is disarmed).
-    store_hits: u64,
-    /// Good-response blocks simulated fresh and written back.
-    store_misses: u64,
 }
 
 /// A cached cell with its transistor leaf lists (pin per leaf, in
@@ -359,9 +349,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                 touched: AtomicBool::new(false),
             });
         }
-        let store = obd_store::global();
-        let (store_hits, store_misses) =
-            Self::fill_good_responses(sim, &mut blocks, threads, store.as_deref())?;
+        Self::fill_good_responses(sim, &mut blocks, threads)?;
         let mut cells: Vec<CellEntry> = Vec::new();
         for g in sim.nl.gate_ids() {
             let gate = sim.nl.gate(g);
@@ -384,125 +372,27 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
             blocks,
             scalar_tests,
             cells,
-            store_hits,
-            store_misses,
         })
     }
 
-    /// Content address of one block's good-machine response: the exact
-    /// circuit structure plus the exact packed frames, under a versioned
-    /// domain. Any change to the netlist, the lane width, or any test
-    /// bit produces a different digest.
-    fn block_digest(soa_fingerprint: u64, num_nets: usize, blk: &GoodBlock<N>) -> u64 {
-        let mut d = Digest::new("atpg.goodresp.v1")
-            .u64(soa_fingerprint)
-            .u64(N as u64)
-            .u64(num_nets as u64)
-            .u64(blk.frame1.num_inputs() as u64)
-            .u64(blk.frame1.len() as u64);
-        for frame in [&blk.frame1, &blk.frame2] {
-            for i in 0..frame.num_inputs() {
-                let w = frame.word(i);
-                for lane in 0..N {
-                    d = d.u64(w.lane(lane));
-                }
-            }
-        }
-        d.finish()
-    }
-
-    /// Serializes a block's `g1 ++ g2` response words as raw LE `u64`
-    /// lanes: `2 * num_nets * N * 8` bytes exactly.
-    fn encode_good(g1: &[LaneWord<N>], g2: &[LaneWord<N>]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 * g1.len() * N * 8);
-        for words in [g1, g2] {
-            for w in words {
-                for lane in 0..N {
-                    out.extend_from_slice(&w.lane(lane).to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
-    /// Strict inverse of [`Self::encode_good`]; `None` (a miss) on any
-    /// payload whose length does not match this circuit exactly.
-    fn decode_good(bytes: &[u8], num_nets: usize) -> Option<(Vec<LaneWord<N>>, Vec<LaneWord<N>>)> {
-        if bytes.len() != 2 * num_nets * N * 8 {
-            return None;
-        }
-        let mut chunks = bytes.chunks_exact(8);
-        let mut read_words = |count: usize| -> Vec<LaneWord<N>> {
-            (0..count)
-                .map(|_| {
-                    let mut lanes = [0u64; N];
-                    for lane in lanes.iter_mut() {
-                        let bits: [u8; 8] = chunks
-                            .next()
-                            .and_then(|c| c.try_into().ok())
-                            .unwrap_or_default();
-                        *lane = u64::from_le_bytes(bits);
-                    }
-                    LaneWord(lanes)
-                })
-                .collect()
-        };
-        let g1 = read_words(num_nets);
-        let g2 = read_words(num_nets);
-        Some((g1, g2))
-    }
-
     /// Simulates the good machine into every block's frame caches, one
-    /// pool job per block. When a persistent `store` is armed, each block
-    /// first probes it by content digest (netlist structure + exact
-    /// packed frames) — a hit skips both good sims — and fresh responses
-    /// are written back. Returns `(store_hits, store_misses)`.
+    /// pool job per block.
     fn fill_good_responses(
         sim: &FaultSimulator<'a>,
         blocks: &mut [GoodBlock<N>],
         threads: usize,
-        store: Option<&Store>,
-    ) -> Result<(u64, u64), AtpgError> {
-        let num_nets = sim.soa.num_nets();
-        let soa_fp = sim.soa.fingerprint();
+    ) -> Result<(), AtpgError> {
         let filled = run_jobs(blocks, threads, |_, blk| {
-            let digest = store.map(|_| Self::block_digest(soa_fp, num_nets, blk));
-            if let (Some(store), Some(digest)) = (store, digest) {
-                // Store errors (corruption, I/O) degrade to a miss: the
-                // good sims below recompute the exact same response.
-                if let Some((g1, g2)) = store
-                    .get(digest)
-                    .ok()
-                    .flatten()
-                    .as_deref()
-                    .and_then(|b| Self::decode_good(b, num_nets))
-                {
-                    GOOD_STORE_HITS.inc();
-                    return Ok((g1, g2, true));
-                }
-            }
             let (mut g1, mut g2) = (Vec::new(), Vec::new());
             sim.soa.simulate_wide_into(&blk.frame1, &mut g1)?;
             sim.soa.simulate_wide_into(&blk.frame2, &mut g2)?;
-            if let (Some(store), Some(digest)) = (store, digest) {
-                GOOD_STORE_MISSES.inc();
-                let _ = store.put(digest, &Self::encode_good(&g1, &g2));
-            }
-            Ok::<_, AtpgError>((g1, g2, false))
+            Ok::<_, AtpgError>((g1, g2))
         })?;
-        let mut hits = 0;
-        for (blk, (g1, g2, hit)) in blocks.iter_mut().zip(filled) {
+        for (blk, (g1, g2)) in blocks.iter_mut().zip(filled) {
             blk.g1 = g1;
             blk.g2 = g2;
-            hits += u64::from(hit);
         }
-        // With a store armed every block is either a hit or a miss.
-        let misses = if store.is_some() {
-            blocks.len() as u64 - hits
-        } else {
-            0
-        };
-        Ok((hits, misses))
+        Ok(())
     }
 
     /// Number of packed `64 * N`-test blocks.
@@ -513,18 +403,6 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     /// Number of X-bearing tests graded via the scalar fallback.
     pub fn scalar_fallback_tests(&self) -> usize {
         self.scalar_tests.len()
-    }
-
-    /// Good-response blocks served from the persistent store at prepare
-    /// time (zero when persistence is disarmed).
-    pub fn store_hits(&self) -> u64 {
-        self.store_hits
-    }
-
-    /// Good-response blocks simulated fresh (and written back when a
-    /// store is armed).
-    pub fn store_misses(&self) -> u64 {
-        self.store_misses
     }
 
     fn cell(&self, kind: GateKind, arity: usize) -> Option<&CellEntry> {
@@ -837,7 +715,6 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::XorShift64Star;
     use obd_cmos::switch::{all_transistors, excites};
     use obd_core::em::em_excites;
 
@@ -919,67 +796,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Seeded mutations of a good-response payload (bit flips,
-    /// truncation, extension, splices) never panic `decode_good`: each
-    /// gives `None` or words that encode back to the same bytes.
-    fn fuzz_decode_good<const N: usize>(seed: u64) {
-        let num_nets = 7;
-        let mut rng = XorShift64Star::seed_from_u64(seed);
-        let mut word = || LaneWord::<N>(std::array::from_fn(|_| rng.next_u64()));
-        let g1: Vec<LaneWord<N>> = (0..num_nets).map(|_| word()).collect();
-        let g2: Vec<LaneWord<N>> = (0..num_nets).map(|_| word()).collect();
-        let valid = PpsfpEngine::<N>::encode_good(&g1, &g2);
-        assert_eq!(
-            PpsfpEngine::<N>::decode_good(&valid, num_nets),
-            Some((g1, g2))
-        );
-        let mut rng = XorShift64Star::seed_from_u64(seed ^ 0xDEC0DE);
-        for case in 0..400 {
-            let mut bytes = valid.clone();
-            match case % 4 {
-                0 => {
-                    for _ in 0..=rng.gen_range(4) {
-                        let i = rng.gen_range(bytes.len());
-                        bytes[i] ^= 1 << rng.gen_range(8);
-                    }
-                }
-                1 => bytes.truncate(rng.gen_range(bytes.len())),
-                2 => {
-                    for _ in 0..1 + rng.gen_range(16) {
-                        bytes.push(rng.next_u64() as u8);
-                    }
-                }
-                _ => {
-                    // Splice a run of the payload over another place,
-                    // sometimes growing or shrinking it.
-                    let from = rng.gen_range(bytes.len());
-                    let len = rng.gen_range(bytes.len() - from) + 1;
-                    let run = bytes[from..from + len].to_vec();
-                    let at = rng.gen_range(bytes.len());
-                    let cut = if rng.gen_bool() {
-                        len
-                    } else {
-                        rng.gen_range(len + 1)
-                    };
-                    let end = (at + cut).min(bytes.len());
-                    bytes.splice(at..end, run);
-                }
-            }
-            if let Some((d1, d2)) = PpsfpEngine::<N>::decode_good(&bytes, num_nets) {
-                assert_eq!(
-                    PpsfpEngine::<N>::encode_good(&d1, &d2),
-                    bytes,
-                    "case {case} at N={N}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn decode_good_never_panics_on_mutated_payloads() {
-        fuzz_decode_good::<1>(0x600D_0001);
-        fuzz_decode_good::<8>(0x600D_0008);
     }
 }

@@ -82,7 +82,7 @@ fn run_inner(
             lfsr_two_pattern_tests(nl.inputs().len(), count, width, 0xACE1)
         };
         let detected = sim
-            .grade_auto(&faults, &tests)?
+            .grade(&faults, &tests)?
             .into_iter()
             .filter(|&d| d)
             .count();

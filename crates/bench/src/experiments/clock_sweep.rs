@@ -60,7 +60,7 @@ pub fn run(nl: &Netlist, clocks_rel: &[f64]) -> Result<Vec<ClockPoint>, AtpgErro
             // Testable universe under ideal capture at this stage.
             let report = generate_obd_tests(nl, stage, &DetectionCriterion::ideal(), true)?;
             let testable = report.total_faults - report.untestable - report.below_slack;
-            let det = sim.grade_auto(&faults, &tests)?;
+            let det = sim.grade(&faults, &tests)?;
             rows.push((stage, det.into_iter().filter(|&d| d).count(), testable));
         }
         out.push(ClockPoint {

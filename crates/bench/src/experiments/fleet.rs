@@ -126,22 +126,6 @@ pub fn run(cfg: &FleetConfig) -> Result<FleetReport, String> {
     .map_err(|e| e.to_string())
 }
 
-/// A small fleet (default seed, `devices` devices, single thread) for
-/// the observability run: exercises every `fleet.*` metric without the
-/// million-device runtime.
-///
-/// # Errors
-///
-/// Config and grading failures as strings.
-pub fn run_small(devices: u64) -> Result<FleetReport, String> {
-    let cfg = FleetConfig {
-        devices,
-        threads: 1,
-        ..FleetConfig::default()
-    };
-    run(&cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +186,12 @@ mod tests {
 
     #[test]
     fn small_fleet_runs_clean() {
-        let r = run_small(2_000).unwrap();
+        let cfg = FleetConfig {
+            devices: 2_000,
+            threads: 1,
+            ..FleetConfig::default()
+        };
+        let r = run_fleet(&cfg, &default_profile(&cfg).unwrap()).unwrap();
         let a = &r.accum;
         assert_eq!(a.devices, 2_000);
         assert_eq!(a.poisoned, 0, "chaos disarmed: no poisoned devices");

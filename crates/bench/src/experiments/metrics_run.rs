@@ -14,6 +14,7 @@ use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
 use obd_core::characterize::{characterize_table1, BenchConfig, DelayTable, RunOptions};
 use obd_core::BreakdownStage;
+use obd_fleet::{run_fleet_resumable, FleetConfig};
 use obd_logic::circuits::{array_multiplier, fig8_sum_circuit};
 use obd_metrics::MetricsSnapshot;
 
@@ -69,18 +70,6 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
         DelayTable::from_characterization(tech, cfg, &cache).map_err(|e| e.to_string())?;
     }
 
-    // Persistent-store round trip: two persistent caches sharing one
-    // throwaway on-disk store. The first pass populates it (store.puts),
-    // the second — with a cold memory map — is served entirely from disk,
-    // which drives core.delay_store_hits and store.hits above zero.
-    let store_dir = std::env::temp_dir().join(format!("obd-metrics-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let store = std::sync::Arc::new(obd_store::Store::open(&store_dir).map_err(|e| e.to_string())?);
-    let cold = DelayCache::persistent(std::sync::Arc::clone(&store));
-    DelayTable::from_characterization(tech, cfg, &cold).map_err(|e| e.to_string())?;
-    let warm = DelayCache::persistent(std::sync::Arc::clone(&store));
-    DelayTable::from_characterization(tech, cfg, &warm).map_err(|e| e.to_string())?;
-
     // Grading on a circuit of thousands of gates: the four-model
     // universe of mult16 (2,624 gates) against 16 phased-LFSR tests.
     // Nearly every block this flow grades is one of these, which is what
@@ -93,6 +82,40 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
     FaultSimulator::new(&mult16)
         .and_then(|sim| sim.grade(&mult16_faults, &mult16_tests))
         .map_err(|e| e.to_string())?;
+
+    // ATPG flow on the paper's Fig. 8 sum circuit: PODEM generation plus
+    // fault-simulation grading of the generated set.
+    let nl = fig8_sum_circuit();
+    let stage = BreakdownStage::Mbd2;
+    let report = generate_obd_tests(&nl, stage, &DetectionCriterion::ideal(), true)
+        .map_err(|e| e.to_string())?;
+    let faults = obd_faults(&nl, stage, true);
+    let sim = FaultSimulator::new(&nl).map_err(|e| e.to_string())?;
+    let detected = sim
+        .grade(&faults, &report.tests)
+        .map_err(|e| e.to_string())?;
+
+    // Mini fleet flow, checkpointed into a throwaway on-disk store and
+    // then resumed from it: the first pass drives every fleet.* metric
+    // and writes one checkpoint per block (store.puts), the resume
+    // serves every block from disk (store.hits) and must report the same
+    // bytes.
+    let store_dir = std::env::temp_dir().join(format!("obd-metrics-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let store = obd_store::Store::open(&store_dir).map_err(|e| e.to_string())?;
+    let fleet_cfg = FleetConfig {
+        devices: 4_000,
+        threads: 1,
+        ..FleetConfig::default()
+    };
+    let profile = crate::experiments::fleet::default_profile(&fleet_cfg)?;
+    let fleet_run = || {
+        run_fleet_resumable(&fleet_cfg, &profile, Some(&store), 1_000).map_err(|e| e.to_string())
+    };
+    let fleet = fleet_run()?;
+    if fleet_run()?.to_json() != fleet.to_json() {
+        return Err("resumed mini fleet differs from its checkpointed run".to_string());
+    }
 
     // Store maintenance: overwrite a record so compaction has something
     // to reclaim (store.compactions, store.compact_reclaimed_bytes).
@@ -110,22 +133,6 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
     store.set_max_bytes(None);
     drop(store);
     let _ = std::fs::remove_dir_all(&store_dir);
-
-    // ATPG flow on the paper's Fig. 8 sum circuit: PODEM generation plus
-    // fault-simulation grading of the generated set.
-    let nl = fig8_sum_circuit();
-    let stage = BreakdownStage::Mbd2;
-    let report = generate_obd_tests(&nl, stage, &DetectionCriterion::ideal(), true)
-        .map_err(|e| e.to_string())?;
-    let faults = obd_faults(&nl, stage, true);
-    let sim = FaultSimulator::new(&nl).map_err(|e| e.to_string())?;
-    let detected = sim
-        .grade_auto(&faults, &report.tests)
-        .map_err(|e| e.to_string())?;
-
-    // Mini fleet flow: a few thousand devices is enough to drive every
-    // fleet.* counter, gauge, and the detection-latency histogram.
-    let fleet = crate::experiments::fleet::run_small(4_000)?;
 
     // Mini Monte Carlo campaign: two corners over the fault-free + MBD2
     // probe set drives monte.samples and monte.measurements.
@@ -167,8 +174,6 @@ pub fn render(r: &MetricsRunReport) -> String {
         "linalg.symbolic_reuse",
         "core.delay_cache_hits",
         "core.delay_cache_misses",
-        "core.delay_store_hits",
-        "core.delay_store_misses",
         "atpg.podem_runs",
         "atpg.podem_backtracks",
         "atpg.faults_graded",
@@ -218,7 +223,6 @@ mod tests {
             "fleet.devices_simulated",
             "fleet.bist_sessions",
             "fleet.detections",
-            "core.delay_store_hits",
             "store.hits",
             "store.puts",
             "store.compactions",

@@ -142,7 +142,7 @@ pub fn run(nl: &Netlist, stage: BreakdownStage) -> Result<Vec<StrategyCoverage>,
 
     let grade = |tests: &[TwoPatternTest]| -> Result<usize, AtpgError> {
         Ok(sim
-            .grade_auto(&faults, tests)?
+            .grade(&faults, tests)?
             .into_iter()
             .filter(|&d| d)
             .count())

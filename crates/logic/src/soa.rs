@@ -167,48 +167,6 @@ impl SoaNetlist {
         })
     }
 
-    /// A 64-bit FNV-1a fingerprint of the compiled structure — every
-    /// array that determines simulation behavior (net count, PI/PO
-    /// bindings, gate kinds, output nets, CSR fanins). Two netlists with
-    /// the same fingerprint simulate identically, which makes it the
-    /// right content-address component for persisted good-machine
-    /// responses. The fanout table is derived from the fanins and is
-    /// left out.
-    pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        fold(self.num_nets as u64);
-        fold(self.inputs.len() as u64);
-        for &n in &self.inputs {
-            fold(u64::from(n));
-        }
-        fold(self.outputs.len() as u64);
-        for &n in &self.outputs {
-            fold(u64::from(n));
-        }
-        fold(self.kinds.len() as u64);
-        for &k in &self.kinds {
-            fold(k as u64);
-        }
-        for &n in &self.out_nets {
-            fold(u64::from(n));
-        }
-        for &n in &self.fanin_start {
-            fold(u64::from(n));
-        }
-        for &n in &self.fanins {
-            fold(u64::from(n));
-        }
-        h
-    }
-
     /// Number of nets in the compiled netlist.
     pub fn num_nets(&self) -> usize {
         self.num_nets
@@ -391,17 +349,6 @@ mod tests {
     use crate::parallel::simulate_block_forced_into;
     use crate::sim::simulate;
     use crate::value::{all_vectors, Lv};
-
-    #[test]
-    fn fingerprint_is_stable_and_structure_sensitive() {
-        let a = SoaNetlist::compile(&circuits::c17()).unwrap();
-        let b = SoaNetlist::compile(&circuits::c17()).unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let c = SoaNetlist::compile(&circuits::ripple_carry_adder(4)).unwrap();
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        let d = SoaNetlist::compile(&circuits::ripple_carry_adder(5)).unwrap();
-        assert_ne!(c.fingerprint(), d.fingerprint());
-    }
 
     fn vectors_for(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<Lv>> {
         // Small deterministic xorshift so tests need no external RNG.

@@ -1,12 +1,11 @@
 //! Persistent content-addressed result store.
 //!
-//! Every expensive result in the suite — a Table 1 characterization
-//! transient, a PPSFP good-machine block response — is a pure function
-//! of the exact bit patterns of its inputs (technology parameters,
-//! bench configuration, netlist structure, packed test frames). This
-//! crate stores such results on disk keyed by a 64-bit FNV-1a digest of
-//! those bit patterns, so a second run of the same campaign is served
-//! from disk instead of recomputed: warm starts are free.
+//! A fleet campaign's per-block accumulator is a pure function of the
+//! exact bit patterns of its inputs (fleet configuration, delay table,
+//! graded BIST profile, device range). This crate stores such results
+//! on disk keyed by a 64-bit FNV-1a digest of those bit patterns, so a
+//! killed campaign resumes from its checkpoints instead of starting
+//! over (`obd_fleet::checkpoint`).
 //!
 //! Design constraints, mirroring the rest of the workspace:
 //!
@@ -118,7 +117,8 @@ static CHAOS_COMPACT_TORN: InjectionPoint = InjectionPoint::new("store.compact_t
 /// On-disk format version stamped into the header.
 pub const FORMAT_VERSION: u16 = 1;
 
-/// Environment variable naming the directory of the process-wide store.
+/// Environment variable naming the directory of the process-wide store
+/// (fleet checkpoints).
 pub const STORE_DIR_ENV: &str = "OBD_STORE_DIR";
 
 /// Environment variable capping the compacted store file size in bytes.
@@ -128,17 +128,17 @@ pub const STORE_DIR_ENV: &str = "OBD_STORE_DIR";
 /// costs recomputation. Unset (or `0`, or unparsable) means uncapped.
 pub const STORE_MAX_BYTES_ENV: &str = "OBD_STORE_MAX_BYTES";
 
-/// The process-wide store, shared by every cache layer that wants warm
-/// starts (the `obd-core` delay cache, the `obd-atpg` good-response
-/// cache). Initialized exactly once, from [`STORE_DIR_ENV`].
+/// The process-wide store, which `repro fleet` checkpoints into and
+/// `repro store` maintains. Initialized exactly once, from
+/// [`STORE_DIR_ENV`].
 static GLOBAL: OnceLock<Option<Arc<Store>>> = OnceLock::new();
 
 /// The process-wide store handle, opened from [`STORE_DIR_ENV`] on first
 /// use, or `None` when persistence is off. Persistence is off when the
 /// variable is unset (there is no default directory) or its directory
 /// cannot be opened; the latter warns rather than failing the caller —
-/// the store is a cache, and every workload runs correctly (just cold)
-/// without it.
+/// the store only holds checkpoints, and every workload runs correctly
+/// (just without resume) without it.
 pub fn global() -> Option<Arc<Store>> {
     GLOBAL
         .get_or_init(|| std::env::var(STORE_DIR_ENV).ok().and_then(open_or_warn))
@@ -259,8 +259,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Incremental FNV-1a 64-bit digest builder — the content address of a
 /// record is the digest of the exact bit patterns of everything that
-/// determines it. Start from a domain string so different result kinds
-/// (delay entries, good-response blocks) can never collide structurally.
+/// determines it. Start from a domain string so different kinds of key
+/// (fleet campaigns, checkpoint blocks) can never collide structurally.
 ///
 /// ```
 /// let a = obd_store::Digest::new("demo.v1").u64(7).f64(1.5).finish();
@@ -1039,9 +1039,17 @@ fn header_bytes(version: u16) -> [u8; HEADER_LEN as usize] {
 }
 
 /// Walks the record log in `bytes` (header included) and returns the
-/// valid prefix.
+/// valid prefix. Input shorter than the header is damaged, with an
+/// empty valid prefix.
 fn scan_records(bytes: &[u8]) -> Scan {
     let mut records = Vec::new();
+    if bytes.len() < HEADER_LEN as usize {
+        return Scan {
+            records,
+            valid_end: 0,
+            damaged: true,
+        };
+    }
     let mut pos = HEADER_LEN as usize;
     while pos < bytes.len() {
         if bytes.len() - pos < FRAME_LEN as usize {
@@ -1200,8 +1208,7 @@ mod tests {
     /// truncations, splices and rewritten length fields) never panic
     /// `scan_records`: the valid prefix stays inside the file and every
     /// record it returns lies in bounds and passes its checksum. Every
-    /// mutant keeps the full header, as `Store::open` refuses shorter
-    /// files before scanning.
+    /// prefix shorter than the header is damaged, with nothing valid.
     #[test]
     fn scan_records_never_panics_on_mutated_files() {
         // xorshift64*, seeded: the mutants are the same on every run.
@@ -1228,6 +1235,12 @@ mod tests {
         assert!(!clean.damaged);
         assert_eq!(clean.records.len(), 12);
         assert_eq!(clean.valid_end, valid.len() as u64);
+        for len in 0..header {
+            let scan = scan_records(&valid[..len]);
+            assert!(scan.damaged, "{len}-byte input");
+            assert!(scan.records.is_empty(), "{len}-byte input");
+            assert_eq!(scan.valid_end, 0, "{len}-byte input");
+        }
 
         for case in 0..3_000 {
             let mut bytes = valid.clone();

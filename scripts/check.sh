@@ -92,9 +92,10 @@ reuse_ratio = reuse / (reuse + builds)
 assert reuse_ratio >= 0.9, \
     f"LU replay ratio {reuse_ratio:.3f} ({reuse} replays, {builds} builds) is below 0.9"
 assert "fleet.detection_latency_mh" in snap["histograms"], "fleet latency histogram missing"
-# The persistence layer runs inside the stats flow: the store round
-# trip and a compaction with dead records must leave their marks.
-for key in ("store.puts", "store.hits", "core.delay_store_hits",
+# The persistence layer runs inside the stats flow: the checkpointed
+# mini fleet and its resume, and a compaction with dead records, must
+# leave their marks.
+for key in ("store.puts", "store.hits",
             "store.compactions", "store.compact_reclaimed_bytes"):
     assert counters.get(key, 0) > 0, f"expected nonzero counter {key}: {counters.get(key)}"
 # The size-capped maintenance pass and the mini Monte Carlo campaign
@@ -191,6 +192,8 @@ echo "fleet kill smoke ok: resumed campaign byte-identical at 1,000,003 devices"
 # Smoke the store maintenance verb on the store the fleet kill test left
 # behind: stats, compact and verify must all succeed and report sane,
 # parseable JSON (the kill may have left dead records and a stale lock).
+# Fleet checkpoints are the store's only records: 1,000,003 devices in
+# 65,536-device blocks is exactly 16 of them.
 (cd results/killtest/cut && export OBD_STORE_DIR=store && "$REPRO" store stats > /dev/null \
     && "$REPRO" store compact > /dev/null && "$REPRO" store verify > /dev/null)
 python3 - <<'EOF'
@@ -199,7 +202,8 @@ import json
 with open("results/killtest/cut/results/STORE_run.json") as f:
     run = json.load(f)
 assert run["action"] == "verify"
-assert run["checked"] >= 1 and run["corrupt"] == 0, f"store verify failed: {run}"
+assert run["checked"] == 16 and run["valid"] == 16 and run["corrupt"] == 0, \
+    f"store verify failed: {run}"
 print(f"store verb smoke ok: {run['valid']}/{run['checked']} records verified clean")
 EOF
 rm -rf results/killtest

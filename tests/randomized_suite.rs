@@ -107,8 +107,8 @@ fn parallel_matches_scalar() {
     });
 }
 
-/// Serial, explicitly-threaded and auto-sized fault grading agree
-/// exactly on random circuits, fault lists and two-pattern test sets.
+/// Serial and explicitly-threaded fault grading agree exactly on random
+/// circuits, fault lists and two-pattern test sets.
 #[test]
 fn grade_variants_agree() {
     use obd_suite::atpg::random::random_two_pattern;
@@ -121,8 +121,6 @@ fn grade_variants_agree() {
         let n_tests = 1 + rng.gen_range(12);
         let tests = random_two_pattern(4, n_tests, rng.next_u64());
         let serial = sim.grade(&faults, &tests).unwrap();
-        let auto = sim.grade_auto(&faults, &tests).unwrap();
-        assert_eq!(serial, auto, "case {case}: grade_auto diverges");
         for threads in [2, 3, 7] {
             let parallel = sim.grade_parallel(&faults, &tests, threads).unwrap();
             assert_eq!(
