@@ -98,7 +98,8 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
     // Mini fleet flow, checkpointed into a throwaway on-disk store and
     // then resumed from it: the first pass drives every fleet.* metric
     // and writes one checkpoint per block (store.puts), the resume
-    // serves every block from disk (store.hits) and must report the same
+    // serves every block from disk (store.hits), simulates nothing (so
+    // adds nothing to the campaign counters) and must report the same
     // bytes.
     let store_dir = std::env::temp_dir().join(format!("obd-metrics-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);

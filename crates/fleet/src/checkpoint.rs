@@ -12,9 +12,8 @@
 //! On restart, [`crate::sim::run_fleet_resumable`] probes the store for
 //! every block of the campaign and simulates only the missing ones.
 //! Because per-device streams never depend on which shard (or process)
-//! ran them, and the aggregate merges blocks in block order before the
-//! final latency sort, a resumed run's `FLEET_run.json` is
-//! **byte-identical** to an uninterrupted one.
+//! ran them, and the aggregate merges blocks in block order, a resumed
+//! run's `FLEET_run.json` is **byte-identical** to an uninterrupted one.
 //!
 //! The campaign digest folds in everything that determines a device's
 //! outcome: seed, fleet size, horizon, slack, the stochastic model, the
@@ -121,11 +120,12 @@ pub fn block_key(campaign: u64, lo: u64, hi: u64) -> u64 {
         .finish()
 }
 
-/// Encodes a block accumulator as a checkpoint payload. Latencies keep
-/// their in-block (device-id) order — the aggregate sorts once at the
-/// end, so replayed and simulated blocks merge identically.
+/// Encodes a block accumulator as a checkpoint payload, in one buffer
+/// sized up front. Latencies keep their in-block (device-id) order, so
+/// replayed and simulated blocks merge identically.
 pub fn encode_accum(a: &FleetAccum) -> Vec<u8> {
-    let mut e = Enc::new()
+    // Ten counters and the latency count precede the latencies.
+    let mut e = Enc::with_capacity(8 * (11 + a.latencies_mh.len()))
         .u64(a.devices)
         .u64(a.sessions)
         .u64(a.healthy)

@@ -65,7 +65,7 @@ pub(crate) fn positive(x: f64) -> bool {
 
 pub use coverage::BistProfile;
 pub use device::{DeviceOutcome, DeviceParams, DeviceResult};
-pub use report::FleetReport;
+pub use report::{FleetReport, LatencyTail};
 pub use sim::{run_fleet, run_fleet_resumable, FleetConfig, FleetModel, SchedulePolicy};
 
 /// Typed failures of the fleet layer.

@@ -28,6 +28,60 @@ pub struct BistSummary {
     pub covered_by_stage: [usize; 5],
 }
 
+/// Nearest-rank detection-latency percentiles and the maximum, in
+/// milli-hours.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LatencyTail {
+    /// Median (nearest rank ⌈0.50·n⌉).
+    pub p50: u64,
+    /// Nearest rank ⌈0.95·n⌉.
+    pub p95: u64,
+    /// Nearest rank ⌈0.99·n⌉.
+    pub p99: u64,
+    /// Largest latency.
+    pub max: u64,
+}
+
+/// Zero-based index of nearest rank ⌈q·n⌉ among `n` ascending values.
+fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n) - 1
+}
+
+impl LatencyTail {
+    /// Selects the tail of `lat` in place with three `select_nth_unstable`
+    /// passes, each over the prefix the previous one left below its rank
+    /// (p99 over everything, p95 below it, p50 below that); the max is
+    /// taken over the suffix above p99. `lat` ends up partitioned around
+    /// the three ranks, no longer in its input order. `None` when empty.
+    fn select(lat: &mut [u64]) -> Option<LatencyTail> {
+        let n = lat.len();
+        if n == 0 {
+            return None;
+        }
+        let (r50, r95, r99) = (
+            nearest_rank(0.50, n),
+            nearest_rank(0.95, n),
+            nearest_rank(0.99, n),
+        );
+        let (below, &mut p99, above) = lat.select_nth_unstable(r99);
+        let max = above.iter().copied().max().unwrap_or(p99);
+        // `below` holds exactly the values ranked under r99, so a rank
+        // inside it is a rank of the whole vector; coinciding ranks at
+        // small n reuse the value already found.
+        let p95 = if r95 < r99 {
+            *below.select_nth_unstable(r95).1
+        } else {
+            p99
+        };
+        let p50 = if r50 < r95 {
+            *below[..r95].select_nth_unstable(r50).1
+        } else {
+            p95
+        };
+        Some(LatencyTail { p50, p95, p99, max })
+    }
+}
+
 /// The full fleet run outcome.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
@@ -50,18 +104,25 @@ pub struct FleetReport {
     /// Reference detection windows (27 h progression) per polarity from
     /// the interpolated core model, for context.
     pub reference_windows: [(Polarity, Option<DetectionWindow>); 2],
-    /// Integer accumulator (latencies sorted ascending).
+    /// Integer accumulator. Its latencies are partitioned around the
+    /// percentile ranks by the selection in [`FleetReport::build`]; their
+    /// order carries no meaning.
     pub accum: FleetAccum,
+    /// Detection-latency tail of `accum`; `None` when nothing was
+    /// detected.
+    pub latency_tail_mh: Option<LatencyTail>,
 }
 
 impl FleetReport {
-    /// Assembles the report from a finished accumulator.
+    /// Assembles the report from a finished accumulator, selecting its
+    /// latency tail.
     pub fn build(
         cfg: &FleetConfig,
         profile: &BistProfile,
         threads_used: usize,
-        accum: FleetAccum,
+        mut accum: FleetAccum,
     ) -> FleetReport {
+        let latency_tail_mh = LatencyTail::select(&mut accum.latencies_mh);
         let reference_windows = [Polarity::Nmos, Polarity::Pmos].map(|p| {
             let prog = ProgressionModel::reference(p);
             (
@@ -85,6 +146,7 @@ impl FleetReport {
             },
             reference_windows,
             accum,
+            latency_tail_mh,
         }
     }
 
@@ -106,18 +168,6 @@ impl FleetReport {
         }
     }
 
-    /// Exact latency percentile in milli-hours (nearest-rank on the
-    /// sorted vector); `None` when nothing was detected.
-    pub fn latency_percentile_mh(&self, q: f64) -> Option<u64> {
-        let lat = &self.accum.latencies_mh;
-        if lat.is_empty() {
-            return None;
-        }
-        let n = lat.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(lat[rank - 1])
-    }
-
     /// Mean detection latency in hours.
     pub fn latency_mean_hours(&self) -> f64 {
         let lat = &self.accum.latencies_mh;
@@ -128,13 +178,15 @@ impl FleetReport {
         (sum as f64 / lat.len() as f64) / 1_000.0
     }
 
-    fn hours(mh: Option<u64>) -> f64 {
-        mh.map_or(0.0, |v| v as f64 / 1_000.0)
+    fn hours(mh: u64) -> f64 {
+        mh as f64 / 1_000.0
     }
 
     /// The deterministic machine-readable artifact (see module docs).
     pub fn to_json(&self) -> String {
         let a = &self.accum;
+        // An empty tail prints as zeros.
+        let t = self.latency_tail_mh.unwrap_or_default();
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str(&format!("  \"devices\": {},\n", self.devices));
@@ -193,11 +245,11 @@ impl FleetReport {
         s.push_str(&format!(
             "  \"detection_latency_hours\": {{ \"count\": {}, \"p50\": {:.3}, \"p95\": {:.3}, \"p99\": {:.3}, \"mean\": {:.3}, \"max\": {:.3} }}\n",
             a.detected,
-            Self::hours(self.latency_percentile_mh(0.50)),
-            Self::hours(self.latency_percentile_mh(0.95)),
-            Self::hours(self.latency_percentile_mh(0.99)),
+            Self::hours(t.p50),
+            Self::hours(t.p95),
+            Self::hours(t.p99),
             self.latency_mean_hours(),
-            Self::hours(a.latencies_mh.last().copied()),
+            Self::hours(t.max),
         ));
         s.push_str("}\n");
         s
@@ -206,6 +258,7 @@ impl FleetReport {
     /// Human-readable summary (may include host-dependent facts).
     pub fn render(&self) -> String {
         let a = &self.accum;
+        let t = self.latency_tail_mh.unwrap_or_default();
         let mut s = String::new();
         s.push_str(&format!(
             "fleet: {} devices over {:.0} h on {} thread(s), seed {:#x}\n",
@@ -227,9 +280,9 @@ impl FleetReport {
         s.push_str(&format!(
             "rate:  escape_rate {:.4}, detection latency p50 {:.2} h / p95 {:.2} h / p99 {:.2} h\n",
             self.escape_rate(),
-            Self::hours(self.latency_percentile_mh(0.50)),
-            Self::hours(self.latency_percentile_mh(0.95)),
-            Self::hours(self.latency_percentile_mh(0.99)),
+            Self::hours(t.p50),
+            Self::hours(t.p95),
+            Self::hours(t.p99),
         ));
         s
     }
@@ -240,13 +293,17 @@ mod tests {
     use super::*;
     use obd_core::characterize::DelayTable;
 
-    fn sample_report() -> FleetReport {
+    fn report_with(accum: FleetAccum) -> FleetReport {
         let cfg = FleetConfig {
             devices: 100,
             ..FleetConfig::default()
         };
         let profile = BistProfile::slack_ideal(&cfg.table, Polarity::Nmos, cfg.slack_ps);
-        let accum = FleetAccum {
+        FleetReport::build(&cfg, &profile, 3, accum)
+    }
+
+    fn sample_report() -> FleetReport {
+        report_with(FleetAccum {
             devices: 100,
             sessions: 1_234,
             healthy: 80,
@@ -257,24 +314,74 @@ mod tests {
             poisoned: 0,
             degraded_events: 2,
             recovered_events: 1,
-            latencies_mh: (1..=16).map(|i| i * 500).collect(),
-        };
-        FleetReport::build(&cfg, &profile, 3, accum)
+            // 500, 1000, …, 8000 mh, out of order.
+            latencies_mh: (1..=16).map(|i| (i * 7 % 17) * 500).collect(),
+        })
+    }
+
+    fn latencies(lat: Vec<u64>) -> FleetReport {
+        report_with(FleetAccum {
+            detected: lat.len() as u64,
+            latencies_mh: lat,
+            ..FleetAccum::default()
+        })
     }
 
     #[test]
     fn percentiles_are_nearest_rank_exact() {
         let r = sample_report();
-        // 16 sorted latencies 500, 1000, …, 8000 mh.
-        assert_eq!(r.latency_percentile_mh(0.50), Some(4_000));
-        assert_eq!(r.latency_percentile_mh(0.95), Some(8_000));
-        assert_eq!(r.latency_percentile_mh(0.99), Some(8_000));
-        assert_eq!(r.latency_percentile_mh(1.0), Some(8_000));
-        let empty = FleetReport {
-            accum: FleetAccum::default(),
-            ..sample_report()
-        };
-        assert_eq!(empty.latency_percentile_mh(0.5), None);
+        assert_eq!(
+            r.latency_tail_mh,
+            Some(LatencyTail {
+                p50: 4_000,
+                p95: 8_000,
+                p99: 8_000,
+                max: 8_000,
+            })
+        );
+        assert_eq!(latencies(Vec::new()).latency_tail_mh, None);
+    }
+
+    /// The three selections and the suffix max agree with nearest-rank
+    /// indexing into a sorted copy, for every length up to 300 (which
+    /// covers coinciding ranks at small n) and for heavy-duplicate and
+    /// all-equal vectors.
+    #[test]
+    fn selected_tail_matches_sorted_nearest_rank() {
+        use obd_atpg::rng::XorShift64Star;
+
+        let mut rng = XorShift64Star::seed_from_u64(0x7A11_5E1E);
+        let mut cases: Vec<Vec<u64>> = Vec::new();
+        for n in 1..=300 {
+            cases.push((0..n).map(|_| rng.next_u64() % 1_000_000).collect());
+            cases.push((0..n).map(|_| rng.gen_range(4) as u64).collect());
+        }
+        cases.push(vec![5_000; 1_000]);
+        cases.push(vec![0; 7]);
+        cases.push(vec![u64::MAX, 0, u64::MAX, 1]);
+
+        let (mut r95_is_r99, mut r50_is_r95) = (0, 0);
+        for lat in cases {
+            let n = lat.len();
+            let mut sorted = lat.clone();
+            sorted.sort_unstable();
+            let rank = |q: f64| ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
+            r95_is_r99 += usize::from(rank(0.95) == rank(0.99));
+            r50_is_r95 += usize::from(rank(0.50) == rank(0.95));
+            let expect = LatencyTail {
+                p50: sorted[rank(0.50)],
+                p95: sorted[rank(0.95)],
+                p99: sorted[rank(0.99)],
+                max: sorted[n - 1],
+            };
+            let r = latencies(lat);
+            assert_eq!(r.latency_tail_mh, Some(expect), "n = {n}");
+            // The selection only permutes the vector.
+            let mut kept = r.accum.latencies_mh.clone();
+            kept.sort_unstable();
+            assert_eq!(kept, sorted, "n = {n}");
+        }
+        assert!(r95_is_r99 > 0 && r50_is_r95 > 0);
     }
 
     #[test]

@@ -161,7 +161,8 @@ pub struct FleetAccum {
     pub degraded_events: u64,
     /// Chaos events recovered transparently across the block.
     pub recovered_events: u64,
-    /// Detection latencies in milli-hours, one per detected device.
+    /// Detection latencies in milli-hours, one per detected device, in
+    /// block (device-id) order.
     pub latencies_mh: Vec<u64>,
 }
 
@@ -278,30 +279,20 @@ pub fn resolve_threads(cfg: &FleetConfig) -> usize {
     requested.clamp(1, cfg.devices.clamp(1, 64) as usize)
 }
 
-/// Shared tail of every fleet driver: sorts latencies, records the
-/// campaign-level metrics and assembles the report.
-fn finish(
-    cfg: &FleetConfig,
-    profile: &BistProfile,
-    threads: usize,
-    mut acc: FleetAccum,
-) -> FleetReport {
-    acc.latencies_mh.sort_unstable();
-
+/// Adds one block simulated in this run to the campaign counters and the
+/// latency histogram. Resumed blocks are not recorded: the metrics count
+/// the work this run did.
+fn record_simulated(acc: &FleetAccum) {
     DEVICES_SIMULATED.add(acc.devices);
     BIST_SESSIONS.add(acc.sessions);
     DETECTIONS.add(acc.detected);
     ESCAPES.add(acc.escaped);
     DEVICES_POISONED.add(acc.poisoned);
-    SHARDS.set(threads as f64);
-    let report = FleetReport::build(cfg, profile, threads, acc);
-    ESCAPE_RATE.set(report.escape_rate());
     if obd_metrics::enabled() {
-        for &mh in &report.accum.latencies_mh {
+        for &mh in &acc.latencies_mh {
             DETECTION_LATENCY_MH.record(mh);
         }
     }
-    report
 }
 
 /// Runs the whole fleet and aggregates the report: one contiguous
@@ -327,11 +318,12 @@ pub fn run_fleet(cfg: &FleetConfig, profile: &BistProfile) -> Result<FleetReport
 ///
 /// The emitted report is byte-identical for any block size and thread
 /// count: per-device streams are partition-independent, block merges
-/// happen in block order, and the latency vector is sorted once at the
-/// end. Pending blocks run as [`obd_core::pool`] jobs, so a block is
-/// never simulated twice in one run; each job checkpoints its block as
-/// soon as it completes (best-effort), which is what bounds the work a
-/// `kill -9` can destroy.
+/// happen in block order into one vector sized up front, and the report
+/// reads only order-free facts of it (nearest-rank percentiles, the max
+/// and the sum). Pending blocks run as [`obd_core::pool`] jobs, so a
+/// block is never simulated twice in one run; each job checkpoints its
+/// block as soon as it completes (best-effort), which is what bounds the
+/// work a `kill -9` can destroy.
 ///
 /// # Errors
 ///
@@ -361,6 +353,7 @@ pub fn run_fleet_resumable(
     let done = run_jobs(&pending, threads, |_, &b| {
         let (lo, hi) = range(b as u64);
         let acc = simulate_range(cfg, profile, lo, hi)?;
+        record_simulated(&acc);
         if let Some(s) = store {
             crate::checkpoint::store_block(s, campaign, lo, hi, &acc);
         }
@@ -370,11 +363,18 @@ pub fn run_fleet_resumable(
         slots[b] = Some(acc);
     }
 
-    let mut acc = FleetAccum::default();
+    let detected = slots.iter().flatten().map(|b| b.latencies_mh.len()).sum();
+    let mut acc = FleetAccum {
+        latencies_mh: Vec::with_capacity(detected),
+        ..FleetAccum::default()
+    };
     for b in slots.into_iter().flatten() {
         acc.merge(b);
     }
-    Ok(finish(cfg, profile, threads, acc))
+    SHARDS.set(threads as f64);
+    let report = FleetReport::build(cfg, profile, threads, acc);
+    ESCAPE_RATE.set(report.escape_rate());
+    Ok(report)
 }
 
 #[cfg(test)]

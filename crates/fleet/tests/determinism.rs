@@ -53,8 +53,9 @@ fn thread_count_never_changes_the_artifact() {
             multi.to_json(),
             "artifact must be byte-identical at {threads} threads"
         );
-        // The sorted latency vectors must agree element-for-element, not
-        // just at the reported percentiles.
+        // The latency vectors (merged in device-id order, then permuted
+        // by the same percentile selection) must agree element-for-element,
+        // not just at the reported percentiles.
         assert_eq!(solo.accum.latencies_mh, multi.accum.latencies_mh);
         assert_eq!(solo.accum.sessions, multi.accum.sessions);
     }

@@ -11,7 +11,7 @@
 //! phase overrides, making every session time a small exact float.
 
 use obd_core::faultmodel::Polarity;
-use obd_fleet::{run_fleet, BistProfile, FleetConfig, FleetModel, SchedulePolicy};
+use obd_fleet::{run_fleet, BistProfile, FleetConfig, FleetModel, LatencyTail, SchedulePolicy};
 
 const DEVICES: u64 = 100;
 
@@ -56,9 +56,15 @@ fn detection_latency_matches_hand_computation() {
     assert_eq!(a.healthy, 0);
     assert_eq!(a.sessions, 4 * DEVICES);
     assert_eq!(a.latencies_mh, vec![5_000; DEVICES as usize]);
-    assert_eq!(r.latency_percentile_mh(0.50), Some(5_000));
-    assert_eq!(r.latency_percentile_mh(0.95), Some(5_000));
-    assert_eq!(r.latency_percentile_mh(0.99), Some(5_000));
+    assert_eq!(
+        r.latency_tail_mh,
+        Some(LatencyTail {
+            p50: 5_000,
+            p95: 5_000,
+            p99: 5_000,
+            max: 5_000,
+        })
+    );
     assert!((r.escape_rate() - 0.0).abs() < 1e-12);
     assert!((r.sessions_per_device() - 4.0).abs() < 1e-12);
 }
@@ -131,5 +137,5 @@ fn healthy_fleet_counts_grid_sessions_only() {
     assert_eq!(a.healthy, DEVICES);
     assert_eq!(a.afflicted, 0);
     assert_eq!(a.sessions, 2 * DEVICES);
-    assert_eq!(r.latency_percentile_mh(0.5), None);
+    assert_eq!(r.latency_tail_mh, None);
 }

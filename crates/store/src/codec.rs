@@ -72,6 +72,13 @@ impl Enc {
         Enc::default()
     }
 
+    /// An empty encoder with room for `bytes` bytes of payload.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Appends a little-endian `u64`.
     #[must_use]
     pub fn u64(mut self, v: u64) -> Self {

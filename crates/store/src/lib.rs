@@ -681,10 +681,12 @@ impl Store {
     pub fn put(&self, digest: u64, payload: &[u8]) -> Result<(), StoreError> {
         let len = u32::try_from(payload.len())
             .map_err(|_| StoreError::TooLarge { len: payload.len() })?;
+        // One checksum feeds both the frame header and the index entry.
+        let checksum = record_checksum(digest, payload);
         let mut frame = Vec::with_capacity(FRAME_LEN as usize + payload.len());
         frame.extend_from_slice(&digest.to_le_bytes());
         frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&record_checksum(digest, payload).to_le_bytes());
+        frame.extend_from_slice(&checksum.to_le_bytes());
         frame.extend_from_slice(payload);
 
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
@@ -708,7 +710,7 @@ impl Store {
         let entry = IndexEntry {
             offset: committed + FRAME_LEN,
             len,
-            checksum: record_checksum(digest, payload),
+            checksum,
         };
         drop(w);
         self.index
@@ -1148,6 +1150,32 @@ mod tests {
         assert_eq!(store.get(k).unwrap().as_deref(), Some(&b"hello"[..]));
         assert_eq!((store.hits(), store.misses(), store.puts()), (1, 1, 1));
         assert_eq!(store.len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `put` computes one checksum for the frame header and for the
+    /// index entry `get` verifies against; a reopen, which rebuilds the
+    /// index from the headers, accepts the frame and serves the payload.
+    #[test]
+    fn put_frame_header_and_index_share_one_checksum() {
+        let dir = tmp("checksum");
+        let k = Digest::new("t").u64(5).finish();
+        let payload: Vec<u8> = (0..=255).collect();
+        let store = Store::open(&dir).unwrap();
+        store.put(k, &payload).unwrap();
+        let entry = store.index.read().unwrap()[&k];
+        let file = fs::read(dir.join(STORE_FILE)).unwrap();
+        // The checksum is the last field of the frame header.
+        let at = entry.offset as usize - 8;
+        let header_sum = u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
+        assert_eq!(header_sum, entry.checksum);
+        assert_eq!(header_sum, record_checksum(k, &payload));
+        assert_eq!(store.get(k).unwrap().as_deref(), Some(&payload[..]));
+        drop(store);
+
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.index.read().unwrap()[&k].checksum, header_sum);
+        assert_eq!(store.get(k).unwrap().as_deref(), Some(&payload[..]));
         fs::remove_dir_all(&dir).unwrap();
     }
 

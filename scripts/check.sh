@@ -243,7 +243,8 @@ assert run["tests_per_device"] > 0, "no BIST sessions ran"
 lat = run["detection_latency_hours"]
 for key in ("p50", "p95", "p99"):
     assert math.isfinite(lat[key]) and lat[key] >= 0, f"latency {key} bad: {lat[key]}"
-assert lat["p50"] <= lat["p95"] <= lat["p99"], f"percentiles out of order: {lat}"
+assert lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["max"], f"percentiles out of order: {lat}"
+assert 0 <= lat["mean"] <= lat["max"], f"mean outside [0, max]: {lat}"
 assert lat["count"] == run["detected"], "latency count != detections"
 print(
     "FLEET_run.json ok:",
