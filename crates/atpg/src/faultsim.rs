@@ -19,13 +19,14 @@ use obd_cmos::switch::excites;
 use obd_core::characterize::DelayTable;
 use obd_core::em::em_excites;
 use obd_core::faultmodel::{cell_for_kind, ObdFault, Polarity};
+use obd_core::pool::host_threads;
 use obd_logic::netlist::{GateId, GateKind, NetId, Netlist};
 use obd_logic::sim::simulate_with_order;
 use obd_logic::soa::SoaNetlist;
 use obd_logic::value::Lv;
 
 use crate::fault::{DetectionCriterion, Fault, SlowTo, TwoPatternTest};
-use crate::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
+use crate::ppsfp::{PpsfpEngine, SUPERLANE_WIDTH};
 use crate::AtpgError;
 use obd_chaos::InjectionPoint;
 use obd_metrics::Counter;
@@ -409,24 +410,24 @@ impl<'a> FaultSimulator<'a> {
 
     /// Builds the full detection matrix `matrix[t][f]` for compaction and
     /// exhaustive analysis on the packed engine at [`SUPERLANE_WIDTH`]
-    /// (no dropping, so every pattern of a wide block is useful work):
-    /// each fault's detections are written straight into its column.
+    /// (no dropping, so every pattern of a wide block is useful work),
+    /// on every host thread: the good-response fill runs one pool job
+    /// per block, and the matrix one job per 64-fault column strip
+    /// ([`PpsfpEngine::detection_matrix`]), each writing its faults'
+    /// detections straight into its own columns. A matrix of at most 64
+    /// faults is one strip and runs inline.
     ///
     /// # Errors
     ///
-    /// Propagates detection errors.
+    /// The error of the lowest-indexed failing fault, at any thread count.
     pub fn detection_matrix(
         &self,
         faults: &[Fault],
         tests: &[TwoPatternTest],
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
-        let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(self, tests)?;
-        let mut scratch = PpsfpScratch::default();
-        let mut matrix = vec![vec![false; faults.len()]; tests.len()];
-        for (f, fault) in faults.iter().enumerate() {
-            engine.for_each_detection(fault, &mut scratch, |t| matrix[t][f] = true)?;
-        }
-        Ok(matrix)
+        let threads = host_threads();
+        PpsfpEngine::<SUPERLANE_WIDTH>::prepare_with_threads(self, tests, threads)?
+            .detection_matrix(faults, threads)
     }
 
     /// The detection criterion in use.

@@ -49,11 +49,15 @@
 //! immediately), a reusable per-worker [`PpsfpScratch`] arena so the
 //! inner loop is allocation-free, and fan-out on the shared
 //! [`obd_core::pool`]: [`PpsfpEngine::grade_parallel`] grades 64-fault
-//! chunks as pool jobs, and [`PpsfpEngine::prepare_with_threads`] fills
-//! the good-response caches one pool job per block, so a large test set
+//! chunks as pool jobs, [`PpsfpEngine::detection_matrix`] fills the
+//! no-drop matrix one pool job per 64-fault column strip (each job
+//! writes its detections straight into its own strip, so there is no
+//! merge), and [`PpsfpEngine::prepare_with_threads`] fills the
+//! good-response caches one pool job per block, so a large test set
 //! does not serialize the warm-up.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use obd_cmos::cell::Cell;
 use obd_cmos::switch::{CellTransistor, NetworkSide};
@@ -556,8 +560,14 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     }
 
     /// Counts the block against the grading metrics and reports whether
-    /// its good response was already cached by an earlier fault.
+    /// its good response was already cached by an earlier fault. With
+    /// metrics off this is one branch: the `touched` flag lives next to
+    /// the block's cached words that every worker reads, so it is only
+    /// stored to while its counter records.
     fn touch(blk: &GoodBlock<N>) {
+        if !obd_metrics::enabled() {
+            return;
+        }
         BLOCKS_GRADED.inc();
         if blk.touched.swap(true, Ordering::Relaxed) {
             GOOD_SIM_CACHE_HITS.inc();
@@ -645,7 +655,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     /// # Errors
     ///
     /// Propagates planning and scalar-fallback detection errors.
-    pub(crate) fn for_each_detection(
+    fn for_each_detection(
         &self,
         fault: &Fault,
         scratch: &mut PpsfpScratch<N>,
@@ -693,6 +703,52 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         Ok((0..faults.len())
             .map(|i| words[i / 64] >> (i % 64) & 1 == 1)
             .collect())
+    }
+
+    /// The full detection matrix `matrix[t][f]` (no dropping) on up to
+    /// `threads` pool workers. The matrix splits into 64-fault column
+    /// strips, each made of every row's `chunks_mut(64)` segment for one
+    /// fault chunk. Each pool job owns one strip, grades its faults with
+    /// its own scratch arena and writes their detections straight into
+    /// it, so nothing is collected, merged or transposed, and the matrix
+    /// is identical at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// The error of the lowest-indexed failing fault, at any thread
+    /// count; a panicking job surfaces as [`AtpgError::Internal`].
+    pub fn detection_matrix(
+        &self,
+        faults: &[Fault],
+        threads: usize,
+    ) -> Result<Vec<Vec<bool>>, AtpgError> {
+        let mut matrix = vec![vec![false; faults.len()]; self.tests.len()];
+        let mut strips: Vec<Vec<&mut [bool]>> = (0..faults.len().div_ceil(64))
+            .map(|_| Vec::with_capacity(self.tests.len()))
+            .collect();
+        for row in &mut matrix {
+            for (strip, segment) in strips.iter_mut().zip(row.chunks_mut(64)) {
+                strip.push(segment);
+            }
+        }
+        // Each job locks only its own strip, once, so the locks never
+        // contend; they hand the job's `&mut` rows through the shared job
+        // slice.
+        let jobs: Vec<_> = faults
+            .chunks(64)
+            .zip(strips.into_iter().map(Mutex::new))
+            .collect();
+        run_jobs(&jobs, threads, |_, (chunk, strip)| {
+            let mut strip = strip.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut scratch = PpsfpScratch::default();
+            for (k, fault) in chunk.iter().enumerate() {
+                self.for_each_detection(fault, &mut scratch, |t| strip[t][k] = true)?;
+            }
+            Ok::<_, AtpgError>(())
+        })?;
+        // Release the strips' borrows of `matrix`.
+        drop(jobs);
+        Ok(matrix)
     }
 
     /// Gracefully degraded grading with dropping: a fault whose

@@ -177,3 +177,34 @@ fn enabled_metrics_sit_on_the_graded_path() {
         "c17 has depth"
     );
 }
+
+/// The block counters stay exact on the pooled no-drop matrix, and the
+/// disabled path leaves the blocks' cache-hit flags alone: a matrix
+/// graded with metrics off and then again with them on counts every
+/// (fault, block) evaluation once and every block's first evaluation
+/// as a miss.
+#[test]
+fn matrix_block_counters_are_exact_and_disabled_path_stores_nothing() {
+    let _guard = TEST_LOCK.lock().unwrap();
+
+    let nl = c17();
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let faults = mixed_faults(&nl);
+    let tests = random_two_pattern(nl.inputs().len(), 1100, 0xB10C);
+    let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+    let blocks = engine.num_blocks() as u64;
+    assert_eq!(blocks, 3);
+    assert!(faults.len() > 64, "several column strips");
+
+    obd_metrics::disable();
+    let quiet = engine.detection_matrix(&faults, 2).unwrap();
+    obd_metrics::enable();
+    let before = obd_metrics::snapshot();
+    let counted = engine.detection_matrix(&faults, 2).unwrap();
+    let after = obd_metrics::snapshot();
+    let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+    assert_eq!(counted, quiet);
+    let evaluations = faults.len() as u64 * blocks;
+    assert_eq!(delta("atpg.blocks_graded"), evaluations);
+    assert_eq!(delta("atpg.good_sim_cache_hits"), evaluations - blocks);
+}

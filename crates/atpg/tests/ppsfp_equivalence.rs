@@ -202,6 +202,92 @@ fn detection_matrix_matches_direct_detects() {
     }
 }
 
+/// The pooled engine matrix equals per-pair scalar `detects` at 1, 2, 3
+/// and 7 threads, over fault lists of several 64-fault column strips
+/// with a ragged last strip, on test sets with X-bearing (scalar
+/// fallback) tests, at the super-lane width and at width 1 (where the
+/// 70 tests span two packed blocks).
+#[test]
+fn pooled_detection_matrix_matches_scalar_at_any_thread_count() {
+    for nl in [c17(), mixed_cells()] {
+        let sim = FaultSimulator::new(&nl).unwrap();
+        let faults = mixed_faults(&nl);
+        assert!(
+            faults.len() > 64 && !faults.len().is_multiple_of(64),
+            "{} faults do not make a ragged multi-strip matrix",
+            faults.len()
+        );
+        let mut tests = random_two_pattern(nl.inputs().len(), 70, 0x57A1);
+        tests[3].v2[1] = Lv::X;
+        tests[41].v1[0] = Lv::X;
+        let scalar: Vec<Vec<bool>> = tests
+            .iter()
+            .map(|t| faults.iter().map(|f| sim.detects(f, t).unwrap()).collect())
+            .collect();
+        assert!(scalar.iter().flatten().any(|&d| d), "nothing detected");
+        let wide = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+        let narrow = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
+        assert_eq!(wide.scalar_fallback_tests(), 2);
+        assert_eq!(narrow.num_blocks(), 2);
+        for threads in [1, 2, 3, 7] {
+            assert_eq!(
+                wide.detection_matrix(&faults, threads).unwrap(),
+                scalar,
+                "threads = {threads}"
+            );
+            assert_eq!(
+                narrow.detection_matrix(&faults, threads).unwrap(),
+                scalar,
+                "N=1, threads = {threads}"
+            );
+        }
+        assert_eq!(sim.detection_matrix(&faults, &tests).unwrap(), scalar);
+    }
+}
+
+/// A matrix whose failing faults sit in late column strips reports the
+/// lowest-indexed one at every thread count, through the engine and
+/// through `FaultSimulator::detection_matrix`.
+#[test]
+fn detection_matrix_reports_lowest_failing_fault_at_any_thread_count() {
+    let mut nl = Netlist::new();
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let c = nl.add_input("c");
+    let n1 = nl.add_gate(GateKind::Nand, "n1", &[a, b]).unwrap();
+    let x1 = nl.add_gate(GateKind::Xor, "x1", &[n1, c]).unwrap();
+    let x2 = nl.add_gate(GateKind::Xor, "x2", &[a, c]).unwrap();
+    let y = nl.add_gate(GateKind::Nor, "y", &[x1, x2]).unwrap();
+    nl.mark_output(y);
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let xor_fault = |net| {
+        Fault::Obd(ObdFault {
+            gate: nl.driver(net).unwrap(),
+            pin: 0,
+            polarity: Polarity::Nmos,
+            stage: BreakdownStage::Mbd2,
+        })
+    };
+    let mut faults: Vec<Fault> = stuck_at_faults(&nl).into_iter().cycle().take(260).collect();
+    // Strip 2 holds the lowest failure and a later one; strips 3 and 4
+    // fail too.
+    faults[150] = xor_fault(x2);
+    faults[170] = xor_fault(x1);
+    faults[200] = xor_fault(x1);
+    faults[259] = xor_fault(x1);
+    let tests = random_two_pattern(3, 80, 0x0B0F);
+    let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+    let want = Err(AtpgError::UnsupportedGate { gate: "x2".into() });
+    for threads in [1, 2, 3, 7] {
+        assert_eq!(
+            engine.detection_matrix(&faults, threads),
+            want,
+            "threads = {threads}"
+        );
+    }
+    assert_eq!(sim.detection_matrix(&faults, &tests), want);
+}
+
 /// A single fault's packed detection row equals per-test `detects`.
 #[test]
 fn detection_row_matches_per_test_detects() {

@@ -13,6 +13,7 @@ use obd_atpg::generate::generate_obd_tests;
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
 use obd_core::characterize::{characterize_table1, BenchConfig, DelayTable, RunOptions};
+use obd_core::pool::host_threads;
 use obd_core::BreakdownStage;
 use obd_fleet::{run_fleet_resumable, FleetConfig};
 use obd_logic::circuits::{array_multiplier, fig8_sum_circuit};
@@ -51,7 +52,7 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
 
     // Real Table 1 ladder: the paper's NAND delay measurements across all
     // breakdown stages, through the analog engine.
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = host_threads();
     let table1 = characterize_table1(
         tech,
         cfg,

@@ -8,6 +8,7 @@
 //! land in per-index slots, so scheduling never reorders the artifact.
 
 use obd_core::monte::MonteConfig;
+use obd_core::pool::host_threads;
 use obd_core::BreakdownStage;
 
 /// Builds the campaign configuration from a key → value lookup;
@@ -21,7 +22,7 @@ use obd_core::BreakdownStage;
 /// e.g. `sbd,mbd2`).
 pub fn config_from(get: impl Fn(&str) -> Option<String>) -> MonteConfig {
     let mut cfg = MonteConfig::new();
-    cfg.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cfg.threads = host_threads();
     let trimmed = |name: &str| get(name).map(|s| s.trim().to_string());
     let u64_of = |name: &str| -> Option<u64> {
         let t = trimmed(name)?;

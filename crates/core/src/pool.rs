@@ -1,7 +1,8 @@
 //! The deterministic work-stealing job pool: the one job fan-out in the
 //! workspace. Table 1 cells, Monte Carlo corners, PPSFP fault chunks,
-//! good-response blocks and fleet checkpoint blocks all run through
-//! [`run_jobs`].
+//! detection-matrix column strips, good-response blocks and fleet
+//! checkpoint blocks all run through [`run_jobs`]. Callers that default
+//! to the whole host size their fan-out with [`host_threads`].
 //!
 //! Jobs have uneven costs — a fault-free Table 1 cell stops its
 //! transient soon after the output crosses while an HBD cell whose input
@@ -39,6 +40,12 @@ impl From<WorkerPanicked> for ObdError {
     fn from(_: WorkerPanicked) -> Self {
         ObdError::Spice("pool worker panicked".into())
     }
+}
+
+/// The host's available parallelism, at least 1 (also when the host
+/// cannot report it).
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Runs `f` over every job on up to `threads` work-stealing workers and

@@ -10,7 +10,7 @@
 //! is byte-identical across thread counts and block sizes.
 
 use obd_core::characterize::DelayTable;
-use obd_core::pool::run_jobs;
+use obd_core::pool::{host_threads, run_jobs};
 use obd_metrics::{Counter, Gauge, Histogram};
 
 use crate::coverage::BistProfile;
@@ -272,7 +272,7 @@ fn simulate_range(
 /// Number of worker threads a config resolves to on this host.
 pub fn resolve_threads(cfg: &FleetConfig) -> usize {
     let requested = if cfg.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        host_threads()
     } else {
         cfg.threads
     };

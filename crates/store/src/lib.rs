@@ -683,11 +683,8 @@ impl Store {
             .map_err(|_| StoreError::TooLarge { len: payload.len() })?;
         // One checksum feeds both the frame header and the index entry.
         let checksum = record_checksum(digest, payload);
-        let mut frame = Vec::with_capacity(FRAME_LEN as usize + payload.len());
-        frame.extend_from_slice(&digest.to_le_bytes());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&checksum.to_le_bytes());
-        frame.extend_from_slice(payload);
+        let header = frame_header(digest, len, checksum);
+        let frame_len = header.len() + payload.len();
 
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         // Heal any torn tail a previous injected (or real) crash left.
@@ -697,16 +694,19 @@ impl Store {
         }
         let committed = w.committed;
         w.file.seek(SeekFrom::Start(committed))?;
-        w.file.write_all(&frame)?;
+        // Header and payload go out from their own buffers: no copy of
+        // the payload into a joined frame.
+        w.file.write_all(&header)?;
+        w.file.write_all(payload)?;
         if let Some(bits) = CHAOS_WRITE_TORN.roll() {
             // Keep a strict prefix of the frame: the record must be
             // detectably incomplete, never accidentally whole.
-            let keep = bits as usize % frame.len().max(1);
+            let keep = bits as usize % frame_len;
             w.file.set_len(committed + keep as u64)?;
             STORE_TORN_WRITES.inc();
             return Err(StoreError::TornWrite { digest });
         }
-        w.committed += frame.len() as u64;
+        w.committed += frame_len as u64;
         let entry = IndexEntry {
             offset: committed + FRAME_LEN,
             len,
@@ -871,9 +871,7 @@ impl Store {
                 STORE_CORRUPT_RECORDS.inc();
                 continue;
             }
-            tmp.write_all(&digest.to_le_bytes())?;
-            tmp.write_all(&e.len.to_le_bytes())?;
-            tmp.write_all(&e.checksum.to_le_bytes())?;
+            tmp.write_all(&frame_header(digest, e.len, e.checksum))?;
             tmp.write_all(&payload)?;
             new_index.insert(
                 digest,
@@ -1040,6 +1038,16 @@ fn header_bytes(version: u16) -> [u8; HEADER_LEN as usize] {
     h
 }
 
+/// A record's frame header: `digest (u64) | len (u32) | checksum (u64)`,
+/// little-endian.
+fn frame_header(digest: u64, len: u32, checksum: u64) -> [u8; FRAME_LEN as usize] {
+    let mut h = [0u8; FRAME_LEN as usize];
+    h[0..8].copy_from_slice(&digest.to_le_bytes());
+    h[8..12].copy_from_slice(&len.to_le_bytes());
+    h[12..20].copy_from_slice(&checksum.to_le_bytes());
+    h
+}
+
 /// Walks the record log in `bytes` (header included) and returns the
 /// valid prefix. Input shorter than the header is damaged, with an
 /// empty valid prefix.
@@ -1176,6 +1184,41 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.index.read().unwrap()[&k].checksum, header_sum);
         assert_eq!(store.get(k).unwrap().as_deref(), Some(&payload[..]));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `put` writes the frame header and the payload from separate
+    /// buffers; the file must hold exactly the joined frames a single
+    /// buffer would have written, and a reopen must serve every record.
+    #[test]
+    fn put_writes_joined_frames_byte_for_byte() {
+        let dir = tmp("frames");
+        let payloads: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            b"x".to_vec(),
+            (0..=255).collect(),
+            (0..100_000u32).map(|i| (i * 31 % 251) as u8).collect(),
+        ];
+        let keys: Vec<u64> = (0..payloads.len() as u64)
+            .map(|i| Digest::new("frames").u64(i).finish())
+            .collect();
+        let mut expected = header_bytes(FORMAT_VERSION).to_vec();
+        {
+            let store = Store::open(&dir).unwrap();
+            for (&k, p) in keys.iter().zip(&payloads) {
+                store.put(k, p).unwrap();
+                expected.extend_from_slice(&k.to_le_bytes());
+                expected.extend_from_slice(&(p.len() as u32).to_le_bytes());
+                expected.extend_from_slice(&record_checksum(k, p).to_le_bytes());
+                expected.extend_from_slice(p);
+            }
+        }
+        assert_eq!(fs::read(dir.join(STORE_FILE)).unwrap(), expected);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.len(), payloads.len());
+        for (&k, p) in keys.iter().zip(&payloads) {
+            assert_eq!(store.get(k).unwrap().as_deref(), Some(&p[..]));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

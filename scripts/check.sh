@@ -55,8 +55,12 @@ git diff --exit-code results/tpg_comparison.txt results/bist.txt \
     results/clock_sweep.txt results/scan.txt
 
 # Smoke the observability layer end to end: `repro stats` must emit a
-# parseable metrics snapshot with the key engine counters nonzero.
+# parseable metrics snapshot with the key engine counters nonzero. Its
+# §4.3 statistics (sites, testable faults, minimal transition sets) come
+# from the pooled detection matrix and must stay byte-identical to the
+# committed copy.
 ./target/release/repro stats
+git diff --exit-code results/stats.txt
 python3 - <<'EOF'
 import json
 
