@@ -28,42 +28,12 @@ use obd_logic::value::Lv;
 use crate::fault::{DetectionCriterion, Fault, SlowTo, TwoPatternTest};
 use crate::ppsfp::{PpsfpEngine, SUPERLANE_WIDTH};
 use crate::AtpgError;
-use obd_chaos::InjectionPoint;
 use obd_metrics::Counter;
 
 /// Faults graded (per grading call, counted once per fault).
 static FAULTS_GRADED: Counter = Counter::new("atpg.faults_graded");
 /// Faults found detected by a grading call.
 static FAULTS_DETECTED: Counter = Counter::new("atpg.faults_detected");
-/// Faults whose grading failed and was degraded instead of aborting.
-static FAULTS_DEGRADED: Counter = Counter::new("atpg.faults_degraded");
-/// Injects a per-fault grading failure into [`FaultSimulator::grade_degraded`].
-static CHAOS_GRADE: InjectionPoint = InjectionPoint::new("atpg.grade_error");
-
-/// Per-fault outcome of [`FaultSimulator::grade_degraded`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GradeOutcome {
-    /// At least one test detects the fault.
-    Detected,
-    /// No test in the set detects the fault.
-    Undetected,
-    /// Grading this fault failed; the error is recorded and the campaign
-    /// continues with the remaining faults.
-    Degraded(String),
-}
-
-impl GradeOutcome {
-    /// Whether the fault was detected.
-    pub fn is_detected(&self) -> bool {
-        matches!(self, GradeOutcome::Detected)
-    }
-
-    /// Whether grading this fault failed.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, GradeOutcome::Degraded(_))
-    }
-}
-
 /// A prepared fault simulator for one netlist.
 #[derive(Debug)]
 pub struct FaultSimulator<'a> {
@@ -364,24 +334,6 @@ impl<'a> FaultSimulator<'a> {
         tests: &[TwoPatternTest],
     ) -> Result<Vec<bool>, AtpgError> {
         self.grade_parallel(faults, tests, 1)
-    }
-
-    /// [`FaultSimulator::grade`] with graceful degradation: a fault whose
-    /// detection errors out is marked [`GradeOutcome::Degraded`] and the
-    /// campaign continues instead of aborting — the fault is still fully
-    /// accounted for in the returned vector. Detected *and* degraded
-    /// faults drop immediately (stop consuming tests).
-    pub fn grade_degraded(&self, faults: &[Fault], tests: &[TwoPatternTest]) -> Vec<GradeOutcome> {
-        let out = match PpsfpEngine::<1>::prepare(self, tests) {
-            Ok(engine) => engine.grade_degraded(faults, &|| CHAOS_GRADE.fire()),
-            // Malformed test sets degrade every fault, as each would hit
-            // the same error at its first test in the scalar path.
-            Err(e) => vec![GradeOutcome::Degraded(e.to_string()); faults.len()],
-        };
-        FAULTS_DEGRADED.add(out.iter().filter(|o| o.is_degraded()).count() as u64);
-        FAULTS_GRADED.add(faults.len() as u64);
-        FAULTS_DETECTED.add(out.iter().filter(|o| o.is_detected()).count() as u64);
-        out
     }
 
     /// [`FaultSimulator::grade`] fanned out over `threads` workers of the

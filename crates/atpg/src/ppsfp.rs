@@ -26,10 +26,10 @@
 //! The engine is generic over the super-lane width `N` (`64 * N`
 //! patterns per block). Where the width pays depends on dropping:
 //!
-//! * Dropping graders ([`FaultSimulator::grade`], `grade_parallel`,
-//!   `grade_degraded`) run at width 1. Most faults die in their first
-//!   64 patterns, and a wider block would make each of them pay for
-//!   `64 * N` patterns of cone work.
+//! * Dropping graders ([`FaultSimulator::grade`], `grade_parallel`)
+//!   run at width 1. Most faults die in their first 64 patterns, and a
+//!   wider block would make each of them pay for `64 * N` patterns of
+//!   cone work.
 //! * No-drop detection rows ([`FaultSimulator::detection_matrix`], BIST
 //!   response modeling) evaluate every (fault, test) pair and run at
 //!   [`SUPERLANE_WIDTH`] = 8: every word the cone walk touches is a
@@ -71,7 +71,7 @@ use obd_logic::wide::{LaneWord, WideBlock};
 use obd_metrics::{Counter, Gauge};
 
 use crate::fault::{Fault, SlowTo, TwoPatternTest};
-use crate::faultsim::{stuck_output_value, FaultSimulator, GradeOutcome};
+use crate::faultsim::{stuck_output_value, FaultSimulator};
 use crate::AtpgError;
 
 /// Super-lane width of the no-drop detection rows: eight 64-bit lanes,
@@ -585,26 +585,11 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         fault: &Fault,
         scratch: &mut PpsfpScratch<N>,
     ) -> Result<bool, AtpgError> {
-        self.grade_fault(fault, scratch, &|| false)
-    }
-
-    /// The one dropping fault loop behind every dropping grader: walks
-    /// the packed blocks, then the scalar-fallback tests, and stops at
-    /// the first detection. `inject` is consulted before each block and
-    /// each fallback test; when it fires the fault fails with an
-    /// injected [`AtpgError::Internal`].
-    fn grade_fault(
-        &self,
-        fault: &Fault,
-        scratch: &mut PpsfpScratch<N>,
-        inject: &dyn Fn() -> bool,
-    ) -> Result<bool, AtpgError> {
         let total = self.blocks.len() + self.scalar_tests.len();
         if total == 0 {
             return Ok(false);
         }
         let plan = self.plan(fault)?;
-        let chaos = || AtpgError::Internal("injected grading failure (chaos)".into());
         // A detection with tests still pending is a drop.
         let detected_after = |done: usize| {
             if done < total {
@@ -613,18 +598,12 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
             Ok(true)
         };
         for (k, blk) in self.blocks.iter().enumerate() {
-            if inject() {
-                return Err(chaos());
-            }
             Self::touch(blk);
             if self.detect_mask(&plan, blk, scratch).any() {
                 return detected_after(k + 1);
             }
         }
         for (k, &i) in self.scalar_tests.iter().enumerate() {
-            if inject() {
-                return Err(chaos());
-            }
             if self.sim.detects(fault, &self.tests[i])? {
                 return detected_after(self.blocks.len() + k + 1);
             }
@@ -749,22 +728,6 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         // Release the strips' borrows of `matrix`.
         drop(jobs);
         Ok(matrix)
-    }
-
-    /// Gracefully degraded grading with dropping: a fault whose
-    /// evaluation errors out (or for which `inject` fires) becomes
-    /// [`GradeOutcome::Degraded`] and stops consuming tests; the
-    /// campaign continues.
-    pub fn grade_degraded(&self, faults: &[Fault], inject: &dyn Fn() -> bool) -> Vec<GradeOutcome> {
-        let mut scratch = PpsfpScratch::default();
-        faults
-            .iter()
-            .map(|f| match self.grade_fault(f, &mut scratch, inject) {
-                Ok(true) => GradeOutcome::Detected,
-                Ok(false) => GradeOutcome::Undetected,
-                Err(e) => GradeOutcome::Degraded(e.to_string()),
-            })
-            .collect()
     }
 }
 

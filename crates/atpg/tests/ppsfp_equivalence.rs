@@ -305,7 +305,7 @@ fn detection_row_matches_per_test_detects() {
 }
 
 /// Malformed vectors surface as the same typed error the scalar path
-/// produced, and `grade_degraded` degrades every fault on them.
+/// produced.
 #[test]
 fn vector_width_errors_preserved() {
     let nl = c17();
@@ -323,13 +323,9 @@ fn vector_width_errors_preserved() {
         sim.grade_parallel(&faults, &bad, 4),
         Err(AtpgError::VectorWidth { .. })
     ));
-    let outcomes = sim.grade_degraded(&faults, &bad);
-    assert_eq!(outcomes.len(), faults.len());
-    assert!(outcomes.iter().all(|o| o.is_degraded()));
 
     // Two unsupported-gate faults in different 64-fault chunks: the
-    // lower-indexed one is reported at every thread count, and degraded
-    // grading degrades exactly those two.
+    // lower-indexed one is reported at every thread count.
     let mut nl = Netlist::new();
     let a = nl.add_input("a");
     let b = nl.add_input("b");
@@ -360,14 +356,6 @@ fn vector_width_errors_preserved() {
             "threads = {threads}"
         );
     }
-    let degraded: Vec<usize> = sim
-        .grade_degraded(&faults, &tests)
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.is_degraded())
-        .map(|(k, _)| k)
-        .collect();
-    assert_eq!(degraded, vec![i, j]);
 }
 
 /// Empty fault lists and empty test sets keep the scalar contract.
@@ -383,23 +371,6 @@ fn degenerate_inputs_match_scalar() {
         vec![false; faults.len()],
         "no tests detect nothing"
     );
-}
-
-/// Degraded grading without injection equals plain grading outcomes,
-/// and a detected fault drops (the engine result, not a test-major
-/// sweep, decides this — detected means some test in the set fires).
-#[test]
-fn degraded_outcomes_match_grade_when_nothing_fails() {
-    let nl = fig8_sum_circuit();
-    let sim = FaultSimulator::new(&nl).unwrap();
-    let faults = mixed_faults(&nl);
-    let tests = random_two_pattern(nl.inputs().len(), 80, 42);
-    let detected = sim.grade(&faults, &tests).unwrap();
-    let outcomes = sim.grade_degraded(&faults, &tests);
-    for (i, o) in outcomes.iter().enumerate() {
-        assert_eq!(o.is_detected(), detected[i], "fault {i}");
-        assert!(!o.is_degraded());
-    }
 }
 
 /// BIST signatures are unchanged by the engine rewiring: a healthy run

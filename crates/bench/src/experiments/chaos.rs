@@ -1,6 +1,6 @@
 //! `repro chaos`: seeded fault-injection campaigns across the solver
-//! stack (`obd-linalg`, `obd-spice`, `obd-core`, `obd-atpg`,
-//! `obd-fleet`, `obd-store`, and the Monte Carlo variation engine),
+//! stack (`obd-linalg`, `obd-spice`, `obd-core`, `obd-fleet`,
+//! `obd-store`, and the Monte Carlo variation engine),
 //! asserting the panic-free contract end to end.
 //!
 //! Every operation runs under `catch_unwind` with chaos armed at a
@@ -10,7 +10,7 @@
 //! * **recovered** — the operation still returned a clean result (the
 //!   escalation ladder or retry logic absorbed the faults);
 //! * **degraded** — the operation completed but recorded per-item
-//!   failures (degraded Table 1 cells, degraded fault grades);
+//!   failures (degraded Table 1 cells, degraded Monte Carlo corners);
 //! * **reported** — the operation returned a typed error.
 //!
 //! The campaign invariant is `injected == recovered + degraded +
@@ -44,7 +44,8 @@ enum OpOutcome {
 /// Accounting for one layer's campaign.
 #[derive(Debug, Clone)]
 pub struct LayerReport {
-    /// Layer name (`linalg` / `spice` / `core` / `atpg`).
+    /// Layer name (`linalg` / `spice` / `core` / `fleet` / `store` /
+    /// `monte`).
     pub layer: &'static str,
     /// Injection rate the layer ran at (permille of evaluations).
     pub rate_permille: u32,
@@ -337,34 +338,6 @@ fn run_core_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapshot
     (rep, snap)
 }
 
-fn run_atpg_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapshot) {
-    use obd_atpg::fault::obd_faults;
-    use obd_atpg::faultsim::FaultSimulator;
-
-    let rate = 150;
-    obd_chaos::arm(seed ^ 0x4444_4444, rate);
-    let mut rep = LayerReport::new("atpg", rate);
-    let nl = obd_logic::circuits::fig8_sum_circuit();
-    let faults = obd_faults(&nl, obd_core::BreakdownStage::Mbd2, true);
-    let tests = obd_atpg::random::exhaustive_two_pattern(nl.inputs().len());
-    for _ in 0..ops {
-        rep.account(|| match FaultSimulator::new(&nl) {
-            Ok(sim) => {
-                let outcomes = sim.grade_degraded(&faults, &tests);
-                if outcomes.iter().any(|o| o.is_degraded()) {
-                    OpOutcome::Degraded
-                } else {
-                    OpOutcome::Clean
-                }
-            }
-            Err(_) => OpOutcome::Reported,
-        });
-    }
-    let snap = obd_chaos::snapshot();
-    obd_chaos::disarm();
-    (rep, snap)
-}
-
 /// The fleet layer differs from the solver layers: one "op" is one
 /// simulated device, and the device loop attributes every injection at
 /// its fire site (`fleet.device_fault` poisons the device — a typed,
@@ -373,8 +346,8 @@ fn run_atpg_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapshot
 /// healthy session is cleared by the retest — *recovered*). The ledger
 /// is therefore exact by construction rather than per-op delta
 /// attribution. The BIST profile is the synthetic slack-ideal one: it
-/// keeps the armed region free of `atpg.grade_error`/`core.delay_corrupt`
-/// fire sites, so every injection observed here is a fleet-layer one.
+/// keeps the armed region free of analog measurement, so every
+/// injection observed here is a fleet-layer one.
 fn run_fleet_layer(seed: u64, devices: u64) -> (LayerReport, obd_chaos::ChaosSnapshot) {
     let rate = 40;
     let cfg = obd_fleet::FleetConfig {
@@ -500,13 +473,12 @@ fn run_store_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapsho
 }
 
 /// The variation layer: small single-threaded Monte Carlo campaigns
-/// with `monte.params_corrupt` (and the solver-level points underneath
-/// the per-corner transients) armed. A corrupted corner parameter set is
-/// rejected by the sanity guard and the corner *degrades* — an explicit
-/// accounting entry in the report — as do corners whose measurement dies
-/// of a solver-level injection; `run_monte` itself returning a typed
-/// error is *reported*. Threads are pinned to 1: an armed chaos sequence
-/// is schedule-dependent, and the layer replay must be exact.
+/// with the solver-level points underneath the per-corner transients
+/// armed. A corner whose measurement dies of an injection *degrades* —
+/// an explicit accounting entry in the report; `run_monte` itself
+/// returning a typed error is *reported*. Threads are pinned to 1: an
+/// armed chaos sequence is schedule-dependent, and the layer replay must
+/// be exact.
 fn run_monte_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapshot) {
     use obd_core::monte::{run_monte, MonteConfig};
 
@@ -548,7 +520,6 @@ pub fn run_with_scale(seed: u64, scale: u64) -> ChaosReport {
         run_linalg_layer(seed, 200 * scale),
         run_spice_layer(seed, 12 * scale),
         run_core_layer(seed, scale.div_ceil(4)),
-        run_atpg_layer(seed, 4 * scale),
         run_fleet_layer(seed, 500 * scale),
         run_store_layer(seed, 120 * scale),
         run_monte_layer(seed, scale.div_ceil(2)),

@@ -48,9 +48,9 @@ fn store_layer_populates_every_bucket() {
     assert!(json.contains("store.compact_torn"));
 }
 
-/// The Monte Carlo layer: corrupted corners (and solver-level injections
-/// underneath the per-corner transients) must degrade corners in the
-/// report — never panic, never go unaccounted.
+/// The Monte Carlo layer: solver-level injections underneath the
+/// per-corner transients must degrade corners in the report — never
+/// panic, never go unaccounted.
 #[test]
 fn monte_layer_is_exercised_and_accounted() {
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -64,8 +64,6 @@ fn monte_layer_is_exercised_and_accounted() {
     assert!(monte.injected > 0, "monte layer must see injections");
     assert_eq!(monte.panics, 0, "variation engine must never panic");
     assert!(monte.accounted(), "monte ledger must be exact: {monte:?}");
-    let json = r.to_json();
-    assert!(json.contains("monte.params_corrupt"));
 }
 
 #[test]

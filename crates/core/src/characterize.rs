@@ -26,17 +26,12 @@ use crate::faultmodel::Polarity;
 use crate::injection::inject_obd;
 use crate::stage::{BreakdownStage, ObdParams};
 use crate::ObdError;
-use obd_chaos::InjectionPoint;
 use obd_metrics::Counter;
 
 /// Cell transitions measured (each one is exactly one transient).
 static TRANSITIONS_MEASURED: Counter = Counter::new("core.transitions_measured");
 /// Table 1 cells whose measurement failed and were marked degraded.
 static CELLS_DEGRADED: Counter = Counter::new("core.cells_degraded");
-
-/// Chaos: corrupt a completed delay measurement to NaN; the measurement
-/// guard must reject it as a typed error rather than tabulating garbage.
-static CHAOS_DELAY_CORRUPT: InjectionPoint = InjectionPoint::new("core.delay_corrupt");
 
 /// Outcome of one measured transition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -369,10 +364,7 @@ pub fn measure_cell_transition(
     let t_out = t_in.and_then(|ti| wave.first_crossing(out_node, half, out_edge, ti));
     match (t_in, t_out) {
         (Some(ti), Some(to)) => {
-            let mut ps = (to - ti) / PS;
-            if CHAOS_DELAY_CORRUPT.fire() {
-                ps = f64::NAN;
-            }
+            let ps = (to - ti) / PS;
             // Measurement guard: crossings are time-ordered by
             // construction, so a NaN or negative delay means the
             // measurement chain was corrupted — report it instead of

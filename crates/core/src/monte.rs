@@ -19,11 +19,11 @@
 //! (Armed chaos injection intentionally breaks this: the global injection
 //! sequence depends on scheduling, which is the point of a chaos run.)
 //!
-//! A corner whose measurement fails — including a chaos-corrupted
-//! parameter set rejected by the sanity guard — degrades to an explicit
-//! per-probe accounting entry instead of aborting the campaign.
+//! A corner whose measurement fails — including a corner the parameter
+//! sanity guard rejects, such as the infinities an overflowing `spread`
+//! samples — degrades to an explicit per-probe accounting entry instead
+//! of aborting the campaign.
 
-use obd_chaos::InjectionPoint;
 use obd_cmos::TechParams;
 use obd_logic::netlist::GateKind;
 use obd_metrics::Counter;
@@ -45,11 +45,6 @@ static MONTE_STUCK: Counter = Counter::new("monte.stuck_outcomes");
 /// Measurements degraded by a typed error (the corner is accounted, not
 /// tabulated).
 static MONTE_DEGRADED: Counter = Counter::new("monte.degraded_measurements");
-
-/// Chaos: corrupt a sampled corner's threshold voltage to NaN. The
-/// parameter sanity guard must reject the corner as a typed error (it
-/// degrades) rather than handing NaN to the analog engine.
-static CHAOS_PARAMS_CORRUPT: InjectionPoint = InjectionPoint::new("monte.params_corrupt");
 
 /// An xorshift64* stream with splitmix64 counter seeding: corner `k` gets
 /// an independent, reproducible stream from `(seed, k)` alone, so samples
@@ -226,8 +221,9 @@ pub fn sample_tech(nominal: &TechParams, seed: u64, sample: u64, spread: f64) ->
     t
 }
 
-/// Rejects corrupted corner parameters before they reach the analog
-/// engine.
+/// Rejects non-physical corner parameters (NaN, infinite or not
+/// positive) before they reach the analog engine. `spread` is outside
+/// input, and a large enough one samples infinities.
 fn validate_tech(t: &TechParams) -> Result<(), ObdError> {
     let fields = [
         ("vdd", t.vdd),
@@ -312,10 +308,7 @@ pub fn run_monte(
     let outcomes: Vec<MonteOutcome> = pool::run_jobs(&jobs, config.threads, |_, &(sample, p)| {
         MONTE_MEASUREMENTS.inc();
         let probe = &probe_list[p];
-        let mut tech = sample_tech(nominal, config.seed, sample, config.spread);
-        if CHAOS_PARAMS_CORRUPT.fire() {
-            tech.nmos_vt0 = f64::NAN;
-        }
+        let tech = sample_tech(nominal, config.seed, sample, config.spread);
         let measured = validate_tech(&tech).and_then(|()| {
             let defect = match probe.defect {
                 None => None,

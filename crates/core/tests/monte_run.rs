@@ -1,6 +1,6 @@
 //! Monte Carlo engine integration proofs: thread-count-independent
 //! byte-identical reports, metric accounting, and graceful degradation
-//! under chaos-corrupted corner parameters.
+//! of corners with non-physical parameters or failing measurements.
 //!
 //! Runs as an integration binary so the process-wide chaos/metrics state
 //! is not shared with other suites; the file-local lock serializes the
@@ -100,8 +100,8 @@ fn monte_metrics_account_for_every_measurement() {
 #[test]
 fn chaos_corrupted_corners_degrade_instead_of_aborting() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
-    // Rate 1000 permille: every evaluated injection point fires, so every
-    // corner's parameters are corrupted before the analog engine runs.
+    // Rate 1000 permille: every evaluated injection point fires, so the
+    // solver points fail every corner's transient.
     obd_chaos::arm(0xBAD, 1000);
     let tech = TechParams::date05();
     let report = run_monte(&tech, &small_config(2), &SimOptions::new()).unwrap();
@@ -119,4 +119,33 @@ fn chaos_corrupted_corners_degrade_instead_of_aborting() {
     // The artifact still renders.
     let json = report.render_json();
     assert!(json.contains("\"degraded_total\": 12"));
+}
+
+/// The degraded path without chaos: a spread so large that the sampled
+/// parameters overflow to infinity is outside input the corner guard
+/// must reject. Those corners degrade, the campaign still returns `Ok`,
+/// every probe accounts for every corner, and the report stays
+/// byte-identical at any thread count.
+#[test]
+fn overflowing_spread_degrades_corners_without_chaos() {
+    let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
+    let tech = TechParams::date05();
+    let run = |threads| {
+        let cfg = MonteConfig {
+            spread: 1e308,
+            ..small_config(threads)
+        };
+        run_monte(&tech, &cfg, &SimOptions::new()).unwrap()
+    };
+    let report = run(1);
+    assert!(report.degraded_total > 0, "{report:?}");
+    for p in &report.probes {
+        assert_eq!(
+            p.stuck + p.degraded + p.delays_ps.len(),
+            report.samples,
+            "{}",
+            p.label
+        );
+    }
+    assert_eq!(report.render_json(), run(4).render_json());
 }

@@ -8,12 +8,12 @@
 //!   validation.
 //! * [`sim`] — levelized three-valued simulation, including two-pattern
 //!   (launch/capture) simulation used everywhere in OBD testing.
-//! * [`parallel`] — the per-gate 64-way forced-value block simulator,
-//!   the independent reference the SoA core is tested against.
 //! * [`wide`] — `[u64; N]` super-lane pattern words and wide pattern
 //!   blocks (up to `64 * N` patterns per sweep).
 //! * [`soa`] — the levelized structure-of-arrays netlist the packed
-//!   simulation hot path walks (one-time `compile()`, flat arrays).
+//!   simulation hot path walks (one-time `compile()`, flat arrays). Its
+//!   unit tests check it against a test-only per-gate forced-value block
+//!   simulator that shares no code with it.
 //! * [`sta`] — static timing analysis: arrival/required/slack, the
 //!   quantity that gates at-speed OBD detectability (§4.2).
 //! * [`timing`] — event-driven timing simulation with per-gate rise/fall
@@ -48,7 +48,8 @@ pub mod error;
 pub mod format;
 pub mod gate;
 pub mod netlist;
-pub mod parallel;
+#[cfg(test)]
+mod parallel;
 pub mod sim;
 pub mod soa;
 pub mod sta;

@@ -1,5 +1,5 @@
-//! The per-gate forced-value block simulator: the independent reference
-//! the levelized SoA core ([`crate::soa`]) is tested against.
+//! The per-gate forced-value block simulator: the test-only independent
+//! reference the levelized SoA core ([`crate::soa`]) is tested against.
 //!
 //! Each net carries a `u64`; bit `i` is the net's value under pattern `i`
 //! of a single-lane [`WideBlock`]`<1>`. Production simulation runs on
@@ -11,10 +11,6 @@
 use crate::netlist::{GateId, NetId, Netlist};
 use crate::wide::WideBlock;
 use crate::LogicError;
-use obd_metrics::Counter;
-
-/// Packed blocks simulated with forced (held) net values.
-static FORCED_BLOCKS_SIMULATED: Counter = Counter::new("logic.forced_blocks_simulated");
 
 /// Per-gate packed simulation of a block with *forced* (held) net
 /// values, writing into caller-owned buffers so repeated calls are
@@ -51,7 +47,6 @@ pub fn simulate_block_forced_into(
             found: block.num_inputs(),
         });
     }
-    FORCED_BLOCKS_SIMULATED.inc();
     words.clear();
     words.resize(nl.num_nets(), 0);
     for (i, &n) in nl.inputs().iter().enumerate() {

@@ -501,7 +501,7 @@ mod tests {
     }
 
     /// Width 1 against the independent per-gate forced simulator in
-    /// [`crate::parallel`], for every net (primary inputs, internal nets
+    /// `parallel.rs`, for every net (primary inputs, internal nets
     /// and primary outputs) with random and complemented held words, on a
     /// partially filled block.
     #[test]
