@@ -10,7 +10,7 @@ use std::sync::Mutex;
 
 use obd_cmos::TechParams;
 use obd_core::characterize::BenchConfig;
-use obd_core::monte::{run_monte, MonteConfig};
+use obd_core::monte::{run_monte, sample_tech, MonteConfig};
 use obd_core::BreakdownStage;
 use obd_spice::SimOptions;
 
@@ -148,4 +148,68 @@ fn overflowing_spread_degrades_corners_without_chaos() {
         );
     }
     assert_eq!(report.render_json(), run(4).render_json());
+}
+
+/// Pins the corner stream bit for bit: corner `k` of seed 1 at 5 %
+/// spread. A change to the seeding, the generator or the pseudo-Gaussian
+/// that moves one sampled parameter by one ulp fails here before it
+/// reaches a Monte Carlo percentile.
+#[test]
+fn corner_stream_is_pinned_bit_for_bit() {
+    // nmos_vt0, pmos_vt0, nmos_kp, pmos_kp, nmos_w, pmos_w per corner.
+    const EXPECTED: [[u64; 6]; 4] = [
+        [
+            0x3fe666c9562b5e61,
+            0x3fe92db4df58adf8,
+            0x3f1e4913c4146a20,
+            0x3f0518e5eed1e3f3,
+            0x3ea38c9b527d0356,
+            0x3ea3da22528744dc,
+        ],
+        [
+            0x3fe67a58ebdae206,
+            0x3fe8a20a2a154903,
+            0x3f1e1ac42c9304dc,
+            0x3f05f09d89a52e37,
+            0x3ea49d330ee10997,
+            0x3ea4a78b60a24d1a,
+        ],
+        [
+            0x3fe6697f3061cb23,
+            0x3fe96282ecde8245,
+            0x3f1e86995604c48d,
+            0x3f053a620dbf1336,
+            0x3ea4f2c169ecd113,
+            0x3ea4a2f21f5c477d,
+        ],
+        [
+            0x3fe6518e74082ebe,
+            0x3fea25f9340aa81f,
+            0x3f1ee6b1a121bb05,
+            0x3f04f004d0e4c6e9,
+            0x3ea4476627cd860b,
+            0x3ea3444e14c2a968,
+        ],
+    ];
+    let nominal = TechParams::date05();
+    for (k, expected) in EXPECTED.iter().enumerate() {
+        let t = sample_tech(&nominal, 1, k as u64, 0.05);
+        let sampled = [
+            t.nmos_vt0, t.pmos_vt0, t.nmos_kp, t.pmos_kp, t.nmos_w, t.pmos_w,
+        ];
+        for (field, (v, bits)) in sampled.iter().zip(expected).enumerate() {
+            assert_eq!(v.to_bits(), *bits, "corner {k}, field {field}: {v}");
+        }
+        // The fields the sampler leaves alone stay nominal, bit for bit.
+        for (v, n) in [
+            (t.vdd, nominal.vdd),
+            (t.lambda, nominal.lambda),
+            (t.length, nominal.length),
+            (t.c_gate, nominal.c_gate),
+            (t.c_junction, nominal.c_junction),
+            (t.c_wire, nominal.c_wire),
+        ] {
+            assert_eq!(v.to_bits(), n.to_bits(), "corner {k}");
+        }
+    }
 }
