@@ -72,7 +72,9 @@ pub mod generate;
 pub mod podem;
 pub mod ppsfp;
 pub mod random;
-pub mod rng;
+/// The suite's one seedable generator, which lives in obd-logic so every
+/// layer that links it shares the same stream.
+pub use obd_logic::rng;
 pub mod scan;
 pub mod scoap;
 pub mod timed_sim;

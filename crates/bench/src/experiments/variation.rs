@@ -9,7 +9,7 @@
 //! the breakdown ladder causes. A defect stage is *screenable* when its
 //! shift clears the process spread.
 
-use obd_atpg::rng::XorShift64Star;
+use obd_logic::rng::XorShift64Star;
 use obd_cmos::TechParams;
 use obd_core::characterize::{
     measure_cell_transition, BenchConfig, BenchDefect, TransitionOutcome,

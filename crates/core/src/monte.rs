@@ -12,7 +12,7 @@
 //! limit, or stuck outright — §4.2's detection-window argument).
 //!
 //! Determinism is a hard guarantee: corner `k` derives its parameters
-//! from `splitmix64(seed, k)` feeding an in-crate xorshift64* stream —
+//! from `splitmix64(seed, k)` feeding the suite's xorshift64* stream —
 //! *counter seeding*, no shared RNG state — and jobs fan out over the
 //! work-stealing pool ([`crate::pool`]) with per-index result slots, so
 //! [`MonteReport::render_json`] is byte-identical at any thread count.
@@ -26,6 +26,7 @@
 
 use obd_cmos::TechParams;
 use obd_logic::netlist::GateKind;
+use obd_logic::rng::XorShift64Star;
 use obd_metrics::Counter;
 use obd_spice::SimOptions;
 
@@ -49,41 +50,20 @@ static MONTE_DEGRADED: Counter = Counter::new("monte.degraded_measurements");
 /// An xorshift64* stream with splitmix64 counter seeding: corner `k` gets
 /// an independent, reproducible stream from `(seed, k)` alone, so samples
 /// can run in any order on any thread.
-#[derive(Debug, Clone)]
-struct MonteRng {
-    state: u64,
+fn corner_rng(seed: u64, sample: u64) -> XorShift64Star {
+    // splitmix64 finalizer over the (seed, counter) pair; the final
+    // `| 1` keeps the xorshift state nonzero.
+    let mut z = seed ^ sample.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    XorShift64Star::from_state(z | 1)
 }
 
-impl MonteRng {
-    fn for_sample(seed: u64, sample: u64) -> Self {
-        // splitmix64 finalizer over the (seed, counter) pair; the final
-        // `| 1` keeps the xorshift state nonzero.
-        let mut z = seed ^ sample.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        MonteRng { state: z | 1 }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in `[-1, 1)`.
-    fn uniform_pm1(&mut self) -> f64 {
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        2.0 * u - 1.0
-    }
-
-    /// Pseudo-Gaussian: sum of three `[-1, 1)` uniforms, unit variance.
-    fn gauss(&mut self) -> f64 {
-        (self.uniform_pm1() + self.uniform_pm1() + self.uniform_pm1()) / 1.732
-    }
+/// Pseudo-Gaussian: sum of three `[-1, 1)` uniforms, unit variance.
+fn gauss(rng: &mut XorShift64Star) -> f64 {
+    (rng.gen_range_f64(-1.0, 1.0) + rng.gen_range_f64(-1.0, 1.0) + rng.gen_range_f64(-1.0, 1.0))
+        / 1.732
 }
 
 /// Configuration of one Monte Carlo campaign.
@@ -209,9 +189,9 @@ pub struct MonteReport {
 /// both polarities, clamped at half nominal. The one corner sampler —
 /// callers checking other properties at the campaign's corners reuse it.
 pub fn sample_tech(nominal: &TechParams, seed: u64, sample: u64, spread: f64) -> TechParams {
-    let mut rng = MonteRng::for_sample(seed, sample);
+    let mut rng = corner_rng(seed, sample);
     let mut t = nominal.clone();
-    let mut jitter = |v: f64| -> f64 { (v * (1.0 + spread * rng.gauss())).max(v * 0.5) };
+    let mut jitter = |v: f64| -> f64 { (v * (1.0 + spread * gauss(&mut rng))).max(v * 0.5) };
     t.nmos_vt0 = jitter(t.nmos_vt0);
     t.pmos_vt0 = jitter(t.pmos_vt0);
     t.nmos_kp = jitter(t.nmos_kp);

@@ -249,7 +249,7 @@ mod tests {
     /// typed error or an accumulator that encodes back to the same bytes.
     #[test]
     fn decode_accum_never_panics_on_mutated_payloads() {
-        use obd_atpg::rng::XorShift64Star;
+        use obd_logic::rng::XorShift64Star;
 
         let valid = encode_accum(&FleetAccum {
             devices: 64,

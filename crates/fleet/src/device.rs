@@ -43,7 +43,7 @@ impl DeviceParams {
     /// Samples a device from the fleet model. Always draws exactly five
     /// values from `rng` (see module docs).
     pub fn sample(
-        rng: &mut obd_atpg::rng::XorShift64Star,
+        rng: &mut obd_logic::rng::XorShift64Star,
         model: &crate::sim::FleetModel,
         horizon_hours: f64,
         sites: usize,
@@ -349,8 +349,8 @@ mod tests {
     #[test]
     fn sampling_draws_exactly_five_values() {
         let model = FleetModel::default();
-        let mut a = obd_atpg::rng::XorShift64Star::seed_from_u64(99);
-        let mut b = obd_atpg::rng::XorShift64Star::seed_from_u64(99);
+        let mut a = obd_logic::rng::XorShift64Star::seed_from_u64(99);
+        let mut b = obd_logic::rng::XorShift64Star::seed_from_u64(99);
         let _ = DeviceParams::sample(&mut a, &model, 1000.0, 24);
         for _ in 0..5 {
             b.next_f64();

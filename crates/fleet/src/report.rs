@@ -348,7 +348,7 @@ mod tests {
     /// all-equal vectors.
     #[test]
     fn selected_tail_matches_sorted_nearest_rank() {
-        use obd_atpg::rng::XorShift64Star;
+        use obd_logic::rng::XorShift64Star;
 
         let mut rng = XorShift64Star::seed_from_u64(0x7A11_5E1E);
         let mut cases: Vec<Vec<u64>> = Vec::new();

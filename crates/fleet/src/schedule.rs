@@ -172,7 +172,7 @@ pub fn first_session_in_window(phase: f64, interval: f64, open: f64, close: f64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obd_atpg::rng::XorShift64Star;
+    use obd_logic::rng::XorShift64Star;
 
     #[test]
     fn session_count_matches_enumeration() {

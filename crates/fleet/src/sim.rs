@@ -238,7 +238,7 @@ fn simulate_range(
     let window_plan = WindowPlan::new(&cfg.table, cfg.slack_ps);
     let mut acc = FleetAccum::default();
     for id in lo..hi {
-        let mut rng = obd_atpg::rng::XorShift64Star::seed_from_u64(
+        let mut rng = obd_logic::rng::XorShift64Star::seed_from_u64(
             cfg.seed.wrapping_add(id.wrapping_mul(GOLDEN)),
         );
         let params = DeviceParams::sample(&mut rng, &cfg.model, cfg.horizon_hours, profile.sites());

@@ -169,6 +169,7 @@ pub fn to_bench(nl: &Netlist) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::XorShift64Star;
     use crate::sim::simulate;
     use crate::value::Lv;
 
@@ -348,21 +349,10 @@ mod tests {
         x1 = XOR(a, b)\nx2 = XNOR(b, c)\nb1 = BUFF(x1)\nn1 = NOT(c)\n\
         y = NAND(b1, x2, n1)\nz = NOR(x1, a)\n";
 
-    /// xorshift64* for the seeded mutation fuzz below.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        /// A value in `[0, n)`; `n` must be nonzero.
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
+    /// A value in `[0, n)` for the seeded mutation fuzz below; `n` must
+    /// be nonzero.
+    fn below(rng: &mut XorShift64Star, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
     }
 
     /// Seeded mutations of valid `.bench` texts (character flips,
@@ -379,7 +369,7 @@ mod tests {
         .iter()
         .map(|t| t.chars().collect())
         .collect();
-        let mut rng = Rng(0x0BE7_C4A5_F00D);
+        let mut rng = XorShift64Star::from_state(0x0BE7_C4A5_F00D);
         for (s, seed) in seeds.iter().enumerate() {
             let mut parsed = 0;
             for case in 0..2_000 {
@@ -387,27 +377,27 @@ mod tests {
                 match case % 4 {
                     0 => {
                         // Flip one of the low seven bits: ASCII stays ASCII.
-                        for _ in 0..=rng.below(4) {
-                            let i = rng.below(text.len());
-                            let flipped = text[i] as u32 ^ (1 << rng.below(7));
+                        for _ in 0..=below(&mut rng, 4) {
+                            let i = below(&mut rng, text.len());
+                            let flipped = text[i] as u32 ^ (1 << below(&mut rng, 7));
                             text[i] = char::from_u32(flipped).unwrap_or(text[i]);
                         }
                     }
                     1 => {
-                        for _ in 0..=rng.below(4) {
-                            let at = rng.below(text.len());
-                            let end = (at + 1 + rng.below(8)).min(text.len());
+                        for _ in 0..=below(&mut rng, 4) {
+                            let at = below(&mut rng, text.len());
+                            let end = (at + 1 + below(&mut rng, 8)).min(text.len());
                             text.drain(at..end);
                         }
                     }
-                    2 => text.truncate(rng.below(text.len())),
+                    2 => text.truncate(below(&mut rng, text.len())),
                     _ => {
                         // A run of any seed text over a run of this one.
-                        let donor = &seeds[rng.below(seeds.len())];
-                        let from = rng.below(donor.len());
-                        let run = &donor[from..(from + 1 + rng.below(40)).min(donor.len())];
-                        let at = rng.below(text.len());
-                        let end = (at + rng.below(40)).min(text.len());
+                        let donor = &seeds[below(&mut rng, seeds.len())];
+                        let from = below(&mut rng, donor.len());
+                        let run = &donor[from..(from + 1 + below(&mut rng, 40)).min(donor.len())];
+                        let at = below(&mut rng, text.len());
+                        let end = (at + below(&mut rng, 40)).min(text.len());
                         text.splice(at..end, run.iter().copied());
                     }
                 }

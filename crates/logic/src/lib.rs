@@ -19,6 +19,8 @@
 //! * [`timing`] — event-driven timing simulation with per-gate rise/fall
 //!   delays and per-gate overrides (used to watch a slow OBD transition
 //!   propagate to a primary output, the gate-level analogue of Fig. 9).
+//! * [`rng`] — the seedable xorshift64* generator every layer samples
+//!   from (test patterns, fleet devices, Monte Carlo corners).
 //! * [`mod@format`] — a `.bench`-style text format parser/serializer.
 //! * [`circuits`] — stock circuits, including the paper's Fig. 8
 //!   full-adder sum network (14 NAND2 + 11 INV, depth 9, intentionally
@@ -50,6 +52,7 @@ pub mod gate;
 pub mod netlist;
 #[cfg(test)]
 mod parallel;
+pub mod rng;
 pub mod sim;
 pub mod soa;
 pub mod sta;

@@ -30,6 +30,17 @@ impl XorShift64Star {
         }
     }
 
+    /// Creates a generator whose state is exactly `state`, for callers
+    /// that mix their own seeds (the Monte Carlo corner streams).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state == 0`, the one state xorshift never leaves.
+    pub fn from_state(state: u64) -> Self {
+        assert_ne!(state, 0, "xorshift64* state must be nonzero");
+        XorShift64Star { state }
+    }
+
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
