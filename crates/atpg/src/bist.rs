@@ -43,18 +43,9 @@ fn maximal_taps(width: usize) -> Vec<usize> {
     }
 }
 
-/// A Fibonacci linear-feedback shift register.
-///
-/// # Example
-///
-/// ```rust
-/// use obd_atpg::bist::Lfsr;
-///
-/// let mut lfsr = Lfsr::maximal(4, 0b1001);
-/// let first = lfsr.state();
-/// lfsr.step();
-/// assert_ne!(lfsr.state(), first);
-/// ```
+/// A Fibonacci linear-feedback shift register: the pattern source
+/// behind [`lfsr_two_pattern_tests`] and
+/// [`phased_lfsr_two_pattern_tests`].
 #[derive(Debug, Clone)]
 pub struct Lfsr {
     width: usize,
@@ -69,7 +60,7 @@ impl Lfsr {
     ///
     /// Panics if `width` is 0 or > 63 or the seed is 0 (an LFSR locked in
     /// the all-zero state never leaves it).
-    pub fn maximal(width: usize, seed: u64) -> Self {
+    pub(crate) fn maximal(width: usize, seed: u64) -> Self {
         assert!(width > 0 && width < 64, "1..=63 bit LFSRs supported");
         let mask = (1u64 << width) - 1;
         assert!(seed & mask != 0, "seed must be nonzero in the register");
@@ -81,12 +72,12 @@ impl Lfsr {
     }
 
     /// Current register contents.
-    pub fn state(&self) -> u64 {
+    pub(crate) fn state(&self) -> u64 {
         self.state
     }
 
     /// Advances one clock; returns the new state.
-    pub fn step(&mut self) -> u64 {
+    pub(crate) fn step(&mut self) -> u64 {
         let fb = self
             .taps
             .iter()
@@ -96,7 +87,7 @@ impl Lfsr {
     }
 
     /// The state as a logic vector (bit 0 ↦ input 0).
-    pub fn vector(&self, n_inputs: usize) -> Vec<Lv> {
+    pub(crate) fn vector(&self, n_inputs: usize) -> Vec<Lv> {
         (0..n_inputs)
             .map(|i| Lv::from_bool((self.state >> (i % self.width)) & 1 == 1))
             .collect()
@@ -104,7 +95,8 @@ impl Lfsr {
 
     /// Period of the sequence from the current state (walks the orbit;
     /// intended for verification at small widths).
-    pub fn period(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn period(&self) -> u64 {
         let mut probe = self.clone();
         let start = probe.state;
         let mut n = 0u64;
@@ -197,12 +189,12 @@ pub struct Misr {
 
 impl Misr {
     /// Creates an empty signature register.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Misr { state: 0xDEAD_BEEF }
     }
 
     /// Absorbs one captured output vector.
-    pub fn absorb(&mut self, outputs: &[Lv]) {
+    pub(crate) fn absorb(&mut self, outputs: &[Lv]) {
         for (i, &o) in outputs.iter().enumerate() {
             let bit = match o {
                 Lv::One => 1u64,
@@ -216,7 +208,7 @@ impl Misr {
     }
 
     /// Final signature.
-    pub fn signature(&self) -> u64 {
+    pub(crate) fn signature(&self) -> u64 {
         self.state
     }
 }

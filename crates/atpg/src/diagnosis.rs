@@ -47,12 +47,12 @@ pub struct Candidate {
 
 impl Candidate {
     /// Whether the candidate is fully consistent with the syndrome.
-    pub fn consistent(&self) -> bool {
+    pub(crate) fn consistent(&self) -> bool {
         self.unexplained_failures == 0 && self.mispredicted_passes == 0
     }
 
     /// A simple match score: explained failures minus mispredictions.
-    pub fn score(&self) -> i64 {
+    pub(crate) fn score(&self) -> i64 {
         self.explained_failures as i64
             - 2 * (self.unexplained_failures + self.mispredicted_passes) as i64
     }
@@ -85,7 +85,8 @@ impl<'a> Diagnoser<'a> {
     }
 
     /// Restricts the stage hypotheses.
-    pub fn with_stages(mut self, stages: Vec<BreakdownStage>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_stages(mut self, stages: Vec<BreakdownStage>) -> Self {
         self.stages = stages;
         self
     }
@@ -96,7 +97,7 @@ impl<'a> Diagnoser<'a> {
     /// # Errors
     ///
     /// Propagates simulation errors.
-    pub fn diagnose(
+    pub(crate) fn diagnose(
         &self,
         observations: &[Observation],
         nand_only: bool,

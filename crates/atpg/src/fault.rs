@@ -129,7 +129,8 @@ impl TwoPatternTest {
     }
 
     /// Number of PIs that switch between the frames.
-    pub fn switching_inputs(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn switching_inputs(&self) -> usize {
         self.v1
             .iter()
             .zip(self.v2.iter())

@@ -381,18 +381,13 @@ impl<'a> FaultSimulator<'a> {
         PpsfpEngine::<SUPERLANE_WIDTH>::prepare_with_threads(self, tests, threads)?
             .detection_matrix(faults, threads)
     }
-
-    /// The detection criterion in use.
-    pub fn criterion(&self) -> &DetectionCriterion {
-        &self.criterion
-    }
 }
 
 /// The output value a stuck-stage OBD defect pins a gate to: an NMOS
 /// defect kills the pull-down (stuck-at-1 for inverting cells), a PMOS
 /// defect kills the pull-up. For AND/OR the internal inverter flips the
 /// visible value.
-pub fn stuck_output_value(kind: GateKind, polarity: Polarity) -> bool {
+pub(crate) fn stuck_output_value(kind: GateKind, polarity: Polarity) -> bool {
     let inverting_stage_value = match polarity {
         Polarity::Nmos => true,
         Polarity::Pmos => false,

@@ -50,7 +50,7 @@ impl TestReport {
 /// # Errors
 ///
 /// Propagates generation and simulation errors.
-pub fn generate_for_faults(
+pub(crate) fn generate_for_faults(
     nl: &Netlist,
     faults: &[Fault],
     table: DelayTable,

@@ -45,7 +45,7 @@ impl ScanChain {
     /// # Panics
     ///
     /// Panics if `order` is not a permutation.
-    pub fn new(order: Vec<usize>) -> Self {
+    pub(crate) fn new(order: Vec<usize>) -> Self {
         let mut seen = vec![false; order.len()];
         for &i in &order {
             assert!(i < order.len() && !seen[i], "order must be a permutation");
@@ -55,13 +55,8 @@ impl ScanChain {
     }
 
     /// Chain length.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.order.len()
-    }
-
-    /// Whether the chain is empty.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
     }
 
     /// The LOS capture vector for a launch vector and scan-in bit.
@@ -76,7 +71,8 @@ impl ScanChain {
 
     /// Whether a two-pattern test is deliverable under LOS through this
     /// chain (i.e. `v2` equals the shifted `v1` for some scan-in bit).
-    pub fn los_deliverable(&self, test: &TwoPatternTest) -> bool {
+    #[cfg(test)]
+    pub(crate) fn los_deliverable(&self, test: &TwoPatternTest) -> bool {
         [false, true]
             .into_iter()
             .any(|si| self.los_capture(&test.v1, si) == test.v2)
@@ -88,7 +84,7 @@ impl ScanChain {
     /// # Panics
     ///
     /// Panics for more than 10 chain positions (exhaustive enumeration).
-    pub fn exhaustive_los_tests(&self) -> Vec<TwoPatternTest> {
+    pub(crate) fn exhaustive_los_tests(&self) -> Vec<TwoPatternTest> {
         let n = self.len();
         assert!(n <= 10, "exhaustive LOS set too large");
         let mut out = Vec::new();

@@ -133,7 +133,7 @@ impl Scoap {
     }
 
     /// Cost of setting the net to a given value.
-    pub fn cc(&self, n: NetId, value: bool) -> u32 {
+    pub(crate) fn cc(&self, n: NetId, value: bool) -> u32 {
         if value {
             self.cc1(n)
         } else {

@@ -32,7 +32,7 @@ pub struct TimedOutcome {
 /// # Errors
 ///
 /// Propagates simulation errors; tests with `X` bits are rejected.
-pub fn apply_timed(
+pub(crate) fn apply_timed(
     nl: &Netlist,
     model: &DelayModel,
     test: &TwoPatternTest,
@@ -77,7 +77,7 @@ pub fn apply_timed(
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn detects_timed(
+pub(crate) fn detects_timed(
     nl: &Netlist,
     fault: &ObdFault,
     test: &TwoPatternTest,

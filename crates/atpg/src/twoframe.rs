@@ -55,7 +55,7 @@ impl<'a> TwoFrameAtpg<'a> {
     /// # Errors
     ///
     /// Propagates structural errors.
-    pub fn with_criterion(
+    pub(crate) fn with_criterion(
         nl: &'a Netlist,
         table: DelayTable,
         criterion: DetectionCriterion,

@@ -447,6 +447,7 @@ fn run_scaling() {
             let text = scaling::render(&points);
             println!("{text}");
             save("atpg_scaling.txt", &text);
+            save("atpg_scaling_counts.txt", &scaling::render_counts(&points));
         }
         Err(e) => eprintln!("  error: {e}"),
     }

@@ -15,9 +15,13 @@ use obd_logic::circuits::{array_multiplier, c17, carry_select_adder, ripple_carr
 use obd_logic::Netlist;
 
 /// Default BIST pattern-set size: enough phased two-pattern tests for
-/// c17 to cover every site somewhere in the ladder while keeping a
-/// visible SBD/MBD1 coverage gap — the gap is what makes escapes a real
-/// phenomenon instead of a rounding error.
+/// c17 to cover every site somewhere in the ladder. The escapes the
+/// default campaign reports all come from one site, c17's PMOS site 3
+/// (NAND "10", input "3"): the set covers it only at MBD3, the last PMOS
+/// stage, which arrives just as the PMOS window closes. No NMOS site
+/// escapes, so the set's SBD/MBD1 gap on the NMOS sites costs nothing —
+/// the escapes are §4.1's point that a pattern set blind to which input
+/// switches misses PMOS OBD.
 pub const DEFAULT_BIST_TESTS: usize = 48;
 
 /// LFSR seed for the BIST pattern set (fixed: part of the artifact).

@@ -107,6 +107,20 @@ pub fn render(points: &[ScalePoint]) -> String {
     s
 }
 
+/// Renders the deterministic half of the scaling table: gate and test
+/// counts and aborted faults, no timings, so the file can be committed
+/// and diffed (EXPERIMENTS E9 quotes its "zero aborted faults").
+pub fn render_counts(points: &[ScalePoint]) -> String {
+    let mut s = String::from("circuit   gates   stuck-at tests   OBD tests   aborted\n");
+    for p in points {
+        s.push_str(&format!(
+            "{:<9} {:>5}   {:>14}   {:>9}   {:>7}\n",
+            p.circuit, p.gates, p.stuck_tests, p.obd_tests, p.obd_aborted
+        ));
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,6 +133,14 @@ mod tests {
             assert_eq!(p.obd_aborted, 0, "{}", p.circuit);
             assert!(p.stuck_tests > 0 && p.obd_tests > 0);
         }
+    }
+
+    #[test]
+    fn counts_are_identical_across_runs() {
+        let first = render_counts(&run(&[2, 4], &[4]).unwrap());
+        let second = render_counts(&run(&[2, 4], &[4]).unwrap());
+        assert_eq!(first, second);
+        assert_eq!(first.lines().count(), 4);
     }
 
     #[test]

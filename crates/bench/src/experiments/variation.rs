@@ -9,7 +9,6 @@
 //! the breakdown ladder causes. A defect stage is *screenable* when its
 //! shift clears the process spread.
 
-use obd_logic::rng::XorShift64Star;
 use obd_cmos::TechParams;
 use obd_core::characterize::{
     measure_cell_transition, BenchConfig, BenchDefect, TransitionOutcome,
@@ -17,6 +16,7 @@ use obd_core::characterize::{
 use obd_core::faultmodel::Polarity;
 use obd_core::{BreakdownStage, ObdError};
 use obd_logic::netlist::GateKind;
+use obd_logic::rng::XorShift64Star;
 use obd_spice::SimOptions;
 
 /// Monte Carlo statistics of the fault-free delay plus per-stage defect

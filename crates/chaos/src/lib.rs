@@ -170,12 +170,12 @@ impl InjectionPoint {
     }
 
     /// Times this point was consulted while armed.
-    pub fn evaluated(&self) -> u64 {
+    pub(crate) fn evaluated(&self) -> u64 {
         self.evaluated.load(Ordering::Relaxed)
     }
 
     /// Times this point actually injected a fault.
-    pub fn injected(&self) -> u64 {
+    pub(crate) fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
 

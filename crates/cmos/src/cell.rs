@@ -100,11 +100,6 @@ impl Cell {
         )
     }
 
-    /// Number of transistors (NMOS + PMOS).
-    pub fn num_transistors(&self) -> usize {
-        self.pulldown.num_transistors() + self.pullup.num_transistors()
-    }
-
     /// Logic function of the cell: `!pulldown_conducts` when inputs are
     /// fully specified (the complementary property guarantees exactly one
     /// network conducts).
@@ -121,7 +116,7 @@ mod tests {
     #[test]
     fn inverter_is_single_pair() {
         let c = Cell::inverter();
-        assert_eq!(c.num_transistors(), 2);
+        assert_eq!(c.pulldown.leaves().len() + c.pullup.leaves().len(), 2);
         assert!(c.eval(&[false]));
         assert!(!c.eval(&[true]));
     }
@@ -129,7 +124,7 @@ mod tests {
     #[test]
     fn nand2_truth_and_structure() {
         let c = Cell::nand(2);
-        assert_eq!(c.num_transistors(), 4);
+        assert_eq!(c.pulldown.leaves().len() + c.pullup.leaves().len(), 4);
         assert_eq!(c.pulldown, SpNet::series_chain(2));
         assert_eq!(c.pullup, SpNet::parallel_bank(2));
         assert!(c.eval(&[false, false]));
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn nor3_truth() {
         let c = Cell::nor(3);
-        assert_eq!(c.num_transistors(), 6);
+        assert_eq!(c.pulldown.leaves().len() + c.pullup.leaves().len(), 6);
         assert!(c.eval(&[false, false, false]));
         assert!(!c.eval(&[false, true, false]));
     }

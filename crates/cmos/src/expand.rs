@@ -12,7 +12,6 @@ use obd_spice::devices::{Capacitor, MosPolarity, SourceWave, Vsource};
 use obd_spice::{Circuit, DeviceId, NodeId};
 
 use crate::cell::Cell;
-use crate::switch::NetworkSide;
 use crate::tech::TechParams;
 use crate::topology::SpNet;
 use crate::CmosError;
@@ -30,16 +29,6 @@ pub struct TransistorRef {
     pub leaf: usize,
     /// The spice device implementing it.
     pub device: DeviceId,
-}
-
-impl TransistorRef {
-    /// Which pull network the transistor belongs to.
-    pub fn side(&self) -> NetworkSide {
-        match self.polarity {
-            MosPolarity::Nmos => NetworkSide::Pulldown,
-            MosPolarity::Pmos => NetworkSide::Pullup,
-        }
-    }
 }
 
 /// A flattened analog circuit with its provenance index.
@@ -60,11 +49,6 @@ impl ExpandedCircuit {
     /// Spice node corresponding to a logic net.
     pub fn node(&self, net: NetId) -> NodeId {
         self.node_of_net[net.index()]
-    }
-
-    /// All expanded transistors.
-    pub fn transistors(&self) -> &[TransistorRef] {
-        &self.transistors
     }
 
     /// Transistors of a given gate, pin and polarity (complex cells may
@@ -543,7 +527,7 @@ mod tests {
     fn nand2_expands_to_four_transistors() {
         let nl = nand2_netlist();
         let exp = expand(&nl, &TechParams::date05()).unwrap();
-        assert_eq!(exp.transistors().len(), 4);
+        assert_eq!(exp.transistors.len(), 4);
         let g = nl.gate_id(0);
         assert_eq!(exp.find_transistors(g, 0, MosPolarity::Nmos).len(), 1);
         assert_eq!(exp.find_transistors(g, 1, MosPolarity::Pmos).len(), 1);
@@ -577,7 +561,7 @@ mod tests {
         let tech = TechParams::date05();
         // 14 NAND2 (4 devices each) + 11 INV (2 each) = 78 transistors.
         let exp = expand(&nl, &tech).unwrap();
-        assert_eq!(exp.transistors().len(), 78);
+        assert_eq!(exp.transistors.len(), 78);
 
         // Full-circuit DC check for one vector: A=1, B=0, C=0 -> S=1.
         let mut exp = expand(&nl, &tech).unwrap();
@@ -637,6 +621,6 @@ mod tests {
         let y = nl.add_gate(GateKind::Buf, "y", &[a]).unwrap();
         nl.mark_output(y);
         let exp = expand(&nl, &TechParams::date05()).unwrap();
-        assert_eq!(exp.transistors().len(), 4);
+        assert_eq!(exp.transistors.len(), 4);
     }
 }

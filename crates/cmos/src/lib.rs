@@ -20,12 +20,19 @@
 //!
 //! ```rust
 //! use obd_cmos::cell::Cell;
-//! use obd_cmos::switch::{switch_eval, SwitchLevel};
+//! use obd_cmos::switch::{all_transistors, excites, NetworkSide};
 //!
 //! let nand = Cell::nand(2);
-//! // 1,1 -> pull-down conducts -> strong 0.
-//! assert_eq!(switch_eval(&nand, &[true, true]), SwitchLevel::Strong0);
-//! assert_eq!(switch_eval(&nand, &[true, false]), SwitchLevel::Strong1);
+//! // 11 -> 01: the output rises through input A's PMOS alone, the sole
+//! // conducting path, so that is the one transistor the transition
+//! // excites (§4.1's input-specific PMOS condition).
+//! let excited: Vec<_> = all_transistors(&nand)
+//!     .into_iter()
+//!     .filter(|&t| excites(&nand, t, &[true, true], &[false, true]))
+//!     .collect();
+//! assert_eq!(excited.len(), 1);
+//! assert_eq!(excited[0].side, NetworkSide::Pullup);
+//! assert_eq!(excited[0].pin(&nand), 0);
 //! ```
 
 pub mod cell;

@@ -1,38 +1,7 @@
-//! Switch-level evaluation of a cell and the conduction-based excitation
-//! analysis behind the paper's §4.1/§5 results.
+//! The conduction-based excitation analysis behind the paper's §4.1/§5
+//! results.
 
 use crate::cell::Cell;
-
-/// Output drive state of a cell at the switch level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchLevel {
-    /// Pull-down conducts, pull-up does not.
-    Strong0,
-    /// Pull-up conducts, pull-down does not.
-    Strong1,
-    /// Neither network conducts (floating output).
-    HighZ,
-    /// Both conduct (a fight; cannot happen in a complementary cell with
-    /// fully-specified inputs).
-    Conflict,
-}
-
-/// Evaluates a cell's output drive for a fully-specified input vector.
-///
-/// # Panics
-///
-/// Panics (debug assertion) if `inputs.len()` disagrees with the cell.
-pub fn switch_eval(cell: &Cell, inputs: &[bool]) -> SwitchLevel {
-    debug_assert_eq!(inputs.len(), cell.num_inputs);
-    let down = cell.pulldown.conducts(&|p| inputs[p]);
-    let up = cell.pullup.conducts(&|p| !inputs[p]);
-    match (up, down) {
-        (true, false) => SwitchLevel::Strong1,
-        (false, true) => SwitchLevel::Strong0,
-        (false, false) => SwitchLevel::HighZ,
-        (true, true) => SwitchLevel::Conflict,
-    }
-}
 
 /// Which network a transistor belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,6 +78,37 @@ pub fn excites(cell: &Cell, t: CellTransistor, v1: &[bool], v2: &[bool]) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Output drive state of a cell at the switch level.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum SwitchLevel {
+        /// Pull-down conducts, pull-up does not.
+        Strong0,
+        /// Pull-up conducts, pull-down does not.
+        Strong1,
+        /// Neither network conducts (floating output).
+        HighZ,
+        /// Both conduct (a fight; cannot happen in a complementary cell with
+        /// fully-specified inputs).
+        Conflict,
+    }
+
+    /// Evaluates a cell's output drive for a fully-specified input vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug assertion) if `inputs.len()` disagrees with the cell.
+    fn switch_eval(cell: &Cell, inputs: &[bool]) -> SwitchLevel {
+        debug_assert_eq!(inputs.len(), cell.num_inputs);
+        let down = cell.pulldown.conducts(&|p| inputs[p]);
+        let up = cell.pullup.conducts(&|p| !inputs[p]);
+        match (up, down) {
+            (true, false) => SwitchLevel::Strong1,
+            (false, true) => SwitchLevel::Strong0,
+            (false, false) => SwitchLevel::HighZ,
+            (true, true) => SwitchLevel::Conflict,
+        }
+    }
 
     fn bits(n: usize, k: u32) -> Vec<bool> {
         (0..n).map(|i| (k >> (n - 1 - i)) & 1 == 1).collect()

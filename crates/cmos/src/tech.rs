@@ -64,7 +64,7 @@ impl TechParams {
     }
 
     /// Level-1 parameter block for an NMOS of this technology.
-    pub fn nmos_params(&self) -> MosParams {
+    pub(crate) fn nmos_params(&self) -> MosParams {
         MosParams {
             vt0: self.nmos_vt0,
             kp: self.nmos_kp,
@@ -77,7 +77,7 @@ impl TechParams {
     }
 
     /// Level-1 parameter block for a PMOS of this technology.
-    pub fn pmos_params(&self) -> MosParams {
+    pub(crate) fn pmos_params(&self) -> MosParams {
         MosParams {
             vt0: self.pmos_vt0,
             kp: self.pmos_kp,
@@ -91,7 +91,7 @@ impl TechParams {
 
     /// Builds a transistor of the given polarity with this technology's
     /// parameters.
-    pub fn mosfet(
+    pub(crate) fn mosfet(
         &self,
         name: &str,
         polarity: MosPolarity,

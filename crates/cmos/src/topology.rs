@@ -26,18 +26,18 @@ pub enum SpNet {
 
 impl SpNet {
     /// A series chain of single transistors over pins `0..n`.
-    pub fn series_chain(n: usize) -> SpNet {
+    pub(crate) fn series_chain(n: usize) -> SpNet {
         SpNet::Series((0..n).map(SpNet::Leaf).collect())
     }
 
     /// A parallel bank of single transistors over pins `0..n`.
-    pub fn parallel_bank(n: usize) -> SpNet {
+    pub(crate) fn parallel_bank(n: usize) -> SpNet {
         SpNet::Parallel((0..n).map(SpNet::Leaf).collect())
     }
 
     /// The dual network: series ↔ parallel with the same leaves. The
     /// pull-up of a static CMOS gate is the dual of its pull-down.
-    pub fn dual(&self) -> SpNet {
+    pub(crate) fn dual(&self) -> SpNet {
         match self {
             SpNet::Leaf(p) => SpNet::Leaf(*p),
             SpNet::Series(xs) => SpNet::Parallel(xs.iter().map(SpNet::dual).collect()),
@@ -64,22 +64,14 @@ impl SpNet {
         }
     }
 
-    /// Number of transistors in the network.
-    pub fn num_transistors(&self) -> usize {
-        match self {
-            SpNet::Leaf(_) => 1,
-            SpNet::Series(xs) | SpNet::Parallel(xs) => xs.iter().map(SpNet::num_transistors).sum(),
-        }
-    }
-
     /// The highest pin index referenced, or `None` for an empty network.
-    pub fn max_pin(&self) -> Option<usize> {
+    pub(crate) fn max_pin(&self) -> Option<usize> {
         self.leaves().into_iter().max()
     }
 
     /// Whether the network conducts when `on(pin)` says which transistors
     /// are on.
-    pub fn conducts(&self, on: &dyn Fn(usize) -> bool) -> bool {
+    pub(crate) fn conducts(&self, on: &dyn Fn(usize) -> bool) -> bool {
         self.conducts_masked(on, usize::MAX)
     }
 
@@ -125,7 +117,7 @@ impl SpNet {
     /// This is the paper's excitation criterion: an OBD defect is
     /// observable at the output only if the defective transistor is the
     /// sole (essential) conduction route during the transition.
-    pub fn essential(&self, leaf_index: usize, on: &dyn Fn(usize) -> bool) -> bool {
+    pub(crate) fn essential(&self, leaf_index: usize, on: &dyn Fn(usize) -> bool) -> bool {
         self.conducts(on) && !self.conducts_masked(on, leaf_index)
     }
 
@@ -210,7 +202,7 @@ mod tests {
     fn aoi_structure() {
         // AOI21 pull-down: (A AND B) OR C -> Parallel(Series(0,1), 2).
         let pd = SpNet::Parallel(vec![SpNet::series_chain(2), SpNet::Leaf(2)]);
-        assert_eq!(pd.num_transistors(), 3);
+        assert_eq!(pd.leaves().len(), 3);
         assert!(pd.conducts(&on_bits(&[true, true, false])));
         assert!(pd.conducts(&on_bits(&[false, false, true])));
         assert!(!pd.conducts(&on_bits(&[true, false, false])));

@@ -181,7 +181,8 @@ impl DelayCache {
         self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
-    /// Whether the cache is empty.
+    /// Whether the cache is empty. Kept next to [`DelayCache::len`],
+    /// which clippy's `len_without_is_empty` pairs it with.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -108,7 +108,7 @@ fn build_bench(tech: &TechParams, cell: &Cell) -> Result<CellBench, ObdError> {
 ///
 /// Propagates simulation errors; [`ObdError::BadSite`] if nothing
 /// switches or the output does not change.
-pub fn measure_cell(
+pub(crate) fn measure_cell(
     tech: &TechParams,
     cell: &Cell,
     defect: Option<(CellTransistor, ObdParams)>,

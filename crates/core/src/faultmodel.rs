@@ -48,15 +48,6 @@ impl Polarity {
             Polarity::Pmos => MosPolarity::Pmos,
         }
     }
-
-    /// The output transition direction this polarity's defect slows:
-    /// NMOS defects slow the falling output, PMOS the rising output.
-    pub fn slows(self) -> TransitionDir {
-        match self {
-            Polarity::Nmos => TransitionDir::Fall,
-            Polarity::Pmos => TransitionDir::Rise,
-        }
-    }
 }
 
 impl fmt::Display for Polarity {
@@ -66,15 +57,6 @@ impl fmt::Display for Polarity {
             Polarity::Pmos => write!(f, "PMOS"),
         }
     }
-}
-
-/// Output transition direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TransitionDir {
-    /// 0 → 1.
-    Rise,
-    /// 1 → 0.
-    Fall,
 }
 
 /// A gate-level OBD fault site with a progression stage.
@@ -190,12 +172,6 @@ mod tests {
         let sites = enumerate_sites(&nl, BreakdownStage::Mbd2, false);
         // 14 NAND * 4 + 11 INV * 2 = 78 — one per transistor.
         assert_eq!(sites.len(), 78);
-    }
-
-    #[test]
-    fn polarity_direction_mapping() {
-        assert_eq!(Polarity::Nmos.slows(), TransitionDir::Fall);
-        assert_eq!(Polarity::Pmos.slows(), TransitionDir::Rise);
     }
 
     #[test]

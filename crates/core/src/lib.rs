@@ -44,8 +44,9 @@
 //!   Table 1 / annotation measurements run the analog engine once.
 //! * [`em`] — the intra-gate electromigration fault model used as the §5
 //!   contrast.
-//! * [`complex`] — analog characterization of complex (AOI/OAI) cells,
-//!   §5's "especially for complex gates" case.
+//! * `complex` (test-only) — the analog bench for complex (AOI/OAI)
+//!   cells whose unit tests check §5's "especially for complex gates"
+//!   case.
 //! * [`pool`] — the deterministic work-stealing job pool shared by the
 //!   Table 1 driver and the Monte Carlo engine.
 //! * [`monte`] — batched Monte Carlo characterization across randomized
@@ -58,7 +59,8 @@
 pub mod annotate;
 pub mod cache;
 pub mod characterize;
-pub mod complex;
+#[cfg(test)]
+mod complex;
 pub mod em;
 pub mod error;
 pub mod excitation;

@@ -42,7 +42,7 @@ fn delay_ladder(table: &DelayTable, polarity: Polarity) -> Vec<(BreakdownStage, 
 /// Estimates the stage a defect has reached given a measured extra delay
 /// (picoseconds above the fault-free baseline). Returns
 /// [`BreakdownStage::FaultFree`] for non-positive measurements.
-pub fn infer_stage(table: &DelayTable, polarity: Polarity, extra_ps: f64) -> BreakdownStage {
+pub(crate) fn infer_stage(table: &DelayTable, polarity: Polarity, extra_ps: f64) -> BreakdownStage {
     if extra_ps <= 0.0 {
         return BreakdownStage::FaultFree;
     }

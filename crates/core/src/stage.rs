@@ -101,19 +101,6 @@ impl BreakdownStage {
         };
         Ok(p)
     }
-
-    /// The next stage, or `None` at HBD.
-    pub fn next(self) -> Option<BreakdownStage> {
-        use BreakdownStage::*;
-        match self {
-            FaultFree => Some(Sbd),
-            Sbd => Some(Mbd1),
-            Mbd1 => Some(Mbd2),
-            Mbd2 => Some(Mbd3),
-            Mbd3 => Some(Hbd),
-            Hbd => None,
-        }
-    }
 }
 
 impl fmt::Display for BreakdownStage {
@@ -169,11 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn ordering_and_next() {
+    fn stages_are_ordered() {
         assert!(BreakdownStage::Mbd3 >= BreakdownStage::Mbd1);
         assert!(BreakdownStage::Sbd < BreakdownStage::Mbd1);
-        assert_eq!(BreakdownStage::Mbd3.next(), Some(BreakdownStage::Hbd));
-        assert_eq!(BreakdownStage::Hbd.next(), None);
     }
 
     #[test]

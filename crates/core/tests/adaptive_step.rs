@@ -93,10 +93,10 @@ fn adaptive_steps_match_the_fixed_grid_on_the_sum_circuit() {
         let (adaptive, nodes, d_adaptive) = simulate(case, &SimOptions::new());
         let (fixed, _, d_fixed) = simulate(case, &fixed_grid);
         assert!(
-            adaptive.len() < fixed.len() / 2,
+            adaptive.time().len() < fixed.time().len() / 2,
             "{case:?}: {} adaptive steps against {} fixed ones",
-            adaptive.len(),
-            fixed.len()
+            adaptive.time().len(),
+            fixed.time().len()
         );
         let mut worst: f64 = 0.0;
         for &node in &nodes {
@@ -107,8 +107,8 @@ fn adaptive_steps_match_the_fixed_grid_on_the_sum_circuit() {
         eprintln!(
             "{case:?}: {} adaptive samples, {} fixed, largest node move {worst:.2e} V, \
              delays {d_adaptive:?} / {d_fixed:?} ps",
-            adaptive.len(),
-            fixed.len()
+            adaptive.time().len(),
+            fixed.time().len()
         );
         assert!(
             worst <= MAX_NODE_DELTA_V,

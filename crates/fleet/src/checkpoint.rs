@@ -6,8 +6,8 @@
 //! from `seed + id · GOLDEN` alone, so a block's [`FleetAccum`] is a
 //! pure function of `(config, profile, block range)` — which makes it
 //! checkpointable: when a block finishes, its accumulator is encoded
-//! ([`encode_accum`]) and written to the store under a key derived from
-//! the **campaign digest** ([`campaign_digest`]) and the block range.
+//! (`encode_accum`) and written to the store under a key derived from
+//! the **campaign digest** (`campaign_digest`) and the block range.
 //!
 //! On restart, [`crate::sim::run_fleet_resumable`] probes the store for
 //! every block of the campaign and simulates only the missing ones.
@@ -63,7 +63,7 @@ fn fold_outcome(d: Digest, outcome: TransitionOutcome) -> Digest {
 /// Digest of everything that determines device outcomes in a campaign.
 /// Two configs that could produce different bytes in `FLEET_run.json`
 /// must digest differently; thread count is excluded by design.
-pub fn campaign_digest(cfg: &FleetConfig, profile: &BistProfile) -> u64 {
+pub(crate) fn campaign_digest(cfg: &FleetConfig, profile: &BistProfile) -> u64 {
     let m = &cfg.model;
     let p = &cfg.policy;
     let mut d = Digest::new("fleet.campaign.v1")
@@ -112,7 +112,7 @@ pub fn campaign_digest(cfg: &FleetConfig, profile: &BistProfile) -> u64 {
 }
 
 /// Store key of the block covering device ids `lo..hi`.
-pub fn block_key(campaign: u64, lo: u64, hi: u64) -> u64 {
+pub(crate) fn block_key(campaign: u64, lo: u64, hi: u64) -> u64 {
     Digest::new("fleet.ckpt.v1")
         .u64(campaign)
         .u64(lo)
@@ -123,7 +123,7 @@ pub fn block_key(campaign: u64, lo: u64, hi: u64) -> u64 {
 /// Encodes a block accumulator as a checkpoint payload, in one buffer
 /// sized up front. Latencies keep their in-block (device-id) order, so
 /// replayed and simulated blocks merge identically.
-pub fn encode_accum(a: &FleetAccum) -> Vec<u8> {
+pub(crate) fn encode_accum(a: &FleetAccum) -> Vec<u8> {
     // Ten counters and the latency count precede the latencies.
     let mut e = Enc::with_capacity(8 * (11 + a.latencies_mh.len()))
         .u64(a.devices)
@@ -149,7 +149,7 @@ pub fn encode_accum(a: &FleetAccum) -> Vec<u8> {
 ///
 /// [`CodecError`] on truncated, trailing or malformed payloads — the
 /// caller drops the checkpoint and recomputes the block.
-pub fn decode_accum(bytes: &[u8]) -> Result<FleetAccum, CodecError> {
+pub(crate) fn decode_accum(bytes: &[u8]) -> Result<FleetAccum, CodecError> {
     let mut d = Dec::new(bytes);
     let mut a = FleetAccum {
         devices: d.u64()?,
@@ -175,7 +175,7 @@ pub fn decode_accum(bytes: &[u8]) -> Result<FleetAccum, CodecError> {
 
 /// Loads the checkpoint for block `lo..hi`, if present and sane. Any
 /// store error, decode error, or device-count mismatch is a miss.
-pub fn load_block(store: &Store, campaign: u64, lo: u64, hi: u64) -> Option<FleetAccum> {
+pub(crate) fn load_block(store: &Store, campaign: u64, lo: u64, hi: u64) -> Option<FleetAccum> {
     let bytes = store.get(block_key(campaign, lo, hi)).ok()??;
     match decode_accum(&bytes) {
         Ok(a) if a.devices == hi - lo => {
@@ -189,7 +189,7 @@ pub fn load_block(store: &Store, campaign: u64, lo: u64, hi: u64) -> Option<Flee
 /// Writes the checkpoint for block `lo..hi`. Best-effort: a failed or
 /// torn write is dropped (the block is simply recomputed on resume) —
 /// checkpointing must never fail a healthy campaign.
-pub fn store_block(store: &Store, campaign: u64, lo: u64, hi: u64, a: &FleetAccum) {
+pub(crate) fn store_block(store: &Store, campaign: u64, lo: u64, hi: u64, a: &FleetAccum) {
     if store
         .put(block_key(campaign, lo, hi), &encode_accum(a))
         .is_ok()

@@ -19,7 +19,7 @@ use crate::schedule::LADDER;
 use crate::FleetError;
 
 /// Index of a stage in [`LADDER`]; `None` for `FaultFree`.
-pub fn stage_index(stage: BreakdownStage) -> Option<usize> {
+pub(crate) fn stage_index(stage: BreakdownStage) -> Option<usize> {
     LADDER.iter().position(|&s| s == stage)
 }
 
@@ -138,7 +138,7 @@ impl BistProfile {
     }
 
     /// The circuit label.
-    pub fn circuit(&self) -> &str {
+    pub(crate) fn circuit(&self) -> &str {
         &self.circuit
     }
 
@@ -153,7 +153,7 @@ impl BistProfile {
     }
 
     /// Polarity of a site's defective transistor.
-    pub fn polarity_of(&self, site: usize) -> Option<Polarity> {
+    pub(crate) fn polarity_of(&self, site: usize) -> Option<Polarity> {
         self.site_polarity.get(site).copied()
     }
 
@@ -166,14 +166,14 @@ impl BistProfile {
     }
 
     /// Number of sites covered at a stage.
-    pub fn covered_sites(&self, stage: BreakdownStage) -> usize {
+    pub(crate) fn covered_sites(&self, stage: BreakdownStage) -> usize {
         stage_index(stage)
             .and_then(|i| self.covered.get(i))
             .map_or(0, |row| row.iter().filter(|&&c| c).count())
     }
 
     /// Per-[`LADDER`]-stage covered-site counts, for reporting.
-    pub fn coverage_by_stage(&self) -> [usize; 5] {
+    pub(crate) fn coverage_by_stage(&self) -> [usize; 5] {
         let mut out = [0usize; 5];
         for (i, &s) in LADDER.iter().enumerate() {
             out[i] = self.covered_sites(s);

@@ -42,7 +42,7 @@ pub struct DeviceParams {
 impl DeviceParams {
     /// Samples a device from the fleet model. Always draws exactly five
     /// values from `rng` (see module docs).
-    pub fn sample(
+    pub(crate) fn sample(
         rng: &mut obd_logic::rng::XorShift64Star,
         model: &crate::sim::FleetModel,
         horizon_hours: f64,
@@ -139,7 +139,7 @@ fn plan(
 /// [`FleetError::DevicePoisoned`] when the `fleet.device_fault` chaos
 /// point fires; [`FleetError::InvalidConfig`] when the policy yields an
 /// unusable interval.
-pub fn simulate_device(
+pub(crate) fn simulate_device(
     params: &DeviceParams,
     cfg: &FleetConfig,
     profile: &BistProfile,

@@ -105,7 +105,7 @@ pub struct FleetReport {
     /// the interpolated core model, for context.
     pub reference_windows: [(Polarity, Option<DetectionWindow>); 2],
     /// Integer accumulator. Its latencies are partitioned around the
-    /// percentile ranks by the selection in [`FleetReport::build`]; their
+    /// percentile ranks by the selection that builds the report; their
     /// order carries no meaning.
     pub accum: FleetAccum,
     /// Detection-latency tail of `accum`; `None` when nothing was
@@ -116,7 +116,7 @@ pub struct FleetReport {
 impl FleetReport {
     /// Assembles the report from a finished accumulator, selecting its
     /// latency tail.
-    pub fn build(
+    pub(crate) fn build(
         cfg: &FleetConfig,
         profile: &BistProfile,
         threads_used: usize,
@@ -169,7 +169,7 @@ impl FleetReport {
     }
 
     /// Mean detection latency in hours.
-    pub fn latency_mean_hours(&self) -> f64 {
+    pub(crate) fn latency_mean_hours(&self) -> f64 {
         let lat = &self.accum.latencies_mh;
         if lat.is_empty() {
             return 0.0;

@@ -41,7 +41,7 @@ pub const LADDER: [BreakdownStage; 5] = [
 /// Which stages those are depends only on the delay table, the slack and
 /// the polarity's ladder; a device's progression duration only scales
 /// their arrival times. The plan therefore keeps the two stages, and
-/// [`WindowPlan::window`] turns them into hours for one device.
+/// `WindowPlan::window` turns them into hours for one device.
 ///
 /// This is deliberately more conservative than
 /// [`obd_core::window::detection_window`], which interpolates the
@@ -69,7 +69,7 @@ struct StagePair {
 
 impl WindowPlan {
     /// Resolves the opening and closing stages of both polarities.
-    pub fn new(table: &DelayTable, slack_ps: f64) -> WindowPlan {
+    pub(crate) fn new(table: &DelayTable, slack_ps: f64) -> WindowPlan {
         let side = |polarity| {
             // Whether a stage has an arrival time at all is a property of
             // the polarity's ladder, not of the duration.
@@ -104,7 +104,7 @@ impl WindowPlan {
     /// The planned window of a device of this polarity, in hours after
     /// onset; `None` when no pre-stuck stage ever beats the slack and no
     /// delay-test interval helps.
-    pub fn window(
+    pub(crate) fn window(
         &self,
         polarity: Polarity,
         progression: &ProgressionModel,
@@ -120,7 +120,7 @@ impl WindowPlan {
     /// Hours after onset at which the defect stops being a delay defect:
     /// the arrival of the first stuck ladder stage, or the full
     /// progression duration when no stage in the table goes stuck.
-    pub fn close_hours(&self, polarity: Polarity, progression: &ProgressionModel) -> f64 {
+    pub(crate) fn close_hours(&self, polarity: Polarity, progression: &ProgressionModel) -> f64 {
         self.side(polarity)
             .closes
             .and_then(|s| progression.time_of_stage(s))
@@ -131,7 +131,7 @@ impl WindowPlan {
 /// Number of sessions of the grid `phase + k·interval` (`k ≥ 0`) with
 /// session time ≤ `until`. Zero when `until < phase` or the interval is
 /// not a finite positive number.
-pub fn session_count(phase: f64, interval: f64, until: f64) -> u64 {
+pub(crate) fn session_count(phase: f64, interval: f64, until: f64) -> u64 {
     if !crate::positive(interval) || until < phase {
         return 0;
     }
@@ -139,7 +139,7 @@ pub fn session_count(phase: f64, interval: f64, until: f64) -> u64 {
 }
 
 /// The first session of the grid at or after time `t`.
-pub fn first_session_at_or_after(phase: f64, interval: f64, t: f64) -> f64 {
+pub(crate) fn first_session_at_or_after(phase: f64, interval: f64, t: f64) -> f64 {
     if t <= phase {
         return phase;
     }
@@ -161,7 +161,13 @@ pub fn first_session_at_or_after(phase: f64, interval: f64, t: f64) -> f64 {
 /// first session ever fires is unreachable by construction. Fleet
 /// schedules satisfy the proviso: the phase is below one base interval,
 /// which never exceeds the window close.
-pub fn first_session_in_window(phase: f64, interval: f64, open: f64, close: f64) -> Option<f64> {
+#[cfg(test)]
+pub(crate) fn first_session_in_window(
+    phase: f64,
+    interval: f64,
+    open: f64,
+    close: f64,
+) -> Option<f64> {
     if !crate::positive(interval) || close <= open {
         return None;
     }

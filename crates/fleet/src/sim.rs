@@ -270,7 +270,7 @@ fn simulate_range(
 }
 
 /// Number of worker threads a config resolves to on this host.
-pub fn resolve_threads(cfg: &FleetConfig) -> usize {
+pub(crate) fn resolve_threads(cfg: &FleetConfig) -> usize {
     let requested = if cfg.threads == 0 {
         host_threads()
     } else {

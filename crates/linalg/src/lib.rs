@@ -35,9 +35,7 @@
 mod error;
 mod lu;
 mod matrix;
-mod vector;
 
 pub use error::LinalgError;
 pub use lu::{solve, solve_refined, Lu, LuWorkspace};
 pub use matrix::Matrix;
-pub use vector::{axpy, dot, norm_inf, norm_one, norm_two, scale, sub};

@@ -263,7 +263,7 @@ impl Lu {
     /// # Errors
     ///
     /// Same conditions as [`Lu::factor`].
-    pub fn factor_owned(mut a: Matrix) -> Result<Self, LinalgError> {
+    pub(crate) fn factor_owned(mut a: Matrix) -> Result<Self, LinalgError> {
         check_square(&a)?;
         let n = a.rows();
         let mut perm: Vec<usize> = (0..n).collect();
@@ -277,7 +277,7 @@ impl Lu {
     }
 
     /// Order of the factored matrix.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.packed.rows()
     }
 

@@ -77,12 +77,12 @@ impl Matrix {
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Whether the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -91,7 +91,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r` is out of bounds.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -115,29 +115,12 @@ impl Matrix {
         self.data.copy_from_slice(&other.data);
     }
 
-    /// Borrows two distinct rows at once: `r1` immutably and `r2`
-    /// mutably. This is the access pattern of Gaussian elimination (read
-    /// the pivot row, update a trailing row), which plain indexing cannot
-    /// express without per-element bounds checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r1 >= r2` or `r2` is out of bounds.
-    pub fn row_pair_mut(&mut self, r1: usize, r2: usize) -> (&[f64], &mut [f64]) {
-        assert!(r1 < r2, "row_pair_mut requires r1 < r2");
-        let (head, tail) = self.data.split_at_mut(r2 * self.cols);
-        (
-            &head[r1 * self.cols..(r1 + 1) * self.cols],
-            &mut tail[..self.cols],
-        )
-    }
-
     /// Swaps two rows in place.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of bounds.
-    pub fn row_swap(&mut self, r1: usize, r2: usize) {
+    pub(crate) fn row_swap(&mut self, r1: usize, r2: usize) {
         if r1 == r2 {
             return;
         }
@@ -147,14 +130,14 @@ impl Matrix {
     }
 
     /// The flat row-major entries.
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// The flat row-major entries, mutably. Row `r` occupies
     /// `[r * cols, (r + 1) * cols)`; kernels that need simultaneous
     /// access to several rows (Gaussian elimination) split this slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -185,7 +168,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()` or `out.len() != self.rows()`.
-    pub fn mul_vec_into(&self, x: &[f64], out: &mut [f64]) {
+    pub(crate) fn mul_vec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "mul_vec dimension mismatch");
         assert_eq!(out.len(), self.rows, "mul_vec output length mismatch");
         for (r, o) in out.iter_mut().enumerate() {
@@ -193,27 +176,11 @@ impl Matrix {
         }
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
     /// Infinity norm (maximum absolute row sum).
     pub fn norm_inf(&self) -> f64 {
         (0..self.rows)
             .map(|r| self.row(r).iter().map(|x| x.abs()).sum::<f64>())
             .fold(0.0, f64::max)
-    }
-
-    /// Returns `true` if every entry is finite.
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
     }
 
     /// Matrix–matrix product.
@@ -344,13 +311,6 @@ mod tests {
         m.add_at(0, 1, 2.0);
         m.add_at(0, 1, 3.0);
         assert_eq!(m[(0, 1)], 5.0);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose()[(2, 1)], 6.0);
     }
 
     #[test]

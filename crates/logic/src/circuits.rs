@@ -100,21 +100,14 @@ pub fn fig8_sum_circuit() -> Netlist {
     nl
 }
 
-/// The optimized reference: `S = A ⊕ B ⊕ C` as two 4-NAND XOR blocks
-/// (8 NAND2, depth 6). Used as the non-redundant baseline.
-pub fn sum_circuit_optimized() -> Netlist {
-    let mut nl = Netlist::new();
-    let a = nl.add_input("A");
-    let b = nl.add_input("B");
-    let c = nl.add_input("C");
-    let x = xor_nand4(&mut nl, "x", a, b);
-    let s = xor_nand4(&mut nl, "s", x, c);
-    nl.mark_output(s);
-    nl
-}
-
 /// Appends a 9-NAND full adder block; returns `(sum, cout)`.
-pub fn fa_block(nl: &mut Netlist, prefix: &str, a: NetId, b: NetId, cin: NetId) -> (NetId, NetId) {
+pub(crate) fn fa_block(
+    nl: &mut Netlist,
+    prefix: &str,
+    a: NetId,
+    b: NetId,
+    cin: NetId,
+) -> (NetId, NetId) {
     let t1 = nl
         .add_gate(GateKind::Nand, &format!("{prefix}_t1"), &[a, b])
         .expect("fresh");
@@ -266,46 +259,6 @@ pub fn mux_tree(sel: usize) -> Netlist {
         layer = next;
     }
     nl.mark_output(layer[0]);
-    nl
-}
-
-/// A `sel`-to-`2^sel` one-hot decoder from NOR/INV cells. Inputs
-/// `s0..`; outputs `d0..d(2^sel-1)`.
-///
-/// # Panics
-///
-/// Panics if `sel == 0` or `sel > 5`.
-pub fn decoder(sel: usize) -> Netlist {
-    assert!((1..=5).contains(&sel), "1..=5 select bits supported");
-    let mut nl = Netlist::new();
-    let s: Vec<NetId> = (0..sel).map(|i| nl.add_input(&format!("s{i}"))).collect();
-    let sn: Vec<NetId> = (0..sel)
-        .map(|i| {
-            nl.add_gate(GateKind::Inv, &format!("sn{i}"), &[s[i]])
-                .expect("fresh")
-        })
-        .collect();
-    for code in 0..(1usize << sel) {
-        // d_code = AND over the right polarity of each select bit,
-        // realized as NOR of the wrong polarities.
-        let ins: Vec<NetId> = (0..sel)
-            .map(|i| {
-                if (code >> i) & 1 == 1 {
-                    sn[i] // want s[i]=1: wrong polarity is !s
-                } else {
-                    s[i]
-                }
-            })
-            .collect();
-        let d = if ins.len() == 1 {
-            nl.add_gate(GateKind::Inv, &format!("d{code}"), &[ins[0]])
-                .expect("fresh")
-        } else {
-            nl.add_gate(GateKind::Nor, &format!("d{code}"), &ins)
-                .expect("fresh")
-        };
-        nl.mark_output(d);
-    }
     nl
 }
 
@@ -471,46 +424,6 @@ pub fn array_multiplier(n: usize) -> Netlist {
     nl
 }
 
-/// A `width`-input NAND tree: AND-reduce (NAND + INV pairs) down to two
-/// partial products, then a final NAND2 — so the output is the NAND of
-/// all inputs. Inputs `i0..`; one output.
-///
-/// # Panics
-///
-/// Panics if `width < 2`.
-pub fn nand_tree(width: usize) -> Netlist {
-    assert!(width >= 2, "NAND tree needs at least 2 inputs");
-    let mut nl = Netlist::new();
-    let mut layer: Vec<NetId> = (0..width).map(|i| nl.add_input(&format!("i{i}"))).collect();
-    let mut stage = 0;
-    while layer.len() > 2 {
-        let mut next = Vec::new();
-        let mut k = 0;
-        while k + 1 < layer.len() {
-            next.push(and2(
-                &mut nl,
-                &format!("t{stage}_{k}"),
-                layer[k],
-                layer[k + 1],
-            ));
-            k += 2;
-        }
-        if k < layer.len() {
-            next.push(layer[k]);
-        }
-        layer = next;
-        stage += 1;
-    }
-    let y = if layer.len() == 2 {
-        nl.add_gate(GateKind::Nand, "y", &[layer[0], layer[1]])
-            .expect("fresh")
-    } else {
-        nl.add_gate(GateKind::Inv, "y", &[layer[0]]).expect("fresh")
-    };
-    nl.mark_output(y);
-    nl
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,17 +457,6 @@ mod tests {
                 Lv::from_bool(expect),
                 "S({bits:?}) wrong"
             );
-        }
-    }
-
-    #[test]
-    fn fig8_matches_optimized_reference() {
-        let red = fig8_sum_circuit();
-        let opt = sum_circuit_optimized();
-        for v in all_vectors(3) {
-            let r1 = simulate(&red, &v).unwrap().outputs(&red);
-            let r2 = simulate(&opt, &v).unwrap().outputs(&opt);
-            assert_eq!(r1, r2);
         }
     }
 
@@ -602,23 +504,6 @@ mod tests {
         // Spot-check: all-ones input.
         let r = simulate(&nl, &[Lv::One; 5]).unwrap();
         assert_eq!(r.outputs(&nl).len(), 2);
-    }
-
-    #[test]
-    fn decoder_is_one_hot() {
-        let nl = decoder(3);
-        for v in all_vectors(3) {
-            let bits = as_bits(&v);
-            let code = bits
-                .iter()
-                .enumerate()
-                .fold(0usize, |acc, (i, &b)| acc | ((b as usize) << i));
-            let r = simulate(&nl, &v).unwrap();
-            let outs = r.outputs(&nl);
-            for (k, o) in outs.iter().enumerate() {
-                assert_eq!(*o, Lv::from_bool(k == code), "code {code} line {k}");
-            }
-        }
     }
 
     fn decode_outputs(outs: &[Lv]) -> usize {
@@ -692,18 +577,6 @@ mod tests {
             nl.num_gates()
         );
         assert!(nl.levelize().is_ok());
-    }
-
-    #[test]
-    fn nand_tree_is_nand_of_all_inputs() {
-        for width in [2usize, 3, 7, 8] {
-            let nl = nand_tree(width);
-            for v in all_vectors(width) {
-                let all = as_bits(&v).iter().all(|&b| b);
-                let r = simulate(&nl, &v).unwrap();
-                assert_eq!(r.outputs(&nl)[0], Lv::from_bool(!all), "width {width}");
-            }
-        }
     }
 
     #[test]

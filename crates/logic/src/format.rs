@@ -308,7 +308,6 @@ mod tests {
         for nl in [
             circuits::carry_select_adder(4, 2),
             circuits::array_multiplier(3),
-            circuits::nand_tree(9),
         ] {
             let text = to_bench(&nl);
             let nl2 = parse_bench(&text).unwrap();

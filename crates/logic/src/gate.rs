@@ -30,7 +30,7 @@ pub enum GateKind {
 
 impl GateKind {
     /// Short uppercase name, used by the `.bench`-style text format.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             GateKind::Inv => "NOT",
             GateKind::Buf => "BUF",
@@ -45,7 +45,7 @@ impl GateKind {
 
     /// Parses a text-format gate name (case-insensitive; `INV` and `NOT`
     /// both map to [`GateKind::Inv`]).
-    pub fn parse(s: &str) -> Option<GateKind> {
+    pub(crate) fn parse(s: &str) -> Option<GateKind> {
         match s.to_ascii_uppercase().as_str() {
             "NOT" | "INV" => Some(GateKind::Inv),
             "BUF" | "BUFF" => Some(GateKind::Buf),
@@ -60,7 +60,7 @@ impl GateKind {
     }
 
     /// Whether `n` inputs is a legal arity for this kind.
-    pub fn arity_ok(self, n: usize) -> bool {
+    pub(crate) fn arity_ok(self, n: usize) -> bool {
         match self {
             GateKind::Inv | GateKind::Buf => n == 1,
             _ => n >= 2,
@@ -68,7 +68,7 @@ impl GateKind {
     }
 
     /// Human-readable arity description.
-    pub fn arity_description(self) -> String {
+    pub(crate) fn arity_description(self) -> String {
         match self {
             GateKind::Inv | GateKind::Buf => "exactly 1".to_string(),
             _ => "2 or more".to_string(),
@@ -97,7 +97,8 @@ impl GateKind {
 
     /// Evaluates the gate over packed 64-pattern two-valued words (bit `i`
     /// of each word is pattern `i`).
-    pub fn eval_packed(self, inputs: &[u64]) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn eval_packed(self, inputs: &[u64]) -> u64 {
         match self {
             GateKind::Inv => !inputs[0],
             GateKind::Buf => inputs[0],

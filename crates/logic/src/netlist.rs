@@ -182,7 +182,8 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn net(&self, idx: usize) -> NetId {
+    #[cfg(test)]
+    pub(crate) fn net(&self, idx: usize) -> NetId {
         assert!(idx < self.num_nets(), "net index {idx} out of range");
         NetId(idx)
     }
@@ -225,7 +226,7 @@ impl Netlist {
     }
 
     /// Whether the net is a primary input.
-    pub fn is_input(&self, n: NetId) -> bool {
+    pub(crate) fn is_input(&self, n: NetId) -> bool {
         self.inputs.contains(&n)
     }
 
@@ -306,7 +307,7 @@ impl Netlist {
     /// # Errors
     ///
     /// Propagates [`Netlist::levelize`] failures.
-    pub fn depths(&self) -> Result<Vec<usize>, LogicError> {
+    pub(crate) fn depths(&self) -> Result<Vec<usize>, LogicError> {
         let order = self.levelize()?;
         let mut depth = vec![0usize; self.num_nets()];
         for g in order {

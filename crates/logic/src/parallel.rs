@@ -33,7 +33,7 @@ use crate::LogicError;
 /// # Errors
 ///
 /// [`LogicError::InputCountMismatch`] on wrong block width.
-pub fn simulate_block_forced_into(
+pub(crate) fn simulate_block_forced_into(
     nl: &Netlist,
     order: &[GateId],
     block: &WideBlock<1>,
@@ -50,7 +50,7 @@ pub fn simulate_block_forced_into(
     words.clear();
     words.resize(nl.num_nets(), 0);
     for (i, &n) in nl.inputs().iter().enumerate() {
-        words[n.index()] = block.word(i).lane(0);
+        words[n.index()] = block.word(i).0[0];
     }
     for &(n, w) in forced {
         words[n.index()] = w;
@@ -126,7 +126,7 @@ mod tests {
         let reference = good_words(&nl, &block);
         for n in nl.net_ids() {
             assert_eq!(
-                soa[n.index()].lane(0),
+                soa[n.index()].0[0],
                 reference[n.index()],
                 "net {}",
                 nl.net_name(n)
@@ -229,7 +229,7 @@ mod tests {
             .map(|k| (0..3).map(|i| Lv::from_bool((k >> i) & 1 == 1)).collect())
             .collect();
         let block = WideBlock::<1>::pack(&vectors).unwrap();
-        assert_eq!(block.mask().lane(0), !0u64);
+        assert_eq!(block.mask().0[0], !0u64);
         let par = good_words(&nl, &block);
         let y = nl.find_net("y").unwrap();
         let scalar = simulate(&nl, &vectors[63]).unwrap().value(y);

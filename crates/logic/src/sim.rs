@@ -17,7 +17,7 @@ impl SimResult {
     }
 
     /// Values of all nets, indexed by [`NetId::index`].
-    pub fn values(&self) -> &[Lv] {
+    pub(crate) fn values(&self) -> &[Lv] {
         &self.values
     }
 

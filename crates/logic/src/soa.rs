@@ -54,7 +54,6 @@ pub struct SoaNetlist {
     fanins: Vec<u32>,
     fanout_start: Vec<u32>,
     fanouts: Vec<u32>,
-    levels: usize,
 }
 
 /// Per-worker scratch for [`SoaNetlist::propagate_held`]: the faulty
@@ -163,33 +162,7 @@ impl SoaNetlist {
             fanins,
             fanout_start,
             fanouts,
-            levels,
         })
-    }
-
-    /// Number of nets in the compiled netlist.
-    pub fn num_nets(&self) -> usize {
-        self.num_nets
-    }
-
-    /// Number of gates in the compiled netlist.
-    pub fn num_gates(&self) -> usize {
-        self.kinds.len()
-    }
-
-    /// Number of logic levels (maximum gate depth).
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
-    /// Primary-input net indices, in declaration order.
-    pub fn inputs(&self) -> &[u32] {
-        &self.inputs
-    }
-
-    /// Primary-output net indices, in declaration order.
-    pub fn outputs(&self) -> &[u32] {
-        &self.outputs
     }
 
     /// Evaluates gate `g` (compiled order), reading each fanin net's
@@ -368,14 +341,13 @@ mod tests {
     }
 
     #[test]
-    fn compile_reports_levels() {
+    fn compile_keeps_netlist_shape() {
         let nl = circuits::fig8_sum_circuit();
         let soa = SoaNetlist::compile(&nl).unwrap();
-        assert_eq!(soa.num_gates(), nl.num_gates());
-        assert_eq!(soa.num_nets(), nl.num_nets());
-        assert_eq!(soa.levels(), nl.max_depth().unwrap());
-        assert_eq!(soa.inputs().len(), nl.inputs().len());
-        assert_eq!(soa.outputs().len(), nl.outputs().len());
+        assert_eq!(soa.kinds.len(), nl.num_gates());
+        assert_eq!(soa.num_nets, nl.num_nets());
+        assert_eq!(soa.inputs.len(), nl.inputs().len());
+        assert_eq!(soa.outputs.len(), nl.outputs().len());
     }
 
     #[test]
@@ -384,7 +356,7 @@ mod tests {
         let soa = SoaNetlist::compile(&nl).unwrap();
         let depth = nl.depths().unwrap();
         let mut prev = 0;
-        for g in 0..soa.num_gates() {
+        for g in 0..soa.kinds.len() {
             let d = depth[soa.out_nets[g] as usize];
             assert!(d >= prev, "gate {g} at level {d} after level {prev}");
             prev = d;
@@ -409,7 +381,7 @@ mod tests {
             soa.simulate_wide_into(&wide, &mut words).unwrap();
             for n in nl.net_ids() {
                 assert_eq!(
-                    words[n.index()].lane(0),
+                    words[n.index()].0[0],
                     legacy[n.index()],
                     "net {} diverged",
                     nl.net_name(n)
@@ -430,7 +402,7 @@ mod tests {
         soa.simulate_wide_into(&block, &mut words).unwrap();
         for (k, v) in vectors.iter().enumerate() {
             let scalar = simulate(&nl, v).unwrap();
-            for &o in soa.outputs() {
+            for &o in &soa.outputs {
                 let net = nl.net(o as usize);
                 assert_eq!(
                     Lv::from_bool(words[o as usize].bit(k)),
@@ -453,7 +425,7 @@ mod tests {
         let mut words = Vec::new();
         soa.load_inputs(block, &mut words).unwrap();
         words[net] = held;
-        for g in 0..soa.num_gates() {
+        for g in 0..soa.kinds.len() {
             let out = soa.out_nets[g] as usize;
             if out != net {
                 let v = soa.eval_gate(g, |n| words[n]);
@@ -468,7 +440,7 @@ mod tests {
         good: &[LaneWord<N>],
         faulty: &[LaneWord<N>],
     ) -> LaneWord<N> {
-        soa.outputs().iter().fold(LaneWord::ZERO, |d, &po| {
+        soa.outputs.iter().fold(LaneWord::ZERO, |d, &po| {
             d | (good[po as usize] ^ faulty[po as usize])
         })
     }
@@ -493,7 +465,7 @@ mod tests {
     /// Primary-output nets no gate reads: the held value itself is the
     /// fault effect, with no cone to walk.
     fn dangling_outputs(soa: &SoaNetlist) -> Vec<usize> {
-        soa.outputs()
+        soa.outputs
             .iter()
             .map(|&po| po as usize)
             .filter(|&po| soa.fanout_start[po] == soa.fanout_start[po + 1])
@@ -510,14 +482,14 @@ mod tests {
             let soa = SoaNetlist::compile(&nl).unwrap();
             let order = nl.levelize().unwrap();
             let block = WideBlock::<1>::pack(&vectors_for(nl.inputs().len(), 61, 0xC0DE)).unwrap();
-            assert_eq!(block.mask().lane(0), (1u64 << 61) - 1, "partial block");
+            assert_eq!(block.mask().0[0], (1u64 << 61) - 1, "partial block");
             let (mut reference, mut scratch) = (Vec::new(), Vec::new());
             simulate_block_forced_into(&nl, &order, &block, &[], &mut reference, &mut scratch)
                 .unwrap();
             let good_ref = reference.clone();
             let mut good = Vec::new();
             soa.simulate_wide_into(&block, &mut good).unwrap();
-            assert!(good.iter().zip(&good_ref).all(|(w, &r)| w.lane(0) == r));
+            assert!(good.iter().zip(&good_ref).all(|(w, &r)| w.0[0] == r));
             let mut cs = ConeScratch::default();
             let mut state = 0x9E37_79B9_7F4A_7C15u64;
             for n in nl.net_ids() {
@@ -535,7 +507,7 @@ mod tests {
                         d | (good_ref[po.index()] ^ reference[po.index()])
                     });
                     let got = soa.propagate_held(&good, n, LaneWord([held]), &mut cs);
-                    assert_eq!(got.lane(0), expected, "{name} net {}", nl.net_name(n));
+                    assert_eq!(got.0[0], expected, "{name} net {}", nl.net_name(n));
                 }
             }
         }
@@ -554,7 +526,7 @@ mod tests {
             soa.simulate_wide_into(&block, &mut good).unwrap();
             let mut cs = ConeScratch::default();
             let mut state = 0xB5AD_4ECE_DA1C_E2A9u64;
-            for net in 0..soa.num_nets() {
+            for net in 0..soa.num_nets {
                 let held = LaneWord::<8>(std::array::from_fn(|_| next_word(&mut state)));
                 let faulty = forced_sweep(&soa, &block, net, held);
                 let got = soa.propagate_held(&good, nl.net(net), held, &mut cs);
@@ -583,7 +555,7 @@ mod tests {
                 assert_eq!(got, LaneWord::ONES, "{name} output net {po}");
             }
             // Primary inputs agree with the full sweep.
-            for &pi in soa.inputs() {
+            for &pi in &soa.inputs {
                 let pi = pi as usize;
                 let held = !good[pi];
                 let faulty = forced_sweep(&soa, &block, pi, held);
@@ -595,7 +567,7 @@ mod tests {
             }
             // Holding the good word is a no-op that leaves the scratch
             // untouched.
-            for net in 0..soa.num_nets() {
+            for net in 0..soa.num_nets {
                 let epoch = cs.epoch;
                 let got = soa.propagate_held(&good, nl.net(net), good[net], &mut cs);
                 assert!(got.is_zero(), "{name} net {net} no-op");
@@ -604,7 +576,7 @@ mod tests {
             // Epoch wrap-around: the stamps one call left behind must not
             // read as current once the epoch counter wraps.
             let mut cs = ConeScratch::default();
-            let net = soa.inputs()[0] as usize;
+            let net = soa.inputs[0] as usize;
             soa.propagate_held(&good, nl.net(net), !good[net], &mut cs);
             cs.epoch = u32::MAX;
             let held = good[net] ^ LaneWord([0x5555_5555_5555_5555; 4]);

@@ -39,7 +39,7 @@ impl DelayModel {
     }
 
     /// Overrides one specific gate — the fault-injection hook.
-    pub fn set_gate(&mut self, gate: GateId, rise_ps: f64, fall_ps: f64) -> &mut Self {
+    pub(crate) fn set_gate(&mut self, gate: GateId, rise_ps: f64, fall_ps: f64) -> &mut Self {
         self.gate_overrides.insert(gate.index(), (rise_ps, fall_ps));
         self
     }

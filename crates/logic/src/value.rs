@@ -43,7 +43,7 @@ impl Lv {
     }
 
     /// Kleene AND.
-    pub fn and(self, other: Lv) -> Lv {
+    pub(crate) fn and(self, other: Lv) -> Lv {
         match (self, other) {
             (Lv::Zero, _) | (_, Lv::Zero) => Lv::Zero,
             (Lv::One, Lv::One) => Lv::One,
@@ -52,7 +52,7 @@ impl Lv {
     }
 
     /// Kleene OR.
-    pub fn or(self, other: Lv) -> Lv {
+    pub(crate) fn or(self, other: Lv) -> Lv {
         match (self, other) {
             (Lv::One, _) | (_, Lv::One) => Lv::One,
             (Lv::Zero, Lv::Zero) => Lv::Zero,
@@ -61,7 +61,7 @@ impl Lv {
     }
 
     /// Kleene XOR (`X` if either operand is unknown).
-    pub fn xor(self, other: Lv) -> Lv {
+    pub(crate) fn xor(self, other: Lv) -> Lv {
         match (self.to_bool(), other.to_bool()) {
             (Some(a), Some(b)) => Lv::from_bool(a ^ b),
             _ => Lv::X,

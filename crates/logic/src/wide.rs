@@ -8,10 +8,8 @@
 //! simulation sweep over eight times as many patterns.
 //!
 //! [`WideBlock`] holds up to `64 * N` fully-specified input vectors
-//! packed one [`LaneWord`] per primary input. The packing entry points all enforce the block capacity and
-//! vector-width invariants — including [`WideBlock::pack_unchecked`],
-//! which (despite the legacy name) now *panics* on ragged or oversized
-//! input rather than silently truncating the pattern set.
+//! packed one [`LaneWord`] per primary input. The packing entry points all
+//! enforce the block capacity and vector-width invariants.
 
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
 
@@ -31,12 +29,6 @@ impl<const N: usize> LaneWord<N> {
     /// Patterns per word.
     pub const BITS: usize = 64 * N;
 
-    /// Lane `i` (patterns `64*i .. 64*i + 63`).
-    #[inline]
-    pub fn lane(self, i: usize) -> u64 {
-        self.0[i]
-    }
-
     /// Whether any pattern bit is set.
     #[inline]
     pub fn any(self) -> bool {
@@ -47,12 +39,6 @@ impl<const N: usize> LaneWord<N> {
     #[inline]
     pub fn is_zero(self) -> bool {
         !self.any()
-    }
-
-    /// Number of set pattern bits.
-    #[inline]
-    pub fn count_ones(self) -> u32 {
-        self.0.iter().map(|w| w.count_ones()).sum()
     }
 
     /// Pattern bit `k`.
@@ -73,7 +59,7 @@ impl<const N: usize> LaneWord<N> {
     /// # Panics
     ///
     /// Panics if `count` exceeds the word's `64 * N` capacity.
-    pub fn mask(count: usize) -> Self {
+    pub(crate) fn mask(count: usize) -> Self {
         assert!(
             count <= Self::BITS,
             "mask of {count} exceeds {}",
@@ -249,37 +235,8 @@ impl<const N: usize> WideBlock<N> {
         Ok(Self::pack_checked(vectors, n_inputs))
     }
 
-    /// [`WideBlock::pack`] for hot paths whose chunking already guarantees
-    /// the shape invariants (e.g. `chunks(64 * N)` over uniform vectors).
-    ///
-    /// The legacy name survives from when the shape checks were
-    /// debug-only; excess or ragged vectors would *silently corrupt the
-    /// packing* in release builds, so the checks are now unconditional.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `64 * N` vectors are supplied or the vectors
-    /// are ragged.
-    pub fn pack_unchecked(vectors: &[Vec<Lv>]) -> Self {
-        let n_inputs = match Self::check_shape(vectors) {
-            Ok(n) => n,
-            Err(e) => panic!("pack_unchecked shape violation: {e}"),
-        };
-        Self::pack_checked(vectors, n_inputs)
-    }
-
-    /// Number of patterns in the block.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the block is empty.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Number of primary inputs the block was packed for.
-    pub fn num_inputs(&self) -> usize {
+    pub(crate) fn num_inputs(&self) -> usize {
         self.words.len()
     }
 
@@ -289,7 +246,7 @@ impl<const N: usize> WideBlock<N> {
     }
 
     /// Packed word for primary input `i`.
-    pub fn word(&self, i: usize) -> LaneWord<N> {
+    pub(crate) fn word(&self, i: usize) -> LaneWord<N> {
         self.words[i]
     }
 }
@@ -309,8 +266,6 @@ mod tests {
         assert_eq!((!a).0, [!0b1100u64, !1, 0, !0]);
         assert!(a.any());
         assert!(LaneWord::<4>::ZERO.is_zero());
-        assert_eq!(LaneWord::<4>::ONES.count_ones(), 256);
-        assert_eq!(a.count_ones(), 2 + 1 + 64);
     }
 
     #[test]
@@ -321,8 +276,8 @@ mod tests {
         w.set_bit(127);
         assert!(w.bit(3) && w.bit(64) && w.bit(127));
         assert!(!w.bit(4) && !w.bit(63));
-        assert_eq!(w.lane(0), 0b1000);
-        assert_eq!(w.lane(1), 1 | (1 << 63));
+        assert_eq!(w.0[0], 0b1000);
+        assert_eq!(w.0[1], 1 | (1 << 63));
         assert_eq!(w.set_bits().collect::<Vec<_>>(), vec![3, 64, 127]);
     }
 
@@ -346,7 +301,7 @@ mod tests {
         // 70 patterns of 1 input: pattern k is (k % 3 == 0).
         let vectors: Vec<Vec<Lv>> = (0..70).map(|k| vec![Lv::from_bool(k % 3 == 0)]).collect();
         let block = WideBlock::<2>::pack(&vectors).unwrap();
-        assert_eq!(block.len(), 70);
+        assert_eq!(block.count, 70);
         assert_eq!(block.num_inputs(), 1);
         let w = block.word(0);
         for k in 0..70 {
@@ -395,34 +350,20 @@ mod tests {
     fn narrow_block_mask_counts_patterns() {
         let vectors: Vec<_> = all_vectors(2).collect();
         let block = WideBlock::<1>::pack(&vectors).unwrap();
-        assert_eq!(block.len(), 4);
-        assert_eq!(block.mask().lane(0), 0b1111);
+        assert_eq!(block.count, 4);
+        assert_eq!(block.mask().0[0], 0b1111);
     }
 
     #[test]
     fn pack_treats_x_as_zero() {
         let block = WideBlock::<1>::pack(&[vec![Lv::X, Lv::One], vec![Lv::Zero, Lv::X]]).unwrap();
         // PI 0: X,0 -> both bits clear; PI 1: 1,X -> only bit 0 set.
-        assert_eq!(block.word(0).lane(0), 0b00);
-        assert_eq!(block.word(1).lane(0), 0b01);
+        assert_eq!(block.word(0).0[0], 0b00);
+        assert_eq!(block.word(1).0[0], 0b01);
         let explicit =
             WideBlock::<1>::pack(&[vec![Lv::Zero, Lv::One], vec![Lv::Zero, Lv::Zero]]).unwrap();
         assert_eq!(block.word(0), explicit.word(0));
         assert_eq!(block.word(1), explicit.word(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "pack_unchecked shape violation")]
-    fn pack_unchecked_panics_instead_of_truncating() {
-        let vectors: Vec<Vec<Lv>> = (0..65).map(|_| vec![Lv::One]).collect();
-        let _ = WideBlock::<1>::pack_unchecked(&vectors);
-    }
-
-    #[test]
-    #[should_panic(expected = "pack_unchecked shape violation")]
-    fn pack_unchecked_panics_on_ragged() {
-        let vectors = vec![vec![Lv::One, Lv::Zero], vec![Lv::One]];
-        let _ = WideBlock::<8>::pack_unchecked(&vectors);
     }
 
     #[test]
@@ -431,7 +372,7 @@ mod tests {
         let slices: Vec<&[Lv]> = vectors.iter().map(Vec::as_slice).collect();
         let a = WideBlock::<4>::pack(&vectors).unwrap();
         let b = WideBlock::<4>::pack_slices(&slices).unwrap();
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a.count, b.count);
         for i in 0..3 {
             assert_eq!(a.word(i), b.word(i));
         }
@@ -445,10 +386,10 @@ mod tests {
     #[test]
     fn empty_pack_is_empty() {
         let block = WideBlock::<8>::pack(&[]).unwrap();
-        assert!(block.is_empty());
+        assert_eq!(block.count, 0);
         assert!(block.mask().is_zero());
         let narrow = WideBlock::<1>::pack(&[]).unwrap();
-        assert!(narrow.is_empty());
-        assert_eq!(narrow.mask().lane(0), 0);
+        assert_eq!(narrow.count, 0);
+        assert_eq!(narrow.mask().0[0], 0);
     }
 }

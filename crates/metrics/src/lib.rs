@@ -1,5 +1,5 @@
 //! Zero-dependency observability: named counters, gauges, fixed-bucket
-//! histograms and span timers with a global enable switch.
+//! histograms with a global enable switch.
 //!
 //! Design constraints (these are load-bearing for the SPICE hot path):
 //!
@@ -23,7 +23,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Global switch. Off by default so library users pay one branch per call.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -134,7 +133,7 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 
@@ -211,24 +210,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Start a wall-clock span; dropping the guard records elapsed
-    /// microseconds. When metrics are disabled no clock is read.
-    #[inline]
-    pub fn start_span(&'static self) -> Span {
-        Span {
-            hist: self,
-            start: if enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     fn reset(&self) {
         for c in &self.counts {
             c.store(0, Ordering::Relaxed);
@@ -292,20 +273,6 @@ impl Histogram {
     }
 }
 
-/// RAII timing guard returned by [`Histogram::start_span`].
-pub struct Span {
-    hist: &'static Histogram,
-    start: Option<Instant>,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.hist.record(start.elapsed().as_micros() as u64);
-        }
-    }
-}
-
 /// Point-in-time copy of one histogram, with bucket-resolution percentiles.
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
@@ -343,11 +310,6 @@ impl MetricsSnapshot {
     /// Value of a gauge by name, if it was touched.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
-    /// Snapshot of a histogram by name, if it was touched.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
     }
 
     /// Serialize as a deterministic (name-sorted) JSON object:
@@ -478,7 +440,11 @@ mod tests {
                 H.record(v);
             }
             let snap = snapshot();
-            let h = snap.histogram("test.bounds").unwrap();
+            let h = snap
+                .histograms
+                .iter()
+                .find(|h| h.name == "test.bounds")
+                .unwrap();
             // 0,1 -> le=1; 2,10 -> le=10; 11,100 -> le=100; 101,5000 -> overflow
             assert_eq!(h.buckets, vec![(1, 2), (10, 2), (100, 2)]);
             assert_eq!(h.overflow, 2);
@@ -497,7 +463,11 @@ mod tests {
                 H.record(v);
             }
             let snap = snapshot();
-            let h = snap.histogram("test.pcts").unwrap();
+            let h = snap
+                .histograms
+                .iter()
+                .find(|h| h.name == "test.pcts")
+                .unwrap();
             assert_eq!(h.p50, 8); // 8 of 16 samples are <= 8
             assert_eq!(h.p99, 16);
         });
@@ -511,18 +481,6 @@ mod tests {
             G.set(-7.25);
             assert_eq!(G.get(), -7.25);
             assert_eq!(snapshot().gauge("test.gauge"), Some(-7.25));
-        });
-    }
-
-    #[test]
-    fn span_records_elapsed_micros() {
-        static H: Histogram = Histogram::new("test.span", &[1_000_000]);
-        with_enabled(|| {
-            {
-                let _span = H.start_span();
-                std::hint::black_box(0u64);
-            }
-            assert_eq!(H.count(), 1);
         });
     }
 

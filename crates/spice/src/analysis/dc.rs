@@ -37,12 +37,11 @@ pub struct SweepResult {
     /// Swept source values.
     pub inputs: Vec<f64>,
     solutions: Vec<Vec<f64>>,
-    n_nodes: usize,
 }
 
 impl SweepResult {
     /// Voltage of `n` at sweep point `i`.
-    pub fn voltage(&self, i: usize, n: NodeId) -> f64 {
+    pub(crate) fn voltage(&self, i: usize, n: NodeId) -> f64 {
         if n.is_ground() {
             0.0
         } else {
@@ -57,21 +56,6 @@ impl SweepResult {
             .enumerate()
             .map(|(i, &vin)| (vin, self.voltage(i, n)))
             .collect()
-    }
-
-    /// Branch current of voltage source `k` at sweep point `i`.
-    pub fn source_current(&self, i: usize, k: usize) -> f64 {
-        self.solutions[i][self.n_nodes - 1 + k]
-    }
-
-    /// Number of sweep points.
-    pub fn len(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Whether the sweep is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inputs.is_empty()
     }
 }
 
@@ -135,11 +119,7 @@ pub fn dc_sweep(
         solutions.push(x);
     }
 
-    Ok(SweepResult {
-        inputs,
-        solutions,
-        n_nodes: ckt.num_nodes(),
-    })
+    Ok(SweepResult { inputs, solutions })
 }
 
 #[cfg(test)]
@@ -161,7 +141,7 @@ mod tests {
         c.add_resistor(Resistor::new("R1", vin, mid, 1e3));
         c.add_resistor(Resistor::new("R2", mid, Circuit::GROUND, 1e3));
         let res = dc_sweep(&c, &SimOptions::new(), &DcSweep::new("VIN", 0.0, 2.0, 5)).unwrap();
-        assert_eq!(res.len(), 5);
+        assert_eq!(res.inputs.len(), 5);
         for (vin, vout) in res.transfer_curve(mid) {
             assert!((vout - vin / 2.0).abs() < 1e-9);
         }

@@ -7,7 +7,7 @@
 //! extrapolated seed and the converged solution. Quiet stretches grow the
 //! step up to [`MAX_STEP_RATIO`] nominal steps, a step whose error
 //! exceeds [`LTE_VTOL`] is retried shorter, and steps land exactly on
-//! every source breakpoint ([`SourceWave::breakpoints`]) and restart
+//! every source breakpoint (`SourceWave::breakpoints`) and restart
 //! there at the nominal step. The control never proposes a step below
 //! the nominal `TranParams::step`; only a breakpoint or a convergence
 //! halving cuts one shorter. With the predictor off the run keeps the
@@ -17,8 +17,6 @@
 //! sub-steps. Every accepted step is recorded into a [`Waveform`];
 //! [`transient_until`] can end the run at the first sample a caller's
 //! predicate accepts.
-//!
-//! [`SourceWave::breakpoints`]: crate::devices::SourceWave::breakpoints
 
 use crate::circuit::Circuit;
 use crate::devices::{Device, EvalCtx, Integration};
@@ -487,7 +485,6 @@ fn record(ckt: &Circuit, solver: &Solver<'_>, x: &[f64], t: f64, wave: &mut Wave
             let n = crate::circuit::NodeId(idx);
             (n, solver.voltage(x, n))
         }),
-        (0..ckt.num_vsources()).map(|k| (k, solver.source_current(x, k))),
     );
 }
 
@@ -543,11 +540,11 @@ mod tests {
             w.trace(out).last().is_some_and(|&v| v >= 0.5)
         })
         .unwrap();
-        let n = part.len();
+        let n = part.time().len();
         assert!(
-            n > 2 && n < full.len(),
+            n > 2 && n < full.time().len(),
             "stopped after {n} of {}",
-            full.len()
+            full.time().len()
         );
         // Called once per accepted step, never on the t = 0 sample.
         assert_eq!(calls, n - 1);

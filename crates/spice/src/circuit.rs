@@ -17,7 +17,7 @@ impl NodeId {
     }
 
     /// Whether this is the ground node.
-    pub fn is_ground(self) -> bool {
+    pub(crate) fn is_ground(self) -> bool {
         self.0 == 0
     }
 }
@@ -31,13 +31,6 @@ impl fmt::Display for NodeId {
 /// Handle to a device inside a [`Circuit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeviceId(pub(crate) usize);
-
-impl DeviceId {
-    /// Raw index into the device list.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
 
 /// A flat analog circuit: a set of named nodes plus a device list.
 ///
@@ -111,13 +104,13 @@ impl Circuit {
     }
 
     /// All devices, in insertion order.
-    pub fn devices(&self) -> &[Device] {
+    pub(crate) fn devices(&self) -> &[Device] {
         &self.devices
     }
 
     /// Mutable device access, for in-place edits such as swapping the OBD
     /// ladder parameters between breakdown stages.
-    pub fn device_mut(&mut self, id: DeviceId) -> &mut Device {
+    pub(crate) fn device_mut(&mut self, id: DeviceId) -> &mut Device {
         &mut self.devices[id.0]
     }
 
@@ -133,7 +126,7 @@ impl Circuit {
 
     /// Number of independent voltage sources (each adds one MNA branch
     /// current unknown).
-    pub fn num_vsources(&self) -> usize {
+    pub(crate) fn num_vsources(&self) -> usize {
         self.devices
             .iter()
             .filter(|d| matches!(d, Device::Vsource(_)))
@@ -181,7 +174,7 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns [`SpiceError::NotFound`] if no device has that name.
-    pub fn find_device(&self, name: &str) -> Result<DeviceId, SpiceError> {
+    pub(crate) fn find_device(&self, name: &str) -> Result<DeviceId, SpiceError> {
         self.devices
             .iter()
             .position(|d| d.name() == name)
@@ -197,7 +190,7 @@ impl Circuit {
     ///
     /// Returns [`SpiceError::InvalidCircuit`] describing the first problem
     /// found.
-    pub fn validate(&self) -> Result<(), SpiceError> {
+    pub(crate) fn validate(&self) -> Result<(), SpiceError> {
         let mut touch = vec![0usize; self.num_nodes()];
         for d in &self.devices {
             for n in d.terminals() {

@@ -55,26 +55,14 @@ impl DiodeParams {
             * ((self.eg / (self.n * vt_nom)) - (self.eg / (self.n * vt))).exp()
     }
 
-    /// Thermal voltage scaled by the emission coefficient, at room
-    /// temperature.
-    pub fn vte(&self) -> f64 {
-        self.vte_at(THERMAL_VOLTAGE)
-    }
-
     /// Thermal voltage scaled by the emission coefficient, for an
     /// arbitrary kT/q.
-    pub fn vte_at(&self, vt: f64) -> f64 {
+    pub(crate) fn vte_at(&self, vt: f64) -> f64 {
         self.n * vt
     }
 
-    /// Critical voltage for junction limiting (SPICE `vcrit`) at room
-    /// temperature.
-    pub fn vcrit(&self) -> f64 {
-        self.vcrit_at(THERMAL_VOLTAGE)
-    }
-
     /// Critical voltage for junction limiting at an arbitrary kT/q.
-    pub fn vcrit_at(&self, vt: f64) -> f64 {
+    pub(crate) fn vcrit_at(&self, vt: f64) -> f64 {
         let vte = self.vte_at(vt);
         vte * (vte / (std::f64::consts::SQRT_2 * self.isat_at(vt))).ln()
     }
@@ -84,7 +72,7 @@ impl DiodeParams {
 /// that Newton cannot overshoot the exponential.
 ///
 /// Returns the limited voltage to evaluate the junction at.
-pub fn pnjlim(v_new: f64, v_old: f64, vte: f64, vcrit: f64) -> f64 {
+pub(crate) fn pnjlim(v_new: f64, v_old: f64, vte: f64, vcrit: f64) -> f64 {
     if v_new > vcrit && (v_new - v_old).abs() > 2.0 * vte {
         if v_old > 0.0 {
             let arg = 1.0 + (v_new - v_old) / vte;
@@ -142,15 +130,9 @@ impl Diode {
         Ok(())
     }
 
-    /// Evaluates current and conductance at junction voltage `vd`, at
-    /// room temperature.
-    pub fn eval(&self, vd: f64) -> (f64, f64) {
-        self.eval_at(vd, THERMAL_VOLTAGE)
-    }
-
     /// Evaluates current and conductance at junction voltage `vd` for an
     /// arbitrary thermal voltage kT/q.
-    pub fn eval_at(&self, vd: f64, vt: f64) -> (f64, f64) {
+    pub(crate) fn eval_at(&self, vd: f64, vt: f64) -> (f64, f64) {
         let vte = self.params.vte_at(vt);
         let isat = self.params.isat_at(vt);
         let arg = vd / vte;
@@ -198,7 +180,7 @@ mod tests {
 
     #[test]
     fn zero_bias_zero_current() {
-        let (i, g) = diode().eval(0.0);
+        let (i, g) = diode().eval_at(0.0, THERMAL_VOLTAGE);
         assert_eq!(i, 0.0);
         assert!(g > 0.0);
     }
@@ -206,7 +188,7 @@ mod tests {
     #[test]
     fn forward_current_matches_shockley() {
         let d = diode();
-        let (i, _) = d.eval(0.6);
+        let (i, _) = d.eval_at(0.6, THERMAL_VOLTAGE);
         let expect = 1e-14 * ((0.6 / THERMAL_VOLTAGE).exp() - 1.0);
         assert!((i - expect).abs() < 1e-9 * expect);
     }
@@ -214,18 +196,18 @@ mod tests {
     #[test]
     fn reverse_current_saturates() {
         let d = diode();
-        let (i, _) = d.eval(-5.0);
+        let (i, _) = d.eval_at(-5.0, THERMAL_VOLTAGE);
         assert!((i + 1e-14).abs() < 1e-20);
     }
 
     #[test]
     fn extreme_forward_bias_is_finite() {
         let d = diode();
-        let (i, g) = d.eval(50.0);
+        let (i, g) = d.eval_at(50.0, THERMAL_VOLTAGE);
         assert!(i.is_finite() && g.is_finite());
         // The tiny-isat OBD regime must also be finite at full supply.
         let tiny = Diode::new("D2", d.anode, d.cathode, DiodeParams::new(1e-30));
-        let (i2, g2) = tiny.eval(3.3);
+        let (i2, g2) = tiny.eval_at(3.3, THERMAL_VOLTAGE);
         assert!(i2.is_finite() && g2.is_finite() && i2 > 0.0);
     }
 
@@ -234,8 +216,8 @@ mod tests {
         let d = diode();
         let v = 0.55;
         let dv = 1e-7;
-        let (i1, g) = d.eval(v);
-        let (i2, _) = d.eval(v + dv);
+        let (i1, g) = d.eval_at(v, THERMAL_VOLTAGE);
+        let (i2, _) = d.eval_at(v + dv, THERMAL_VOLTAGE);
         let numeric = (i2 - i1) / dv;
         assert!((g - numeric).abs() < 1e-3 * numeric.abs());
     }
@@ -255,8 +237,8 @@ mod tests {
 
     #[test]
     fn vcrit_grows_as_isat_shrinks() {
-        let big = DiodeParams::new(1e-14).vcrit();
-        let small = DiodeParams::new(1e-30).vcrit();
+        let big = DiodeParams::new(1e-14).vcrit_at(THERMAL_VOLTAGE);
+        let small = DiodeParams::new(1e-30).vcrit_at(THERMAL_VOLTAGE);
         assert!(small > big);
         assert!(small > 1.5 && small < 2.2, "vcrit for 1e-30 ≈ {small}");
     }

@@ -14,7 +14,7 @@ mod resistor;
 mod sources;
 
 pub use capacitor::Capacitor;
-pub use diode::{pnjlim, Diode, DiodeParams};
+pub use diode::{Diode, DiodeParams};
 pub use mosfet::{MosParams, MosPolarity, Mosfet};
 pub use resistor::Resistor;
 pub use sources::{Isource, PulseSpec, SourceWave, Vsource};
@@ -98,7 +98,7 @@ impl Device {
     }
 
     /// All terminals of the device.
-    pub fn terminals(&self) -> Vec<NodeId> {
+    pub(crate) fn terminals(&self) -> Vec<NodeId> {
         match self {
             Device::Resistor(d) => vec![d.a, d.b],
             Device::Capacitor(d) => vec![d.a, d.b],
@@ -114,7 +114,7 @@ impl Device {
     /// # Errors
     ///
     /// Returns a human-readable description of the first invalid value.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match self {
             Device::Resistor(d) => d.validate(),
             Device::Capacitor(d) => d.validate(),
@@ -130,7 +130,7 @@ impl Device {
     /// the evaluation context and per-step history, both fixed for the
     /// duration of one Newton solve, so their stamps can be assembled once
     /// per solve instead of once per iteration.
-    pub fn is_linear(&self) -> bool {
+    pub(crate) fn is_linear(&self) -> bool {
         !matches!(self, Device::Diode(_) | Device::Mosfet(_))
     }
 
@@ -139,7 +139,7 @@ impl Device {
     ///
     /// `branch` is the MNA branch-current row for voltage sources (assigned
     /// by the engine) and `None` for other devices.
-    pub fn stamp(
+    pub(crate) fn stamp(
         &self,
         st: &mut Stamp,
         x: &[f64],
@@ -168,7 +168,7 @@ impl Device {
 
     /// Updates transient history after an accepted timestep with solution
     /// `x` (capacitors record their voltage and branch current).
-    pub fn accept_timestep(&self, x: &[f64], ctx: &EvalCtx, state: &mut DeviceState) {
+    pub(crate) fn accept_timestep(&self, x: &[f64], ctx: &EvalCtx, state: &mut DeviceState) {
         if let Device::Capacitor(d) = self {
             d.accept_timestep(x, ctx, state);
         }

@@ -14,7 +14,7 @@ pub enum MosPolarity {
 impl MosPolarity {
     /// +1 for NMOS, −1 for PMOS; all terminal voltages are multiplied by
     /// this to evaluate the device in a common N-channel frame.
-    pub fn sign(self) -> f64 {
+    pub(crate) fn sign(self) -> f64 {
         match self {
             MosPolarity::Nmos => 1.0,
             MosPolarity::Pmos => -1.0,
@@ -47,7 +47,7 @@ pub struct MosParams {
 
 impl MosParams {
     /// β = KP·W/L.
-    pub fn beta(&self) -> f64 {
+    pub(crate) fn beta(&self) -> f64 {
         self.kp * self.w / self.l
     }
 }
@@ -186,7 +186,8 @@ impl Mosfet {
     /// Drain current (out of the drain terminal, into the channel, toward
     /// the source) at the given real-space terminal voltages. Positive for
     /// a conducting NMOS with `v_ds > 0`.
-    pub fn drain_current(&self, vd: f64, vg: f64, vs: f64, vb: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn drain_current(&self, vd: f64, vg: f64, vs: f64, vb: f64) -> f64 {
         let s = self.polarity.sign();
         let (vdt, vgt, vst, vbt) = (s * vd, s * vg, s * vs, s * vb);
         if vdt >= vst {

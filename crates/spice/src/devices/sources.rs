@@ -63,7 +63,7 @@ impl SourceWave {
     /// The times in `(0, stop)` where the waveform's slope may jump: every
     /// PWL point and every pulse corner (start and end of each rise and
     /// fall), ascending. A transient lands a step exactly on each one.
-    pub fn breakpoints(&self, stop: f64) -> Vec<f64> {
+    pub(crate) fn breakpoints(&self, stop: f64) -> Vec<f64> {
         let inside = |t: f64| t > 0.0 && t < stop;
         let mut out: Vec<f64> = match self {
             SourceWave::Dc(_) => Vec::new(),

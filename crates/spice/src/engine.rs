@@ -40,7 +40,7 @@ static CHAOS_NEWTON_NAN: InjectionPoint = InjectionPoint::new("spice.newton_nan"
 static CHAOS_NEWTON_STALL: InjectionPoint = InjectionPoint::new("spice.newton_stall");
 
 /// Which rung of the escalation ladder produced a solution — reported by
-/// [`Solver::solve_escalated`] so analyses can account for recoveries.
+/// `Solver::solve_escalated` so analyses can account for recoveries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Escalation {
     /// The direct Newton solve converged.
@@ -92,7 +92,7 @@ impl<'c> Solver<'c> {
     ///
     /// # Errors
     ///
-    /// Propagates [`Circuit::validate`] failures.
+    /// Propagates the circuit's validation failures.
     pub fn new(ckt: &'c Circuit, opts: &SimOptions) -> Result<Self, SpiceError> {
         ckt.validate()?;
         let mut branch_of = Vec::with_capacity(ckt.num_devices());
@@ -135,7 +135,7 @@ impl<'c> Solver<'c> {
     /// Starts a fresh solve budget: resets the iteration allowance.
     /// Called at the top of each operating-point solve and each transient
     /// step, so the budget bounds one step's whole retry/escalation tree.
-    pub fn begin_solve_budget(&mut self) {
+    pub(crate) fn begin_solve_budget(&mut self) {
         self.budget_left = self.opts.max_solve_iterations;
     }
 
@@ -166,18 +166,6 @@ impl<'c> Solver<'c> {
         self.ckt.num_nodes() - 1 + self.n_branches
     }
 
-    /// Solver options.
-    pub fn options(&self) -> &SimOptions {
-        &self.opts
-    }
-
-    /// Total Newton iterations (one matrix assembly + LU solve each)
-    /// performed by this solver, across all analyses. Benchmarks divide
-    /// wall time by the growth of this counter to report ns/iteration.
-    pub fn newton_iterations(&self) -> u64 {
-        self.newton_iterations
-    }
-
     /// One full Newton solve at the given context, starting from `x0`.
     ///
     /// # Errors
@@ -185,13 +173,13 @@ impl<'c> Solver<'c> {
     /// [`SpiceError::Convergence`] when the iteration does not settle within
     /// `max_newton` iterations, [`SpiceError::Singular`] when the MNA matrix
     /// cannot be factored.
-    pub fn newton(&mut self, ctx: &EvalCtx, x0: &[f64]) -> Result<Vec<f64>, SpiceError> {
+    pub(crate) fn newton(&mut self, ctx: &EvalCtx, x0: &[f64]) -> Result<Vec<f64>, SpiceError> {
         let mut x = x0.to_vec();
         self.newton_in_place(ctx, &mut x)?;
         Ok(x)
     }
 
-    /// Like [`Solver::newton`], but starting from `x0` and writing the
+    /// Like `Solver::newton`, but starting from `x0` and writing the
     /// solution into a caller-owned buffer: allocation-free once `x` has
     /// capacity, which makes the transient loop's steady state alloc-free.
     ///
@@ -200,7 +188,7 @@ impl<'c> Solver<'c> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Solver::newton`].
+    /// Same conditions as `Solver::newton`.
     pub fn newton_into(
         &mut self,
         ctx: &EvalCtx,
@@ -445,7 +433,7 @@ impl<'c> Solver<'c> {
     /// [`SpiceError::Convergence`] when all three rungs fail;
     /// [`SpiceError::BudgetExhausted`] as soon as a configured solve
     /// budget runs out, from whichever rung was active.
-    pub fn solve_escalated(
+    pub(crate) fn solve_escalated(
         &mut self,
         ctx: &EvalCtx,
         x0: &[f64],
@@ -471,14 +459,14 @@ impl<'c> Solver<'c> {
 
     /// Clears junction-limiting memory (kept between continuation steps,
     /// reset between strategies).
-    pub fn reset_limit_state(&mut self) {
+    pub(crate) fn reset_limit_state(&mut self) {
         for s in &mut self.states {
             s.limit = [0.0; 2];
         }
     }
 
     /// Node voltage from a solution vector.
-    pub fn voltage(&self, x: &[f64], n: crate::NodeId) -> f64 {
+    pub(crate) fn voltage(&self, x: &[f64], n: crate::NodeId) -> f64 {
         if n.is_ground() {
             0.0
         } else {
@@ -487,14 +475,9 @@ impl<'c> Solver<'c> {
     }
 
     /// Branch current of the `k`-th voltage source from a solution vector.
-    pub fn source_current(&self, x: &[f64], k: usize) -> f64 {
+    pub(crate) fn source_current(&self, x: &[f64], k: usize) -> f64 {
         debug_assert!(k < self.n_branches);
         x[self.ckt.num_nodes() - 1 + k]
-    }
-
-    /// Branch row of a device if it is a voltage source.
-    pub fn branch_of(&self, device_index: usize) -> Option<usize> {
-        self.branch_of[device_index]
     }
 }
 

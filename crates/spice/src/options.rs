@@ -111,7 +111,7 @@ impl SimOptions {
 
     /// Returns `true` when two successive voltage iterates agree within
     /// tolerance.
-    pub fn voltage_converged(&self, v_new: f64, v_old: f64) -> bool {
+    pub(crate) fn voltage_converged(&self, v_new: f64, v_old: f64) -> bool {
         (v_new - v_old).abs() <= self.reltol * v_new.abs().max(v_old.abs()) + self.vntol
     }
 }

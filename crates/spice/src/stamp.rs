@@ -21,7 +21,7 @@ pub struct Stamp {
 impl Stamp {
     /// Creates an empty system for a circuit with `n_nodes` total nodes
     /// (including ground) and `n_branches` voltage-source branches.
-    pub fn new(n_nodes: usize, n_branches: usize) -> Self {
+    pub(crate) fn new(n_nodes: usize, n_branches: usize) -> Self {
         let dim = n_nodes - 1 + n_branches;
         Stamp {
             n_nodes,
@@ -32,7 +32,7 @@ impl Stamp {
     }
 
     /// Zeroes the system for re-stamping.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.a.clear();
         self.z.iter_mut().for_each(|v| *v = 0.0);
     }
@@ -40,14 +40,14 @@ impl Stamp {
     /// Overwrites this system with `other` (same dimensions) — a pair of
     /// memcpys, so the cached linear part of a circuit can seed each
     /// Newton iteration instead of re-stamping every device.
-    pub fn copy_from(&mut self, other: &Stamp) {
+    pub(crate) fn copy_from(&mut self, other: &Stamp) {
         debug_assert_eq!(self.dim(), other.dim());
         self.a.copy_from(&other.a);
         self.z.copy_from_slice(&other.z);
     }
 
     /// System dimension (node rows + branch rows).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.n_nodes - 1 + self.n_branches
     }
 
@@ -67,20 +67,15 @@ impl Stamp {
     }
 
     /// Voltage of `n` in the solution/iterate vector `x`.
-    pub fn voltage(&self, x: &[f64], n: NodeId) -> f64 {
+    pub(crate) fn voltage(&self, x: &[f64], n: NodeId) -> f64 {
         match self.node_row(n) {
             Some(r) => x[r],
             None => 0.0,
         }
     }
 
-    /// Branch current of voltage source `k` in `x`.
-    pub fn branch_current(&self, x: &[f64], k: usize) -> f64 {
-        x[self.branch_row(k)]
-    }
-
     /// Stamps a conductance `g` between nodes `a` and `b`.
-    pub fn add_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
+    pub(crate) fn add_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
         let ra = self.node_row(a);
         let rb = self.node_row(b);
         if let Some(i) = ra {
@@ -97,7 +92,7 @@ impl Stamp {
 
     /// Stamps a constant current `i` flowing from node `from` through the
     /// element into node `to`.
-    pub fn add_current(&mut self, from: NodeId, to: NodeId, i: f64) {
+    pub(crate) fn add_current(&mut self, from: NodeId, to: NodeId, i: f64) {
         if let Some(r) = self.node_row(from) {
             self.z[r] -= i;
         }
@@ -108,7 +103,7 @@ impl Stamp {
 
     /// Stamps a raw matrix entry coupling the KCL row of `row_node` to the
     /// voltage of `col_node` (used for transconductances).
-    pub fn add_entry(&mut self, row_node: NodeId, col_node: NodeId, v: f64) {
+    pub(crate) fn add_entry(&mut self, row_node: NodeId, col_node: NodeId, v: f64) {
         if let (Some(r), Some(c)) = (self.node_row(row_node), self.node_row(col_node)) {
             self.a.add_at(r, c, v);
         }
@@ -116,7 +111,7 @@ impl Stamp {
 
     /// Stamps an ideal voltage source `v(plus) - v(minus) = e` on branch
     /// `k`.
-    pub fn add_vsource(&mut self, k: usize, plus: NodeId, minus: NodeId, e: f64) {
+    pub(crate) fn add_vsource(&mut self, k: usize, plus: NodeId, minus: NodeId, e: f64) {
         let br = self.branch_row(k);
         if let Some(r) = self.node_row(plus) {
             self.a.add_at(r, br, 1.0);
@@ -131,7 +126,7 @@ impl Stamp {
 
     /// Adds `gmin` from every node to ground (diagonal loading), keeping
     /// the matrix nonsingular when all devices at a node are cut off.
-    pub fn add_gmin_loading(&mut self, gmin: f64) {
+    pub(crate) fn add_gmin_loading(&mut self, gmin: f64) {
         for i in 0..self.n_nodes - 1 {
             self.a.add_at(i, i, gmin);
         }
@@ -183,7 +178,7 @@ mod tests {
         assert!((st.voltage(&x, mid) - 1.0).abs() < 1e-12);
         // Branch current: 2V across 2k total = 1 mA flowing out of the
         // source's plus terminal (negative in the MNA convention).
-        assert!((st.branch_current(&x, 0) + 1e-3).abs() < 1e-12);
+        assert!((x[st.branch_row(0)] + 1e-3).abs() < 1e-12);
     }
 
     #[test]

@@ -27,45 +27,29 @@ pub enum EdgeKind {
 pub struct Waveform {
     time: Vec<f64>,
     traces: Vec<Option<Vec<f64>>>,
-    source_currents: Vec<Option<Vec<f64>>>,
 }
 
 impl Waveform {
     /// Creates an empty waveform.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Waveform::default()
     }
 
-    /// Appends a sample: time plus the voltage of every recorded node and
-    /// the current of every recorded source branch.
-    pub fn push_sample(
+    /// Appends a sample: time plus the voltage of every recorded node.
+    pub(crate) fn push_sample(
         &mut self,
         t: f64,
         voltages: impl IntoIterator<Item = (NodeId, f64)>,
-        currents: impl IntoIterator<Item = (usize, f64)>,
     ) {
         self.time.push(t);
         for (n, v) in voltages {
             push_indexed(&mut self.traces, n.index(), v);
-        }
-        for (k, i) in currents {
-            push_indexed(&mut self.source_currents, k, i);
         }
     }
 
     /// The time axis.
     pub fn time(&self) -> &[f64] {
         &self.time
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.time.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.time.is_empty()
     }
 
     /// Voltage trace of a node.
@@ -81,18 +65,20 @@ impl Waveform {
     }
 
     /// Voltage trace of a node, if recorded.
-    pub fn trace_opt(&self, n: NodeId) -> Option<&[f64]> {
+    pub(crate) fn trace_opt(&self, n: NodeId) -> Option<&[f64]> {
         self.traces.get(n.index()).and_then(|t| t.as_deref())
-    }
-
-    /// Branch-current trace of the `k`-th voltage source, if recorded.
-    pub fn source_current(&self, k: usize) -> Option<&[f64]> {
-        self.source_currents.get(k).and_then(|t| t.as_deref())
     }
 
     /// All times at which `trace` crosses `level` in the given direction,
     /// linearly interpolated, at or after `t_start`.
-    pub fn crossings(&self, n: NodeId, level: f64, edge: EdgeKind, t_start: f64) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn crossings(
+        &self,
+        n: NodeId,
+        level: f64,
+        edge: EdgeKind,
+        t_start: f64,
+    ) -> Vec<f64> {
         let y = self.trace(n);
         (1..self.time.len())
             .filter_map(|i| interval_crossing(&self.time, y, i, level, edge, t_start))
@@ -113,10 +99,10 @@ impl Waveform {
     }
 
     /// The crossing on the newest sample interval (between the last two
-    /// samples), if it has one — the incremental form of
-    /// [`Waveform::crossings`] for a caller watching a waveform grow.
-    /// Called after every appended sample, it sees exactly the crossings
-    /// `crossings` reports, in the same order and bit for bit.
+    /// samples), if it has one — the incremental crossing search for a
+    /// caller watching a waveform grow. Called after every appended
+    /// sample, it sees every crossing of the whole trace, in time order
+    /// and bit for bit.
     pub fn newest_crossing(
         &self,
         n: NodeId,
@@ -148,7 +134,8 @@ impl Waveform {
     }
 
     /// Minimum and maximum of a trace over the whole window.
-    pub fn extrema(&self, n: NodeId) -> (f64, f64) {
+    #[cfg(test)]
+    pub(crate) fn extrema(&self, n: NodeId) -> (f64, f64) {
         let y = self.trace(n);
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
@@ -195,25 +182,6 @@ impl Waveform {
     /// empty waveform degrades to "never crossed" rather than panicking.
     pub fn final_value(&self, n: NodeId) -> f64 {
         self.trace(n).last().copied().unwrap_or(f64::NAN)
-    }
-
-    /// Writes the time axis plus the given node traces as CSV with header
-    /// names.
-    pub fn to_csv(&self, columns: &[(NodeId, &str)]) -> String {
-        let mut s = String::from("time");
-        for (_, name) in columns {
-            s.push(',');
-            s.push_str(name);
-        }
-        s.push('\n');
-        for i in 0..self.time.len() {
-            s.push_str(&format!("{:.6e}", self.time[i]));
-            for (n, _) in columns {
-                s.push_str(&format!(",{:.6e}", self.trace(*n)[i]));
-            }
-            s.push('\n');
-        }
-        s
     }
 }
 
@@ -279,7 +247,7 @@ mod tests {
             } else {
                 (20.0 - t) / 10.0
             };
-            w.push_sample(t, [(n, v)], []);
+            w.push_sample(t, [(n, v)]);
         }
         (w, n)
     }
@@ -313,7 +281,7 @@ mod tests {
             let t = i as f64;
             let va = if t >= 10.0 { 1.0 } else { 0.0 };
             let vb = if t >= 30.0 { 0.0 } else { 1.0 };
-            w.push_sample(t, [(a, va), (b, vb)], []);
+            w.push_sample(t, [(a, va), (b, vb)]);
         }
         let d = w
             .propagation_delay(a, EdgeKind::Rising, b, EdgeKind::Falling, 0.5, 0.0)
@@ -330,7 +298,7 @@ mod tests {
         for i in 0..=10 {
             let t = i as f64;
             let va = if t >= 2.0 { 1.0 } else { 0.0 };
-            w.push_sample(t, [(a, va), (b, 1.0)], []);
+            w.push_sample(t, [(a, va), (b, 1.0)]);
         }
         assert!(w
             .propagation_delay(a, EdgeKind::Rising, b, EdgeKind::Falling, 0.5, 0.0)
@@ -371,7 +339,7 @@ mod tests {
             let mut t = 0.0;
             for _ in 0..40 {
                 t += 0.25 * next(5) as f64;
-                w.push_sample(t, [(n, 0.25 * next(5) as f64)], []);
+                w.push_sample(t, [(n, 0.25 * next(5) as f64)]);
                 grown.push(w.clone());
             }
             for edge in [EdgeKind::Rising, EdgeKind::Falling, EdgeKind::Any] {
@@ -398,14 +366,5 @@ mod tests {
         assert_eq!(lo, 0.0);
         assert_eq!(hi, 1.0);
         assert_eq!(w.final_value(n), 0.0);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let (w, n) = ramp_wave();
-        let csv = w.to_csv(&[(n, "x")]);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "time,x");
-        assert_eq!(csv.lines().count(), 22);
     }
 }

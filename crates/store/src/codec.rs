@@ -55,7 +55,7 @@ impl std::error::Error for CodecError {}
 ///
 /// ```
 /// use obd_store::codec::{Dec, Enc};
-/// let bytes = Enc::new().u64(7).u64(u64::MAX).finish();
+/// let bytes = Enc::default().u64(7).u64(u64::MAX).finish();
 /// let mut dec = Dec::new(&bytes);
 /// assert_eq!(dec.u64().unwrap(), 7);
 /// assert_eq!(dec.u64().unwrap(), u64::MAX);
@@ -67,11 +67,6 @@ pub struct Enc {
 }
 
 impl Enc {
-    /// An empty encoder.
-    pub fn new() -> Self {
-        Enc::default()
-    }
-
     /// An empty encoder with room for `bytes` bytes of payload.
     pub fn with_capacity(bytes: usize) -> Self {
         Enc {
@@ -153,7 +148,7 @@ mod tests {
 
     #[test]
     fn fields_roundtrip() {
-        let bytes = Enc::new().u64(0).u64(u64::MAX - 1).u64(7).finish();
+        let bytes = Enc::default().u64(0).u64(u64::MAX - 1).u64(7).finish();
         assert_eq!(bytes.len(), 24);
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u64().unwrap(), 0);
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_prefix_is_a_typed_error() {
-        let bytes = Enc::new().u64(7).u64(9).finish();
+        let bytes = Enc::default().u64(7).u64(9).finish();
         for cut in 0..bytes.len() {
             let mut d = Dec::new(&bytes[..cut]);
             let r = d.u64().and_then(|_| d.u64());
@@ -177,7 +172,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_typed() {
-        let mut bytes = Enc::new().u64(1).finish();
+        let mut bytes = Enc::default().u64(1).finish();
         bytes.push(0);
         let mut d = Dec::new(&bytes);
         d.u64().unwrap();

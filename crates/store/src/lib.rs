@@ -295,7 +295,7 @@ impl Digest {
 
     /// Folds a `u32` in.
     #[must_use]
-    pub fn u32(self, v: u32) -> Self {
+    pub(crate) fn u32(self, v: u32) -> Self {
         self.bytes(&v.to_le_bytes())
     }
 
@@ -385,7 +385,6 @@ pub struct Store {
     writer: Mutex<Writer>,
     index: RwLock<HashMap<u64, IndexEntry>>,
     hits: AtomicU64,
-    misses: AtomicU64,
     puts: AtomicU64,
     /// Compacted-file size cap in bytes; `0` means uncapped. Seeded from
     /// [`STORE_MAX_BYTES_ENV`] at open, adjustable per handle.
@@ -611,7 +610,6 @@ impl Store {
             }),
             index: RwLock::new(index),
             hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             puts: AtomicU64::new(0),
             max_bytes: AtomicU64::new(
                 std::env::var(STORE_MAX_BYTES_ENV)
@@ -649,7 +647,8 @@ impl Store {
             .len()
     }
 
-    /// Whether the store holds no records.
+    /// Whether the store holds no records. Kept next to [`Store::len`],
+    /// which clippy's `len_without_is_empty` pairs it with.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -657,11 +656,6 @@ impl Store {
     /// Gets served from disk through this handle.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Gets that missed through this handle.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Records appended through this handle.
@@ -744,7 +738,6 @@ impl Store {
             .get(&digest)
             .copied();
         let Some(entry) = entry else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             STORE_MISSES.inc();
             return Ok(None);
         };
@@ -770,19 +763,6 @@ impl Store {
         self.hits.fetch_add(1, Ordering::Relaxed);
         STORE_HITS.inc();
         Ok(Some(buf))
-    }
-
-    /// Whether a record exists under `digest` (no read, no counters).
-    pub fn contains(&self, digest: u64) -> bool {
-        self.index
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains_key(&digest)
-    }
-
-    /// Directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Rewrites the live records to a temp file in log order and
@@ -1156,7 +1136,7 @@ mod tests {
         assert_eq!(store.get(k).unwrap(), None);
         store.put(k, b"hello").unwrap();
         assert_eq!(store.get(k).unwrap().as_deref(), Some(&b"hello"[..]));
-        assert_eq!((store.hits(), store.misses(), store.puts()), (1, 1, 1));
+        assert_eq!((store.hits(), store.puts()), (1, 1));
         assert_eq!(store.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -65,6 +65,12 @@ git diff --exit-code results/fig4_nmos.csv results/fig4_pmos.csv \
     results/excitation.txt results/em_contrast.txt \
     results/detection_window.txt results/iddq.txt results/variation.txt
 
+# E9's deterministic counts (gates, stuck-at and OBD tests, aborted
+# faults) must stay byte-identical to the committed copy; the timings
+# stay in the uncommitted atpg_scaling.txt next to it.
+./target/release/repro scaling > /dev/null
+git diff --exit-code results/atpg_scaling_counts.txt
+
 # Smoke the observability layer end to end: `repro stats` must emit a
 # parseable metrics snapshot with the key engine counters nonzero. Its
 # §4.3 statistics (sites, testable faults, minimal transition sets) come
