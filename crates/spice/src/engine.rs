@@ -79,8 +79,6 @@ pub struct Solver<'c> {
     nonlinear: Vec<usize>,
     /// Newton update vector (the raw solve result before damping).
     x_new: Vec<f64>,
-    /// Cumulative Newton iterations (one LU solve each) since creation.
-    newton_iterations: u64,
     /// Iterations remaining in the current solve budget (`None` =
     /// unlimited).
     budget_left: Option<u64>,
@@ -126,7 +124,6 @@ impl<'c> Solver<'c> {
             linear,
             nonlinear,
             x_new: vec![0.0; dim],
-            newton_iterations: 0,
             budget_left: opts.max_solve_iterations,
             opts: opts.clone(),
         })
@@ -237,7 +234,6 @@ impl<'c> Solver<'c> {
 
         for iter in 0..self.opts.max_newton {
             self.budget_check(ctx)?;
-            self.newton_iterations += 1;
             NEWTON_ITERATIONS.inc();
             if reference {
                 // Baseline kernel: restamp the full system and run a
