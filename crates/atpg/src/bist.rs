@@ -5,9 +5,9 @@
 //! This module provides the two standard BIST building blocks and an
 //! evaluation path for OBD defects:
 //!
-//! * an [`Lfsr`] pattern generator whose *consecutive* states form the
+//! * an LFSR pattern generator whose *consecutive* states form the
 //!   two-pattern launch/capture sequences (launch-on-capture style), and
-//! * a [`Misr`] response compactor whose final signature distinguishes a
+//! * a MISR response compactor whose final signature distinguishes a
 //!   defective circuit from a healthy one.
 
 use obd_logic::netlist::Netlist;
@@ -47,7 +47,7 @@ fn maximal_taps(width: usize) -> Vec<usize> {
 /// behind [`lfsr_two_pattern_tests`] and
 /// [`phased_lfsr_two_pattern_tests`].
 #[derive(Debug, Clone)]
-pub struct Lfsr {
+pub(crate) struct Lfsr {
     width: usize,
     taps: Vec<usize>,
     state: u64,
@@ -183,7 +183,7 @@ pub fn phased_lfsr_two_pattern_tests(
 /// A multiple-input signature register (MISR) modeled as a simple
 /// polynomial compactor over the observed output bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Misr {
+pub(crate) struct Misr {
     state: u64,
 }
 
@@ -210,12 +210,6 @@ impl Misr {
     /// Final signature.
     pub(crate) fn signature(&self) -> u64 {
         self.state
-    }
-}
-
-impl Default for Misr {
-    fn default() -> Self {
-        Misr::new()
     }
 }
 

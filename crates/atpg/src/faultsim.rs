@@ -34,6 +34,23 @@ use obd_metrics::Counter;
 static FAULTS_GRADED: Counter = Counter::new("atpg.faults_graded");
 /// Faults found detected by a grading call.
 static FAULTS_DETECTED: Counter = Counter::new("atpg.faults_detected");
+
+/// Work, in gate evaluations, below which a grading fan-out runs inline:
+/// faults × packed blocks × gates for fault grading, blocks × gates for
+/// the good-machine fill. On a 2-vCPU host every pooled fan-out of less
+/// work ran slower than the same fan-out inline.
+const INLINE_WORK: usize = 1 << 15;
+
+/// `threads`, or 1 when a fan-out of `work` gate evaluations is too
+/// small to pay for spawning workers.
+fn fan_out(threads: usize, work: usize) -> usize {
+    if work < INLINE_WORK {
+        1
+    } else {
+        threads
+    }
+}
+
 /// A prepared fault simulator for one netlist.
 #[derive(Debug)]
 pub struct FaultSimulator<'a> {
@@ -336,10 +353,11 @@ impl<'a> FaultSimulator<'a> {
         self.grade_parallel(faults, tests, 1)
     }
 
-    /// [`FaultSimulator::grade`] fanned out over `threads` workers of the
-    /// shared [`obd_core::pool`]: the good-response fill runs one pool
-    /// job per block, and grading one job per 64-fault chunk
-    /// ([`PpsfpEngine::grade_parallel`]).
+    /// [`FaultSimulator::grade`] fanned out over up to `threads` workers
+    /// of the shared [`obd_core::pool`]: preparation runs one pool job
+    /// per block, and grading one job per 64-fault chunk
+    /// ([`PpsfpEngine::grade_parallel`]). Either fan-out runs inline
+    /// when its work estimate is too small to pay for its workers.
     ///
     /// # Errors
     ///
@@ -353,7 +371,7 @@ impl<'a> FaultSimulator<'a> {
         if faults.is_empty() {
             return Ok(Vec::new());
         }
-        let engine = PpsfpEngine::<1>::prepare_with_threads(self, tests, threads)?;
+        let (engine, threads) = self.prepare_fan_out::<1>(tests, faults.len(), threads)?;
         let out = engine.grade_parallel(faults, threads)?;
         FAULTS_GRADED.add(faults.len() as u64);
         FAULTS_DETECTED.add(out.iter().filter(|&&d| d).count() as u64);
@@ -363,11 +381,12 @@ impl<'a> FaultSimulator<'a> {
     /// Builds the full detection matrix `matrix[t][f]` for compaction and
     /// exhaustive analysis on the packed engine at [`SUPERLANE_WIDTH`]
     /// (no dropping, so every pattern of a wide block is useful work),
-    /// on every host thread: the good-response fill runs one pool job
-    /// per block, and the matrix one job per 64-fault column strip
+    /// on every host thread: preparation runs one pool job per block, and
+    /// the matrix one job per 64-fault column strip
     /// ([`PpsfpEngine::detection_matrix`]), each writing its faults'
     /// detections straight into its own columns. A matrix of at most 64
-    /// faults is one strip and runs inline.
+    /// faults is one strip, and either fan-out runs inline when its work
+    /// estimate is too small to pay for its workers.
     ///
     /// # Errors
     ///
@@ -377,9 +396,24 @@ impl<'a> FaultSimulator<'a> {
         faults: &[Fault],
         tests: &[TwoPatternTest],
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
-        let threads = host_threads();
-        PpsfpEngine::<SUPERLANE_WIDTH>::prepare_with_threads(self, tests, threads)?
-            .detection_matrix(faults, threads)
+        let (engine, threads) =
+            self.prepare_fan_out::<SUPERLANE_WIDTH>(tests, faults.len(), host_threads())?;
+        engine.detection_matrix(faults, threads)
+    }
+
+    /// Prepares a width-`N` engine on up to `threads` workers and returns
+    /// it with the worker count a fan-out over `faults` faults earns.
+    fn prepare_fan_out<'s, const N: usize>(
+        &'s self,
+        tests: &'s [TwoPatternTest],
+        faults: usize,
+        threads: usize,
+    ) -> Result<(PpsfpEngine<'a, 's, N>, usize), AtpgError> {
+        let gates = self.nl.num_gates();
+        let fill = tests.len().div_ceil(64 * N).saturating_mul(gates);
+        let engine = PpsfpEngine::<N>::prepare_with_threads(self, tests, fan_out(threads, fill))?;
+        let work = (engine.num_blocks() * gates).saturating_mul(faults);
+        Ok((engine, fan_out(threads, work)))
     }
 }
 

@@ -52,9 +52,11 @@
 //! chunks as pool jobs, [`PpsfpEngine::detection_matrix`] fills the
 //! no-drop matrix one pool job per 64-fault column strip (each job
 //! writes its detections straight into its own strip, so there is no
-//! merge), and [`PpsfpEngine::prepare_with_threads`] fills the
-//! good-response caches one pool job per block, so a large test set
-//! does not serialize the warm-up.
+//! merge), and [`PpsfpEngine::prepare_with_threads`] packs each block's
+//! frames and fills its good-response caches in one pool job per block,
+//! so a large test set does not serialize the warm-up. In the dropping
+//! grader, faults that degenerate to the same output stuck-at share one
+//! walk over the packed blocks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -90,13 +92,10 @@ static FAULTS_DROPPED: Counter = Counter::new("atpg.faults_dropped");
 /// prepared engine.
 static SUPERLANE_WIDTH_GAUGE: Gauge = Gauge::new("atpg.superlane_width");
 
-/// One packed block of fully-specified tests with its cached
-/// good-machine responses for both frames.
+/// One block of fully-specified tests, represented by its cached
+/// good-machine responses for both frames (the packed frames themselves
+/// are only needed to compute them).
 struct GoodBlock<const N: usize> {
-    /// Packed launch frames.
-    frame1: WideBlock<N>,
-    /// Packed capture frames.
-    frame2: WideBlock<N>,
     /// Good-machine net words under the launch frames.
     g1: Vec<LaneWord<N>>,
     /// Good-machine net words under the capture frames.
@@ -224,6 +223,15 @@ fn excitation_word<const N: usize>(
     switched & via
 }
 
+/// The packed word of a stuck value: every lane forced to `value`.
+fn stuck_word<const N: usize>(value: bool) -> LaneWord<N> {
+    if value {
+        LaneWord::ONES
+    } else {
+        LaneWord::ZERO
+    }
+}
+
 /// How a fault is evaluated against a packed block, precomputed once per
 /// fault. Everything test-independent about the scalar decision ladder
 /// (stuck-stage degeneration, slack gating, cell/transistor resolution)
@@ -232,8 +240,8 @@ enum FaultPlan<'c, const N: usize> {
     /// Test-independent reasons make the fault undetectable (slack-gated
     /// delay, pin without a transistor in the relevant network).
     Never,
-    /// Forced-value stuck-at on a net: `word` is the packed stuck value.
-    StuckAt { net: NetId, word: LaneWord<N> },
+    /// Forced-value stuck-at on a net.
+    StuckAt { net: NetId, value: bool },
     /// Transition fault: launch check at the net, then held-value
     /// propagation.
     Transition { net: NetId, rise: bool },
@@ -299,8 +307,9 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         Self::prepare_with_threads(sim, tests, 1)
     }
 
-    /// [`PpsfpEngine::prepare`] with the good-response cache fills
-    /// batched across `threads` workers — on a large test set over a
+    /// [`PpsfpEngine::prepare`] with the blocks spread across `threads`
+    /// workers: one pool job per block packs its tests' two frames and
+    /// simulates the good machine on them. On a large test set over a
     /// large circuit the good sims dominate preparation, and each block
     /// is independent.
     ///
@@ -312,8 +321,13 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         tests: &'s [TwoPatternTest],
         threads: usize,
     ) -> Result<Self, AtpgError> {
+        // One pass checks every frame's width and splits the fully
+        // specified tests (packed) from the X-bearing ones (scalar). The
+        // knownness test folds without an early exit, which vectorizes.
         let width = sim.nl.inputs().len();
-        for t in tests {
+        let mut packed_idx = Vec::new();
+        let mut scalar_tests = Vec::new();
+        for (i, t) in tests.iter().enumerate() {
             for frame in [&t.v1, &t.v2] {
                 if frame.len() != width {
                     return Err(AtpgError::VectorWidth {
@@ -322,38 +336,35 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                     });
                 }
             }
-        }
-        SUPERLANE_WIDTH_GAUGE.set(N as f64);
-        let mut packed_idx = Vec::new();
-        let mut scalar_tests = Vec::new();
-        for (i, t) in tests.iter().enumerate() {
-            if t.v1.iter().chain(t.v2.iter()).all(|v| v.is_known()) {
+            if t.v1
+                .iter()
+                .chain(&t.v2)
+                .fold(true, |known, v| known & v.is_known())
+            {
                 packed_idx.push(i);
             } else {
                 scalar_tests.push(i);
             }
         }
-        let capacity = WideBlock::<N>::CAPACITY;
-        let mut blocks = Vec::with_capacity(packed_idx.len().div_ceil(capacity));
-        let mut slices: Vec<&[Lv]> = Vec::with_capacity(capacity);
-        for chunk in packed_idx.chunks(capacity) {
-            slices.clear();
-            slices.extend(chunk.iter().map(|&i| tests[i].v1.as_slice()));
-            let frame1 = WideBlock::pack_slices(&slices)?;
+        SUPERLANE_WIDTH_GAUGE.set(N as f64);
+        let chunks: Vec<&[usize]> = packed_idx.chunks(WideBlock::<N>::CAPACITY).collect();
+        let blocks = run_jobs(&chunks, threads, |_, &chunk| {
+            let mut slices: Vec<&[Lv]> = chunk.iter().map(|&i| tests[i].v1.as_slice()).collect();
+            let frame1 = WideBlock::<N>::pack_slices(&slices)?;
             slices.clear();
             slices.extend(chunk.iter().map(|&i| tests[i].v2.as_slice()));
-            let frame2 = WideBlock::pack_slices(&slices)?;
-            blocks.push(GoodBlock {
+            let frame2 = WideBlock::<N>::pack_slices(&slices)?;
+            let (mut g1, mut g2) = (Vec::new(), Vec::new());
+            sim.soa.simulate_wide_into(&frame1, &mut g1)?;
+            sim.soa.simulate_wide_into(&frame2, &mut g2)?;
+            Ok::<_, AtpgError>(GoodBlock {
+                g1,
+                g2,
                 mask: frame1.mask(),
-                frame1,
-                frame2,
-                g1: Vec::new(),
-                g2: Vec::new(),
                 tests: chunk.to_vec(),
                 touched: AtomicBool::new(false),
-            });
-        }
-        Self::fill_good_responses(sim, &mut blocks, threads)?;
+            })
+        })?;
         let mut cells: Vec<CellEntry> = Vec::new();
         for g in sim.nl.gate_ids() {
             let gate = sim.nl.gate(g);
@@ -379,26 +390,6 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         })
     }
 
-    /// Simulates the good machine into every block's frame caches, one
-    /// pool job per block.
-    fn fill_good_responses(
-        sim: &FaultSimulator<'a>,
-        blocks: &mut [GoodBlock<N>],
-        threads: usize,
-    ) -> Result<(), AtpgError> {
-        let filled = run_jobs(blocks, threads, |_, blk| {
-            let (mut g1, mut g2) = (Vec::new(), Vec::new());
-            sim.soa.simulate_wide_into(&blk.frame1, &mut g1)?;
-            sim.soa.simulate_wide_into(&blk.frame2, &mut g2)?;
-            Ok::<_, AtpgError>((g1, g2))
-        })?;
-        for (blk, (g1, g2)) in blocks.iter_mut().zip(filled) {
-            blk.g1 = g1;
-            blk.g2 = g2;
-        }
-        Ok(())
-    }
-
     /// Number of packed `64 * N`-test blocks.
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
@@ -419,11 +410,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         match fault {
             Fault::StuckAt { net, value } => Ok(FaultPlan::StuckAt {
                 net: *net,
-                word: if *value {
-                    LaneWord::ONES
-                } else {
-                    LaneWord::ZERO
-                },
+                value: *value,
             }),
             Fault::Transition { net, slow_to } => Ok(FaultPlan::Transition {
                 net: *net,
@@ -438,14 +425,9 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                 })?;
                 // Stuck stages degenerate into an output stuck-at.
                 if self.sim.table.is_stuck(f.polarity, f.stage) {
-                    let value = stuck_output_value(gate.kind, f.polarity);
                     return Ok(FaultPlan::StuckAt {
                         net: gate.output,
-                        word: if value {
-                            LaneWord::ONES
-                        } else {
-                            LaneWord::ZERO
-                        },
+                        value: stuck_output_value(gate.kind, f.polarity),
                     });
                 }
                 // Delay regime: the extra delay must beat the slack.
@@ -489,6 +471,22 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
     }
 
+    /// The `2 * net + value` index of the output stuck-at a fault plans
+    /// to ([`FaultPlan::StuckAt`]): a stuck-at fault, or an OBD fault at
+    /// a stuck stage. Faults with the same index detect on the same
+    /// tests.
+    fn stuck_key(&self, fault: &Fault) -> Option<usize> {
+        let (net, value) = match fault {
+            Fault::StuckAt { net, value } => (*net, *value),
+            Fault::Obd(f) if self.sim.table.is_stuck(f.polarity, f.stage) => {
+                let gate = self.sim.nl.gate(f.gate);
+                (gate.output, stuck_output_value(gate.kind, f.polarity))
+            }
+            _ => return None,
+        };
+        Some(2 * net.index() + usize::from(value))
+    }
+
     /// Frame-2 propagation of a held value: `net` keeps its frame-1
     /// word and the POs are diffed against the cached good response.
     fn held_value_diff(
@@ -514,8 +512,9 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     ) -> LaneWord<N> {
         match *plan {
             FaultPlan::Never => LaneWord::ZERO,
-            FaultPlan::StuckAt { net, word } => {
+            FaultPlan::StuckAt { net, value } => {
                 let soa = &self.sim.soa;
+                let word = stuck_word(value);
                 (soa.propagate_held(&blk.g1, net, word, &mut scratch.cone)
                     | soa.propagate_held(&blk.g2, net, word, &mut scratch.cone))
                     & blk.mask
@@ -574,6 +573,60 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
     }
 
+    /// Whether any lane of the block detects the fault. A stuck-at walks
+    /// the capture frame's cone only when the launch frame's misses: the
+    /// OR of the two frames' masks is nonzero iff one of them is.
+    fn detects_in(
+        &self,
+        plan: &FaultPlan<'_, N>,
+        blk: &GoodBlock<N>,
+        scratch: &mut PpsfpScratch<N>,
+    ) -> bool {
+        match *plan {
+            FaultPlan::StuckAt { net, value } => {
+                let soa = &self.sim.soa;
+                let word = stuck_word(value);
+                [&blk.g1, &blk.g2].into_iter().any(|good| {
+                    (soa.propagate_held(good, net, word, &mut scratch.cone) & blk.mask).any()
+                })
+            }
+            _ => self.detect_mask(plan, blk, scratch).any(),
+        }
+    }
+
+    /// Counts a detection after `done` of the engine's blocks and scalar
+    /// tests as a drop when tests were still pending.
+    fn count_drop(&self, done: usize) {
+        if done < self.blocks.len() + self.scalar_tests.len() {
+            FAULTS_DROPPED.inc();
+        }
+    }
+
+    /// Whether a packed block detects the planned fault, stopping at the
+    /// first block that does.
+    fn packed_hit(&self, plan: &FaultPlan<'_, N>, scratch: &mut PpsfpScratch<N>) -> bool {
+        for (k, blk) in self.blocks.iter().enumerate() {
+            Self::touch(blk);
+            if self.detects_in(plan, blk, scratch) {
+                self.count_drop(k + 1);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Whether an X-bearing test detects the fault, stopping at the
+    /// first one that does.
+    fn scalar_hit(&self, fault: &Fault) -> Result<bool, AtpgError> {
+        for (k, &i) in self.scalar_tests.iter().enumerate() {
+            if self.sim.detects(fault, &self.tests[i])? {
+                self.count_drop(self.blocks.len() + k + 1);
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
     /// Whether any test detects the fault, dropping the fault at its
     /// first detection (remaining blocks/tests are skipped).
     ///
@@ -585,30 +638,11 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         fault: &Fault,
         scratch: &mut PpsfpScratch<N>,
     ) -> Result<bool, AtpgError> {
-        let total = self.blocks.len() + self.scalar_tests.len();
-        if total == 0 {
+        if self.tests.is_empty() {
             return Ok(false);
         }
         let plan = self.plan(fault)?;
-        // A detection with tests still pending is a drop.
-        let detected_after = |done: usize| {
-            if done < total {
-                FAULTS_DROPPED.inc();
-            }
-            Ok(true)
-        };
-        for (k, blk) in self.blocks.iter().enumerate() {
-            Self::touch(blk);
-            if self.detect_mask(&plan, blk, scratch).any() {
-                return detected_after(k + 1);
-            }
-        }
-        for (k, &i) in self.scalar_tests.iter().enumerate() {
-            if self.sim.detects(fault, &self.tests[i])? {
-                return detected_after(self.blocks.len() + k + 1);
-            }
-        }
-        Ok(false)
+        Ok(self.packed_hit(&plan, scratch) || self.scalar_hit(fault)?)
     }
 
     /// Per-test detection flags for one fault (no dropping), in test
@@ -663,25 +697,68 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     /// scratch arena and returns one word of the detected bitmap, so
     /// workers stay load-balanced under dropping.
     ///
+    /// Faults that plan to the same output stuck-at (a stuck-at fault
+    /// and the stuck-stage OBD faults of its driving gate) detect on the
+    /// same tests, so only the first of each such group walks the packed
+    /// blocks and the rest copy its verdict. Faults the packed blocks
+    /// miss then try the X-bearing tests, each on its own.
+    ///
     /// # Errors
     ///
     /// The error of the lowest-indexed failing fault, at any thread
     /// count; a panicking job surfaces as [`AtpgError::Internal`].
     pub fn grade_parallel(&self, faults: &[Fault], threads: usize) -> Result<Vec<bool>, AtpgError> {
+        if self.tests.is_empty() {
+            return Ok(vec![false; faults.len()]);
+        }
+        // The first fault of each shared stuck-at plan, by stuck key.
+        let mut first = vec![usize::MAX; 2 * self.sim.nl.num_nets()];
+        for (i, f) in faults.iter().enumerate() {
+            if let Some(key) = self.stuck_key(f) {
+                if first[key] == usize::MAX {
+                    first[key] = i;
+                }
+            }
+        }
+        let leader = |i: usize, f: &Fault| self.stuck_key(f).map_or(i, |key| first[key]);
         let chunks: Vec<&[Fault]> = faults.chunks(64).collect();
-        let words = run_jobs(&chunks, threads, |_, chunk| {
+        // Every fault is planned, so a planning error is reported at its
+        // own index even when the fault would copy another's verdict.
+        let words = run_jobs(&chunks, threads, |c, chunk| {
             let mut scratch = PpsfpScratch::default();
             let mut word = 0u64;
             for (k, f) in chunk.iter().enumerate() {
-                if self.grade_one(f, &mut scratch)? {
+                let plan = self.plan(f)?;
+                if leader(c * 64 + k, f) == c * 64 + k && self.packed_hit(&plan, &mut scratch) {
                     word |= 1 << k;
                 }
             }
             Ok::<_, AtpgError>(word)
         })?;
-        Ok((0..faults.len())
-            .map(|i| words[i / 64] >> (i % 64) & 1 == 1)
-            .collect())
+        let bit = |i: usize| words[i / 64] >> (i % 64) & 1 == 1;
+        let mut detected: Vec<bool> = faults
+            .iter()
+            .enumerate()
+            .map(|(i, f)| bit(leader(i, f)))
+            .collect();
+        if !self.scalar_tests.is_empty() {
+            // Planning succeeded for every fault and the widths were
+            // checked at preparation, so no error is left to reorder.
+            let detected_ref = &detected;
+            let words = run_jobs(&chunks, threads, |c, chunk| {
+                let mut word = 0u64;
+                for (k, f) in chunk.iter().enumerate() {
+                    if !detected_ref[c * 64 + k] && self.scalar_hit(f)? {
+                        word |= 1 << k;
+                    }
+                }
+                Ok::<_, AtpgError>(word)
+            })?;
+            for (i, d) in detected.iter_mut().enumerate() {
+                *d |= words[i / 64] >> (i % 64) & 1 == 1;
+            }
+        }
+        Ok(detected)
     }
 
     /// The full detection matrix `matrix[t][f]` (no dropping) on up to

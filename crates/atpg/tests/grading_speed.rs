@@ -8,7 +8,9 @@
 //! * the full c17 detection matrix (no dropping): per-pair scalar
 //!   `detects` against `detection_matrix`;
 //! * full mult16 detection rows (no dropping) at width 1 against the
-//!   super-lane width.
+//!   super-lane width;
+//! * csa32 engine preparation on 4,096 tests against serial dropping
+//!   grading of its full mixed universe on the prepared engine.
 //!
 //! Every pair of graders must agree bit for bit, and the packed engine
 //! must keep its margins:
@@ -18,7 +20,8 @@
 //! * the largest circuit has at least 2,000 gates and 1,000 faults;
 //! * super-lane rows are at least 2× width-1 rows on mult16;
 //! * the pool is at least 2× serial on the largest circuit, on hosts
-//!   with at least 4 threads.
+//!   with at least 4 threads;
+//! * csa32 preparation takes at most 0.32 of its dropping grading time.
 //!
 //! Each time is the minimum over its repetitions: the work is identical
 //! every repetition, so the minimum is the least noise-contaminated
@@ -161,6 +164,25 @@ fn superlane_speedup() -> f64 {
     narrow_s / wide_s
 }
 
+/// Serial preparation time over serial dropping grading time for the
+/// full mixed csa32 universe on 4,096 tests at width 1 (the dropping
+/// graders' width), min over five repetitions each.
+fn prepare_share() -> f64 {
+    let nl = carry_select_adder(32, 8);
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let faults = mixed_faults(&nl);
+    let patterns = random_two_pattern(nl.inputs().len(), 4096, 0xA78);
+    let (engine, prepare_s) = min_time(5, || PpsfpEngine::<1>::prepare(&sim, &patterns).unwrap());
+    let (_, grade_s) = min_time(5, || engine.grade_parallel(&faults, 1).unwrap());
+    println!(
+        "csa32 prepare {:.2} ms, grade {:.2} ms ({} faults, 4096 tests)",
+        prepare_s * 1e3,
+        grade_s * 1e3,
+        faults.len()
+    );
+    prepare_s / grade_s
+}
+
 #[test]
 #[ignore = "release-mode timing floor; run with --ignored"]
 fn packed_grading_keeps_its_speed_floor() {
@@ -181,10 +203,13 @@ fn packed_grading_keeps_its_speed_floor() {
     .collect();
     let matrix = matrix_speedup();
     let superlane = superlane_speedup();
+    let prepare = prepare_share();
     for r in &rows {
         println!("{r:?}");
     }
-    println!("c17 matrix {matrix:.1}x, mult16 super-lane {superlane:.2}x");
+    println!(
+        "c17 matrix {matrix:.1}x, mult16 super-lane {superlane:.2}x, csa32 prepare/grade {prepare:.3}"
+    );
 
     // c17 is small enough that packing wastes work against the scalar
     // path; every real circuit must show the bit-parallel win.
@@ -204,6 +229,12 @@ fn packed_grading_keeps_its_speed_floor() {
     if threads >= 4 {
         assert!(largest.parallel >= 2.0, "{threads} threads: {largest:?}");
     }
+    // Packing and the good-machine sims must stay a small share of a
+    // dropping run, or preparation, not fault evaluation, bounds it.
+    assert!(
+        prepare <= 0.32,
+        "csa32 preparation takes {prepare:.3} of its grading time, above 0.32"
+    );
     let best = rows.iter().map(|r| r.packed).fold(matrix, f64::max);
     assert!(
         best >= 8.0,

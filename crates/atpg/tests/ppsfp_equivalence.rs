@@ -358,6 +358,129 @@ fn vector_width_errors_preserved() {
     }
 }
 
+/// The `(net, value)` output stuck-at a fault grades as, if any: a
+/// stuck-at fault, or an HBD OBD fault (Table 1's stuck regime).
+fn stuck_plan(nl: &Netlist, f: &Fault) -> Option<(usize, bool)> {
+    match f {
+        Fault::StuckAt { net, value } => Some((net.index(), *value)),
+        Fault::Obd(o) if o.stage == BreakdownStage::Hbd => {
+            let gate = nl.gate(o.gate);
+            // An NMOS defect kills the pull-down: an inverting output
+            // sticks at 1, and AND/OR's extra inverter flips it to 0.
+            let nmos = o.polarity == Polarity::Nmos;
+            let flipped = matches!(gate.kind, GateKind::And | GateKind::Or);
+            Some((gate.output.index(), nmos != flipped))
+        }
+        _ => None,
+    }
+}
+
+/// Stuck-at and HBD OBD faults that force the same output net to the
+/// same value share one packed grading in the dropping grader. Every
+/// member must still get its scalar verdict, also when only an
+/// X-bearing test (each member's own scalar fallback) detects it, at 1
+/// and 4 threads, with the group's first fault a stuck-at or an OBD
+/// fault.
+#[test]
+fn shared_stuck_at_plans_match_scalar() {
+    for (name, nl) in circuits() {
+        let sim = FaultSimulator::new(&nl).unwrap();
+        let sa = stuck_at_faults(&nl);
+        let hbd = obd_faults(&nl, BreakdownStage::Hbd, false);
+        // Stuck-at faults lead half the groups, OBD faults the rest.
+        let (lo, hi) = hbd.split_at(hbd.len() / 2);
+        let faults: Vec<Fault> = lo.iter().chain(&sa).chain(hi).cloned().collect();
+        let plans: Vec<_> = faults.iter().map(|f| stuck_plan(&nl, f)).collect();
+        let shared = |i: usize| plans[..i].contains(&plans[i]);
+        assert!(
+            (0..faults.len()).filter(|&i| shared(i)).count() >= hbd.len() / 2,
+            "{name}: too few faults share a stuck-at plan"
+        );
+        let width = nl.inputs().len();
+        let mut tests = random_two_pattern(width, 96, 0x5AED);
+        // One X bit in every test but the first leaves one packed block
+        // of a single test.
+        for (i, t) in tests.iter_mut().enumerate().skip(1) {
+            if i % 2 == 0 {
+                t.v1[i % width] = Lv::X;
+            } else {
+                t.v2[i % width] = Lv::X;
+            }
+        }
+        let specified = &tests[..1];
+        let scalar = grade_scalar(&sim, &faults, &tests).unwrap();
+        let packed_only = grade_scalar(&sim, &faults, specified).unwrap();
+        assert!(
+            (0..faults.len()).any(|i| shared(i) && scalar[i] && !packed_only[i]),
+            "{name}: no shared-plan fault is detected by an X-bearing test alone"
+        );
+        let engine = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
+        assert_eq!(engine.num_blocks(), 1, "{name}");
+        assert_eq!(engine.scalar_fallback_tests(), 95, "{name}");
+        for threads in [1, 4] {
+            assert_eq!(
+                engine.grade_parallel(&faults, threads).unwrap(),
+                scalar,
+                "{name}, threads = {threads}"
+            );
+            assert_eq!(
+                sim.grade_parallel(&faults, &tests, threads).unwrap(),
+                scalar,
+                "{name}, threads = {threads}"
+            );
+        }
+    }
+}
+
+/// A fault on a gate without a cell model whose stuck-at plan another
+/// fault already leads is still planned on its own, so its error is
+/// the one reported when it is the lowest-indexed failing fault.
+#[test]
+fn shared_stuck_at_plan_keeps_the_lowest_index_error() {
+    let nl = mixed_cells();
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let xor = nl.driver(nl.find_net("x1").unwrap()).unwrap();
+    let buf = nl.driver(nl.find_net("b1").unwrap()).unwrap();
+    let hbd_nmos = |gate| {
+        Fault::Obd(ObdFault {
+            gate,
+            pin: 0,
+            polarity: Polarity::Nmos,
+            stage: BreakdownStage::Hbd,
+        })
+    };
+    let mut faults = stuck_at_faults(&nl);
+    faults.extend(obd_faults(&nl, BreakdownStage::Hbd, false));
+    let mut faults: Vec<Fault> = faults.into_iter().cycle().take(150).collect();
+    // x1 stuck-at-1 leads the group an HBD NMOS fault on x1 would join;
+    // that fault sits in the second 64-fault chunk, and the buffer's
+    // fault fails later, in the third.
+    let lead = faults
+        .iter()
+        .position(|f| stuck_plan(&nl, f) == stuck_plan(&nl, &hbd_nmos(xor)))
+        .unwrap();
+    assert!(lead < 100 && matches!(faults[lead], Fault::StuckAt { value: true, .. }));
+    faults.insert(100, hbd_nmos(xor));
+    faults.push(hbd_nmos(buf));
+    let mut tests = random_two_pattern(nl.inputs().len(), 70, 0x5AEE);
+    tests[5].v1[2] = Lv::X;
+    let want = Err(AtpgError::UnsupportedGate { gate: "x1".into() });
+    assert_eq!(grade_scalar(&sim, &faults, &tests), want);
+    let engine = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
+    for threads in [1, 4] {
+        assert_eq!(
+            engine.grade_parallel(&faults, threads),
+            want,
+            "threads = {threads}"
+        );
+        assert_eq!(
+            sim.grade_parallel(&faults, &tests, threads),
+            want,
+            "threads = {threads}"
+        );
+    }
+}
+
 /// Empty fault lists and empty test sets keep the scalar contract.
 #[test]
 fn degenerate_inputs_match_scalar() {

@@ -197,10 +197,10 @@ impl<const N: usize> WideBlock<N> {
         let mut words = vec![LaneWord::ZERO; n_inputs];
         for (k, v) in vectors.iter().enumerate() {
             let (lane, bit) = (k / 64, k % 64);
-            for (i, &lv) in v.as_ref().iter().enumerate() {
-                if lv == Lv::One {
-                    words[i].0[lane] |= 1u64 << bit;
-                }
+            // Branch-free: a data-dependent branch per value mispredicts
+            // on random patterns.
+            for (w, &lv) in words.iter_mut().zip(v.as_ref()) {
+                w.0[lane] |= u64::from(lv == Lv::One) << bit;
             }
         }
         WideBlock {
@@ -381,6 +381,76 @@ mod tests {
             WideBlock::<1>::pack_slices(&ragged),
             Err(LogicError::InputCountMismatch { .. })
         ));
+    }
+
+    /// Seeded property: the branch-free pack equals a per-bit reference
+    /// (bit `k % 64` of lane `k / 64` of word `i` set iff pattern `k`
+    /// drives PI `i` to 1; 0 and X pack as 0) on random 0/1/X patterns at
+    /// every lane boundary up to a full block, through both entry points.
+    /// Over capacity (65 patterns at `N = 1`), and with one pattern cut
+    /// short, both entry points return the same typed errors as before.
+    fn pack_matches_per_bit_reference<const N: usize>(seed: u64) {
+        let mut rng = crate::rng::XorShift64Star::seed_from_u64(seed);
+        for count in [1, 63, 64, 65, 64 * N] {
+            let n_inputs = 1 + rng.gen_range(9);
+            let vectors: Vec<Vec<Lv>> = (0..count)
+                .map(|_| {
+                    (0..n_inputs)
+                        .map(|_| [Lv::Zero, Lv::One, Lv::X][rng.gen_range(3)])
+                        .collect()
+                })
+                .collect();
+            let mut slices: Vec<&[Lv]> = vectors.iter().map(Vec::as_slice).collect();
+            if count > WideBlock::<N>::CAPACITY {
+                let too_large = Err(LogicError::PatternBlockTooLarge {
+                    found: count,
+                    capacity: 64 * N,
+                });
+                assert_eq!(WideBlock::<N>::pack(&vectors).map(|_| ()), too_large);
+                assert_eq!(WideBlock::<N>::pack_slices(&slices).map(|_| ()), too_large);
+                continue;
+            }
+            for block in [
+                WideBlock::<N>::pack(&vectors).unwrap(),
+                WideBlock::<N>::pack_slices(&slices).unwrap(),
+            ] {
+                assert_eq!(block.count, count);
+                assert_eq!(block.num_inputs(), n_inputs);
+                assert_eq!(block.mask(), LaneWord::mask(count));
+                for i in 0..n_inputs {
+                    let mut want = LaneWord::<N>::ZERO;
+                    for (k, v) in vectors.iter().enumerate() {
+                        if v[i] == Lv::One {
+                            want.set_bit(k);
+                        }
+                    }
+                    assert_eq!(block.word(i), want, "N={N}, {count} patterns, PI {i}");
+                }
+            }
+            if count == 1 {
+                continue; // one pattern cannot be ragged
+            }
+            // The first pattern sets the expected width.
+            let short = rng.gen_range(count);
+            slices[short] = &slices[short][..n_inputs - 1];
+            let (expected, found) = if short == 0 {
+                (n_inputs - 1, n_inputs)
+            } else {
+                (n_inputs, n_inputs - 1)
+            };
+            assert_eq!(
+                WideBlock::<N>::pack_slices(&slices).map(|_| ()),
+                Err(LogicError::InputCountMismatch { expected, found })
+            );
+        }
+    }
+
+    #[test]
+    fn pack_matches_per_bit_reference_on_random_patterns() {
+        for seed in [1, 2, 3] {
+            pack_matches_per_bit_reference::<1>(seed);
+            pack_matches_per_bit_reference::<8>(seed);
+        }
     }
 
     #[test]
