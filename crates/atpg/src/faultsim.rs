@@ -26,7 +26,7 @@ use obd_logic::soa::SoaNetlist;
 use obd_logic::value::Lv;
 
 use crate::fault::{DetectionCriterion, Fault, SlowTo, TwoPatternTest};
-use crate::ppsfp::{PpsfpEngine, SUPERLANE_WIDTH};
+use crate::ppsfp::{PpsfpEngine, WalkUnits, SUPERLANE_WIDTH};
 use crate::AtpgError;
 use obd_metrics::Counter;
 
@@ -35,11 +35,13 @@ static FAULTS_GRADED: Counter = Counter::new("atpg.faults_graded");
 /// Faults found detected by a grading call.
 static FAULTS_DETECTED: Counter = Counter::new("atpg.faults_detected");
 
-/// Work, in gate evaluations, below which a grading fan-out runs inline:
-/// faults × packed blocks × gates for fault grading, blocks × gates for
-/// the good-machine fill. On a 2-vCPU host every pooled fan-out of less
-/// work ran slower than the same fan-out inline.
-const INLINE_WORK: usize = 1 << 15;
+/// Work, in gate evaluations, below which a grading fan-out runs
+/// inline: blocks × gates for the good-machine fill, faults × packed
+/// blocks × gates for the no-drop matrix, and walk units × gates for
+/// dropping grading, where most units stop at their first block and so
+/// count one. On a 2-vCPU host each of the three ran slower on the pool
+/// below about 90k, was mixed up to about 230k, and won from 300k on.
+const INLINE_WORK: usize = 1 << 17;
 
 /// `threads`, or 1 when a fan-out of `work` gate evaluations is too
 /// small to pay for spawning workers.
@@ -355,9 +357,12 @@ impl<'a> FaultSimulator<'a> {
 
     /// [`FaultSimulator::grade`] fanned out over up to `threads` workers
     /// of the shared [`obd_core::pool`]: preparation runs one pool job
-    /// per block, and grading one job per 64-fault chunk
-    /// ([`PpsfpEngine::grade_parallel`]). Either fan-out runs inline
-    /// when its work estimate is too small to pay for its workers.
+    /// per eight blocks, and grading one job per 64 walk units
+    /// ([`PpsfpEngine::grade_parallel`]: the faults sharing an output
+    /// stuck-at or a held net grade as one unit). Either fan-out runs
+    /// inline when its work estimate is too small to pay for its
+    /// workers; under dropping most units stop at their first block, so
+    /// grading counts one block per unit.
     ///
     /// # Errors
     ///
@@ -371,8 +376,10 @@ impl<'a> FaultSimulator<'a> {
         if faults.is_empty() {
             return Ok(Vec::new());
         }
-        let (engine, threads) = self.prepare_fan_out::<1>(tests, faults.len(), threads)?;
-        let out = engine.grade_parallel(faults, threads)?;
+        let units = WalkUnits::new(self, faults);
+        let engine = self.prepare_fan_out::<1>(tests, threads)?;
+        let work = units.len().saturating_mul(self.nl.num_gates());
+        let out = engine.grade_units(faults, &units, fan_out(threads, work))?;
         FAULTS_GRADED.add(faults.len() as u64);
         FAULTS_DETECTED.add(out.iter().filter(|&&d| d).count() as u64);
         Ok(out)
@@ -396,24 +403,24 @@ impl<'a> FaultSimulator<'a> {
         faults: &[Fault],
         tests: &[TwoPatternTest],
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
-        let (engine, threads) =
-            self.prepare_fan_out::<SUPERLANE_WIDTH>(tests, faults.len(), host_threads())?;
-        engine.detection_matrix(faults, threads)
+        let threads = host_threads();
+        let engine = self.prepare_fan_out::<SUPERLANE_WIDTH>(tests, threads)?;
+        let work = (engine.num_blocks() * self.nl.num_gates()).saturating_mul(faults.len());
+        engine.detection_matrix(faults, fan_out(threads, work))
     }
 
-    /// Prepares a width-`N` engine on up to `threads` workers and returns
-    /// it with the worker count a fan-out over `faults` faults earns.
+    /// Prepares a width-`N` engine on up to `threads` workers, inline
+    /// when the good-machine fill is too small to pay for them.
     fn prepare_fan_out<'s, const N: usize>(
         &'s self,
         tests: &'s [TwoPatternTest],
-        faults: usize,
         threads: usize,
-    ) -> Result<(PpsfpEngine<'a, 's, N>, usize), AtpgError> {
-        let gates = self.nl.num_gates();
-        let fill = tests.len().div_ceil(64 * N).saturating_mul(gates);
-        let engine = PpsfpEngine::<N>::prepare_with_threads(self, tests, fan_out(threads, fill))?;
-        let work = (engine.num_blocks() * gates).saturating_mul(faults);
-        Ok((engine, fan_out(threads, work)))
+    ) -> Result<PpsfpEngine<'a, 's, N>, AtpgError> {
+        let fill = tests
+            .len()
+            .div_ceil(64 * N)
+            .saturating_mul(self.nl.num_gates());
+        PpsfpEngine::<N>::prepare_with_threads(self, tests, fan_out(threads, fill))
     }
 }
 

@@ -48,15 +48,22 @@
 //! lacked: fault dropping (a detected fault leaves the campaign
 //! immediately), a reusable per-worker [`PpsfpScratch`] arena so the
 //! inner loop is allocation-free, and fan-out on the shared
-//! [`obd_core::pool`]: [`PpsfpEngine::grade_parallel`] grades 64-fault
-//! chunks as pool jobs, [`PpsfpEngine::detection_matrix`] fills the
+//! [`obd_core::pool`]: [`PpsfpEngine::grade_parallel`] grades 64 walk
+//! units per pool job, [`PpsfpEngine::detection_matrix`] fills the
 //! no-drop matrix one pool job per 64-fault column strip (each job
 //! writes its detections straight into its own strip, so there is no
 //! merge), and [`PpsfpEngine::prepare_with_threads`] packs each block's
 //! frames and fills its good-response caches in one pool job per block,
-//! so a large test set does not serialize the warm-up. In the dropping
-//! grader, faults that degenerate to the same output stuck-at share one
-//! walk over the packed blocks.
+//! so a large test set does not serialize the warm-up.
+//!
+//! The dropping grader shares cone walks among faults. A walk unit is
+//! either the faults that degenerate to one output stuck-at, which walk
+//! once and share the verdict, or the faults that hold one net's
+//! launch-frame word through the capture frame: its transition faults
+//! and the delay-regime OBD and EM faults of its driving gate. An OBD
+//! delay fault propagates like a transition fault, gated by its
+//! transistor's excitation, so these differ only in the lanes they
+//! launch or excite; one capture-frame walk per block serves them all.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -80,13 +87,19 @@ use crate::AtpgError;
 /// 512 patterns per block.
 pub const SUPERLANE_WIDTH: usize = 8;
 
-/// (fault, block) packed evaluations performed.
+/// Packed block evaluations performed: one per (fault, block) in the
+/// no-drop graders and [`PpsfpEngine::grade_one`], one per (walk unit,
+/// block) the dropping [`PpsfpEngine::grade_parallel`] reaches, however
+/// many faults share the unit's walk.
 static BLOCKS_GRADED: Counter = Counter::new("atpg.blocks_graded");
 /// Packed evaluations that reused a block's cached good-machine response
 /// (every evaluation after the block's first).
 static GOOD_SIM_CACHE_HITS: Counter = Counter::new("atpg.good_sim_cache_hits");
-/// Faults detected with grading work still pending — the work the drop
-/// skipped.
+/// Detections with grading work still pending — the work the drop
+/// skipped: one per fault in [`PpsfpEngine::grade_one`]; in
+/// [`PpsfpEngine::grade_parallel`] one per stuck-at unit the blocks
+/// detect (its members share one verdict), one per held-net unit member
+/// the blocks detect, and one per fault an X-bearing test detects.
 static FAULTS_DROPPED: Counter = Counter::new("atpg.faults_dropped");
 /// Super-lane width (64-bit lanes per packed word) of the most recently
 /// prepared engine.
@@ -256,6 +269,112 @@ enum FaultPlan<'c, const N: usize> {
     },
 }
 
+/// The faults of one dropping grading run, grouped into walk units (see
+/// [`PpsfpEngine::grade_parallel`]). Units are ordered by their lowest
+/// fault index, and each unit's members ascend.
+/// Indices are `u32`, which any fault list that fits in memory does.
+pub(crate) struct WalkUnits {
+    /// Unit `u`'s members are `members[start[u]..start[u + 1]]`.
+    start: Vec<u32>,
+    /// Fault indices, unit by unit.
+    members: Vec<u32>,
+}
+
+impl WalkUnits {
+    /// The walk unit a fault joins in the dropping grader, as `3 * net +
+    /// slot`: slot 0 or 1 for the output stuck-at at that value a fault
+    /// plans to ([`FaultPlan::StuckAt`]: a stuck-at fault, or an OBD
+    /// fault at a stuck stage), slot 2 for the net whose launch-frame
+    /// word a fault holds through the capture frame (a transition fault,
+    /// or a delay-regime OBD or EM fault of the net's driving gate).
+    /// Faults of one stuck-at key detect on the same tests; faults of
+    /// one held net differ only in the lanes they launch or excite.
+    fn key(sim: &FaultSimulator<'_>, fault: &Fault) -> usize {
+        let nl = sim.nl;
+        let (net, slot) = match fault {
+            Fault::StuckAt { net, value } => (*net, usize::from(*value)),
+            Fault::Transition { net, .. } => (*net, 2),
+            Fault::Obd(f) => {
+                let gate = nl.gate(f.gate);
+                let slot = if sim.table.is_stuck(f.polarity, f.stage) {
+                    usize::from(stuck_output_value(gate.kind, f.polarity))
+                } else {
+                    2
+                };
+                (gate.output, slot)
+            }
+            Fault::Em { gate, .. } => (nl.gate(*gate).output, 2),
+        };
+        3 * net.index() + slot
+    }
+
+    /// Groups `faults` into walk units by [`WalkUnits::key`].
+    pub(crate) fn new(sim: &FaultSimulator<'_>, faults: &[Fault]) -> Self {
+        // Two passes over the faults: number the units in order of their
+        // first fault and count their members, then place each fault.
+        let mut unit_of = vec![u32::MAX; 3 * sim.nl.num_nets()];
+        let mut start = vec![0u32];
+        for f in faults {
+            let u = &mut unit_of[Self::key(sim, f)];
+            if *u == u32::MAX {
+                *u = (start.len() - 1) as u32;
+                start.push(0);
+            }
+            start[*u as usize + 1] += 1;
+        }
+        for u in 1..start.len() {
+            start[u] += start[u - 1];
+        }
+        let mut fill = start.clone();
+        let mut members = vec![0; faults.len()];
+        for (i, f) in faults.iter().enumerate() {
+            let slot = &mut fill[unit_of[Self::key(sim, f)] as usize];
+            members[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        WalkUnits { start, members }
+    }
+
+    /// Number of units.
+    pub(crate) fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The fault indices of unit `u`, ascending.
+    fn members(&self, u: usize) -> &[u32] {
+        &self.members[self.start[u] as usize..self.start[u + 1] as usize]
+    }
+}
+
+/// Units per dropping-grader pool job.
+const UNITS_PER_JOB: usize = 64;
+
+/// Records fault `i`'s error unless a lower-indexed fault's is already
+/// recorded.
+fn keep_lowest(failed: &mut Option<(usize, AtpgError)>, i: usize, e: AtpgError) {
+    if failed.as_ref().is_none_or(|&(j, _)| i < j) {
+        *failed = Some((i, e));
+    }
+}
+
+/// One planned member of a walk unit: its fault index, its plan and its
+/// launch/excitation lanes on the block being graded.
+struct Member<'c, const N: usize> {
+    fault: u32,
+    plan: FaultPlan<'c, N>,
+    lanes: LaneWord<N>,
+}
+
+impl<const N: usize> FaultPlan<'_, N> {
+    /// The net a held-value plan holds through the capture frame.
+    fn held_net(&self) -> Option<NetId> {
+        match *self {
+            FaultPlan::Transition { net, .. } | FaultPlan::Excited { out: net, .. } => Some(net),
+            FaultPlan::Never | FaultPlan::StuckAt { .. } => None,
+        }
+    }
+}
+
 /// A prepared bit-parallel grading engine over one simulator and one
 /// test set, `N` super-lanes (`64 * N` patterns) per packed block.
 pub struct PpsfpEngine<'a, 's, const N: usize = SUPERLANE_WIDTH> {
@@ -294,8 +413,8 @@ impl CellEntry {
 }
 
 impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
-    /// Packs the test set and computes the good-machine responses once
-    /// per `64 * N`-test block.
+    /// Packs the test set and computes the good-machine responses of
+    /// every `64 * N`-test block.
     ///
     /// # Errors
     ///
@@ -308,10 +427,12 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     }
 
     /// [`PpsfpEngine::prepare`] with the blocks spread across `threads`
-    /// workers: one pool job per block packs its tests' two frames and
-    /// simulates the good machine on them. On a large test set over a
-    /// large circuit the good sims dominate preparation, and each block
-    /// is independent.
+    /// workers: one pool job per [`SUPERLANE_WIDTH`]` / N` blocks (one
+    /// block when `N` is wider) packs its tests' two frames and simulates
+    /// the good machine on them at the super-lane width, then splits the
+    /// response into its blocks. On a large test set over a large
+    /// circuit the good sims dominate preparation, and each job is
+    /// independent.
     ///
     /// # Errors
     ///
@@ -347,24 +468,20 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
             }
         }
         SUPERLANE_WIDTH_GAUGE.set(N as f64);
-        let chunks: Vec<&[usize]> = packed_idx.chunks(WideBlock::<N>::CAPACITY).collect();
-        let blocks = run_jobs(&chunks, threads, |_, &chunk| {
-            let mut slices: Vec<&[Lv]> = chunk.iter().map(|&i| tests[i].v1.as_slice()).collect();
-            let frame1 = WideBlock::<N>::pack_slices(&slices)?;
-            slices.clear();
-            slices.extend(chunk.iter().map(|&i| tests[i].v2.as_slice()));
-            let frame2 = WideBlock::<N>::pack_slices(&slices)?;
-            let (mut g1, mut g2) = (Vec::new(), Vec::new());
-            sim.soa.simulate_wide_into(&frame1, &mut g1)?;
-            sim.soa.simulate_wide_into(&frame2, &mut g2)?;
-            Ok::<_, AtpgError>(GoodBlock {
-                g1,
-                g2,
-                mask: frame1.mask(),
-                tests: chunk.to_vec(),
-                touched: AtomicBool::new(false),
-            })
+        // A narrow engine simulates at the super-lane width: one sweep of
+        // the netlist covers `SUPERLANE_WIDTH / N` blocks instead of one.
+        let per_job = (SUPERLANE_WIDTH / N).max(1);
+        let chunks: Vec<&[usize]> = packed_idx
+            .chunks(WideBlock::<N>::CAPACITY * per_job)
+            .collect();
+        let jobs = run_jobs(&chunks, threads, |_, &chunk| {
+            if N <= SUPERLANE_WIDTH {
+                Self::good_blocks::<SUPERLANE_WIDTH>(sim, tests, chunk)
+            } else {
+                Self::good_blocks::<N>(sim, tests, chunk)
+            }
         })?;
+        let blocks = jobs.into_iter().flatten().collect();
         let mut cells: Vec<CellEntry> = Vec::new();
         for g in sim.nl.gate_ids() {
             let gate = sim.nl.gate(g);
@@ -388,6 +505,39 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
             scalar_tests,
             cells,
         })
+    }
+
+    /// The good-machine responses of the packed tests `chunk`, at most
+    /// `W / N` blocks of `64 * N`: both frames are packed and simulated
+    /// once at width `W`, and block `b` takes lanes `b * N .. (b + 1) *
+    /// N` of every net word. Lanes never interact, so each block's words
+    /// are those of a width-`N` simulation of its own tests.
+    fn good_blocks<const W: usize>(
+        sim: &FaultSimulator<'_>,
+        tests: &[TwoPatternTest],
+        chunk: &[usize],
+    ) -> Result<Vec<GoodBlock<N>>, AtpgError> {
+        let mut slices: Vec<&[Lv]> = chunk.iter().map(|&i| tests[i].v1.as_slice()).collect();
+        let frame1 = WideBlock::<W>::pack_slices(&slices)?;
+        slices.clear();
+        slices.extend(chunk.iter().map(|&i| tests[i].v2.as_slice()));
+        let frame2 = WideBlock::<W>::pack_slices(&slices)?;
+        let (mut w1, mut w2) = (Vec::new(), Vec::new());
+        sim.soa.simulate_wide_into(&frame1, &mut w1)?;
+        sim.soa.simulate_wide_into(&frame2, &mut w2)?;
+        let lanes = |w: &LaneWord<W>, b: usize| LaneWord(std::array::from_fn(|i| w.0[b * N + i]));
+        let mask = frame1.mask();
+        Ok(chunk
+            .chunks(WideBlock::<N>::CAPACITY)
+            .enumerate()
+            .map(|(b, block)| GoodBlock {
+                g1: w1.iter().map(|w| lanes(w, b)).collect(),
+                g2: w2.iter().map(|w| lanes(w, b)).collect(),
+                mask: lanes(&mask, b),
+                tests: block.to_vec(),
+                touched: AtomicBool::new(false),
+            })
+            .collect())
     }
 
     /// Number of packed `64 * N`-test blocks.
@@ -471,22 +621,6 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
     }
 
-    /// The `2 * net + value` index of the output stuck-at a fault plans
-    /// to ([`FaultPlan::StuckAt`]): a stuck-at fault, or an OBD fault at
-    /// a stuck stage. Faults with the same index detect on the same
-    /// tests.
-    fn stuck_key(&self, fault: &Fault) -> Option<usize> {
-        let (net, value) = match fault {
-            Fault::StuckAt { net, value } => (*net, *value),
-            Fault::Obd(f) if self.sim.table.is_stuck(f.polarity, f.stage) => {
-                let gate = self.sim.nl.gate(f.gate);
-                (gate.output, stuck_output_value(gate.kind, f.polarity))
-            }
-            _ => return None,
-        };
-        Some(2 * net.index() + usize::from(value))
-    }
-
     /// Frame-2 propagation of a held value: `net` keeps its frame-1
     /// word and the POs are diffed against the cached good response.
     fn held_value_diff(
@@ -519,13 +653,25 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                     | soa.propagate_held(&blk.g2, net, word, &mut scratch.cone))
                     & blk.mask
             }
-            FaultPlan::Transition { net, rise } => {
-                let (w1, w2) = (blk.g1[net.index()], blk.g2[net.index()]);
-                let launched = if rise { !w1 & w2 } else { w1 & !w2 } & blk.mask;
-                if launched.is_zero() {
+            FaultPlan::Transition { net, .. } | FaultPlan::Excited { out: net, .. } => {
+                let lanes = self.held_lanes(plan, blk);
+                if lanes.is_zero() {
                     return LaneWord::ZERO;
                 }
-                self.held_value_diff(blk, net, w1, scratch) & launched
+                self.held_value_diff(blk, net, blk.g1[net.index()], scratch) & lanes
+            }
+        }
+    }
+
+    /// The lanes of a block on which a held-value plan launches its
+    /// transition ([`FaultPlan::Transition`]) or excites its transistor
+    /// ([`FaultPlan::Excited`]); zero for every other plan.
+    fn held_lanes(&self, plan: &FaultPlan<'_, N>, blk: &GoodBlock<N>) -> LaneWord<N> {
+        match *plan {
+            FaultPlan::Transition { net, rise } => {
+                let (w1, w2) = (blk.g1[net.index()], blk.g2[net.index()]);
+                let launched = if rise { !w1 & w2 } else { w1 & !w2 };
+                launched & blk.mask
             }
             FaultPlan::Excited {
                 gate,
@@ -534,27 +680,23 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                 transistor,
                 em,
             } => {
-                let (w1, w2) = (blk.g1[out.index()], blk.g2[out.index()]);
                 // Lanes without an output transition can neither be
                 // excited nor corrupt the capture (the held value equals
                 // the good value), so they filter out up front.
-                let candidate = (w1 ^ w2) & blk.mask;
+                let candidate = (blk.g1[out.index()] ^ blk.g2[out.index()]) & blk.mask;
                 if candidate.is_zero() {
                     return LaneWord::ZERO;
                 }
                 let pins = &self.sim.nl.gate(gate).inputs;
-                let excited = excitation_word(
+                excitation_word(
                     cell,
                     transistor,
                     em,
                     |p| blk.g1[pins[p].index()],
                     |p| blk.g2[pins[p].index()],
-                ) & candidate;
-                if excited.is_zero() {
-                    return LaneWord::ZERO;
-                }
-                self.held_value_diff(blk, out, w1, scratch) & excited
+                ) & candidate
             }
+            FaultPlan::Never | FaultPlan::StuckAt { .. } => LaneWord::ZERO,
         }
     }
 
@@ -613,6 +755,50 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
             }
         }
         false
+    }
+
+    /// Grades the planned members of one held-net unit over the packed
+    /// blocks with dropping, pushing each member a block detects onto
+    /// `hits`. Per block, one capture-frame cone walk of the net's held
+    /// launch-frame word serves every member still undetected: a member
+    /// is detected iff the walk's PO difference meets its own launch or
+    /// excitation lanes. The walk is skipped on blocks where no member
+    /// launches or excites, and the unit stops once every member is
+    /// detected.
+    fn held_hits(
+        &self,
+        net: NetId,
+        members: &mut Vec<Member<'_, N>>,
+        scratch: &mut PpsfpScratch<N>,
+        hits: &mut Vec<u32>,
+    ) {
+        members.retain(|m| !matches!(m.plan, FaultPlan::Never));
+        for (k, blk) in self.blocks.iter().enumerate() {
+            if members.is_empty() {
+                return;
+            }
+            Self::touch(blk);
+            let mut any = LaneWord::ZERO;
+            for m in members.iter_mut() {
+                m.lanes = self.held_lanes(&m.plan, blk);
+                any |= m.lanes;
+            }
+            if any.is_zero() {
+                continue;
+            }
+            // Holding the launch word only on lanes some member needs
+            // lets the walk die sooner; the other lanes read good.
+            let (w1, w2) = (blk.g1[net.index()], blk.g2[net.index()]);
+            let diff = self.held_value_diff(blk, net, w2 ^ ((w1 ^ w2) & any), scratch);
+            members.retain(|m| {
+                let caught = (diff & m.lanes).any();
+                if caught {
+                    self.count_drop(k + 1);
+                    hits.push(m.fault);
+                }
+                !caught
+            });
+        }
     }
 
     /// Whether an X-bearing test detects the fault, stopping at the
@@ -693,57 +879,105 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     }
 
     /// Grades the fault list with dropping on up to `threads` pool
-    /// workers. Each pool job grades 64 consecutive faults with its own
-    /// scratch arena and returns one word of the detected bitmap, so
-    /// workers stay load-balanced under dropping.
+    /// workers.
     ///
-    /// Faults that plan to the same output stuck-at (a stuck-at fault
-    /// and the stuck-stage OBD faults of its driving gate) detect on the
-    /// same tests, so only the first of each such group walks the packed
-    /// blocks and the rest copy its verdict. Faults the packed blocks
-    /// miss then try the X-bearing tests, each on its own.
+    /// The faults are grouped into walk units, each graded as one with
+    /// one cone walk per packed block it reaches:
+    ///
+    /// * Faults that plan to the same output stuck-at (a stuck-at fault
+    ///   and the stuck-stage OBD faults of its driving gate) detect on
+    ///   the same tests, so the unit's first fault walks the blocks and
+    ///   the rest copy its verdict.
+    /// * Faults that hold the same net's launch-frame word through the
+    ///   capture frame (its transition faults and the delay-regime OBD
+    ///   and EM faults of its driving gate) propagate the same held
+    ///   value, so one capture-frame walk per block serves every member
+    ///   still undetected, each detected on its own launch or excitation
+    ///   lanes; members drop out as they are detected.
+    ///
+    /// Each pool job plans and grades 64 consecutive units with its own
+    /// scratch arena, so workers stay load-balanced under dropping.
+    /// Faults the packed blocks miss then try the X-bearing tests, each
+    /// on its own, one job per 64 faults.
     ///
     /// # Errors
     ///
     /// The error of the lowest-indexed failing fault, at any thread
     /// count; a panicking job surfaces as [`AtpgError::Internal`].
     pub fn grade_parallel(&self, faults: &[Fault], threads: usize) -> Result<Vec<bool>, AtpgError> {
+        self.grade_units(faults, &WalkUnits::new(self.sim, faults), threads)
+    }
+
+    /// [`PpsfpEngine::grade_parallel`] over the faults' walk units.
+    ///
+    /// # Errors
+    ///
+    /// As [`PpsfpEngine::grade_parallel`].
+    pub(crate) fn grade_units(
+        &self,
+        faults: &[Fault],
+        units: &WalkUnits,
+        threads: usize,
+    ) -> Result<Vec<bool>, AtpgError> {
         if self.tests.is_empty() {
             return Ok(vec![false; faults.len()]);
         }
-        // The first fault of each shared stuck-at plan, by stuck key.
-        let mut first = vec![usize::MAX; 2 * self.sim.nl.num_nets()];
-        for (i, f) in faults.iter().enumerate() {
-            if let Some(key) = self.stuck_key(f) {
-                if first[key] == usize::MAX {
-                    first[key] = i;
+        let jobs: Vec<_> = (0..units.len())
+            .step_by(UNITS_PER_JOB)
+            .map(|u| u..units.len().min(u + UNITS_PER_JOB))
+            .collect();
+        // Every fault is planned, so a planning error is reported at its
+        // own index even when the fault would share another's walk. A
+        // job's units mix fault indices, so each job hands back its
+        // lowest failing fault and the lowest of those is reported.
+        let outs = run_jobs(&jobs, threads, |_, range| {
+            let mut scratch = PpsfpScratch::default();
+            let mut members: Vec<Member<'_, N>> = Vec::new();
+            let mut hits = Vec::new();
+            let mut failed: Option<(usize, AtpgError)> = None;
+            for u in range.clone() {
+                members.clear();
+                for &i in units.members(u) {
+                    match self.plan(&faults[i as usize]) {
+                        Ok(plan) => members.push(Member {
+                            fault: i,
+                            plan,
+                            lanes: LaneWord::ZERO,
+                        }),
+                        Err(e) => keep_lowest(&mut failed, i as usize, e),
+                    }
                 }
+                if failed.is_some() {
+                    continue;
+                }
+                // Every member of a stuck-at unit has the same plan.
+                if let FaultPlan::StuckAt { .. } = members[0].plan {
+                    if self.packed_hit(&members[0].plan, &mut scratch) {
+                        hits.extend(units.members(u));
+                    }
+                } else if let Some(net) = members.iter().find_map(|m| m.plan.held_net()) {
+                    self.held_hits(net, &mut members, &mut scratch, &mut hits);
+                }
+            }
+            Ok::<_, AtpgError>((hits, failed))
+        })?;
+        let mut detected = vec![false; faults.len()];
+        let mut failed: Option<(usize, AtpgError)> = None;
+        for (hits, job_failed) in outs {
+            for i in hits {
+                detected[i as usize] = true;
+            }
+            if let Some((i, e)) = job_failed {
+                keep_lowest(&mut failed, i, e);
             }
         }
-        let leader = |i: usize, f: &Fault| self.stuck_key(f).map_or(i, |key| first[key]);
-        let chunks: Vec<&[Fault]> = faults.chunks(64).collect();
-        // Every fault is planned, so a planning error is reported at its
-        // own index even when the fault would copy another's verdict.
-        let words = run_jobs(&chunks, threads, |c, chunk| {
-            let mut scratch = PpsfpScratch::default();
-            let mut word = 0u64;
-            for (k, f) in chunk.iter().enumerate() {
-                let plan = self.plan(f)?;
-                if leader(c * 64 + k, f) == c * 64 + k && self.packed_hit(&plan, &mut scratch) {
-                    word |= 1 << k;
-                }
-            }
-            Ok::<_, AtpgError>(word)
-        })?;
-        let bit = |i: usize| words[i / 64] >> (i % 64) & 1 == 1;
-        let mut detected: Vec<bool> = faults
-            .iter()
-            .enumerate()
-            .map(|(i, f)| bit(leader(i, f)))
-            .collect();
+        if let Some((_, e)) = failed {
+            return Err(e);
+        }
         if !self.scalar_tests.is_empty() {
             // Planning succeeded for every fault and the widths were
             // checked at preparation, so no error is left to reorder.
+            let chunks: Vec<&[Fault]> = faults.chunks(64).collect();
             let detected_ref = &detected;
             let words = run_jobs(&chunks, threads, |c, chunk| {
                 let mut word = 0u64;

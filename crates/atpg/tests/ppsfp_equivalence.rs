@@ -10,11 +10,14 @@ mod common;
 
 use common::{grade_scalar, mixed_cells, mixed_faults};
 use obd_atpg::bist::run_bist;
-use obd_atpg::fault::{obd_faults, stuck_at_faults, Fault, TwoPatternTest};
+use obd_atpg::fault::{
+    obd_faults, stuck_at_faults, DetectionCriterion, Fault, SlowTo, TwoPatternTest,
+};
 use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
 use obd_atpg::random::random_two_pattern;
 use obd_atpg::AtpgError;
+use obd_core::characterize::DelayTable;
 use obd_core::{BreakdownStage, ObdFault, Polarity};
 use obd_logic::circuits::{c17, fig8_sum_circuit, mux_tree, ripple_carry_adder};
 use obd_logic::netlist::{GateKind, Netlist};
@@ -465,6 +468,232 @@ fn shared_stuck_at_plan_keeps_the_lowest_index_error() {
     let mut tests = random_two_pattern(nl.inputs().len(), 70, 0x5AEE);
     tests[5].v1[2] = Lv::X;
     let want = Err(AtpgError::UnsupportedGate { gate: "x1".into() });
+    assert_eq!(grade_scalar(&sim, &faults, &tests), want);
+    let engine = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
+    for threads in [1, 4] {
+        assert_eq!(
+            engine.grade_parallel(&faults, threads),
+            want,
+            "threads = {threads}"
+        );
+        assert_eq!(
+            sim.grade_parallel(&faults, &tests, threads),
+            want,
+            "threads = {threads}"
+        );
+    }
+}
+
+/// The net whose launch-frame word a fault holds through the capture
+/// frame, if any: a transition fault's net, or the output of the gate
+/// carrying an EM fault or an OBD fault below the stuck stages (MBD1 and
+/// MBD2 here).
+fn held_net(nl: &Netlist, f: &Fault) -> Option<usize> {
+    match f {
+        Fault::Transition { net, .. } => Some(net.index()),
+        Fault::Obd(o) if o.stage != BreakdownStage::Hbd => Some(nl.gate(o.gate).output.index()),
+        Fault::Em { gate, .. } => Some(nl.gate(*gate).output.index()),
+        Fault::Obd(_) | Fault::StuckAt { .. } => None,
+    }
+}
+
+/// `y = AND(n, a)` over `n = NAND(a, b)`, and `w = NOR(b, c)`. `n` is
+/// seen only while `a` is 1, so a fault on `n` excited only while `a` is
+/// 0 in the capture frame is never detected: the NAND's PMOS on pin `a`
+/// is one, excited when `a` falls alone. Faults on `n` excited while `a`
+/// is 1, such as its transition faults, are detected.
+fn masked_nand() -> Netlist {
+    let mut nl = Netlist::new();
+    let [a, b, c] = ["a", "b", "c"].map(|n| nl.add_input(n));
+    let n = nl.add_gate(GateKind::Nand, "n", &[a, b]).unwrap();
+    let y = nl.add_gate(GateKind::And, "y", &[n, a]).unwrap();
+    let w = nl.add_gate(GateKind::Nor, "w", &[b, c]).unwrap();
+    nl.mark_output(y);
+    nl.mark_output(w);
+    nl
+}
+
+/// The engine's and the simulator's dropping graders at 1 and 4 threads
+/// against the scalar verdicts `want`.
+fn assert_dropping_graders_match(
+    sim: &FaultSimulator,
+    faults: &[Fault],
+    tests: &[TwoPatternTest],
+    want: &[bool],
+    what: &str,
+) {
+    let engine = PpsfpEngine::<1>::prepare(sim, tests).unwrap();
+    for threads in [1, 4] {
+        assert_eq!(
+            engine.grade_parallel(faults, threads).unwrap(),
+            want,
+            "{what}, engine, threads = {threads}"
+        );
+        assert_eq!(
+            sim.grade_parallel(faults, tests, threads).unwrap(),
+            want,
+            "{what}, simulator, threads = {threads}"
+        );
+    }
+}
+
+/// Transition, OBD (MBD1 and MBD2) and EM faults that hold the same net
+/// share one capture-frame walk per block in the dropping grader. Every
+/// member must still get its scalar verdict at 1 and 4 threads: members
+/// a block detects drop out while the rest walk on, a slack-gated member
+/// never walks, an undetectable member walks every block, and members
+/// only an X-bearing test detects get it from their own scalar fallback.
+#[test]
+fn shared_held_net_plans_match_scalar() {
+    let mut nets = circuits();
+    nets.push(("masked", masked_nand()));
+    // (nets held by a transition, an OBD and an EM fault at once, slack-
+    // gated members, members detected after another member of their net,
+    // members detected only by an X-bearing test)
+    let (mut mixed, mut gated, mut late, mut x_only) = (0, 0, 0, 0);
+    for (name, nl) in nets {
+        // 30 ps of slack gates every NMOS MBD1 fault (22 ps of extra
+        // delay) and no MBD2 fault (54 ps and more).
+        let sim = FaultSimulator::with_criterion(
+            &nl,
+            DelayTable::paper(),
+            DetectionCriterion::with_slack(30.0),
+        )
+        .unwrap();
+        let mut faults = mixed_faults(&nl);
+        faults.extend(obd_faults(&nl, BreakdownStage::Mbd1, false));
+        let held: Vec<_> = faults.iter().map(|f| held_net(&nl, f)).collect();
+        for net in 0..nl.num_nets() {
+            let on_net = |kind: fn(&Fault) -> bool| {
+                faults
+                    .iter()
+                    .zip(&held)
+                    .any(|(f, &h)| h == Some(net) && kind(f))
+            };
+            if on_net(|f| matches!(f, Fault::Transition { .. }))
+                && on_net(|f| matches!(f, Fault::Obd(_)))
+                && on_net(|f| matches!(f, Fault::Em { .. }))
+            {
+                mixed += 1;
+            }
+        }
+        gated += faults
+            .iter()
+            .filter(|f| {
+                matches!(f, Fault::Obd(o)
+                    if o.stage == BreakdownStage::Mbd1 && o.polarity == Polarity::Nmos)
+            })
+            .count();
+        let width = nl.inputs().len();
+
+        // Three 64-test blocks at width 1, the first one test repeated:
+        // on a net that test toggles visibly, it detects one transition
+        // direction and leaves the other to later blocks. On the masked
+        // NAND it excites the PMOS on pin `a` (`ab` goes 11 → 01), so
+        // that member is excited in every block and walks them all.
+        let random = random_two_pattern(width, 129, 0x4E1D);
+        let lead = if name == "masked" {
+            TwoPatternTest::from_bools(&[true, true, false], &[false, true, false])
+        } else {
+            random[0].clone()
+        };
+        let mut walked = vec![lead; 64];
+        walked.extend_from_slice(&random[1..]);
+        let scalar = grade_scalar(&sim, &faults, &walked).unwrap();
+        let first_block = grade_scalar(&sim, &faults, &walked[..64]).unwrap();
+        late += (0..faults.len())
+            .filter(|&j| {
+                scalar[j]
+                    && !first_block[j]
+                    && held[j].is_some()
+                    && (0..faults.len()).any(|i| first_block[i] && held[i] == held[j])
+            })
+            .count();
+        if name == "masked" {
+            let pmos_a = faults
+                .iter()
+                .position(|f| {
+                    matches!(f, Fault::Obd(o) if o.stage == BreakdownStage::Mbd2
+                        && o.polarity == Polarity::Pmos && o.pin == 0
+                        && nl.gate(o.gate).name == "n")
+                })
+                .unwrap();
+            assert!(!scalar[pmos_a], "masked: the PMOS on pin a is detected");
+            let excites = |t: &TwoPatternTest| {
+                t.v1[..2] == [Lv::One, Lv::One] && t.v2[..2] == [Lv::Zero, Lv::One]
+            };
+            assert!(
+                walked.chunks(64).all(|block| block.iter().any(excites)),
+                "masked: a block never excites the PMOS on pin a"
+            );
+        }
+        assert_dropping_graders_match(&sim, &faults, &walked, &scalar, name);
+
+        // One packed test; X bits in the other 95.
+        let mut tests = random_two_pattern(width, 96, 0x5AEF);
+        for (i, t) in tests.iter_mut().enumerate().skip(1) {
+            if i % 2 == 0 {
+                t.v1[i % width] = Lv::X;
+            } else {
+                t.v2[i % width] = Lv::X;
+            }
+        }
+        let scalar = grade_scalar(&sim, &faults, &tests).unwrap();
+        let packed_only = grade_scalar(&sim, &faults, &tests[..1]).unwrap();
+        x_only += (0..faults.len())
+            .filter(|&i| held[i].is_some() && scalar[i] && !packed_only[i])
+            .count();
+        assert_dropping_graders_match(&sim, &faults, &tests, &scalar, name);
+    }
+    assert!(mixed > 0, "no net is held by all three fault kinds");
+    assert!(gated > 0, "no slack-gated member");
+    assert!(late > 0, "no member is detected after another of its net");
+    assert!(
+        x_only > 0,
+        "no member is detected by an X-bearing test alone"
+    );
+}
+
+/// A fault on a gate without a cell model is planned on its own even
+/// inside a held-net unit, and the lowest-indexed failing fault's error
+/// is reported although a unit graded earlier fails at a higher index.
+#[test]
+fn shared_held_net_plan_keeps_the_lowest_index_error() {
+    let mut nl = ripple_carry_adder(4);
+    let [a0, b0, b3] = ["a0", "b0", "b3"].map(|n| nl.find_net(n).unwrap());
+    let xa = nl.add_gate(GateKind::Xor, "xa", &[a0, b3]).unwrap();
+    let xb = nl.add_gate(GateKind::Xor, "xb", &[xa, b0]).unwrap();
+    nl.mark_output(xb);
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let transition = |net, slow_to| Fault::Transition { net, slow_to };
+    let obd = |net| {
+        Fault::Obd(ObdFault {
+            gate: nl.driver(net).unwrap(),
+            pin: 0,
+            polarity: Polarity::Pmos,
+            stage: BreakdownStage::Mbd2,
+        })
+    };
+    let em = |net| Fault::Em {
+        gate: nl.driver(net).unwrap(),
+        pin: 0,
+        polarity: Polarity::Pmos,
+    };
+    // `xa`'s unit is the first; every stuck-at fault is a unit of its
+    // own, so `xb`'s unit comes after more than 64 others. Its EM fault
+    // sits between two of its transition faults and fails first; `xa`'s
+    // OBD fault fails later, in the unit graded first.
+    let mut faults = vec![transition(xa, SlowTo::Rise)];
+    faults.extend(stuck_at_faults(&nl));
+    assert!(faults.len() > 65, "too few units before xb's");
+    faults.extend([
+        transition(xb, SlowTo::Rise),
+        em(xb),
+        transition(xb, SlowTo::Fall),
+        obd(xa),
+    ]);
+    let tests = random_two_pattern(nl.inputs().len(), 200, 0x0B10);
+    let want = Err(AtpgError::UnsupportedGate { gate: "xb".into() });
     assert_eq!(grade_scalar(&sim, &faults, &tests), want);
     let engine = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
     for threads in [1, 4] {

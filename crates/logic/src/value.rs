@@ -7,15 +7,20 @@ use std::ops::Not;
 ///
 /// The ordering of unknowns follows the usual pessimistic Kleene rules:
 /// `0 AND X = 0`, `1 AND X = X`, and so on.
+///
+/// The discriminants are fixed so `lv as u8 & 1` is the `One` flag
+/// (with `X` reading as 0), which the pattern packer gathers eight
+/// values at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(u8)]
 pub enum Lv {
     /// Logic low.
-    Zero,
+    Zero = 0,
     /// Logic high.
-    One,
+    One = 1,
     /// Unknown / uninitialized.
     #[default]
-    X,
+    X = 2,
 }
 
 impl Lv {
@@ -145,6 +150,12 @@ mod tests {
         assert_eq!(!Lv::Zero, Lv::One);
         assert_eq!(!Lv::One, Lv::Zero);
         assert_eq!(!Lv::X, Lv::X);
+    }
+
+    #[test]
+    fn discriminants_are_pinned() {
+        assert_eq!([Lv::Zero, Lv::One, Lv::X].map(|v| v as u8), [0, 1, 2]);
+        assert_eq!(std::mem::size_of::<Lv>(), 1);
     }
 
     #[test]

@@ -193,14 +193,29 @@ impl<const N: usize> WideBlock<N> {
         Ok(n_inputs)
     }
 
+    /// Packs each 64-pattern lane by a bit transpose: per slab of up to
+    /// 64 inputs, row `k` gathers pattern `k`'s `One` flags, and the
+    /// transposed slab's row `j` is input `j`'s lane word.
     fn pack_checked<V: AsRef<[Lv]>>(vectors: &[V], n_inputs: usize) -> Self {
         let mut words = vec![LaneWord::ZERO; n_inputs];
-        for (k, v) in vectors.iter().enumerate() {
-            let (lane, bit) = (k / 64, k % 64);
-            // Branch-free: a data-dependent branch per value mispredicts
-            // on random patterns.
-            for (w, &lv) in words.iter_mut().zip(v.as_ref()) {
-                w.0[lane] |= u64::from(lv == Lv::One) << bit;
+        let mut rows = [0u64; 64];
+        for (lane, patterns) in vectors.chunks(64).enumerate() {
+            for first in (0..n_inputs).step_by(64) {
+                let inputs = first..n_inputs.min(first + 64);
+                for (row, v) in rows.iter_mut().zip(patterns) {
+                    let values = &v.as_ref()[inputs.clone()];
+                    // A full slab's rows have a constant length, so their
+                    // eight gathers unroll.
+                    *row = match <&[Lv; 64]>::try_from(values) {
+                        Ok(full) => row_flags(full),
+                        Err(_) => row_flags(values),
+                    };
+                }
+                rows[patterns.len()..].fill(0);
+                transpose64(&mut rows);
+                for (w, &bits) in words[inputs].iter_mut().zip(&rows) {
+                    w.0[lane] = bits;
+                }
             }
         }
         WideBlock {
@@ -248,6 +263,51 @@ impl<const N: usize> WideBlock<N> {
     /// Packed word for primary input `i`.
     pub(crate) fn word(&self, i: usize) -> LaneWord<N> {
         self.words[i]
+    }
+}
+
+/// Bit `j` set iff `values[j]` is `One` (at most 64 values; `0` and `X`
+/// read as 0). Eight values at a time: each value's byte carries its
+/// `One` flag in bit 0 (`Lv`'s pinned discriminants), and one multiply
+/// gathers the eight flags into the top byte.
+#[inline(always)]
+fn row_flags(values: &[Lv]) -> u64 {
+    let (groups, tail) = values.as_chunks::<8>();
+    let mut bits = 0;
+    for (g, group) in groups.iter().enumerate() {
+        let flags = u64::from_le_bytes(group.map(|lv| lv as u8)) & 0x0101_0101_0101_0101;
+        bits |= (flags.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+    }
+    for (j, &lv) in tail.iter().enumerate() {
+        bits |= u64::from(lv as u8 & 1) << (8 * groups.len() + j);
+    }
+    bits
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `c` of row `r` moves to
+/// bit `r` of row `c`. Each round swaps the off-diagonal `W × W` blocks
+/// of every `2W × 2W` square, `W` halving from 32 to 1.
+#[inline]
+fn transpose64(rows: &mut [u64; 64]) {
+    swap_blocks::<32>(rows, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(rows, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(rows, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(rows, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(rows, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(rows, 0x5555_5555_5555_5555);
+}
+
+/// One round of [`transpose64`]: `mask` selects the low `W` columns of
+/// every `2W`. A constant `W` lets the row loop vectorize.
+#[inline(always)]
+fn swap_blocks<const W: usize>(rows: &mut [u64; 64], mask: u64) {
+    for square in rows.chunks_exact_mut(2 * W) {
+        let (top, bottom) = square.split_at_mut(W);
+        for (t, b) in top.iter_mut().zip(bottom) {
+            let swap = ((*t >> W) ^ *b) & mask;
+            *b ^= swap;
+            *t ^= swap << W;
+        }
     }
 }
 
@@ -383,16 +443,21 @@ mod tests {
         ));
     }
 
-    /// Seeded property: the branch-free pack equals a per-bit reference
+    /// Seeded property: the transposed pack equals a per-bit reference
     /// (bit `k % 64` of lane `k / 64` of word `i` set iff pattern `k`
     /// drives PI `i` to 1; 0 and X pack as 0) on random 0/1/X patterns at
-    /// every lane boundary up to a full block, through both entry points.
+    /// every lane boundary up to a full block, by 1–9 inputs and across
+    /// the 64-input slab boundary (63, 64, 65 and 130 inputs), through
+    /// both entry points.
     /// Over capacity (65 patterns at `N = 1`), and with one pattern cut
     /// short, both entry points return the same typed errors as before.
     fn pack_matches_per_bit_reference<const N: usize>(seed: u64) {
         let mut rng = crate::rng::XorShift64Star::seed_from_u64(seed);
-        for count in [1, 63, 64, 65, 64 * N] {
-            let n_inputs = 1 + rng.gen_range(9);
+        let inputs = [1 + rng.gen_range(9), 63, 64, 65, 130];
+        for (count, n_inputs) in [1, 63, 64, 65, 64 * N]
+            .into_iter()
+            .flat_map(|count| inputs.map(|n| (count, n)))
+        {
             let vectors: Vec<Vec<Lv>> = (0..count)
                 .map(|_| {
                     (0..n_inputs)
