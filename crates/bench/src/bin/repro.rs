@@ -329,13 +329,7 @@ fn run_chaos() {
     println!("== Robustness: seeded fault-injection campaign (CHAOS_run.json) ==");
     let seed = std::env::var("OBD_CHAOS_SEED")
         .ok()
-        .and_then(|s| {
-            let t = s.trim();
-            match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => t.parse().ok(),
-            }
-        })
+        .and_then(|s| obd_bench::parse_u64(&s))
         .unwrap_or(chaos::DEFAULT_SEED);
     let r = chaos::run(seed);
     print!("{}", r.render());

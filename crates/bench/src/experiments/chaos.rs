@@ -317,11 +317,11 @@ fn run_core_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapshot
     let mut rep = LayerReport::new("core", rate);
     let tech = TechParams::date05();
     let cfg = core_config();
-    // One thread: per-cell recovery attribution is exact only inline.
+    // One thread: the cells then consult the injection points in one
+    // fixed order, so a seed replays the same injections.
     let run_opts = RunOptions {
         threads: 1,
         sim: SimOptions::new().with_iteration_budget(200_000),
-        ..RunOptions::default()
     };
     for _ in 0..ops {
         rep.account(|| {

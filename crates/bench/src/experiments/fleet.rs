@@ -30,12 +30,7 @@ pub const BIST_SEED: u64 = 0x0BD_B157;
 /// Parses an env var as u64 (decimal or 0x-hex), `None` when unset or
 /// malformed.
 fn env_u64(name: &str) -> Option<u64> {
-    let s = std::env::var(name).ok()?;
-    let t = s.trim();
-    match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => t.parse().ok(),
-    }
+    crate::parse_u64(&std::env::var(name).ok()?)
 }
 
 /// The fleet configuration the verb runs: library defaults plus the

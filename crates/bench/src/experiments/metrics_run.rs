@@ -3,16 +3,16 @@
 //!
 //! The `repro stats` verb calls [`run`] and writes the snapshot to
 //! `results/METRICS_run.json`; the smoke test in `scripts/check.sh`
-//! asserts the Newton-iteration, LU-factorization and DelayCache-hit
-//! counters come back nonzero, which pins the instrumentation end to end.
+//! asserts the Newton-iteration, LU-factorization, gate-simulation,
+//! fleet, store and Monte Carlo counters come back nonzero, which pins the
+//! instrumentation end to end.
 
 use obd_atpg::bist::phased_lfsr_two_pattern_tests;
 use obd_atpg::fault::{obd_faults, stuck_at_faults, transition_faults, DetectionCriterion};
 use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::generate::generate_obd_tests;
 use obd_cmos::TechParams;
-use obd_core::cache::DelayCache;
-use obd_core::characterize::{characterize_table1, BenchConfig, DelayTable, RunOptions};
+use obd_core::characterize::{characterize_table1, BenchConfig, RunOptions};
 use obd_core::pool::host_threads;
 use obd_core::BreakdownStage;
 use obd_fleet::{run_fleet_resumable, FleetConfig};
@@ -39,9 +39,7 @@ pub struct MetricsRunReport {
 /// Runs the Table 1 + ATPG flows with metrics on.
 ///
 /// Metrics are enabled and reset up front, so the snapshot reflects only
-/// this run. The delay-model annotation pass runs twice through one
-/// [`DelayCache`] — the second pass is served entirely from memory,
-/// which is what puts the cache-hit counter above zero.
+/// this run.
 ///
 /// # Errors
 ///
@@ -63,13 +61,6 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
     )
     .into_result()
     .map_err(|e| e.to_string())?;
-
-    // Delay-model annotation through a shared cache, twice: first pass
-    // misses and simulates, second pass hits on every key.
-    let cache = DelayCache::new();
-    for _ in 0..2 {
-        DelayTable::from_characterization(tech, cfg, &cache).map_err(|e| e.to_string())?;
-    }
 
     // Grading on a circuit of thousands of gates: the four-model
     // universe of mult16 (2,624 gates) against 16 phased-LFSR tests.
@@ -174,8 +165,6 @@ pub fn render(r: &MetricsRunReport) -> String {
         "linalg.lu_factorizations",
         "linalg.symbolic_builds",
         "linalg.symbolic_reuse",
-        "core.delay_cache_hits",
-        "core.delay_cache_misses",
         "atpg.podem_runs",
         "atpg.podem_backtracks",
         "atpg.faults_graded",
@@ -219,7 +208,6 @@ mod tests {
             "linalg.lu_factorizations",
             "linalg.symbolic_builds",
             "linalg.symbolic_reuse",
-            "core.delay_cache_hits",
             "atpg.podem_runs",
             "logic.soa_gates_simulated",
             "fleet.devices_simulated",

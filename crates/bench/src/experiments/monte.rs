@@ -24,13 +24,7 @@ pub fn config_from(get: impl Fn(&str) -> Option<String>) -> MonteConfig {
     let mut cfg = MonteConfig::new();
     cfg.threads = host_threads();
     let trimmed = |name: &str| get(name).map(|s| s.trim().to_string());
-    let u64_of = |name: &str| -> Option<u64> {
-        let t = trimmed(name)?;
-        match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(hex, 16).ok(),
-            None => t.parse().ok(),
-        }
-    };
+    let u64_of = |name: &str| crate::parse_u64(&get(name)?);
     let f64_of = |name: &str| -> Option<f64> { trimmed(name)?.parse().ok() };
     if let Some(samples) = u64_of("OBD_MONTE_SAMPLES") {
         cfg.samples = (samples.max(1)) as usize;
@@ -114,9 +108,9 @@ mod tests {
     #[test]
     fn overrides_parse_and_clamp() {
         let cfg = cfg_of(&[
-            ("OBD_MONTE_SAMPLES", "3"),
+            ("OBD_MONTE_SAMPLES", " 3 "),
             ("OBD_MONTE_SEED", "0xBEEF"),
-            ("OBD_MONTE_THREADS", "2"),
+            ("OBD_MONTE_THREADS", "0X2"),
             ("OBD_MONTE_SPREAD", "0.1"),
             ("OBD_MONTE_AT_SPEED_PS", "700"),
             ("OBD_MONTE_STEP_PS", "8"),
@@ -136,11 +130,15 @@ mod tests {
         let base = MonteConfig::new();
         let cfg = cfg_of(&[
             ("OBD_MONTE_SAMPLES", "zero"),
+            ("OBD_MONTE_SEED", "0xBEEFG"),
+            ("OBD_MONTE_THREADS", "18446744073709551616"),
             ("OBD_MONTE_SPREAD", "NaN"),
             ("OBD_MONTE_STEP_PS", "-4"),
             ("OBD_MONTE_STAGES", "sbd,unknown"),
         ]);
         assert_eq!(cfg.samples, base.samples);
+        assert_eq!(cfg.seed, base.seed);
+        assert_eq!(cfg.threads, host_threads());
         assert_eq!(cfg.spread, base.spread);
         assert_eq!(cfg.bench.step_ps, base.bench.step_ps);
         assert_eq!(cfg.stages, base.stages);

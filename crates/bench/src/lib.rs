@@ -37,3 +37,14 @@ pub fn quick_bench_config() -> obd_core::characterize::BenchConfig {
         sim_full_window: false,
     }
 }
+
+/// Parses a `u64` written in decimal or `0x`-hex (surrounding whitespace
+/// ignored), as the `repro` verbs read their seed and count overrides;
+/// `None` when malformed.
+pub fn parse_u64(s: &str) -> Option<u64> {
+    let t = s.trim();
+    match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => t.parse().ok(),
+    }
+}

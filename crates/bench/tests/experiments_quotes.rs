@@ -1,0 +1,101 @@
+//! EXPERIMENTS.md quotes committed artifacts; these tests read both files
+//! and compare the quoted figures cell by cell, so a regenerated artifact
+//! whose numbers move fails here until the prose follows.
+
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+
+fn repo_file(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Coverage in percent by `(circuit, strategy)`.
+type Coverage = BTreeMap<(String, String), f64>;
+
+/// The markdown table of the EXPERIMENTS.md section whose heading starts
+/// with `heading`: the first word of each column header names the
+/// circuit, the first cell of each row the strategy.
+fn quoted_table(doc: &str, heading: &str) -> Coverage {
+    let section = doc
+        .split("\n## ")
+        .find(|s| s.starts_with(heading))
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no section {heading}"));
+    let cells = |line: &str| -> Vec<String> {
+        line.trim()
+            .trim_matches('|')
+            .split('|')
+            .map(|c| c.trim().trim_matches('*').to_string())
+            .collect()
+    };
+    let mut rows = section.lines().filter(|l| l.starts_with('|'));
+    let header = cells(rows.next().expect("table header"));
+    let circuits: Vec<String> = header[1..]
+        .iter()
+        .map(|h| {
+            h.split_whitespace()
+                .next()
+                .expect("circuit name")
+                .to_string()
+        })
+        .collect();
+    let mut out = Coverage::new();
+    for line in rows.skip(1) {
+        let row = cells(line);
+        assert_eq!(row.len(), circuits.len() + 1, "ragged row: {line}");
+        for (circuit, cell) in circuits.iter().zip(&row[1..]) {
+            let pct = cell
+                .strip_suffix('%')
+                .and_then(|p| p.trim().parse().ok())
+                .unwrap_or_else(|| panic!("not a percentage: {cell:?} in {line}"));
+            out.insert((circuit.clone(), row[0].clone()), pct);
+        }
+    }
+    out
+}
+
+/// `results/tpg_comparison.txt`: one `--- <circuit> ... ---` block per
+/// circuit, one `<strategy> <tests> <detected>/<testable> <pct>%` line
+/// per strategy.
+fn tpg_artifact(text: &str) -> Coverage {
+    let mut out = Coverage::new();
+    let mut circuit = None;
+    for line in text.lines() {
+        if let Some(title) = line.strip_prefix("--- ") {
+            circuit = title.split_whitespace().next().map(str::to_string);
+            continue;
+        }
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let Some(pct) = words.last().and_then(|w| w.strip_suffix('%')) else {
+            continue;
+        };
+        let circuit = circuit.clone().expect("strategy line before any circuit");
+        let strategy = words[..words.len() - 3].join(" ");
+        let pct = pct
+            .parse()
+            .unwrap_or_else(|_| panic!("bad coverage in {line}"));
+        out.insert((circuit, strategy), pct);
+    }
+    out
+}
+
+#[test]
+fn e8_table_matches_tpg_comparison() {
+    let quoted = quoted_table(&repo_file("EXPERIMENTS.md"), "E8 ");
+    let artifact = tpg_artifact(&repo_file("results/tpg_comparison.txt"));
+    assert_eq!(artifact.len(), 24, "four circuits by six strategies");
+    assert_eq!(
+        quoted.keys().collect::<Vec<_>>(),
+        artifact.keys().collect::<Vec<_>>(),
+        "E8 must quote every (circuit, strategy) of the artifact, and only those"
+    );
+    for (key, pct) in &artifact {
+        assert_eq!(
+            format!("{:.1}", quoted[key]),
+            format!("{pct:.1}"),
+            "E8 {key:?}"
+        );
+    }
+}

@@ -13,6 +13,8 @@
 //! [`characterize_table1`] fans the whole Table 1 grid out under
 //! [`RunOptions`].
 
+use std::ops::Range;
+
 use obd_cmos::expand::{expand, ExpandedCircuit};
 use obd_cmos::TechParams;
 use obd_logic::netlist::{GateId, GateKind, NetId, Netlist};
@@ -21,7 +23,6 @@ use obd_spice::analysis::tran::{transient_until, transient_with_options, TranPar
 use obd_spice::devices::SourceWave;
 use obd_spice::{EdgeKind, SimOptions, Waveform};
 
-use crate::cache::DelayCache;
 use crate::faultmodel::Polarity;
 use crate::injection::inject_obd;
 use crate::stage::{BreakdownStage, ObdParams};
@@ -442,32 +443,14 @@ pub struct CellFailure {
     pub error: ObdError,
 }
 
-/// A Table 1 cell that measured successfully even though fault injection
-/// fired during its solve: the escalation ladder absorbed the faults, so
-/// the value is valid but may differ in low-order bits from an
-/// injection-free run (the recovery path changes the numerical history).
-#[derive(Debug, Clone)]
-pub struct CellRecovery {
-    /// Row index into [`Table1::rows`].
-    pub row: usize,
-    /// Slot index (0–3 NMOS, 4–7 PMOS).
-    pub slot: usize,
-    /// How many injections fired during this cell's measurement.
-    pub injections: u64,
-}
-
 /// The result of [`characterize_table1`]: every cell that measured
-/// cleanly, plus explicit accounting for every cell that did not. Cells
-/// untouched by fault injection are bit-identical to a chaos-free run;
-/// recovered cells are valid but path-dependent.
+/// cleanly, plus explicit accounting for every cell that did not.
 #[derive(Debug, Clone)]
 pub struct Table1Report {
     /// The table with failed cells left empty.
     pub table: Table1,
     /// One entry per degraded cell, in grid order; empty on a clean run.
     pub failures: Vec<CellFailure>,
-    /// Cells that succeeded despite injections; empty on a clean run.
-    pub recovered: Vec<CellRecovery>,
 }
 
 impl Table1Report {
@@ -508,13 +491,10 @@ impl Table1Report {
 
 /// Options for one [`characterize_table1`] run.
 #[derive(Debug, Clone, Default)]
-pub struct RunOptions<'a> {
+pub struct RunOptions {
     /// Worker threads for the cell fan-out; 0 and 1 both run inline on the
     /// calling thread. The table is identical at any count.
     pub threads: usize,
-    /// Memo table every cell goes through; `None` measures each cell
-    /// afresh.
-    pub cache: Option<&'a DelayCache>,
     /// Solver options for every transient.
     pub sim: SimOptions,
 }
@@ -523,71 +503,60 @@ pub struct RunOptions<'a> {
 /// single-input sequences under NMOS/PMOS defects on each input, across
 /// the progression ladder.
 ///
-/// Every cell is an independent transient (own circuit expansion, own
-/// solver), fanned out over the work-stealing pool ([`crate::pool`]). Cell
-/// costs are wildly uneven — most cells stop once their output crosses,
-/// cells whose input never crosses run the full window — and work
-/// stealing bounds the imbalance by one cell. Each job writes its own `(row, slot)`, so the
+/// Every measurement is an independent transient (own circuit expansion,
+/// own solver), fanned out over the work-stealing pool ([`crate::pool`]).
+/// The fault-free row's two pin slots of a sequence are one defect-free
+/// circuit, so each of its four sequences is measured once and fills both
+/// slots: 32 transients for the 36 cells. Cell costs are wildly uneven —
+/// most cells stop once their output crosses, cells whose input never
+/// crosses run the full window — and work stealing bounds the imbalance
+/// by one measurement. Each job writes its own `(row, slot)`s, so the
 /// table is identical at any thread count.
 ///
 /// A cell whose measurement fails is recorded in
 /// [`Table1Report::failures`] with its typed error and left empty; the run
-/// goes on. Cells untouched by fault injection are bit-identical to a
-/// chaos-free run. Recovery attribution reads the global injection count
-/// around each cell, so [`Table1Report::recovered`] is exact at
-/// `threads: 1` and approximate when cells overlap.
+/// goes on.
 pub fn characterize_table1(
     tech: &TechParams,
     cfg: &BenchConfig,
     opts: &RunOptions,
 ) -> Table1Report {
     let (jobs, row_meta) = table1_jobs();
-    let measure = |j: &Table1Job| {
-        let before = obd_chaos::injected_total();
-        let outcome = match opts.cache {
-            Some(cache) => {
-                cache.measure_cell(tech, GateKind::Nand, j.defect, j.v1, j.v2, cfg, &opts.sim)
-            }
-            None => {
-                measure_cell_transition(tech, GateKind::Nand, j.defect, j.v1, j.v2, cfg, &opts.sim)
-            }
-        };
-        (outcome, obd_chaos::injected_total().saturating_sub(before))
-    };
     // The pool fails only when a worker panicked; every cell then carries
     // that error.
-    let results = crate::pool::run_jobs(&jobs, opts.threads, |_, j| Ok::<_, ObdError>(measure(j)))
-        .unwrap_or_else(|e| jobs.iter().map(|_| (Err(e.clone()), 0)).collect());
+    let results = crate::pool::run_jobs(&jobs, opts.threads, |_, j| {
+        Ok::<_, ObdError>(measure_cell_transition(
+            tech,
+            GateKind::Nand,
+            j.defect,
+            j.v1,
+            j.v2,
+            cfg,
+            &opts.sim,
+        ))
+    })
+    .unwrap_or_else(|e| jobs.iter().map(|_| Err(e.clone())).collect());
     let mut slots = vec![[None; 8]; row_meta.len()];
     let mut failures = Vec::new();
-    let mut recovered = Vec::new();
-    for (j, (outcome, injections)) in jobs.iter().zip(results) {
-        match outcome {
-            Ok(o) => {
-                slots[j.row][j.slot] = Some(o);
-                if injections > 0 {
-                    recovered.push(CellRecovery {
+    for (j, outcome) in jobs.iter().zip(results) {
+        for slot in j.slots.clone() {
+            match &outcome {
+                Ok(o) => slots[j.row][slot] = Some(*o),
+                Err(error) => {
+                    CELLS_DEGRADED.inc();
+                    failures.push(CellFailure {
                         row: j.row,
-                        slot: j.slot,
-                        injections,
+                        slot,
+                        stage: row_meta[j.row].0,
+                        error: error.clone(),
                     });
                 }
-            }
-            Err(error) => {
-                CELLS_DEGRADED.inc();
-                failures.push(CellFailure {
-                    row: j.row,
-                    slot: j.slot,
-                    stage: row_meta[j.row].0,
-                    error,
-                });
             }
         }
     }
     Table1Report {
         table: table1_from_slots(row_meta, slots),
         failures,
-        recovered,
     }
 }
 
@@ -614,13 +583,14 @@ pub fn characterize_table1_parallel(
     .into_result()
 }
 
-/// One cell of the Table 1 grid: row/slot coordinates plus the
+/// One measurement of the Table 1 grid: its row and slots plus the
 /// measurement inputs, flattened so independent transients can fan out
 /// over worker threads.
 struct Table1Job {
     row: usize,
-    /// 0–3 = NMOS slots, 4–7 = PMOS slots.
-    slot: usize,
+    /// The slots the outcome fills (0–3 NMOS, 4–7 PMOS): both pins of a
+    /// sequence in the fault-free row, one slot elsewhere.
+    slots: Range<usize>,
     defect: Option<BenchDefect>,
     v1: [bool; 2],
     v2: [bool; 2],
@@ -630,8 +600,7 @@ struct Table1Job {
 /// parameters (absent where the stage has no such device variant).
 type Table1RowMeta = (BreakdownStage, Option<ObdParams>, Option<ObdParams>);
 
-/// Builds the flat job list for the Table 1 grid, in the same order the
-/// serial driver visits it.
+/// Builds the flat job list for the Table 1 grid, in grid order.
 fn table1_jobs() -> (Vec<Table1Job>, Vec<Table1RowMeta>) {
     let nmos_seqs = [([false, true], [true, true]), ([true, false], [true, true])];
     let pmos_seqs = [([true, true], [true, false]), ([true, true], [false, true])];
@@ -640,44 +609,37 @@ fn table1_jobs() -> (Vec<Table1Job>, Vec<Table1RowMeta>) {
     for (row, stage) in BreakdownStage::TABLE1.into_iter().enumerate() {
         let nmos_params = stage.params(Polarity::Nmos).ok();
         let pmos_params = stage.params(Polarity::Pmos).ok();
-        for (si, &(v1, v2)) in nmos_seqs.iter().enumerate() {
-            for pin in 0..2 {
-                let defect = match (stage, nmos_params) {
-                    (BreakdownStage::FaultFree, _) => None,
-                    (_, Some(p)) => Some(BenchDefect {
-                        pin,
-                        polarity: Polarity::Nmos,
-                        params: p,
-                    }),
-                    _ => continue,
-                };
-                jobs.push(Table1Job {
-                    row,
-                    slot: si * 2 + pin,
-                    defect,
-                    v1,
-                    v2,
-                });
-            }
-        }
-        for (si, &(v1, v2)) in pmos_seqs.iter().enumerate() {
-            for pin in 0..2 {
-                let defect = match (stage, pmos_params) {
-                    (BreakdownStage::FaultFree, _) => None,
-                    (_, Some(p)) => Some(BenchDefect {
-                        pin,
-                        polarity: Polarity::Pmos,
-                        params: p,
-                    }),
-                    _ => continue,
-                };
-                jobs.push(Table1Job {
-                    row,
-                    slot: 4 + si * 2 + pin,
-                    defect,
-                    v1,
-                    v2,
-                });
+        let halves = [
+            (0, Polarity::Nmos, nmos_params, nmos_seqs),
+            (4, Polarity::Pmos, pmos_params, pmos_seqs),
+        ];
+        for (base, polarity, params, seqs) in halves {
+            for (si, (v1, v2)) in seqs.into_iter().enumerate() {
+                let first = base + si * 2;
+                if stage == BreakdownStage::FaultFree {
+                    jobs.push(Table1Job {
+                        row,
+                        slots: first..first + 2,
+                        defect: None,
+                        v1,
+                        v2,
+                    });
+                    continue;
+                }
+                let Some(params) = params else { continue };
+                for pin in 0..2 {
+                    jobs.push(Table1Job {
+                        row,
+                        slots: first + pin..first + pin + 1,
+                        defect: Some(BenchDefect {
+                            pin,
+                            polarity,
+                            params,
+                        }),
+                        v1,
+                        v2,
+                    });
+                }
             }
         }
         row_meta.push((stage, nmos_params, pmos_params));
@@ -810,22 +772,18 @@ impl DelayTable {
     }
 
     /// Builds the table by running the Fig. 5 characterization with this
-    /// crate's analog model, through `cache`: measurements already in it
-    /// (e.g. from a Table 1 run or an earlier annotation pass) are reused
-    /// instead of re-simulated. Pass a fresh [`DelayCache`] to measure
-    /// everything.
+    /// crate's analog model under the default solver options: pin A's
+    /// falling (01,11) and rising (11,01) transitions, fault-free and
+    /// under each stage's defect.
     ///
     /// # Errors
     ///
     /// Propagates measurement errors.
-    pub fn from_characterization(
-        tech: &TechParams,
-        cfg: &BenchConfig,
-        cache: &DelayCache,
-    ) -> Result<Self, ObdError> {
+    pub fn from_characterization(tech: &TechParams, cfg: &BenchConfig) -> Result<Self, ObdError> {
         let sim = SimOptions::default();
-        let measure =
-            |defect, v1, v2| cache.measure_cell(tech, GateKind::Nand, defect, v1, v2, cfg, &sim);
+        let measure = |defect, v1, v2| {
+            measure_cell_transition(tech, GateKind::Nand, defect, v1, v2, cfg, &sim)
+        };
         let base_fall = measure(None, [false, true], [true, true])?
             .delay_ps()
             .unwrap_or(f64::NAN);

@@ -40,8 +40,6 @@
 //!   the progression state and the remaining safe-operation time.
 //! * [`annotate`] — feeding the characterized delays into the gate-level
 //!   timing simulator.
-//! * [`cache`] — memoization of characterization transients, so repeated
-//!   Table 1 / annotation measurements run the analog engine once.
 //! * [`em`] — the intra-gate electromigration fault model used as the §5
 //!   contrast.
 //! * `complex` (test-only) — the analog bench for complex (AOI/OAI)
@@ -57,7 +55,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod annotate;
-pub mod cache;
 pub mod characterize;
 #[cfg(test)]
 mod complex;
@@ -73,7 +70,6 @@ pub mod progression;
 pub mod stage;
 pub mod window;
 
-pub use cache::DelayCache;
 pub use error::ObdError;
 pub use faultmodel::{ObdFault, Polarity};
 pub use injection::{inject_obd, ObdInstance};

@@ -1,11 +1,10 @@
 //! Equivalence guarantees for the performance paths: the parallel
-//! characterization driver, the memoizing delay cache and the
-//! stop-when-decided transient must reproduce the serial, uncached,
-//! full-window results exactly (bit-identical outcomes), so the fast
-//! paths can stand in for the reference ones everywhere.
+//! characterization driver and the stop-when-decided transient must
+//! reproduce the serial, full-window results exactly (bit-identical
+//! outcomes), so the fast paths can stand in for the reference ones
+//! everywhere.
 
 use obd_cmos::TechParams;
-use obd_core::cache::DelayCache;
 use obd_core::characterize::BenchDefect;
 use obd_core::characterize::{
     characterize_table1, characterize_table1_parallel, measure_cell_transition, BenchConfig,
@@ -66,38 +65,67 @@ fn assert_tables_identical(a: &Table1, b: &Table1) {
 }
 
 #[test]
-fn table1_report_is_identical_across_threads_and_cache_states() {
+fn table1_report_is_identical_across_threads() {
     let tech = TechParams::date05();
     let cfg = fast_cfg();
-    let run = |threads, cache| {
+    let run = |threads| {
         let sim = SimOptions::new();
-        characterize_table1(
-            &tech,
-            &cfg,
-            &RunOptions {
-                threads,
-                cache,
-                sim,
-            },
-        )
+        characterize_table1(&tech, &cfg, &RunOptions { threads, sim })
     };
-    let serial = run(1, None);
-    assert!(!serial.is_degraded() && serial.recovered.is_empty());
-    let cache = DelayCache::new();
-    let cold = run(4, Some(&cache));
-    let cold_misses = cache.misses();
-    assert!(cold_misses > 0, "a cold cache must simulate");
-    let warm = run(4, Some(&cache));
-    assert_eq!(
-        cache.misses(),
-        cold_misses,
-        "a warm cache must not simulate"
-    );
+    let serial = run(1);
+    assert!(!serial.is_degraded());
     let shim = characterize_table1_parallel(&tech, &cfg, 4).unwrap();
     assert_tables_identical(&serial.table, &shim);
-    for other in [run(4, None), run(0, None), cold, warm] {
+    for other in [run(4), run(0)] {
         assert_tables_identical(&serial.table, &other.table);
-        assert!(!other.is_degraded() && other.recovered.is_empty());
+        assert!(!other.is_degraded());
+    }
+}
+
+/// The gate-level delay table measures a subset of the Table 1 grid with
+/// the same bench: fault-free fall and rise, and pin A's excited NMOS
+/// fall and PMOS rise per stage. Under the same configuration each of
+/// its entries equals the grid cell it shares, bit for bit.
+#[test]
+fn delay_table_equals_the_table1_cells_it_shares() {
+    let tech = TechParams::date05();
+    let cfg = fast_cfg();
+    let delays = DelayTable::from_characterization(&tech, &cfg).unwrap();
+    let table = characterize_table1(&tech, &cfg, &RunOptions::default())
+        .into_result()
+        .unwrap();
+    let row = |stage| {
+        table
+            .rows
+            .iter()
+            .find(|r| r.stage == stage)
+            .unwrap_or_else(|| panic!("Table 1 has no {stage} row"))
+    };
+    let outcome = |list: &[(BreakdownStage, TransitionOutcome)], stage| {
+        list.iter()
+            .find(|(s, _)| *s == stage)
+            .map(|(_, o)| *o)
+            .unwrap_or_else(|| panic!("delay table has no {stage} entry"))
+    };
+    let fault_free = row(BreakdownStage::FaultFree);
+    let base = |o: Option<TransitionOutcome>| o.and_then(TransitionOutcome::delay_ps);
+    let (fall, rise) = (base(fault_free.nmos[0]), base(fault_free.pmos[2]));
+    assert_eq!(fall.map(f64::to_bits), Some(delays.base_fall_ps.to_bits()));
+    assert_eq!(rise.map(f64::to_bits), Some(delays.base_rise_ps.to_bits()));
+    let mut shared = vec![(Polarity::Nmos, BreakdownStage::Hbd)];
+    for stage in [
+        BreakdownStage::Mbd1,
+        BreakdownStage::Mbd2,
+        BreakdownStage::Mbd3,
+    ] {
+        shared.extend([(Polarity::Nmos, stage), (Polarity::Pmos, stage)]);
+    }
+    for (polarity, stage) in shared {
+        let (cell, entry) = match polarity {
+            Polarity::Nmos => (row(stage).nmos[0], outcome(&delays.nmos, stage)),
+            Polarity::Pmos => (row(stage).pmos[2], outcome(&delays.pmos, stage)),
+        };
+        assert_outcomes_identical(cell, Some(entry), &format!("{polarity:?}/{stage}"));
     }
 }
 
@@ -112,11 +140,7 @@ fn reference_kernel_regenerates_the_same_table1() {
     let tech = TechParams::date05();
     let cfg = BenchConfig::table1();
     let run = |cfg: &BenchConfig, sim| {
-        let opts = RunOptions {
-            threads: 2,
-            sim,
-            ..RunOptions::default()
-        };
+        let opts = RunOptions { threads: 2, sim };
         characterize_table1(&tech, cfg, &opts)
             .into_result()
             .expect("Table 1 regenerates cleanly")
@@ -127,94 +151,6 @@ fn reference_kernel_regenerates_the_same_table1() {
         SimOptions::new().with_reference_kernel(),
     );
     assert_eq!(reference.render(), default.render());
-}
-
-#[test]
-fn cached_delay_table_matches_uncached() {
-    let tech = TechParams::date05();
-    let cfg = fast_cfg();
-    let uncached = DelayTable::from_characterization(&tech, &cfg, &DelayCache::new()).unwrap();
-    let cache = DelayCache::new();
-    let cached = DelayTable::from_characterization(&tech, &cfg, &cache).unwrap();
-    let first_misses = cache.misses();
-    assert!(first_misses > 0);
-
-    // A second cached build must be answered entirely from memory...
-    let cached_again = DelayTable::from_characterization(&tech, &cfg, &cache).unwrap();
-    assert_eq!(
-        cache.misses(),
-        first_misses,
-        "second build must not simulate"
-    );
-    assert!(cache.hits() >= first_misses);
-
-    // ...and all three tables must agree exactly where the model speaks.
-    for t in [&cached, &cached_again] {
-        assert!(t.base_fall_ps == uncached.base_fall_ps);
-        assert!(t.base_rise_ps == uncached.base_rise_ps);
-        for pol in [Polarity::Nmos, Polarity::Pmos] {
-            for stage in [
-                BreakdownStage::FaultFree,
-                BreakdownStage::Sbd,
-                BreakdownStage::Mbd1,
-                BreakdownStage::Mbd2,
-                BreakdownStage::Mbd3,
-                BreakdownStage::Hbd,
-            ] {
-                assert_eq!(
-                    t.extra_delay_ps(pol, stage),
-                    uncached.extra_delay_ps(pol, stage),
-                    "{pol:?}/{stage}"
-                );
-            }
-        }
-    }
-}
-
-/// Entries are keyed for the default solver configuration only: a
-/// lookup under any other options runs straight through the engine and
-/// neither reads nor writes an entry.
-#[test]
-fn cache_bypasses_non_default_solver_options() {
-    let tech = TechParams::date05();
-    let cfg = fast_cfg();
-    let cache = DelayCache::new();
-    let reference = SimOptions::new().with_reference_kernel();
-    let (v1, v2) = ([false, true], [true, true]);
-    let measure = |opts: &SimOptions| {
-        let nand = GateKind::Nand;
-        cache
-            .measure_cell(&tech, nand, None, v1, v2, &cfg, opts)
-            .unwrap()
-    };
-    let state = || (cache.hits(), cache.misses(), cache.len());
-
-    let bypassed = measure(&reference);
-    assert_eq!(state(), (0, 0, 0), "a non-default lookup must not write");
-    let direct = measure_cell_transition(&tech, GateKind::Nand, None, v1, v2, &cfg, &reference);
-    assert_eq!(bypassed, direct.unwrap());
-
-    measure(&SimOptions::new());
-    assert_eq!(state(), (0, 1, 1));
-    measure(&reference);
-    assert_eq!(state(), (0, 1, 1), "a non-default lookup must not read");
-
-    let (threads, cache, sim) = (2, Some(&cache), reference);
-    let report = characterize_table1(
-        &tech,
-        &cfg,
-        &RunOptions {
-            threads,
-            cache,
-            sim,
-        },
-    );
-    assert!(!report.is_degraded());
-    assert_eq!(
-        state(),
-        (0, 1, 1),
-        "a non-default grid must bypass the cache"
-    );
 }
 
 /// The reference driver: every transient runs its whole window.

@@ -21,11 +21,7 @@ use obd_spice::SimOptions;
 const MAX_DELAY_DELTA_PS: f64 = 0.1;
 
 fn regenerate(cfg: &BenchConfig, sim: SimOptions) -> Table1 {
-    let opts = RunOptions {
-        threads: 2,
-        sim,
-        ..RunOptions::default()
-    };
+    let opts = RunOptions { threads: 2, sim };
     characterize_table1(&TechParams::date05(), cfg, &opts)
         .into_result()
         .expect("Table 1 regenerates cleanly")

@@ -5,6 +5,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
+
+# The model crate only measures: its normal (non-dev, non-build)
+# dependencies are exactly the metrics, analog, logic and CMOS crates, so
+# a re-added edge to the store, the fault injector or any other crate
+# fails here.
+cargo metadata --offline --no-deps --format-version 1 | python3 -c '
+import json, sys
+meta = json.load(sys.stdin)
+core = next(p for p in meta["packages"] if p["name"] == "obd-core")
+deps = {d["name"] for d in core["dependencies"] if d["kind"] is None}
+expected = {"obd-metrics", "obd-spice", "obd-logic", "obd-cmos"}
+assert deps == expected, f"obd-core dependencies {sorted(deps)} != {sorted(expected)}"
+print("obd-core dependency graph ok:", ", ".join(sorted(deps)))
+'
 cargo build --release --offline --workspace
 # Every example must build and run to a zero exit: the examples are the
 # only callers of parts of the public API (prognosis, diagnosis).
