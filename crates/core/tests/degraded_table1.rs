@@ -5,14 +5,16 @@
 //! with their typed error and left empty; every cell whose measurement no
 //! injection reached is **bit-identical** to the strict, chaos-free run.
 
-use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Mutex;
 
 use obd_cmos::TechParams;
 use obd_core::characterize::{
-    characterize_table1, BenchConfig, RunOptions, Table1, Table1Report, TransitionOutcome,
+    characterize_table1, measure_cell_transition, BenchConfig, BenchDefect, RunOptions, Table1,
+    Table1Report, TransitionOutcome,
 };
-use obd_core::BreakdownStage;
+use obd_core::{BreakdownStage, Polarity};
+use obd_logic::netlist::GateKind;
 use obd_spice::SimOptions;
 
 /// Chaos arming is process-global; tests in this binary serialize here.
@@ -90,19 +92,89 @@ fn budget_failures_are_thread_independent() {
     assert_eq!(four.into_result().unwrap_err(), first);
 }
 
+/// One Table 1 measurement in grid order: its row, the slots its outcome
+/// fills (both pins of a fault-free sequence are one defect-free circuit)
+/// and its inputs.
+struct Measurement {
+    row: usize,
+    slots: Range<usize>,
+    defect: Option<BenchDefect>,
+    v1: [bool; 2],
+    v2: [bool; 2],
+}
+
+/// The grid's measurements in the order a one-thread run makes them.
+fn measurements() -> Vec<Measurement> {
+    let nmos_seqs = [([false, true], [true, true]), ([true, false], [true, true])];
+    let pmos_seqs = [([true, true], [true, false]), ([true, true], [false, true])];
+    let mut out = Vec::new();
+    for (row, stage) in BreakdownStage::TABLE1.into_iter().enumerate() {
+        let halves = [
+            (0, Polarity::Nmos, nmos_seqs),
+            (4, Polarity::Pmos, pmos_seqs),
+        ];
+        for (base, polarity, seqs) in halves {
+            for (si, (v1, v2)) in seqs.into_iter().enumerate() {
+                let first = base + si * 2;
+                if stage == BreakdownStage::FaultFree {
+                    out.push(Measurement {
+                        row,
+                        slots: first..first + 2,
+                        defect: None,
+                        v1,
+                        v2,
+                    });
+                    continue;
+                }
+                let Ok(params) = stage.params(polarity) else {
+                    continue;
+                };
+                for pin in 0..2 {
+                    out.push(Measurement {
+                        row,
+                        slots: first + pin..first + pin + 1,
+                        defect: Some(BenchDefect {
+                            pin,
+                            polarity,
+                            params,
+                        }),
+                        v1,
+                        v2,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Bit-level equality of two outcomes.
+fn same_bits(a: Option<TransitionOutcome>, b: Option<TransitionOutcome>) -> bool {
+    match (a, b) {
+        (Some(TransitionOutcome::Delay(x)), Some(TransitionOutcome::Delay(y))) => {
+            x.to_bits() == y.to_bits()
+        }
+        (a, b) => a == b,
+    }
+}
+
 #[test]
 fn chaos_degrades_cells_but_keeps_surviving_cells_identical() {
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     obd_chaos::disarm();
     let clean = run(1, SimOptions::new());
     assert!(!clean.is_degraded());
+    let (tech, cfg, sim) = (TechParams::date05(), quick_cfg(), SimOptions::new());
+    let grid = measurements();
+    let covered: usize = grid.iter().map(|m| m.slots.len()).sum();
+    assert_eq!((grid.len(), covered), (32, TOTAL_CELLS));
 
     // Scan seeds for one that degrades at least one cell but not all of
     // them, so both sides of the contract are observable.
     let mut verified = false;
     for seed in 0..64 {
         obd_chaos::arm(seed, 8);
-        let report = run(1, SimOptions::new());
+        let report = run(1, sim.clone());
         obd_chaos::disarm();
         let failed = report.failures.len();
         if failed == 0 || failed >= TOTAL_CELLS {
@@ -113,53 +185,52 @@ fn chaos_degrades_cells_but_keeps_surviving_cells_identical() {
         for f in &report.failures {
             assert!(text.contains(&f.error.to_string()), "{text}");
         }
-        // Cells run one at a time here, and a cell's value depends only
-        // on the injections that fire inside its own measurement, so each
-        // injection can touch at most one measurement. The fault-free
-        // row's two pin slots of a sequence are one measurement (the same
-        // defect-free circuit). Every other cell is bit-identical to the
-        // clean run.
-        let injected = obd_chaos::injected_total();
-        let mut touched = BTreeSet::new();
-        for row in 0..report.table.rows.len() {
-            for slot in 0..8 {
-                let measurement = if report.table.rows[row].stage == BreakdownStage::FaultFree {
-                    (row, slot / 2 * 2)
-                } else {
-                    (row, slot)
-                };
-                let a = cell(&report.table, row, slot);
-                if report
-                    .failures
-                    .iter()
-                    .any(|f| f.row == row && f.slot == slot)
-                {
-                    assert!(a.is_none(), "degraded cell must stay empty");
-                    touched.insert(measurement);
-                    continue;
-                }
-                let b = cell(&clean.table, row, slot);
-                assert_eq!(
-                    a.is_some(),
-                    b.is_some(),
-                    "row {row} slot {slot}: a surviving cell keeps its value"
-                );
-                let identical = match (a, b) {
-                    (Some(TransitionOutcome::Delay(x)), Some(TransitionOutcome::Delay(y))) => {
-                        x.to_bits() == y.to_bits()
+        for f in &report.failures {
+            assert!(
+                cell(&report.table, f.row, f.slot).is_none(),
+                "degraded cell must stay empty"
+            );
+        }
+
+        // Attribute injections per measurement: one thread makes the
+        // measurements in grid order, so re-arming the seed and making
+        // them again one by one replays the same injections in the same
+        // places. Each replayed outcome must be the report's, and every
+        // measurement no injection reached must equal the clean run.
+        obd_chaos::arm(seed, 8);
+        let mut untouched = 0;
+        for m in &grid {
+            let before = obd_chaos::injected_total();
+            let outcome =
+                measure_cell_transition(&tech, GateKind::Nand, m.defect, m.v1, m.v2, &cfg, &sim);
+            let injected = obd_chaos::injected_total() - before;
+            for slot in m.slots.clone() {
+                let at = (m.row, slot);
+                let got = cell(&report.table, m.row, slot);
+                match &outcome {
+                    Ok(o) => assert!(
+                        same_bits(got, Some(*o)),
+                        "{at:?}: replay {o:?} vs report {got:?}"
+                    ),
+                    Err(e) => {
+                        let f = report.failures.iter().find(|f| (f.row, f.slot) == at);
+                        assert_eq!(f.map(|f| &f.error), Some(e), "{at:?}: replayed failure");
                     }
-                    (a, b) => a == b,
-                };
-                if !identical {
-                    touched.insert(measurement);
+                }
+                if injected == 0 {
+                    assert!(outcome.is_ok(), "{at:?} failed with no injection");
+                    assert!(
+                        same_bits(got, cell(&clean.table, m.row, slot)),
+                        "{at:?}: no injection reached it, yet {got:?} differs from the clean run"
+                    );
                 }
             }
+            untouched += usize::from(injected == 0);
         }
+        obd_chaos::disarm();
         assert!(
-            touched.len() as u64 <= injected,
-            "{} measurements differ from the clean run or failed, \
-             but only {injected} injections fired: {touched:?}",
-            touched.len()
+            untouched > 0,
+            "seed {seed}: every measurement saw an injection"
         );
         verified = true;
         break;
