@@ -14,9 +14,9 @@ use obd_core::characterize::{
     measure_cell_transition, BenchConfig, BenchDefect, TransitionOutcome,
 };
 use obd_core::faultmodel::Polarity;
+use obd_core::monte::sample_tech;
 use obd_core::{BreakdownStage, ObdError};
 use obd_logic::netlist::GateKind;
-use obd_logic::rng::XorShift64Star;
 use obd_spice::SimOptions;
 
 /// Monte Carlo statistics of the fault-free delay plus per-stage defect
@@ -33,26 +33,9 @@ pub struct VariationReport {
     pub stages: Vec<(BreakdownStage, f64, f64)>,
 }
 
-/// Perturbs the technology: ±`spread` relative 1-sigma on Vt, KP and W,
-/// clamped to physical ranges.
-fn perturb(tech: &TechParams, rng: &mut XorShift64Star, spread: f64) -> TechParams {
-    let mut t = tech.clone();
-    let mut jitter = |v: f64| -> f64 {
-        let g: f64 = rng.gen_range_f64(-1.0, 1.0)
-            + rng.gen_range_f64(-1.0, 1.0)
-            + rng.gen_range_f64(-1.0, 1.0);
-        (v * (1.0 + spread * g / 1.732)).max(v * 0.5)
-    };
-    t.nmos_vt0 = jitter(t.nmos_vt0);
-    t.pmos_vt0 = jitter(t.pmos_vt0);
-    t.nmos_kp = jitter(t.nmos_kp);
-    t.pmos_kp = jitter(t.pmos_kp);
-    t.nmos_w = jitter(t.nmos_w);
-    t.pmos_w = jitter(t.pmos_w);
-    t
-}
-
-/// Runs the Monte Carlo study.
+/// Runs the Monte Carlo study. Corner `i` is
+/// [`sample_tech`]`(nominal, seed, i, spread)`, the sampler the Monte
+/// Carlo campaign uses.
 ///
 /// # Errors
 ///
@@ -77,10 +60,9 @@ pub fn run(
             &opts,
         )
     };
-    let mut rng = XorShift64Star::seed_from_u64(seed);
     let mut samples_ps = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = perturb(&nominal, &mut rng, spread);
+    for corner in 0..samples as u64 {
+        let t = sample_tech(&nominal, seed, corner, spread);
         if let TransitionOutcome::Delay(d) = fall(&t, None)? {
             samples_ps.push(d);
         }

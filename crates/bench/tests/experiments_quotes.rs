@@ -99,3 +99,52 @@ fn e8_table_matches_tpg_comparison() {
         );
     }
 }
+
+/// The text between the first `start` in `text` and the next `end` after it.
+fn between<'a>(text: &'a str, start: &str, end: &str) -> &'a str {
+    let (_, tail) = text
+        .split_once(start)
+        .unwrap_or_else(|| panic!("no {start:?} in {text:?}"));
+    tail.split_once(end)
+        .unwrap_or_else(|| panic!("no {end:?} after {start:?}"))
+        .0
+}
+
+/// X8 quotes `results/variation.txt`: a summary line (corners, mean and
+/// sigma of the fault-free delay), a header, then one `<stage> <shift> ps
+/// <shift/sigma> <verdict>` line per stage. The prose must carry the
+/// corner count, the mean, σ, the four shifts and the rounded σ range.
+#[test]
+fn x8_matches_variation() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let x8 = between(&doc, "### X8 ", "\n### ").replace('\n', " ");
+    let text = repo_file("results/variation.txt");
+    let summary = text.lines().next().expect("summary line");
+    let stages: Vec<Vec<&str>> = text
+        .lines()
+        .skip(2)
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert_eq!(stages.len(), 4, "SBD and MBD1–MBD3");
+    let shifts: Vec<&str> = stages.iter().map(|w| w[1]).collect();
+    let z = stages
+        .iter()
+        .map(|w| w[3].parse::<f64>().expect("shift/sigma"));
+    let (lo, hi) = z.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), z| {
+        (lo.min(z), hi.max(z))
+    });
+    for quote in [
+        format!(
+            "over {} process corners",
+            between(summary, "across ", " process")
+        ),
+        format!(
+            "σ ≈ {} ps around {} ps",
+            between(summary, "sigma ", " ps"),
+            between(summary, "mean ", " ps")
+        ),
+        format!("shifts it by {} ps ({lo:.0}–{hi:.0} σ)", shifts.join("/")),
+    ] {
+        assert!(x8.contains(&quote), "X8 must quote {quote:?}");
+    }
+}

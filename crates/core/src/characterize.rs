@@ -771,69 +771,6 @@ impl DelayTable {
         }
     }
 
-    /// Builds the table by running the Fig. 5 characterization with this
-    /// crate's analog model under the default solver options: pin A's
-    /// falling (01,11) and rising (11,01) transitions, fault-free and
-    /// under each stage's defect.
-    ///
-    /// # Errors
-    ///
-    /// Propagates measurement errors.
-    pub fn from_characterization(tech: &TechParams, cfg: &BenchConfig) -> Result<Self, ObdError> {
-        let sim = SimOptions::default();
-        let measure = |defect, v1, v2| {
-            measure_cell_transition(tech, GateKind::Nand, defect, v1, v2, cfg, &sim)
-        };
-        let base_fall = measure(None, [false, true], [true, true])?
-            .delay_ps()
-            .unwrap_or(f64::NAN);
-        let base_rise = measure(None, [true, true], [false, true])?
-            .delay_ps()
-            .unwrap_or(f64::NAN);
-        let mut nmos = Vec::new();
-        let mut pmos = Vec::new();
-        for stage in [
-            BreakdownStage::Sbd,
-            BreakdownStage::Mbd1,
-            BreakdownStage::Mbd2,
-            BreakdownStage::Mbd3,
-            BreakdownStage::Hbd,
-        ] {
-            if let Ok(p) = stage.params(Polarity::Nmos) {
-                let o = measure(
-                    Some(BenchDefect {
-                        pin: 0,
-                        polarity: Polarity::Nmos,
-                        params: p,
-                    }),
-                    [false, true],
-                    [true, true],
-                )?;
-                nmos.push((stage, o));
-            }
-            if let Ok(p) = stage.params(Polarity::Pmos) {
-                let o = measure(
-                    Some(BenchDefect {
-                        pin: 0,
-                        polarity: Polarity::Pmos,
-                        params: p,
-                    }),
-                    [true, true],
-                    [false, true],
-                )?;
-                pmos.push((stage, o));
-            } else {
-                pmos.push((stage, TransitionOutcome::Stuck));
-            }
-        }
-        Ok(DelayTable {
-            base_fall_ps: base_fall,
-            base_rise_ps: base_rise,
-            nmos,
-            pmos,
-        })
-    }
-
     /// The defect-induced *extra* delay at a stage: `None` means stuck.
     pub fn extra_delay_ps(&self, polarity: Polarity, stage: BreakdownStage) -> Option<f64> {
         if stage == BreakdownStage::FaultFree {

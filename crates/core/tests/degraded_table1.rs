@@ -74,7 +74,7 @@ fn budget_failures_are_thread_independent() {
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     obd_chaos::disarm();
     let sim = SimOptions::new().with_iteration_budget(BUDGET);
-    let (one, four) = (run(1, sim.clone()), run(4, sim));
+    let (one, four) = (run(1, sim), run(4, sim));
     assert!(
         !one.failures.is_empty() && one.failures.len() < TOTAL_CELLS,
         "budget {BUDGET} must fail some cells but not all: {}",
@@ -174,7 +174,7 @@ fn chaos_degrades_cells_but_keeps_surviving_cells_identical() {
     let mut verified = false;
     for seed in 0..64 {
         obd_chaos::arm(seed, 8);
-        let report = run(1, sim.clone());
+        let report = run(1, sim);
         obd_chaos::disarm();
         let failed = report.failures.len();
         if failed == 0 || failed >= TOTAL_CELLS {

@@ -8,7 +8,7 @@ use obd_cmos::TechParams;
 use obd_core::characterize::BenchDefect;
 use obd_core::characterize::{
     characterize_table1, characterize_table1_parallel, measure_cell_transition, BenchConfig,
-    DelayTable, RunOptions, Table1, TransitionOutcome,
+    RunOptions, Table1, TransitionOutcome,
 };
 use obd_core::faultmodel::Polarity;
 use obd_core::monte::{sample_tech, MonteConfig};
@@ -80,77 +80,6 @@ fn table1_report_is_identical_across_threads() {
         assert_tables_identical(&serial.table, &other.table);
         assert!(!other.is_degraded());
     }
-}
-
-/// The gate-level delay table measures a subset of the Table 1 grid with
-/// the same bench: fault-free fall and rise, and pin A's excited NMOS
-/// fall and PMOS rise per stage. Under the same configuration each of
-/// its entries equals the grid cell it shares, bit for bit.
-#[test]
-fn delay_table_equals_the_table1_cells_it_shares() {
-    let tech = TechParams::date05();
-    let cfg = fast_cfg();
-    let delays = DelayTable::from_characterization(&tech, &cfg).unwrap();
-    let table = characterize_table1(&tech, &cfg, &RunOptions::default())
-        .into_result()
-        .unwrap();
-    let row = |stage| {
-        table
-            .rows
-            .iter()
-            .find(|r| r.stage == stage)
-            .unwrap_or_else(|| panic!("Table 1 has no {stage} row"))
-    };
-    let outcome = |list: &[(BreakdownStage, TransitionOutcome)], stage| {
-        list.iter()
-            .find(|(s, _)| *s == stage)
-            .map(|(_, o)| *o)
-            .unwrap_or_else(|| panic!("delay table has no {stage} entry"))
-    };
-    let fault_free = row(BreakdownStage::FaultFree);
-    let base = |o: Option<TransitionOutcome>| o.and_then(TransitionOutcome::delay_ps);
-    let (fall, rise) = (base(fault_free.nmos[0]), base(fault_free.pmos[2]));
-    assert_eq!(fall.map(f64::to_bits), Some(delays.base_fall_ps.to_bits()));
-    assert_eq!(rise.map(f64::to_bits), Some(delays.base_rise_ps.to_bits()));
-    let mut shared = vec![(Polarity::Nmos, BreakdownStage::Hbd)];
-    for stage in [
-        BreakdownStage::Mbd1,
-        BreakdownStage::Mbd2,
-        BreakdownStage::Mbd3,
-    ] {
-        shared.extend([(Polarity::Nmos, stage), (Polarity::Pmos, stage)]);
-    }
-    for (polarity, stage) in shared {
-        let (cell, entry) = match polarity {
-            Polarity::Nmos => (row(stage).nmos[0], outcome(&delays.nmos, stage)),
-            Polarity::Pmos => (row(stage).pmos[2], outcome(&delays.pmos, stage)),
-        };
-        assert_outcomes_identical(cell, Some(entry), &format!("{polarity:?}/{stage}"));
-    }
-}
-
-/// The reference engine — the baseline Newton kernel (every device
-/// restamped each iteration, one-shot allocating LU, no predictor) with
-/// every transient run over its whole window — regenerates the
-/// paper-resolution Table 1 that the default engine prints. The two
-/// differ in assembly order, step control and stopping, so delays may
-/// move below the printed precision, never a printed digit or a verdict.
-#[test]
-fn reference_kernel_regenerates_the_same_table1() {
-    let tech = TechParams::date05();
-    let cfg = BenchConfig::table1();
-    let run = |cfg: &BenchConfig, sim| {
-        let opts = RunOptions { threads: 2, sim };
-        characterize_table1(&tech, cfg, &opts)
-            .into_result()
-            .expect("Table 1 regenerates cleanly")
-    };
-    let default = run(&cfg, SimOptions::new());
-    let reference = run(
-        &full_window(&cfg),
-        SimOptions::new().with_reference_kernel(),
-    );
-    assert_eq!(reference.render(), default.render());
 }
 
 /// The reference driver: every transient runs its whole window.

@@ -520,22 +520,15 @@ mod tests {
         let rca = ripple_carry_adder(n);
         assert_eq!(csa.inputs().len(), rca.inputs().len());
         assert_eq!(csa.outputs().len(), rca.outputs().len());
-        // A xorshift sweep over (a, b, cin) plus the corner cases.
+        // A random sweep over (a, b, cin) plus the corner cases.
         let mut cases: Vec<(usize, usize, bool)> = vec![
             (0, 0, false),
             ((1 << n) - 1, (1 << n) - 1, true),
             (1, (1 << n) - 1, false),
         ];
-        let mut state = 0x5EED_1234u64;
+        let mut rng = crate::rng::XorShift64Star::seed_from_u64(0x5EED_1234);
         for _ in 0..200 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            cases.push((
-                (state as usize) & ((1 << n) - 1),
-                ((state >> 20) as usize) & ((1 << n) - 1),
-                (state >> 40) & 1 == 1,
-            ));
+            cases.push((rng.gen_range(1 << n), rng.gen_range(1 << n), rng.gen_bool()));
         }
         for (a, b, cin) in cases {
             let mut v: Vec<Lv> = (0..n).map(|i| Lv::from_bool((a >> i) & 1 == 1)).collect();

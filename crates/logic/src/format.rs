@@ -313,16 +313,11 @@ mod tests {
             let nl2 = parse_bench(&text).unwrap();
             assert_eq!(nl2.num_gates(), nl.num_gates());
             // Drive both with the same packed random block and compare POs.
-            let mut state = 0xABCDu64;
+            let mut rng = XorShift64Star::seed_from_u64(0xABCD);
             let vectors: Vec<Vec<Lv>> = (0..64)
                 .map(|_| {
                     (0..nl.inputs().len())
-                        .map(|_| {
-                            state ^= state << 13;
-                            state ^= state >> 7;
-                            state ^= state << 17;
-                            Lv::from_bool(state & 1 == 1)
-                        })
+                        .map(|_| Lv::from_bool(rng.gen_bool()))
                         .collect()
                 })
                 .collect();

@@ -320,21 +320,16 @@ mod tests {
     use crate::circuits;
     use crate::netlist::Netlist;
     use crate::parallel::simulate_block_forced_into;
+    use crate::rng::XorShift64Star;
     use crate::sim::simulate;
     use crate::value::{all_vectors, Lv};
 
     fn vectors_for(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<Lv>> {
-        // Small deterministic xorshift so tests need no external RNG.
-        let mut state = seed | 1;
+        let mut rng = XorShift64Star::seed_from_u64(seed);
         (0..count)
             .map(|_| {
                 (0..n_inputs)
-                    .map(|_| {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        Lv::from_bool(state & 1 == 1)
-                    })
+                    .map(|_| Lv::from_bool(rng.gen_bool()))
                     .collect()
             })
             .collect()
@@ -455,13 +450,6 @@ mod tests {
         ]
     }
 
-    fn next_word(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    }
-
     /// Primary-output nets no gate reads: the held value itself is the
     /// fault effect, with no cone to walk.
     fn dangling_outputs(soa: &SoaNetlist) -> Vec<usize> {
@@ -491,9 +479,9 @@ mod tests {
             soa.simulate_wide_into(&block, &mut good).unwrap();
             assert!(good.iter().zip(&good_ref).all(|(w, &r)| w.0[0] == r));
             let mut cs = ConeScratch::default();
-            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut rng = XorShift64Star::seed_from_u64(0x9E37_79B9_7F4A_7C15);
             for n in nl.net_ids() {
-                for held in [next_word(&mut state), !good_ref[n.index()]] {
+                for held in [rng.next_u64(), !good_ref[n.index()]] {
                     simulate_block_forced_into(
                         &nl,
                         &order,
@@ -525,9 +513,9 @@ mod tests {
             let mut good = Vec::new();
             soa.simulate_wide_into(&block, &mut good).unwrap();
             let mut cs = ConeScratch::default();
-            let mut state = 0xB5AD_4ECE_DA1C_E2A9u64;
+            let mut rng = XorShift64Star::seed_from_u64(0xB5AD_4ECE_DA1C_E2A9);
             for net in 0..soa.num_nets {
-                let held = LaneWord::<8>(std::array::from_fn(|_| next_word(&mut state)));
+                let held = LaneWord::<8>(std::array::from_fn(|_| rng.next_u64()));
                 let faulty = forced_sweep(&soa, &block, net, held);
                 let got = soa.propagate_held(&good, nl.net(net), held, &mut cs);
                 assert_eq!(got, po_diff(&soa, &good, &faulty), "{name} net {net}");

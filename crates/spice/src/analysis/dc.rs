@@ -4,6 +4,7 @@
 use crate::circuit::{Circuit, NodeId};
 use crate::devices::{Device, EvalCtx, Integration, SourceWave};
 use crate::engine::Solver;
+use crate::options::GMIN;
 use crate::{SimOptions, SpiceError};
 
 /// Sweep specification: a named voltage source stepped over a range.
@@ -101,7 +102,7 @@ pub fn dc_sweep(
         let ctx = EvalCtx {
             time: 0.0,
             source_scale: 1.0,
-            gmin: opts.gmin,
+            gmin: GMIN,
             integ: Integration::Dc,
             vt: crate::thermal_voltage_at(opts.temperature_c),
         };

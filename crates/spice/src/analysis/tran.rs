@@ -21,6 +21,7 @@
 use crate::circuit::Circuit;
 use crate::devices::{Device, EvalCtx, Integration};
 use crate::engine::Solver;
+use crate::options::GMIN;
 use crate::{SimOptions, SpiceError, Waveform};
 use obd_chaos::InjectionPoint;
 use obd_metrics::Counter;
@@ -31,6 +32,8 @@ use obd_metrics::Counter;
 pub const LTE_VTOL: f64 = 100e-6;
 /// Longest step the step control may take, in nominal steps.
 pub const MAX_STEP_RATIO: f64 = 32.0;
+/// Maximum number of halvings applied to a non-converging step.
+const MAX_STEP_HALVINGS: u32 = 8;
 
 /// Transient steps accepted into the waveform.
 static TRAN_STEPS_ACCEPTED: Counter = Counter::new("spice.tran_steps_accepted");
@@ -74,8 +77,6 @@ pub struct TranParams {
     /// Use the DC operating point as the initial condition (default).
     /// When `false`, all nodes start at 0 V ("UIC").
     pub from_op: bool,
-    /// Maximum number of halvings applied to a non-converging step.
-    pub max_step_halvings: u32,
 }
 
 impl TranParams {
@@ -87,7 +88,6 @@ impl TranParams {
             stop,
             method: TranMethod::Trapezoidal,
             from_op: true,
-            max_step_halvings: 8,
         }
     }
 
@@ -119,7 +119,7 @@ pub fn transient(ckt: &Circuit, params: &TranParams) -> Result<Waveform, SpiceEr
 /// # Errors
 ///
 /// Propagates validation, convergence and singularity errors; a step that
-/// keeps failing after `max_step_halvings` halvings yields
+/// keeps failing after `MAX_STEP_HALVINGS` halvings yields
 /// [`SpiceError::Convergence`].
 pub fn transient_with_options(
     ckt: &Circuit,
@@ -166,7 +166,7 @@ pub fn transient_until(
     let init_ctx = EvalCtx {
         time: 0.0,
         source_scale: 1.0,
-        gmin: opts.gmin,
+        gmin: GMIN,
         integ: Integration::Dc,
         vt: crate::thermal_voltage_at(opts.temperature_c),
     };
@@ -259,7 +259,7 @@ pub fn transient_until(
                 t,
                 target,
                 first_step,
-                params.max_step_halvings,
+                MAX_STEP_HALVINGS,
             )?;
             h = params.step;
         }
@@ -373,7 +373,7 @@ fn step_ctx(opts: &SimOptions, params: &TranParams, t1: f64, h: f64, startup: bo
     EvalCtx {
         time: t1,
         source_scale: 1.0,
-        gmin: opts.gmin,
+        gmin: GMIN,
         integ,
         vt: crate::thermal_voltage_at(opts.temperature_c),
     }

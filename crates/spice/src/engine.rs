@@ -7,6 +7,10 @@ use obd_metrics::{Counter, Histogram};
 
 use crate::circuit::Circuit;
 use crate::devices::{Device, DeviceState, EvalCtx, Integration};
+use crate::options::{
+    voltage_converged, ABSTOL, GMIN, GMIN_STEPS, MAX_NEWTON, MAX_VOLTAGE_STEP, RELTOL,
+    SOURCE_STEPS, VOLTAGE_CLAMP,
+};
 use crate::stamp::Stamp;
 use crate::{SimOptions, SpiceError};
 
@@ -14,7 +18,7 @@ use crate::{SimOptions, SpiceError};
 static NEWTON_ITERATIONS: Counter = Counter::new("spice.newton_iterations");
 /// Newton solves that reached convergence.
 static NEWTON_SOLVES: Counter = Counter::new("spice.newton_solves");
-/// Newton solves that exhausted `max_newton` without converging.
+/// Newton solves that exhausted `MAX_NEWTON` without converging.
 static NEWTON_NONCONVERGED: Counter = Counter::new("spice.newton_nonconverged");
 /// Newton solves aborted by the NaN/Inf iterate guard.
 static NEWTON_NONFINITE: Counter = Counter::new("spice.newton_nonfinite");
@@ -125,7 +129,7 @@ impl<'c> Solver<'c> {
             nonlinear,
             x_new: vec![0.0; dim],
             budget_left: opts.max_solve_iterations,
-            opts: opts.clone(),
+            opts: *opts,
         })
     }
 
@@ -168,7 +172,7 @@ impl<'c> Solver<'c> {
     /// # Errors
     ///
     /// [`SpiceError::Convergence`] when the iteration does not settle within
-    /// `max_newton` iterations, [`SpiceError::Singular`] when the MNA matrix
+    /// `MAX_NEWTON` iterations, [`SpiceError::Singular`] when the MNA matrix
     /// cannot be factored.
     pub(crate) fn newton(&mut self, ctx: &EvalCtx, x0: &[f64]) -> Result<Vec<f64>, SpiceError> {
         let mut x = x0.to_vec();
@@ -217,53 +221,35 @@ impl<'c> Solver<'c> {
         // sources, gmin loading — depends only on the evaluation context
         // and per-step history, both fixed for this whole solve: stamp it
         // once and reuse it as the starting image of every iteration.
-        let reference = self.opts.reference_kernel;
-        if !reference {
-            self.lin_stamp.clear();
+        self.lin_stamp.clear();
+        stamp_devices(
+            &mut self.lin_stamp,
+            devices,
+            &self.linear,
+            &mut self.states,
+            &self.branch_of,
+            x,
+            ctx,
+        );
+        self.lin_stamp.add_gmin_loading(GMIN);
+
+        for iter in 0..MAX_NEWTON {
+            self.budget_check(ctx)?;
+            NEWTON_ITERATIONS.inc();
+            // The linear image plus this iterate's nonlinear stamps,
+            // factored and solved in the reusable workspace.
+            self.stamp.copy_from(&self.lin_stamp);
             stamp_devices(
-                &mut self.lin_stamp,
+                &mut self.stamp,
                 devices,
-                &self.linear,
+                &self.nonlinear,
                 &mut self.states,
                 &self.branch_of,
                 x,
                 ctx,
             );
-            self.lin_stamp.add_gmin_loading(self.opts.gmin);
-        }
-
-        for iter in 0..self.opts.max_newton {
-            self.budget_check(ctx)?;
-            NEWTON_ITERATIONS.inc();
-            if reference {
-                // Baseline kernel: restamp the full system and run a
-                // one-shot (allocating) factor/solve, as the engine did
-                // before the split-stamping/workspace overhaul.
-                let stamp = &mut self.stamp;
-                stamp.clear();
-                for (i, dev) in devices.iter().enumerate() {
-                    dev.stamp(stamp, x, ctx, &mut self.states[i], self.branch_of[i]);
-                }
-                stamp.add_gmin_loading(self.opts.gmin);
-                let sol = obd_linalg::solve_refined(&stamp.a, &stamp.z)?;
-                self.x_new.clear();
-                self.x_new.extend_from_slice(&sol);
-            } else {
-                // The linear image plus this iterate's nonlinear stamps,
-                // factored and solved in the reusable workspace.
-                self.stamp.copy_from(&self.lin_stamp);
-                stamp_devices(
-                    &mut self.stamp,
-                    devices,
-                    &self.nonlinear,
-                    &mut self.states,
-                    &self.branch_of,
-                    x,
-                    ctx,
-                );
-                self.ws
-                    .solve_refined_into(&self.stamp.a, &self.stamp.z, &mut self.x_new)?;
-            }
+            self.ws
+                .solve_refined_into(&self.stamp.a, &self.stamp.z, &mut self.x_new)?;
 
             if poison_iterate {
                 poison_iterate = false;
@@ -282,39 +268,7 @@ impl<'c> Solver<'c> {
                 });
             }
 
-            // Damped update: clamp node-voltage moves; branch currents are
-            // taken as solved.
-            let mut converged = true;
-            let mut damped = false;
-            for (i, xi) in x.iter_mut().enumerate() {
-                let target = if i < n_nodes {
-                    self.x_new[i].clamp(-self.opts.voltage_clamp, self.opts.voltage_clamp)
-                } else {
-                    self.x_new[i]
-                };
-                if i < n_nodes {
-                    if !self.opts.voltage_converged(target, *xi) {
-                        converged = false;
-                    }
-                    let dv = target - *xi;
-                    let lim = self.opts.max_voltage_step;
-                    if dv.abs() > lim {
-                        *xi += lim.copysign(dv);
-                        damped = true;
-                    } else {
-                        *xi = target;
-                    }
-                } else {
-                    // Currents: relative + absolute tolerance.
-                    if (target - *xi).abs()
-                        > self.opts.reltol * target.abs().max(xi.abs()) + self.opts.abstol
-                    {
-                        converged = false;
-                    }
-                    *xi = target;
-                }
-            }
-            if converged && !damped {
+            if damped_update(x, &self.x_new, n_nodes) {
                 NEWTON_SOLVES.inc();
                 NEWTON_ITERS_PER_SOLVE.record(iter as u64 + 1);
                 return Ok(());
@@ -324,7 +278,7 @@ impl<'c> Solver<'c> {
         Err(SpiceError::Convergence {
             analysis: "newton",
             at: Some(ctx.time),
-            detail: format!("no convergence in {} iterations", self.opts.max_newton),
+            detail: format!("no convergence in {MAX_NEWTON} iterations"),
         })
     }
 
@@ -339,7 +293,7 @@ impl<'c> Solver<'c> {
         let base_ctx = EvalCtx {
             time: 0.0,
             source_scale: 1.0,
-            gmin: self.opts.gmin,
+            gmin: GMIN,
             integ: Integration::Dc,
             vt: crate::thermal_voltage_at(self.opts.temperature_c),
         };
@@ -385,8 +339,7 @@ impl<'c> Solver<'c> {
         out: &mut Vec<f64>,
     ) -> Result<bool, SpiceError> {
         let mut x = x_seed.to_vec();
-        for step in 0..self.opts.gmin_steps.len() {
-            let g = self.opts.gmin_steps[step];
+        for g in GMIN_STEPS {
             self.reset_limit_state();
             let c = EvalCtx { gmin: g, ..*ctx };
             if !self.try_newton(&c, &x, out)? {
@@ -402,7 +355,7 @@ impl<'c> Solver<'c> {
     /// the context's own scale. `Ok(true)` leaves the solution in `out`.
     fn source_restep(&mut self, ctx: &EvalCtx, out: &mut Vec<f64>) -> Result<bool, SpiceError> {
         let mut x = vec![0.0; self.dim()];
-        let steps = self.opts.source_steps.max(1);
+        let steps = SOURCE_STEPS;
         for k in 0..=steps {
             self.reset_limit_state();
             let scale = ctx.source_scale * k as f64 / steps as f64;
@@ -477,6 +430,39 @@ impl<'c> Solver<'c> {
     }
 }
 
+/// Moves the iterate `x` toward the solve result `x_new`: node voltages
+/// clamped to [`VOLTAGE_CLAMP`] and limited to [`MAX_VOLTAGE_STEP`] per
+/// iteration, branch currents taken as solved. Returns `true` when the
+/// iteration has converged: every row within tolerance and no move
+/// limited.
+fn damped_update(x: &mut [f64], x_new: &[f64], n_nodes: usize) -> bool {
+    let mut converged = true;
+    let mut damped = false;
+    for (i, xi) in x.iter_mut().enumerate() {
+        if i < n_nodes {
+            let target = x_new[i].clamp(-VOLTAGE_CLAMP, VOLTAGE_CLAMP);
+            if !voltage_converged(target, *xi) {
+                converged = false;
+            }
+            let dv = target - *xi;
+            if dv.abs() > MAX_VOLTAGE_STEP {
+                *xi += MAX_VOLTAGE_STEP.copysign(dv);
+                damped = true;
+            } else {
+                *xi = target;
+            }
+        } else {
+            // Currents: relative + absolute tolerance.
+            let target = x_new[i];
+            if (target - *xi).abs() > RELTOL * target.abs().max(xi.abs()) + ABSTOL {
+                converged = false;
+            }
+            *xi = target;
+        }
+    }
+    converged && !damped
+}
+
 /// Stamps the devices at `which` into `st`, in index order.
 fn stamp_devices(
     st: &mut Stamp,
@@ -496,9 +482,139 @@ fn stamp_devices(
 mod tests {
     use super::*;
     use crate::devices::{
-        Diode, DiodeParams, MosParams, MosPolarity, Mosfet, Resistor, SourceWave, Vsource,
+        Capacitor, Diode, DiodeParams, MosParams, MosPolarity, Mosfet, Resistor, SourceWave,
+        Vsource,
     };
-    use crate::Circuit;
+    use crate::{Circuit, NodeId};
+
+    /// The baseline Newton kernel the split one replaced: every device
+    /// restamped into a fresh system each iteration and a one-shot dense
+    /// `obd_linalg::solve_refined`, with the same damped update. It runs
+    /// over the same `Solver` state (device states, stamp, branch rows).
+    fn reference_newton(
+        s: &mut Solver<'_>,
+        ctx: &EvalCtx,
+        x: &mut [f64],
+    ) -> Result<(), SpiceError> {
+        let n_nodes = s.ckt.num_nodes() - 1;
+        for _ in 0..MAX_NEWTON {
+            s.stamp.clear();
+            for (i, dev) in s.ckt.devices().iter().enumerate() {
+                dev.stamp(&mut s.stamp, x, ctx, &mut s.states[i], s.branch_of[i]);
+            }
+            s.stamp.add_gmin_loading(GMIN);
+            let x_new = obd_linalg::solve_refined(&s.stamp.a, &s.stamp.z)?;
+            if damped_update(x, &x_new, n_nodes) {
+                return Ok(());
+            }
+        }
+        Err(SpiceError::Convergence {
+            analysis: "newton",
+            at: Some(ctx.time),
+            detail: "reference kernel did not converge".into(),
+        })
+    }
+
+    /// A CMOS inverter behind a driver resistance, with the gate-oxide
+    /// breakdown network (a diode in series with a resistor) from its gate
+    /// to ground, and capacitors on the gate and the output: every device
+    /// kind the split kernel partitions. Returns the circuit with its gate
+    /// and output nodes.
+    fn breakdown_inverter() -> (Circuit, NodeId, NodeId) {
+        let mut c = Circuit::new();
+        let [vdd, vin, g, bd, out] = ["vdd", "in", "g", "bd", "out"].map(|n| c.node(n));
+        let gnd = Circuit::GROUND;
+        c.add_vsource(Vsource::new("VDD", vdd, gnd, SourceWave::dc(3.3)));
+        let edge = SourceWave::step(0.0, 3.3, 100e-12, 50e-12);
+        c.add_vsource(Vsource::new("VIN", vin, gnd, edge));
+        c.add_resistor(Resistor::new("RDRV", vin, g, 1e3));
+        c.add_capacitor(Capacitor::new("CG", g, gnd, 20e-15));
+        for (name, polarity, rail, vt0, kp) in [
+            ("MP", MosPolarity::Pmos, vdd, 0.6, 60e-6),
+            ("MN", MosPolarity::Nmos, gnd, 0.55, 180e-6),
+        ] {
+            let params = MosParams {
+                vt0,
+                kp,
+                lambda: 0.02,
+                gamma: 0.0,
+                phi: 0.7,
+                w: 2e-6,
+                l: 0.35e-6,
+            };
+            c.add_mosfet(Mosfet::new(name, polarity, out, g, rail, rail, params));
+        }
+        c.add_diode(Diode::new("DBD", g, bd, DiodeParams::new(1e-16)));
+        c.add_resistor(Resistor::new("RBD", bd, gnd, 2e3));
+        c.add_capacitor(Capacitor::new("CL", out, gnd, 50e-15));
+        (c, g, out)
+    }
+
+    /// Runs the split kernel (`newton_into`) and the reference kernel from
+    /// `x` with the same device state and checks that their solutions
+    /// agree within the Newton tolerances. Then moves `x` to the split
+    /// kernel's solution and accepts it into the device history.
+    fn split_matches_reference(s: &mut Solver<'_>, ctx: &EvalCtx, x: &mut Vec<f64>) {
+        let before = s.states.clone();
+        let mut split = Vec::new();
+        s.newton_into(ctx, x, &mut split).unwrap();
+        let after = std::mem::replace(&mut s.states, before);
+        reference_newton(s, ctx, x).unwrap();
+        s.states = after;
+        let n_nodes = s.ckt.num_nodes() - 1;
+        for (i, (&a, &b)) in split.iter().zip(x.iter()).enumerate() {
+            let agree = if i < n_nodes {
+                voltage_converged(a, b)
+            } else {
+                (a - b).abs() <= RELTOL * a.abs().max(b.abs()) + ABSTOL
+            };
+            assert!(
+                agree,
+                "t = {:e} row {i}: split {a}, reference {b}",
+                ctx.time
+            );
+        }
+        for (i, dev) in s.ckt.devices().iter().enumerate() {
+            dev.accept_timestep(&split, ctx, &mut s.states[i]);
+        }
+        *x = split;
+    }
+
+    /// The split kernel (linear stamp once per solve, nonlinear devices
+    /// restamped, workspace LU) converges to the reference kernel's
+    /// solution from all-zero nodes to the operating point, and at every
+    /// step of a trapezoidal transient through the input edge.
+    #[test]
+    fn split_kernel_matches_full_restamp_kernel() {
+        let (c, g, out) = breakdown_inverter();
+        let mut s = Solver::new(&c, &SimOptions::new()).unwrap();
+        let dc = EvalCtx {
+            time: 0.0,
+            source_scale: 1.0,
+            gmin: GMIN,
+            integ: Integration::Dc,
+            vt: crate::THERMAL_VOLTAGE,
+        };
+        let mut x = vec![0.0; s.dim()];
+        split_matches_reference(&mut s, &dc, &mut x);
+        assert!(s.voltage(&x, out) > 3.2, "input low: output high");
+        let h = 10e-12;
+        let mut g_max: f64 = 0.0;
+        for k in 1..=60 {
+            let integ = Integration::Trapezoidal { h };
+            let ctx = EvalCtx {
+                time: k as f64 * h,
+                integ,
+                ..dc
+            };
+            split_matches_reference(&mut s, &ctx, &mut x);
+            g_max = g_max.max(s.voltage(&x, g));
+        }
+        // The edge went through: the breakdown path holds the gate below
+        // the driven 3.3 V, and the output fell.
+        assert!(g_max > 1.5 && g_max < 3.2, "gate peaked at {g_max}");
+        assert!(s.voltage(&x, out) < 0.3, "output {}", s.voltage(&x, out));
+    }
 
     #[test]
     fn linear_divider_op() {

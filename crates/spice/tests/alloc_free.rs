@@ -13,6 +13,7 @@ use obd_spice::devices::{
     SourceWave, Vsource,
 };
 use obd_spice::engine::Solver;
+use obd_spice::options::GMIN;
 use obd_spice::{Circuit, SimOptions};
 
 /// Counts heap operations from the measured thread while `COUNTING` is
@@ -138,7 +139,7 @@ fn warm_newton_solves_do_not_allocate() {
         let ctx = EvalCtx {
             time: 1e-9,
             source_scale: 1.0,
-            gmin: opts.gmin,
+            gmin: GMIN,
             integ: Integration::Trapezoidal { h: 5e-12 },
             vt: obd_spice::THERMAL_VOLTAGE,
         };
@@ -190,7 +191,7 @@ fn metrics_disabled_path_does_not_allocate_in_hot_loop() {
     let mk_ctx = |time: f64| EvalCtx {
         time,
         source_scale: 1.0,
-        gmin: opts.gmin,
+        gmin: GMIN,
         integ: Integration::Trapezoidal { h: 5e-12 },
         vt: obd_spice::THERMAL_VOLTAGE,
     };

@@ -13,6 +13,7 @@ use obd_spice::devices::{
     Capacitor, Diode, DiodeParams, EvalCtx, Integration, Resistor, SourceWave, Vsource,
 };
 use obd_spice::engine::Solver;
+use obd_spice::options::GMIN;
 use obd_spice::{Circuit, SimOptions, SpiceError};
 
 /// Chaos arming is process-global; tests in this binary serialize here.
@@ -69,7 +70,7 @@ fn op_under_full_chaos_reports_typed_convergence() {
     }
 }
 
-/// Full-rate step rejection exhausts `max_step_halvings`, then the
+/// Full-rate step rejection exhausts the step-halving limit, then the
 /// escalation ladder, and the transient reports the typed convergence
 /// error — the halving-exhaustion failure path end to end.
 #[test]
@@ -107,7 +108,7 @@ fn injected_singular_lu_surfaces_as_typed_singular() {
         let ctx = EvalCtx {
             time: 0.0,
             source_scale: 1.0,
-            gmin: opts.gmin,
+            gmin: GMIN,
             integ: Integration::Dc,
             vt: obd_spice::THERMAL_VOLTAGE,
         };

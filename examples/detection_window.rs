@@ -14,9 +14,8 @@ use obd_suite::obd::window::detection_window;
 use obd_suite::obd::BreakdownStage;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The stage-to-delay mapping (here: the paper's published Table 1; use
-    // DelayTable::from_characterization to derive it from the analog
-    // model instead).
+    // The stage-to-delay mapping: the paper's published Table 1
+    // (`repro table1` regenerates that grid with the analog model).
     let table = DelayTable::paper();
 
     for polarity in [Polarity::Nmos, Polarity::Pmos] {

@@ -9,10 +9,11 @@
 use obd_suite::cmos::expand::expand;
 use obd_suite::cmos::TechParams;
 use obd_suite::logic::circuits::fig8_sum_circuit;
+use obd_suite::logic::netlist::GateKind;
 use obd_suite::logic::timing::{timing_simulate, InputEvent};
 use obd_suite::logic::value::Lv;
 use obd_suite::obd::annotate::delay_model_from_table;
-use obd_suite::obd::characterize::{BenchConfig, DelayTable};
+use obd_suite::obd::characterize::{measure_cell_transition, BenchConfig, DelayTable};
 use obd_suite::spice::analysis::tran::{transient_with_options, TranParams};
 use obd_suite::spice::devices::SourceWave;
 use obd_suite::spice::{EdgeKind, SimOptions};
@@ -28,8 +29,21 @@ fn characterized_gate_level_timing_tracks_analog_full_adder() {
         at_speed_ps: None,
         sim_full_window: false,
     };
-    // Characterize the fault-free cell delays with the analog model.
-    let table = DelayTable::from_characterization(&tech, &cfg).expect("characterization");
+    // Characterize the fault-free NAND fall (01,11) and rise (11,01)
+    // with the analog model; the gate-level model reads only these two.
+    let sim = SimOptions::new();
+    let measure = |v1, v2| {
+        measure_cell_transition(&tech, GateKind::Nand, None, v1, v2, &cfg, &sim)
+            .expect("characterization")
+            .delay_ps()
+            .expect("fault-free NAND switches")
+    };
+    let table = DelayTable {
+        base_fall_ps: measure([false, true], [true, true]),
+        base_rise_ps: measure([true, true], [false, true]),
+        nmos: Vec::new(),
+        pmos: Vec::new(),
+    };
     let model = delay_model_from_table(&table);
 
     let nl = fig8_sum_circuit();
@@ -59,12 +73,8 @@ fn characterized_gate_level_timing_tracks_analog_full_adder() {
         };
         exp.drive_input(pi, wave);
     }
-    let wave = transient_with_options(
-        &exp.circuit,
-        &TranParams::new(4e-12, launch + 2.5e-9),
-        &SimOptions::new(),
-    )
-    .expect("transient");
+    let wave = transient_with_options(&exp.circuit, &TranParams::new(4e-12, launch + 2.5e-9), &sim)
+        .expect("transient");
     let t_ref = launch + 25e-12;
     let t_analog = wave
         .first_crossing(exp.node(s), tech.half_vdd(), EdgeKind::Falling, t_ref)
