@@ -36,7 +36,7 @@ static FAULTS_GRADED: Counter = Counter::new("atpg.faults_graded");
 static FAULTS_DETECTED: Counter = Counter::new("atpg.faults_detected");
 
 /// Work, in gate evaluations, below which a grading fan-out runs
-/// inline: blocks × gates for the good-machine fill, faults × packed
+/// inline: blocks × gates for the good-machine fill, walk units × packed
 /// blocks × gates for the no-drop matrix, and walk units × gates for
 /// dropping grading, where most units stop at their first block and so
 /// count one. On a 2-vCPU host each of the three ran slower on the pool
@@ -389,11 +389,10 @@ impl<'a> FaultSimulator<'a> {
     /// exhaustive analysis on the packed engine at [`SUPERLANE_WIDTH`]
     /// (no dropping, so every pattern of a wide block is useful work),
     /// on every host thread: preparation runs one pool job per block, and
-    /// the matrix one job per 64-fault column strip
-    /// ([`PpsfpEngine::detection_matrix`]), each writing its faults'
-    /// detections straight into its own columns. A matrix of at most 64
-    /// faults is one strip, and either fan-out runs inline when its work
-    /// estimate is too small to pay for its workers.
+    /// the matrix one job per 64 walk units
+    /// ([`PpsfpEngine::detection_matrix`]: the faults sharing an output
+    /// stuck-at or a held net walk each block once). Either fan-out runs
+    /// inline when its work estimate is too small to pay for its workers.
     ///
     /// # Errors
     ///
@@ -404,9 +403,10 @@ impl<'a> FaultSimulator<'a> {
         tests: &[TwoPatternTest],
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
         let threads = host_threads();
+        let units = WalkUnits::new(self, faults);
         let engine = self.prepare_fan_out::<SUPERLANE_WIDTH>(tests, threads)?;
-        let work = (engine.num_blocks() * self.nl.num_gates()).saturating_mul(faults.len());
-        engine.detection_matrix(faults, fan_out(threads, work))
+        let work = (engine.num_blocks() * self.nl.num_gates()).saturating_mul(units.len());
+        engine.matrix_units(faults, &units, fan_out(threads, work))
     }
 
     /// Prepares a width-`N` engine on up to `threads` workers, inline

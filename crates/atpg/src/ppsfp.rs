@@ -30,7 +30,7 @@
 //!   run at width 1. Most faults die in their first 64 patterns, and a
 //!   wider block would make each of them pay for `64 * N` patterns of
 //!   cone work.
-//! * No-drop detection rows ([`FaultSimulator::detection_matrix`], BIST
+//! * No-drop graders ([`FaultSimulator::detection_matrix`], BIST
 //!   response modeling) evaluate every (fault, test) pair and run at
 //!   [`SUPERLANE_WIDTH`] = 8: every word the cone walk touches is a
 //!   `[u64; 8]` whose elementwise AND/OR/XOR the compiler autovectorizes,
@@ -48,25 +48,26 @@
 //! lacked: fault dropping (a detected fault leaves the campaign
 //! immediately), a reusable per-worker [`PpsfpScratch`] arena so the
 //! inner loop is allocation-free, and fan-out on the shared
-//! [`obd_core::pool`]: [`PpsfpEngine::grade_parallel`] grades 64 walk
-//! units per pool job, [`PpsfpEngine::detection_matrix`] fills the
-//! no-drop matrix one pool job per 64-fault column strip (each job
-//! writes its detections straight into its own strip, so there is no
-//! merge), and [`PpsfpEngine::prepare_with_threads`] packs each block's
-//! frames and fills its good-response caches in one pool job per block,
-//! so a large test set does not serialize the warm-up.
+//! [`obd_core::pool`]: [`PpsfpEngine::grade_parallel`] and
+//! [`PpsfpEngine::detection_matrix`] grade 64 walk units per pool job
+//! (the matrix jobs hand back their detection lanes, and one serial pass
+//! writes them into the matrix), and
+//! [`PpsfpEngine::prepare_with_threads`] packs each block's frames and
+//! fills its good-response caches in one pool job per block, so a large
+//! test set does not serialize the warm-up.
 //!
-//! The dropping grader shares cone walks among faults. A walk unit is
-//! either the faults that degenerate to one output stuck-at, which walk
-//! once and share the verdict, or the faults that hold one net's
-//! launch-frame word through the capture frame: its transition faults
-//! and the delay-regime OBD and EM faults of its driving gate. An OBD
-//! delay fault propagates like a transition fault, gated by its
-//! transistor's excitation, so these differ only in the lanes they
-//! launch or excite; one capture-frame walk per block serves them all.
+//! Both graders share cone walks among faults. A walk unit is either the
+//! faults that degenerate to one output stuck-at, which walk once and
+//! share the detections, or the faults that hold one net's launch-frame
+//! word through the capture frame: its transition faults and the
+//! delay-regime OBD and EM faults of its driving gate. An OBD delay
+//! fault propagates like a transition fault, gated by its transistor's
+//! excitation, so these differ only in the lanes they launch or excite;
+//! one capture-frame walk per block serves them all, and each member
+//! reads the PO difference on its own lanes.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 use obd_cmos::cell::Cell;
 use obd_cmos::switch::{CellTransistor, NetworkSide};
@@ -87,10 +88,12 @@ use crate::AtpgError;
 /// 512 patterns per block.
 pub const SUPERLANE_WIDTH: usize = 8;
 
-/// Packed block evaluations performed: one per (fault, block) in the
-/// no-drop graders and [`PpsfpEngine::grade_one`], one per (walk unit,
-/// block) the dropping [`PpsfpEngine::grade_parallel`] reaches, however
-/// many faults share the unit's walk.
+/// Packed block evaluations performed: one per (fault, block) in
+/// [`PpsfpEngine::detection_row`] and [`PpsfpEngine::grade_one`], one per
+/// (walk unit, block) that [`PpsfpEngine::detection_matrix`] and the
+/// dropping [`PpsfpEngine::grade_parallel`] reach, however many faults
+/// share the unit's walk (units whose members can never be detected
+/// reach none).
 static BLOCKS_GRADED: Counter = Counter::new("atpg.blocks_graded");
 /// Packed evaluations that reused a block's cached good-machine response
 /// (every evaluation after the block's first).
@@ -269,8 +272,9 @@ enum FaultPlan<'c, const N: usize> {
     },
 }
 
-/// The faults of one dropping grading run, grouped into walk units (see
-/// [`PpsfpEngine::grade_parallel`]). Units are ordered by their lowest
+/// The faults of one grading run, grouped into walk units (see
+/// [`PpsfpEngine::grade_parallel`] and
+/// [`PpsfpEngine::detection_matrix`]). Units are ordered by their lowest
 /// fault index, and each unit's members ascend.
 /// Indices are `u32`, which any fault list that fits in memory does.
 pub(crate) struct WalkUnits {
@@ -281,12 +285,12 @@ pub(crate) struct WalkUnits {
 }
 
 impl WalkUnits {
-    /// The walk unit a fault joins in the dropping grader, as `3 * net +
-    /// slot`: slot 0 or 1 for the output stuck-at at that value a fault
-    /// plans to ([`FaultPlan::StuckAt`]: a stuck-at fault, or an OBD
-    /// fault at a stuck stage), slot 2 for the net whose launch-frame
-    /// word a fault holds through the capture frame (a transition fault,
-    /// or a delay-regime OBD or EM fault of the net's driving gate).
+    /// The walk unit a fault joins, as `3 * net + slot`: slot 0 or 1 for
+    /// the output stuck-at at that value a fault plans to
+    /// ([`FaultPlan::StuckAt`]: a stuck-at fault, or an OBD fault at a
+    /// stuck stage), slot 2 for the net whose launch-frame word a fault
+    /// holds through the capture frame (a transition fault, or a
+    /// delay-regime OBD or EM fault of the net's driving gate).
     /// Faults of one stuck-at key detect on the same tests; faults of
     /// one held net differ only in the lanes they launch or excite.
     fn key(sim: &FaultSimulator<'_>, fault: &Fault) -> usize {
@@ -344,9 +348,18 @@ impl WalkUnits {
     fn members(&self, u: usize) -> &[u32] {
         &self.members[self.start[u] as usize..self.start[u + 1] as usize]
     }
+
+    /// The unit ranges of the graders' pool jobs, [`UNITS_PER_JOB`]
+    /// consecutive units each.
+    fn jobs(&self) -> Vec<Range<usize>> {
+        (0..self.len())
+            .step_by(UNITS_PER_JOB)
+            .map(|u| u..self.len().min(u + UNITS_PER_JOB))
+            .collect()
+    }
 }
 
-/// Units per dropping-grader pool job.
+/// Walk units per grading pool job.
 const UNITS_PER_JOB: usize = 64;
 
 /// Records fault `i`'s error unless a lower-indexed fault's is already
@@ -778,18 +791,9 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                 return;
             }
             Self::touch(blk);
-            let mut any = LaneWord::ZERO;
-            for m in members.iter_mut() {
-                m.lanes = self.held_lanes(&m.plan, blk);
-                any |= m.lanes;
-            }
-            if any.is_zero() {
+            let Some(diff) = self.held_walk(net, members, blk, scratch) else {
                 continue;
-            }
-            // Holding the launch word only on lanes some member needs
-            // lets the walk die sooner; the other lanes read good.
-            let (w1, w2) = (blk.g1[net.index()], blk.g2[net.index()]);
-            let diff = self.held_value_diff(blk, net, w2 ^ ((w1 ^ w2) & any), scratch);
+            };
             members.retain(|m| {
                 let caught = (diff & m.lanes).any();
                 if caught {
@@ -799,6 +803,31 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                 !caught
             });
         }
+    }
+
+    /// One capture-frame walk of a held-net unit over a block: sets each
+    /// member's launch or excitation lanes and returns the PO difference
+    /// of holding the net's launch-frame word on their union, or `None`
+    /// when no member launches or excites on the block. Holding the word
+    /// only on lanes some member needs lets the walk die sooner; the
+    /// other lanes read good.
+    fn held_walk(
+        &self,
+        net: NetId,
+        members: &mut [Member<'_, N>],
+        blk: &GoodBlock<N>,
+        scratch: &mut PpsfpScratch<N>,
+    ) -> Option<LaneWord<N>> {
+        let mut any = LaneWord::ZERO;
+        for m in members.iter_mut() {
+            m.lanes = self.held_lanes(&m.plan, blk);
+            any |= m.lanes;
+        }
+        if any.is_zero() {
+            return None;
+        }
+        let (w1, w2) = (blk.g1[net.index()], blk.g2[net.index()]);
+        Some(self.held_value_diff(blk, net, w2 ^ ((w1 ^ w2) & any), scratch))
     }
 
     /// Whether an X-bearing test detects the fault, stopping at the
@@ -832,7 +861,8 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     }
 
     /// Per-test detection flags for one fault (no dropping), in test
-    /// order — the engine-side primitive behind BIST response modeling.
+    /// order — the engine-side primitive behind BIST response modeling:
+    /// packed blocks first, then the scalar-fallback tests.
     ///
     /// # Errors
     ///
@@ -843,39 +873,43 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         scratch: &mut PpsfpScratch<N>,
     ) -> Result<Vec<bool>, AtpgError> {
         let mut row = vec![false; self.tests.len()];
-        self.for_each_detection(fault, scratch, |t| row[t] = true)?;
-        Ok(row)
-    }
-
-    /// Calls `detected(t)` for every test index `t` that detects the
-    /// fault (no dropping): packed blocks first, then the scalar-fallback
-    /// tests.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and scalar-fallback detection errors.
-    fn for_each_detection(
-        &self,
-        fault: &Fault,
-        scratch: &mut PpsfpScratch<N>,
-        mut detected: impl FnMut(usize),
-    ) -> Result<(), AtpgError> {
         if self.tests.is_empty() {
-            return Ok(());
+            return Ok(row);
         }
         let plan = self.plan(fault)?;
         for blk in &self.blocks {
             Self::touch(blk);
             for k in self.detect_mask(&plan, blk, scratch).set_bits() {
-                detected(blk.tests[k]);
+                row[blk.tests[k]] = true;
             }
         }
         for &i in &self.scalar_tests {
-            if self.sim.detects(fault, &self.tests[i])? {
-                detected(i);
+            row[i] = self.sim.detects(fault, &self.tests[i])?;
+        }
+        Ok(row)
+    }
+
+    /// Plans the faults `ids` of one walk unit into `members`, recording
+    /// a planning error at its own fault index in `failed`: a fault that
+    /// would share another's walk still reports its own error.
+    fn plan_members<'e>(
+        &'e self,
+        faults: &[Fault],
+        ids: &[u32],
+        members: &mut Vec<Member<'e, N>>,
+        failed: &mut Option<(usize, AtpgError)>,
+    ) {
+        members.clear();
+        for &i in ids {
+            match self.plan(&faults[i as usize]) {
+                Ok(plan) => members.push(Member {
+                    fault: i,
+                    plan,
+                    lanes: LaneWord::ZERO,
+                }),
+                Err(e) => keep_lowest(failed, i as usize, e),
             }
         }
-        Ok(())
     }
 
     /// Grades the fault list with dropping on up to `threads` pool
@@ -922,31 +956,15 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         if self.tests.is_empty() {
             return Ok(vec![false; faults.len()]);
         }
-        let jobs: Vec<_> = (0..units.len())
-            .step_by(UNITS_PER_JOB)
-            .map(|u| u..units.len().min(u + UNITS_PER_JOB))
-            .collect();
-        // Every fault is planned, so a planning error is reported at its
-        // own index even when the fault would share another's walk. A
-        // job's units mix fault indices, so each job hands back its
+        // A job's units mix fault indices, so each job hands back its
         // lowest failing fault and the lowest of those is reported.
-        let outs = run_jobs(&jobs, threads, |_, range| {
+        let outs = run_jobs(&units.jobs(), threads, |_, range| {
             let mut scratch = PpsfpScratch::default();
-            let mut members: Vec<Member<'_, N>> = Vec::new();
+            let mut members = Vec::new();
             let mut hits = Vec::new();
-            let mut failed: Option<(usize, AtpgError)> = None;
+            let mut failed = None;
             for u in range.clone() {
-                members.clear();
-                for &i in units.members(u) {
-                    match self.plan(&faults[i as usize]) {
-                        Ok(plan) => members.push(Member {
-                            fault: i,
-                            plan,
-                            lanes: LaneWord::ZERO,
-                        }),
-                        Err(e) => keep_lowest(&mut failed, i as usize, e),
-                    }
-                }
+                self.plan_members(faults, units.members(u), &mut members, &mut failed);
                 if failed.is_some() {
                     continue;
                 }
@@ -996,12 +1014,26 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     }
 
     /// The full detection matrix `matrix[t][f]` (no dropping) on up to
-    /// `threads` pool workers. The matrix splits into 64-fault column
-    /// strips, each made of every row's `chunks_mut(64)` segment for one
-    /// fault chunk. Each pool job owns one strip, grades its faults with
-    /// its own scratch arena and writes their detections straight into
-    /// it, so nothing is collected, merged or transposed, and the matrix
-    /// is identical at any thread count.
+    /// `threads` pool workers.
+    ///
+    /// The faults are grouped into the walk units of
+    /// [`PpsfpEngine::grade_parallel`], and each unit walks every packed
+    /// block once for all its members:
+    ///
+    /// * A stuck-at unit computes one detection mask per block, and every
+    ///   member gets it.
+    /// * A held-net unit computes each member's launch or excitation
+    ///   lanes, holds the net's launch-frame word on their union through
+    ///   one capture-frame walk, and gives each member the PO difference
+    ///   on its own lanes. Lanes never interact, so each member's column
+    ///   is exactly its own walk's.
+    ///
+    /// Members that can never be detected (slack-gated, or without a
+    /// transistor to excite) walk nothing. The X-bearing tests are graded
+    /// per fault on the scalar path. Each pool job plans and grades 64
+    /// consecutive units and hands back its (fault, block, lanes) hits
+    /// and scalar hits; one serial pass writes them into the matrix in
+    /// job order, so the matrix is identical at any thread count.
     ///
     /// # Errors
     ///
@@ -1012,33 +1044,112 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         faults: &[Fault],
         threads: usize,
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
+        self.matrix_units(faults, &WalkUnits::new(self.sim, faults), threads)
+    }
+
+    /// [`PpsfpEngine::detection_matrix`] over the faults' walk units.
+    ///
+    /// # Errors
+    ///
+    /// As [`PpsfpEngine::detection_matrix`].
+    pub(crate) fn matrix_units(
+        &self,
+        faults: &[Fault],
+        units: &WalkUnits,
+        threads: usize,
+    ) -> Result<Vec<Vec<bool>>, AtpgError> {
         let mut matrix = vec![vec![false; faults.len()]; self.tests.len()];
-        let mut strips: Vec<Vec<&mut [bool]>> = (0..faults.len().div_ceil(64))
-            .map(|_| Vec::with_capacity(self.tests.len()))
-            .collect();
-        for row in &mut matrix {
-            for (strip, segment) in strips.iter_mut().zip(row.chunks_mut(64)) {
-                strip.push(segment);
+        if self.tests.is_empty() {
+            return Ok(matrix);
+        }
+        let outs = run_jobs(&units.jobs(), threads, |_, range| {
+            let mut scratch = PpsfpScratch::default();
+            let mut members = Vec::new();
+            // (fault, block, detecting lanes) and (fault, scalar test).
+            let mut packed: Vec<(u32, u32, LaneWord<N>)> = Vec::new();
+            let mut scalar: Vec<(u32, usize)> = Vec::new();
+            let mut failed = None;
+            for u in range.clone() {
+                self.plan_members(faults, units.members(u), &mut members, &mut failed);
+                if failed.is_some() {
+                    continue;
+                }
+                for m in &members {
+                    for &t in &self.scalar_tests {
+                        match self.sim.detects(&faults[m.fault as usize], &self.tests[t]) {
+                            Ok(true) => scalar.push((m.fault, t)),
+                            Ok(false) => {}
+                            Err(e) => keep_lowest(&mut failed, m.fault as usize, e),
+                        }
+                    }
+                }
+                self.unit_masks(&mut members, &mut scratch, &mut packed);
+            }
+            Ok::<_, AtpgError>((packed, scalar, failed))
+        })?;
+        let mut failed = None;
+        for (packed, scalar, job_failed) in outs {
+            if let Some((i, e)) = job_failed {
+                keep_lowest(&mut failed, i, e);
+            }
+            for (f, b, lanes) in packed {
+                let tests = &self.blocks[b as usize].tests;
+                for k in lanes.set_bits() {
+                    matrix[tests[k]][f as usize] = true;
+                }
+            }
+            for (f, t) in scalar {
+                matrix[t][f as usize] = true;
             }
         }
-        // Each job locks only its own strip, once, so the locks never
-        // contend; they hand the job's `&mut` rows through the shared job
-        // slice.
-        let jobs: Vec<_> = faults
-            .chunks(64)
-            .zip(strips.into_iter().map(Mutex::new))
-            .collect();
-        run_jobs(&jobs, threads, |_, (chunk, strip)| {
-            let mut strip = strip.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut scratch = PpsfpScratch::default();
-            for (k, fault) in chunk.iter().enumerate() {
-                self.for_each_detection(fault, &mut scratch, |t| strip[t][k] = true)?;
+        match failed {
+            Some((_, e)) => Err(e),
+            None => Ok(matrix),
+        }
+    }
+
+    /// Grades the planned members of one walk unit over every packed
+    /// block with no dropping, pushing each member's nonzero detection
+    /// lanes per block onto `hits`: one walk per block for a stuck-at
+    /// unit, one capture-frame walk per block of the held net for a
+    /// held-net unit (skipped where no member launches or excites).
+    fn unit_masks(
+        &self,
+        members: &mut Vec<Member<'_, N>>,
+        scratch: &mut PpsfpScratch<N>,
+        hits: &mut Vec<(u32, u32, LaneWord<N>)>,
+    ) {
+        members.retain(|m| !matches!(m.plan, FaultPlan::Never));
+        let Some(first) = members.first() else {
+            return;
+        };
+        let blocks = (0u32..).zip(&self.blocks);
+        match first.plan.held_net() {
+            // Every member of a stuck-at unit has the same plan.
+            None => {
+                for (b, blk) in blocks {
+                    Self::touch(blk);
+                    let mask = self.detect_mask(&first.plan, blk, scratch);
+                    if mask.any() {
+                        hits.extend(members.iter().map(|m| (m.fault, b, mask)));
+                    }
+                }
             }
-            Ok::<_, AtpgError>(())
-        })?;
-        // Release the strips' borrows of `matrix`.
-        drop(jobs);
-        Ok(matrix)
+            Some(net) => {
+                for (b, blk) in blocks {
+                    Self::touch(blk);
+                    let Some(diff) = self.held_walk(net, members, blk, scratch) else {
+                        continue;
+                    };
+                    hits.extend(
+                        members
+                            .iter()
+                            .map(|m| (m.fault, b, diff & m.lanes))
+                            .filter(|&(_, _, lanes)| lanes.any()),
+                    );
+                }
+            }
+        }
     }
 }
 

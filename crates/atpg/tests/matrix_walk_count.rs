@@ -1,0 +1,49 @@
+//! Deterministic guard on walk sharing in the no-drop detection matrix.
+//!
+//! Builds the matrix of every 16th fault of mult16's mixed universe
+//! (2,530 faults) on 512 seeded tests, one packed block at the
+//! super-lane width, at one thread with metrics on, and bounds
+//! `atpg.blocks_graded`, which counts one packed block evaluation per
+//! (walk unit, block). Faults that share an output stuck-at or a held
+//! net walk each block once, so a change that quietly stops sharing
+//! them raises the count towards one per fault and fails here, however
+//! fast the host.
+//!
+//! The only test of its binary: the metrics registry is process-wide.
+
+mod common;
+
+use common::mixed_faults;
+use obd_atpg::fault::Fault;
+use obd_atpg::faultsim::FaultSimulator;
+use obd_atpg::ppsfp::{PpsfpEngine, SUPERLANE_WIDTH};
+use obd_atpg::random::random_two_pattern;
+use obd_logic::circuits::array_multiplier;
+
+#[test]
+fn mult16_detection_matrix_shares_its_walks() {
+    obd_metrics::enable();
+    let nl = array_multiplier(16);
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let faults: Vec<Fault> = mixed_faults(&nl).into_iter().step_by(16).collect();
+    assert_eq!(faults.len(), 2_530);
+    let tests = random_two_pattern(nl.inputs().len(), 512, 0x3A7);
+    let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+    assert_eq!(engine.num_blocks(), 1);
+    let before = obd_metrics::snapshot();
+    let matrix = engine.detection_matrix(&faults, 1).unwrap();
+    let after = obd_metrics::snapshot();
+    let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+    let blocks = delta("atpg.blocks_graded");
+    println!(
+        "mult16: {} faults, {} detections, {blocks} blocks graded",
+        faults.len(),
+        matrix.iter().flatten().filter(|&&d| d).count()
+    );
+    // 1,735 with stuck-at and held-net units; 2,530 when every fault
+    // walks on its own.
+    assert!(
+        blocks <= 1_735,
+        "{blocks} blocks graded, above 1,735: are walks still shared?"
+    );
+}

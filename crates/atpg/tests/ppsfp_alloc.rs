@@ -181,8 +181,8 @@ fn enabled_metrics_sit_on_the_graded_path() {
 /// The block counters stay exact on the pooled no-drop matrix, and the
 /// disabled path leaves the blocks' cache-hit flags alone: a matrix
 /// graded with metrics off and then again with them on counts every
-/// (fault, block) evaluation once and every block's first evaluation
-/// as a miss.
+/// (walk unit, block) evaluation once and every block's first
+/// evaluation as a miss.
 #[test]
 fn matrix_block_counters_are_exact_and_disabled_path_stores_nothing() {
     let _guard = TEST_LOCK.lock().unwrap();
@@ -204,7 +204,14 @@ fn matrix_block_counters_are_exact_and_disabled_path_stores_nothing() {
     let after = obd_metrics::snapshot();
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     assert_eq!(counted, quiet);
-    let evaluations = faults.len() as u64 * blocks;
+    // c17 is six NAND2 gates over 11 nets, and no fault is slack-gated.
+    // Each net carries three walk units: stuck-at-0 and stuck-at-1 (the
+    // HBD faults of its driving NAND join them) and its held net (its
+    // transition faults, and the MBD2 and EM faults of its driving
+    // NAND). Each unit walks every block once, not each of its faults.
+    assert_eq!(nl.num_nets(), 11);
+    assert_eq!(faults.len(), 22 + 22 + 3 * 24);
+    let evaluations = 3 * 11 * blocks;
     assert_eq!(delta("atpg.blocks_graded"), evaluations);
     assert_eq!(delta("atpg.good_sim_cache_hits"), evaluations - blocks);
 }

@@ -8,6 +8,8 @@
 
 mod common;
 
+use std::collections::BTreeMap;
+
 use common::{grade_scalar, mixed_cells, mixed_faults};
 use obd_atpg::bist::run_bist;
 use obd_atpg::fault::{
@@ -206,18 +208,30 @@ fn detection_matrix_matches_direct_detects() {
 }
 
 /// The pooled engine matrix equals per-pair scalar `detects` at 1, 2, 3
-/// and 7 threads, over fault lists of several 64-fault column strips
-/// with a ragged last strip, on test sets with X-bearing (scalar
-/// fallback) tests, at the super-lane width and at width 1 (where the
-/// 70 tests span two packed blocks).
+/// and 7 threads, on test sets with X-bearing (scalar fallback) tests,
+/// at the super-lane width and at width 1 (where the 70 tests span two
+/// packed blocks). The matrix walks each unit of faults sharing an
+/// output stuck-at or a held net once per block, so the fault lists
+/// cover:
+/// * units whose members lie in different 64-fault chunks, and more
+///   units than one pool job grades (64, on rca4);
+/// * held-net units that mix members that never walk (NMOS MBD1 faults,
+///   22 ps of extra delay, gated by 30 ps of slack) with detected ones.
 #[test]
 fn pooled_detection_matrix_matches_scalar_at_any_thread_count() {
-    for nl in [c17(), mixed_cells()] {
-        let sim = FaultSimulator::new(&nl).unwrap();
-        let faults = mixed_faults(&nl);
+    let (mut split, mut gated_mix, mut multi_job) = (0, 0, 0);
+    for nl in [c17(), mixed_cells(), ripple_carry_adder(4)] {
+        let sim = FaultSimulator::with_criterion(
+            &nl,
+            DelayTable::paper(),
+            DetectionCriterion::with_slack(30.0),
+        )
+        .unwrap();
+        let mut faults = mixed_faults(&nl);
+        faults.extend(obd_faults(&nl, BreakdownStage::Mbd1, false));
         assert!(
             faults.len() > 64 && !faults.len().is_multiple_of(64),
-            "{} faults do not make a ragged multi-strip matrix",
+            "{} faults do not make a ragged multi-chunk matrix",
             faults.len()
         );
         let mut tests = random_two_pattern(nl.inputs().len(), 70, 0x57A1);
@@ -228,6 +242,30 @@ fn pooled_detection_matrix_matches_scalar_at_any_thread_count() {
             .map(|t| faults.iter().map(|f| sim.detects(f, t).unwrap()).collect())
             .collect();
         assert!(scalar.iter().flatten().any(|&d| d), "nothing detected");
+
+        let mut units: BTreeMap<(usize, Option<bool>), Vec<usize>> = BTreeMap::new();
+        for (i, f) in faults.iter().enumerate() {
+            let key = stuck_plan(&nl, f)
+                .map(|(net, v)| (net, Some(v)))
+                .or_else(|| held_net(&nl, f).map(|net| (net, None)))
+                .expect("every fault joins a unit");
+            units.entry(key).or_default().push(i);
+        }
+        multi_job += usize::from(units.len() > 64);
+        split += units
+            .values()
+            .filter(|m| m[0] / 64 != m[m.len() - 1] / 64)
+            .count();
+        let gated = |i: usize| {
+            matches!(faults[i], Fault::Obd(o)
+                if o.stage == BreakdownStage::Mbd1 && o.polarity == Polarity::Nmos)
+        };
+        let detected = |i: usize| scalar.iter().any(|row| row[i]);
+        gated_mix += units
+            .values()
+            .filter(|m| m.iter().any(|&i| gated(i)) && m.iter().any(|&i| detected(i)))
+            .count();
+
         let wide = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
         let narrow = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
         assert_eq!(wide.scalar_fallback_tests(), 2);
@@ -246,6 +284,12 @@ fn pooled_detection_matrix_matches_scalar_at_any_thread_count() {
         }
         assert_eq!(sim.detection_matrix(&faults, &tests).unwrap(), scalar);
     }
+    assert!(split > 0, "no unit spans two 64-fault chunks");
+    assert!(multi_job > 0, "no fault list has more units than one job");
+    assert!(
+        gated_mix > 0,
+        "no unit mixes a gated member with a detected one"
+    );
 }
 
 /// A matrix whose failing faults sit in late column strips reports the
@@ -655,8 +699,10 @@ fn shared_held_net_plans_match_scalar() {
 }
 
 /// A fault on a gate without a cell model is planned on its own even
-/// inside a held-net unit, and the lowest-indexed failing fault's error
-/// is reported although a unit graded earlier fails at a higher index.
+/// inside a held-net unit whose leader has a lower index, and the
+/// lowest-indexed failing fault's error is reported although a unit
+/// graded earlier fails at a higher index: by the dropping graders and
+/// by the detection matrix.
 #[test]
 fn shared_held_net_plan_keeps_the_lowest_index_error() {
     let mut nl = ripple_carry_adder(4);
@@ -708,6 +754,16 @@ fn shared_held_net_plan_keeps_the_lowest_index_error() {
             "threads = {threads}"
         );
     }
+    let want: Result<Vec<Vec<bool>>, _> = Err(AtpgError::UnsupportedGate { gate: "xb".into() });
+    let wide = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+    for threads in [1, 2, 3, 7] {
+        assert_eq!(
+            wide.detection_matrix(&faults, threads),
+            want,
+            "matrix, threads = {threads}"
+        );
+    }
+    assert_eq!(sim.detection_matrix(&faults, &tests), want);
 }
 
 /// Empty fault lists and empty test sets keep the scalar contract.

@@ -148,3 +148,44 @@ fn x8_matches_variation() {
         assert!(x8.contains(&quote), "X8 must quote {quote:?}");
     }
 }
+
+/// The last cell of the markdown table row in `section` whose first cell
+/// starts with `first`, without bold markers.
+fn last_cell(section: &str, first: &str) -> String {
+    let line = section
+        .lines()
+        .find(|l| l.trim_start_matches('|').trim_start().starts_with(first))
+        .unwrap_or_else(|| panic!("no table row {first:?}"));
+    let cell = line.trim().trim_end_matches('|').rsplit('|').next();
+    cell.expect("a cell").trim().trim_matches('*').to_string()
+}
+
+/// E6 quotes `results/stats.txt` (built from the detection matrix): the
+/// measured column must carry its site and testable counts and both
+/// minimal-set sizes.
+#[test]
+fn e6_matches_stats() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let e6 = between(&doc, "## E6 ", "\n## ");
+    let stats = repo_file("results/stats.txt");
+    let sites = between(&stats, "OBD sites in NAND gates:", "(").trim();
+    let testable = between(&stats, "testable OBD faults:", "(").trim();
+    let all_pairs = between(&stats, "minimal set, all-pairs:", " candidates").trim();
+    let single = between(&stats, "minimal set, single-input:", " candidates").trim();
+    assert_eq!(last_cell(e6, "OBD sites"), sites, "E6 sites");
+    assert_eq!(
+        last_cell(e6, "testable OBD faults"),
+        testable,
+        "E6 testable"
+    );
+    let minimal = last_cell(e6, "minimal");
+    for quote in [
+        format!("{all_pairs} ordered pairs"),
+        format!("({single} single-input"),
+    ] {
+        assert!(
+            minimal.contains(&quote),
+            "E6 must quote {quote:?}: {minimal}"
+        );
+    }
+}

@@ -1,8 +1,10 @@
 //! The deterministic work-stealing job pool: the one job fan-out in the
-//! workspace. Table 1 cells, Monte Carlo corners, PPSFP fault chunks,
-//! detection-matrix column strips, good-response blocks and fleet
-//! checkpoint blocks all run through [`run_jobs`]. Callers that default
-//! to the whole host size their fan-out with [`host_threads`].
+//! workspace. Table 1 cells, Monte Carlo corners, PPSFP walk units (with
+//! and without dropping), good-response blocks and fleet checkpoint
+//! blocks all run through [`run_jobs`]. Callers that default to the
+//! whole host size their fan-out with [`host_threads`]. The calling
+//! thread is one of the workers, so a fan-out over `threads` workers
+//! spawns `threads − 1` scoped threads.
 //!
 //! Jobs have uneven costs — a fault-free Table 1 cell stops its
 //! transient soon after the output crosses while an HBD cell whose input
@@ -54,7 +56,9 @@ pub fn host_threads() -> usize {
 /// `f` receives the job's index and the job itself. All jobs are executed
 /// even when some fail; the reported error is the one from the
 /// lowest-indexed failing job, making the outcome independent of worker
-/// scheduling. `threads <= 1` runs the same loop inline without spawning.
+/// scheduling. The calling thread runs the loop as one worker next to
+/// `threads − 1` spawned ones; `threads <= 1` runs it inline without
+/// spawning.
 ///
 /// # Errors
 ///
@@ -86,7 +90,8 @@ where
     } else {
         POOL_PARALLEL_RUNS.inc();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
+            // The calling thread is one of the workers.
+            let handles: Vec<_> = (1..threads)
                 .map(|_| {
                     scope.spawn(|| {
                         let mut local = Vec::new();
@@ -95,6 +100,7 @@ where
                     })
                 })
                 .collect();
+            worker(&mut tagged);
             // Job panics are caught above, so a worker can only die
             // outside `f`; its jobs then stay unfilled and surface below.
             for batch in handles.into_iter().filter_map(|h| h.join().ok()) {
