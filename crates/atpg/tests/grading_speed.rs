@@ -115,8 +115,11 @@ fn grade_circuit(
 }
 
 /// Speedup of the full detection matrix over per-pair scalar `detects`
-/// on c17, min over three repetitions each.
+/// on c17, min over three repetitions each. One packed matrix takes well
+/// under a millisecond, so each of its repetitions times a batch of
+/// `BATCH` calls, and a call's time is its share of the batch.
 fn matrix_speedup() -> f64 {
+    const BATCH: u32 = 100;
     let nl = c17();
     let sim = FaultSimulator::new(&nl).unwrap();
     let faults = mixed_faults(&nl);
@@ -127,12 +130,18 @@ fn matrix_speedup() -> f64 {
             .map(|t| faults.iter().map(|f| sim.detects(f, t).unwrap()).collect())
             .collect::<Vec<Vec<bool>>>()
     });
-    let (packed, packed_s) = min_time(3, || sim.detection_matrix(&faults, &patterns).unwrap());
+    let (packed, batch_s) = min_time(3, || {
+        let mut matrix = Vec::new();
+        for _ in 0..BATCH {
+            matrix = sim.detection_matrix(&faults, &patterns).unwrap();
+        }
+        matrix
+    });
     assert!(
         packed == scalar,
         "c17: packed detection matrix diverges from per-pair scalar detects"
     );
-    scalar_s / packed_s
+    scalar_s / (batch_s / f64::from(BATCH))
 }
 
 /// Speedup of super-lane over width-1 full detection rows on mult16

@@ -11,10 +11,11 @@ use std::sync::Mutex;
 mod common;
 
 use common::{mixed_cells, mixed_faults};
-use obd_atpg::fault::Fault;
+use obd_atpg::fault::{obd_faults, Fault};
 use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
 use obd_atpg::random::random_two_pattern;
+use obd_core::BreakdownStage;
 use obd_logic::circuits::{c17, ripple_carry_adder};
 
 /// Counts heap operations from the measured thread while `COUNTING` is
@@ -178,23 +179,23 @@ fn enabled_metrics_sit_on_the_graded_path() {
     );
 }
 
-/// The block counters stay exact on the pooled no-drop matrix, and the
-/// disabled path leaves the blocks' cache-hit flags alone: a matrix
-/// graded with metrics off and then again with them on counts every
-/// (walk unit, block) evaluation once and every block's first
-/// evaluation as a miss.
+/// The block counters stay exact on the pooled no-drop matrix graded by
+/// two workers, and the disabled path leaves the blocks' cache-hit flags
+/// alone: a matrix graded with metrics off and then again with them on
+/// counts every (walk unit, block) evaluation once and every block's
+/// first evaluation as a miss.
 #[test]
 fn matrix_block_counters_are_exact_and_disabled_path_stores_nothing() {
     let _guard = TEST_LOCK.lock().unwrap();
 
-    let nl = c17();
+    let nl = ripple_carry_adder(4);
     let sim = FaultSimulator::new(&nl).unwrap();
-    let faults = mixed_faults(&nl);
+    let mut faults = mixed_faults(&nl);
+    faults.extend(obd_faults(&nl, BreakdownStage::Mbd1, false));
     let tests = random_two_pattern(nl.inputs().len(), 1100, 0xB10C);
     let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
     let blocks = engine.num_blocks() as u64;
     assert_eq!(blocks, 3);
-    assert!(faults.len() > 64, "several column strips");
 
     obd_metrics::disable();
     let quiet = engine.detection_matrix(&faults, 2).unwrap();
@@ -204,14 +205,20 @@ fn matrix_block_counters_are_exact_and_disabled_path_stores_nothing() {
     let after = obd_metrics::snapshot();
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     assert_eq!(counted, quiet);
-    // c17 is six NAND2 gates over 11 nets, and no fault is slack-gated.
+    // rca4 is 36 NAND2 gates over 45 nets, and no fault is slack-gated.
     // Each net carries three walk units: stuck-at-0 and stuck-at-1 (the
     // HBD faults of its driving NAND join them) and its held net (its
-    // transition faults, and the MBD2 and EM faults of its driving
+    // transition faults, and the MBD1, MBD2 and EM faults of its driving
     // NAND). Each unit walks every block once, not each of its faults.
-    assert_eq!(nl.num_nets(), 11);
-    assert_eq!(faults.len(), 22 + 22 + 3 * 24);
-    let evaluations = 3 * 11 * blocks;
+    assert_eq!(nl.num_nets(), 45);
+    assert_eq!(faults.len(), 90 + 90 + 4 * 144);
+    let units = 3 * 45;
+    assert!(
+        units > 64,
+        "one pool job grades 64 units: {units} make three"
+    );
+    let evaluations = units * blocks;
     assert_eq!(delta("atpg.blocks_graded"), evaluations);
     assert_eq!(delta("atpg.good_sim_cache_hits"), evaluations - blocks);
+    assert_eq!(delta("core.pool_parallel_runs"), 1, "two workers ran");
 }

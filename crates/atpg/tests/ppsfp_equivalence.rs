@@ -292,9 +292,12 @@ fn pooled_detection_matrix_matches_scalar_at_any_thread_count() {
     );
 }
 
-/// A matrix whose failing faults sit in late column strips reports the
-/// lowest-indexed one at every thread count, through the engine and
-/// through `FaultSimulator::detection_matrix`.
+/// A matrix whose failing faults sit in two walk units, behind 14
+/// stuck-at units, reports the lowest-indexed one at every thread count,
+/// through the engine and through `FaultSimulator::detection_matrix`.
+/// Its 16 units make one pool job, so this checks the error kept across
+/// units within a job; `shared_held_net_plan_keeps_the_lowest_index_error`
+/// checks it across jobs.
 #[test]
 fn detection_matrix_reports_lowest_failing_fault_at_any_thread_count() {
     let mut nl = Netlist::new();
@@ -316,8 +319,8 @@ fn detection_matrix_reports_lowest_failing_fault_at_any_thread_count() {
         })
     };
     let mut faults: Vec<Fault> = stuck_at_faults(&nl).into_iter().cycle().take(260).collect();
-    // Strip 2 holds the lowest failure and a later one; strips 3 and 4
-    // fail too.
+    // x2's held-net unit holds the lowest failure; x1's unit fails at
+    // three higher indices.
     faults[150] = xor_fault(x2);
     faults[170] = xor_fault(x1);
     faults[200] = xor_fault(x1);
