@@ -36,7 +36,7 @@ static FAULTS_GRADED: Counter = Counter::new("atpg.faults_graded");
 static FAULTS_DETECTED: Counter = Counter::new("atpg.faults_detected");
 
 /// Work, in gate evaluations, below which a grading fan-out runs
-/// inline: blocks × gates for the good-machine fill, walk units × packed
+/// inline: blocks × gates for the good-machine fill, nets × packed
 /// blocks × gates for the no-drop matrix, and walk units × gates for
 /// dropping grading, where most units stop at their first block and so
 /// count one. On a 2-vCPU host each of the three ran slower on the pool
@@ -389,10 +389,11 @@ impl<'a> FaultSimulator<'a> {
     /// exhaustive analysis on the packed engine at [`SUPERLANE_WIDTH`]
     /// (no dropping, so every pattern of a wide block is useful work),
     /// on every host thread: preparation runs one pool job per block, and
-    /// the matrix one job per 64 walk units
-    /// ([`PpsfpEngine::detection_matrix`]: the faults sharing an output
-    /// stuck-at or a held net walk each block once). Either fan-out runs
-    /// inline when its work estimate is too small to pay for its workers.
+    /// the matrix one job per 64 nets
+    /// ([`PpsfpEngine::detection_matrix`]: all the faults on a net read
+    /// the same walks, at most one per frame and block). Either fan-out
+    /// runs inline when its work estimate is too small to pay for its
+    /// workers.
     ///
     /// # Errors
     ///
@@ -403,7 +404,7 @@ impl<'a> FaultSimulator<'a> {
         tests: &[TwoPatternTest],
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
         let threads = host_threads();
-        let units = WalkUnits::new(self, faults);
+        let units = WalkUnits::per_net(self, faults);
         let engine = self.prepare_fan_out::<SUPERLANE_WIDTH>(tests, threads)?;
         let work = (engine.num_blocks() * self.nl.num_gates()).saturating_mul(units.len());
         engine.matrix_units(faults, &units, fan_out(threads, work))

@@ -56,15 +56,25 @@
 //! fills its good-response caches in one pool job per block, so a large
 //! test set does not serialize the warm-up.
 //!
-//! Both graders share cone walks among faults. A walk unit is either the
-//! faults that degenerate to one output stuck-at, which walk once and
-//! share the detections, or the faults that hold one net's launch-frame
-//! word through the capture frame: its transition faults and the
-//! delay-regime OBD and EM faults of its driving gate. An OBD delay
-//! fault propagates like a transition fault, gated by its transistor's
-//! excitation, so these differ only in the lanes they launch or excite;
-//! one capture-frame walk per block serves them all, and each member
-//! reads the PO difference on its own lanes.
+//! Both graders share cone walks among faults. In the dropping grader a
+//! walk unit is either the faults that degenerate to one output
+//! stuck-at, which walk once and share the detections, or the faults
+//! that hold one net's launch-frame word through the capture frame: its
+//! transition faults and the delay-regime OBD and EM faults of its
+//! driving gate. An OBD delay fault propagates like a transition fault,
+//! gated by its transistor's excitation, so these differ only in the
+//! lanes they launch or excite; one capture-frame walk per block serves
+//! them all, and each member reads the PO difference on its own lanes.
+//!
+//! The no-drop matrix goes further: its walk unit is the net. A forced
+//! value either equals the good value on a lane or is its complement,
+//! so one walk that flips the net on every lane gives every lane's PO
+//! difference, and each fault on the net reads it on the lanes where its
+//! value differs from the good one. Per block a net walks at most once
+//! per frame, however many stuck-at and held faults it carries. The
+//! dropping grader keeps its masked three-slot walks, which die sooner:
+//! its members drop out after a block or two, and a flip walk there
+//! evaluates more gates for the walks it saves.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -90,10 +100,10 @@ pub const SUPERLANE_WIDTH: usize = 8;
 
 /// Packed block evaluations performed: one per (fault, block) in
 /// [`PpsfpEngine::detection_row`] and [`PpsfpEngine::grade_one`], one per
-/// (walk unit, block) that [`PpsfpEngine::detection_matrix`] and the
-/// dropping [`PpsfpEngine::grade_parallel`] reach, however many faults
-/// share the unit's walk (units whose members can never be detected
-/// reach none).
+/// (net, block) in [`PpsfpEngine::detection_matrix`] and one per (walk
+/// unit, block) that the dropping [`PpsfpEngine::grade_parallel`]
+/// reaches, however many faults share the unit's walks (units whose
+/// members can never be detected reach none).
 static BLOCKS_GRADED: Counter = Counter::new("atpg.blocks_graded");
 /// Packed evaluations that reused a block's cached good-machine response
 /// (every evaluation after the block's first).
@@ -272,9 +282,10 @@ enum FaultPlan<'c, const N: usize> {
     },
 }
 
-/// The faults of one grading run, grouped into walk units (see
-/// [`PpsfpEngine::grade_parallel`] and
-/// [`PpsfpEngine::detection_matrix`]). Units are ordered by their lowest
+/// The faults of one grading run, grouped into walk units: per output
+/// stuck-at and per held net for the dropping
+/// [`PpsfpEngine::grade_parallel`], per net for
+/// [`PpsfpEngine::detection_matrix`]. Units are ordered by their lowest
 /// fault index, and each unit's members ascend.
 /// Indices are `u32`, which any fault list that fits in memory does.
 pub(crate) struct WalkUnits {
@@ -285,14 +296,15 @@ pub(crate) struct WalkUnits {
 }
 
 impl WalkUnits {
-    /// The walk unit a fault joins, as `3 * net + slot`: slot 0 or 1 for
-    /// the output stuck-at at that value a fault plans to
+    /// The dropping grader's walk unit a fault joins, as `3 * net + slot`:
+    /// slot 0 or 1 for the output stuck-at at that value a fault plans to
     /// ([`FaultPlan::StuckAt`]: a stuck-at fault, or an OBD fault at a
     /// stuck stage), slot 2 for the net whose launch-frame word a fault
     /// holds through the capture frame (a transition fault, or a
     /// delay-regime OBD or EM fault of the net's driving gate).
     /// Faults of one stuck-at key detect on the same tests; faults of
-    /// one held net differ only in the lanes they launch or excite.
+    /// one held net differ only in the lanes they launch or excite. The
+    /// matrix's unit is the net, `key / 3`.
     fn key(sim: &FaultSimulator<'_>, fault: &Fault) -> usize {
         let nl = sim.nl;
         let (net, slot) = match fault {
@@ -312,14 +324,27 @@ impl WalkUnits {
         3 * net.index() + slot
     }
 
-    /// Groups `faults` into walk units by [`WalkUnits::key`].
+    /// Groups `faults` into the dropping grader's walk units, one per
+    /// [`WalkUnits::key`].
     pub(crate) fn new(sim: &FaultSimulator<'_>, faults: &[Fault]) -> Self {
+        Self::grouped::<1>(sim, faults)
+    }
+
+    /// Groups `faults` into the no-drop matrix's walk units, one per net:
+    /// every fault that forces, holds or sticks a net's value.
+    pub(crate) fn per_net(sim: &FaultSimulator<'_>, faults: &[Fault]) -> Self {
+        Self::grouped::<3>(sim, faults)
+    }
+
+    /// Groups `faults` by [`WalkUnits::key`]` / SLOTS`.
+    fn grouped<const SLOTS: usize>(sim: &FaultSimulator<'_>, faults: &[Fault]) -> Self {
+        let unit_key = |f| Self::key(sim, f) / SLOTS;
         // Two passes over the faults: number the units in order of their
         // first fault and count their members, then place each fault.
-        let mut unit_of = vec![u32::MAX; 3 * sim.nl.num_nets()];
+        let mut unit_of = vec![u32::MAX; 3 * sim.nl.num_nets() / SLOTS];
         let mut start = vec![0u32];
         for f in faults {
-            let u = &mut unit_of[Self::key(sim, f)];
+            let u = &mut unit_of[unit_key(f)];
             if *u == u32::MAX {
                 *u = (start.len() - 1) as u32;
                 start.push(0);
@@ -332,7 +357,7 @@ impl WalkUnits {
         let mut fill = start.clone();
         let mut members = vec![0; faults.len()];
         for (i, f) in faults.iter().enumerate() {
-            let slot = &mut fill[unit_of[Self::key(sim, f)] as usize];
+            let slot = &mut fill[unit_of[unit_key(f)] as usize];
             members[*slot as usize] = i as u32;
             *slot += 1;
         }
@@ -379,11 +404,13 @@ struct Member<'c, const N: usize> {
 }
 
 impl<const N: usize> FaultPlan<'_, N> {
-    /// The net a held-value plan holds through the capture frame.
-    fn held_net(&self) -> Option<NetId> {
+    /// The net a plan forces or holds; `None` for [`FaultPlan::Never`].
+    fn net(&self) -> Option<NetId> {
         match *self {
-            FaultPlan::Transition { net, .. } | FaultPlan::Excited { out: net, .. } => Some(net),
-            FaultPlan::Never | FaultPlan::StuckAt { .. } => None,
+            FaultPlan::StuckAt { net, .. }
+            | FaultPlan::Transition { net, .. }
+            | FaultPlan::Excited { out: net, .. } => Some(net),
+            FaultPlan::Never => None,
         }
     }
 }
@@ -818,16 +845,42 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         blk: &GoodBlock<N>,
         scratch: &mut PpsfpScratch<N>,
     ) -> Option<LaneWord<N>> {
-        let mut any = LaneWord::ZERO;
-        for m in members.iter_mut() {
-            m.lanes = self.held_lanes(&m.plan, blk);
-            any |= m.lanes;
-        }
+        let any = self.set_held_lanes(members, blk);
         if any.is_zero() {
             return None;
         }
         let (w1, w2) = (blk.g1[net.index()], blk.g2[net.index()]);
         Some(self.held_value_diff(blk, net, w2 ^ ((w1 ^ w2) & any), scratch))
+    }
+
+    /// Sets each member's launch or excitation lanes on the block (zero
+    /// for a stuck-at member) and returns their union.
+    fn set_held_lanes(&self, members: &mut [Member<'_, N>], blk: &GoodBlock<N>) -> LaneWord<N> {
+        let mut any = LaneWord::ZERO;
+        for m in members.iter_mut() {
+            m.lanes = self.held_lanes(&m.plan, blk);
+            any |= m.lanes;
+        }
+        any
+    }
+
+    /// The PO difference of flipping `net` on every valid lane of a block
+    /// in the frame whose good words are `good`. Lanes never interact,
+    /// and a forced value either equals the good value on a lane or is
+    /// its complement, so every fault that forces or holds `net` in that
+    /// frame detects exactly on this difference masked by the lanes
+    /// where its value differs from the good one.
+    fn flip_diff(
+        &self,
+        good: &[LaneWord<N>],
+        net: NetId,
+        blk: &GoodBlock<N>,
+        scratch: &mut PpsfpScratch<N>,
+    ) -> LaneWord<N> {
+        self.sim
+            .soa
+            .propagate_held(good, net, !good[net.index()], &mut scratch.cone)
+            & blk.mask
     }
 
     /// Whether an X-bearing test detects the fault, stopping at the
@@ -973,7 +1026,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                     if self.packed_hit(&members[0].plan, &mut scratch) {
                         hits.extend(units.members(u));
                     }
-                } else if let Some(net) = members.iter().find_map(|m| m.plan.held_net()) {
+                } else if let Some(net) = members.iter().find_map(|m| m.plan.net()) {
                     self.held_hits(net, &mut members, &mut scratch, &mut hits);
                 }
             }
@@ -1016,22 +1069,29 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     /// The full detection matrix `matrix[t][f]` (no dropping) on up to
     /// `threads` pool workers.
     ///
-    /// The faults are grouped into the walk units of
-    /// [`PpsfpEngine::grade_parallel`], and each unit walks every packed
-    /// block once for all its members:
+    /// The faults are grouped into one walk unit per net: its stuck-at
+    /// faults, its transition faults, and the OBD and EM faults of its
+    /// driving gate. Per packed block the unit flips the net on every
+    /// lane in at most two walks, and each member reads its own lanes
+    /// of the PO difference:
     ///
-    /// * A stuck-at unit computes one detection mask per block, and every
-    ///   member gets it.
-    /// * A held-net unit computes each member's launch or excitation
-    ///   lanes, holds the net's launch-frame word on their union through
-    ///   one capture-frame walk, and gives each member the PO difference
-    ///   on its own lanes. Lanes never interact, so each member's column
-    ///   is exactly its own walk's.
+    /// * The launch frame is walked when the unit has a stuck-at member,
+    ///   the capture frame when it has one or some member launches or
+    ///   excites on the block.
+    /// * A stuck-at-`v` member (a stuck-at fault, or an OBD fault at a
+    ///   stuck stage) detects on each frame's difference where the good
+    ///   value is not `v`.
+    /// * A held member (a transition, delay-regime OBD or EM fault)
+    ///   detects on the capture frame's difference on its launch or
+    ///   excitation lanes, where the held launch-frame word is the
+    ///   complement of the good one.
     ///
-    /// Members that can never be detected (slack-gated, or without a
-    /// transistor to excite) walk nothing. The X-bearing tests are graded
-    /// per fault on the scalar path. Each pool job plans and grades 64
-    /// consecutive units and hands back its (fault, block, lanes) hits
+    /// Lanes never interact, so each member's column is exactly the one
+    /// its own forced-value walk would give. Members that can never be
+    /// detected (slack-gated, or without a transistor to excite) walk
+    /// nothing. The X-bearing tests are graded per fault on the scalar
+    /// path. Each pool job plans and grades 64 consecutive units (nets)
+    /// and hands back its (fault, block, lanes) hits
     /// and scalar hits; one serial pass writes them into the matrix in
     /// job order, so the matrix is identical at any thread count.
     ///
@@ -1044,7 +1104,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         faults: &[Fault],
         threads: usize,
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
-        self.matrix_units(faults, &WalkUnits::new(self.sim, faults), threads)
+        self.matrix_units(faults, &WalkUnits::per_net(self.sim, faults), threads)
     }
 
     /// [`PpsfpEngine::detection_matrix`] over the faults' walk units.
@@ -1108,11 +1168,16 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
     }
 
-    /// Grades the planned members of one walk unit over every packed
-    /// block with no dropping, pushing each member's nonzero detection
-    /// lanes per block onto `hits`: one walk per block for a stuck-at
-    /// unit, one capture-frame walk per block of the held net for a
-    /// held-net unit (skipped where no member launches or excites).
+    /// Grades the planned members of one net's walk unit over every
+    /// packed block with no dropping, pushing each member's nonzero
+    /// detection lanes per block onto `hits`. Per block the net is
+    /// flipped on every lane ([`PpsfpEngine::flip_diff`]) in at most two
+    /// walks: the launch frame's when the unit has a stuck-at member, the
+    /// capture frame's when it has one or some member launches or
+    /// excites. A stuck-at-`v` member reads each frame's difference on
+    /// the lanes where the good value is not `v`; a held member reads
+    /// the capture frame's on its own launch or excitation lanes, where
+    /// the held launch-frame word is the complement of the good one.
     fn unit_masks(
         &self,
         members: &mut Vec<Member<'_, N>>,
@@ -1120,35 +1185,41 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         hits: &mut Vec<(u32, u32, LaneWord<N>)>,
     ) {
         members.retain(|m| !matches!(m.plan, FaultPlan::Never));
-        let Some(first) = members.first() else {
+        let Some(net) = members.first().and_then(|m| m.plan.net()) else {
             return;
         };
-        let blocks = (0u32..).zip(&self.blocks);
-        match first.plan.held_net() {
-            // Every member of a stuck-at unit has the same plan.
-            None => {
-                for (b, blk) in blocks {
-                    Self::touch(blk);
-                    let mask = self.detect_mask(&first.plan, blk, scratch);
-                    if mask.any() {
-                        hits.extend(members.iter().map(|m| (m.fault, b, mask)));
-                    }
-                }
-            }
-            Some(net) => {
-                for (b, blk) in blocks {
-                    Self::touch(blk);
-                    let Some(diff) = self.held_walk(net, members, blk, scratch) else {
-                        continue;
-                    };
-                    hits.extend(
-                        members
-                            .iter()
-                            .map(|m| (m.fault, b, diff & m.lanes))
-                            .filter(|&(_, _, lanes)| lanes.any()),
-                    );
-                }
-            }
+        let stuck = members
+            .iter()
+            .any(|m| matches!(m.plan, FaultPlan::StuckAt { .. }));
+        for (b, blk) in (0u32..).zip(&self.blocks) {
+            Self::touch(blk);
+            let held = self.set_held_lanes(members, blk);
+            let d1 = if stuck {
+                self.flip_diff(&blk.g1, net, blk, scratch)
+            } else {
+                LaneWord::ZERO
+            };
+            let d2 = if stuck || held.any() {
+                self.flip_diff(&blk.g2, net, blk, scratch)
+            } else {
+                LaneWord::ZERO
+            };
+            let (g1, g2) = (blk.g1[net.index()], blk.g2[net.index()]);
+            hits.extend(
+                members
+                    .iter()
+                    .map(|m| {
+                        let lanes = match m.plan {
+                            FaultPlan::StuckAt { value, .. } => {
+                                let v = stuck_word(value);
+                                (d1 & (g1 ^ v)) | (d2 & (g2 ^ v))
+                            }
+                            _ => d2 & m.lanes,
+                        };
+                        (m.fault, b, lanes)
+                    })
+                    .filter(|&(_, _, lanes)| lanes.any()),
+            );
         }
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! Builds the matrix of every 16th fault of mult16's mixed universe
 //! (2,530 faults) on 512 seeded tests, one packed block at the
-//! super-lane width, at one thread with metrics on, and bounds
+//! super-lane width, at one thread with metrics on. It bounds
 //! `atpg.blocks_graded`, which counts one packed block evaluation per
-//! (walk unit, block). Faults that share an output stuck-at or a held
-//! net walk each block once, so a change that quietly stops sharing
-//! them raises the count towards one per fault and fails here, however
-//! fast the host.
+//! (net, block): every fault on a net reads the same flip walks, so a
+//! change that quietly walks per stuck value and held net, or per
+//! fault, raises the count and fails here, however fast the host. A
+//! per-net unit flips its net on every lane, so its walks reach further
+//! than a masked one; `logic.soa_gates_simulated` is bounded too, and
+//! catches a change that keeps the walk count but widens the walks.
 //!
 //! The only test of its binary: the metrics registry is process-wide.
 
@@ -35,15 +37,23 @@ fn mult16_detection_matrix_shares_its_walks() {
     let after = obd_metrics::snapshot();
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     let blocks = delta("atpg.blocks_graded");
+    let gates = delta("logic.soa_gates_simulated");
     println!(
-        "mult16: {} faults, {} detections, {blocks} blocks graded",
+        "mult16: {} faults, {} detections, {blocks} blocks graded, {gates} gates evaluated",
         faults.len(),
         matrix.iter().flatten().filter(|&&d| d).count()
     );
-    // 1,735 with stuck-at and held-net units; 2,530 when every fault
-    // walks on its own.
+    // 781 with one unit per net (the sample's faults sit on 781 nets);
+    // 1,735 with one unit per stuck value and held net, 2,530 when every
+    // fault walks on its own.
     assert!(
-        blocks <= 1_735,
-        "{blocks} blocks graded, above 1,735: are walks still shared?"
+        blocks <= 781,
+        "{blocks} blocks graded, above 781: does every fault on a net share its walks?"
+    );
+    // 1,183,659 with per-net flip walks; 1,670,681 with one unit per
+    // stuck value and held net.
+    assert!(
+        gates <= 1_183_659,
+        "{gates} gates evaluated, above 1,183,659: do the walks flip the net once per frame?"
     );
 }

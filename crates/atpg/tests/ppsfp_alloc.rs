@@ -182,13 +182,13 @@ fn enabled_metrics_sit_on_the_graded_path() {
 /// The block counters stay exact on the pooled no-drop matrix graded by
 /// two workers, and the disabled path leaves the blocks' cache-hit flags
 /// alone: a matrix graded with metrics off and then again with them on
-/// counts every (walk unit, block) evaluation once and every block's
-/// first evaluation as a miss.
+/// counts every (net, block) evaluation once and every block's first
+/// evaluation as a miss.
 #[test]
 fn matrix_block_counters_are_exact_and_disabled_path_stores_nothing() {
     let _guard = TEST_LOCK.lock().unwrap();
 
-    let nl = ripple_carry_adder(4);
+    let nl = ripple_carry_adder(8);
     let sim = FaultSimulator::new(&nl).unwrap();
     let mut faults = mixed_faults(&nl);
     faults.extend(obd_faults(&nl, BreakdownStage::Mbd1, false));
@@ -205,18 +205,14 @@ fn matrix_block_counters_are_exact_and_disabled_path_stores_nothing() {
     let after = obd_metrics::snapshot();
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     assert_eq!(counted, quiet);
-    // rca4 is 36 NAND2 gates over 45 nets, and no fault is slack-gated.
-    // Each net carries three walk units: stuck-at-0 and stuck-at-1 (the
-    // HBD faults of its driving NAND join them) and its held net (its
-    // transition faults, and the MBD1, MBD2 and EM faults of its driving
-    // NAND). Each unit walks every block once, not each of its faults.
-    assert_eq!(nl.num_nets(), 45);
-    assert_eq!(faults.len(), 90 + 90 + 4 * 144);
-    let units = 3 * 45;
-    assert!(
-        units > 64,
-        "one pool job grades 64 units: {units} make three"
-    );
+    // rca8 is 72 NAND2 gates over 89 nets, and no fault is slack-gated.
+    // Each net is one walk unit: its stuck-at faults, its transition
+    // faults, and the HBD, MBD1, MBD2 and EM faults of its driving NAND.
+    // Each unit walks every block once, not each of its faults.
+    assert_eq!(nl.num_nets(), 89);
+    assert_eq!(faults.len(), 178 + 178 + 4 * 288);
+    let units = 89;
+    assert!(units > 64, "one pool job grades 64 units: {units} make two");
     let evaluations = units * blocks;
     assert_eq!(delta("atpg.blocks_graded"), evaluations);
     assert_eq!(delta("atpg.good_sim_cache_hits"), evaluations - blocks);

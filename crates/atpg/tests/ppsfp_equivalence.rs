@@ -210,17 +210,16 @@ fn detection_matrix_matches_direct_detects() {
 /// The pooled engine matrix equals per-pair scalar `detects` at 1, 2, 3
 /// and 7 threads, on test sets with X-bearing (scalar fallback) tests,
 /// at the super-lane width and at width 1 (where the 70 tests span two
-/// packed blocks). The matrix walks each unit of faults sharing an
-/// output stuck-at or a held net once per block, so the fault lists
-/// cover:
+/// packed blocks). The matrix walks each net once per frame and block
+/// for all the faults on it, so the fault lists cover:
 /// * units whose members lie in different 64-fault chunks, and more
-///   units than one pool job grades (64, on rca4);
+///   units than one pool job grades (64, on rca8's 89 nets);
 /// * held-net units that mix members that never walk (NMOS MBD1 faults,
 ///   22 ps of extra delay, gated by 30 ps of slack) with detected ones.
 #[test]
 fn pooled_detection_matrix_matches_scalar_at_any_thread_count() {
     let (mut split, mut gated_mix, mut multi_job) = (0, 0, 0);
-    for nl in [c17(), mixed_cells(), ripple_carry_adder(4)] {
+    for nl in [c17(), mixed_cells(), ripple_carry_adder(8)] {
         let sim = FaultSimulator::with_criterion(
             &nl,
             DelayTable::paper(),
@@ -243,13 +242,9 @@ fn pooled_detection_matrix_matches_scalar_at_any_thread_count() {
             .collect();
         assert!(scalar.iter().flatten().any(|&d| d), "nothing detected");
 
-        let mut units: BTreeMap<(usize, Option<bool>), Vec<usize>> = BTreeMap::new();
+        let mut units: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, f) in faults.iter().enumerate() {
-            let key = stuck_plan(&nl, f)
-                .map(|(net, v)| (net, Some(v)))
-                .or_else(|| held_net(&nl, f).map(|net| (net, None)))
-                .expect("every fault joins a unit");
-            units.entry(key).or_default().push(i);
+            units.entry(unit_net(&nl, f)).or_default().push(i);
         }
         multi_job += usize::from(units.len() > 64);
         split += units
@@ -292,12 +287,125 @@ fn pooled_detection_matrix_matches_scalar_at_any_thread_count() {
     );
 }
 
-/// A matrix whose failing faults sit in two walk units, behind 14
-/// stuck-at units, reports the lowest-indexed one at every thread count,
-/// through the engine and through `FaultSimulator::detection_matrix`.
-/// Its 16 units make one pool job, so this checks the error kept across
-/// units within a job; `shared_held_net_plan_keeps_the_lowest_index_error`
-/// checks it across jobs.
+/// The net whose walk unit a fault joins in the detection matrix: the
+/// net it forces to a stuck value or holds through the capture frame.
+fn unit_net(nl: &Netlist, f: &Fault) -> usize {
+    stuck_plan(nl, f)
+        .map(|(net, _)| net)
+        .or_else(|| held_net(nl, f))
+        .expect("every fault forces or holds a net")
+}
+
+/// The detection matrix walks each net once per frame and block for all
+/// the faults on it, and every member reads its own lanes. The matrix
+/// equals per-pair scalar `detects` at 1, 2, 3 and 7 threads, at widths
+/// 1 and 8, with X-bearing tests mixed in, on nets whose units are:
+/// * only stuck-at members (`n3`: its stuck-at and HBD faults);
+/// * only held members (`r2`: its transition, MBD2 and EM faults);
+/// * slack-gated held members next to live stuck-at members (`a3`: its
+///   stuck-at and NMOS MBD1 faults, 22 ps gated by 30 ps of slack);
+/// * every fault on a primary output that also feeds gates (`o4`, `b1`);
+/// * every fault on a primary input (`a`).
+///
+/// The list is reversed, so no unit's members are contiguous.
+#[test]
+fn per_net_matrix_units_match_scalar_on_edge_nets() {
+    let nl = mixed_cells();
+    let sim = FaultSimulator::with_criterion(
+        &nl,
+        DelayTable::paper(),
+        DetectionCriterion::with_slack(30.0),
+    )
+    .unwrap();
+    let net = |name| nl.find_net(name).unwrap().index();
+    let stuck = |f: &Fault| stuck_plan(&nl, f).is_some();
+    let gated = |f: &Fault| {
+        matches!(f, Fault::Obd(o)
+            if o.stage == BreakdownStage::Mbd1 && o.polarity == Polarity::Nmos)
+    };
+    let mut universe = mixed_faults(&nl);
+    universe.extend(obd_faults(&nl, BreakdownStage::Mbd1, false));
+    let mut faults: Vec<Fault> = universe
+        .iter()
+        .filter(|f| {
+            let n = unit_net(&nl, f);
+            (n == net("n3") && stuck(f))
+                || (n == net("r2") && !stuck(f) && !gated(f))
+                || (n == net("a3") && (stuck(f) || gated(f)))
+                || [net("o4"), net("b1"), net("a")].contains(&n)
+        })
+        .cloned()
+        .collect();
+    faults.reverse();
+
+    // The edge nets are what the docs say they are.
+    let fans_out = |n: usize| {
+        nl.gate_ids()
+            .any(|g| nl.gate(g).inputs.iter().any(|i| i.index() == n))
+    };
+    let is_po = |n: usize| nl.outputs().iter().any(|o| o.index() == n);
+    assert!(is_po(net("o4")) && fans_out(net("o4")));
+    assert!(is_po(net("b1")) && fans_out(net("b1")));
+    assert!(nl.inputs().iter().any(|i| i.index() == net("a")));
+    let nl_ref = &nl;
+    let on = |name| {
+        let n = net(name);
+        move |f: &&Fault| unit_net(nl_ref, f) == n
+    };
+    assert!(faults.iter().filter(on("n3")).all(stuck));
+    assert!(faults.iter().filter(on("r2")).all(|f| !stuck(f)));
+    let a3: Vec<&Fault> = faults.iter().filter(on("a3")).collect();
+    assert!(a3.iter().any(|f| gated(f)) && a3.iter().all(|f| stuck(f) || gated(f)));
+
+    let width = nl.inputs().len();
+    let mut tests = random_two_pattern(width, 150, 0xED6E);
+    for i in (5..140).step_by(11) {
+        tests[i].v1[i % width] = Lv::X;
+        tests[i + 3].v2[(i + 1) % width] = Lv::X;
+    }
+    let scalar: Vec<Vec<bool>> = tests
+        .iter()
+        .map(|t| faults.iter().map(|f| sim.detects(f, t).unwrap()).collect())
+        .collect();
+    let detected = |f: &Fault| {
+        let i = faults.iter().position(|g| g == f).unwrap();
+        scalar.iter().any(|row| row[i])
+    };
+    for name in ["n3", "r2", "o4", "b1", "a"] {
+        assert!(
+            faults.iter().filter(on(name)).any(detected),
+            "nothing on {name} is detected"
+        );
+    }
+    assert!(a3.iter().any(|f| stuck(f) && detected(f)));
+    assert!(a3.iter().all(|f| !gated(f) || !detected(f)));
+
+    let wide = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+    let narrow = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
+    assert!(wide.scalar_fallback_tests() > 0);
+    assert_eq!(narrow.num_blocks(), 2);
+    for threads in [1, 2, 3, 7] {
+        assert_eq!(
+            wide.detection_matrix(&faults, threads).unwrap(),
+            scalar,
+            "threads = {threads}"
+        );
+        assert_eq!(
+            narrow.detection_matrix(&faults, threads).unwrap(),
+            scalar,
+            "N=1, threads = {threads}"
+        );
+    }
+    assert_eq!(sim.detection_matrix(&faults, &tests).unwrap(), scalar);
+}
+
+/// A matrix whose failing faults sit in two nets' walk units, after the
+/// stuck-at faults of all seven nets, reports the lowest-indexed one at
+/// every thread count, through the engine and through
+/// `FaultSimulator::detection_matrix`. Its seven units make one pool
+/// job, so this checks the error kept across units within a job;
+/// `shared_held_net_plan_keeps_the_lowest_index_error` checks it across
+/// jobs.
 #[test]
 fn detection_matrix_reports_lowest_failing_fault_at_any_thread_count() {
     let mut nl = Netlist::new();
@@ -704,11 +812,11 @@ fn shared_held_net_plans_match_scalar() {
 /// A fault on a gate without a cell model is planned on its own even
 /// inside a held-net unit whose leader has a lower index, and the
 /// lowest-indexed failing fault's error is reported although a unit
-/// graded earlier fails at a higher index: by the dropping graders and
-/// by the detection matrix.
+/// graded earlier, in another pool job, fails at a higher index: by the
+/// dropping graders and by the detection matrix.
 #[test]
 fn shared_held_net_plan_keeps_the_lowest_index_error() {
-    let mut nl = ripple_carry_adder(4);
+    let mut nl = ripple_carry_adder(8);
     let [a0, b0, b3] = ["a0", "b0", "b3"].map(|n| nl.find_net(n).unwrap());
     let xa = nl.add_gate(GateKind::Xor, "xa", &[a0, b3]).unwrap();
     let xb = nl.add_gate(GateKind::Xor, "xb", &[xa, b0]).unwrap();
@@ -728,13 +836,15 @@ fn shared_held_net_plan_keeps_the_lowest_index_error() {
         pin: 0,
         polarity: Polarity::Pmos,
     };
-    // `xa`'s unit is the first; every stuck-at fault is a unit of its
-    // own, so `xb`'s unit comes after more than 64 others. Its EM fault
-    // sits between two of its transition faults and fails first; `xa`'s
-    // OBD fault fails later, in the unit graded first.
+    // `xa`'s unit is the first. The stuck-at faults of rca8's 89 nets
+    // come next, so `xb`'s unit comes after more than 64 others, in the
+    // dropping grader (a unit per stuck value) and in the matrix (a unit
+    // per net). Its EM fault sits between two of its transition faults
+    // and fails first; `xa`'s OBD fault fails later, in the unit graded
+    // first.
     let mut faults = vec![transition(xa, SlowTo::Rise)];
     faults.extend(stuck_at_faults(&nl));
-    assert!(faults.len() > 65, "too few units before xb's");
+    assert!(nl.num_nets() > 65, "too few units before xb's");
     faults.extend([
         transition(xb, SlowTo::Rise),
         em(xb),

@@ -23,15 +23,8 @@ fn quoted_table(doc: &str, heading: &str) -> Coverage {
         .split("\n## ")
         .find(|s| s.starts_with(heading))
         .unwrap_or_else(|| panic!("EXPERIMENTS.md has no section {heading}"));
-    let cells = |line: &str| -> Vec<String> {
-        line.trim()
-            .trim_matches('|')
-            .split('|')
-            .map(|c| c.trim().trim_matches('*').to_string())
-            .collect()
-    };
-    let mut rows = section.lines().filter(|l| l.starts_with('|'));
-    let header = cells(rows.next().expect("table header"));
+    let rows = table_rows(section);
+    let header = rows.first().expect("table header");
     let circuits: Vec<String> = header[1..]
         .iter()
         .map(|h| {
@@ -42,14 +35,13 @@ fn quoted_table(doc: &str, heading: &str) -> Coverage {
         })
         .collect();
     let mut out = Coverage::new();
-    for line in rows.skip(1) {
-        let row = cells(line);
-        assert_eq!(row.len(), circuits.len() + 1, "ragged row: {line}");
+    for row in &rows[1..] {
+        assert_eq!(row.len(), circuits.len() + 1, "ragged row: {row:?}");
         for (circuit, cell) in circuits.iter().zip(&row[1..]) {
             let pct = cell
                 .strip_suffix('%')
                 .and_then(|p| p.trim().parse().ok())
-                .unwrap_or_else(|| panic!("not a percentage: {cell:?} in {line}"));
+                .unwrap_or_else(|| panic!("not a percentage: {cell:?} in {row:?}"));
             out.insert((circuit.clone(), row[0].clone()), pct);
         }
     }
@@ -133,20 +125,22 @@ fn x8_matches_variation() {
     let (lo, hi) = z.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), z| {
         (lo.min(z), hi.max(z))
     });
-    for quote in [
-        format!(
-            "over {} process corners",
-            between(summary, "across ", " process")
-        ),
-        format!(
-            "σ ≈ {} ps around {} ps",
-            between(summary, "sigma ", " ps"),
-            between(summary, "mean ", " ps")
-        ),
-        format!("shifts it by {} ps ({lo:.0}–{hi:.0} σ)", shifts.join("/")),
-    ] {
-        assert!(x8.contains(&quote), "X8 must quote {quote:?}");
-    }
+    assert_quotes(
+        "X8",
+        &x8,
+        &[
+            format!(
+                "over {} process corners",
+                between(summary, "across ", " process")
+            ),
+            format!(
+                "σ ≈ {} ps around {} ps",
+                between(summary, "sigma ", " ps"),
+                between(summary, "mean ", " ps")
+            ),
+            format!("shifts it by {} ps ({lo:.0}–{hi:.0} σ)", shifts.join("/")),
+        ],
+    );
 }
 
 /// The last cell of the markdown table row in `section` whose first cell
@@ -188,4 +182,188 @@ fn e6_matches_stats() {
             "E6 must quote {quote:?}: {minimal}"
         );
     }
+}
+
+/// Whether `text` quotes `quote` whole: no digit runs on at either end,
+/// so a quote cannot pass inside a longer number.
+fn quotes(text: &str, quote: &str) -> bool {
+    text.match_indices(quote).any(|(i, _)| {
+        let before = text[..i].chars().next_back();
+        let after = text[i + quote.len()..].chars().next();
+        !before.is_some_and(|c| c.is_ascii_digit()) && !after.is_some_and(|c| c.is_ascii_digit())
+    })
+}
+
+/// Asserts that the EXPERIMENTS.md section `name` quotes each of
+/// `expected`.
+fn assert_quotes(name: &str, section: &str, expected: &[String]) {
+    for quote in expected {
+        assert!(quotes(section, quote), "{name} must quote {quote:?}");
+    }
+}
+
+/// The rows of a markdown table in `section`, header first, separator
+/// dropped, cells trimmed of spaces and bold markers.
+fn table_rows(section: &str) -> Vec<Vec<String>> {
+    section
+        .lines()
+        .filter(|l| l.starts_with('|') && !l.starts_with("|---"))
+        .map(|l| {
+            l.trim()
+                .trim_matches('|')
+                .split('|')
+                .map(|c| c.trim().trim_matches('*').to_string())
+                .collect()
+        })
+        .collect()
+}
+
+/// X2 quotes `results/bist.txt`: one `<circuit>/<plain|phased>
+/// <testable> <atpg tests> | <patterns>-><covered> ...` line per stream.
+/// The prose must name the circuits whose plain stream plateaus below
+/// full coverage with their plateaus, the plain stream that does reach
+/// it, each phased stream's first saturating length, the range of those
+/// lengths over the ATPG test counts, and the grid of lengths.
+#[test]
+fn x2_matches_bist() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let x2 = between(&doc, "### X2 ", "\n### ").replace('\n', " ");
+    let text = repo_file("results/bist.txt");
+    let mut plateaued = Vec::new();
+    let mut ratios = Vec::new();
+    let mut expected = Vec::new();
+    let mut grid = Vec::new();
+    for line in text.lines().skip(1) {
+        let (head, curve) = line.split_once('|').expect("stream line");
+        let words: Vec<&str> = head.split_whitespace().collect();
+        let (circuit, stream) = words[0].split_once('/').expect("circuit/stream");
+        let testable: usize = words[1].parse().expect("testable");
+        let atpg: usize = words[2].parse().expect("ATPG tests");
+        let points: Vec<(usize, usize)> = curve
+            .split_whitespace()
+            .map(|p| {
+                let (n, covered) = p.split_once("->").expect("patterns->covered");
+                (
+                    n.parse().expect("patterns"),
+                    covered.parse().expect("covered"),
+                )
+            })
+            .collect();
+        grid = points.iter().map(|&(n, _)| n.to_string()).collect();
+        let full = points
+            .iter()
+            .find(|&&(_, c)| c == testable)
+            .map(|&(n, _)| n);
+        match (stream, full) {
+            ("plain", None) => {
+                let plateau = points.last().expect("a point").1;
+                expected.push(format!("{circuit}: {plateau}/{testable}"));
+                plateaued.push(circuit);
+            }
+            ("plain", Some(n)) => expected.push(format!(
+                "{circuit}'s plain stream does reach {testable}/{testable}, at {n} patterns"
+            )),
+            ("phased", Some(n)) => {
+                expected.push(format!("{circuit}: {testable}/{testable} at {n}"));
+                ratios.push(n as f64 / atpg as f64);
+            }
+            _ => panic!("{line}: the phased stream never saturates"),
+        }
+    }
+    assert_eq!(ratios.len(), 3, "fig8, rca3 and parity8");
+    let (lo, hi) = ratios.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| {
+        (lo.min(r), hi.max(r))
+    });
+    expected.push(format!("full coverage on {}", plateaued.join(" and ")));
+    expected.push(format!("{lo:.1}–{hi:.1}× fewer"));
+    expected.push(format!("on the {} grid", grid.join("/")));
+    assert_quotes("X2", &x2, &expected);
+}
+
+/// X3 quotes `results/clock_sweep.txt`: each row of its table must be
+/// the artifact's row at the same clock multiple, the header its four
+/// stages, and the prose's margins the first and last quoted clocks.
+#[test]
+fn x3_matches_clock_sweep() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let x3 = between(&doc, "### X3 ", "\n### ");
+    let text = repo_file("results/clock_sweep.txt");
+    let (header, body) = text.split_once('\n').expect("header line");
+    let stages: Vec<&str> = header
+        .split_once('|')
+        .expect("stage columns")
+        .1
+        .split_whitespace()
+        .collect();
+    let artifact: BTreeMap<String, Vec<String>> = body
+        .lines()
+        .take_while(|l| l.contains('|'))
+        .map(|l| {
+            let (clock, cells) = l.split_once('|').expect("clock row");
+            let multiple = between(clock, "(", "x)").to_string();
+            (
+                multiple,
+                cells.split_whitespace().map(str::to_string).collect(),
+            )
+        })
+        .collect();
+    assert_eq!(artifact.len(), 6, "six clock multiples");
+    let rows = table_rows(x3);
+    assert_eq!(rows[0][1..], stages, "X3 header");
+    assert!(rows.len() > 2, "X3 quotes at least two clocks");
+    for row in &rows[1..] {
+        let multiple = row[0].strip_suffix('×').expect("a clock multiple");
+        let want = artifact
+            .get(multiple)
+            .unwrap_or_else(|| panic!("X3 quotes a clock the sweep lacks: {multiple}"));
+        assert_eq!(&row[1..], want, "X3 row {multiple}×");
+    }
+    // The tightest quoted clock sees soft breakdown; the loosest sees
+    // only the last stage.
+    let (first, last) = (&rows[1], &rows[rows.len() - 1]);
+    let detected = |cell: &str| !cell.starts_with("0/");
+    assert!(
+        detected(&first[1]),
+        "X3: soft breakdown unseen at {}",
+        first[0]
+    );
+    assert!(last[1..4].iter().all(|c| !detected(c)) && detected(&last[4]));
+    let multiple = |row: &[String]| -> f64 {
+        row[0]
+            .trim_end_matches('×')
+            .parse()
+            .expect("a clock multiple")
+    };
+    assert_quotes(
+        "X3",
+        &x3.replace('\n', " "),
+        &[
+            format!("{:.0} % timing margin", (multiple(first) - 1.0) * 100.0),
+            format!("{}× margin", multiple(last)),
+        ],
+    );
+}
+
+/// X5 quotes `results/scan.txt`: one `<circuit> <natural> <best>
+/// <order>` line per circuit. The prose must carry each natural-chain
+/// coverage and best order, and the best order must reach full coverage
+/// where the natural one loses some.
+#[test]
+fn x5_matches_scan() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let x5 = between(&doc, "### X5 ", "\n### ").replace('\n', " ");
+    let text = repo_file("results/scan.txt");
+    let mut expected = Vec::new();
+    for line in text.lines().skip(1).take_while(|l| !l.trim().is_empty()) {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let (circuit, natural, best) = (words[0], words[1], words[2]);
+        let order: String = words[3..].concat();
+        let (found, testable) = best.split_once('/').expect("best coverage");
+        assert_eq!(found, testable, "X5: {circuit}'s best order is not full");
+        assert_ne!(natural, best, "X5: {circuit}'s natural order loses nothing");
+        expected.push(format!("{circuit}: {natural}"));
+        expected.push(format!("{circuit} with {order}"));
+    }
+    assert_eq!(expected.len(), 4, "fig8 and c17");
+    assert_quotes("X5", &x5, &expected);
 }
