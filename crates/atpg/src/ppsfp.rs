@@ -50,8 +50,10 @@
 //! inner loop is allocation-free, and fan-out on the shared
 //! [`obd_core::pool`]: [`PpsfpEngine::grade_parallel`] and
 //! [`PpsfpEngine::detection_matrix`] grade 64 walk units per pool job
-//! (the matrix jobs hand back their detection lanes, and one serial pass
-//! writes them into the matrix), and
+//! (a matrix job grades its units block by block and hands back their
+//! detection lanes; one serial pass gathers them into packed columns and
+//! writes the matrix one 64-fault × 64-test bit-transposed tile at a
+//! time), and
 //! [`PpsfpEngine::prepare_with_threads`] packs each block's frames and
 //! fills its good-response caches in one pool job per block, so a large
 //! test set does not serialize the warm-up.
@@ -87,7 +89,7 @@ use obd_core::pool::run_jobs;
 use obd_logic::netlist::{GateId, GateKind, NetId};
 use obd_logic::soa::ConeScratch;
 use obd_logic::value::Lv;
-use obd_logic::wide::{LaneWord, WideBlock};
+use obd_logic::wide::{transpose64, LaneWord, WideBlock};
 use obd_metrics::{Counter, Gauge};
 
 use crate::fault::{Fault, SlowTo, TwoPatternTest};
@@ -413,6 +415,15 @@ impl<const N: usize> FaultPlan<'_, N> {
             FaultPlan::Never => None,
         }
     }
+}
+
+/// One net's walk unit in a no-drop matrix job: the net, its planned
+/// members (a range of the job's member list, none of them
+/// [`FaultPlan::Never`]) and whether one of them is a stuck-at.
+struct NetUnit {
+    net: NetId,
+    members: Range<usize>,
+    stuck: bool,
 }
 
 /// A prepared bit-parallel grading engine over one simulator and one
@@ -1090,10 +1101,15 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     /// its own forced-value walk would give. Members that can never be
     /// detected (slack-gated, or without a transistor to excite) walk
     /// nothing. The X-bearing tests are graded per fault on the scalar
-    /// path. Each pool job plans and grades 64 consecutive units (nets)
-    /// and hands back its (fault, block, lanes) hits
-    /// and scalar hits; one serial pass writes them into the matrix in
-    /// job order, so the matrix is identical at any thread count.
+    /// path.
+    ///
+    /// Each pool job plans 64 consecutive units (nets) once, then grades
+    /// them block by block, so one block's good responses serve all 64
+    /// units while they are hot in cache. It hands back its (fault,
+    /// block, lanes) hits and scalar hits. One serial pass gathers the
+    /// hits into one packed column per (block, fault) and writes the
+    /// matrix one 64-fault × 64-test tile at a time, so the matrix is
+    /// identical at any thread count.
     ///
     /// # Errors
     ///
@@ -1119,22 +1135,23 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         threads: usize,
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
         let mut matrix = vec![vec![false; faults.len()]; self.tests.len()];
-        if self.tests.is_empty() {
+        if self.tests.is_empty() || faults.is_empty() {
             return Ok(matrix);
         }
         let outs = run_jobs(&units.jobs(), threads, |_, range| {
-            let mut scratch = PpsfpScratch::default();
+            let mut planned = Vec::new();
             let mut members = Vec::new();
+            let mut nets = Vec::new();
             // (fault, block, detecting lanes) and (fault, scalar test).
             let mut packed: Vec<(u32, u32, LaneWord<N>)> = Vec::new();
             let mut scalar: Vec<(u32, usize)> = Vec::new();
             let mut failed = None;
             for u in range.clone() {
-                self.plan_members(faults, units.members(u), &mut members, &mut failed);
+                self.plan_members(faults, units.members(u), &mut planned, &mut failed);
                 if failed.is_some() {
                     continue;
                 }
-                for m in &members {
+                for m in &planned {
                     for &t in &self.scalar_tests {
                         match self.sim.detects(&faults[m.fault as usize], &self.tests[t]) {
                             Ok(true) => scalar.push((m.fault, t)),
@@ -1143,83 +1160,126 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                         }
                     }
                 }
-                self.unit_masks(&mut members, &mut scratch, &mut packed);
+                let first = members.len();
+                members.extend(
+                    planned
+                        .drain(..)
+                        .filter(|m| !matches!(m.plan, FaultPlan::Never)),
+                );
+                if let Some(net) = members.get(first).and_then(|m| m.plan.net()) {
+                    let stuck = members[first..]
+                        .iter()
+                        .any(|m| matches!(m.plan, FaultPlan::StuckAt { .. }));
+                    nets.push(NetUnit {
+                        net,
+                        members: first..members.len(),
+                        stuck,
+                    });
+                }
+            }
+            // A failing job's matrix is never read.
+            if failed.is_none() {
+                self.job_masks(&nets, &mut members, &mut packed);
             }
             Ok::<_, AtpgError>((packed, scalar, failed))
         })?;
+        let mut columns = vec![LaneWord::<N>::ZERO; self.blocks.len() * faults.len()];
         let mut failed = None;
         for (packed, scalar, job_failed) in outs {
             if let Some((i, e)) = job_failed {
                 keep_lowest(&mut failed, i, e);
             }
             for (f, b, lanes) in packed {
-                let tests = &self.blocks[b as usize].tests;
-                for k in lanes.set_bits() {
-                    matrix[tests[k]][f as usize] = true;
-                }
+                columns[b as usize * faults.len() + f as usize] |= lanes;
             }
             for (f, t) in scalar {
                 matrix[t][f as usize] = true;
             }
         }
-        match failed {
-            Some((_, e)) => Err(e),
-            None => Ok(matrix),
+        if let Some((_, e)) = failed {
+            return Err(e);
+        }
+        self.write_columns(&columns, faults.len(), &mut matrix);
+        Ok(matrix)
+    }
+
+    /// Grades one matrix job's net units over every packed block with no
+    /// dropping, block by block, pushing each member's nonzero detection
+    /// lanes per block onto `hits`. Per block each unit flips its net on
+    /// every lane ([`PpsfpEngine::flip_diff`]) in at most two walks: the
+    /// launch frame's when the unit has a stuck-at member, the capture
+    /// frame's when it has one or some member launches or excites. A
+    /// stuck-at-`v` member reads each frame's difference on the lanes
+    /// where the good value is not `v`; a held member reads the capture
+    /// frame's on its own launch or excitation lanes, where the held
+    /// launch-frame word is the complement of the good one.
+    fn job_masks(
+        &self,
+        nets: &[NetUnit],
+        members: &mut [Member<'_, N>],
+        hits: &mut Vec<(u32, u32, LaneWord<N>)>,
+    ) {
+        let mut scratch = PpsfpScratch::default();
+        for (b, blk) in (0u32..).zip(&self.blocks) {
+            for u in nets {
+                Self::touch(blk);
+                let members = &mut members[u.members.clone()];
+                let held = self.set_held_lanes(members, blk);
+                let d1 = if u.stuck {
+                    self.flip_diff(&blk.g1, u.net, blk, &mut scratch)
+                } else {
+                    LaneWord::ZERO
+                };
+                let d2 = if u.stuck || held.any() {
+                    self.flip_diff(&blk.g2, u.net, blk, &mut scratch)
+                } else {
+                    LaneWord::ZERO
+                };
+                let net = u.net.index();
+                let (g1, g2) = (blk.g1[net], blk.g2[net]);
+                hits.extend(
+                    members
+                        .iter()
+                        .map(|m| {
+                            let lanes = match m.plan {
+                                FaultPlan::StuckAt { value, .. } => {
+                                    let v = stuck_word(value);
+                                    (d1 & (g1 ^ v)) | (d2 & (g2 ^ v))
+                                }
+                                _ => d2 & m.lanes,
+                            };
+                            (m.fault, b, lanes)
+                        })
+                        .filter(|&(_, _, lanes)| lanes.any()),
+                );
+            }
         }
     }
 
-    /// Grades the planned members of one net's walk unit over every
-    /// packed block with no dropping, pushing each member's nonzero
-    /// detection lanes per block onto `hits`. Per block the net is
-    /// flipped on every lane ([`PpsfpEngine::flip_diff`]) in at most two
-    /// walks: the launch frame's when the unit has a stuck-at member, the
-    /// capture frame's when it has one or some member launches or
-    /// excites. A stuck-at-`v` member reads each frame's difference on
-    /// the lanes where the good value is not `v`; a held member reads
-    /// the capture frame's on its own launch or excitation lanes, where
-    /// the held launch-frame word is the complement of the good one.
-    fn unit_masks(
-        &self,
-        members: &mut Vec<Member<'_, N>>,
-        scratch: &mut PpsfpScratch<N>,
-        hits: &mut Vec<(u32, u32, LaneWord<N>)>,
-    ) {
-        members.retain(|m| !matches!(m.plan, FaultPlan::Never));
-        let Some(net) = members.first().and_then(|m| m.plan.net()) else {
-            return;
-        };
-        let stuck = members
-            .iter()
-            .any(|m| matches!(m.plan, FaultPlan::StuckAt { .. }));
-        for (b, blk) in (0u32..).zip(&self.blocks) {
-            Self::touch(blk);
-            let held = self.set_held_lanes(members, blk);
-            let d1 = if stuck {
-                self.flip_diff(&blk.g1, net, blk, scratch)
-            } else {
-                LaneWord::ZERO
-            };
-            let d2 = if stuck || held.any() {
-                self.flip_diff(&blk.g2, net, blk, scratch)
-            } else {
-                LaneWord::ZERO
-            };
-            let (g1, g2) = (blk.g1[net.index()], blk.g2[net.index()]);
-            hits.extend(
-                members
-                    .iter()
-                    .map(|m| {
-                        let lanes = match m.plan {
-                            FaultPlan::StuckAt { value, .. } => {
-                                let v = stuck_word(value);
-                                (d1 & (g1 ^ v)) | (d2 & (g2 ^ v))
-                            }
-                            _ => d2 & m.lanes,
-                        };
-                        (m.fault, b, lanes)
-                    })
-                    .filter(|&(_, _, lanes)| lanes.any()),
-            );
+    /// Writes the packed detection columns (`columns[b * faults + f]`:
+    /// fault `f`'s detecting lanes on block `b`) into `matrix`, one
+    /// 64-fault × 64-test tile at a time: 64 faults' words of one lane
+    /// are transposed into 64 tests' rows ([`transpose64`]), and each
+    /// row's set bits land on its test's 64 consecutive entries.
+    fn write_columns(&self, columns: &[LaneWord<N>], faults: usize, matrix: &mut [Vec<bool>]) {
+        let mut tile = [0u64; 64];
+        for (blk, block_columns) in self.blocks.iter().zip(columns.chunks(faults)) {
+            for (lane, tests) in blk.tests.chunks(64).enumerate() {
+                for (group, cols) in block_columns.chunks(64).enumerate() {
+                    for (row, col) in tile.iter_mut().zip(cols) {
+                        *row = col.0[lane];
+                    }
+                    tile[cols.len()..].fill(0);
+                    transpose64(&mut tile);
+                    let first = group * 64;
+                    for (&t, &bits) in tests.iter().zip(&tile) {
+                        let row = &mut matrix[t][first..first + cols.len()];
+                        for f in LaneWord([bits]).set_bits() {
+                            row[f] = true;
+                        }
+                    }
+                }
+            }
         }
     }
 }

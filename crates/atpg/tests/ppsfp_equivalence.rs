@@ -22,7 +22,7 @@ use obd_atpg::AtpgError;
 use obd_core::characterize::DelayTable;
 use obd_core::{BreakdownStage, ObdFault, Polarity};
 use obd_logic::circuits::{c17, fig8_sum_circuit, mux_tree, ripple_carry_adder};
-use obd_logic::netlist::{GateKind, Netlist};
+use obd_logic::netlist::{GateKind, NetId, Netlist};
 use obd_logic::value::Lv;
 
 fn circuits() -> Vec<(&'static str, Netlist)> {
@@ -285,6 +285,78 @@ fn pooled_detection_matrix_matches_scalar_at_any_thread_count() {
         gated_mix > 0,
         "no unit mixes a gated member with a detected one"
     );
+}
+
+/// Matrix jobs grade their units block by block; at the super-lane
+/// width that takes more than one 512-test block. Of 1,100 tests two
+/// carry X bits, so 1,098 pack into blocks of 512, 512 and a ragged 74.
+/// On rca8 with two XOR gates, the matrix of every eleventh mixed fault
+/// (140 faults on 74 nets, two pool jobs), MBD1 faults under 30 ps of
+/// slack included, equals per-pair scalar `detects` at 1, 2, 3 and 7
+/// threads. With two faults that fail to plan appended, the
+/// lower-indexed one, whose unit is graded in the second job, is
+/// reported.
+#[test]
+fn multi_block_wide_matrix_matches_scalar() {
+    let (nl, [xa, xb]) = rca8_with_xors();
+    let sim = FaultSimulator::with_criterion(
+        &nl,
+        DelayTable::paper(),
+        DetectionCriterion::with_slack(30.0),
+    )
+    .unwrap();
+    let transition = |net, slow_to| Fault::Transition { net, slow_to };
+    // `xa`'s unit comes first and `xb`'s after every rca8 net's.
+    let mut universe = mixed_faults(&nl);
+    universe.extend(obd_faults(&nl, BreakdownStage::Mbd1, false));
+    let mut faults = vec![transition(xa, SlowTo::Fall)];
+    faults.extend(universe.into_iter().step_by(11));
+    faults.push(transition(xb, SlowTo::Rise));
+    let nets: std::collections::BTreeSet<usize> = faults.iter().map(|f| unit_net(&nl, f)).collect();
+    assert!(nets.len() > 64, "{} units make one pool job", nets.len());
+
+    let width = nl.inputs().len();
+    let mut tests = random_two_pattern(width, 1_100, 0x3B10);
+    tests[100].v1[0] = Lv::X;
+    tests[900].v2[width - 1] = Lv::X;
+    let scalar: Vec<Vec<bool>> = tests
+        .iter()
+        .map(|t| faults.iter().map(|f| sim.detects(f, t).unwrap()).collect())
+        .collect();
+    let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+    assert_eq!(engine.num_blocks(), 3);
+    assert_eq!(engine.scalar_fallback_tests(), 2);
+    // The ragged block and each X-bearing test detect something.
+    let detects_any = |t: usize| scalar[t].iter().any(|&d| d);
+    assert!(
+        (1_024..1_100).any(detects_any),
+        "the ragged block detects nothing"
+    );
+    assert!(detects_any(100) && detects_any(900));
+    for threads in [1, 2, 3, 7] {
+        assert_eq!(
+            engine.detection_matrix(&faults, threads).unwrap(),
+            scalar,
+            "threads = {threads}"
+        );
+    }
+    assert_eq!(sim.detection_matrix(&faults, &tests).unwrap(), scalar);
+
+    let em = |net| Fault::Em {
+        gate: nl.driver(net).unwrap(),
+        pin: 0,
+        polarity: Polarity::Pmos,
+    };
+    faults.extend([em(xb), em(xa)]);
+    let want = Err(AtpgError::UnsupportedGate { gate: "xb".into() });
+    for threads in [1, 2, 3, 7] {
+        assert_eq!(
+            engine.detection_matrix(&faults, threads),
+            want,
+            "threads = {threads}"
+        );
+    }
+    assert_eq!(sim.detection_matrix(&faults, &tests), want);
 }
 
 /// The net whose walk unit a fault joins in the detection matrix: the
@@ -809,6 +881,18 @@ fn shared_held_net_plans_match_scalar() {
     );
 }
 
+/// rca8 (89 nets) with two XOR gates, which have no cell model, so
+/// their OBD and EM faults fail to plan: `xa = a0 ^ b3` and the extra
+/// output `xb = xa ^ b0`. Returns the netlist and `[xa, xb]`.
+fn rca8_with_xors() -> (Netlist, [NetId; 2]) {
+    let mut nl = ripple_carry_adder(8);
+    let [a0, b0, b3] = ["a0", "b0", "b3"].map(|n| nl.find_net(n).unwrap());
+    let xa = nl.add_gate(GateKind::Xor, "xa", &[a0, b3]).unwrap();
+    let xb = nl.add_gate(GateKind::Xor, "xb", &[xa, b0]).unwrap();
+    nl.mark_output(xb);
+    (nl, [xa, xb])
+}
+
 /// A fault on a gate without a cell model is planned on its own even
 /// inside a held-net unit whose leader has a lower index, and the
 /// lowest-indexed failing fault's error is reported although a unit
@@ -816,11 +900,7 @@ fn shared_held_net_plans_match_scalar() {
 /// dropping graders and by the detection matrix.
 #[test]
 fn shared_held_net_plan_keeps_the_lowest_index_error() {
-    let mut nl = ripple_carry_adder(8);
-    let [a0, b0, b3] = ["a0", "b0", "b3"].map(|n| nl.find_net(n).unwrap());
-    let xa = nl.add_gate(GateKind::Xor, "xa", &[a0, b3]).unwrap();
-    let xb = nl.add_gate(GateKind::Xor, "xb", &[xa, b0]).unwrap();
-    nl.mark_output(xb);
+    let (nl, [xa, xb]) = rca8_with_xors();
     let sim = FaultSimulator::new(&nl).unwrap();
     let transition = |net, slow_to| Fault::Transition { net, slow_to };
     let obd = |net| {

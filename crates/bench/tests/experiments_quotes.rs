@@ -367,3 +367,122 @@ fn x5_matches_scan() {
     assert_eq!(expected.len(), 4, "fig8 and c17");
     assert_quotes("X5", &x5, &expected);
 }
+
+/// E10 quotes `results/detection_window.txt`: one `<slack> [<open>h,
+/// <close>h] ...` row per slack, the NMOS window first, then the PMOS
+/// window. The prose must carry the NMOS opening hours at 10 and 100 ps,
+/// the window's close (the reference progression's length), the slacks
+/// up to which the PMOS window opens no later than the NMOS one and from
+/// which it opens earlier, the PMOS opening at 100 ps against the NMOS
+/// one, and both openings at 200 ps, where the order has flipped.
+#[test]
+fn e10_matches_detection_window() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let e10 = between(&doc, "## E10 ", "\n## ").replace('\n', " ");
+    let text = repo_file("results/detection_window.txt");
+    // slack (ps) -> [NMOS, PMOS] windows as (open, close) hours.
+    let windows: BTreeMap<u32, [(f64, f64); 2]> = text
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let (slack, rest) = line.trim().split_once(' ').expect("slack column");
+            let hours = |w: &str| -> (f64, f64) {
+                let (open, close) = w
+                    .split_once(']')
+                    .expect("window")
+                    .0
+                    .split_once(',')
+                    .expect("open, close");
+                let hour = |h: &str| h.trim().trim_end_matches('h').parse().expect("hours");
+                (hour(open), hour(close))
+            };
+            let mut cols = rest.split('[').skip(1);
+            let nmos = hours(cols.next().expect("NMOS window"));
+            let pmos = hours(cols.next().expect("PMOS window"));
+            (slack.parse().expect("slack"), [nmos, pmos])
+        })
+        .collect();
+    let open = |slack: u32, pmos: bool| windows[&slack][usize::from(pmos)].0;
+    let close = windows[&10][0].1;
+    // The PMOS window opens no later than the NMOS one on a prefix of the
+    // slacks (later above it), and strictly earlier from some slack on.
+    let no_later: Vec<u32> = windows
+        .iter()
+        .filter(|(_, [nmos, pmos])| pmos.0 <= nmos.0)
+        .map(|(&slack, _)| slack)
+        .collect();
+    assert!(
+        windows.keys().take(no_later.len()).eq(&no_later),
+        "E10: the PMOS window opens later below a slack where it opens no later"
+    );
+    let up_to = *no_later.last().expect("a slack where PMOS opens no later");
+    let earlier = |slack: &u32| windows[slack][1].0 < windows[slack][0].0;
+    let from = *no_later
+        .iter()
+        .find(|s| earlier(s))
+        .expect("PMOS opens earlier");
+    assert!(no_later.iter().filter(|&&s| s >= from).all(earlier));
+    assert_quotes(
+        "E10",
+        &e10,
+        &[
+            format!("Linder {close} h"),
+            format!(
+                "a 10 ps-slack detector sees an NMOS defect from hour {}",
+                open(10, false)
+            ),
+            format!(
+                "a 100 ps-slack detector only from hour {} of {close}",
+                open(100, false)
+            ),
+            format!("up to {up_to} ps of slack, and earlier from {from} ps on"),
+            format!(
+                "hour {} against {} at 100 ps",
+                open(100, true),
+                open(100, false)
+            ),
+            format!(
+                "at 200 ps the PMOS window opens at hour {}, the NMOS window at {}",
+                open(200, true),
+                open(200, false)
+            ),
+        ],
+    );
+}
+
+/// E11 quotes `results/em_contrast.txt`: one `<cell> <EM incidences>
+/// <shared> <EM-only fraction>%` row per cell, then the EM-only
+/// sequences per transistor. The prose must carry the NAND2, NAND3 and
+/// AOI22 fractions and, as its example, the first NAND2 EM-only
+/// sequence.
+#[test]
+fn e11_matches_em_contrast() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let e11 = between(&doc, "## E11 ", "\n## ").replace('\n', " ");
+    let text = repo_file("results/em_contrast.txt");
+    let fractions: BTreeMap<&str, f64> = text
+        .lines()
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| {
+            let words: Vec<&str> = l.split_whitespace().collect();
+            let pct = words[3].strip_suffix('%').expect("a percentage");
+            (words[0], pct.parse().expect("EM-only fraction"))
+        })
+        .collect();
+    let example = text
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("NAND2 ")?.split_once(": "))
+        .and_then(|(_, seqs)| seqs.split_whitespace().next())
+        .expect("a NAND2 EM-only sequence");
+    assert_quotes(
+        "E11",
+        &e11,
+        &[
+            format!("but {} % of EM-exciting sequences", fractions["NAND2"]),
+            format!("e.g. {example}"),
+            format!("{} % for NAND3", fractions["NAND3"]),
+            format!("{} % for AOI22", fractions["AOI22"]),
+        ],
+    );
+}

@@ -18,8 +18,19 @@ use crate::LogicError;
 
 /// A super-lane word: `N` packed 64-pattern lanes, `64 * N` patterns
 /// total. Pattern `k` lives at bit `k % 64` of lane `k / 64`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Eq)]
 pub struct LaneWord<const N: usize>(pub [u64; N]);
+
+/// Equality is one XOR and an OR-fold over the lanes, with no early
+/// exit, so it stays inline and vectorizes. The derived array equality
+/// compiles a wide word's comparison to a `bcmp` call, which cost the
+/// cone walk half its time per gate at `N = 8`.
+impl<const N: usize> PartialEq for LaneWord<N> {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        (*self ^ *other).is_zero()
+    }
+}
 
 impl<const N: usize> LaneWord<N> {
     /// All patterns 0.
@@ -29,10 +40,11 @@ impl<const N: usize> LaneWord<N> {
     /// Patterns per word.
     pub const BITS: usize = 64 * N;
 
-    /// Whether any pattern bit is set.
+    /// Whether any pattern bit is set: an OR-fold over the lanes with no
+    /// early exit, which vectorizes.
     #[inline]
     pub fn any(self) -> bool {
-        self.0.iter().any(|&w| w != 0)
+        self.0.iter().fold(0, |acc, &w| acc | w) != 0
     }
 
     /// Whether no pattern bit is set.
@@ -288,7 +300,7 @@ fn row_flags(values: &[Lv]) -> u64 {
 /// bit `r` of row `c`. Each round swaps the off-diagonal `W × W` blocks
 /// of every `2W × 2W` square, `W` halving from 32 to 1.
 #[inline]
-fn transpose64(rows: &mut [u64; 64]) {
+pub fn transpose64(rows: &mut [u64; 64]) {
     swap_blocks::<32>(rows, 0x0000_0000_FFFF_FFFF);
     swap_blocks::<16>(rows, 0x0000_FFFF_0000_FFFF);
     swap_blocks::<8>(rows, 0x00FF_00FF_00FF_00FF);
@@ -441,6 +453,25 @@ mod tests {
             WideBlock::<1>::pack_slices(&ragged),
             Err(LogicError::InputCountMismatch { .. })
         ));
+    }
+
+    /// Equality and `any` agree with their per-lane definitions when the
+    /// words differ in one bit of any lane, at widths 1 and 8.
+    #[test]
+    fn laneword_eq_and_any_see_every_bit() {
+        fn check<const N: usize>() {
+            let base = LaneWord::<N>(std::array::from_fn(|i| 0x9E37_79B9_7F4A_7C15 ^ i as u64));
+            assert_eq!(base, base);
+            assert!(!LaneWord::<N>::ZERO.any() && LaneWord::<N>::ONES.any());
+            for k in 0..LaneWord::<N>::BITS {
+                let mut flipped = base;
+                flipped.0[k / 64] ^= 1 << (k % 64);
+                assert_ne!(base, flipped, "N={N} bit {k}");
+                assert!((base ^ flipped).any(), "N={N} bit {k}");
+            }
+        }
+        check::<1>();
+        check::<8>();
     }
 
     /// Seeded property: the transposed pack equals a per-bit reference
