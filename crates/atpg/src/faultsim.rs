@@ -357,12 +357,12 @@ impl<'a> FaultSimulator<'a> {
 
     /// [`FaultSimulator::grade`] fanned out over up to `threads` workers
     /// of the shared [`obd_core::pool`]: preparation runs one pool job
-    /// per eight blocks, and grading one job per 64 walk units
-    /// ([`PpsfpEngine::grade_parallel`]: the faults sharing an output
-    /// stuck-at or a held net grade as one unit). Either fan-out runs
-    /// inline when its work estimate is too small to pay for its
-    /// workers; under dropping most units stop at their first block, so
-    /// grading counts one block per unit.
+    /// per eight blocks, and grading one job per 64 nets
+    /// ([`PpsfpEngine::grade_parallel`]: all the faults on a net read
+    /// the same walks, at most one per frame and block). Either fan-out
+    /// runs inline when its work estimate is too small to pay for its
+    /// workers; under dropping most nets stop at their first block, so
+    /// grading counts one block per net.
     ///
     /// # Errors
     ///
@@ -376,7 +376,7 @@ impl<'a> FaultSimulator<'a> {
         if faults.is_empty() {
             return Ok(Vec::new());
         }
-        let units = WalkUnits::new(self, faults);
+        let units = WalkUnits::per_net(self.nl, faults);
         let engine = self.prepare_fan_out::<1>(tests, threads)?;
         let work = units.len().saturating_mul(self.nl.num_gates());
         let out = engine.grade_units(faults, &units, fan_out(threads, work))?;
@@ -404,7 +404,7 @@ impl<'a> FaultSimulator<'a> {
         tests: &[TwoPatternTest],
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
         let threads = host_threads();
-        let units = WalkUnits::per_net(self, faults);
+        let units = WalkUnits::per_net(self.nl, faults);
         let engine = self.prepare_fan_out::<SUPERLANE_WIDTH>(tests, threads)?;
         let work = (engine.num_blocks() * self.nl.num_gates()).saturating_mul(units.len());
         engine.matrix_units(faults, &units, fan_out(threads, work))

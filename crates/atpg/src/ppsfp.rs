@@ -58,25 +58,28 @@
 //! fills its good-response caches in one pool job per block, so a large
 //! test set does not serialize the warm-up.
 //!
-//! Both graders share cone walks among faults. In the dropping grader a
-//! walk unit is either the faults that degenerate to one output
-//! stuck-at, which walk once and share the detections, or the faults
-//! that hold one net's launch-frame word through the capture frame: its
-//! transition faults and the delay-regime OBD and EM faults of its
-//! driving gate. An OBD delay fault propagates like a transition fault,
-//! gated by its transistor's excitation, so these differ only in the
-//! lanes they launch or excite; one capture-frame walk per block serves
-//! them all, and each member reads the PO difference on its own lanes.
+//! Every grader shares cone walks among the faults on one net. A forced
+//! value either equals the good value on a lane or is its complement, and
+//! lanes never interact, so one walk that flips a net on some lanes gives
+//! each of those lanes' PO difference, and each fault on the net reads it
+//! on the lanes where its value differs from the good one. The walk unit
+//! is the net: its stuck-at faults, its transition faults, and the OBD
+//! and EM faults of its driving gate. An OBD delay fault propagates like
+//! a transition fault, gated by its transistor's excitation, so it
+//! differs from one only in the lanes it excites. Per block a unit walks
+//! each frame at most once, flipped only on the lanes some member reads,
+//! so the walk dies as soon as those lanes are masked:
 //!
-//! The no-drop matrix goes further: its walk unit is the net. A forced
-//! value either equals the good value on a lane or is its complement,
-//! so one walk that flips the net on every lane gives every lane's PO
-//! difference, and each fault on the net reads it on the lanes where its
-//! value differs from the good one. Per block a net walks at most once
-//! per frame, however many stuck-at and held faults it carries. The
-//! dropping grader keeps its masked three-slot walks, which die sooner:
-//! its members drop out after a block or two, and a flip walk there
-//! evaluates more gates for the walks it saves.
+//! * the launch frame on the lanes where a stuck-at member's value
+//!   differs from the good one;
+//! * the capture frame on those of the stuck-at members still pending,
+//!   plus each held member's launch or excitation lanes, where the held
+//!   launch-frame word is the complement of the good one.
+//!
+//! The dropping grader drops each member on its own lanes, and a stuck-at
+//! member the launch frame detects stays out of the capture-frame walk;
+//! the no-drop matrix and [`PpsfpEngine::detection_row`] run the same
+//! walk without dropping.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,7 +89,7 @@ use obd_cmos::switch::{CellTransistor, NetworkSide};
 use obd_cmos::SpNet;
 use obd_core::faultmodel::Polarity;
 use obd_core::pool::run_jobs;
-use obd_logic::netlist::{GateId, GateKind, NetId};
+use obd_logic::netlist::{GateId, GateKind, NetId, Netlist};
 use obd_logic::soa::ConeScratch;
 use obd_logic::value::Lv;
 use obd_logic::wide::{transpose64, LaneWord, WideBlock};
@@ -101,20 +104,18 @@ use crate::AtpgError;
 pub const SUPERLANE_WIDTH: usize = 8;
 
 /// Packed block evaluations performed: one per (fault, block) in
-/// [`PpsfpEngine::detection_row`] and [`PpsfpEngine::grade_one`], one per
-/// (net, block) in [`PpsfpEngine::detection_matrix`] and one per (walk
-/// unit, block) that the dropping [`PpsfpEngine::grade_parallel`]
-/// reaches, however many faults share the unit's walks (units whose
-/// members can never be detected reach none).
+/// [`PpsfpEngine::detection_row`], one per (net, block) in
+/// [`PpsfpEngine::detection_matrix`] and one per (net, block) that the
+/// dropping [`PpsfpEngine::grade_parallel`] reaches before every member
+/// of the net is detected, however many faults share the net's walks
+/// (nets whose members can never be detected reach none).
 static BLOCKS_GRADED: Counter = Counter::new("atpg.blocks_graded");
 /// Packed evaluations that reused a block's cached good-machine response
 /// (every evaluation after the block's first).
 static GOOD_SIM_CACHE_HITS: Counter = Counter::new("atpg.good_sim_cache_hits");
-/// Detections with grading work still pending — the work the drop
-/// skipped: one per fault in [`PpsfpEngine::grade_one`]; in
-/// [`PpsfpEngine::grade_parallel`] one per stuck-at unit the blocks
-/// detect (its members share one verdict), one per held-net unit member
-/// the blocks detect, and one per fault an X-bearing test detects.
+/// Faults [`PpsfpEngine::grade_parallel`] detects with grading work
+/// still pending, once per fault: the faults whose remaining blocks or
+/// X-bearing tests the drop skipped.
 static FAULTS_DROPPED: Counter = Counter::new("atpg.faults_dropped");
 /// Super-lane width (64-bit lanes per packed word) of the most recently
 /// prepared engine.
@@ -268,8 +269,8 @@ enum FaultPlan<'c, const N: usize> {
     /// Test-independent reasons make the fault undetectable (slack-gated
     /// delay, pin without a transistor in the relevant network).
     Never,
-    /// Forced-value stuck-at on a net.
-    StuckAt { net: NetId, value: bool },
+    /// Forced-value stuck-at on the fault's net.
+    StuckAt { value: bool },
     /// Transition fault: launch check at the net, then held-value
     /// propagation.
     Transition { net: NetId, rise: bool },
@@ -284,71 +285,44 @@ enum FaultPlan<'c, const N: usize> {
     },
 }
 
-/// The faults of one grading run, grouped into walk units: per output
-/// stuck-at and per held net for the dropping
-/// [`PpsfpEngine::grade_parallel`], per net for
-/// [`PpsfpEngine::detection_matrix`]. Units are ordered by their lowest
-/// fault index, and each unit's members ascend.
-/// Indices are `u32`, which any fault list that fits in memory does.
+/// The net whose walk unit a fault joins: the net it forces, holds or
+/// sticks (a transition or stuck-at fault's own net, the output of the
+/// gate carrying an OBD or EM fault).
+fn fault_net(nl: &Netlist, fault: &Fault) -> NetId {
+    match fault {
+        Fault::StuckAt { net, .. } | Fault::Transition { net, .. } => *net,
+        Fault::Obd(f) => nl.gate(f.gate).output,
+        Fault::Em { gate, .. } => nl.gate(*gate).output,
+    }
+}
+
+/// The faults of one grading run, grouped into one walk unit per net
+/// ([`fault_net`]). Units are ordered by their lowest fault index, and
+/// each unit's members ascend. Indices are `u32`, which any fault list
+/// that fits in memory does.
 pub(crate) struct WalkUnits {
     /// Unit `u`'s members are `members[start[u]..start[u + 1]]`.
     start: Vec<u32>,
     /// Fault indices, unit by unit.
     members: Vec<u32>,
+    /// Each unit's net.
+    nets: Vec<NetId>,
 }
 
 impl WalkUnits {
-    /// The dropping grader's walk unit a fault joins, as `3 * net + slot`:
-    /// slot 0 or 1 for the output stuck-at at that value a fault plans to
-    /// ([`FaultPlan::StuckAt`]: a stuck-at fault, or an OBD fault at a
-    /// stuck stage), slot 2 for the net whose launch-frame word a fault
-    /// holds through the capture frame (a transition fault, or a
-    /// delay-regime OBD or EM fault of the net's driving gate).
-    /// Faults of one stuck-at key detect on the same tests; faults of
-    /// one held net differ only in the lanes they launch or excite. The
-    /// matrix's unit is the net, `key / 3`.
-    fn key(sim: &FaultSimulator<'_>, fault: &Fault) -> usize {
-        let nl = sim.nl;
-        let (net, slot) = match fault {
-            Fault::StuckAt { net, value } => (*net, usize::from(*value)),
-            Fault::Transition { net, .. } => (*net, 2),
-            Fault::Obd(f) => {
-                let gate = nl.gate(f.gate);
-                let slot = if sim.table.is_stuck(f.polarity, f.stage) {
-                    usize::from(stuck_output_value(gate.kind, f.polarity))
-                } else {
-                    2
-                };
-                (gate.output, slot)
-            }
-            Fault::Em { gate, .. } => (nl.gate(*gate).output, 2),
-        };
-        3 * net.index() + slot
-    }
-
-    /// Groups `faults` into the dropping grader's walk units, one per
-    /// [`WalkUnits::key`].
-    pub(crate) fn new(sim: &FaultSimulator<'_>, faults: &[Fault]) -> Self {
-        Self::grouped::<1>(sim, faults)
-    }
-
-    /// Groups `faults` into the no-drop matrix's walk units, one per net:
-    /// every fault that forces, holds or sticks a net's value.
-    pub(crate) fn per_net(sim: &FaultSimulator<'_>, faults: &[Fault]) -> Self {
-        Self::grouped::<3>(sim, faults)
-    }
-
-    /// Groups `faults` by [`WalkUnits::key`]` / SLOTS`.
-    fn grouped<const SLOTS: usize>(sim: &FaultSimulator<'_>, faults: &[Fault]) -> Self {
-        let unit_key = |f| Self::key(sim, f) / SLOTS;
+    /// Groups `faults` into one walk unit per net.
+    pub(crate) fn per_net(nl: &Netlist, faults: &[Fault]) -> Self {
         // Two passes over the faults: number the units in order of their
         // first fault and count their members, then place each fault.
-        let mut unit_of = vec![u32::MAX; 3 * sim.nl.num_nets() / SLOTS];
+        let mut unit_of = vec![u32::MAX; nl.num_nets()];
         let mut start = vec![0u32];
+        let mut nets = Vec::new();
         for f in faults {
-            let u = &mut unit_of[unit_key(f)];
+            let net = fault_net(nl, f);
+            let u = &mut unit_of[net.index()];
             if *u == u32::MAX {
-                *u = (start.len() - 1) as u32;
+                *u = nets.len() as u32;
+                nets.push(net);
                 start.push(0);
             }
             start[*u as usize + 1] += 1;
@@ -359,16 +333,20 @@ impl WalkUnits {
         let mut fill = start.clone();
         let mut members = vec![0; faults.len()];
         for (i, f) in faults.iter().enumerate() {
-            let slot = &mut fill[unit_of[unit_key(f)] as usize];
+            let slot = &mut fill[unit_of[fault_net(nl, f).index()] as usize];
             members[*slot as usize] = i as u32;
             *slot += 1;
         }
-        WalkUnits { start, members }
+        WalkUnits {
+            start,
+            members,
+            nets,
+        }
     }
 
     /// Number of units.
     pub(crate) fn len(&self) -> usize {
-        self.start.len() - 1
+        self.nets.len()
     }
 
     /// The fault indices of unit `u`, ascending.
@@ -397,33 +375,33 @@ fn keep_lowest(failed: &mut Option<(usize, AtpgError)>, i: usize, e: AtpgError) 
     }
 }
 
-/// One planned member of a walk unit: its fault index, its plan and its
-/// launch/excitation lanes on the block being graded.
+/// One planned member of a walk unit: its fault index and plan, and on
+/// the block being graded the lanes its capture-frame walk flips and the
+/// lanes that detect it ([`PpsfpEngine::walk_net`]).
 struct Member<'c, const N: usize> {
     fault: u32,
     plan: FaultPlan<'c, N>,
     lanes: LaneWord<N>,
+    hits: LaneWord<N>,
 }
 
-impl<const N: usize> FaultPlan<'_, N> {
-    /// The net a plan forces or holds; `None` for [`FaultPlan::Never`].
-    fn net(&self) -> Option<NetId> {
-        match *self {
-            FaultPlan::StuckAt { net, .. }
-            | FaultPlan::Transition { net, .. }
-            | FaultPlan::Excited { out: net, .. } => Some(net),
-            FaultPlan::Never => None,
+impl<'c, const N: usize> Member<'c, N> {
+    /// Fault `fault` planned as `plan`, with no lanes yet.
+    fn new(fault: u32, plan: FaultPlan<'c, N>) -> Self {
+        Member {
+            fault,
+            plan,
+            lanes: LaneWord::ZERO,
+            hits: LaneWord::ZERO,
         }
     }
 }
 
-/// One net's walk unit in a no-drop matrix job: the net, its planned
-/// members (a range of the job's member list, none of them
-/// [`FaultPlan::Never`]) and whether one of them is a stuck-at.
+/// One net's walk unit in a no-drop matrix job: the net and its planned
+/// members, a range of the job's member list.
 struct NetUnit {
     net: NetId,
     members: Range<usize>,
-    stuck: bool,
 }
 
 /// A prepared bit-parallel grading engine over one simulator and one
@@ -609,10 +587,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     /// into a per-fault plan.
     fn plan(&self, fault: &Fault) -> Result<FaultPlan<'_, N>, AtpgError> {
         match fault {
-            Fault::StuckAt { net, value } => Ok(FaultPlan::StuckAt {
-                net: *net,
-                value: *value,
-            }),
+            Fault::StuckAt { value, .. } => Ok(FaultPlan::StuckAt { value: *value }),
             Fault::Transition { net, slow_to } => Ok(FaultPlan::Transition {
                 net: *net,
                 rise: *slow_to == SlowTo::Rise,
@@ -627,7 +602,6 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                 // Stuck stages degenerate into an output stuck-at.
                 if self.sim.table.is_stuck(f.polarity, f.stage) {
                     return Ok(FaultPlan::StuckAt {
-                        net: gate.output,
                         value: stuck_output_value(gate.kind, f.polarity),
                     });
                 }
@@ -672,48 +646,6 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
     }
 
-    /// Frame-2 propagation of a held value: `net` keeps its frame-1
-    /// word and the POs are diffed against the cached good response.
-    fn held_value_diff(
-        &self,
-        blk: &GoodBlock<N>,
-        net: NetId,
-        held: LaneWord<N>,
-        scratch: &mut PpsfpScratch<N>,
-    ) -> LaneWord<N> {
-        self.sim
-            .soa
-            .propagate_held(&blk.g2, net, held, &mut scratch.cone)
-            & blk.mask
-    }
-
-    /// Detection mask of a fault over one block: bit `k` set iff lane
-    /// `k`'s test detects the fault.
-    fn detect_mask(
-        &self,
-        plan: &FaultPlan<'_, N>,
-        blk: &GoodBlock<N>,
-        scratch: &mut PpsfpScratch<N>,
-    ) -> LaneWord<N> {
-        match *plan {
-            FaultPlan::Never => LaneWord::ZERO,
-            FaultPlan::StuckAt { net, value } => {
-                let soa = &self.sim.soa;
-                let word = stuck_word(value);
-                (soa.propagate_held(&blk.g1, net, word, &mut scratch.cone)
-                    | soa.propagate_held(&blk.g2, net, word, &mut scratch.cone))
-                    & blk.mask
-            }
-            FaultPlan::Transition { net, .. } | FaultPlan::Excited { out: net, .. } => {
-                let lanes = self.held_lanes(plan, blk);
-                if lanes.is_zero() {
-                    return LaneWord::ZERO;
-                }
-                self.held_value_diff(blk, net, blk.g1[net.index()], scratch) & lanes
-            }
-        }
-    }
-
     /// The lanes of a block on which a held-value plan launches its
     /// transition ([`FaultPlan::Transition`]) or excites its transistor
     /// ([`FaultPlan::Excited`]); zero for every other plan.
@@ -751,9 +683,9 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
     }
 
-    /// Counts the block against the grading metrics and reports whether
-    /// its good response was already cached by an earlier fault. With
-    /// metrics off this is one branch: the `touched` flag lives next to
+    /// Counts one evaluation of the block against the grading metrics,
+    /// and a cache hit when an earlier evaluation already touched it.
+    /// With metrics off this is one branch: the `touched` flag lives next to
     /// the block's cached words that every worker reads, so it is only
     /// stored to while its counter records.
     fn touch(blk: &GoodBlock<N>) {
@@ -766,25 +698,68 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
     }
 
-    /// Whether any lane of the block detects the fault. A stuck-at walks
-    /// the capture frame's cone only when the launch frame's misses: the
-    /// OR of the two frames' masks is nonzero iff one of them is.
-    fn detects_in(
+    /// Grades the members of `net`'s walk unit over one block, setting
+    /// each member's detecting lanes in `hits`, in at most one cone walk
+    /// per frame. Each walk flips the net on the lanes its members read:
+    ///
+    /// * the launch frame where a stuck-at-`v` member's `v` differs from
+    ///   the good value;
+    /// * the capture frame where a stuck-at member still pending differs,
+    ///   and on each held member's launch or excitation lanes, where the
+    ///   held launch-frame word is the complement of the good one.
+    ///
+    /// Each member then reads its own lanes of each walk's PO difference.
+    /// With `dropping`, a stuck-at member the launch frame detects is
+    /// done and stays out of the capture-frame walk.
+    fn walk_net(
         &self,
-        plan: &FaultPlan<'_, N>,
+        net: NetId,
+        members: &mut [Member<'_, N>],
         blk: &GoodBlock<N>,
+        dropping: bool,
         scratch: &mut PpsfpScratch<N>,
-    ) -> bool {
-        match *plan {
-            FaultPlan::StuckAt { net, value } => {
-                let soa = &self.sim.soa;
-                let word = stuck_word(value);
-                [&blk.g1, &blk.g2].into_iter().any(|good| {
-                    (soa.propagate_held(good, net, word, &mut scratch.cone) & blk.mask).any()
-                })
+    ) {
+        let (g1, g2) = (blk.g1[net.index()], blk.g2[net.index()]);
+        let mut launch = LaneWord::ZERO;
+        for m in members.iter() {
+            if let FaultPlan::StuckAt { value } = m.plan {
+                launch |= g1 ^ stuck_word(value);
             }
-            _ => self.detect_mask(plan, blk, scratch).any(),
         }
+        let d1 = self.flip_walk(&blk.g1, net, launch & blk.mask, scratch);
+        let mut capture = LaneWord::ZERO;
+        for m in members.iter_mut() {
+            (m.hits, m.lanes) = match m.plan {
+                FaultPlan::StuckAt { value } => {
+                    let v = stuck_word(value);
+                    let hits = d1 & (g1 ^ v);
+                    let done = dropping && hits.any();
+                    let lanes = if done { LaneWord::ZERO } else { g2 ^ v };
+                    (hits, lanes & blk.mask)
+                }
+                _ => (LaneWord::ZERO, self.held_lanes(&m.plan, blk)),
+            };
+            capture |= m.lanes;
+        }
+        let d2 = self.flip_walk(&blk.g2, net, capture, scratch);
+        for m in members.iter_mut() {
+            m.hits |= d2 & m.lanes;
+        }
+    }
+
+    /// The PO difference of flipping `net` on `lanes` in the frame whose
+    /// good words are `good`; zero, without a walk, when `lanes` is.
+    fn flip_walk(
+        &self,
+        good: &[LaneWord<N>],
+        net: NetId,
+        lanes: LaneWord<N>,
+        scratch: &mut PpsfpScratch<N>,
+    ) -> LaneWord<N> {
+        let flipped = good[net.index()] ^ lanes;
+        self.sim
+            .soa
+            .propagate_held(good, net, flipped, &mut scratch.cone)
     }
 
     /// Counts a detection after `done` of the engine's blocks and scalar
@@ -793,105 +768,6 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         if done < self.blocks.len() + self.scalar_tests.len() {
             FAULTS_DROPPED.inc();
         }
-    }
-
-    /// Whether a packed block detects the planned fault, stopping at the
-    /// first block that does.
-    fn packed_hit(&self, plan: &FaultPlan<'_, N>, scratch: &mut PpsfpScratch<N>) -> bool {
-        for (k, blk) in self.blocks.iter().enumerate() {
-            Self::touch(blk);
-            if self.detects_in(plan, blk, scratch) {
-                self.count_drop(k + 1);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Grades the planned members of one held-net unit over the packed
-    /// blocks with dropping, pushing each member a block detects onto
-    /// `hits`. Per block, one capture-frame cone walk of the net's held
-    /// launch-frame word serves every member still undetected: a member
-    /// is detected iff the walk's PO difference meets its own launch or
-    /// excitation lanes. The walk is skipped on blocks where no member
-    /// launches or excites, and the unit stops once every member is
-    /// detected.
-    fn held_hits(
-        &self,
-        net: NetId,
-        members: &mut Vec<Member<'_, N>>,
-        scratch: &mut PpsfpScratch<N>,
-        hits: &mut Vec<u32>,
-    ) {
-        members.retain(|m| !matches!(m.plan, FaultPlan::Never));
-        for (k, blk) in self.blocks.iter().enumerate() {
-            if members.is_empty() {
-                return;
-            }
-            Self::touch(blk);
-            let Some(diff) = self.held_walk(net, members, blk, scratch) else {
-                continue;
-            };
-            members.retain(|m| {
-                let caught = (diff & m.lanes).any();
-                if caught {
-                    self.count_drop(k + 1);
-                    hits.push(m.fault);
-                }
-                !caught
-            });
-        }
-    }
-
-    /// One capture-frame walk of a held-net unit over a block: sets each
-    /// member's launch or excitation lanes and returns the PO difference
-    /// of holding the net's launch-frame word on their union, or `None`
-    /// when no member launches or excites on the block. Holding the word
-    /// only on lanes some member needs lets the walk die sooner; the
-    /// other lanes read good.
-    fn held_walk(
-        &self,
-        net: NetId,
-        members: &mut [Member<'_, N>],
-        blk: &GoodBlock<N>,
-        scratch: &mut PpsfpScratch<N>,
-    ) -> Option<LaneWord<N>> {
-        let any = self.set_held_lanes(members, blk);
-        if any.is_zero() {
-            return None;
-        }
-        let (w1, w2) = (blk.g1[net.index()], blk.g2[net.index()]);
-        Some(self.held_value_diff(blk, net, w2 ^ ((w1 ^ w2) & any), scratch))
-    }
-
-    /// Sets each member's launch or excitation lanes on the block (zero
-    /// for a stuck-at member) and returns their union.
-    fn set_held_lanes(&self, members: &mut [Member<'_, N>], blk: &GoodBlock<N>) -> LaneWord<N> {
-        let mut any = LaneWord::ZERO;
-        for m in members.iter_mut() {
-            m.lanes = self.held_lanes(&m.plan, blk);
-            any |= m.lanes;
-        }
-        any
-    }
-
-    /// The PO difference of flipping `net` on every valid lane of a block
-    /// in the frame whose good words are `good`. Lanes never interact,
-    /// and a forced value either equals the good value on a lane or is
-    /// its complement, so every fault that forces or holds `net` in that
-    /// frame detects exactly on this difference masked by the lanes
-    /// where its value differs from the good one.
-    fn flip_diff(
-        &self,
-        good: &[LaneWord<N>],
-        net: NetId,
-        blk: &GoodBlock<N>,
-        scratch: &mut PpsfpScratch<N>,
-    ) -> LaneWord<N> {
-        self.sim
-            .soa
-            .propagate_held(good, net, !good[net.index()], &mut scratch.cone)
-            & blk.mask
     }
 
     /// Whether an X-bearing test detects the fault, stopping at the
@@ -906,27 +782,11 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         Ok(false)
     }
 
-    /// Whether any test detects the fault, dropping the fault at its
-    /// first detection (remaining blocks/tests are skipped).
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and scalar-fallback detection errors.
-    pub fn grade_one(
-        &self,
-        fault: &Fault,
-        scratch: &mut PpsfpScratch<N>,
-    ) -> Result<bool, AtpgError> {
-        if self.tests.is_empty() {
-            return Ok(false);
-        }
-        let plan = self.plan(fault)?;
-        Ok(self.packed_hit(&plan, scratch) || self.scalar_hit(fault)?)
-    }
-
     /// Per-test detection flags for one fault (no dropping), in test
     /// order — the engine-side primitive behind BIST response modeling:
-    /// packed blocks first, then the scalar-fallback tests.
+    /// packed blocks first, each graded by the per-net walk of the module
+    /// docs with the fault as its only member, then the scalar-fallback
+    /// tests.
     ///
     /// # Errors
     ///
@@ -940,10 +800,12 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         if self.tests.is_empty() {
             return Ok(row);
         }
-        let plan = self.plan(fault)?;
+        let net = fault_net(self.sim.nl, fault);
+        let member = &mut [Member::new(0, self.plan(fault)?)];
         for blk in &self.blocks {
             Self::touch(blk);
-            for k in self.detect_mask(&plan, blk, scratch).set_bits() {
+            self.walk_net(net, member, blk, false, scratch);
+            for k in member[0].hits.set_bits() {
                 row[blk.tests[k]] = true;
             }
         }
@@ -953,8 +815,9 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         Ok(row)
     }
 
-    /// Plans the faults `ids` of one walk unit into `members`, recording
-    /// a planning error at its own fault index in `failed`: a fault that
+    /// Plans the faults `ids` of one walk unit onto `members`, leaving out
+    /// the [`FaultPlan::Never`] ones, which walk nothing, and recording a
+    /// planning error at its own fault index in `failed`: a fault that
     /// would share another's walk still reports its own error.
     fn plan_members<'e>(
         &'e self,
@@ -963,14 +826,10 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         members: &mut Vec<Member<'e, N>>,
         failed: &mut Option<(usize, AtpgError)>,
     ) {
-        members.clear();
         for &i in ids {
             match self.plan(&faults[i as usize]) {
-                Ok(plan) => members.push(Member {
-                    fault: i,
-                    plan,
-                    lanes: LaneWord::ZERO,
-                }),
+                Ok(FaultPlan::Never) => {}
+                Ok(plan) => members.push(Member::new(i, plan)),
                 Err(e) => keep_lowest(failed, i as usize, e),
             }
         }
@@ -979,19 +838,15 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     /// Grades the fault list with dropping on up to `threads` pool
     /// workers.
     ///
-    /// The faults are grouped into walk units, each graded as one with
-    /// one cone walk per packed block it reaches:
-    ///
-    /// * Faults that plan to the same output stuck-at (a stuck-at fault
-    ///   and the stuck-stage OBD faults of its driving gate) detect on
-    ///   the same tests, so the unit's first fault walks the blocks and
-    ///   the rest copy its verdict.
-    /// * Faults that hold the same net's launch-frame word through the
-    ///   capture frame (its transition faults and the delay-regime OBD
-    ///   and EM faults of its driving gate) propagate the same held
-    ///   value, so one capture-frame walk per block serves every member
-    ///   still undetected, each detected on its own launch or excitation
-    ///   lanes; members drop out as they are detected.
+    /// The faults are grouped into one walk unit per net: its stuck-at
+    /// faults, its transition faults, and the OBD and EM faults of its
+    /// driving gate. Per packed block a unit walks each frame at most
+    /// once for all its members still undetected (see the module docs).
+    /// Each member is detected on its own lanes and drops out; a
+    /// stuck-at member the launch frame detects stays out of the
+    /// capture-frame walk. The unit stops once every member is detected.
+    /// Members that can never be detected (slack-gated, or without a
+    /// transistor to excite) walk nothing.
     ///
     /// Each pool job plans and grades 64 consecutive units with its own
     /// scratch arena, so workers stay load-balanced under dropping.
@@ -1003,7 +858,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     /// The error of the lowest-indexed failing fault, at any thread
     /// count; a panicking job surfaces as [`AtpgError::Internal`].
     pub fn grade_parallel(&self, faults: &[Fault], threads: usize) -> Result<Vec<bool>, AtpgError> {
-        self.grade_units(faults, &WalkUnits::new(self.sim, faults), threads)
+        self.grade_units(faults, &WalkUnits::per_net(self.sim.nl, faults), threads)
     }
 
     /// [`PpsfpEngine::grade_parallel`] over the faults' walk units.
@@ -1028,17 +883,25 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
             let mut hits = Vec::new();
             let mut failed = None;
             for u in range.clone() {
+                members.clear();
                 self.plan_members(faults, units.members(u), &mut members, &mut failed);
                 if failed.is_some() {
                     continue;
                 }
-                // Every member of a stuck-at unit has the same plan.
-                if let FaultPlan::StuckAt { .. } = members[0].plan {
-                    if self.packed_hit(&members[0].plan, &mut scratch) {
-                        hits.extend(units.members(u));
+                for (k, blk) in self.blocks.iter().enumerate() {
+                    if members.is_empty() {
+                        break;
                     }
-                } else if let Some(net) = members.iter().find_map(|m| m.plan.net()) {
-                    self.held_hits(net, &mut members, &mut scratch, &mut hits);
+                    Self::touch(blk);
+                    self.walk_net(units.nets[u], &mut members, blk, true, &mut scratch);
+                    members.retain(|m| {
+                        let caught = m.hits.any();
+                        if caught {
+                            self.count_drop(k + 1);
+                            hits.push(m.fault);
+                        }
+                        !caught
+                    });
                 }
             }
             Ok::<_, AtpgError>((hits, failed))
@@ -1080,15 +943,11 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     /// The full detection matrix `matrix[t][f]` (no dropping) on up to
     /// `threads` pool workers.
     ///
-    /// The faults are grouped into one walk unit per net: its stuck-at
-    /// faults, its transition faults, and the OBD and EM faults of its
-    /// driving gate. Per packed block the unit flips the net on every
-    /// lane in at most two walks, and each member reads its own lanes
-    /// of the PO difference:
+    /// The faults are grouped into one walk unit per net, as in
+    /// [`PpsfpEngine::grade_parallel`]. Per packed block a unit walks
+    /// each frame at most once, flipped on the lanes its members read,
+    /// and each member reads its own lanes of the PO difference:
     ///
-    /// * The launch frame is walked when the unit has a stuck-at member,
-    ///   the capture frame when it has one or some member launches or
-    ///   excites on the block.
     /// * A stuck-at-`v` member (a stuck-at fault, or an OBD fault at a
     ///   stuck stage) detects on each frame's difference where the good
     ///   value is not `v`.
@@ -1120,7 +979,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         faults: &[Fault],
         threads: usize,
     ) -> Result<Vec<Vec<bool>>, AtpgError> {
-        self.matrix_units(faults, &WalkUnits::per_net(self.sim, faults), threads)
+        self.matrix_units(faults, &WalkUnits::per_net(self.sim.nl, faults), threads)
     }
 
     /// [`PpsfpEngine::detection_matrix`] over the faults' walk units.
@@ -1139,7 +998,6 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
             return Ok(matrix);
         }
         let outs = run_jobs(&units.jobs(), threads, |_, range| {
-            let mut planned = Vec::new();
             let mut members = Vec::new();
             let mut nets = Vec::new();
             // (fault, block, detecting lanes) and (fault, scalar test).
@@ -1147,33 +1005,24 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
             let mut scalar: Vec<(u32, usize)> = Vec::new();
             let mut failed = None;
             for u in range.clone() {
-                self.plan_members(faults, units.members(u), &mut planned, &mut failed);
+                let first = members.len();
+                self.plan_members(faults, units.members(u), &mut members, &mut failed);
                 if failed.is_some() {
                     continue;
                 }
-                for m in &planned {
+                for &i in units.members(u) {
                     for &t in &self.scalar_tests {
-                        match self.sim.detects(&faults[m.fault as usize], &self.tests[t]) {
-                            Ok(true) => scalar.push((m.fault, t)),
+                        match self.sim.detects(&faults[i as usize], &self.tests[t]) {
+                            Ok(true) => scalar.push((i, t)),
                             Ok(false) => {}
-                            Err(e) => keep_lowest(&mut failed, m.fault as usize, e),
+                            Err(e) => keep_lowest(&mut failed, i as usize, e),
                         }
                     }
                 }
-                let first = members.len();
-                members.extend(
-                    planned
-                        .drain(..)
-                        .filter(|m| !matches!(m.plan, FaultPlan::Never)),
-                );
-                if let Some(net) = members.get(first).and_then(|m| m.plan.net()) {
-                    let stuck = members[first..]
-                        .iter()
-                        .any(|m| matches!(m.plan, FaultPlan::StuckAt { .. }));
+                if members.len() > first {
                     nets.push(NetUnit {
-                        net,
+                        net: units.nets[u],
                         members: first..members.len(),
-                        stuck,
                     });
                 }
             }
@@ -1204,15 +1053,8 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     }
 
     /// Grades one matrix job's net units over every packed block with no
-    /// dropping, block by block, pushing each member's nonzero detection
-    /// lanes per block onto `hits`. Per block each unit flips its net on
-    /// every lane ([`PpsfpEngine::flip_diff`]) in at most two walks: the
-    /// launch frame's when the unit has a stuck-at member, the capture
-    /// frame's when it has one or some member launches or excites. A
-    /// stuck-at-`v` member reads each frame's difference on the lanes
-    /// where the good value is not `v`; a held member reads the capture
-    /// frame's on its own launch or excitation lanes, where the held
-    /// launch-frame word is the complement of the good one.
+    /// dropping, block by block ([`PpsfpEngine::walk_net`]), pushing each
+    /// member's nonzero detection lanes per block onto `hits`.
     fn job_masks(
         &self,
         nets: &[NetUnit],
@@ -1224,33 +1066,12 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
             for u in nets {
                 Self::touch(blk);
                 let members = &mut members[u.members.clone()];
-                let held = self.set_held_lanes(members, blk);
-                let d1 = if u.stuck {
-                    self.flip_diff(&blk.g1, u.net, blk, &mut scratch)
-                } else {
-                    LaneWord::ZERO
-                };
-                let d2 = if u.stuck || held.any() {
-                    self.flip_diff(&blk.g2, u.net, blk, &mut scratch)
-                } else {
-                    LaneWord::ZERO
-                };
-                let net = u.net.index();
-                let (g1, g2) = (blk.g1[net], blk.g2[net]);
+                self.walk_net(u.net, members, blk, false, &mut scratch);
                 hits.extend(
                     members
                         .iter()
-                        .map(|m| {
-                            let lanes = match m.plan {
-                                FaultPlan::StuckAt { value, .. } => {
-                                    let v = stuck_word(value);
-                                    (d1 & (g1 ^ v)) | (d2 & (g2 ^ v))
-                                }
-                                _ => d2 & m.lanes,
-                            };
-                            (m.fault, b, lanes)
-                        })
-                        .filter(|&(_, _, lanes)| lanes.any()),
+                        .filter(|m| m.hits.any())
+                        .map(|m| (m.fault, b, m.hits)),
                 );
             }
         }

@@ -4,12 +4,13 @@
 //! (2,530 faults) on 512 seeded tests, one packed block at the
 //! super-lane width, at one thread with metrics on. It bounds
 //! `atpg.blocks_graded`, which counts one packed block evaluation per
-//! (net, block): every fault on a net reads the same flip walks, so a
-//! change that quietly walks per stuck value and held net, or per
-//! fault, raises the count and fails here, however fast the host. A
-//! per-net unit flips its net on every lane, so its walks reach further
-//! than a masked one; `logic.soa_gates_simulated` is bounded too, and
-//! catches a change that keeps the walk count but widens the walks.
+//! (net, block): every fault on a net reads the same walks, so a change
+//! that quietly walks per stuck value and held net, or per fault, raises
+//! the count and fails here, however fast the host. Each walk flips the
+//! net only on the lanes its members read; `logic.soa_gates_simulated`
+//! is bounded too, and catches a change that keeps the walk count but
+//! widens the walks (flipping the net on every lane evaluates 1,183,659
+//! gates).
 //!
 //! The only test of its binary: the metrics registry is process-wide.
 
@@ -38,11 +39,12 @@ fn mult16_detection_matrix_shares_its_walks() {
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     let blocks = delta("atpg.blocks_graded");
     let gates = delta("logic.soa_gates_simulated");
+    let detections = matrix.iter().flatten().filter(|&&d| d).count();
     println!(
-        "mult16: {} faults, {} detections, {blocks} blocks graded, {gates} gates evaluated",
+        "mult16: {} faults, {detections} detections, {blocks} blocks graded, {gates} gates evaluated",
         faults.len(),
-        matrix.iter().flatten().filter(|&&d| d).count()
     );
+    assert_eq!(detections, 432_055);
     // 781 with one unit per net (the sample's faults sit on 781 nets);
     // 1,735 with one unit per stuck value and held net, 2,530 when every
     // fault walks on its own.
@@ -50,10 +52,11 @@ fn mult16_detection_matrix_shares_its_walks() {
         blocks <= 781,
         "{blocks} blocks graded, above 781: does every fault on a net share its walks?"
     );
-    // 1,183,659 with per-net flip walks; 1,670,681 with one unit per
-    // stuck value and held net.
+    // 1,050,213 with walks flipped on the lanes their members read;
+    // 1,183,659 flipped on every lane, 1,670,681 with one unit per stuck
+    // value and held net.
     assert!(
-        gates <= 1_183_659,
-        "{gates} gates evaluated, above 1,183,659: do the walks flip the net once per frame?"
+        gates <= 1_050_213,
+        "{gates} gates evaluated, above 1,050,213: do the walks flip only the lanes they read?"
     );
 }

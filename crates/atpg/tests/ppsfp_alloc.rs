@@ -1,7 +1,8 @@
 //! Proves the packed grading inner loops are allocation-free in steady
-//! state: once an engine and a scratch arena are warm, grading any
-//! number of faults against the packed blocks must not touch the heap
-//! beyond the detection rows the no-drop loop hands back.
+//! state: the dropping grader's heap calls do not grow with the number
+//! of blocks it walks, and once an engine and a scratch arena are warm,
+//! the no-drop row loop touches the heap only for the rows it hands
+//! back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,7 +12,7 @@ use std::sync::Mutex;
 mod common;
 
 use common::{mixed_cells, mixed_faults};
-use obd_atpg::fault::{obd_faults, Fault};
+use obd_atpg::fault::obd_faults;
 use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
 use obd_atpg::random::random_two_pattern;
@@ -64,46 +65,62 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// process-wide, so tests in this binary must not overlap.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-/// Grades every fault once to size the scratch arena, then counts the
-/// heap calls of a second pass of `pass` over the same faults.
-fn warm_heap_calls(faults: &[Fault], mut pass: impl FnMut(&Fault)) -> u64 {
-    faults.iter().for_each(&mut pass);
+/// Runs `pass` once to warm up, then counts the heap calls of a second
+/// run.
+fn warm_heap_calls(mut pass: impl FnMut()) -> u64 {
+    pass();
     ALLOC_CALLS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
-    faults.iter().for_each(&mut pass);
+    pass();
     COUNTING.store(false, Ordering::SeqCst);
     ALLOC_CALLS.load(Ordering::SeqCst)
 }
 
-/// With metrics disabled (branch-only counters), a warm width-1 engine
-/// grades every fault model with dropping without a single heap
-/// operation: the cone overlay is reused across faults and blocks.
+/// With metrics disabled (branch-only counters), the warm width-1
+/// dropping grader makes as many heap calls over 16 blocks as over 4:
+/// its per-call buffers (walk units, job lists, member lists, the cone
+/// overlay) do not depend on the blocks, and the cone walks reuse the
+/// overlay across nets and blocks. The 16-block test set repeats the
+/// 4-block one four times and so detects the same faults, and the faults
+/// neither detects walk four times the blocks for the same heap calls.
 #[test]
-fn warm_dropping_grading_does_not_allocate() {
+fn warm_dropping_grading_does_not_allocate_per_block() {
     let _guard = TEST_LOCK.lock().unwrap();
     MEASURED_THREAD.with(|c| c.set(true));
     obd_metrics::disable();
 
+    let mut undetected = 0;
     for nl in [c17(), ripple_carry_adder(8), mixed_cells()] {
         let sim = FaultSimulator::new(&nl).unwrap();
         let faults = mixed_faults(&nl);
-        let tests = random_two_pattern(nl.inputs().len(), 1024, 0xFEED);
-        let engine = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
-        // 1024 tests at 64 patterns per block: the warm loop really
-        // walks many blocks, not a single one.
-        assert_eq!(engine.num_blocks(), 1024 / 64);
-        assert_eq!(engine.scalar_fallback_tests(), 0);
-        let mut scratch = PpsfpScratch::default();
-        let calls = warm_heap_calls(&faults, |f| {
-            engine.grade_one(f, &mut scratch).unwrap();
-        });
+        let base = random_two_pattern(nl.inputs().len(), 4 * 64, 0xFEED);
+        let mut calls = Vec::new();
+        let mut detected = Vec::new();
+        for blocks in [4, 16] {
+            let tests: Vec<_> = base.iter().cycle().take(64 * blocks).cloned().collect();
+            let engine = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
+            assert_eq!(engine.num_blocks(), blocks);
+            assert_eq!(engine.scalar_fallback_tests(), 0);
+            detected.push(engine.grade_parallel(&faults, 1).unwrap());
+            calls.push(warm_heap_calls(|| {
+                engine.grade_parallel(&faults, 1).unwrap();
+            }));
+        }
+        assert_eq!(detected[0], detected[1]);
+        undetected += detected[0].iter().filter(|&&d| !d).count();
         assert_eq!(
-            calls,
-            0,
-            "steady-state dropping grading performed {calls} heap allocations over {} faults",
+            calls[0],
+            calls[1],
+            "dropping grading made {} heap calls over 4 blocks, {} over 16 ({} faults)",
+            calls[0],
+            calls[1],
             faults.len()
         );
     }
+    assert!(
+        undetected > 0,
+        "every fault is detected, so none walks every block"
+    );
     obd_metrics::enable();
 }
 
@@ -122,9 +139,11 @@ fn warm_detection_rows_allocate_only_the_returned_row() {
         let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
         assert_eq!(engine.num_blocks(), 1024 / (64 * SUPERLANE_WIDTH));
         let mut scratch = PpsfpScratch::default();
-        let calls = warm_heap_calls(&faults, |f| {
-            let row = engine.detection_row(f, &mut scratch).unwrap();
-            assert_eq!(row.len(), tests.len());
+        let calls = warm_heap_calls(|| {
+            for f in &faults {
+                let row = engine.detection_row(f, &mut scratch).unwrap();
+                assert_eq!(row.len(), tests.len());
+            }
         });
         assert_eq!(
             calls,
@@ -137,7 +156,8 @@ fn warm_detection_rows_allocate_only_the_returned_row() {
 }
 
 /// Contrast run proving the counters really sit on the counted path: the
-/// same width-1 loop with metrics enabled moves `atpg.blocks_graded`,
+/// same width-1 dropping grader with metrics enabled moves
+/// `atpg.blocks_graded`,
 /// `atpg.good_sim_cache_hits`, `atpg.faults_dropped` and the cone
 /// kernel's `logic.soa_gates_simulated` (so the zero-allocation claim
 /// above is not measuring a dead path).
@@ -156,10 +176,7 @@ fn enabled_metrics_sit_on_the_graded_path() {
     assert!(engine.num_blocks() > 1);
 
     let before = obd_metrics::snapshot();
-    let mut scratch = PpsfpScratch::default();
-    for f in &faults {
-        engine.grade_one(f, &mut scratch).unwrap();
-    }
+    engine.grade_parallel(&faults, 1).unwrap();
     let after = obd_metrics::snapshot();
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     assert!(delta("atpg.blocks_graded") > 0);

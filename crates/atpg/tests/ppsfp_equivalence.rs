@@ -8,7 +8,7 @@
 
 mod common;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use common::{grade_scalar, mixed_cells, mixed_faults};
 use obd_atpg::bist::run_bist;
@@ -214,7 +214,7 @@ fn detection_matrix_matches_direct_detects() {
 /// for all the faults on it, so the fault lists cover:
 /// * units whose members lie in different 64-fault chunks, and more
 ///   units than one pool job grades (64, on rca8's 89 nets);
-/// * held-net units that mix members that never walk (NMOS MBD1 faults,
+/// * units that mix held members that never walk (NMOS MBD1 faults,
 ///   22 ps of extra delay, gated by 30 ps of slack) with detected ones.
 #[test]
 fn pooled_detection_matrix_matches_scalar_at_any_thread_count() {
@@ -606,7 +606,7 @@ fn stuck_plan(nl: &Netlist, f: &Fault) -> Option<(usize, bool)> {
 }
 
 /// Stuck-at and HBD OBD faults that force the same output net to the
-/// same value share one packed grading in the dropping grader. Every
+/// same value share their net's walks in the dropping grader. Every
 /// member must still get its scalar verdict, also when only an
 /// X-bearing test (each member's own scalar fallback) detects it, at 1
 /// and 4 threads, with the group's first fault a stuck-at or an OBD
@@ -894,7 +894,7 @@ fn rca8_with_xors() -> (Netlist, [NetId; 2]) {
 }
 
 /// A fault on a gate without a cell model is planned on its own even
-/// inside a held-net unit whose leader has a lower index, and the
+/// inside a unit whose leader has a lower index, and the
 /// lowest-indexed failing fault's error is reported although a unit
 /// graded earlier, in another pool job, fails at a higher index: by the
 /// dropping graders and by the detection matrix.
@@ -918,10 +918,9 @@ fn shared_held_net_plan_keeps_the_lowest_index_error() {
     };
     // `xa`'s unit is the first. The stuck-at faults of rca8's 89 nets
     // come next, so `xb`'s unit comes after more than 64 others, in the
-    // dropping grader (a unit per stuck value) and in the matrix (a unit
-    // per net). Its EM fault sits between two of its transition faults
-    // and fails first; `xa`'s OBD fault fails later, in the unit graded
-    // first.
+    // dropping grader and in the matrix alike (a unit per net). Its EM
+    // fault sits between two of its transition faults and fails first;
+    // `xa`'s OBD fault fails later, in the unit graded first.
     let mut faults = vec![transition(xa, SlowTo::Rise)];
     faults.extend(stuck_at_faults(&nl));
     assert!(nl.num_nets() > 65, "too few units before xb's");
@@ -957,6 +956,274 @@ fn shared_held_net_plan_keeps_the_lowest_index_error() {
         );
     }
     assert_eq!(sim.detection_matrix(&faults, &tests), want);
+}
+
+/// Every packed grader against per-pair scalar `detects` on `tests`:
+/// the dropping graders (the engine at widths 1 and 8, and the
+/// simulator's) and the engines' detection matrices at 1, 2, 3 and 7
+/// threads, and each fault's detection row at both widths.
+fn assert_every_grader_matches(
+    sim: &FaultSimulator,
+    faults: &[Fault],
+    tests: &[TwoPatternTest],
+    what: &str,
+) {
+    let matrix: Vec<Vec<bool>> = tests
+        .iter()
+        .map(|t| faults.iter().map(|f| sim.detects(f, t).unwrap()).collect())
+        .collect();
+    let verdicts = grade_scalar(sim, faults, tests).unwrap();
+    let narrow = PpsfpEngine::<1>::prepare(sim, tests).unwrap();
+    let wide = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(sim, tests).unwrap();
+    for threads in [1, 2, 3, 7] {
+        let at = |grader| format!("{what}: {grader}, threads = {threads}");
+        assert_eq!(
+            narrow.grade_parallel(faults, threads).unwrap(),
+            verdicts,
+            "{}",
+            at("N=1 dropping")
+        );
+        assert_eq!(
+            wide.grade_parallel(faults, threads).unwrap(),
+            verdicts,
+            "{}",
+            at("N=8 dropping")
+        );
+        assert_eq!(
+            sim.grade_parallel(faults, tests, threads).unwrap(),
+            verdicts,
+            "{}",
+            at("simulator dropping")
+        );
+        assert_eq!(
+            narrow.detection_matrix(faults, threads).unwrap(),
+            matrix,
+            "{}",
+            at("N=1 matrix")
+        );
+        assert_eq!(
+            wide.detection_matrix(faults, threads).unwrap(),
+            matrix,
+            "{}",
+            at("N=8 matrix")
+        );
+    }
+    let mut scratch = PpsfpScratch::default();
+    let mut narrow_scratch = PpsfpScratch::default();
+    for (i, f) in faults.iter().enumerate() {
+        let column: Vec<bool> = matrix.iter().map(|row| row[i]).collect();
+        assert_eq!(
+            wide.detection_row(f, &mut scratch).unwrap(),
+            column,
+            "{what}: N=8 row of {f:?}"
+        );
+        assert_eq!(
+            narrow.detection_row(f, &mut narrow_scratch).unwrap(),
+            column,
+            "{what}: N=1 row of {f:?}"
+        );
+    }
+}
+
+/// `masked_nand`'s faults on net `n`: every fault model at once.
+fn faults_on_n(nl: &Netlist) -> Vec<Fault> {
+    let n = nl.find_net("n").unwrap().index();
+    mixed_faults(nl)
+        .into_iter()
+        .filter(|f| unit_net(nl, f) == n)
+        .collect()
+}
+
+/// One net that carries SA0, SA1, both transition faults, OBD delay
+/// (MBD2), HBD OBD and EM faults at once walks as one unit in every
+/// grader, and every member keeps its scalar verdict and its own
+/// detecting tests. Its members are detected in different blocks (at
+/// width 1, the 200 tests make four blocks, the last ragged), two X
+/// bits send two tests to the scalar fallback, and the other nets'
+/// faults ride along, in reverse order.
+#[test]
+fn one_net_carrying_every_fault_model_matches_scalar() {
+    let nl = masked_nand();
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let on_n = faults_on_n(&nl);
+    let kind = |f: &Fault| match f {
+        Fault::StuckAt { value: false, .. } => "SA0",
+        Fault::StuckAt { value: true, .. } => "SA1",
+        Fault::Transition {
+            slow_to: SlowTo::Rise,
+            ..
+        } => "slow-to-rise",
+        Fault::Transition { .. } => "slow-to-fall",
+        Fault::Obd(o) if o.stage == BreakdownStage::Hbd => "HBD",
+        Fault::Obd(_) => "MBD2",
+        Fault::Em { .. } => "EM",
+    };
+    let kinds: BTreeSet<&str> = on_n.iter().map(kind).collect();
+    assert_eq!(kinds.len(), 7, "n carries only {kinds:?}");
+    // The first block repeats one test on which `n` falls visibly (`ab`
+    // goes 10 → 11 with `a` = 1): it detects `n`'s stuck-at faults and
+    // its slow-to-fall fault, and leaves the rest to later blocks.
+    let lead = TwoPatternTest::from_bools(&[true, false, false], &[true, true, false]);
+    let mut tests = vec![lead; 64];
+    tests.extend(random_two_pattern(3, 136, 0x0E7));
+    tests[70].v1[2] = Lv::X;
+    tests[130].v2[0] = Lv::X;
+    let verdicts = grade_scalar(&sim, &on_n, &tests).unwrap();
+    let first_block = grade_scalar(&sim, &on_n, &tests[..64]).unwrap();
+    for (f, &hit) in on_n.iter().zip(&first_block) {
+        if ["SA0", "SA1", "slow-to-fall"].contains(&kind(f)) {
+            assert!(hit, "the lead test misses {f:?}");
+        }
+    }
+    assert!(
+        (0..on_n.len()).any(|i| verdicts[i] && !first_block[i]),
+        "every fault on n is detected in the first block"
+    );
+    let mut faults = mixed_faults(&nl);
+    faults.reverse();
+    assert_every_grader_matches(&sim, &faults, &tests, "masked NAND");
+}
+
+/// A stuck-at fault only the capture frame detects: `b` is 0 in every
+/// launch frame, so `n` is 1 there and `n` stuck-at-1 is seen only when
+/// `a` and `b` are both 1 in the capture frame. `n` stuck-at-0 is
+/// detected in launch frames (`a` = 1), so in the dropping grader it
+/// leaves the capture-frame walk that `n` stuck-at-1 and the held
+/// members share.
+#[test]
+fn capture_frame_only_stuck_at_matches_scalar() {
+    let nl = masked_nand();
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let n = nl.find_net("n").unwrap();
+    let mut tests = random_two_pattern(3, 150, 0xCA7);
+    for t in &mut tests {
+        t.v1[1] = Lv::Zero;
+    }
+    let launch_only = |f: &Fault| {
+        tests.iter().any(|t| {
+            let frame = TwoPatternTest {
+                v1: t.v1.clone(),
+                v2: t.v1.clone(),
+            };
+            sim.detects(f, &frame).unwrap()
+        })
+    };
+    let sa1 = Fault::StuckAt {
+        net: n,
+        value: true,
+    };
+    let sa0 = Fault::StuckAt {
+        net: n,
+        value: false,
+    };
+    assert!(!launch_only(&sa1), "a launch frame detects n stuck-at-1");
+    assert!(launch_only(&sa0), "no launch frame detects n stuck-at-0");
+    assert_eq!(
+        grade_scalar(&sim, &[sa1, sa0], &tests).unwrap(),
+        [true, true]
+    );
+    assert_every_grader_matches(&sim, &faults_on_n(&nl), &tests, "capture-frame SA1");
+    assert_every_grader_matches(&sim, &mixed_faults(&nl), &tests, "capture-frame SA1, all");
+}
+
+/// A fault first detected on the last block: three blocks of one test
+/// (`abc` = 100 in both frames, so `n` is 1 and only its stuck-at-0 is
+/// seen) and a ragged fourth block of 10 random tests, at width 1. `n`
+/// stuck-at-1 is detected only there, while its unit's stuck-at-0 drops
+/// out in the first block.
+#[test]
+fn fault_first_detected_on_the_last_block_matches_scalar() {
+    let nl = masked_nand();
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let n = nl.find_net("n").unwrap();
+    let filler = TwoPatternTest::from_bools(&[true, false, false], &[true, false, false]);
+    let mut tests = vec![filler; 3 * 64];
+    tests.extend(random_two_pattern(3, 10, 0x1A57));
+    let sa = |value| Fault::StuckAt { net: n, value };
+    let pair = [sa(true), sa(false)];
+    assert_eq!(
+        grade_scalar(&sim, &pair, &tests[..192]).unwrap(),
+        [false, true]
+    );
+    assert_eq!(grade_scalar(&sim, &pair, &tests).unwrap(), [true, true]);
+    assert_eq!(
+        PpsfpEngine::<1>::prepare(&sim, &tests)
+            .unwrap()
+            .num_blocks(),
+        4
+    );
+    assert_every_grader_matches(&sim, &faults_on_n(&nl), &tests, "last block");
+    assert_every_grader_matches(&sim, &mixed_faults(&nl), &tests, "last block, all");
+}
+
+/// The lowest-indexed error wins inside units that mix stuck-at and held
+/// members. In `rca8_with_xors`, `xa`'s unit (graded first) and `xb`'s
+/// (graded in the second pool job, after rca8's 89 nets) each hold
+/// stuck-at faults, transition faults and OBD and EM faults of their XOR
+/// gate, which fail to plan. The lowest failure sits in `xb`'s unit: its
+/// HBD fault, a stuck-at member, in the first case; its EM fault, a
+/// held member, in the second. Every grader reports it, as the scalar
+/// grader does.
+#[test]
+fn lowest_error_in_a_mixed_unit_is_reported() {
+    let (nl, [xa, xb]) = rca8_with_xors();
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let obd = |net, stage| {
+        Fault::Obd(ObdFault {
+            gate: nl.driver(net).unwrap(),
+            pin: 1,
+            polarity: Polarity::Nmos,
+            stage,
+        })
+    };
+    let em = |net| Fault::Em {
+        gate: nl.driver(net).unwrap(),
+        pin: 1,
+        polarity: Polarity::Nmos,
+    };
+    let sa = |net, value| Fault::StuckAt { net, value };
+    let tr = |net, slow_to| Fault::Transition { net, slow_to };
+    let head = [sa(xa, false), tr(xa, SlowTo::Fall)];
+    let tail = [em(xa), obd(xa, BreakdownStage::Hbd)];
+    let stuck_first = [
+        sa(xb, true),
+        tr(xb, SlowTo::Rise),
+        obd(xb, BreakdownStage::Hbd),
+        em(xb),
+        sa(xb, false),
+    ];
+    let held_first = [
+        tr(xb, SlowTo::Rise),
+        em(xb),
+        sa(xb, true),
+        obd(xb, BreakdownStage::Hbd),
+        obd(xb, BreakdownStage::Mbd2),
+    ];
+    let mut tests = random_two_pattern(nl.inputs().len(), 150, 0x0B11);
+    tests[3].v2[4] = Lv::X;
+    let want = Some(AtpgError::UnsupportedGate { gate: "xb".into() });
+    let narrow = PpsfpEngine::<1>::prepare(&sim, &tests).unwrap();
+    let wide = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+    for (case, unit) in [("stuck-at first", stuck_first), ("held first", held_first)] {
+        let mut faults = head.to_vec();
+        faults.extend(stuck_at_faults(&nl));
+        faults.extend(unit);
+        faults.extend(tail);
+        assert_eq!(grade_scalar(&sim, &faults, &tests).err(), want, "{case}");
+        for threads in [1, 2, 3, 7] {
+            let at = format!("{case}, threads = {threads}");
+            assert_eq!(narrow.grade_parallel(&faults, threads).err(), want, "{at}");
+            assert_eq!(wide.grade_parallel(&faults, threads).err(), want, "{at}");
+            let err = sim.grade_parallel(&faults, &tests, threads).err();
+            assert_eq!(err, want, "{at}");
+            let err = narrow.detection_matrix(&faults, threads).err();
+            assert_eq!(err, want, "{at}");
+            let err = wide.detection_matrix(&faults, threads).err();
+            assert_eq!(err, want, "{at}");
+        }
+        let err = sim.detection_matrix(&faults, &tests).err();
+        assert_eq!(err, want, "{case}");
+    }
 }
 
 /// Empty fault lists and empty test sets keep the scalar contract.
