@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repro [all|<verb>]
-//! repro store [stats|compact|verify]
 //! ```
 //!
 //! `<verb>` is one of [`VERBS`]; no argument means `all`, and an unknown
@@ -46,7 +45,6 @@ const VERBS: &[&str] = &[
     "monte",
     "fleet",
     "chaos",
-    "store",
 ];
 
 fn save(path: &str, content: &str) {
@@ -355,85 +353,6 @@ fn run_fleet() {
     }
 }
 
-fn run_store(action: Option<&str>) {
-    println!("== Store: persistent result store maintenance (STORE_run.json) ==");
-    let action = action.unwrap_or("stats");
-    // The verb maintains an existing store: it never picks a directory
-    // of its own, which would create an empty store and report it clean.
-    let Some(store) = obd_store::global() else {
-        eprintln!(
-            "  STORE FAILED: no store; set {} to the store directory",
-            obd_store::STORE_DIR_ENV
-        );
-        std::process::exit(2);
-    };
-    println!(
-        "  store: {} ({} records)",
-        store.path().display(),
-        store.len()
-    );
-    let json = match action {
-        "stats" => match store.file_stats() {
-            Ok(s) => {
-                println!(
-                    "  {} live / {} total records ({} dead), {} of {} bytes live ({} reclaimable)",
-                    s.live_records,
-                    s.total_records,
-                    s.dead_records,
-                    s.live_bytes,
-                    s.file_bytes,
-                    s.dead_bytes
-                );
-                format!(
-                    "{{\n  \"action\": \"stats\",\n  \"live_records\": {},\n  \"total_records\": {},\n  \"dead_records\": {},\n  \"file_bytes\": {},\n  \"live_bytes\": {},\n  \"dead_bytes\": {}\n}}\n",
-                    s.live_records, s.total_records, s.dead_records, s.file_bytes, s.live_bytes, s.dead_bytes
-                )
-            }
-            Err(e) => {
-                eprintln!("  STORE FAILED: stats: {e}");
-                std::process::exit(1);
-            }
-        },
-        "compact" => match store.compact() {
-            Ok(r) => {
-                println!(
-                    "  compacted: {} live records kept, {} dropped, {} evicted, {} -> {} bytes ({} reclaimed)",
-                    r.live_records, r.dropped_records, r.evicted_records, r.before_bytes, r.after_bytes, r.reclaimed_bytes
-                );
-                format!(
-                    "{{\n  \"action\": \"compact\",\n  \"live_records\": {},\n  \"dropped_records\": {},\n  \"evicted_records\": {},\n  \"before_bytes\": {},\n  \"after_bytes\": {},\n  \"reclaimed_bytes\": {}\n}}\n",
-                    r.live_records, r.dropped_records, r.evicted_records, r.before_bytes, r.after_bytes, r.reclaimed_bytes
-                )
-            }
-            Err(e) => {
-                eprintln!("  STORE FAILED: compact: {e}");
-                std::process::exit(1);
-            }
-        },
-        "verify" => match store.verify() {
-            Ok(v) => {
-                println!(
-                    "  verified: {} checked, {} valid, {} corrupt (corrupt records are dropped)",
-                    v.checked, v.valid, v.corrupt
-                );
-                format!(
-                    "{{\n  \"action\": \"verify\",\n  \"checked\": {},\n  \"valid\": {},\n  \"corrupt\": {}\n}}\n",
-                    v.checked, v.valid, v.corrupt
-                )
-            }
-            Err(e) => {
-                eprintln!("  STORE FAILED: verify: {e}");
-                std::process::exit(1);
-            }
-        },
-        other => {
-            eprintln!("unknown store action '{other}'; use one of: stats, compact, verify");
-            std::process::exit(2);
-        }
-    };
-    save("STORE_run.json", &json);
-}
-
 fn run_scaling() {
     println!("== E9: ATPG complexity scaling ==");
     match scaling::run(&[2, 4, 8, 16, 24], &[8, 16, 32]) {
@@ -516,10 +435,6 @@ fn main() {
     // injection, which must not contaminate the paper artifacts.
     if arg == "chaos" {
         run_chaos();
-    }
-    // Store maintenance operates on the persistent store in place.
-    if arg == "store" {
-        run_store(std::env::args().nth(2).as_deref());
     }
     if !all && !VERBS.contains(&arg.as_str()) {
         eprintln!(

@@ -424,7 +424,7 @@ fn run_store_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapsho
     obd_chaos::arm(seed ^ 0x6666_6666, rate);
     let mut fresh = 1_000u64;
     for op in 0..ops {
-        match op % 4 {
+        match op % 3 {
             0 => {
                 let k = key(fresh);
                 fresh += 1;
@@ -446,21 +446,11 @@ fn run_store_layer(seed: u64, ops: u64) -> (LayerReport, obd_chaos::ChaosSnapsho
                     Err(_) => OpOutcome::Reported,
                 });
             }
-            2 => {
+            _ => {
                 let k = key(3 + 4 * (op % 4)); // keys 3, 7, 11, 15: empty
                 rep.account(|| match store.get(k) {
                     Ok(_) => OpOutcome::Clean,
                     Err(StoreError::Corrupt { .. }) => OpOutcome::Degraded,
-                    Err(_) => OpOutcome::Reported,
-                });
-            }
-            _ => {
-                // Compaction under fire: a torn rewrite (the typed
-                // `CompactTorn`, or any I/O failure) aborts before the
-                // atomic swap — the live store is untouched and stays
-                // in service, so the error is cleanly *reported*.
-                rep.account(|| match store.compact() {
-                    Ok(_) => OpOutcome::Clean,
                     Err(_) => OpOutcome::Reported,
                 });
             }

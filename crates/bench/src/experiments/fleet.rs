@@ -93,34 +93,34 @@ pub fn default_profile(cfg: &FleetConfig) -> Result<BistProfile, String> {
     profile_for_circuit(cfg, &name)
 }
 
-/// Checkpoint block size the verb resolves from `OBD_FLEET_CKPT`:
-/// `None` when unset/`0` (checkpointing off), the default block size
-/// for `1`, an explicit per-block device count for any larger value.
-pub fn ckpt_block_from_env() -> Option<u64> {
-    match env_u64("OBD_FLEET_CKPT") {
-        None | Some(0) => None,
-        Some(1) => Some(obd_fleet::checkpoint::DEFAULT_BLOCK_DEVICES),
-        Some(n) => Some(n),
-    }
+/// Whether `OBD_FLEET_CKPT` arms checkpointing: any nonzero value
+/// does; unset, `0` or unparsable leaves it off.
+fn ckpt_armed() -> bool {
+    env_u64("OBD_FLEET_CKPT").is_some_and(|n| n != 0)
 }
 
 /// Runs the full fleet workload for the `repro fleet` verb. With
 /// `OBD_FLEET_CKPT` set (and the process-wide store armed), the run
-/// checkpoints block accumulators and resumes any campaign the store
-/// already holds — a killed run continues where it stopped, with
-/// byte-identical final JSON.
+/// checkpoints accumulators in blocks of
+/// [`DEFAULT_BLOCK_DEVICES`](obd_fleet::checkpoint::DEFAULT_BLOCK_DEVICES)
+/// devices and resumes any campaign the store already holds — a killed
+/// run continues where it stopped, with byte-identical final JSON.
 ///
 /// # Errors
 ///
 /// Config and grading failures as strings.
 pub fn run(cfg: &FleetConfig) -> Result<FleetReport, String> {
     let profile = default_profile(cfg)?;
-    match ckpt_block_from_env() {
-        Some(block) => {
-            let store = obd_store::global();
-            run_fleet_resumable(cfg, &profile, store.as_deref(), block)
-        }
-        None => run_fleet(cfg, &profile),
+    if ckpt_armed() {
+        let store = obd_store::global();
+        run_fleet_resumable(
+            cfg,
+            &profile,
+            store.as_deref(),
+            obd_fleet::checkpoint::DEFAULT_BLOCK_DEVICES,
+        )
+    } else {
+        run_fleet(cfg, &profile)
     }
     .map_err(|e| e.to_string())
 }

@@ -109,21 +109,6 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
     if fleet_run()?.to_json() != fleet.to_json() {
         return Err("resumed mini fleet differs from its checkpointed run".to_string());
     }
-
-    // Store maintenance: overwrite a record so compaction has something
-    // to reclaim (store.compactions, store.compact_reclaimed_bytes).
-    let dead_key = obd_store::Digest::new("metrics.compact").u64(1).finish();
-    let _ = store.put(dead_key, b"superseded payload");
-    let _ = store.put(dead_key, b"live payload");
-    store.compact().map_err(|e| e.to_string())?;
-
-    // Size-capped maintenance: cap the store below its live size and
-    // compact again, which must evict the oldest frames
-    // (store.evicted_frames). The store is throwaway at this point.
-    let live = store.file_stats().map_err(|e| e.to_string())?.live_bytes;
-    store.set_max_bytes(Some(live / 2));
-    store.compact().map_err(|e| e.to_string())?;
-    store.set_max_bytes(None);
     drop(store);
     let _ = std::fs::remove_dir_all(&store_dir);
 
@@ -179,9 +164,6 @@ pub fn render(r: &MetricsRunReport) -> String {
         "store.hits",
         "store.misses",
         "store.puts",
-        "store.compactions",
-        "store.compact_reclaimed_bytes",
-        "store.evicted_frames",
         "monte.samples",
         "monte.measurements",
         "monte.stuck_outcomes",
@@ -215,8 +197,6 @@ mod tests {
             "fleet.detections",
             "store.hits",
             "store.puts",
-            "store.compactions",
-            "store.evicted_frames",
             "monte.samples",
             "monte.measurements",
         ] {

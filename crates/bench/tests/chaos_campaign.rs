@@ -45,7 +45,6 @@ fn store_layer_populates_every_bucket() {
     let json = r.to_json();
     assert!(json.contains("store.write_torn"));
     assert!(json.contains("store.read_corrupt"));
-    assert!(json.contains("store.compact_torn"));
 }
 
 /// The Monte Carlo layer: solver-level injections underneath the

@@ -486,3 +486,153 @@ fn e11_matches_em_contrast() {
         ],
     );
 }
+
+/// Every `(…)` group in `text`: the sequences of an excitation set,
+/// whether quoted as `{(00,11),(01,11)}` or listed as `(00,11) (01,11)`.
+fn sequences(text: &str) -> Vec<String> {
+    text.split('(')
+        .skip(1)
+        .map(|t| format!("({})", t.split_once(')').expect("a closing parenthesis").0))
+        .collect()
+}
+
+/// E7 quotes `results/excitation.txt`: a `<cell>:` line, then one
+/// `<NMOS|PMOS> pin<k>: <sequences>` line per transistor and the
+/// minimal set. The prose must carry NAND2's NMOS set, its two PMOS
+/// singletons and its three-sequence minimal set (one falling sequence
+/// and both PMOS ones), NOR2's PMOS set and its input-specific NMOS
+/// sequences, and the size of NAND3's minimal set.
+#[test]
+fn e7_matches_excitation() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let e7 = between(&doc, "## E7 ", "\n## ").replace('\n', " ");
+    let text = repo_file("results/excitation.txt");
+    // (cell, transistor or "minimal") -> sorted sequences.
+    let mut sets: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
+    let mut cell = String::new();
+    for line in text.lines() {
+        if let Some(name) = line.strip_suffix(':').filter(|_| !line.starts_with(' ')) {
+            cell = name.to_string();
+            continue;
+        }
+        let (what, seqs) = line.trim().split_once(": ").expect("a labelled set");
+        let what = if what.starts_with("minimal") {
+            "minimal"
+        } else {
+            what
+        };
+        let mut seqs = sequences(seqs);
+        seqs.sort();
+        sets.insert((cell.clone(), what.to_string()), seqs);
+    }
+    let set = |cell: &str, what: &str| -> &Vec<String> {
+        sets.get(&(cell.to_string(), what.to_string()))
+            .unwrap_or_else(|| panic!("excitation.txt has no {cell} {what}"))
+    };
+    let quoted = |at: &str| -> Vec<String> {
+        let mut seqs = sequences(between(&e7, at, "}"));
+        seqs.sort();
+        seqs
+    };
+
+    let nand2_nmos = set("NAND2", "NMOS pin0");
+    assert_eq!(set("NAND2", "NMOS pin1"), nand2_nmos, "NAND2 NMOS pins");
+    assert_eq!(&quoted("NAND2 NMOS: {"), nand2_nmos, "E7 NAND2 NMOS");
+    let (pmos_a, pmos_b) = (set("NAND2", "PMOS pin0"), set("NAND2", "PMOS pin1"));
+    assert_eq!(&quoted("PMOS-A: {"), pmos_a, "E7 NAND2 PMOS-A");
+    assert_eq!(&quoted("PMOS-B: {"), pmos_b, "E7 NAND2 PMOS-B");
+    let minimal = set("NAND2", "minimal");
+    let falling = minimal.iter().filter(|s| nand2_nmos.contains(s)).count();
+    assert_eq!(falling, 1, "NAND2's minimal set: one falling sequence");
+    assert!(pmos_a.iter().chain(pmos_b).all(|s| minimal.contains(s)));
+
+    let nor2_pmos = set("NOR2", "PMOS pin0");
+    assert_eq!(set("NOR2", "PMOS pin1"), nor2_pmos, "NOR2 PMOS pins");
+    assert_eq!(&quoted("NOR2 dual: PMOS {"), nor2_pmos, "E7 NOR2 PMOS");
+    let (nmos_a, nmos_b) = (set("NOR2", "NMOS pin0"), set("NOR2", "NMOS pin1"));
+    assert!(
+        nmos_a.len() == 1 && nmos_b.len() == 1 && nmos_a != nmos_b,
+        "NOR2's NMOS sequences are not input-specific: {nmos_a:?} {nmos_b:?}"
+    );
+    assert_quotes(
+        "E7",
+        &e7,
+        &[
+            "NMOS input-specific".to_string(),
+            format!("both PMOS sequences ({})", minimal.len()),
+            format!("NAND3 minimal set = {}", set("NAND3", "minimal").len()),
+        ],
+    );
+}
+
+/// E9 quotes `results/atpg_scaling_counts.txt`: a header, then one
+/// `<circuit> <gates> <stuck-at tests> <OBD tests> <aborted>` row per
+/// circuit. The prose must carry the smallest and largest gate counts,
+/// and the aborted column must be all zeros, as the prose says.
+#[test]
+fn e9_matches_atpg_scaling_counts() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let e9 = between(&doc, "## E9 ", "\n## ").replace('\n', " ");
+    let text = repo_file("results/atpg_scaling_counts.txt");
+    let rows: Vec<Vec<u64>> = text
+        .lines()
+        .skip(1)
+        .map(|l| {
+            l.split_whitespace()
+                .skip(1)
+                .map(|w| w.parse().expect("a count"))
+                .collect()
+        })
+        .collect();
+    assert_eq!(rows.len(), 8, "five adders and three parity trees");
+    let gates = rows.iter().map(|r| r[0]);
+    let (lo, hi) = (
+        gates.clone().min().expect("a row"),
+        gates.max().expect("a row"),
+    );
+    let aborted: u64 = rows.iter().map(|r| r[3]).sum();
+    assert_eq!(aborted, 0, "E9 says zero aborted faults");
+    assert_quotes(
+        "E9",
+        &e9,
+        &[
+            format!("({lo} → {hi} gates)"),
+            "with zero aborted faults".to_string(),
+        ],
+    );
+}
+
+/// X1 quotes `results/iddq.txt`: a `healthy IDDQ: <µA> µA` line, a
+/// header, then one `<stage> <NMOS µA> <PMOS µA|N/A>` row per stage.
+/// The prose must carry the healthy current, the NMOS SBD current and
+/// the largest NMOS (HBD) and PMOS (MBD3) currents, in whole µA.
+#[test]
+fn x1_matches_iddq() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let x1 = between(&doc, "### X1 ", "\n### ").replace('\n', " ");
+    let text = repo_file("results/iddq.txt");
+    let healthy: f64 = between(&text, "healthy IDDQ:", "µA")
+        .trim()
+        .parse()
+        .expect("healthy IDDQ");
+    let stages: BTreeMap<&str, Vec<&str>> = text
+        .lines()
+        .skip(2)
+        .map(|l| {
+            let words: Vec<&str> = l.split_whitespace().collect();
+            (words[0], words[1..].to_vec())
+        })
+        .collect();
+    let current =
+        |stage: &str, column: usize| -> f64 { stages[stage][column].parse().expect("a current") };
+    assert_quotes(
+        "X1",
+        &x1,
+        &[
+            format!("IDDQ ≈ {healthy:.0} µA"),
+            format!("{:.0} µA at SBD", current("SBD", 0)),
+            format!("{:.0} µA (NMOS, HBD)", current("HBD", 0)),
+            format!("{:.0} µA (PMOS, MBD3)", current("MBD3", 1)),
+        ],
+    );
+}

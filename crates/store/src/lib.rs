@@ -32,37 +32,26 @@
 //!   frame is on disk, so concurrent readers never observe a torn
 //!   record.
 //!
-//! Lifecycle (PR 8):
+//! Lifecycle:
 //!
 //! - **Single writer.** Opening takes an advisory lock file
 //!   (`obd.store.lock`) holding the owner PID, so two processes can
 //!   never interleave appends; a lock whose holder is dead is stolen,
 //!   a second open in the same process is refused with a typed
 //!   [`StoreError::Locked`]. The lock is released on drop.
-//! - **Compaction.** [`Store::compact`] rewrites the live records to a
-//!   temp file in log order and atomically renames it over the store.
-//!   A crash at any point leaves either the old file (rename not yet
-//!   issued) or the new file (rename durable) fully valid — there is no
-//!   in-between state, because the old file is never modified.
-//! - **Size cap.** [`STORE_MAX_BYTES_ENV`] bounds the compacted file:
-//!   compaction evicts the oldest-appended live frames until the
-//!   rewrite fits, counting them in `store.evicted_frames`. Eviction
-//!   only ever costs recomputation — the store is a cache.
-//! - **Maintenance.** [`Store::file_stats`] reports live/dead frame
-//!   counts without touching the index; [`Store::verify`] re-reads and
-//!   re-checksums every live record, dropping any that rotted.
+//! - **Append only.** The file is never rewritten in place: a put
+//!   appends one frame, and a torn tail past the last whole frame is cut
+//!   off before the next append. Each fleet block is written once under
+//!   its own digest, so the log holds nothing a rewrite could reclaim.
 //!
 //! Chaos: [`store.write_torn`] truncates a just-written record
 //! mid-frame (simulating a crash during append) and surfaces
 //! [`StoreError::TornWrite`]; the torn tail is healed on the next put
 //! or the next open. [`store.read_corrupt`] flips one bit of a payload
 //! after it is read, which the checksum then catches.
-//! [`store.compact_torn`] aborts a compaction mid-rewrite, leaving a
-//! torn temp file behind and the live store untouched.
 //!
 //! [`store.write_torn`]: StoreError::TornWrite
 //! [`store.read_corrupt`]: StoreError::Corrupt
-//! [`store.compact_torn`]: StoreError::CompactTorn
 
 // Library code must surface failures as typed errors, never panic;
 // tests keep the ergonomic forms.
@@ -94,15 +83,8 @@ static STORE_CORRUPT_RECORDS: Counter = Counter::new("store.corrupt_records");
 static STORE_QUARANTINED: Counter = Counter::new("store.quarantined");
 /// Appends torn by fault injection.
 static STORE_TORN_WRITES: Counter = Counter::new("store.torn_writes");
-/// Compactions that completed (old file atomically replaced).
-static STORE_COMPACTIONS: Counter = Counter::new("store.compactions");
-/// Bytes reclaimed by completed compactions.
-static STORE_COMPACT_RECLAIMED: Counter = Counter::new("store.compact_reclaimed_bytes");
 /// Lock files stolen from dead holders at open.
 static STORE_LOCK_STEALS: Counter = Counter::new("store.lock_steals");
-/// Live frames evicted by size-capped compactions (oldest-appended
-/// first, down to [`STORE_MAX_BYTES_ENV`]).
-static STORE_EVICTED_FRAMES: Counter = Counter::new("store.evicted_frames");
 
 /// Chaos: tear a just-completed append mid-record, simulating a crash
 /// between the write and its completion.
@@ -110,9 +92,6 @@ static CHAOS_WRITE_TORN: InjectionPoint = InjectionPoint::new("store.write_torn"
 /// Chaos: flip one payload bit after a read, before checksum
 /// verification — disk bit-rot in miniature.
 static CHAOS_READ_CORRUPT: InjectionPoint = InjectionPoint::new("store.read_corrupt");
-/// Chaos: abort a compaction mid-rewrite (crash before the atomic
-/// rename), leaving a torn temp file and the live store untouched.
-static CHAOS_COMPACT_TORN: InjectionPoint = InjectionPoint::new("store.compact_torn");
 
 /// On-disk format version stamped into the header.
 pub const FORMAT_VERSION: u16 = 1;
@@ -121,16 +100,8 @@ pub const FORMAT_VERSION: u16 = 1;
 /// (fleet checkpoints).
 pub const STORE_DIR_ENV: &str = "OBD_STORE_DIR";
 
-/// Environment variable capping the compacted store file size in bytes.
-/// When set (and nonzero), [`Store::compact`] evicts the
-/// oldest-appended live frames until the rewritten file fits under the
-/// cap — the store is a cache, so dropping its coldest entries only
-/// costs recomputation. Unset (or `0`, or unparsable) means uncapped.
-pub const STORE_MAX_BYTES_ENV: &str = "OBD_STORE_MAX_BYTES";
-
-/// The process-wide store, which `repro fleet` checkpoints into and
-/// `repro store` maintains. Initialized exactly once, from
-/// [`STORE_DIR_ENV`].
+/// The process-wide store, which `repro fleet` checkpoints into.
+/// Initialized exactly once, from [`STORE_DIR_ENV`].
 static GLOBAL: OnceLock<Option<Arc<Store>>> = OnceLock::new();
 
 /// The process-wide store handle, opened from [`STORE_DIR_ENV`] on first
@@ -164,10 +135,6 @@ pub const QUARANTINE_FILE: &str = "obd.store.quarantined";
 /// Advisory single-writer lock file name inside the store directory.
 /// Holds the owner's PID in ASCII decimal.
 pub const LOCK_FILE: &str = "obd.store.lock";
-
-/// Temp file a compaction rewrites live records into before the atomic
-/// rename. A stale one (crash mid-compaction) is deleted at open.
-pub const COMPACT_TMP_FILE: &str = "obd.store.compact.tmp";
 
 const MAGIC: [u8; 8] = *b"OBDSTORE";
 const HEADER_LEN: u64 = 16;
@@ -211,9 +178,6 @@ pub enum StoreError {
         /// PID recorded in the lock file.
         pid: u32,
     },
-    /// Fault injection aborted a compaction before the atomic rename;
-    /// the original store file is intact and stays in service.
-    CompactTorn,
 }
 
 impl std::fmt::Display for StoreError {
@@ -238,9 +202,6 @@ impl std::fmt::Display for StoreError {
             StoreError::TooLarge { len } => write!(f, "payload of {len} bytes exceeds u32 framing"),
             StoreError::Locked { pid } => {
                 write!(f, "store is locked by live process {pid} (single writer)")
-            }
-            StoreError::CompactTorn => {
-                write!(f, "compaction aborted by fault injection before the swap")
             }
         }
     }
@@ -376,19 +337,15 @@ pub struct Store {
     /// registered in the per-process double-open registry.
     canonical: PathBuf,
     path: PathBuf,
-    version: u16,
-    /// Shared read handle. A compaction swaps the file out under an
-    /// exclusive write lock; readers hold the read lock across the
-    /// index probe *and* the positioned read, so an index entry is only
-    /// ever resolved against the file generation it was built from.
-    reader: RwLock<File>,
+    /// Shared read handle. Reads are positioned, so concurrent gets
+    /// share it without a lock; the file only ever grows past the
+    /// frames the index addresses, so an entry always reads the bytes
+    /// it was built from.
+    reader: File,
     writer: Mutex<Writer>,
     index: RwLock<HashMap<u64, IndexEntry>>,
     hits: AtomicU64,
     puts: AtomicU64,
-    /// Compacted-file size cap in bytes; `0` means uncapped. Seeded from
-    /// [`STORE_MAX_BYTES_ENV`] at open, adjustable per handle.
-    max_bytes: AtomicU64,
 }
 
 /// Directories currently open in this process — a same-process double
@@ -549,10 +506,6 @@ impl Store {
         acquire_lock(dir)?;
         guard.lock_path = Some(dir.join(LOCK_FILE));
 
-        // A temp file left by a compaction that crashed before its
-        // rename is garbage — the live store file is still the truth.
-        let _ = fs::remove_file(dir.join(COMPACT_TMP_FILE));
-
         let path = dir.join(STORE_FILE);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -594,16 +547,15 @@ impl Store {
             // matching put-over-put semantics.
             index.insert(digest, entry);
         }
-        let writer = OpenOptions::new().read(true).write(true).open(&path)?;
+        let writer = OpenOptions::new().write(true).open(&path)?;
         let committed = writer.metadata()?.len();
         let reader = File::open(&path)?;
         guard.disarm();
         Ok(Store {
             dir: dir.to_path_buf(),
             canonical,
-            path: path.clone(),
-            version,
-            reader: RwLock::new(reader),
+            path,
+            reader,
             writer: Mutex::new(Writer {
                 file: writer,
                 committed,
@@ -611,32 +563,7 @@ impl Store {
             index: RwLock::new(index),
             hits: AtomicU64::new(0),
             puts: AtomicU64::new(0),
-            max_bytes: AtomicU64::new(
-                std::env::var(STORE_MAX_BYTES_ENV)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u64>().ok())
-                    .unwrap_or(0),
-            ),
         })
-    }
-
-    /// The compacted-file size cap, `None` when uncapped.
-    pub fn max_bytes(&self) -> Option<u64> {
-        match self.max_bytes.load(Ordering::Relaxed) {
-            0 => None,
-            cap => Some(cap),
-        }
-    }
-
-    /// Sets (or clears, with `None` or `Some(0)`) the compacted-file
-    /// size cap, overriding whatever [`STORE_MAX_BYTES_ENV`] seeded.
-    pub fn set_max_bytes(&self, cap: Option<u64>) {
-        self.max_bytes.store(cap.unwrap_or(0), Ordering::Relaxed);
-    }
-
-    /// Path of the backing store file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Number of addressable records.
@@ -726,11 +653,6 @@ impl Store {
     /// when the payload fails its checksum (the record is dropped from
     /// the index, so the next get is a plain miss).
     pub fn get(&self, digest: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        // The reader lock is held across the index probe and the read:
-        // a compaction swaps file and index together under the write
-        // lock, so an entry can never be resolved against the wrong
-        // file generation.
-        let reader = self.reader.read().unwrap_or_else(PoisonError::into_inner);
         let entry = self
             .index
             .read()
@@ -742,7 +664,7 @@ impl Store {
             return Ok(None);
         };
         let mut buf = vec![0u8; entry.len as usize];
-        read_exact_at(&reader, &self.path, &mut buf, entry.offset)?;
+        read_exact_at(&self.reader, &self.path, &mut buf, entry.offset)?;
         if let Some(bits) = CHAOS_READ_CORRUPT.roll() {
             if buf.is_empty() {
                 // Nothing to flip in an empty payload; the injection
@@ -764,251 +686,6 @@ impl Store {
         STORE_HITS.inc();
         Ok(Some(buf))
     }
-
-    /// Rewrites the live records to a temp file in log order and
-    /// atomically renames it over the store file. Superseded records
-    /// (older appends under a reused digest) are reclaimed; records
-    /// that fail their checksum during the rewrite are dropped rather
-    /// than copied forward. Under a size cap ([`Store::max_bytes`],
-    /// seeded from [`STORE_MAX_BYTES_ENV`]) the oldest-appended live
-    /// frames are evicted first until the rewritten file fits.
-    ///
-    /// Crash safety: the original file is never modified, and `rename`
-    /// on one filesystem is all-or-nothing — a crash at any point
-    /// leaves either the old file or the new file fully valid. A torn
-    /// temp file left behind by a crash is deleted at the next open.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failures;
-    /// [`StoreError::CompactTorn`] when the [`store.compact_torn`]
-    /// injection aborts the rewrite before the swap (the live store is
-    /// untouched and stays in service).
-    ///
-    /// [`store.compact_torn`]: StoreError::CompactTorn
-    pub fn compact(&self) -> Result<CompactReport, StoreError> {
-        let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        // Heal any torn tail first so `before_bytes` is the durable
-        // prefix, not injection debris.
-        if w.file.metadata()?.len() != w.committed {
-            let committed = w.committed;
-            w.file.set_len(committed)?;
-        }
-        let before_bytes = w.committed;
-        let mut entries: Vec<(u64, IndexEntry)> = {
-            let idx = self.index.read().unwrap_or_else(PoisonError::into_inner);
-            idx.iter().map(|(&d, &e)| (d, e)).collect()
-        };
-        // Log order, so the compacted file scans in the same sequence
-        // the records were committed.
-        entries.sort_by_key(|&(_, e)| e.offset);
-
-        // Size cap: evict the oldest-appended live frames (front of the
-        // log-ordered list) until the rewritten file would fit. Evicted
-        // digests simply never enter the new index — the next get is a
-        // clean miss and the caller recomputes.
-        let mut evicted = 0usize;
-        if let Some(cap) = self.max_bytes() {
-            let mut projected = HEADER_LEN
-                + entries
-                    .iter()
-                    .map(|&(_, e)| FRAME_LEN + u64::from(e.len))
-                    .sum::<u64>();
-            while evicted < entries.len() && projected > cap {
-                projected -= FRAME_LEN + u64::from(entries[evicted].1.len);
-                evicted += 1;
-            }
-            if evicted > 0 {
-                entries.drain(..evicted);
-                STORE_EVICTED_FRAMES.add(evicted as u64);
-            }
-        }
-
-        // One roll decides whether (and where) this compaction "crashes":
-        // after `torn_at` whole records, mid-way through the next frame.
-        let torn_at = CHAOS_COMPACT_TORN
-            .roll()
-            .map(|bits| bits as usize % (entries.len() + 1));
-
-        let tmp_path = self.dir.join(COMPACT_TMP_FILE);
-        let mut tmp = File::create(&tmp_path)?;
-        tmp.write_all(&header_bytes(self.version))?;
-        let mut new_index = HashMap::with_capacity(entries.len());
-        let mut pos = HEADER_LEN;
-        let mut dropped = 0usize;
-        for (i, &(digest, e)) in entries.iter().enumerate() {
-            if torn_at == Some(i) {
-                // Simulated crash mid-rewrite: a partial frame in the
-                // temp file, no rename. The live store is untouched.
-                let _ = tmp.write_all(&digest.to_le_bytes());
-                let _ = tmp.sync_all();
-                return Err(StoreError::CompactTorn);
-            }
-            let mut payload = vec![0u8; e.len as usize];
-            read_exact_at(&w.file, &self.path, &mut payload, e.offset)?;
-            if record_checksum(digest, &payload) != e.checksum {
-                dropped += 1;
-                STORE_CORRUPT_RECORDS.inc();
-                continue;
-            }
-            tmp.write_all(&frame_header(digest, e.len, e.checksum))?;
-            tmp.write_all(&payload)?;
-            new_index.insert(
-                digest,
-                IndexEntry {
-                    offset: pos + FRAME_LEN,
-                    len: e.len,
-                    checksum: e.checksum,
-                },
-            );
-            pos += FRAME_LEN + u64::from(e.len);
-        }
-        if torn_at == Some(entries.len()) {
-            // Crash after the rewrite but before the swap: same story.
-            let _ = tmp.sync_all();
-            return Err(StoreError::CompactTorn);
-        }
-        tmp.sync_all()?;
-        drop(tmp);
-
-        let live_records = new_index.len();
-        // Swap file and index together under the reader write lock, so
-        // no get can pair an old index entry with the new file.
-        let mut reader = self.reader.write().unwrap_or_else(PoisonError::into_inner);
-        fs::rename(&tmp_path, &self.path)?;
-        w.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        w.committed = pos;
-        *reader = File::open(&self.path)?;
-        *self.index.write().unwrap_or_else(PoisonError::into_inner) = new_index;
-        drop(reader);
-        drop(w);
-
-        let reclaimed = before_bytes.saturating_sub(pos);
-        STORE_COMPACTIONS.inc();
-        STORE_COMPACT_RECLAIMED.add(reclaimed);
-        Ok(CompactReport {
-            live_records,
-            dropped_records: dropped,
-            evicted_records: evicted,
-            before_bytes,
-            after_bytes: pos,
-            reclaimed_bytes: reclaimed,
-        })
-    }
-
-    /// Scans the on-disk file and reports live vs. dead (superseded)
-    /// frames — the numbers [`Store::compact`] would act on. Takes the
-    /// writer lock so the file is stable during the scan.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failures.
-    pub fn file_stats(&self) -> Result<StoreStats, StoreError> {
-        let _w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let bytes = fs::read(&self.path)?;
-        let scan = scan_records(&bytes);
-        let idx = self.index.read().unwrap_or_else(PoisonError::into_inner);
-        let mut live_records = 0usize;
-        let mut live_bytes = HEADER_LEN;
-        for &(digest, e) in &scan.records {
-            if idx.get(&digest).map(|cur| cur.offset) == Some(e.offset) {
-                live_records += 1;
-                live_bytes += FRAME_LEN + u64::from(e.len);
-            }
-        }
-        let total_records = scan.records.len();
-        let file_bytes = bytes.len() as u64;
-        Ok(StoreStats {
-            live_records,
-            total_records,
-            dead_records: total_records - live_records,
-            file_bytes,
-            live_bytes,
-            dead_bytes: file_bytes.saturating_sub(live_bytes),
-        })
-    }
-
-    /// Re-reads and re-checksums every live record, without fault
-    /// injection — this is the maintenance pass, not the failure path.
-    /// Records that rotted on disk are dropped from the index (the next
-    /// get is a clean miss) and counted.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failures.
-    pub fn verify(&self) -> Result<VerifyReport, StoreError> {
-        let reader = self.reader.read().unwrap_or_else(PoisonError::into_inner);
-        let entries: Vec<(u64, IndexEntry)> = {
-            let idx = self.index.read().unwrap_or_else(PoisonError::into_inner);
-            idx.iter().map(|(&d, &e)| (d, e)).collect()
-        };
-        let mut corrupt = Vec::new();
-        for &(digest, e) in &entries {
-            let mut payload = vec![0u8; e.len as usize];
-            read_exact_at(&reader, &self.path, &mut payload, e.offset)?;
-            if record_checksum(digest, &payload) != e.checksum {
-                corrupt.push(digest);
-            }
-        }
-        if !corrupt.is_empty() {
-            let mut idx = self.index.write().unwrap_or_else(PoisonError::into_inner);
-            for d in &corrupt {
-                idx.remove(d);
-                STORE_CORRUPT_RECORDS.inc();
-            }
-        }
-        Ok(VerifyReport {
-            checked: entries.len(),
-            valid: entries.len() - corrupt.len(),
-            corrupt: corrupt.len(),
-        })
-    }
-}
-
-/// What a completed [`Store::compact`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactReport {
-    /// Records carried into the new file.
-    pub live_records: usize,
-    /// Records dropped for failing their checksum during the rewrite.
-    pub dropped_records: usize,
-    /// Oldest-appended live frames evicted to honor the size cap
-    /// ([`STORE_MAX_BYTES_ENV`]); zero when uncapped or already under.
-    pub evicted_records: usize,
-    /// File length before (durable prefix).
-    pub before_bytes: u64,
-    /// File length after.
-    pub after_bytes: u64,
-    /// Bytes reclaimed (`before - after`).
-    pub reclaimed_bytes: u64,
-}
-
-/// Live/dead frame accounting from [`Store::file_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Frames the index currently addresses.
-    pub live_records: usize,
-    /// All well-formed frames in the file, dead ones included.
-    pub total_records: usize,
-    /// Superseded frames a compaction would reclaim.
-    pub dead_records: usize,
-    /// On-disk file length.
-    pub file_bytes: u64,
-    /// Header plus live frames.
-    pub live_bytes: u64,
-    /// Bytes a compaction would reclaim.
-    pub dead_bytes: u64,
-}
-
-/// What [`Store::verify`] found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VerifyReport {
-    /// Records re-read and re-checksummed.
-    pub checked: usize,
-    /// Records that verified clean.
-    pub valid: usize,
-    /// Records dropped for failing their checksum.
-    pub corrupt: usize,
 }
 
 fn header_bytes(version: u16) -> [u8; HEADER_LEN as usize] {

@@ -128,14 +128,11 @@ assert reuse_ratio >= 0.9, \
     f"LU replay ratio {reuse_ratio:.3f} ({reuse} replays, {builds} builds) is below 0.9"
 assert "fleet.detection_latency_mh" in snap["histograms"], "fleet latency histogram missing"
 # The persistence layer runs inside the stats flow: the checkpointed
-# mini fleet and its resume, and a compaction with dead records, must
-# leave their marks.
-for key in ("store.puts", "store.hits",
-            "store.compactions", "store.compact_reclaimed_bytes"):
+# mini fleet and its resume must leave their marks.
+for key in ("store.puts", "store.hits"):
     assert counters.get(key, 0) > 0, f"expected nonzero counter {key}: {counters.get(key)}"
-# The size-capped maintenance pass and the mini Monte Carlo campaign
-# run inside the stats flow too.
-for key in ("store.evicted_frames", "monte.samples", "monte.measurements"):
+# The mini Monte Carlo campaign runs inside the stats flow too.
+for key in ("monte.samples", "monte.measurements"):
     assert counters.get(key, 0) > 0, f"expected nonzero counter {key}: {counters.get(key)}"
 print(
     "METRICS_run.json ok:",
@@ -169,7 +166,7 @@ points = {
     "linalg.forced_singular", "linalg.forced_nonfinite",
     "spice.newton_nan", "spice.newton_stall", "spice.tran_step_reject",
     "fleet.device_fault", "fleet.sched_skew", "fleet.test_corrupt",
-    "store.write_torn", "store.read_corrupt", "store.compact_torn",
+    "store.write_torn", "store.read_corrupt",
 }
 assert set(run["points"]) == points, \
     f"injection points differ: {sorted(set(run['points']) ^ points)}"
@@ -211,43 +208,6 @@ for p in run["probes"]:
 print(f"MONTE_run.json ok: {run['samples']} corners x {len(run['probes'])} probes, "
       "byte-identical across thread counts")
 EOF
-
-# Crash-recovery smoke, fleet: SIGKILL a checkpointed million-device
-# campaign mid-run, resume it, and require FLEET_run.json to match an
-# uninterrupted reference run byte for byte.
-rm -rf results/killtest
-mkdir -p results/killtest/ref results/killtest/cut
-REPRO="$PWD/target/release/repro"
-FLEET_ENV="OBD_FLEET_SEED=0x0BDFEE1 OBD_FLEET_DEVICES=1000003 OBD_FLEET_CKPT=65536"
-(cd results/killtest/ref && env $FLEET_ENV OBD_STORE_DIR=store "$REPRO" fleet > /dev/null)
-(cd results/killtest/cut && exec env $FLEET_ENV OBD_STORE_DIR=store "$REPRO" fleet > /dev/null 2>&1) &
-KILL_PID=$!
-sleep 0.5
-kill -9 "$KILL_PID" 2>/dev/null || true
-wait "$KILL_PID" 2>/dev/null || true
-(cd results/killtest/cut && env $FLEET_ENV OBD_STORE_DIR=store "$REPRO" fleet > /dev/null)
-cmp results/killtest/ref/results/FLEET_run.json results/killtest/cut/results/FLEET_run.json \
-    || { echo "killed+resumed FLEET_run.json differs from uninterrupted run"; exit 1; }
-echo "fleet kill smoke ok: resumed campaign byte-identical at 1,000,003 devices"
-
-# Smoke the store maintenance verb on the store the fleet kill test left
-# behind: stats, compact and verify must all succeed and report sane,
-# parseable JSON (the kill may have left dead records and a stale lock).
-# Fleet checkpoints are the store's only records: 1,000,003 devices in
-# 65,536-device blocks is exactly 16 of them.
-(cd results/killtest/cut && export OBD_STORE_DIR=store && "$REPRO" store stats > /dev/null \
-    && "$REPRO" store compact > /dev/null && "$REPRO" store verify > /dev/null)
-python3 - <<'EOF'
-import json
-
-with open("results/killtest/cut/results/STORE_run.json") as f:
-    run = json.load(f)
-assert run["action"] == "verify"
-assert run["checked"] == 16 and run["valid"] == 16 and run["corrupt"] == 0, \
-    f"store verify failed: {run}"
-print(f"store verb smoke ok: {run['valid']}/{run['checked']} records verified clean")
-EOF
-rm -rf results/killtest
 
 # Smoke the fleet workload end to end. First the determinism contract at
 # a reduced fleet size: the same seed must produce byte-identical
