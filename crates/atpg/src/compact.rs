@@ -1,14 +1,19 @@
 //! Test-set compaction by set cover.
 
-/// Greedy set cover: picks tests covering the most still-uncovered faults
-/// first. `matrix[t][f]` says whether test `t` detects fault `f`;
-/// `coverable` restricts the universe (untestable faults are excluded by
-/// the caller). Returns indices of the chosen tests.
-pub fn greedy_cover(matrix: &[Vec<bool>], coverable: &[bool]) -> Vec<usize> {
-    let n_faults = coverable.len();
-    let mut uncovered: Vec<usize> = (0..n_faults)
-        .filter(|&f| coverable[f] && matrix.iter().any(|row| row[f]))
-        .collect();
+/// The faults some test detects; `matrix[t][f]` says whether test `t`
+/// detects fault `f`.
+pub(crate) fn detected_faults(matrix: &[Vec<bool>]) -> Vec<usize> {
+    let n_faults = matrix.first().map_or(0, Vec::len);
+    (0..n_faults)
+        .filter(|&f| matrix.iter().any(|row| row[f]))
+        .collect()
+}
+
+/// Greedy set cover of every detected fault: picks tests covering the
+/// most still-uncovered faults first. Returns indices of the chosen
+/// tests.
+pub(crate) fn greedy_cover(matrix: &[Vec<bool>]) -> Vec<usize> {
+    let mut uncovered = detected_faults(matrix);
     let mut chosen = Vec::new();
     let mut used = vec![false; matrix.len()];
     while !uncovered.is_empty() {
@@ -32,11 +37,9 @@ pub fn greedy_cover(matrix: &[Vec<bool>], coverable: &[bool]) -> Vec<usize> {
 /// Exact minimal cover by branch-and-bound (for the small exhaustive
 /// analyses — the §4.3 "necessary and sufficient" count). Falls back to
 /// the greedy answer if the search exceeds `node_budget`.
-pub fn exact_cover(matrix: &[Vec<bool>], coverable: &[bool], node_budget: usize) -> Vec<usize> {
-    let greedy = greedy_cover(matrix, coverable);
-    let targets: Vec<usize> = (0..coverable.len())
-        .filter(|&f| coverable[f] && matrix.iter().any(|row| row[f]))
-        .collect();
+pub(crate) fn exact_cover(matrix: &[Vec<bool>], node_budget: usize) -> Vec<usize> {
+    let greedy = greedy_cover(matrix);
+    let targets = detected_faults(matrix);
     if targets.is_empty() {
         return Vec::new();
     }
@@ -133,7 +136,7 @@ mod tests {
     #[test]
     fn greedy_covers_everything() {
         let m = matrix();
-        let chosen = greedy_cover(&m, &[true; 4]);
+        let chosen = greedy_cover(&m);
         // All faults covered by the chosen tests.
         #[allow(clippy::needless_range_loop)]
         for f in 0..4 {
@@ -145,7 +148,7 @@ mod tests {
     #[test]
     fn exact_finds_two_test_cover() {
         let m = matrix();
-        let chosen = exact_cover(&m, &[true; 4], 100_000);
+        let chosen = exact_cover(&m, 100_000);
         assert_eq!(chosen.len(), 2, "{chosen:?}"); // {t0, t2}
     }
 
@@ -155,21 +158,13 @@ mod tests {
         for row in &mut m {
             row.push(false); // fault 4 undetectable
         }
-        let chosen = exact_cover(&m, &[true; 5], 100_000);
+        let chosen = exact_cover(&m, 100_000);
         assert_eq!(chosen.len(), 2);
     }
 
     #[test]
-    fn coverable_mask_restricts_universe() {
-        let m = matrix();
-        // Only fault 3 matters: one test suffices.
-        let chosen = exact_cover(&m, &[false, false, false, true], 100_000);
-        assert_eq!(chosen.len(), 1);
-    }
-
-    #[test]
     fn empty_matrix_is_fine() {
-        assert!(greedy_cover(&[], &[]).is_empty());
-        assert!(exact_cover(&[], &[], 10).is_empty());
+        assert!(greedy_cover(&[]).is_empty());
+        assert!(exact_cover(&[], 10).is_empty());
     }
 }

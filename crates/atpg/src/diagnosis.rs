@@ -26,9 +26,9 @@ use crate::AtpgError;
 #[derive(Debug, Clone)]
 pub struct Observation {
     /// The applied two-pattern test.
-    pub test: TwoPatternTest,
+    pub(crate) test: TwoPatternTest,
     /// Whether the circuit failed (produced a wrong capture value).
-    pub failed: bool,
+    pub(crate) failed: bool,
 }
 
 /// A ranked diagnosis candidate.
@@ -39,10 +39,10 @@ pub struct Candidate {
     /// Observed failing tests explained by this candidate.
     pub explained_failures: usize,
     /// Observed failing tests NOT explained (candidate predicts a pass).
-    pub unexplained_failures: usize,
+    pub(crate) unexplained_failures: usize,
     /// Observed passing tests the candidate predicts should fail
     /// (mispredictions).
-    pub mispredicted_passes: usize,
+    pub(crate) mispredicted_passes: usize,
 }
 
 impl Candidate {

@@ -76,7 +76,7 @@ impl Fault {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectionCriterion {
     /// Slack in picoseconds; extra delays at or below this are invisible.
-    pub slack_ps: f64,
+    pub(crate) slack_ps: f64,
 }
 
 impl DetectionCriterion {

@@ -4,7 +4,7 @@ use obd_core::characterize::DelayTable;
 use obd_core::BreakdownStage;
 use obd_logic::netlist::Netlist;
 
-use crate::compact::{exact_cover, greedy_cover};
+use crate::compact::{detected_faults, exact_cover};
 use crate::fault::{
     obd_faults, stuck_at_faults, transition_faults, DetectionCriterion, Fault, TwoPatternTest,
 };
@@ -141,27 +141,49 @@ pub fn generate_transition_tests(nl: &Netlist) -> Result<TestReport, AtpgError> 
     )
 }
 
-/// The §4.3 exhaustive analysis of a small circuit: every two-pattern
-/// test against every OBD fault, with minimal necessary-and-sufficient
-/// cover extraction.
+/// The §4.3 analysis of a small circuit over a candidate test list:
+/// every candidate against every OBD fault, with minimal
+/// necessary-and-sufficient cover extraction.
 #[derive(Debug, Clone)]
-pub struct ExhaustiveObdAnalysis {
+pub struct ObdCoverAnalysis {
     /// Total OBD sites considered.
     pub total_faults: usize,
-    /// Faults detectable by at least one exhaustive test.
+    /// Faults detectable by at least one candidate.
     pub testable: usize,
-    /// Size of the candidate two-pattern universe.
-    pub candidate_tests: usize,
-    /// Indices (into the exhaustive candidate list) of a minimal test set
-    /// covering every testable fault.
+    /// Indices (into the candidate list) of a minimal test set covering
+    /// every testable fault.
     pub minimal_set: Vec<usize>,
     /// The candidate tests themselves.
     pub tests: Vec<TwoPatternTest>,
-    /// Full detection matrix `matrix[test][fault]`.
-    pub matrix: Vec<Vec<bool>>,
 }
 
-/// Runs the exhaustive §4.3 analysis.
+/// Runs the §4.3 analysis over the candidate `tests`: counts the OBD
+/// faults some candidate detects and covers them with as few candidates
+/// as the branch-and-bound finds (never more than the greedy cover it
+/// starts from).
+///
+/// # Errors
+///
+/// Propagates simulation errors.
+pub fn obd_cover_analysis(
+    nl: &Netlist,
+    stage: BreakdownStage,
+    criterion: &DetectionCriterion,
+    nand_only: bool,
+    tests: Vec<TwoPatternTest>,
+) -> Result<ObdCoverAnalysis, AtpgError> {
+    let faults = obd_faults(nl, stage, nand_only);
+    let sim = FaultSimulator::with_criterion(nl, DelayTable::paper(), criterion.clone())?;
+    let matrix = sim.detection_matrix(&faults, &tests)?;
+    Ok(ObdCoverAnalysis {
+        total_faults: faults.len(),
+        testable: detected_faults(&matrix).len(),
+        minimal_set: exact_cover(&matrix, 2_000_000),
+        tests,
+    })
+}
+
+/// Runs the §4.3 analysis over every ordered two-pattern test.
 ///
 /// # Errors
 ///
@@ -175,30 +197,9 @@ pub fn exhaustive_obd_analysis(
     stage: BreakdownStage,
     criterion: &DetectionCriterion,
     nand_only: bool,
-) -> Result<ExhaustiveObdAnalysis, AtpgError> {
-    let faults = obd_faults(nl, stage, nand_only);
+) -> Result<ObdCoverAnalysis, AtpgError> {
     let tests = exhaustive_two_pattern(nl.inputs().len());
-    let sim = FaultSimulator::with_criterion(nl, DelayTable::paper(), criterion.clone())?;
-    let matrix = sim.detection_matrix(&faults, &tests)?;
-    let coverable = vec![true; faults.len()];
-    let testable = (0..faults.len())
-        .filter(|&f| matrix.iter().any(|row| row[f]))
-        .count();
-    let greedy = greedy_cover(&matrix, &coverable);
-    let minimal = exact_cover(&matrix, &coverable, 2_000_000);
-    let minimal_set = if minimal.len() <= greedy.len() {
-        minimal
-    } else {
-        greedy
-    };
-    Ok(ExhaustiveObdAnalysis {
-        total_faults: faults.len(),
-        testable,
-        candidate_tests: tests.len(),
-        minimal_set,
-        tests,
-        matrix,
-    })
+    obd_cover_analysis(nl, stage, criterion, nand_only, tests)
 }
 
 #[cfg(test)]
@@ -267,19 +268,16 @@ mod tests {
         // ATPG's testable count must agree with exhaustive ground truth.
         assert_eq!(report.total_faults - report.untestable, exhaustive.testable);
         // The minimal set covers every testable fault.
-        for f in 0..exhaustive.total_faults {
-            let coverable = exhaustive.matrix.iter().any(|row| row[f]);
-            if coverable {
-                assert!(
-                    exhaustive
-                        .minimal_set
-                        .iter()
-                        .any(|&t| exhaustive.matrix[t][f]),
-                    "fault {f} uncovered by the minimal set"
-                );
-            }
+        let faults = obd_faults(&nl, BreakdownStage::Mbd2, true);
+        let sim = FaultSimulator::new(&nl).unwrap();
+        let matrix = sim.detection_matrix(&faults, &exhaustive.tests).unwrap();
+        for f in detected_faults(&matrix) {
+            assert!(
+                exhaustive.minimal_set.iter().any(|&t| matrix[t][f]),
+                "fault {f} uncovered by the minimal set"
+            );
         }
         // Paper shape: a small fraction of all transitions suffices.
-        assert!(exhaustive.minimal_set.len() * 2 < exhaustive.candidate_tests);
+        assert!(exhaustive.minimal_set.len() * 2 < exhaustive.tests.len());
     }
 }

@@ -89,7 +89,7 @@ pub struct Podem<'a> {
     scoap: Scoap,
     pi_index: Vec<Option<usize>>,
     /// Statistics: backtracks used by the last run.
-    pub backtracks: usize,
+    pub(crate) backtracks: usize,
 }
 
 impl<'a> Podem<'a> {

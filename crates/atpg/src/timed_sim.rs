@@ -19,11 +19,11 @@ use crate::AtpgError;
 
 /// Outcome of a timed two-pattern application.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimedOutcome {
+pub(crate) struct TimedOutcome {
     /// Primary-output values captured at the clock edge.
-    pub captured: Vec<Lv>,
+    pub(crate) captured: Vec<Lv>,
     /// The settled (untimed) final values, for reference.
-    pub settled: Vec<Lv>,
+    pub(crate) settled: Vec<Lv>,
 }
 
 /// Applies a two-pattern test to a delay-annotated circuit and captures

@@ -4,7 +4,8 @@
 //!
 //! * per circuit (c17, mux4, rca32, csa32, mult16): the scalar reference
 //!   grader, the default width-1 dropping grader serial and on the
-//!   work-stealing pool;
+//!   work-stealing pool (a row reads `inline: true` when one untimed
+//!   pooled run never spawned a worker);
 //! * the full c17 detection matrix (no dropping): per-pair scalar
 //!   `detects` against `detection_matrix`;
 //! * full mult16 detection rows (no dropping) at width 1 against the
@@ -77,6 +78,9 @@ struct Row {
     packed: f64,
     /// Packed serial → packed on the pool.
     parallel: f64,
+    /// The pooled run never spawned a worker: `parallel` compares two
+    /// inline runs.
+    inline: bool,
 }
 
 /// Grades `tests` seeded random tests against the stride-sampled fault
@@ -95,6 +99,12 @@ fn grade_circuit(
     let patterns = random_two_pattern(nl.inputs().len(), tests, seed);
     let (scalar, scalar_s) = min_time(reps, || grade_scalar(&sim, &faults, &patterns).unwrap());
     let (packed, packed_s) = min_time(reps, || sim.grade(&faults, &patterns).unwrap());
+    obd_metrics::enable();
+    let runs = || obd_metrics::snapshot().counter("core.pool_parallel_runs");
+    let before = runs();
+    sim.grade_parallel(&faults, &patterns, threads).unwrap();
+    let inline = runs() == before;
+    obd_metrics::disable();
     let (parallel, parallel_s) = min_time(reps, || {
         sim.grade_parallel(&faults, &patterns, threads).unwrap()
     });
@@ -111,6 +121,7 @@ fn grade_circuit(
         faults: faults.len(),
         packed: scalar_s / packed_s,
         parallel: packed_s / parallel_s,
+        inline,
     }
 }
 
@@ -237,7 +248,10 @@ fn packed_grading_keeps_its_speed_floor() {
     );
     // Real multi-core scaling is only observable on a multi-core host.
     if threads >= 4 {
-        assert!(largest.parallel >= 2.0, "{threads} threads: {largest:?}");
+        assert!(
+            !largest.inline && largest.parallel >= 2.0,
+            "{threads} threads: {largest:?}"
+        );
     }
     // Packing and the good-machine sims must stay a small share of a
     // dropping run, or preparation, not fault evaluation, bounds it.

@@ -2,13 +2,9 @@
 //! necessary-and-sufficient transition set for the full-adder sum
 //! circuit.
 
-use obd_atpg::compact::{exact_cover, greedy_cover};
-use obd_atpg::fault::DetectionCriterion;
-use obd_atpg::faultsim::FaultSimulator;
-use obd_atpg::generate::{exhaustive_obd_analysis, ExhaustiveObdAnalysis};
-use obd_atpg::random::single_input_change;
+use obd_atpg::fault::{DetectionCriterion, TwoPatternTest};
+use obd_atpg::generate::{exhaustive_obd_analysis, obd_cover_analysis, ObdCoverAnalysis};
 use obd_atpg::AtpgError;
-use obd_core::characterize::DelayTable;
 use obd_core::BreakdownStage;
 use obd_logic::circuits::fig8_sum_circuit;
 
@@ -16,14 +12,10 @@ use obd_logic::circuits::fig8_sum_circuit;
 #[derive(Debug, Clone)]
 pub struct Fig8Stats {
     /// All-pairs exhaustive analysis (56 ordered pairs for 3 PIs).
-    pub all_pairs: ExhaustiveObdAnalysis,
-    /// Minimal set size when candidates are restricted to single-input
-    /// changes (24 candidates for 3 PIs) — closer to scan-style delivery.
-    pub single_input_minimal: usize,
-    /// Number of single-input-change candidates.
-    pub single_input_candidates: usize,
-    /// Faults testable under the single-input-change restriction.
-    pub single_input_testable: usize,
+    pub all_pairs: ObdCoverAnalysis,
+    /// Candidates restricted to single-input changes (24 for 3 PIs) —
+    /// closer to scan-style delivery.
+    pub single_input: ObdCoverAnalysis,
 }
 
 /// Runs the full §4.3 analysis on the Fig. 8 circuit.
@@ -43,26 +35,13 @@ pub fn run(stage: BreakdownStage) -> Result<Fig8Stats, AtpgError> {
         for flip in 0..n {
             let mut v2 = v.clone();
             v2[flip] = !v2[flip];
-            sic.push(obd_atpg::fault::TwoPatternTest { v1: v.clone(), v2 });
+            sic.push(TwoPatternTest { v1: v.clone(), v2 });
         }
     }
-    let _ = single_input_change(n, 0, 0); // keep the RNG variant linked for docs
-    let faults = obd_atpg::fault::obd_faults(&nl, stage, true);
-    let sim = FaultSimulator::with_criterion(&nl, DelayTable::paper(), criterion)?;
-    let matrix = sim.detection_matrix(&faults, &sic)?;
-    let coverable = vec![true; faults.len()];
-    let testable = (0..faults.len())
-        .filter(|&f| matrix.iter().any(|row| row[f]))
-        .count();
-    let greedy = greedy_cover(&matrix, &coverable);
-    let exact = exact_cover(&matrix, &coverable, 2_000_000);
-    let minimal = exact.len().min(greedy.len());
-
+    let single_input = obd_cover_analysis(&nl, stage, &criterion, true, sic)?;
     Ok(Fig8Stats {
         all_pairs,
-        single_input_minimal: minimal,
-        single_input_candidates: sic.len(),
-        single_input_testable: testable,
+        single_input,
     })
 }
 
@@ -82,11 +61,14 @@ pub fn render(stats: &Fig8Stats) -> String {
     s.push_str(&format!(
         "  minimal set, all-pairs:       {} of {} candidates (paper: 18 of 72)\n",
         a.minimal_set.len(),
-        a.candidate_tests
+        a.tests.len()
     ));
+    let sic = &stats.single_input;
     s.push_str(&format!(
         "  minimal set, single-input:    {} of {} candidates (testable under restriction: {})\n",
-        stats.single_input_minimal, stats.single_input_candidates, stats.single_input_testable
+        sic.minimal_set.len(),
+        sic.tests.len(),
+        sic.testable
     ));
     s.push_str("  chosen all-pairs tests:\n");
     for &t in &a.minimal_set {
@@ -113,7 +95,7 @@ mod tests {
     fn single_input_change_needs_more_tests() {
         let stats = run(BreakdownStage::Mbd2).unwrap();
         // The restricted delivery cannot beat the unrestricted minimum.
-        assert!(stats.single_input_minimal >= stats.all_pairs.minimal_set.len());
-        assert!(stats.single_input_candidates == 24);
+        assert!(stats.single_input.minimal_set.len() >= stats.all_pairs.minimal_set.len());
+        assert!(stats.single_input.tests.len() == 24);
     }
 }

@@ -29,8 +29,6 @@ pub struct StrategyCoverage {
     pub tests: usize,
     /// OBD faults detected.
     pub detected: usize,
-    /// Total OBD faults.
-    pub total: usize,
     /// Testable OBD faults (ground truth from the OBD-aware run).
     pub testable: usize,
 }
@@ -169,7 +167,6 @@ pub fn run(nl: &Netlist, stage: BreakdownStage) -> Result<Vec<StrategyCoverage>,
             strategy: name.to_string(),
             tests: tests.len(),
             detected: grade(tests)?,
-            total: faults.len(),
             testable,
         });
     }

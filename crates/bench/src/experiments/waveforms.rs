@@ -15,8 +15,6 @@ pub struct LabeledTrace {
     pub label: String,
     /// `(time_s, volts)` samples of the NAND output.
     pub output: Vec<(f64, f64)>,
-    /// `(time_s, volts)` samples of the switching NAND input.
-    pub input: Vec<(f64, f64)>,
 }
 
 fn extract(
@@ -29,20 +27,10 @@ fn extract(
 ) -> Result<LabeledTrace, ObdError> {
     let sim = SimOptions::new();
     let (wave, exp, bench) = run_cell_bench(tech, GateKind::Nand, defect, v1, v2, cfg, &sim)?;
-    let pin = (0..2).find(|&i| v1[i] != v2[i]).unwrap_or(0);
-    let in_node = exp.node(bench.nand_inputs[pin]);
-    let out_node = exp.node(bench.output);
-    let sample = |node| -> Vec<(f64, f64)> {
-        wave.time()
-            .iter()
-            .zip(wave.trace(node).iter())
-            .map(|(&t, &v)| (t, v))
-            .collect()
-    };
+    let out = wave.trace(exp.node(bench.output));
     Ok(LabeledTrace {
         label: label.to_string(),
-        output: sample(out_node),
-        input: sample(in_node),
+        output: wave.time().iter().zip(out).map(|(&t, &v)| (t, v)).collect(),
     })
 }
 
@@ -295,12 +283,10 @@ mod tests {
             LabeledTrace {
                 label: "fine".into(),
                 output: ramp(&[0.0, 1.0, 2.0, 3.0, 4.0]),
-                input: Vec::new(),
             },
             LabeledTrace {
                 label: "coarse, uneven".into(),
                 output: ramp(&[0.0, 1.5, 3.0]),
-                input: Vec::new(),
             },
         ];
         let csv = to_csv(&traces, 0.5);

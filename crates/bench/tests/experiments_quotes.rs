@@ -636,3 +636,117 @@ fn x1_matches_iddq() {
         ],
     );
 }
+
+/// A table cell in one spelling for prose and artifact: unit dropped,
+/// lower case, spaces as dashes (`102 ps` and `102ps` both read `102`,
+/// `Fault Free` reads `fault-free`).
+fn cell_key(cell: &str) -> String {
+    cell.trim_end_matches("ps")
+        .trim()
+        .to_lowercase()
+        .replace(' ', "-")
+}
+
+/// E2 quotes `results/table1.txt`: a `stage | <sequence> <pin> | ...`
+/// header, then one row per stage. Each cell of the measured table must
+/// be the artifact's at the same stage and column, and the NMOS ladder
+/// ratio the rounded range of MBD1–MBD3 over fault-free in (01,11) NA.
+#[test]
+fn e2_table_matches_table1() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let e2 = between(&doc, "## E2 ", "\n## ");
+    let keyed = |rows: Vec<Vec<String>>| -> Vec<Vec<String>> {
+        let key_row = |row: Vec<String>| row.iter().map(|c| cell_key(c)).collect();
+        rows.into_iter().map(key_row).collect()
+    };
+    let text = repo_file("results/table1.txt");
+    let artifact = keyed(table_rows(
+        &text.lines().map(|l| format!("|{l}\n")).collect::<String>(),
+    ));
+    let quoted = keyed(table_rows(e2.split_once("Measured (").expect("measured").1));
+    assert_eq!(quoted.len(), 6, "E2 quotes every stage");
+    let column = |name: &str| artifact[0].iter().position(|h| h == name).expect(name);
+    for (q, a) in quoted.iter().zip(&artifact) {
+        assert_eq!(q[0], a[0], "E2 stage order");
+        for (name, cell) in quoted[0].iter().zip(q).skip(1) {
+            assert_eq!(cell, &a[column(name)], "E2 {} {name}", q[0]);
+        }
+    }
+    // Rows 1–4: fault-free, MBD1, MBD2, MBD3.
+    let na = column("(01,11)-na");
+    let delay = |row: usize| -> f64 { artifact[row][na].parse().expect("an NA delay") };
+    let ratios: Vec<f64> = (2..=4).map(|row| delay(row) / delay(1)).collect();
+    let lo = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = ratios.iter().copied().fold(0.0, f64::max);
+    assert_quotes(
+        "E2",
+        &e2.replace('\n', " "),
+        &[format!("({lo:.0}–{hi:.0}× vs")],
+    );
+}
+
+/// E5 quotes `results/fig9.txt`: a header, then one `<polarity> <pin>
+/// <sequence> <fault-free> <faulty>` line per defect, in the order of
+/// the quoted table's rows.
+#[test]
+fn e5_table_matches_fig9() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let quoted = table_rows(between(&doc, "## E5 ", "\n## "));
+    let text = repo_file("results/fig9.txt");
+    let artifact: Vec<&str> = text.lines().skip(1).collect();
+    assert_eq!(quoted.len(), artifact.len() + 1, "E5 quotes every defect");
+    for (q, a) in quoted[1..].iter().zip(artifact) {
+        let w: Vec<&str> = a.split_whitespace().collect();
+        let a = format!("{} {}|{}", w[0], w[1], w[2..].join("|"));
+        assert_eq!(q.join("|").replace(" ps", "ps"), a, "E5 row");
+    }
+}
+
+/// X7 quotes the model comparison that closes
+/// `results/clock_sweep.txt`: one `<clock ps> <static-slack>
+/// <timing-accurate>` row per clock, whose margin the sweep rows above
+/// give as `<clock>ps (<multiple>x)`. The prose must carry the tightest
+/// clock's two counts, the margins where the models agree on a nonzero
+/// count, and those where they split.
+#[test]
+fn x7_matches_clock_sweep() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let x7 = between(&doc, "### X7 ", "\n### ").replace('\n', " ");
+    let text = repo_file("results/clock_sweep.txt");
+    let (sweep, comparison) = text.split_once("clock(ps)").expect("the model comparison");
+    let margin: BTreeMap<&str, f64> = sweep
+        .lines()
+        .filter(|l| l.contains("x)"))
+        .map(|l| {
+            let clock = l.split_whitespace().next().expect("a clock");
+            let multiple: f64 = between(l, "(", "x)").parse().expect("a multiple");
+            (clock.trim_end_matches("ps"), (multiple - 1.0) * 100.0)
+        })
+        .collect();
+    let rows: Vec<(f64, &str, &str)> = comparison
+        .lines()
+        .filter_map(|l| match l.split_whitespace().collect::<Vec<_>>()[..] {
+            [clock, fixed, timed] => Some((margin[clock], fixed, timed)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rows.len(), 5, "five compared clocks");
+    let (m, fixed, timed) = rows[0];
+    let mut expected = vec![format!(
+        "at a {m:.0} % clock margin it claims {fixed} detections where the timed reference confirms {timed}"
+    )];
+    let agree: Vec<_> = rows[1..]
+        .iter()
+        .filter(|r| r.1 == r.2 && r.1 != "0")
+        .collect();
+    let margins: Vec<String> = agree.iter().map(|r| format!("{:.0} %", r.0)).collect();
+    let count = agree.first().expect("a clock where the models agree").1;
+    expected.push(format!(
+        "at {} margins the two agree exactly ({count}/{count})",
+        margins.join(" and ")
+    ));
+    for (m, fixed, timed) in rows[1..].iter().filter(|r| r.1 != r.2) {
+        expected.push(format!("at {m:.0} % they split {fixed} vs {timed}"));
+    }
+    assert_quotes("X7", &x7, &expected);
+}

@@ -20,9 +20,9 @@ use crate::CmosError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransistorRef {
     /// The logic gate this transistor implements.
-    pub gate: GateId,
+    pub(crate) gate: GateId,
     /// The cell input pin controlling the transistor's gate terminal.
-    pub pin: usize,
+    pub(crate) pin: usize,
     /// Device polarity (NMOS = pull-down side, PMOS = pull-up side).
     pub polarity: MosPolarity,
     /// Leaf index within its pull network.
@@ -37,10 +37,6 @@ pub struct ExpandedCircuit {
     /// The analog circuit (contains the VDD supply; primary inputs are
     /// *undriven* nodes the caller must attach sources to).
     pub circuit: Circuit,
-    /// The VDD rail node.
-    pub vdd: NodeId,
-    /// Technology used for the expansion.
-    pub tech: TechParams,
     node_of_net: Vec<NodeId>,
     transistors: Vec<TransistorRef>,
 }
@@ -198,8 +194,6 @@ pub fn expand(nl: &Netlist, tech: &TechParams) -> Result<ExpandedCircuit, CmosEr
 
     Ok(ExpandedCircuit {
         circuit: ckt,
-        vdd,
-        tech: tech.clone(),
         node_of_net,
         transistors,
     })

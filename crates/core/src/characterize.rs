@@ -389,10 +389,6 @@ pub fn measure_cell_transition(
 pub struct Table1Row {
     /// Stage of the row.
     pub stage: BreakdownStage,
-    /// Parameters used for the NMOS half (if available).
-    pub nmos_params: Option<ObdParams>,
-    /// Parameters used for the PMOS half (if available).
-    pub pmos_params: Option<ObdParams>,
     /// NMOS outcomes for [(01,11) NA, (01,11) NB, (10,11) NA, (10,11) NB].
     pub nmos: [Option<TransitionOutcome>; 4],
     /// PMOS outcomes for [(11,10) PA, (11,10) PB, (11,01) PA, (11,01) PB].
@@ -438,7 +434,7 @@ pub struct CellFailure {
     /// Slot index (0–3 NMOS, 4–7 PMOS).
     pub slot: usize,
     /// Breakdown stage of the failed row.
-    pub stage: BreakdownStage,
+    pub(crate) stage: BreakdownStage,
     /// The typed error that degraded the cell.
     pub error: ObdError,
 }
@@ -521,7 +517,7 @@ pub fn characterize_table1(
     cfg: &BenchConfig,
     opts: &RunOptions,
 ) -> Table1Report {
-    let (jobs, row_meta) = table1_jobs();
+    let jobs = table1_jobs();
     // The pool fails only when a worker panicked; every cell then carries
     // that error.
     let results = crate::pool::run_jobs(&jobs, opts.threads, |_, j| {
@@ -536,7 +532,7 @@ pub fn characterize_table1(
         ))
     })
     .unwrap_or_else(|e| jobs.iter().map(|_| Err(e.clone())).collect());
-    let mut slots = vec![[None; 8]; row_meta.len()];
+    let mut slots = vec![[None; 8]; BreakdownStage::TABLE1.len()];
     let mut failures = Vec::new();
     for (j, outcome) in jobs.iter().zip(results) {
         for slot in j.slots.clone() {
@@ -547,7 +543,7 @@ pub fn characterize_table1(
                     failures.push(CellFailure {
                         row: j.row,
                         slot,
-                        stage: row_meta[j.row].0,
+                        stage: BreakdownStage::TABLE1[j.row],
                         error: error.clone(),
                     });
                 }
@@ -555,7 +551,7 @@ pub fn characterize_table1(
         }
     }
     Table1Report {
-        table: table1_from_slots(row_meta, slots),
+        table: table1_from_slots(slots),
         failures,
     }
 }
@@ -596,16 +592,12 @@ struct Table1Job {
     v2: [bool; 2],
 }
 
-/// Per-row metadata: the progression stage plus its NMOS/PMOS model
-/// parameters (absent where the stage has no such device variant).
-type Table1RowMeta = (BreakdownStage, Option<ObdParams>, Option<ObdParams>);
-
-/// Builds the flat job list for the Table 1 grid, in grid order.
-fn table1_jobs() -> (Vec<Table1Job>, Vec<Table1RowMeta>) {
+/// Builds the flat job list for the Table 1 grid, in grid order; job
+/// rows index [`BreakdownStage::TABLE1`].
+fn table1_jobs() -> Vec<Table1Job> {
     let nmos_seqs = [([false, true], [true, true]), ([true, false], [true, true])];
     let pmos_seqs = [([true, true], [true, false]), ([true, true], [false, true])];
     let mut jobs = Vec::new();
-    let mut row_meta = Vec::new();
     for (row, stage) in BreakdownStage::TABLE1.into_iter().enumerate() {
         let nmos_params = stage.params(Polarity::Nmos).ok();
         let pmos_params = stage.params(Polarity::Pmos).ok();
@@ -642,23 +634,18 @@ fn table1_jobs() -> (Vec<Table1Job>, Vec<Table1RowMeta>) {
                 }
             }
         }
-        row_meta.push((stage, nmos_params, pmos_params));
     }
-    (jobs, row_meta)
+    jobs
 }
 
-/// Assembles outcome slots back into [`Table1`] rows.
-fn table1_from_slots(
-    row_meta: Vec<(BreakdownStage, Option<ObdParams>, Option<ObdParams>)>,
-    slots: Vec<[Option<TransitionOutcome>; 8]>,
-) -> Table1 {
-    let rows = row_meta
+/// Assembles outcome slots, one per [`BreakdownStage::TABLE1`] row,
+/// back into [`Table1`] rows.
+fn table1_from_slots(slots: Vec<[Option<TransitionOutcome>; 8]>) -> Table1 {
+    let rows = BreakdownStage::TABLE1
         .into_iter()
         .zip(slots)
-        .map(|((stage, nmos_params, pmos_params), s)| Table1Row {
+        .map(|(stage, s)| Table1Row {
             stage,
-            nmos_params,
-            pmos_params,
             nmos: [s[0], s[1], s[2], s[3]],
             pmos: [s[4], s[5], s[6], s[7]],
         })

@@ -11,13 +11,13 @@ use crate::ObdError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObdInstance {
     /// Gate → breakdown-point resistor.
-    pub r_bd: DeviceId,
+    pub(crate) r_bd: DeviceId,
     /// Breakdown-point ↔ source junction.
-    pub d_source: DeviceId,
+    pub(crate) d_source: DeviceId,
     /// Breakdown-point ↔ drain junction.
-    pub d_drain: DeviceId,
+    pub(crate) d_drain: DeviceId,
     /// Breakdown-point → substrate resistor (fixed, high).
-    pub r_sub: DeviceId,
+    pub(crate) r_sub: DeviceId,
 }
 
 /// Injects the Fig. 3b breakdown network at the given MOSFET.
@@ -47,8 +47,9 @@ pub struct ObdInstance {
 ///                 w: 1e-6, l: 0.35e-6 },
 /// ));
 /// let params = BreakdownStage::Mbd1.params(Polarity::Nmos)?;
-/// let inst = inject_obd(&mut ckt, m, params, "bd")?;
-/// ckt.device(inst.r_bd); // four new devices are addressable
+/// let before = ckt.num_devices();
+/// inject_obd(&mut ckt, m, params, "bd")?;
+/// assert_eq!(ckt.num_devices(), before + 4); // Rbd, both junctions, Rsub
 /// # Ok(())
 /// # }
 /// ```

@@ -113,7 +113,7 @@ impl Default for MonteConfig {
 
 /// Outcome of one (corner, probe) measurement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MonteOutcome {
+pub(crate) enum MonteOutcome {
     /// Measured 50 %-to-50 % delay (ps).
     Delay(f64),
     /// The transition never completed.
@@ -138,9 +138,9 @@ pub struct MonteProbeStats {
     /// Probe label (`fault_free_fall`, `mbd2_nmos_fall`, …).
     pub label: String,
     /// The probed stage, `None` for fault-free probes.
-    pub stage: Option<BreakdownStage>,
+    pub(crate) stage: Option<BreakdownStage>,
     /// The defective polarity, `None` for fault-free probes.
-    pub polarity: Option<Polarity>,
+    pub(crate) polarity: Option<Polarity>,
     /// Completed delays (ps), ascending.
     pub delays_ps: Vec<f64>,
     /// Corners where the transition never completed.
@@ -173,11 +173,11 @@ pub struct MonteReport {
     /// Corners sampled.
     pub samples: usize,
     /// Base seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Relative 1-sigma spread.
-    pub spread: f64,
+    pub(crate) spread: f64,
     /// At-speed limit used for detection verdicts (ps).
-    pub at_speed_ps: f64,
+    pub(crate) at_speed_ps: f64,
     /// Per-probe aggregates, in probe order.
     pub probes: Vec<MonteProbeStats>,
     /// Total degraded (corner, probe) measurements.

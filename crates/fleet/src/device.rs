@@ -18,25 +18,25 @@ use crate::FleetError;
 
 /// Chaos: the device's simulation state is corrupted beyond recovery;
 /// the driver reports it as poisoned and excludes it from aggregates.
-pub static DEVICE_FAULT: InjectionPoint = InjectionPoint::new("fleet.device_fault");
+pub(crate) static DEVICE_FAULT: InjectionPoint = InjectionPoint::new("fleet.device_fault");
 /// Chaos: the scheduler fires a session late/early enough that the
 /// session yields no usable result (a degraded, skipped opportunity).
-pub static SCHED_SKEW: InjectionPoint = InjectionPoint::new("fleet.sched_skew");
+pub(crate) static SCHED_SKEW: InjectionPoint = InjectionPoint::new("fleet.sched_skew");
 /// Chaos: a BIST session's pass/fail verdict is flipped in transit.
-pub static TEST_CORRUPT: InjectionPoint = InjectionPoint::new("fleet.test_corrupt");
+pub(crate) static TEST_CORRUPT: InjectionPoint = InjectionPoint::new("fleet.test_corrupt");
 
 /// Per-device sampled parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceParams {
     /// Absolute hour the defect reaches SBD; `None` for a defect-free
     /// device.
-    pub onset_hours: Option<f64>,
+    pub(crate) onset_hours: Option<f64>,
     /// SBD→terminal progression duration in hours.
-    pub duration_hours: f64,
+    pub(crate) duration_hours: f64,
     /// OBD fault site index into the [`BistProfile`].
-    pub site: usize,
+    pub(crate) site: usize,
     /// Scheduler phase as a fraction of the base interval.
-    pub phase_frac: f64,
+    pub(crate) phase_frac: f64,
 }
 
 impl DeviceParams {
@@ -90,19 +90,19 @@ pub enum DeviceOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceResult {
     /// Terminal classification.
-    pub outcome: DeviceOutcome,
+    pub(crate) outcome: DeviceOutcome,
     /// BIST sessions executed (until detection, breakdown, or horizon).
-    pub sessions: u64,
+    pub(crate) sessions: u64,
     /// The scheduler interval this device ran at, in hours.
-    pub interval_hours: f64,
+    pub(crate) interval_hours: f64,
     /// Detection latency from window opening, in integer milli-hours
     /// (`Some` iff detected).
-    pub latency_mh: Option<u64>,
+    pub(crate) latency_mh: Option<u64>,
     /// Chaos-degraded events survived (skewed sessions, masked detects).
-    pub degraded_events: u64,
+    pub(crate) degraded_events: u64,
     /// Chaos events recovered transparently (false alarms cleared by an
     /// immediate retest).
-    pub recovered_events: u64,
+    pub(crate) recovered_events: u64,
 }
 
 /// The scheduler interval and phase for a device, derived from its

@@ -17,15 +17,15 @@ use crate::sim::{FleetAccum, FleetConfig};
 
 /// Summary of the graded BIST profile driving the fleet.
 #[derive(Debug, Clone)]
-pub struct BistSummary {
+pub(crate) struct BistSummary {
     /// Circuit label.
-    pub circuit: String,
+    pub(crate) circuit: String,
     /// OBD fault site count.
-    pub sites: usize,
+    pub(crate) sites: usize,
     /// Two-pattern test count in the graded set.
-    pub tests: usize,
+    pub(crate) tests: usize,
     /// Covered sites per [`LADDER`] stage.
-    pub covered_by_stage: [usize; 5],
+    pub(crate) covered_by_stage: [usize; 5],
 }
 
 /// Nearest-rank detection-latency percentiles and the maximum, in
@@ -86,24 +86,24 @@ impl LatencyTail {
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Root seed of the run.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Configured fleet size.
-    pub devices: u64,
+    pub(crate) devices: u64,
     /// Worker threads actually used (excluded from the JSON artifact).
-    pub threads_used: usize,
+    pub(crate) threads_used: usize,
     /// Simulated deployment length, hours.
-    pub horizon_hours: f64,
+    pub(crate) horizon_hours: f64,
     /// Detection slack, ps.
-    pub slack_ps: f64,
+    pub(crate) slack_ps: f64,
     /// In-window opportunities the scheduler guarantees.
-    pub opportunities: usize,
+    pub(crate) opportunities: usize,
     /// Interval multiplier the run used.
-    pub interval_scale: f64,
+    pub(crate) interval_scale: f64,
     /// BIST profile summary.
-    pub bist: BistSummary,
+    pub(crate) bist: BistSummary,
     /// Reference detection windows (27 h progression) per polarity from
     /// the interpolated core model, for context.
-    pub reference_windows: [(Polarity, Option<DetectionWindow>); 2],
+    pub(crate) reference_windows: [(Polarity, Option<DetectionWindow>); 2],
     /// Integer accumulator. Its latencies are partitioned around the
     /// percentile ranks by the selection that builds the report; their
     /// order carries no meaning.

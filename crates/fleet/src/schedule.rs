@@ -50,7 +50,7 @@ pub const LADDER: [BreakdownStage; 5] = [
 /// see it yet. Planning on stage arrivals keeps the in-window guarantee
 /// exact instead of probabilistic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowPlan {
+pub(crate) struct WindowPlan {
     nmos: StagePair,
     pmos: StagePair,
 }

@@ -17,8 +17,6 @@ pub struct TimingReport {
     arrivals: Vec<f64>,
     /// Required time per net (ps).
     required: Vec<f64>,
-    /// The analyzed clock period (ps).
-    pub clock_ps: f64,
 }
 
 impl TimingReport {
@@ -91,11 +89,7 @@ pub fn analyze(
             *r = clock_ps;
         }
     }
-    Ok(TimingReport {
-        arrivals,
-        required,
-        clock_ps,
-    })
+    Ok(TimingReport { arrivals, required })
 }
 
 #[cfg(test)]

@@ -87,9 +87,9 @@ pub struct InputEvent {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DigitalWave {
     /// Value before the first transition.
-    pub initial: Lv,
+    pub(crate) initial: Lv,
     /// Change points.
-    pub transitions: Vec<(f64, Lv)>,
+    pub(crate) transitions: Vec<(f64, Lv)>,
 }
 
 impl DigitalWave {

@@ -154,7 +154,7 @@ impl Gauge {
 }
 
 /// Maximum number of finite buckets a histogram may declare.
-pub const MAX_BUCKETS: usize = 24;
+pub(crate) const MAX_BUCKETS: usize = 24;
 
 /// Fixed-bucket histogram over `u64` samples.
 ///
@@ -177,7 +177,7 @@ pub struct Histogram {
 const ZERO: AtomicU64 = AtomicU64::new(0);
 
 impl Histogram {
-    /// `bounds` must be ascending and hold at most [`MAX_BUCKETS`] edges.
+    /// `bounds` must be ascending and hold at most `MAX_BUCKETS` (24) edges.
     pub const fn new(name: &'static str, bounds: &'static [u64]) -> Self {
         assert!(bounds.len() <= MAX_BUCKETS);
         Self {
@@ -278,23 +278,23 @@ impl Histogram {
 pub struct HistogramSnapshot {
     pub name: String,
     pub count: u64,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-    pub p50: u64,
-    pub p90: u64,
-    pub p99: u64,
+    pub(crate) sum: u64,
+    pub(crate) min: u64,
+    pub(crate) max: u64,
+    pub(crate) p50: u64,
+    pub(crate) p90: u64,
+    pub(crate) p99: u64,
     /// `(inclusive_upper_bound, count)` pairs in ascending bound order.
-    pub buckets: Vec<(u64, u64)>,
+    pub(crate) buckets: Vec<(u64, u64)>,
     /// Samples above the last bound.
-    pub overflow: u64,
+    pub(crate) overflow: u64,
 }
 
 /// Point-in-time copy of every metric touched while enabled.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, f64)>,
+    pub(crate) counters: Vec<(String, u64)>,
+    pub(crate) gauges: Vec<(String, f64)>,
     pub histograms: Vec<HistogramSnapshot>,
 }
 

@@ -11,13 +11,13 @@ use crate::{SimOptions, SpiceError};
 #[derive(Debug, Clone)]
 pub struct DcSweep {
     /// Instance name of the voltage source to sweep.
-    pub source: String,
+    pub(crate) source: String,
     /// Start value (V).
-    pub start: f64,
+    pub(crate) start: f64,
     /// Stop value (V).
-    pub stop: f64,
+    pub(crate) stop: f64,
     /// Number of points (≥ 2).
-    pub points: usize,
+    pub(crate) points: usize,
 }
 
 impl DcSweep {
@@ -36,7 +36,7 @@ impl DcSweep {
 #[derive(Debug, Clone)]
 pub struct SweepResult {
     /// Swept source values.
-    pub inputs: Vec<f64>,
+    pub(crate) inputs: Vec<f64>,
     solutions: Vec<Vec<f64>>,
 }
 

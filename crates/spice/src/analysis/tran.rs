@@ -5,8 +5,8 @@
 //! predictor on ([`SimOptions::predictor`], the default), each step's
 //! size follows its local error: the distance between the predictor's
 //! extrapolated seed and the converged solution. Quiet stretches grow the
-//! step up to [`MAX_STEP_RATIO`] nominal steps, a step whose error
-//! exceeds [`LTE_VTOL`] is retried shorter, and steps land exactly on
+//! step up to `MAX_STEP_RATIO` nominal steps, a step whose error
+//! exceeds `LTE_VTOL` is retried shorter, and steps land exactly on
 //! every source breakpoint (`SourceWave::breakpoints`) and restart
 //! there at the nominal step. The control never proposes a step below
 //! the nominal `TranParams::step`; only a breakpoint or a convergence
@@ -29,9 +29,9 @@ use obd_metrics::Counter;
 /// Local-error tolerance of the step control (volts): the largest node
 /// distance between a step's predicted seed and its converged solution
 /// that a step longer than the nominal one may keep.
-pub const LTE_VTOL: f64 = 100e-6;
+pub(crate) const LTE_VTOL: f64 = 100e-6;
 /// Longest step the step control may take, in nominal steps.
-pub const MAX_STEP_RATIO: f64 = 32.0;
+pub(crate) const MAX_STEP_RATIO: f64 = 32.0;
 /// Maximum number of halvings applied to a non-converging step.
 const MAX_STEP_HALVINGS: u32 = 8;
 
@@ -56,7 +56,7 @@ static CHAOS_STEP_REJECT: InjectionPoint = InjectionPoint::new("spice.tran_step_
 
 /// Integration method selection for transient analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TranMethod {
+pub(crate) enum TranMethod {
     /// Backward Euler everywhere: first order, strongly damped. Useful as
     /// an accuracy ablation baseline.
     BackwardEuler,
@@ -69,14 +69,14 @@ pub enum TranMethod {
 pub struct TranParams {
     /// Nominal timestep (seconds): the fixed grid with the predictor off,
     /// and the shortest step the step control takes with it on.
-    pub step: f64,
+    pub(crate) step: f64,
     /// Stop time (seconds); the analysis runs from t = 0 to `stop`.
-    pub stop: f64,
+    pub(crate) stop: f64,
     /// Integration method.
-    pub method: TranMethod,
+    pub(crate) method: TranMethod,
     /// Use the DC operating point as the initial condition (default).
     /// When `false`, all nodes start at 0 V ("UIC").
-    pub from_op: bool,
+    pub(crate) from_op: bool,
 }
 
 impl TranParams {

@@ -11,17 +11,17 @@ use crate::stamp::Stamp;
 /// * trapezoidal:    `i = (2C/h)·(v − v_prev) − i_prev`
 ///
 /// The previous-step voltage and current live in the solver-owned
-/// [`DeviceState::tran`] slots (`[v_prev, i_prev]`).
+/// `DeviceState::tran` slots (`[v_prev, i_prev]`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Capacitor {
     /// Instance name.
-    pub name: String,
+    pub(crate) name: String,
     /// First terminal.
-    pub a: NodeId,
+    pub(crate) a: NodeId,
     /// Second terminal.
-    pub b: NodeId,
+    pub(crate) b: NodeId,
     /// Capacitance in farads; must be positive and finite.
-    pub farads: f64,
+    pub(crate) farads: f64,
 }
 
 impl Capacitor {

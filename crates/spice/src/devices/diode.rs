@@ -16,14 +16,14 @@ const MAX_EXP_ARG: f64 = 120.0;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiodeParams {
     /// Saturation current in amps, at the nominal temperature (300 K).
-    pub isat: f64,
+    pub(crate) isat: f64,
     /// Emission coefficient (ideality factor).
-    pub n: f64,
+    pub(crate) n: f64,
     /// Energy gap (eV) for the saturation-current temperature law
     /// (SPICE `EG`, silicon default 1.11).
-    pub eg: f64,
+    pub(crate) eg: f64,
     /// Saturation-current temperature exponent (SPICE `XTI`, default 3).
-    pub xti: f64,
+    pub(crate) xti: f64,
 }
 
 impl DiodeParams {
@@ -94,13 +94,13 @@ pub(crate) fn pnjlim(v_new: f64, v_old: f64, vte: f64, vcrit: f64) -> f64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diode {
     /// Instance name.
-    pub name: String,
+    pub(crate) name: String,
     /// Anode (current flows in here when forward biased).
-    pub anode: NodeId,
+    pub(crate) anode: NodeId,
     /// Cathode.
-    pub cathode: NodeId,
+    pub(crate) cathode: NodeId,
     /// Model parameters.
-    pub params: DiodeParams,
+    pub(crate) params: DiodeParams,
 }
 
 impl Diode {

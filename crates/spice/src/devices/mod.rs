@@ -60,11 +60,11 @@ pub struct EvalCtx {
 /// * `tran` — previous-timestep values for companion models
 ///   (`[v_prev, i_prev]` for capacitors).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DeviceState {
+pub(crate) struct DeviceState {
     /// Limiting memory (meaning is device-specific).
-    pub limit: [f64; 2],
+    pub(crate) limit: [f64; 2],
     /// Transient history (meaning is device-specific).
-    pub tran: [f64; 2],
+    pub(crate) tran: [f64; 2],
 }
 
 /// Any supported device.

@@ -62,7 +62,7 @@ impl MosParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mosfet {
     /// Instance name.
-    pub name: String,
+    pub(crate) name: String,
     /// Channel polarity.
     pub polarity: MosPolarity,
     /// Drain.
@@ -74,7 +74,7 @@ pub struct Mosfet {
     /// Bulk.
     pub bulk: NodeId,
     /// Model parameters.
-    pub params: MosParams,
+    pub(crate) params: MosParams,
 }
 
 /// Result of evaluating the Level-1 equations in the common N frame.

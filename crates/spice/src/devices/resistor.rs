@@ -16,13 +16,13 @@ use crate::stamp::Stamp;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Resistor {
     /// Instance name.
-    pub name: String,
+    pub(crate) name: String,
     /// First terminal.
-    pub a: NodeId,
+    pub(crate) a: NodeId,
     /// Second terminal.
-    pub b: NodeId,
+    pub(crate) b: NodeId,
     /// Resistance in ohms; must be positive and finite.
-    pub ohms: f64,
+    pub(crate) ohms: f64,
 }
 
 impl Resistor {

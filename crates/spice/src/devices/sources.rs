@@ -6,19 +6,19 @@ use crate::stamp::Stamp;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PulseSpec {
     /// Initial value.
-    pub v1: f64,
+    pub(crate) v1: f64,
     /// Pulsed value.
-    pub v2: f64,
+    pub(crate) v2: f64,
     /// Delay before the first edge (seconds).
-    pub delay: f64,
+    pub(crate) delay: f64,
     /// Rise time (seconds).
-    pub rise: f64,
+    pub(crate) rise: f64,
     /// Fall time (seconds).
-    pub fall: f64,
+    pub(crate) fall: f64,
     /// Pulse width at `v2` (seconds).
-    pub width: f64,
+    pub(crate) width: f64,
     /// Period; 0 or less means a single pulse.
-    pub period: f64,
+    pub(crate) period: f64,
 }
 
 /// Time-dependent source value.
@@ -161,13 +161,13 @@ fn pwl_value(pts: &[(f64, f64)], t: f64) -> f64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Vsource {
     /// Instance name.
-    pub name: String,
+    pub(crate) name: String,
     /// Positive terminal.
-    pub plus: NodeId,
+    pub(crate) plus: NodeId,
     /// Negative terminal.
-    pub minus: NodeId,
+    pub(crate) minus: NodeId,
     /// Waveform.
-    pub wave: SourceWave,
+    pub(crate) wave: SourceWave,
 }
 
 impl Vsource {
@@ -196,13 +196,13 @@ impl Vsource {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Isource {
     /// Instance name.
-    pub name: String,
+    pub(crate) name: String,
     /// Terminal the current leaves.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Terminal the current enters.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// Waveform.
-    pub wave: SourceWave,
+    pub(crate) wave: SourceWave,
 }
 
 impl Isource {

@@ -46,7 +46,7 @@ static CHAOS_NEWTON_STALL: InjectionPoint = InjectionPoint::new("spice.newton_st
 /// Which rung of the escalation ladder produced a solution — reported by
 /// `Solver::solve_escalated` so analyses can account for recoveries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Escalation {
+pub(crate) enum Escalation {
     /// The direct Newton solve converged.
     Direct,
     /// Gmin stepping recovered the solve.
@@ -69,7 +69,7 @@ pub struct Solver<'c> {
     /// Number of voltage-source branches.
     n_branches: usize,
     /// Per-device limiting/transient state.
-    pub states: Vec<DeviceState>,
+    pub(crate) states: Vec<DeviceState>,
     /// The system assembled each Newton iteration.
     stamp: Stamp,
     /// The linear part, stamped once per solve and copied into `stamp`

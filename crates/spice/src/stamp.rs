@@ -13,9 +13,9 @@ pub struct Stamp {
     n_nodes: usize,
     n_branches: usize,
     /// System matrix.
-    pub a: Matrix,
+    pub(crate) a: Matrix,
     /// Right-hand side.
-    pub z: Vec<f64>,
+    pub(crate) z: Vec<f64>,
 }
 
 impl Stamp {

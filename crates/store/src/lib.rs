@@ -98,13 +98,13 @@ pub const FORMAT_VERSION: u16 = 1;
 
 /// Environment variable naming the directory of the process-wide store
 /// (fleet checkpoints).
-pub const STORE_DIR_ENV: &str = "OBD_STORE_DIR";
+pub(crate) const STORE_DIR_ENV: &str = "OBD_STORE_DIR";
 
 /// The process-wide store, which `repro fleet` checkpoints into.
 /// Initialized exactly once, from [`STORE_DIR_ENV`].
 static GLOBAL: OnceLock<Option<Arc<Store>>> = OnceLock::new();
 
-/// The process-wide store handle, opened from [`STORE_DIR_ENV`] on first
+/// The process-wide store handle, opened from `OBD_STORE_DIR` on first
 /// use, or `None` when persistence is off. Persistence is off when the
 /// variable is unset (there is no default directory) or its directory
 /// cannot be opened; the latter warns rather than failing the caller —

@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         exhaustive.testable,
         exhaustive.total_faults,
         exhaustive.minimal_set.len(),
-        exhaustive.candidate_tests
+        exhaustive.tests.len()
     );
     for &t in &exhaustive.minimal_set {
         println!("  {}", exhaustive.tests[t].render());

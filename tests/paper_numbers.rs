@@ -37,7 +37,7 @@ fn fig8_56_sites_32_testable() {
     // minimal cover is smaller; the shared qualitative claim is that a
     // small fraction of the transition universe suffices.
     assert!(a.minimal_set.len() <= 18);
-    assert!(a.minimal_set.len() * 3 <= a.candidate_tests);
+    assert!(a.minimal_set.len() * 3 <= a.tests.len());
 }
 
 #[test]
